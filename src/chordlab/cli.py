@@ -4,11 +4,12 @@
     chordlab --schema
 
 Each experiment reads a flat key = value config, writes <experiment>.csv
-plus a JSON sidecar with the echoed config, derived quantities, and any
-numerical warnings raised along the way.  All floating-point output uses
-%.17g, so identical configs reproduce byte-identical files.
+plus a JSON sidecar with the echoed config, derived quantities, and each
+numerical warning raised along the way, once.  All floating-point output
+uses %.17g, so identical configs reproduce byte-identical files.
 
-Exit codes: 0 success, 1 numerical failure, 2 bad usage or bad config.
+Exit codes: 0 success, 1 numerical failure (including a semiclassical
+window where no branch survives), 2 bad usage or bad config.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ common keys
   hbar                float, default 0.05
   seed                int, default 0 (echoed; no experiment is stochastic)
   time.t              float, default 0: evolution time
-  time.dt             float, default 1e-3: integrator step
+  time.dt             float, default 1e-3: integrator step, used for
+                      non-quadratic models only (quadratic ones are exact)
 
 state selection (evolve-chord, lwc, spectrum, husimi)
   state.family        coherent | circle | quartic | pendulum | fock | cat
@@ -194,12 +196,16 @@ def _auto_centre_half_width(cfg: Config, hbar: float) -> float:
     return float(np.max(np.abs(curve.points))) + pad
 
 
-def _capture(fn, *args, **kwargs):
-    """Run fn recording every warning; returns (result, messages)."""
+def _capture(extra: dict, fn, *args, **kwargs):
+    """Run fn and record each warning it raises in the sidecar list, once."""
     with _warnings.catch_warnings(record=True) as rec:
         _warnings.simplefilter("always")
         result = fn(*args, **kwargs)
-    return result, [f"{w.category.__name__}: {w.message}" for w in rec]
+    for w in rec:
+        msg = f"{w.category.__name__}: {w.message}"
+        if msg not in extra["warnings"]:
+            extra["warnings"].append(msg)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +220,13 @@ def _exp_coherent_demo(cfg: Config, out: str, extra: dict) -> dict:
     grid = CenteredGrid(half, half, m, hbar)
     pp, qq = grid.meshgrid()
     w_vals = states.coherent_wigner(state, pp, qq)
-    (chi, cgrid), notes = _capture(chord_from_centre, w_vals, grid)
+    chi, cgrid = _capture(extra, chord_from_centre, w_vals, grid)
     xp, xq = cgrid.meshgrid()
     chi_err = float(np.max(np.abs(chi - states.coherent_chord_function(state, xp, xq))))
-    (back, _), notes2 = _capture(centre_from_chord, chi, cgrid)
+    back, _ = _capture(extra, centre_from_chord, chi, cgrid)
     round_err = float(np.max(np.abs(back - w_vals)))
     gridio.save_grid_csv(os.path.join(out, "wigner.csv"), w_vals, grid, "centre")
     gridio.save_grid_csv(os.path.join(out, "chord.csv"), chi, cgrid, "chord")
-    extra["warnings"].extend(notes + notes2)
     return {
         "chi_closed_form_error": chi_err,
         "round_trip_error": round_err,
@@ -252,10 +257,8 @@ def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
     channels = _channels(cfg)
     t = cfg.float("time.t", 0.0)
     dt = cfg.float("time.dt", 1e-3)
-    chi_fn, notes = _capture(evolve_chord_function, source, model, channels,
-                             t, dt=dt, hbar=hbar)
-    extra["warnings"].extend(notes)
-    extra["warnings"].extend(str(w) for w in chi_fn.warnings)
+    chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
+                      t, dt=dt, hbar=hbar)
     m = cfg.int("xi.points", 0) or cfg.int("grid.points", 128)
     if m % 2:
         raise ConfigError("xi.points must be even")
@@ -319,10 +322,8 @@ def _lwc_samples(cfg: Config, extra: dict):
         coh = _coherent(cfg, hbar)
     elif route == "chord":
         source = _chord_source(cfg, hbar)
-        chi_fn, notes = _capture(evolve_chord_function, source, model, channels,
-                                 t, dt=dt, hbar=hbar)
-        extra["warnings"].extend(notes)
-        extra["warnings"].extend(str(w) for w in chi_fn.warnings)
+        chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
+                          t, dt=dt, hbar=hbar)
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
@@ -338,22 +339,19 @@ def _lwc_samples(cfg: Config, extra: dict):
             span = 6.0 * delta + 1.0
             q_axis = np.linspace(q0 - span, q0 + span, 801)
             slices = states.coherent_position_slices(coh, q_axis, xi_q)
-            sample, notes = _capture(lwc_direct, slices, q_axis, xi_q, window, xi_q)
-            extra["warnings"].extend(notes)
+            sample = _capture(extra, lwc_direct, slices, q_axis, xi_q, window, xi_q)
         elif route == "chord":
-            sample, notes = _capture(lwc_from_chord, chi_fn, window, xi_q)
-            extra["warnings"].extend(notes)
+            sample = _capture(extra, lwc_from_chord, chi_fn, window, xi_q)
         elif route == "sc-berry":
-            sample, notes = _capture(lwc_sc_berry, curve, q0, xi_q, hbar)
-            extra["warnings"].extend(notes)
+            sample = _capture(extra, lwc_sc_berry, curve, q0, xi_q, hbar)
         elif route == "sc-quadratic":
-            sample, notes = _capture(lwc_sc_quadratic, curve, window, xi_q)
-            extra["warnings"].extend(notes)
+            sample = _capture(extra, lwc_sc_quadratic, curve, window, xi_q)
         else:
-            sample, notes = _capture(lwc_sc_markov, curve, model, channels, t,
-                                     window, xi_q, dt=dt)
-            extra["warnings"].extend(notes)
-        extra["warnings"].extend(str(w) for w in sample.warnings)
+            sample = _capture(extra, lwc_sc_markov, curve, model, channels, t,
+                              window, xi_q, dt=dt)
+        if route.startswith("sc-") and not np.any(~sample.branches.caustic):
+            raise RuntimeError(f"no semiclassical branch survives in the window at "
+                               f"Q = {q0:g} ({'; '.join(sample.warnings)})")
         samples.append((q0, window, sample))
     return route, samples, (model, channels, t, dt)
 
@@ -382,9 +380,7 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
     rows = []
     info = []
     for q0, window, sample in samples:
-        sd, notes = _capture(spectrum, sample, hbar)
-        extra["warnings"].extend(notes)
-        extra["warnings"].extend(str(w) for w in sd.warnings)
+        sd = _capture(extra, spectrum, sample, hbar)
         for p, s in zip(sd.p, sd.values):
             rows.append((q0, p, s))
         peaks = fit_peaks(sd.p, sd.values, 1e-2)
@@ -401,10 +397,9 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
             entry["separation"] = v.separation
             entry["widths"] = list(v.widths)
         if route in ("sc-markov", "sc-quadratic"):
-            sc, notes2 = _capture(sc_spectrum_closed_form,
-                                  _curve(cfg, _state_family(cfg)), model, channels,
-                                  t, window, sd.p, dt=dt)
-            extra["warnings"].extend(notes2)
+            sc = _capture(extra, sc_spectrum_closed_form,
+                          _curve(cfg, _state_family(cfg)), model, channels,
+                          t, window, sd.p, dt=dt)
             entry["closed_form_peaks"] = [
                 {"position": pk.position, "height": pk.height,
                  "variance": pk.variance, "flagged": pk.flagged}
@@ -425,19 +420,15 @@ def _exp_positivity(cfg: Config, out: str, extra: dict) -> dict:
     channels = _channels(cfg)
     if not channels:
         raise ConfigError("positivity needs at least one channel")
-    dt = cfg.float("time.dt", 1e-3)
-    tp, notes = _capture(positivity_time, model, channels, dt=dt)
-    extra["warnings"].extend(notes)
+    tp = _capture(extra, positivity_time, model, channels)
     rows = []
     for tk in np.linspace(0.0, 2.0 * tp, 65)[1:]:
-        dm = decoherence_matrix(model, channels, np.zeros(2), float(tk), dt=dt,
-                                convergence_check=False, frame="initial")
+        dm = decoherence_matrix(model, channels, np.zeros(2), float(tk), frame="initial")
         rows.append((tk, dm.det, dm.phi[0, 0], dm.phi[0, 1], dm.phi[1, 1]))
     _write_table(os.path.join(out, "positivity.csv"),
                  [("experiment", "positivity")],
                  ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"], rows)
-    dm = decoherence_matrix(model, channels, np.zeros(2), tp, dt=dt,
-                            convergence_check=False, frame="initial")
+    dm = decoherence_matrix(model, channels, np.zeros(2), tp, frame="initial")
     return {
         "positivity_time": tp,
         "gamma": total_gamma(channels),
@@ -460,23 +451,17 @@ def _fock_state(cfg: Config, hbar: float, dim: int) -> fock.FockDensityMatrix:
 def _exp_husimi(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
     dim = cfg.int("fock.dim", 128)
-    rho = _fock_state(cfg, hbar, dim)
-    extra["warnings"].extend(str(w) for w in rho.warnings)
+    rho = _capture(extra, _fock_state, cfg, hbar, dim)
     t = cfg.float("time.t", 0.0)
     if t > 0.0:
         model = _hamiltonian(cfg)
-        rho, notes = _capture(fock.evolve_state, rho, model, _channels(cfg), t,
-                              cfg.float("time.dt", 1e-3))
-        extra["warnings"].extend(notes)
-        extra["warnings"].extend(str(w) for w in rho.warnings)
+        rho = _capture(extra, fock.evolve_state, rho, model, _channels(cfg), t,
+                       cfg.float("time.dt", 1e-3))
     m = cfg.int("grid.points", 128)
     half = cfg.float("grid.half_width", 0.0) or _auto_centre_half_width(cfg, hbar)
     grid = CenteredGrid(half, half, m, hbar)
-    sink: list = []
-    w_vals = fock.wigner_exact(rho, grid, sink)
-    h_vals, notes = _capture(husimi_mod.husimi_from_wigner, w_vals, grid)
-    extra["warnings"].extend(str(s) for s in sink)
-    extra["warnings"].extend(notes)
+    w_vals = _capture(extra, fock.wigner_exact, rho, grid)
+    h_vals = _capture(extra, husimi_mod.husimi_from_wigner, w_vals, grid)
     gridio.save_grid_csv(os.path.join(out, "husimi.csv"), h_vals, grid, "husimi")
     peak = int(np.argmax(h_vals))
     i, j = divmod(peak, m)

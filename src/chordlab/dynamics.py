@@ -26,17 +26,23 @@ and every evolved Wigner function is nonnegative once det Phi_0 >= 1/4.
 det M = exp(2 gamma t), so the two frames share a determinant only for
 Hermitian channels (gamma = 0).
 
-All integrators are fixed-step 4th order; refinement checks warn instead of
-adapting, so identical inputs give identical outputs.
+Quadratic models are Gaussian and exact: every centre follows one affine
+map, every chord one monodromy M = exp(t A) with A = J Hess H + gamma, and
+Phi is the Gramian of (A, Lambda), taken from one Van Loan block exponential
+(IEEE TAC 23, 395, 1978).  No step size enters and no refinement is run.
+Other models are integrated with fixed-step RK4 (Phi by composite Simpson
+on the step grid); their refinement checks warn instead of adapting, so
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.optimize import brentq
 
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
@@ -58,7 +64,6 @@ __all__ = [
     "evolve_chord_function",
     "positivity_time",
     "advect",
-    "expm2",
 ]
 
 
@@ -268,13 +273,56 @@ def _steps_for(t: float, dt: float) -> int:
     return n + (n % 2)  # even step count keeps the Simpson accumulator simple
 
 
+def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """Phi = Int_0^t exp(u a^T) lam exp(u a) du for a constant generator a.
+
+    One block exponential of [[-a^T, lam], [0, a]] over tau = t / 2^k gives
+    M(tau) = exp(tau a) and Phi(tau) = M(tau)^T (upper-right block); k exact
+    doublings Phi(2 tau) = Phi(tau) + M(tau)^T Phi(tau) M(tau),
+    M(2 tau) = M(tau)^2 then reach t.  The doubling keeps Phi finite wherever
+    Phi is finite; the block exponential alone overflows its exp(-t a^T)
+    corner once Phi has saturated (nan at t = 1000 for a unit rate).
+    """
+    scale = t * float(np.max(np.sum(np.abs(a), axis=0)))
+    k = max(0, math.ceil(math.log2(scale))) if scale > 0.0 else 0
+    block = np.zeros((4, 4))
+    block[:2, :2] = -a.T
+    block[:2, 2:] = lam
+    block[2:, 2:] = a
+    e = scipy.linalg.expm((t / 2**k) * block)
+    m = e[2:, 2:]
+    phi = m.T @ e[:2, 2:]
+    for _ in range(k):
+        phi = phi + m.T @ phi @ m
+        m = m @ m
+    return 0.5 * (phi + phi.T)
+
+
+def _centre_map(H, gamma: float, t: float):
+    """Affine centre flow x(t) = E x(0) + d of a quadratic model, from the
+    exponential of [[J Hess H - gamma, J grad H(0)], [0, 0]]."""
+    origin = np.zeros(2)
+    gen = np.zeros((3, 3))
+    gen[:2, :2] = J_MATRIX @ H.hessian(origin) - gamma * np.eye(2)
+    gen[:2, 2] = J_MATRIX @ H.gradient(origin)
+    e = scipy.linalg.expm(t * gen)
+    return e[:2, :2], e[:2, 2]
+
+
 def advect(H, channels, points, t: float, dt: float, direction: int = +1) -> np.ndarray:
-    """Fixed-step RK4 transport of (n, 2) centre points over time t."""
+    """Transport of (n, 2) centre points over time t: the exact affine map
+    for quadratic models, fixed-step RK4 otherwise."""
     gamma = total_gamma(channels)
     x = np.array(points, dtype=float)
-    steps = _steps_for(abs(t), dt)
-    if steps == 0:
+    if t == 0.0:
         return x
+    if H.quadratic:
+        e, d = _centre_map(H, gamma, direction * t)
+        x = x @ e.T + d
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("centre flow overflows over this time span")
+        return x
+    steps = _steps_for(abs(t), dt)
     h = direction * t / steps
 
     def f(z):
@@ -414,50 +462,6 @@ class DecoherenceMatrix:
         return float(np.linalg.det(self.phi))
 
 
-def expm2(a: np.ndarray) -> np.ndarray:
-    """Exact exponential of a real 2x2 matrix via the trace split."""
-    a = np.asarray(a, dtype=float)
-    mu = 0.5 * (a[0, 0] + a[1, 1])
-    b = a - mu * np.eye(2)
-    s2 = mu * mu - float(np.linalg.det(a))
-    if s2 >= 0.0:
-        s = math.sqrt(s2)
-        ch = math.cosh(s)
-        sh = math.sinh(s) / s if s > 1e-150 else 1.0
-    else:
-        w = math.sqrt(-s2)
-        ch = math.cos(w)
-        sh = math.sin(w) / w
-    return math.exp(mu) * (ch * np.eye(2) + sh * b)
-
-
-def _expm2_family(a: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(tau * a) for an array of taus, closed form, shape (len(taus), 2, 2)."""
-    mu = 0.5 * (a[0, 0] + a[1, 1])
-    b = a - mu * np.eye(2)
-    s2 = mu * mu - float(np.linalg.det(a))
-    taus = np.asarray(taus, dtype=float)
-    if s2 >= 0.0:
-        s = math.sqrt(s2)
-        arg = s * taus
-        ch = np.cosh(arg)
-        sh = np.where(np.abs(arg) > 1e-150, np.sinh(arg) / np.where(arg == 0, 1.0, arg), 1.0) * taus
-    else:
-        w = math.sqrt(-s2)
-        arg = w * taus
-        ch = np.cos(arg)
-        sh = np.where(arg == 0, 1.0, np.sin(arg) / np.where(arg == 0, 1.0, arg)) * taus
-    out = ch[:, None, None] * np.eye(2) + sh[:, None, None] * b
-    return np.exp(mu * taus)[:, None, None] * out
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
                        convergence_check: bool = True, frame: str = "final") -> DecoherenceMatrix:
     """Decoherence matrix of the trajectory through ``anchor``.
@@ -469,13 +473,14 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
 
     ``frame="initial"``: Phi_0(t) = Int_0^t M(u)^T Lambda M(u) du along the
     trajectory starting at the anchor, with M(u) the forward chord monodromy.
-    It equals M(t)^T Phi(t) M(t) but is integrated from its own integrand:
+    It equals M(t)^T Phi(t) M(t) but is computed from its own integrand:
     under a pump that product multiplies a decaying M by a growing Phi, and
     it turns to nan once Phi overflows (by t = 512 for a unit pump).
     Its determinant decides positivity (see ``positivity_time``).
 
-    Quadratic models use the exact 2x2 exponential; otherwise the trajectory
-    is co-integrated.
+    Quadratic models take the closed form (``dt`` and ``convergence_check``
+    are unused); otherwise the trajectory is co-integrated with RK4 and the
+    step is halved once to check convergence.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -487,42 +492,33 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     notes = []
     if t == 0.0:
         return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, notes, frame)
-    steps = _steps_for(t, dt)
     if H.quadratic:
         a = _chord_generator(H, gamma, anchor[None, :])[0]
-        if frame == "final":
-            a = -a
+        phi = _gramian(-a if frame == "final" else a, lam, t)
+        return DecoherenceMatrix(phi, float(t), anchor, notes, frame)
+    model, g = H, gamma
+    if frame == "final":
+        # backward system: dz/ds = -(J grad H - gamma z), dB/ds = -(J Hess + gamma) B
+        model = HamiltonianModel(
+            name=H.name + "(reversed)",
+            value=lambda xx: -H.value(xx),
+            gradient=lambda xx: -H.gradient(xx),
+            hessian=lambda xx: -H.hessian(xx),
+            quadratic=H.quadratic,
+            params=H.params,
+        )
+        g = -gamma
 
-        def integrate(n):
-            b = _expm2_family(a, np.linspace(0.0, t, n + 1))
-            w = _simpson_weights(n) * (t / n)
-            return np.einsum("k,kba,bc,kcd->ad", w, b, lam, b)
+    def integrate(n):
+        return _flow_with_monodromy(model, g, lam, anchor, t, n, want_quad=True)[2][0]
 
-        refinement = "node doubling"
-    else:
-        model, g = H, gamma
-        if frame == "final":
-            # backward system: dz/ds = -(J grad H - gamma z), dB/ds = -(J Hess + gamma) B
-            model = HamiltonianModel(
-                name=H.name + "(reversed)",
-                value=lambda xx: -H.value(xx),
-                gradient=lambda xx: -H.gradient(xx),
-                hessian=lambda xx: -H.hessian(xx),
-                quadratic=H.quadratic,
-                params=H.params,
-            )
-            g = -gamma
-
-        def integrate(n):
-            return _flow_with_monodromy(model, g, lam, anchor, t, n, want_quad=True)[2][0]
-
-        refinement = "halving dt"
+    steps = _steps_for(t, dt)
     phi = integrate(steps)
     if convergence_check:
         phi2 = integrate(2 * steps)
         err = float(np.max(np.abs(phi2 - phi))) / max(1.0, float(np.max(np.abs(phi))))
         if err > 1e-8:
-            report(notes, f"decoherence_matrix: {refinement} changes Phi by {err:.3e}",
+            report(notes, f"decoherence_matrix: halving dt changes Phi by {err:.3e}",
                    ConvergenceWarning)
             phi = phi2
     phi = 0.5 * (phi + phi.T)
@@ -603,20 +599,28 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
                                          exp[-xi . Phi_i(t) xi / (2 hbar)]
 
     with one trajectory and one decoherence matrix per initial sample.  For a
-    quadratic model every Phi_i coincides, and the sum reproduces the exact
-    Gaussian-modulated transport of the initial chord function.
+    quadratic model every Phi_i coincides and the endpoints follow one affine
+    map, so the sum is the exact Gaussian-modulated transport of the initial
+    chord function; other models run RK4 per sample.
     """
     pts, w, hbar, src = _source_samples(source, hbar)
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
-    steps = _steps_for(t, dt)
-    xt, mt, g, _, _ = _flow_with_monodromy(H, gamma, lam, pts, t, steps, want_quad=True)
-    if steps == 0:
-        phis = np.zeros((pts.shape[0], 2, 2))
-    else:
+    if H.quadratic:
+        e, d = _centre_map(H, gamma, t)
+        phi = _gramian(-_chord_generator(H, gamma, np.zeros((1, 2)))[0], lam, t)
+
+    def transport(points):
+        """Endpoints x_i(t) and final-frame Phi_i(t) of the samples."""
+        if H.quadratic:
+            return points @ e.T + d, np.broadcast_to(phi, (points.shape[0], 2, 2))
+        xt, mt, g, _, _ = _flow_with_monodromy(H, gamma, lam, points, t, _steps_for(t, dt),
+                                               want_quad=True)
         minv = np.linalg.inv(mt)
         phis = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
-        phis = 0.5 * (phis + np.transpose(phis, (0, 2, 1)))
+        return xt, 0.5 * (phis + np.transpose(phis, (0, 2, 1)))
+
+    xt, phis = transport(pts)
     fn = _chi_from_samples(xt, phis, w, hbar)
     out = ChordFunction.from_callable(fn, hbar)
     out.endpoints = xt
@@ -637,10 +641,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
             w2 = values[::2, ::2].ravel() * 4.0 * grid.dp * grid.dq
             keep = np.abs(w2) > 1e-16 * np.max(np.abs(w2))
             pts2, w2 = pts2[keep], w2[keep]
-        xt2, mt2, g2, _, _ = _flow_with_monodromy(H, gamma, lam, pts2, t, steps, want_quad=True)
-        minv2 = np.linalg.inv(mt2)
-        phis2 = np.einsum("kba,kbc,kcd->kad", minv2, g2, minv2)
-        alt = _chi_from_samples(xt2, phis2, w2, hbar)(probe_p, probe_q)
+        alt = _chi_from_samples(*transport(pts2), w2, hbar)(probe_p, probe_q)
         scale = max(np.max(np.abs(ref)), 1.0 / (2.0 * np.pi * hbar))
         err = float(np.max(np.abs(alt - ref))) / scale
         if err > 1e-6:
@@ -655,55 +656,54 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
 # positivity threshold
 
 
-def positivity_time(H, channels, dt: float = 1e-3, t_max: float = 1e4,
-                    rtol: float = 1e-8) -> float:
+def positivity_time(H, channels) -> float:
     """Smallest t with det Phi_0(t) = 1/4 for a quadratic model.
 
     Phi_0 is the decoherence matrix in the frame of the transported initial
     state (``decoherence_matrix(..., frame="initial")``); once its
     determinant reaches 1/4, every evolved Wigner function is nonnegative.
-    det Phi_0 is non-decreasing (its integrand is positive semidefinite), so
-    bracket expansion plus bisection is exact.  Channels whose det Phi_0
-    saturates at or below 1/4 (a lone pump channel approaches it only
-    asymptotically, and the Wigner function of |1> then stays negative at
-    the origin for all t) raise instead of looping forever.
+    det Phi_0 is non-decreasing (its integrand is positive semidefinite).
+
+    Whether it ever gets there is decided from A = J Hess H + gamma and
+    Lambda alone.  If A is Hurwitz, Phi_0 saturates at the solution X of
+    A^T X + X A = -Lambda, and det X <= 1/4 raises.  A lone pump on a
+    rotation-invariant model ties there exactly, and the Wigner function of
+    |1> then stays negative at the origin for all t.  Otherwise det Phi_0
+    grows without bound, unless Lambda misses an eigen-direction of A, which
+    keeps det Phi_0 = 0 and raises too.  Both tests hold at rounding level.
+    The root is then bracketed by doubling t and polished by Brent's method
+    to machine precision.
     """
     if not H.quadratic:
         raise ValueError("positivity_time applies to quadratic Hamiltonian models only")
     channels = _as_channels(channels)
+    a = _chord_generator(H, total_gamma(channels), np.zeros((1, 2)))[0]
+    lam = noise_matrix(channels)
+    eps = np.finfo(float).eps
+    if np.trace(a) < 0.0 and np.linalg.det(a) > 0.0:
+        limit = float(np.linalg.det(scipy.linalg.solve_continuous_lyapunov(a.T, -lam)))
+        if limit <= 0.25 * (1.0 + 64.0 * eps):
+            raise ValueError(
+                f"channels too weak: det Phi_0 saturates at {limit:.15g} <= 1/4 "
+                "as t -> inf")
+    else:
+        sv = np.linalg.svd(np.vstack([lam, lam @ a]), compute_uv=False)
+        if sv[1] <= 4.0 * eps * sv[0]:
+            raise ValueError(
+                "channels too weak: det Phi_0 = 0 for all t, because the noise "
+                "misses an eigen-direction of the chord flow")
     anchor = np.zeros(2)
-    # A lone linear channel can saturate det Phi_0 exactly AT 1/4 as t -> inf,
-    # and in float64 the plateau rounds to 0.25, so a bare sign test cannot
-    # tell saturation from a genuine crossing.  Require the bracket top to
-    # clear the threshold by a strict margin instead.  The margin also has to
-    # dominate the quadrature bias of the long-time probes, whose node count
-    # is capped to keep the cost of f(t_max) bounded.
-    margin = 1e-4
 
     def f(t):
-        dt_eff = max(dt, t * 1e-6)
-        return decoherence_matrix(H, channels, anchor, t, dt_eff, convergence_check=False,
-                                  frame="initial").det - 0.25
+        return decoherence_matrix(H, channels, anchor, t, frame="initial").det - 0.25
 
-    lo, hi = 0.0, min(1.0, t_max)
+    lo, hi = 0.0, 1.0
     f_hi = f(hi)
-    f_prev = None
-    while f_hi < margin and hi < t_max:
-        lo, f_prev = hi, f_hi
-        hi = min(2.0 * hi, t_max)
+    while f_hi < 0.0:
+        lo, hi, f_lo = hi, 2.0 * hi, f_hi
         f_hi = f(hi)
-    if f_hi < margin:
-        grow = f_hi - f_prev if f_prev is not None else f_hi
-        raise ValueError(
-            "channels too weak: det Phi_0 never clears 1/4 out to "
-            f"t={t_max:g} (final offset {f_hi:.3e}, growth over the last "
-            f"doubling {grow:.3e}); a lone pump channel approaches the "
-            "threshold only asymptotically"
-        )
-    while hi - lo > rtol * max(hi, 1e-30):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if f_hi <= f_lo:
+            raise ValueError(
+                f"channels too weak: det Phi_0 stops growing at 1/4 {f_hi:+.3e} by "
+                f"t = {hi:g}")
+    return brentq(f, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * eps)

@@ -93,7 +93,10 @@ class LwcSample:
         return complex(self.values[i])
 
     def normalized(self) -> np.ndarray:
-        return self.values / self.c0()
+        c0 = self.c0()
+        if c0 == 0:
+            raise ValueError("C(0) = 0: the window holds no weight to normalize by")
+        return self.values / c0
 
 
 @dataclass(frozen=True)

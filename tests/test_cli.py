@@ -107,6 +107,42 @@ def test_positivity_saturating_channel_fails(tmp_path, capsys):
     assert "too weak" in capsys.readouterr().err
 
 
+def test_spectrum_sidecar_lists_each_warning_once(tmp_path):
+    # a cramped xi_q grid: C(xi_q) is cut at the edge in both windows
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = circle
+state.action = 0.5
+window.q = 0.0
+window.q = 0.5
+lwc.route = sc-quadratic
+xi.points = 64
+xi.half_width = 0.3
+""")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+    notes = json.loads((out / "spectrum.json").read_text())["warnings"]
+    assert len(notes) == len(set(notes))
+    assert sum("not decayed" in msg for msg in notes) == 1
+
+
+@pytest.mark.parametrize("experiment", ["lwc", "spectrum"])
+def test_dead_semiclassical_window_fails(tmp_path, capsys, experiment):
+    # both circle branches at Q = 0.999 are caustic, so C would be 0
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = circle
+state.action = 0.5
+window.q = 0.999
+lwc.route = sc-quadratic
+xi.points = 256
+""")
+    out = tmp_path / "o"
+    assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 1
+    assert "Q = 0.999" in capsys.readouterr().err
+    assert not (out / f"{experiment}.json").exists()
+
+
 def test_positivity_requires_channel(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "hbar = 0.05\n")
     assert run_cli("positivity", "--config", cfg, "--out", str(tmp_path)) == 2

@@ -96,6 +96,24 @@ def test_advect_damped_harmonic_closed_form():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def shifted_oscillator(force, quadratic=True):
+    """H = (p^2 + q^2) / 2 + f q, whose gradient does not vanish at the origin."""
+    H = dy.hamiltonians.harmonic()
+    return dy.HamiltonianModel(
+        "shifted", lambda x: H.value(x) + force * x[..., 1],
+        lambda x: H.gradient(x) + np.array([0.0, force]), H.hessian, quadratic)
+
+
+def test_advect_shifted_oscillator_matches_rk4():
+    x0 = np.array([[1.0, 0.0], [0.3, -0.7], [-0.2, 0.5]])
+    for ch in (None, [DAMPING]):
+        got = dy.advect(shifted_oscillator(0.6), ch, x0, 1.3, 1e-3)
+        want = dy.advect(shifted_oscillator(0.6, quadratic=False), ch, x0, 1.3, 1e-3)
+        assert np.max(np.abs(got - want)) < 1e-12
+        back = dy.advect(shifted_oscillator(0.6), ch, got, 1.3, 1e-3, direction=-1)
+        assert np.max(np.abs(back - x0)) < 1e-12
+
+
 def test_advect_reverses():
     H = dy.hamiltonians.quartic()
     x0 = np.array([[0.4, 0.8]])
@@ -135,13 +153,6 @@ def test_centre_trajectory_warns_on_coarse_dt():
 def test_centre_trajectory_validation():
     with pytest.raises(ValueError):
         dy.centre_trajectory(dy.hamiltonians.zero(), None, np.zeros(2), -1.0, 1e-2)
-
-
-def test_expm2_matches_scipy():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        a = rng.standard_normal((2, 2))
-        assert np.max(np.abs(dy.expm2(a) - scipy.linalg.expm(a))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +230,15 @@ def test_phi_initial_frame_is_transported_final_frame():
         dy.decohered_reflection_symbol(np.zeros(2), np.zeros(2), dm, HBAR)
     with pytest.raises(ValueError):
         dy.decoherence_matrix(H, [PUMP], np.zeros(2), t, frame="middle")
+
+
+def test_phi_long_time_saturates():
+    """Final-frame damping and initial-frame pump both saturate at Lambda / 2;
+    at t = 1000 the bare Van Loan block exponential would overflow."""
+    H = dy.hamiltonians.zero()
+    for ch, frame in (([DAMPING], "final"), ([PUMP], "initial")):
+        dm = dy.decoherence_matrix(H, ch, np.zeros(2), 1000.0, frame=frame)
+        assert np.max(np.abs(dm.phi - 0.5 * dy.noise_matrix(ch))) < 1e-12
 
 
 def test_phi_anchor_independent_for_quadratic():
@@ -304,6 +324,21 @@ def test_damped_coherent_stays_coherent():
     assert np.max(np.abs(got - want)) < 1e-8 * scale
 
 
+def test_evolved_chord_shifted_oscillator_matches_rk4():
+    """The shared quadratic flow against per-sample RK4 on the same model."""
+    from chordlab.curves import harmonic_circle
+
+    curve = harmonic_circle(0.5, 128)
+    xi = math.sqrt(HBAR) * np.array([0.0, 0.3, -0.8, 1.4])
+    vals = []
+    for quadratic in (True, False):
+        chi_fn = dy.evolve_chord_function(curve, shifted_oscillator(0.6, quadratic),
+                                          [DAMPING, Q_CHANNEL], 0.5, dt=1e-3, hbar=HBAR,
+                                          convergence_check=False)
+        vals.append(chi_fn(xi, xi[::-1]))
+    assert np.max(np.abs(vals[0] - vals[1])) < 1e-12 / (2.0 * math.pi * HBAR)
+
+
 def test_evolved_chord_zero_time_returns_input():
     state = CoherentState((0.2, -0.3), HBAR)
     grid = CenteredGrid(2.0, 2.0, 128, HBAR)
@@ -360,7 +395,7 @@ def test_positivity_time_pump():
     1 - 2 exp(-2t) crosses zero there, while under the pump it never does
     (see the oracle test below)."""
     tp = dy.positivity_time(dy.hamiltonians.zero(), [DAMPING])
-    assert abs(tp - 0.5 * math.log(2.0)) < 1e-6
+    assert abs(tp - 0.5 * math.log(2.0)) < 1e-12
 
 
 def test_positivity_time_harmonic_position_channel():
@@ -378,11 +413,21 @@ def test_positivity_time_harmonic_position_channel():
 
 def test_positivity_time_saturating_channels_raise():
     # a lone pump channel approaches det Phi_0 = 1/4 without crossing
-    with pytest.raises(ValueError):
-        dy.positivity_time(dy.hamiltonians.zero(), [PUMP], t_max=50.0)
+    with pytest.raises(ValueError, match="too weak"):
+        dy.positivity_time(dy.hamiltonians.zero(), [PUMP])
     # isotropic pairs saturate at the threshold too
-    with pytest.raises(ValueError):
-        dy.positivity_time(dy.hamiltonians.zero(), [PUMP, PUMP], t_max=50.0)
+    with pytest.raises(ValueError, match="too weak"):
+        dy.positivity_time(dy.hamiltonians.zero(), [PUMP, PUMP])
+    # rotation leaves the pump's limit X = 1/2 in place
+    with pytest.raises(ValueError, match="too weak"):
+        dy.positivity_time(dy.hamiltonians.harmonic(), [PUMP])
+    # a lone Hermitian q-channel on the flat model: Phi_0 = diag(0, t), det = 0
+    with pytest.raises(ValueError, match="too weak"):
+        dy.positivity_time(dy.hamiltonians.zero(), [Q_CHANNEL])
+    # saturating above 1/4 crosses: pump + q-channel gives
+    # Phi_0 = (1 - exp(-2t)) diag(1, 2) / 2, det 1/4 at t = -ln(1 - 1/sqrt 2) / 2
+    tp = dy.positivity_time(dy.hamiltonians.zero(), [PUMP, Q_CHANNEL])
+    assert abs(tp - 0.6139735886497577) < 1e-12
 
 
 def test_positivity_time_against_fock_parity_oracle():
@@ -405,7 +450,7 @@ def test_positivity_time_against_fock_parity_oracle():
         assert abs(parity - want) < 1e-10
     assert abs(dy.positivity_time(dy.hamiltonians.zero(), [DAMPING]) - t_half) < 1e-6
     with pytest.raises(ValueError, match="too weak"):
-        dy.positivity_time(dy.hamiltonians.zero(), [PUMP], t_max=50.0)
+        dy.positivity_time(dy.hamiltonians.zero(), [PUMP])
 
 
 def test_positivity_time_requires_quadratic():

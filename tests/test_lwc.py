@@ -278,6 +278,8 @@ def test_sample_c0_and_normalized():
     off = LwcSample(xi_q + 0.777, vals, None)
     with pytest.raises(ValueError):
         off.c0()
+    with pytest.raises(ValueError):  # a window with no weight has nothing to divide by
+        LwcSample(xi_q, np.zeros(11, dtype=complex), None).normalized()
 
 
 def test_suggest_xi_q_grid():
