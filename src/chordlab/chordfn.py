@@ -25,10 +25,13 @@ class ChordFunction:
     values: np.ndarray = None
     grid: CenteredGrid = None
     warnings: list = field(default_factory=list)
+    #: number of terms in the plane-wave sum behind ``fn`` (None for closed forms)
+    samples: int = None
 
     @classmethod
-    def from_callable(cls, fn, hbar: float) -> "ChordFunction":
-        return cls(hbar=hbar, fn=fn)
+    def from_callable(cls, fn, hbar: float, samples: int = None,
+                      warnings=()) -> "ChordFunction":
+        return cls(hbar=hbar, fn=fn, warnings=list(warnings), samples=samples)
 
     @classmethod
     def from_grid(cls, values: np.ndarray, grid: CenteredGrid) -> "ChordFunction":

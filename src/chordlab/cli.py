@@ -270,7 +270,7 @@ def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
     return {
         "gamma": total_gamma(channels),
         "time": t,
-        "samples": int(chi_fn.weights.size),
+        "samples": chi_fn.samples,
         "chi_at_zero": float(np.real(vals[m // 2, m // 2])),
     }
 

@@ -47,6 +47,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
+from .grids import _plane_wave_sum
 
 __all__ = [
     "LindbladChannel",
@@ -532,9 +533,8 @@ def decohered_reflection_symbol(x_final, xi, phi, hbar: float) -> np.ndarray:
         if phi.frame != "final":
             raise ValueError("reflections are attenuated by the final-frame Phi(t)")
         phi = phi.phi
-    phase = np.exp(1j / hbar * skew(np.asarray(x_final, dtype=float), xi))
-    quad = np.einsum("...a,ab,...b->...", xi, phi, xi)
-    return phase * np.exp(-quad / (2.0 * hbar))
+    x_final = np.reshape(np.asarray(x_final, dtype=float), (1, 2))
+    return _plane_wave_sum(x_final, np.ones(1), xi[..., 0], xi[..., 1], hbar, phi)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -566,29 +566,7 @@ def _source_samples(source, hbar):
 
 def _chi_from_samples(endpoints, phis, weights, hbar):
     pref = 1.0 / (2.0 * np.pi * hbar)
-
-    def fn(xi_p, xi_q):
-        xp, xq = np.broadcast_arrays(np.asarray(xi_p, float), np.asarray(xi_q, float))
-        shape = xp.shape
-        xp = xp.ravel()
-        xq = xq.ravel()
-        out = np.zeros(xp.size, dtype=complex)
-        block = max(1, int(2**22 // max(1, xp.size)))
-        for lo in range(0, endpoints.shape[0], block):
-            hi = lo + block
-            e = endpoints[lo:hi]
-            f = phis[lo:hi]
-            wgt = weights[lo:hi]
-            phase = (e[:, 0, None] * xq[None, :] - e[:, 1, None] * xp[None, :]) / hbar
-            quad = (
-                f[:, 0, 0, None] * xp[None, :] ** 2
-                + 2.0 * f[:, 0, 1, None] * xp[None, :] * xq[None, :]
-                + f[:, 1, 1, None] * xq[None, :] ** 2
-            )
-            out += wgt @ np.exp(1j * phase - quad / (2.0 * hbar))
-        return (pref * out).reshape(shape)
-
-    return fn
+    return lambda xi_p, xi_q: pref * _plane_wave_sum(endpoints, weights, xi_p, xi_q, hbar, phis)
 
 
 def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
@@ -611,9 +589,10 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
         phi = _gramian(-_chord_generator(H, gamma, np.zeros((1, 2)))[0], lam, t)
 
     def transport(points):
-        """Endpoints x_i(t) and final-frame Phi_i(t) of the samples."""
+        """Endpoints x_i(t) and final-frame Phi_i(t) of the samples (one
+        shared Phi for quadratic models)."""
         if H.quadratic:
-            return points @ e.T + d, np.broadcast_to(phi, (points.shape[0], 2, 2))
+            return points @ e.T + d, phi
         xt, mt, g, _, _ = _flow_with_monodromy(H, gamma, lam, points, t, _steps_for(t, dt),
                                                want_quad=True)
         minv = np.linalg.inv(mt)
@@ -622,10 +601,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
 
     xt, phis = transport(pts)
     fn = _chi_from_samples(xt, phis, w, hbar)
-    out = ChordFunction.from_callable(fn, hbar)
-    out.endpoints = xt
-    out.phis = phis
-    out.weights = w
+    out = ChordFunction.from_callable(fn, hbar, samples=w.size)
     if convergence_check and t > 0:
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])

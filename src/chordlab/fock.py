@@ -21,7 +21,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
 from .dynamics import HamiltonianModel, LindbladChannel, _as_channels
-from .grids import CenteredGrid, ft_axis, simpson_weights
+from .grids import CenteredGrid, _outer_grid, _plane_wave_sum, ft_axis, simpson_weights
 
 __all__ = [
     "TruncationLeakError",
@@ -360,7 +360,8 @@ def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
 
     method "displacement" evaluates the displacement-matrix trace point by
     point (exact, slow); "position" integrates position slices against the
-    xi_p phase (same values, one GEMM).  "auto" switches on point count.
+    xi_p phase (same values; one GEMM on an outer grid of chords, see
+    ``grids._plane_wave_sum``).  "auto" switches on point count.
     """
     hb = rho.hbar
     xi_p = np.asarray(xi_p, dtype=float)
@@ -388,16 +389,15 @@ def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
     dq = min(math.pi / (2.0 * freq), 0.25 * math.sqrt(hb))
     nq = 2 * int(math.ceil(q_max / dq)) + 1
     q_axis = np.linspace(-q_max, q_max, nq)
-    s_axis, inv = np.unique(-xq, return_inverse=True)
+    # chi = (2 pi hbar)^-1 sum_j w_j rho(q_j + xi_q/2, q_j - xi_q/2) exp(-i q_j xi_p / hbar):
+    # a plane-wave sum over q nodes whose amplitudes depend on xi_q only
+    axes = _outer_grid(xi_p, xi_q)
+    s_axis, inv = np.unique(-(xq if axes is None else axes[1]), return_inverse=True)
     slices = position_density_matrix(rho, q_axis, s_axis)
-    w = simpson_weights(nq, q_axis[1] - q_axis[0])
-    vals = np.empty(xp.size, dtype=complex)
-    block = max(1, (1 << 21) // nq)  # cap the (points, nq) phase table
-    for k0 in range(0, xp.size, block):
-        sel = slice(k0, min(k0 + block, xp.size))
-        phase = np.exp(-1j * np.outer(xp[sel], q_axis) / hb) * w
-        vals[sel] = np.einsum("kq,qk->k", phase, slices[:, inv[sel]])
-    vals = vals.reshape(shape) / (2.0 * math.pi * hb)
+    amp = (simpson_weights(nq, q_axis[1] - q_axis[0])[:, None] * slices)[:, inv]
+    amp = amp.reshape((nq,) + (shape if axes is None else (1, -1)))
+    nodes = np.stack([np.zeros(nq), q_axis], axis=-1)
+    vals = _plane_wave_sum(nodes, amp, xi_p, xi_q, hb) / (2.0 * math.pi * hb)
     return vals[()] if shape == () else vals
 
 

@@ -185,6 +185,83 @@ def centre_from_chord(values: np.ndarray, grid: CenteredGrid):
     return np.ascontiguousarray(w), grid.conjugate()
 
 
+#: complex elements per exponential table; bounds the kernel's scratch memory
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _outer_grid(xi_p, xi_q):
+    """(xi_p column, xi_q row) when the broadcast pair is an outer grid, else None.
+
+    An outer grid is 2-D with xi_p constant along axis 1 and xi_q constant
+    along axis 0: a ``meshgrid(..., indexing="ij")`` pair, or an (a, 1) and
+    (1, b) pair.
+    """
+    xp, xq = np.broadcast_arrays(xi_p, xi_q)
+    if xp.ndim != 2 or not (np.all(xp == xp[:, :1]) and np.all(xq == xq[:1, :])):
+        return None
+    return xp[:, 0], xq[0, :]
+
+
+def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.ndarray:
+    """sum_k w_k exp[(i/hbar) x_k ^ xi] exp[-xi . Phi_k xi / (2 hbar)].
+
+    ``points`` are the x_k = (p_k, q_k), shape (n, 2).  ``weights`` is (n,),
+    or, when the amplitudes vary with the chord, (n,) + a shape of the same
+    rank as (xi_p, xi_q) that broadcasts against theirs.  ``phi`` is None, one shared symmetric
+    (2, 2) matrix, or one per sample (n, 2, 2).  Returns the broadcast shape
+    of (xi_p, xi_q).
+
+    On an outer grid (see ``_outer_grid``), with weights that vary along
+    xi_q at most and Phi absent or shared, x_k ^ xi = p_k xi_q - q_k xi_p
+    splits the sum into exp(-i xi_p q_k / hbar) w_k @ exp(i p_k xi_q / hbar),
+    times one Gaussian on the grid.  Every other input is summed point by
+    point.  Both paths work in blocks of about ``_BLOCK_ELEMENTS`` table
+    entries (at least one sample or chord per block).
+    """
+    p, q = points[:, 0], points[:, 1]
+    w = np.asarray(weights)
+    xi_p, xi_q = np.broadcast_arrays(np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float))
+    shape = xi_p.shape
+    phi = None if phi is None else np.asarray(phi, dtype=float)
+    # -xi.Phi xi / 2 hbar as coefficients of (xi_p^2, xi_p xi_q, xi_q^2)
+    gauss = None if phi is None else np.stack(
+        [phi[..., 0, 0], 2.0 * phi[..., 0, 1], phi[..., 1, 1]], axis=-1) / (-2.0 * hbar)
+    shared = gauss is not None and gauss.ndim == 1
+    axes = _outer_grid(xi_p, xi_q)
+    if (axes is not None and (gauss is None or shared)
+            and (w.ndim == 1 or (w.ndim == 3 and w.shape[1] == 1))):
+        col, row = axes
+        w = w[:, None] if w.ndim == 1 else w[:, 0, :]
+        out = np.zeros(shape, dtype=complex)
+        step = max(1, _BLOCK_ELEMENTS // (col.size + row.size))
+        for k in range(0, p.size, step):
+            ks = slice(k, k + step)
+            left = np.exp((-1j / hbar) * np.outer(col, q[ks]))
+            out += left @ (np.exp((1j / hbar) * np.outer(p[ks], row)) * w[ks])
+    else:
+        xp, xq = xi_p.ravel(), xi_q.ravel()
+        if w.ndim > 1:
+            w = np.broadcast_to(w, w.shape[:1] + shape).reshape(w.shape[0], -1)
+        out = np.empty(xp.size, dtype=complex)
+        step = max(1, _BLOCK_ELEMENTS // max(p.size, 1))
+        for j in range(0, xp.size, step):
+            js = slice(j, j + step)
+            e = np.empty((p.size, xp[js].size), dtype=complex)  # the exponent, then exp in place
+            e.imag = points @ (np.stack([xq[js], -xp[js]]) / hbar)
+            e.real = 0.0 if gauss is None or shared else gauss @ _monomials(xp[js], xq[js])
+            np.exp(e, out=e)
+            out[js] = w @ e if w.ndim == 1 else np.einsum("kj,kj->j", w[:, js], e)
+            del e  # one table alive at a time
+        out = out.reshape(shape)
+    if shared:
+        out *= np.exp(np.tensordot(gauss, _monomials(xi_p, xi_q), axes=1))
+    return out
+
+
+def _monomials(xi_p, xi_q):
+    return np.stack([xi_p**2, xi_p * xi_q, xi_q**2])
+
+
 def reflect_values(values: np.ndarray) -> np.ndarray:
     """Samples of f(-x) on the same centered grid.
 

@@ -190,15 +190,11 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
         )
     w = simpson_weights(xp.size, h) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-    vals = np.empty(xi_q.size, dtype=complex)
-    peak = 0.0
-    edge = 0.0
-    for j, xq in enumerate(xi_q):
-        f = chi(xp, np.full_like(xp, -xq))
-        g = np.abs(f) * np.abs(w)
-        peak = max(peak, float(np.max(g)))
-        edge = max(edge, float(g[0]), float(g[-1]))
-        vals[j] = np.sum(w * f)
+    f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
+    g = np.abs(f) * np.abs(w)[:, None]
+    peak = float(np.max(g))
+    edge = float(max(np.max(g[0]), np.max(g[-1])))
+    vals = w @ f
     if peak > 0 and edge > 1e-12 * peak:
         diagnostics.report(
             notes,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve
+from .grids import _plane_wave_sum
 from . import diagnostics
 
 __all__ = [
@@ -112,23 +113,9 @@ def wkb_short_chord_function(curve: LagrangianCurve, xi_p, xi_q, hbar: float,
     The sampling is checked by comparing against a doubled resampling; a
     relative drift above 1e-8 reports a ConvergenceWarning.
     """
-    xi_p = np.asarray(xi_p, dtype=float)
-    xi_q = np.asarray(xi_q, dtype=float)
-    out_shape = np.broadcast(xi_p, xi_q).shape
-    xp = np.broadcast_to(xi_p, out_shape).ravel()
-    xq = np.broadcast_to(xi_q, out_shape).ravel()
-
     def average(c: LagrangianCurve):
-        # mean over theta of exp(i (p xi_q - q xi_p) / hbar), chunked in xi
-        p = c.points[:, 0]
-        q = c.points[:, 1]
-        vals = np.empty(xp.size, dtype=complex)
-        block = max(1, (1 << 21) // max(p.size, 1))
-        for i in range(0, xp.size, block):
-            sl = slice(i, i + block)
-            phase = (np.outer(xq[sl], p) - np.outer(xp[sl], q)) / hbar
-            vals[sl] = np.exp(1j * phase).mean(axis=1)
-        return vals
+        n = c.points.shape[0]
+        return _plane_wave_sum(c.points, np.full(n, 1.0 / n), xi_p, xi_q, hbar)
 
     vals = average(curve)
     if convergence_check:
@@ -141,21 +128,23 @@ def wkb_short_chord_function(curve: LagrangianCurve, xi_p, xi_q, hbar: float,
                 "increase the curve sample count",
                 diagnostics.ConvergenceWarning,
             )
-    vals = vals.reshape(out_shape) / (2.0 * math.pi * hbar)
-    return vals[()] if out_shape == () else vals
+    vals = vals / (2.0 * math.pi * hbar)
+    return vals[()] if vals.ndim == 0 else vals
 
 
 def wkb_chord(curve: LagrangianCurve, hbar: float, samples: int | None = None) -> ChordFunction:
     """Short-chord curve state as a ChordFunction (sampling fixed up front).
 
-    The doubling check runs once here rather than on every evaluation.
+    The doubling check runs once here rather than on every evaluation; its
+    warning, if any, is kept in the result's ``warnings``.
     """
     c = curve if samples is None else curve.resample(samples)
     probe = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
-    wkb_short_chord_function(c, probe, probe[::-1], hbar, convergence_check=True)
+    notes: list = []
+    wkb_short_chord_function(c, probe, probe[::-1], hbar, convergence_check=True, sink=notes)
     return ChordFunction.from_callable(
         lambda xp, xq: wkb_short_chord_function(c, xp, xq, hbar, convergence_check=False),
-        hbar)
+        hbar, samples=c.points.shape[0], warnings=notes)
 
 
 def short_chord_validity_radius(curve: LagrangianCurve, hbar: float) -> float:

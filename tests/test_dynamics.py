@@ -361,7 +361,7 @@ def test_evolved_chord_curve_source_hermitian():
     fwd = chi_fn(xi, xi[::-1])
     rev = chi_fn(-xi, -xi[::-1])
     assert np.max(np.abs(rev - np.conj(fwd))) < 1e-14 / HBAR
-    assert chi_fn.weights.size == 512
+    assert chi_fn.samples == 512
 
 
 def test_evolved_chord_warns_on_coarse_curve():

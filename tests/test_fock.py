@@ -103,6 +103,21 @@ def test_chord_function_matches_closed_form():
         chord_function_exact(rho, 0.0, 0.0, method="nope")
 
 
+def test_position_route_matches_displacement_on_grid_and_scattered_points():
+    """The position route is one GEMM on an outer grid of chords and a
+    pointwise sum on scattered chords; both reproduce the displacement trace."""
+    rho = cat_density_matrix((0.3, -0.2), HBAR, 64)
+    s = 3.0 * math.sqrt(HBAR)
+    grid = np.meshgrid(np.linspace(-s, s, 7), np.linspace(-s, 0.8 * s, 6), indexing="ij")
+    scattered = np.random.default_rng(1).uniform(-s, s, (2, 5, 4))
+    scale = 1.0 / (2.0 * math.pi * HBAR)
+    for xi_p, xi_q in (grid, scattered):
+        got = chord_function_exact(rho, xi_p, xi_q, method="position")
+        want = chord_function_exact(rho, xi_p, xi_q, method="displacement")
+        assert got.shape == xi_p.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
 def test_displacement_matrix_properties():
     alpha = 0.5 + 0.2j
     dim = 48

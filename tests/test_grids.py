@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chordlab import grids
 from chordlab.diagnostics import GridDomainWarning
 from chordlab.grids import (
     CenteredGrid,
@@ -153,3 +154,105 @@ def test_simpson_weights_sum_and_order():
     assert abs(w @ np.exp(x) - (math.exp(1.7) - math.exp(0.2))) < 1e-9
     with pytest.raises(ValueError):
         simpson_weights(2, 0.1)
+
+
+def _plane_wave_case(n=150, seed=3):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(scale=0.6, size=(n, 2))
+    weights = rng.uniform(0.5, 1.5, n)
+    weights /= weights.sum()  # chi(0) = 1 for the sum without a prefactor
+    a = rng.normal(size=(n, 2, 2))
+    phis = 0.02 * np.einsum("kab,kcb->kac", a, a)  # symmetric, positive semidefinite
+    return points, weights, phis
+
+
+def _plane_wave_direct(points, weights, xi_p, xi_q, phi):
+    """The sum term by term, with no factorization and no blocking."""
+    xi_p, xi_q = np.broadcast_arrays(xi_p, xi_q)
+    out = np.zeros(xi_p.shape, dtype=complex)
+    for k, (p, q) in enumerate(points):
+        f = phi if phi is None or phi.ndim == 2 else phi[k]
+        quad = 0.0 if f is None else f[0, 0] * xi_p**2 + 2 * f[0, 1] * xi_p * xi_q + f[1, 1] * xi_q**2
+        out += weights[k] * np.exp(1j * (p * xi_q - q * xi_p) / HBAR - quad / (2 * HBAR))
+    return out
+
+
+@pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample"])
+def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind):
+    points, weights, phis = _plane_wave_case()
+    phi = {"none": None, "shared": phis[0], "per-sample": phis}[phi_kind]
+    xp_axis = np.linspace(-0.6, 0.5, 24)
+    xq_axis = np.linspace(-0.4, 0.7, 18)
+    mesh = np.meshgrid(xp_axis, xq_axis, indexing="ij")
+    pair = (xp_axis[:, None], xq_axis[None, :])
+    for xi_p, xi_q in (mesh, pair):
+        assert grids._outer_grid(xi_p, xi_q) is not None
+        got = grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, phi)
+        assert got.shape == (24, 18)
+        # raveled chords are not an outer grid, so they are summed point by point
+        flat = grids._plane_wave_sum(points, weights, mesh[0].ravel(), mesh[1].ravel(), HBAR, phi)
+        assert np.max(np.abs(got - flat.reshape(got.shape))) <= 1e-13
+        want = _plane_wave_direct(points, weights, mesh[0], mesh[1], phi)
+        assert np.max(np.abs(got - want)) <= 1e-13
+    if phi_kind == "shared":
+        # one Phi repeated per sample takes the pointwise path and gives the same sum
+        each = np.broadcast_to(phi, phis.shape)
+        again = grids._plane_wave_sum(points, weights, *mesh, HBAR, each)
+        assert np.max(np.abs(got - again)) <= 1e-13
+
+
+def test_plane_wave_sum_chord_dependent_weights():
+    """Amplitudes that vary along xi_q stay on the outer-grid path; scattered
+    chords with per-chord amplitudes are summed point by point."""
+    points, weights, _ = _plane_wave_case()
+    rng = np.random.default_rng(4)
+    xp_axis = np.linspace(-0.6, 0.5, 12)
+    xq_axis = np.linspace(-0.4, 0.7, 10)
+    amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, xq_axis.size))
+    got = grids._plane_wave_sum(points, amp[:, None, :], xp_axis[:, None], xq_axis[None, :], HBAR)
+    want = np.stack([_plane_wave_direct(points, amp[:, j], xp_axis, xq_axis[j], None)
+                     for j in range(xq_axis.size)], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    xi_p, xi_q = rng.uniform(-0.6, 0.6, (2, 7))
+    amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, 7))
+    got = grids._plane_wave_sum(points, amp, xi_p, xi_q, HBAR)
+    want = [_plane_wave_direct(points, amp[:, j], xi_p[j], xi_q[j], None) for j in range(7)]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+
+def test_plane_wave_sum_scattered_2d_takes_pointwise_path(monkeypatch):
+    points, weights, phis = _plane_wave_case()
+    rng = np.random.default_rng(5)
+    xi_p, xi_q = rng.uniform(-0.6, 0.6, (2, 6, 5))
+    seen = []
+
+    def spy(a, b):
+        seen.append(real(a, b))
+        return seen[-1]
+
+    real = grids._outer_grid
+    monkeypatch.setattr(grids, "_outer_grid", spy)
+    for phi in (None, phis[0]):
+        got = grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, phi)
+        assert got.shape == (6, 5)
+        assert np.max(np.abs(got - _plane_wave_direct(points, weights, xi_p, xi_q, phi))) <= 1e-13
+    assert seen == [None, None]
+    # an xy-indexed meshgrid varies xi_p along axis 1: not an outer grid either
+    xy = np.meshgrid(np.linspace(-0.5, 0.5, 4), np.linspace(-0.3, 0.3, 3))
+    assert real(*xy) is None
+    assert real(np.zeros(3), np.zeros(3)) is None
+
+
+def test_plane_wave_sum_blocks_agree(monkeypatch):
+    """A small element budget splits both paths into many blocks without
+    changing the sum."""
+    points, weights, phis = _plane_wave_case()
+    xp_axis = np.linspace(-0.6, 0.5, 16)
+    xq_axis = np.linspace(-0.4, 0.7, 14)
+    whole = [grids._plane_wave_sum(points, weights, xp_axis[:, None], xq_axis[None, :], HBAR, f)
+             for f in (phis[0], phis)]
+    monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", 97)
+    split = [grids._plane_wave_sum(points, weights, xp_axis[:, None], xq_axis[None, :], HBAR, f)
+             for f in (phis[0], phis)]
+    for a, b in zip(whole, split):
+        assert np.max(np.abs(a - b)) <= 1e-13

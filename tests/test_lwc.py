@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians
 from chordlab.chordfn import ChordFunction
-from chordlab.curves import harmonic_circle
+from chordlab.curves import harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
-from chordlab.grids import CenteredGrid
+from chordlab.grids import CenteredGrid, simpson_weights
 from chordlab.lwc import (
     LwcSample,
     LwcWindow,
@@ -348,3 +349,29 @@ def test_branch_notes():
         near = lwc_sc_berry(curve, 0.99, np.array([0.0]), HBAR, caustic_threshold=2.0)
     assert any("caustic" in msg for msg in near.warnings)
     assert np.allclose(near.values, 0.0)  # both branches excluded
+
+
+def test_lwc_from_callable_chord_memory_is_bounded():
+    """All columns go to chi in one call, and the per-sample sum behind a
+    non-quadratic evolved chi is built in bounded blocks.  One complex table
+    of the whole 320-sample x 1025-node x 8-column sum would alone be 42 MB."""
+    curve = quartic_level_curve(0.3, samples=320)
+    chi = dynamics.evolve_chord_function(curve, hamiltonians.quartic(),
+                                         [dynamics.LindbladChannel((0.0, 1.0))], 0.1, hbar=HBAR)
+    xi_q = 0.04 * (np.arange(8) - 4)
+    window = LwcWindow.canonical(0.0, HBAR)
+    tracemalloc.start()
+    try:
+        sample = lwc_from_chord(chi, window, xi_q, xi_p_points=1025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    # the single call gives the column-by-column integrals
+    xp = np.linspace(-9.0 * HBAR / window.delta, 9.0 * HBAR / window.delta, 1025)
+    w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
+        1j * xp * window.Q / HBAR - (window.delta * xp) ** 2 / (2.0 * HBAR**2))
+    scale = np.max(np.abs(sample.values))
+    for j in (0, 5):
+        column = np.sum(w * chi(xp, np.full_like(xp, -xi_q[j])))
+        assert abs(sample.values[j] - column) < 1e-12 * scale

@@ -6,6 +6,7 @@ from scipy.special import j0
 
 from chordlab.diagnostics import ConvergenceWarning
 from chordlab.curves import harmonic_circle, quartic_level_curve
+from chordlab.grids import CenteredGrid
 from chordlab.states import (
     CoherentState,
     coherent_chord,
@@ -144,3 +145,13 @@ def test_coherent_chord_container():
     fn = coherent_chord(state)
     assert fn.hbar == HBAR
     assert np.isclose(fn(0.0, 0.0), 1.0 / (2.0 * math.pi * HBAR))
+
+
+def test_wkb_chord_keeps_its_sampling_warning():
+    with pytest.warns(ConvergenceWarning):
+        chi = wkb_chord(harmonic_circle(0.5, 12), HBAR)
+    assert len(chi.warnings) == 1 and "doubled sampling" in chi.warnings[0]
+    assert chi.samples == 12
+    g = CenteredGrid(0.5, 0.5, 8, HBAR)
+    assert chi.sample(g).warnings == chi.warnings
+    assert wkb_chord(harmonic_circle(0.5, 2048), HBAR).warnings == []
