@@ -15,9 +15,8 @@ from .diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarnin
 from .dynamics import (CentreTrajectory, DecoherenceMatrix, HamiltonianModel,
                        LindbladChannel, advect, centre_trajectory,
                        decoherence_matrix, decohered_reflection_symbol,
-                       dissipation_coefficient, double_hamiltonian,
-                       evolve_chord_function, hamiltonians, noise_matrix,
-                       positivity_time, total_gamma)
+                       double_hamiltonian, evolve_chord_function, hamiltonians,
+                       noise_matrix, positivity_time, total_gamma)
 from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad,
                    cat_density_matrix, chord_function_exact, chord_function_grid,
                    coherent_density_matrix, displacement_matrix, fock_density_matrix,
@@ -29,16 +28,14 @@ from .geometry import (J_MATRIX, is_symplectic, jmul, random_symplectic,
                        reflection_symbol, skew, translation_symbol)
 from .grids import (CenteredGrid, boundary_decay_ok, centre_from_chord,
                     chord_from_centre, ft_axis, reflect_values, simpson_weights)
-from .gridio import (load_grid_binary, load_grid_csv, save_grid_binary,
-                     save_grid_csv)
+from .gridio import load_grid_csv, save_grid_csv
 from .husimi import (husimi_fourier, husimi_from_lwc, husimi_from_wigner,
                      matched_window_delta)
 from .lwc import (LwcSample, LwcWindow, Peak, ResolutionVerdict, SpectralDensity,
                   fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
                   lwc_direct, lwc_from_chord, lwc_sc_berry, lwc_sc_markov,
-                  lwc_sc_quadratic, resolution_verdict, sc_spectrum_closed_form,
-                  shear_phi_qq, spectrum, suggest_xi_q_grid,
-                  symmetrized_observable_expectation)
+                  resolution_verdict, sc_spectrum_closed_form, shear_phi_qq,
+                  spectrum, suggest_xi_q_grid)
 from .states import (CoherentState, coherent_chord, coherent_chord_function,
                      coherent_husimi, coherent_position_slices,
                      coherent_wavefunction, coherent_wigner,

@@ -30,9 +30,8 @@ from .dynamics import (LindbladChannel, decoherence_matrix, evolve_chord_functio
                        hamiltonians, positivity_time, total_gamma)
 from .grids import CenteredGrid, centre_from_chord, chord_from_centre
 from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
-                  lwc_from_chord, lwc_sc_berry, lwc_sc_markov, lwc_sc_quadratic,
-                  resolution_verdict, sc_spectrum_closed_form, spectrum,
-                  suggest_xi_q_grid)
+                  lwc_from_chord, lwc_sc_berry, lwc_sc_markov, resolution_verdict,
+                  spectrum, suggest_xi_q_grid)
 
 __all__ = ["main", "run", "resolution_verdict"]
 
@@ -98,7 +97,16 @@ windows (lwc, spectrum)
   window.q            repeatable float: window centres (at least one)
   window.delta        float, default sqrt(hbar)
   lwc.route           auto | closed-form | chord | direct | sc-berry |
-                      sc-quadratic | sc-markov, default auto
+                      sc-quadratic | sc-markov, default auto (closed-form or
+                      chord for coherent states, sc-quadratic or sc-markov
+                      for curves, by time.t).  closed-form and direct need a
+                      coherent state at time.t = 0.  The sc routes sum one
+                      spectral line per classical branch of a curve state:
+                      sc-berry (bare branches) and sc-quadratic (window
+                      shear) need time.t = 0; sc-markov evolves the curve to
+                      time.t and adds the channels' decoherence widths.
+                      spectrum reports the closed-form peaks of those same
+                      lines for sc-quadratic and sc-markov.
 
 experiments
   coherent-demo   wigner.csv, chord.csv: coherent state round trip + errors
@@ -327,6 +335,8 @@ def _lwc_samples(cfg: Config, extra: dict):
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
+        if route != "sc-markov" and t != 0.0:
+            raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
         curve = _curve(cfg, fam)
 
     samples = []
@@ -344,23 +354,21 @@ def _lwc_samples(cfg: Config, extra: dict):
             sample = _capture(extra, lwc_from_chord, chi_fn, window, xi_q)
         elif route == "sc-berry":
             sample = _capture(extra, lwc_sc_berry, curve, q0, xi_q, hbar)
-        elif route == "sc-quadratic":
-            sample = _capture(extra, lwc_sc_quadratic, curve, window, xi_q)
-        else:
+        else:  # sc-quadratic is sc-markov at t = 0
             sample = _capture(extra, lwc_sc_markov, curve, model, channels, t,
                               window, xi_q, dt=dt)
         if route.startswith("sc-") and not np.any(~sample.branches.caustic):
             raise RuntimeError(f"no semiclassical branch survives in the window at "
                                f"Q = {q0:g} ({'; '.join(sample.warnings)})")
-        samples.append((q0, window, sample))
-    return route, samples, (model, channels, t, dt)
+        samples.append((q0, sample))
+    return route, samples
 
 
 def _exp_lwc(cfg: Config, out: str, extra: dict) -> dict:
-    route, samples, _ = _lwc_samples(cfg, extra)
+    route, samples = _lwc_samples(cfg, extra)
     rows = []
     info = []
-    for q0, _, sample in samples:
+    for q0, sample in samples:
         for x, v in zip(sample.xi_q, sample.values):
             rows.append((q0, x, v.real, v.imag))
         entry = {"Q": q0, "c0_re": float(np.real(sample.c0())),
@@ -376,10 +384,10 @@ def _exp_lwc(cfg: Config, out: str, extra: dict) -> dict:
 
 def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
-    route, samples, (model, channels, t, dt) = _lwc_samples(cfg, extra)
+    route, samples = _lwc_samples(cfg, extra)
     rows = []
     info = []
-    for q0, window, sample in samples:
+    for q0, sample in samples:
         sd = _capture(extra, spectrum, sample, hbar)
         for p, s in zip(sd.p, sd.values):
             rows.append((q0, p, s))
@@ -397,9 +405,7 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
             entry["separation"] = v.separation
             entry["widths"] = list(v.widths)
         if route in ("sc-markov", "sc-quadratic"):
-            sc = _capture(extra, sc_spectrum_closed_form,
-                          _curve(cfg, _state_family(cfg)), model, channels,
-                          t, window, sd.p, dt=dt)
+            sc = _capture(extra, lwc_mod._sample_spectrum, sample, sd.p)
             entry["closed_form_peaks"] = [
                 {"position": pk.position, "height": pk.height,
                  "variance": pk.variance, "flagged": pk.flagged}

@@ -53,7 +53,6 @@ __all__ = [
     "LindbladChannel",
     "HamiltonianModel",
     "hamiltonians",
-    "dissipation_coefficient",
     "total_gamma",
     "noise_matrix",
     "double_hamiltonian",
@@ -104,11 +103,6 @@ def _as_channels(channels):
     if isinstance(channels, LindbladChannel):
         return [channels]
     return list(channels)
-
-
-def dissipation_coefficient(channel: LindbladChannel) -> float:
-    """gamma = l'' ^ l'; vanishes for Hermitian couplings (l'' = 0)."""
-    return channel.gamma
 
 
 def total_gamma(channels) -> float:

@@ -1,17 +1,11 @@
-"""Serialization of gridded fields (Wigner, chord, Husimi).
+"""Serialization of gridded fields (Wigner, chord, Husimi) as long-format CSV.
 
-Two equivalent containers:
-
-* CSV, long format: ``#``-prefixed header lines carrying the grid metadata,
-  then one row per sample, axis values first.  Floats are written with
-  %.17g so a write/read cycle is bit-exact.
-* Binary: a 64-byte fixed header (magic ``CHRDGRD1``, kind, dtype, point
-  count, half widths, hbar) followed by the row-major sample block.
+``#``-prefixed header lines carry the grid metadata, then one row per
+sample, axis values first.  Floats are written with %.17g so a write/read
+cycle is bit-exact.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -20,29 +14,21 @@ from .grids import CenteredGrid
 __all__ = [
     "save_grid_csv",
     "load_grid_csv",
-    "save_grid_binary",
-    "load_grid_binary",
     "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
 
-_MAGIC = b"CHRDGRD1"
-_HEADER = struct.Struct("<8sBBHI3d24x")  # magic, kind, dtype, pad, M, hw_p, hw_q, hbar
-assert _HEADER.size == 64
-
 _KINDS = ("centre", "chord", "husimi")
 
 
-def _kind_code(kind: str) -> int:
-    try:
-        return _KINDS.index(kind)
-    except ValueError:
-        raise ValueError(f"unknown grid kind {kind!r}; expected one of {_KINDS}") from None
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown grid kind {kind!r}; expected one of {_KINDS}")
 
 
 def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "centre"):
-    _kind_code(kind)
+    _check_kind(kind)
     values = np.asarray(values)
     complex_data = np.iscomplexobj(values)
     cols = "axis0,axis1,re,im" if complex_data else "axis0,axis1,value"
@@ -90,7 +76,7 @@ def load_grid_csv(path):
         kind = meta["kind"]
     except KeyError as exc:
         raise ValueError(f"grid CSV is missing header field {exc}") from None
-    _kind_code(kind)
+    _check_kind(kind)
     data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
     if data.shape[0] != m * m:
         raise ValueError(f"expected {m * m} rows, found {data.shape[0]}")
@@ -99,34 +85,3 @@ def load_grid_csv(path):
     else:
         values = data[:, 2].reshape(m, m)
     return values, grid, kind
-
-
-def save_grid_binary(path, values: np.ndarray, grid: CenteredGrid, kind: str = "centre"):
-    values = np.asarray(values)
-    complex_data = np.iscomplexobj(values)
-    payload = np.ascontiguousarray(values, dtype=np.complex128 if complex_data else np.float64)
-    header = _HEADER.pack(
-        _MAGIC,
-        _kind_code(kind),
-        1 if complex_data else 0,
-        0,
-        grid.points,
-        grid.half_width_p,
-        grid.half_width_q,
-        grid.hbar,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def load_grid_binary(path):
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, kind_code, dtype_code, _, m, hw_p, hw_q, hbar = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError("not a chordlab grid file (bad magic)")
-        dtype = np.complex128 if dtype_code else np.float64
-        values = np.frombuffer(fh.read(), dtype=dtype).reshape(m, m).copy()
-    grid = CenteredGrid(half_width_p=hw_p, half_width_q=hw_q, points=m, hbar=hbar)
-    return values, grid, _KINDS[kind_code]

@@ -65,12 +65,15 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
 
 
 def husimi_fourier(chi, grid: CenteredGrid | None = None) -> ChordFunction:
-    """Chord-space form of the smoothing: F(xi) = exp(-xi^2 / 4 hbar) chi(xi)."""
+    """Chord-space form of the smoothing: F(xi) = exp(-xi^2 / 4 hbar) chi(xi).
+    A ChordFunction input passes its warnings on to the result."""
     if isinstance(chi, ChordFunction):
         if chi.gridded:
             xp, xq = chi.grid.meshgrid()
             damp = np.exp(-(xp**2 + xq**2) / (4.0 * chi.hbar))
-            return ChordFunction.from_grid(chi.values * damp, chi.grid)
+            out = ChordFunction.from_grid(chi.values * damp, chi.grid)
+            out.warnings = list(chi.warnings)
+            return out
         fn = chi
 
         def damped(xi_p, xi_q):
@@ -78,7 +81,7 @@ def husimi_fourier(chi, grid: CenteredGrid | None = None) -> ChordFunction:
             xi_q = np.asarray(xi_q, dtype=float)
             return fn(xi_p, xi_q) * np.exp(-(xi_p**2 + xi_q**2) / (4.0 * fn.hbar))
 
-        return ChordFunction.from_callable(damped, fn.hbar)
+        return ChordFunction.from_callable(damped, fn.hbar, warnings=fn.warnings)
     if grid is None:
         raise ValueError("raw values need their grid")
     xp, xq = grid.meshgrid()

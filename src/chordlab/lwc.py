@@ -7,19 +7,21 @@ Gaussian of width Delta centred at Q:
                  <q - xi_q/2| rho |q + xi_q/2>.
 
 Two exact routes are provided (from a chord function, and directly from
-position-space density slices) plus three semiclassical approximants of
-increasing fidelity for curve states: stationary-branch plane waves, the
-same with window shear corrections, and with Markovian decoherence widths.
+position-space density slices) plus one semiclassical branch sum for curve
+states.  Each branch j of the (evolved) curve at Q is one spectral line
+A_j N(p_j, sigma_j^2) with sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2,
+and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
+is its exact Fourier pair.  Stationary-branch plane waves (``lwc_sc_berry``)
+are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
 
-The symplectic Fourier transform of C over xi_q is a local momentum
-spectral density; its peaks sit at the branch momenta p_j(Q) with variance
-hbar * Phi_qq(shear) + Delta^2 slope^2.
+The symplectic Fourier transform of C over xi_q is the local momentum
+spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,14 +42,12 @@ __all__ = [
     "lwc_direct",
     "lwc_coherent_closed_form",
     "lwc_sc_berry",
-    "lwc_sc_quadratic",
     "lwc_sc_markov",
     "shear_phi_qq",
     "spectrum",
     "sc_spectrum_closed_form",
     "fit_peaks",
     "resolution_verdict",
-    "symmetrized_observable_expectation",
     "suggest_xi_q_grid",
 ]
 
@@ -247,8 +247,27 @@ def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):
             / math.sqrt(2.0 * math.pi * var))
 
 
-def _branch_setup(curve: LagrangianCurve, Q: float, hbar: float,
-                  caustic_threshold: float | None):
+def shear_phi_qq(phi, slope: float) -> float:
+    """Effective qq decoherence along a sheared branch: u . Phi u, u = (slope, 1)."""
+    mat = np.asarray(getattr(phi, "phi", phi), dtype=float)
+    u = np.array([float(slope), 1.0])
+    return float(u @ mat @ u)
+
+
+def _line_variance(br: BranchData, phi_qq, hbar: float, delta: float) -> np.ndarray:
+    """Spectral variance of each branch line: hbar Phi_qq(shear) + Delta^2 slope^2."""
+    return hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
+
+
+def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
+                  H, channels, t: float, dt: float, caustic_threshold: float | None):
+    """One branch pass: the branches of the curve evolved to t at Q, their
+    sheared decoherence widths Phi_qq (nan on caustic branches, 0 when t = 0
+    or there are no channels) and their line variances."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t > 0:
+        curve = evolve_curve_classically(curve, H, channels, t, dt)
     if caustic_threshold is None:
         caustic_threshold = 1.0 / math.sqrt(hbar)
     br = branches_at(curve, Q, caustic_threshold)
@@ -265,61 +284,68 @@ def _branch_setup(curve: LagrangianCurve, Q: float, hbar: float,
             f"{kept} kept",
             diagnostics.ConvergenceWarning,
         )
-    return br, notes
+    phi_qq = [math.nan if c else 0.0 for c in br.caustic]
+    if t > 0 and channels:
+        for j in np.flatnonzero(~br.caustic):
+            dm = dynamics.decoherence_matrix(H, channels, np.array([br.p[j], Q]), t, dt=dt)
+            notes.extend(dm.warnings)
+            phi_qq[j] = shear_phi_qq(dm.phi, br.slope[j])
+    return br, tuple(phi_qq), _line_variance(br, phi_qq, hbar, delta), notes
+
+
+def _line_sum(br: BranchData, variance, xi_q, hbar: float) -> np.ndarray:
+    """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
+    over the live branches: the Fourier pair of the lines A_j N(p_j, sigma_j^2)."""
+    live = ~br.caustic
+    return np.exp(-1j * np.outer(xi_q, br.p[live]) / hbar
+                  - np.outer(xi_q**2, variance[live]) / (2.0 * hbar**2)) @ br.amplitude[live]
+
+
+def _line_spectrum(br: BranchData, variance, p_axis, notes: list) -> SpectralDensity:
+    """The lines A_j N(p_j, sigma_j^2) sampled on p_axis, tallest peak first;
+    a variance below the axis spacing squared is floored there and flagged."""
+    p_axis = np.asarray(p_axis, dtype=float)
+    dp = float(np.min(np.abs(np.diff(p_axis)))) if p_axis.size > 1 else 0.0
+    vals = np.zeros(p_axis.size)
+    peaks = []
+    for j in np.flatnonzero(~br.caustic):
+        var = float(variance[j])
+        flagged = False
+        if var < dp**2:
+            var = max(dp**2, 1e-300)
+            flagged = True
+            diagnostics.report(
+                notes,
+                f"spectral peak at p = {br.p[j]:g} narrower than the p axis "
+                "spacing; width floored to one bin",
+                diagnostics.TruncationWarning,
+            )
+        height = br.amplitude[j] / math.sqrt(2.0 * math.pi * var)
+        vals += height * np.exp(-((p_axis - br.p[j]) ** 2) / (2.0 * var))
+        peaks.append(Peak(float(br.p[j]), float(height), var, flagged=flagged))
+    peaks.sort(key=lambda pk: -pk.height)
+    return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
+
+
+def _sample_spectrum(sample: LwcSample, p_axis) -> SpectralDensity:
+    """Closed-form spectrum of a semiclassical sample, from its own lines."""
+    w = sample.window
+    variance = _line_variance(sample.branches, sample.phi_qq, w.hbar, w.delta)
+    return _line_spectrum(sample.branches, variance, p_axis, [])
 
 
 def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float,
                  caustic_threshold: float | None = None) -> LwcSample:
-    """Stationary-branch approximant: C = sum_j A_j exp(-i p_j xi_q / hbar).
+    """Stationary-branch approximant: C = sum_j A_j exp(-i p_j xi_q / hbar),
+    the branch sum with window width 0.
 
     Normalization is relative (the curve average carries its own 1/2 pi);
     compare against exact routes after dividing by C(0).
     """
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    br, notes = _branch_setup(curve, Q, hbar, caustic_threshold)
-    vals = np.zeros(xi_q.size, dtype=complex)
-    for j in range(len(br)):
-        if br.caustic[j]:
-            continue
-        vals += br.amplitude[j] * np.exp(-1j * br.p[j] * xi_q / hbar)
-    return LwcSample(xi_q, vals, None, notes, branches=br)
-
-
-def lwc_sc_quadratic(curve: LagrangianCurve, window: LwcWindow, xi_q,
-                     caustic_threshold: float | None = None) -> LwcSample:
-    """Berry branches with the window-shear Gaussian exp[-(Delta slope xi_q)^2 / 2 hbar^2]."""
-    hb = window.hbar
-    xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    br, notes = _branch_setup(curve, window.Q, hb, caustic_threshold)
-    vals = np.zeros(xi_q.size, dtype=complex)
-    for j in range(len(br)):
-        if br.caustic[j]:
-            continue
-        shear = (window.delta * br.slope[j] * xi_q) ** 2 / (2.0 * hb**2)
-        vals += br.amplitude[j] * np.exp(-1j * br.p[j] * xi_q / hb - shear)
-    return LwcSample(xi_q, vals, window, notes, branches=br)
-
-
-def shear_phi_qq(phi, slope: float) -> float:
-    """Effective qq decoherence along a sheared branch: u . Phi u, u = (slope, 1)."""
-    mat = np.asarray(getattr(phi, "phi", phi), dtype=float)
-    u = np.array([float(slope), 1.0])
-    return float(u @ mat @ u)
-
-
-def _markov_branch_data(curve, H, channels, t, window, dt, caustic_threshold):
-    evolved = evolve_curve_classically(curve, H, channels, t, dt) if t > 0 else curve
-    br, notes = _branch_setup(evolved, window.Q, window.hbar, caustic_threshold)
-    phi_qq = []
-    for j in range(len(br)):
-        if br.caustic[j]:
-            phi_qq.append(math.nan)
-            continue
-        x_final = np.array([br.p[j], window.Q])
-        dm = dynamics.decoherence_matrix(H, channels, x_final, t, dt=dt)
-        notes.extend(dm.warnings)
-        phi_qq.append(shear_phi_qq(dm.phi, br.slope[j]))
-    return evolved, br, tuple(phi_qq), notes
+    br, _, variance, notes = _branch_lines(curve, Q, hbar, 0.0, None, (), 0.0, 0.0,
+                                           caustic_threshold)
+    return LwcSample(xi_q, _line_sum(br, variance, xi_q, hbar), None, notes, branches=br)
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
@@ -327,19 +353,14 @@ def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
                   caustic_threshold: float | None = None) -> LwcSample:
     """Branches of the dissipatively evolved curve, damped per-branch by the
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
-    window shear factor."""
+    window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
+    is the window-shear (quadratic) approximant."""
     hb = window.hbar
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    _, br, phi_qq, notes = _markov_branch_data(
-        curve, H, channels, t, window, dt, caustic_threshold)
-    vals = np.zeros(xi_q.size, dtype=complex)
-    for j in range(len(br)):
-        if br.caustic[j]:
-            continue
-        shear = (window.delta * br.slope[j] * xi_q) ** 2 / (2.0 * hb**2)
-        damp = phi_qq[j] * xi_q**2 / (2.0 * hb)
-        vals += br.amplitude[j] * np.exp(-1j * br.p[j] * xi_q / hb - shear - damp)
-    return LwcSample(xi_q, vals, window, notes, branches=br, phi_qq=phi_qq)
+    br, phi_qq, variance, notes = _branch_lines(
+        curve, window.Q, hb, window.delta, H, channels, t, dt, caustic_threshold)
+    return LwcSample(xi_q, _line_sum(br, variance, xi_q, hb), window, notes,
+                     branches=br, phi_qq=phi_qq)
 
 
 def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
@@ -383,37 +404,15 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
                             window: LwcWindow, p_axis, dt: float = 1e-3,
                             caustic_threshold: float | None = None) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
-    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2.
+    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2: the exact spectrum of
+    ``lwc_sc_markov`` on the same arguments.
 
     A variance below the grid spacing squared is floored there and flagged
     (the true peak is narrower than the axis can represent).
     """
-    hb = window.hbar
-    p_axis = np.asarray(p_axis, dtype=float)
-    dp = float(np.min(np.abs(np.diff(p_axis)))) if p_axis.size > 1 else 0.0
-    _, br, phi_qq, notes = _markov_branch_data(
-        curve, H, channels, t, window, dt, caustic_threshold)
-    vals = np.zeros(p_axis.size)
-    peaks = []
-    for j in range(len(br)):
-        if br.caustic[j]:
-            continue
-        var = hb * phi_qq[j] + (window.delta * br.slope[j]) ** 2
-        flagged = False
-        if var < dp**2:
-            var = max(dp**2, 1e-300)
-            flagged = True
-            diagnostics.report(
-                notes,
-                f"spectral peak at p = {br.p[j]:g} narrower than the p axis "
-                "spacing; width floored to one bin",
-                diagnostics.TruncationWarning,
-            )
-        height = br.amplitude[j] / math.sqrt(2.0 * math.pi * var)
-        vals += height * np.exp(-((p_axis - br.p[j]) ** 2) / (2.0 * var))
-        peaks.append(Peak(float(br.p[j]), float(height), float(var), flagged=flagged))
-    peaks.sort(key=lambda pk: -pk.height)
-    return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
+    br, _, variance, notes = _branch_lines(
+        curve, window.Q, window.hbar, window.delta, H, channels, t, dt, caustic_threshold)
+    return _line_spectrum(br, variance, p_axis, notes)
 
 
 def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
@@ -468,16 +467,6 @@ def resolution_verdict(peaks) -> ResolutionVerdict:
     widths = tuple(math.sqrt(pk.variance) for pk in (a, b))
     ok = all(w == w and w < sep for w in widths)
     return ResolutionVerdict(bool(ok), float(sep), widths)
-
-
-def symmetrized_observable_expectation(sample: LwcSample, sign: int):
-    """Windowed expectation of the symmetrized translation pair:
-    sign +1 gives 2 Re C (cosine pair), -1 gives -2 Im C (sine pair)."""
-    if sign == 1:
-        return 2.0 * np.real(sample.values)
-    if sign == -1:
-        return -2.0 * np.imag(sample.values)
-    raise ValueError("sign must be +1 or -1")
 
 
 def suggest_xi_q_grid(hbar: float, envelope_sigma: float | None = None,

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from chordlab import cli
+from chordlab import cli, dynamics, hamiltonians, lwc
+from chordlab.curves import harmonic_circle
 
 
 def run_cli(*argv):
@@ -141,6 +142,71 @@ xi.points = 256
     assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 1
     assert "Q = 0.999" in capsys.readouterr().err
     assert not (out / f"{experiment}.json").exists()
+
+
+@pytest.mark.parametrize("route", ["sc-berry", "sc-quadratic"])
+def test_unevolved_sc_routes_reject_time(tmp_path, capsys, route):
+    # these routes read the curve at t = 0 and take no channel
+    cfg = write_cfg(tmp_path, f"""\
+hbar = 0.05
+state.family = circle
+state.action = 0.5
+time.t = 1
+channel = 0 1 0 0
+window.q = 0.0
+lwc.route = {route}
+xi.points = 256
+""")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 2
+    assert "time.t = 0" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
+def test_spectrum_one_branch_pass_per_window(tmp_path, monkeypatch):
+    """Each window's closed-form peaks come from its own sample's lines, so
+    a 2-window run solves for branches twice, and the peaks are those of
+    sc_spectrum_closed_form on the same axis."""
+    calls = []
+    real = lwc.branches_at
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lwc, "branches_at", counting)
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = circle
+state.action = 0.5
+state.samples = 512
+hamiltonian.family = harmonic
+channel = 0 0.5 0 0
+time.t = 1.0
+window.q = 0.0
+window.q = 0.4
+lwc.route = sc-markov
+xi.points = 256
+""")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+    assert calls == [0.0, 0.4]
+
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in (out / "spectrum.csv").read_text().splitlines()
+                     if not line.startswith("#")])
+    windows = json.loads((out / "spectrum.json").read_text())["result"]["windows"]
+    curve = harmonic_circle(0.5, 512)
+    channel = dynamics.LindbladChannel((0.0, 0.5))
+    for win in windows:
+        q0 = win["Q"]
+        p_axis = rows[rows[:, 0] == q0, 1]
+        closed = lwc.sc_spectrum_closed_form(curve, hamiltonians.harmonic(), [channel], 1.0,
+                                             lwc.LwcWindow(q0, math.sqrt(0.05), 0.05), p_axis)
+        assert len(closed.peaks) == 2
+        assert win["closed_form_peaks"] == [
+            {"position": pk.position, "height": pk.height, "variance": pk.variance,
+             "flagged": pk.flagged} for pk in closed.peaks]
 
 
 def test_positivity_requires_channel(tmp_path, capsys):

@@ -38,7 +38,6 @@ def test_gamma_signs():
     assert DAMPING.gamma == 1.0
     assert PUMP.gamma == -1.0
     assert Q_CHANNEL.gamma == 0.0  # Hermitian coupling does not dissipate
-    assert dy.dissipation_coefficient(DAMPING) == 1.0
     assert dy.total_gamma([DAMPING, PUMP]) == 0.0
     assert dy.total_gamma(None) == 0.0
     assert dy.total_gamma(DAMPING) == 1.0  # bare channel accepted

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from chordlab.gridio import (
-    load_grid_binary,
-    load_grid_csv,
-    save_grid_binary,
-    save_grid_csv,
-)
+from chordlab.gridio import load_grid_csv, save_grid_csv
 from chordlab.grids import CenteredGrid
 
 
@@ -33,28 +28,10 @@ def test_csv_round_trip_is_bit_exact(tmp_path, complex_data):
     assert bgrid.hbar == grid.hbar
 
 
-@pytest.mark.parametrize("complex_data", [False, True])
-def test_binary_round_trip(tmp_path, complex_data):
-    vals, grid = _sample_field(complex_data)
-    path = tmp_path / "field.grd"
-    save_grid_binary(path, vals, grid, "husimi")
-    back, bgrid, kind = load_grid_binary(path)
-    assert kind == "husimi"
-    assert np.array_equal(back, vals)
-    assert bgrid.hbar == grid.hbar
-
-
 def test_unknown_kind_rejected(tmp_path):
     vals, grid = _sample_field(False)
     with pytest.raises(ValueError):
         save_grid_csv(tmp_path / "x.csv", vals, grid, "wigner")
-
-
-def test_binary_bad_magic(tmp_path):
-    path = tmp_path / "junk.grd"
-    path.write_bytes(b"\x00" * 128)
-    with pytest.raises(ValueError):
-        load_grid_binary(path)
 
 
 def test_csv_missing_header(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from chordlab.chordfn import ChordFunction
 from chordlab.curves import harmonic_circle
-from chordlab.diagnostics import GridDomainWarning, TruncationWarning
+from chordlab.diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
 from chordlab.grids import CenteredGrid, centre_from_chord
 from chordlab.husimi import (
     husimi_fourier,
@@ -87,6 +87,15 @@ def test_husimi_fourier_three_forms():
     assert np.allclose(from_raw.values, full)
     with pytest.raises(ValueError):
         husimi_fourier(sampled.values)
+
+
+def test_husimi_fourier_keeps_input_warnings():
+    with pytest.warns(ConvergenceWarning):
+        chi = wkb_chord(harmonic_circle(0.5, 12), HBAR)
+    assert len(chi.warnings) == 1
+    assert husimi_fourier(chi).warnings == chi.warnings
+    sampled = chi.sample(CenteredGrid(0.5, 0.5, 8, HBAR))
+    assert husimi_fourier(sampled).warnings == chi.warnings
 
 
 def test_husimi_from_lwc_coherent():

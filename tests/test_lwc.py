@@ -6,7 +6,7 @@ import pytest
 
 from chordlab import dynamics, hamiltonians
 from chordlab.chordfn import ChordFunction
-from chordlab.curves import harmonic_circle, quartic_level_curve
+from chordlab.curves import branches_at, harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.grids import CenteredGrid, simpson_weights
 from chordlab.lwc import (
@@ -20,12 +20,11 @@ from chordlab.lwc import (
     lwc_from_chord,
     lwc_sc_berry,
     lwc_sc_markov,
-    lwc_sc_quadratic,
     resolution_verdict,
+    sc_spectrum_closed_form,
     shear_phi_qq,
     spectrum,
     suggest_xi_q_grid,
-    symmetrized_observable_expectation,
 )
 from chordlab.states import (
     CoherentState,
@@ -103,7 +102,7 @@ def test_berry_quadratic_shear_relation():
     window = LwcWindow.canonical(Q, HBAR)
     xi_q = np.linspace(-math.sqrt(HBAR), math.sqrt(HBAR), 33)
     berry = lwc_sc_berry(curve, Q, xi_q, HBAR)
-    quad = lwc_sc_quadratic(curve, window, xi_q)
+    quad = lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window, xi_q)
     # same branches, so the two differ exactly by the shared shear Gaussian
     slope = abs(berry.branches.slope[0])
     shear = np.exp(-((window.delta * slope * xi_q) ** 2) / (2.0 * HBAR**2))
@@ -120,7 +119,7 @@ def test_quadratic_approximant_converges_semiclassically():
     for hbar in (0.05, 0.0125, 0.003125):
         window = LwcWindow.canonical(Q, hbar)
         xi_q = np.linspace(-math.sqrt(hbar), math.sqrt(hbar), 33)
-        quad = lwc_sc_quadratic(curve, window, xi_q)
+        quad = lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window, xi_q)
         exact = lwc_from_chord(wkb_chord(curve, hbar, samples=2048), window, xi_q,
                                xi_p_points=2049)
         diffs.append(float(np.max(np.abs(quad.normalized() - exact.normalized()))))
@@ -130,13 +129,19 @@ def test_quadratic_approximant_converges_semiclassically():
 
 
 def test_markov_reduces_to_quadratic_at_t0():
+    """At t = 0 a channel has had no time to act: C is the window-shear sum
+    sum_j A_j exp(-i p_j xi_q / hbar - (Delta s_j xi_q)^2 / 2 hbar^2)."""
     curve = harmonic_circle(0.5, 1024)
     window = LwcWindow.canonical(0.3, HBAR)
     xi_q = np.linspace(-0.4, 0.4, 17)
-    quad = lwc_sc_quadratic(curve, window, xi_q)
-    markov = lwc_sc_markov(curve, hamiltonians.harmonic(), [], 0.0, window, xi_q)
-    assert np.allclose(markov.values, quad.values)
-    assert all(v == 0.0 for v in markov.phi_qq)
+    markov = lwc_sc_markov(curve, hamiltonians.harmonic(),
+                           [dynamics.LindbladChannel((0.0, 1.0))], 0.0, window, xi_q)
+    br = branches_at(curve, window.Q, 1.0 / math.sqrt(HBAR))
+    assert len(br) == 2 and not np.any(br.caustic)
+    want = sum(a * np.exp(-1j * p * xi_q / HBAR - (window.delta * s * xi_q) ** 2 / (2.0 * HBAR**2))
+               for a, p, s in zip(br.amplitude, br.p, br.slope))
+    assert np.max(np.abs(markov.values - want)) < 1e-14 * np.max(np.abs(want))
+    assert markov.phi_qq == (0.0, 0.0)
 
 
 def test_markov_half_period_damping():
@@ -148,13 +153,35 @@ def test_markov_half_period_damping():
     channel = dynamics.LindbladChannel((0.0, 1.0))
     t = math.pi
     markov = lwc_sc_markov(curve, hamiltonians.harmonic(), [channel], t, window, xi_q)
-    quad = lwc_sc_quadratic(curve, window, xi_q)
+    quad = lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window, xi_q)
     slope = abs(quad.branches.slope[0])
     phi_qq = 0.5 * math.pi * (slope**2 + 1.0)
     damp = np.exp(-phi_qq * xi_q**2 / (2.0 * HBAR))
     scale = np.max(np.abs(quad.values))
     assert np.max(np.abs(markov.values - quad.values * damp)) < 1e-6 * scale
     assert markov.phi_qq == pytest.approx((phi_qq, phi_qq), rel=1e-6)
+
+
+@pytest.mark.parametrize("channels, t, Q", [
+    ([dynamics.LindbladChannel((0.0, 1.0))], 1.0, 0.3),
+    ([dynamics.LindbladChannel((0.0, 1.0), (1.0, 0.0)), dynamics.LindbladChannel((0.0, 1.0))],
+     0.3, 0.2),
+], ids=["q-channel", "damping+q"])
+def test_spectrum_of_markov_sample_is_its_closed_form(channels, t, Q):
+    """The branch lines A_j N(p_j, sigma_j^2) are the exact Fourier pair of
+    the markov sum, so the numerical spectrum reproduces them."""
+    curve = harmonic_circle(0.5, 1024)
+    H = hamiltonians.harmonic()
+    window = LwcWindow.canonical(Q, HBAR)
+    probe = lwc_sc_markov(curve, H, channels, t, window, [0.0])
+    var_min = min(HBAR * f + (window.delta * s) ** 2
+                  for f, s in zip(probe.phi_qq, probe.branches.slope))
+    xi_q = suggest_xi_q_grid(HBAR, envelope_sigma=HBAR / math.sqrt(var_min))
+    sd = spectrum(lwc_sc_markov(curve, H, channels, t, window, xi_q))
+    closed = sc_spectrum_closed_form(curve, H, channels, t, window, sd.p)
+    assert len(closed.peaks) == 2
+    top = float(np.max(closed.values))
+    assert np.max(np.abs(sd.values - closed.values)) < 1e-10 * top
 
 
 def test_shear_phi_qq():
@@ -258,16 +285,6 @@ def test_merged_peaks_are_unresolved():
     peaks = fit_peaks(p, vals)
     assert len(peaks) == 1
     assert not resolution_verdict(peaks).resolved
-
-
-def test_symmetrized_observable():
-    xi_q = np.array([0.0, 0.1])
-    vals = np.array([1.0 + 2.0j, 0.5 - 0.25j])
-    sample = LwcSample(xi_q, vals, None)
-    assert np.allclose(symmetrized_observable_expectation(sample, 1), [2.0, 1.0])
-    assert np.allclose(symmetrized_observable_expectation(sample, -1), [-4.0, 0.5])
-    with pytest.raises(ValueError):
-        symmetrized_observable_expectation(sample, 0)
 
 
 def test_sample_c0_and_normalized():
