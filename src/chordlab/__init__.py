@@ -21,9 +21,8 @@ from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad
                    cat_density_matrix, chord_function_exact, chord_function_grid,
                    coherent_density_matrix, displacement_matrix, fock_density_matrix,
                    hamiltonian_matrix, hermite_functions, lindblad_evolve,
-                   lindblad_evolve_auto, lowering, p_operator,
-                   position_density_matrix, pure_density, purity, q_operator,
-                   wigner_exact)
+                   lowering, p_operator, position_density_matrix, pure_density,
+                   purity, q_operator, wigner_exact)
 from .geometry import (J_MATRIX, is_symplectic, jmul, random_symplectic,
                        reflection_symbol, skew, translation_symbol)
 from .grids import (CenteredGrid, boundary_decay_ok, centre_from_chord,

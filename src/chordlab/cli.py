@@ -67,7 +67,9 @@ common keys
   seed                int, default 0 (echoed; no experiment is stochastic)
   time.t              float, default 0: evolution time
   time.dt             float, default 1e-3: integrator step, used for
-                      non-quadratic models only (quadratic ones are exact)
+                      non-quadratic models only (quadratic ones are exact);
+                      for husimi, the spacing of the number-basis leak checks
+                      (that evolution is exact)
 
 state selection (evolve-chord, lwc, spectrum, husimi)
   state.family        coherent | circle | quartic | pendulum | fock | cat
@@ -135,17 +137,21 @@ def _write_table(path, meta: list, columns: list, rows) -> None:
                               for cell in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _jsonable(obj):
+    """The payload with numpy values as Python ones and every non-finite float
+    as null: RFC 8259 JSON has no NaN (a flagged peak's variance is nan)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

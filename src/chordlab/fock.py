@@ -3,8 +3,9 @@
 Everything here works with dense matrices in the harmonic oscillator
 eigenbasis, scaled so that q = sqrt(hbar/2)(a + a+) and p comes with the
 matching factor.  It provides the ground truth the phase-space machinery is
-checked against: exact Lindblad evolution by RK4, exact chord functions via
-displacement traces or position-space slices, and exact Wigner functions.
+checked against: exact Lindblad evolution (the exponential of the sparse
+Liouvillian acting on the state), exact chord functions via displacement
+traces or position-space slices, and exact Wigner functions.
 
 Truncation is monitored rather than hidden: populations leaking into the
 top decile of the basis raise TruncationLeakError with advice to enlarge
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
@@ -38,7 +41,6 @@ __all__ = [
     "pure_density",
     "purity",
     "lindblad_evolve",
-    "lindblad_evolve_auto",
     "displacement_matrix",
     "chord_function_exact",
     "chord_function_grid",
@@ -49,6 +51,7 @@ __all__ = [
 
 _LEAK_TOL = 1e-6
 _TRACE_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 class TruncationLeakError(RuntimeError):
@@ -91,29 +94,31 @@ def build_linear_lindblad(channel, hbar: float, dim: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(model: HamiltonianModel, dim: int, hbar: float) -> np.ndarray:
-    """Matrix of the named Hamiltonian family in the number basis.
+    """Matrix of a Hamiltonian model in the number basis.
 
-    The transcendental pendulum potential goes through the eigenbasis of q.
+    A quadratic model is the Weyl quantization of its Taylor form at the
+    origin, pq symmetrized; the quartic and pendulum families are built by
+    name, the transcendental pendulum potential through the eigenbasis of q.
     """
     q = q_operator(dim, hbar)
     pm = p_operator(dim, hbar)
     p2 = pm @ pm
+    if model.quadratic:
+        origin = np.zeros(2)
+        k = np.asarray(model.hessian(origin), dtype=float)
+        g = np.asarray(model.gradient(origin), dtype=float)
+        return (0.5 * k[0, 0] * p2 + 0.5 * k[1, 1] * (q @ q)
+                + 0.5 * k[0, 1] * (pm @ q + q @ pm) + g[0] * pm + g[1] * q
+                + float(model.value(origin)) * np.eye(dim))
     prm = model.params
-    name = model.name
-    if name == "zero":
-        return np.zeros((dim, dim), dtype=complex)
-    if name == "harmonic":
-        return 0.5 * prm["omega"] * (p2 + q @ q)
-    if name == "free":
-        return p2 / (2.0 * prm["mass"])
-    if name == "quartic":
+    if model.name == "quartic":
         q2 = q @ q
         return 0.5 * p2 + 0.25 * prm["a"] * (q2 @ q2) + 0.5 * prm["b"] * q2
-    if name == "pendulum":
+    if model.name == "pendulum":
         evals, vecs = np.linalg.eigh(q)
         cos_q = (vecs * np.cos(evals)) @ vecs.conj().T
         return 0.5 * p2 - prm["g"] * cos_q
-    raise ValueError(f"no matrix builder for Hamiltonian family {name!r}")
+    raise ValueError(f"no matrix for the non-quadratic Hamiltonian family {model.name!r}")
 
 
 @dataclass(frozen=True)
@@ -206,78 +211,67 @@ def purity(rho) -> float:
     return float(np.real(np.einsum("ij,ji->", mat, mat)))
 
 
-def _rhs(rho, h_mat, l_ops, hbar):
-    out = (-1j / hbar) * (h_mat @ rho - rho @ h_mat)
-    for lm, lmd, lmdl in l_ops:
-        out += (lm @ rho @ lmd - 0.5 * (lmdl @ rho + rho @ lmdl)) / hbar
-    return out
+def _sparse(mat) -> sparse.csr_array:
+    """CSR copy without the entries below eps times the largest: rounding noise
+    (the eigh-built pendulum cos q is full of it) would fill a banded matrix."""
+    mat = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator has non-finite entries")
+    return sparse.csr_array(np.where(np.abs(mat) > _EPS * np.abs(mat).max(), mat, 0.0))
+
+
+def _liouvillian(h_mat, l_mats, hbar) -> sparse.csr_array:
+    """The Lindblad generator acting on rho.ravel() (row-major), in CSR:
+    -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2 - I (x) (L+L)^T/2)/hbar."""
+    h = _sparse(h_mat)
+    eye = sparse.eye_array(h.shape[0], dtype=complex, format="csr")
+    gen = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for lm in map(_sparse, l_mats):
+        ldl = lm.conj().T @ lm
+        gen = gen + sparse.kron(lm, lm.conj()) \
+            - 0.5 * (sparse.kron(ldl, eye) + sparse.kron(eye, ldl.T))
+    return sparse.csr_array(gen / hbar)
 
 
 def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
                     dt: float = 1e-3, check_every: int = 25) -> FockDensityMatrix:
-    """RK4 integration of the Lindblad master equation,
+    """Exact solution of the Lindblad master equation,
 
-        drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2).
+        drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2),
 
-    The state is re-hermitized every step.  Trace drift beyond 1e-8 reports a
-    ConvergenceWarning; population reaching the top decile of the basis
-    raises TruncationLeakError.
+    by the action of the sparse Liouvillian's exponential (Al-Mohy & Higham
+    2011) over equal segments of about check_every * dt.  Population reaching
+    the top decile of the basis after a segment raises TruncationLeakError;
+    trace drift beyond 1e-8 reports a ConvergenceWarning.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     dim = rho.shape[0]
-    l_ops = []
-    for lm in l_mats:
-        lm = np.asarray(lm, dtype=complex)
-        lmd = lm.conj().T
-        l_ops.append((lm, lmd, lmd @ lm))
     if t < 0:
         raise ValueError("t must be nonnegative")
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps if steps else 0.0
-    notes: list = []
+    segments = max(1, int(math.ceil(t / (check_every * dt))))
+    step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
     top = max(1, dim // 10)
-
-    def leak_check(mat):
-        leak = float(np.sum(np.real(np.diag(mat))[-top:]))
+    tr0 = float(np.real(np.trace(rho)))
+    vec = rho.ravel()
+    for _ in range(segments):
+        # traceA=0 keeps expm_multiply from shifting by the generator's trace,
+        # which costs the state's trace an order of magnitude in rounding
+        vec = expm_multiply(step, vec, traceA=0.0)
+        leak = float(np.sum(np.real(vec[::dim + 1][-top:])))
         if leak > _LEAK_TOL:
             raise TruncationLeakError(
                 f"population {leak:.2e} reached the top decile of a dim-{dim} "
                 "basis; increase dim", dim)
-
-    tr0 = float(np.real(np.trace(rho)))
-    for k in range(steps):
-        k1 = _rhs(rho, h_mat, l_ops, hbar)
-        k2 = _rhs(rho + 0.5 * h * k1, h_mat, l_ops, hbar)
-        k3 = _rhs(rho + 0.5 * h * k2, h_mat, l_ops, hbar)
-        k4 = _rhs(rho + h * k3, h_mat, l_ops, hbar)
-        rho += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        if k % check_every == check_every - 1:
-            leak_check(rho)
-    leak_check(rho)
+    rho = vec.reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    notes: list = []
     drift = abs(float(np.real(np.trace(rho))) - tr0)
     if drift > _TRACE_TOL:
         diagnostics.report(
-            notes, f"trace drifted by {drift:.2e} during evolution; reduce dt",
+            notes, f"trace drifted by {drift:.2e} during evolution (the generator "
+            "conserves it: rounding); check H and the channels for huge entries",
             diagnostics.ConvergenceWarning)
     return FockDensityMatrix(rho, float(hbar), notes)
-
-
-def lindblad_evolve_auto(make_system, t: float, hbar: float, dt: float = 1e-3,
-                         dim: int = 128, max_dim: int = 1024) -> FockDensityMatrix:
-    """Retry lindblad_evolve with a doubled basis until the leak monitor passes.
-
-    make_system(dim) must return (rho0, h_mat, l_mats) at that dimension.
-    """
-    d = dim
-    while True:
-        rho0, h_mat, l_mats = make_system(d)
-        try:
-            return lindblad_evolve(rho0, h_mat, l_mats, t, hbar, dt)
-        except TruncationLeakError:
-            d *= 2
-            if d > max_dim:
-                raise
 
 
 def evolve_state(rho0: FockDensityMatrix, model: HamiltonianModel, channels,

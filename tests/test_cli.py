@@ -127,6 +127,28 @@ xi.half_width = 0.3
     assert sum("not decayed" in msg for msg in notes) == 1
 
 
+def test_sidecar_is_strict_json(tmp_path):
+    # undamped plane waves: the fit flags sinc sidelobes with nan variance
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = circle
+state.action = 0.5
+window.q = 0.3
+lwc.route = sc-berry
+xi.points = 256
+""")
+    assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path)) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads((tmp_path / "spectrum.json").read_text(), parse_constant=reject)
+    peaks = [pk for w in payload["result"]["windows"] for pk in w["peaks"]]
+    flagged = [pk for pk in peaks if pk["flagged"]]
+    assert flagged and all(pk["variance"] is None for pk in flagged)
+    assert all(isinstance(pk["variance"], float) for pk in peaks if not pk["flagged"])
+
+
 @pytest.mark.parametrize("experiment", ["lwc", "spectrum"])
 def test_dead_semiclassical_window_fails(tmp_path, capsys, experiment):
     # both circle branches at Q = 0.999 are caustic, so C would be 0
@@ -382,8 +404,8 @@ def test_console_script_runs():
     assert "chordlab config schema" in proc.stdout
 
 
-def test_module_main_matches(tmp_path, capsys):
+def test_module_main_matches(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chordlab", "--schema"])
     with pytest.raises(SystemExit) as exc:
-        sys.argv = ["chordlab", "--schema"]
         cli.main()
     assert exc.value.code == 0

@@ -446,7 +446,7 @@ def test_positivity_time_against_fock_parity_oracle():
                               [build_linear_lindblad(channel, HBAR, dim)], t_half, HBAR)
         pops = rho.populations()
         parity = float(np.sum(pops[0::2]) - np.sum(pops[1::2]))
-        assert abs(parity - want) < 1e-10
+        assert abs(parity - want) < 1e-14
     assert abs(dy.positivity_time(dy.hamiltonians.zero(), [DAMPING]) - t_half) < 1e-6
     with pytest.raises(ValueError, match="too weak"):
         dy.positivity_time(dy.hamiltonians.zero(), [PUMP])

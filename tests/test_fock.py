@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chordlab import hamiltonians
+from chordlab import dynamics, hamiltonians
 from chordlab.diagnostics import GridDomainWarning, TruncationWarning
 from chordlab.dynamics import LindbladChannel
 from chordlab.fock import (
@@ -22,7 +22,6 @@ from chordlab.fock import (
     hamiltonian_matrix,
     hermite_functions,
     lindblad_evolve,
-    lindblad_evolve_auto,
     lowering,
     p_operator,
     position_density_matrix,
@@ -182,10 +181,35 @@ def test_damped_harmonic_first_moments():
     mean_q = float(np.real(np.trace(out.rho @ q)))
     mean_p = float(np.real(np.trace(out.rho @ p)))
     decay = math.exp(-t)
-    assert abs(mean_p - (-decay * math.sin(t))) < 1e-6
-    assert abs(mean_q - decay * math.cos(t)) < 1e-6
+    assert abs(mean_p - (-decay * math.sin(t))) < 1e-14
+    assert abs(mean_q - decay * math.cos(t)) < 1e-14
     # pure damping carries a coherent state into a coherent state
     assert purity(out) > 1.0 - 1e-8
+
+
+def test_quadratic_form_first_moments_follow_centre_map():
+    """A custom quadratic model with pq and linear terms has a matrix by its
+    Weyl form; under linear channels the Fock first moments of a coherent
+    state follow dynamics.advect's closed-form centre map."""
+    s = np.array([[1.0, 0.4], [0.4, 0.7]])
+    g = np.array([0.2, -0.3])
+    model = dynamics.HamiltonianModel(
+        name="quadratic-form",
+        value=lambda x: 0.5 * np.einsum("...a,ab,...b->...", x, s, x) + x @ g + 0.1,
+        gradient=lambda x: np.einsum("ab,...b->...a", s, x) + g,
+        hessian=lambda x: np.broadcast_to(s, x.shape[:-1] + (2, 2)).copy(),
+        quadratic=True,
+    )
+    dim = 64
+    eta = (0.3, -0.4)
+    q = q_operator(dim, HBAR)
+    p = p_operator(dim, HBAR)
+    rho0 = coherent_density_matrix(eta, HBAR, dim)
+    for channels in ([DAMPING], [DAMPING, Q_MEASURE]):
+        out = evolve_state(rho0, model, channels, 1.1)
+        got = np.real([np.trace(out.rho @ p), np.trace(out.rho @ q)])
+        want = dynamics.advect(model, channels, np.array([eta]), 1.1, 1e-3)[0]
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_measurement_channel_decoheres():
@@ -233,23 +257,60 @@ def test_truncation_leak_raises():
     assert err.value.dim == dim
     with pytest.raises(ValueError):
         lindblad_evolve(rho0, h, [l_pump], -1.0, HBAR)
+    # a non-finite operator must not pass for a zero one
+    h[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        lindblad_evolve(rho0, h, [l_pump], 0.1, HBAR)
 
 
-def test_auto_doubles_basis():
-    def make_system(dim):
+def test_pumped_vacuum_occupation():
+    """The mean occupation of the pumped vacuum grows as e^{2t} - 1; an
+    undersized basis raises instead of truncating silently."""
+    def evolve(dim, t):
         rho0 = coherent_density_matrix((0.0, 0.0), HBAR, dim)
         h = hamiltonian_matrix(hamiltonians.zero(), dim, HBAR)
-        return rho0, h, [build_linear_lindblad(PUMP, HBAR, dim)]
+        return lindblad_evolve(rho0, h, [build_linear_lindblad(PUMP, HBAR, dim)], t, HBAR)
 
-    out = lindblad_evolve_auto(make_system, 0.5, HBAR, dim=8)
-    assert out.dim > 8
+    out = evolve(64, 0.5)
     assert out.leak_fraction() < 1e-6
-    # mean occupation of the pumped vacuum grows as e^{2t} - 1
-    n_op = np.diag(np.arange(out.dim, dtype=float))
-    mean_n = float(np.real(np.trace(out.rho @ n_op)))
-    assert mean_n == pytest.approx(math.exp(1.0) - 1.0, rel=1e-3)
+    mean_n = float(np.sum(np.arange(out.dim) * out.populations()))
+    assert mean_n == pytest.approx(math.exp(1.0) - 1.0, rel=1e-11)
     with pytest.raises(TruncationLeakError):
-        lindblad_evolve_auto(make_system, 2.5, HBAR, dim=8, max_dim=16)
+        evolve(16, 2.5)
+
+
+def test_checkpoint_spacing_does_not_change_the_state():
+    """dt only spaces the leak checks: the evolution itself is exact."""
+    dim = 48
+    rho0 = cat_density_matrix((0.3, -0.2), HBAR, dim)
+    h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
+    l_ops = [build_linear_lindblad(Q_MEASURE, HBAR, dim)]
+    fine = lindblad_evolve(rho0, h, l_ops, 1.3, HBAR, dt=1e-3)
+    coarse = lindblad_evolve(rho0, h, l_ops, 1.3, HBAR, dt=0.05)
+    assert np.max(np.abs(fine.rho - coarse.rho)) < 1e-13
+
+
+def test_lindblad_evolve_matches_dense_generator_exponential():
+    """Reference: the generator assembled column by column from the matrix
+    form of the master equation, exponentiated densely.  The pendulum's
+    eigh-built cos q carries rounding noise in every entry, which the sparse
+    build drops."""
+    dim = 24
+    h = hamiltonian_matrix(hamiltonians.pendulum(1.0), dim, HBAR)
+    l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in (DAMPING, Q_MEASURE)]
+
+    def rhs(rho):
+        out = (-1j / HBAR) * (h @ rho - rho @ h)
+        for lm in l_ops:
+            ldl = lm.conj().T @ lm
+            out += (lm @ rho @ lm.conj().T - 0.5 * (ldl @ rho + rho @ ldl)) / HBAR
+        return out
+
+    gen = np.stack([rhs(e).ravel() for e in np.eye(dim * dim).reshape(-1, dim, dim)], axis=1)
+    rho0 = coherent_density_matrix((0.2, 0.3), HBAR, dim)
+    want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(dim, dim)
+    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR)
+    assert np.max(np.abs(got.rho - want)) < 5e-14
 
 
 def test_hamiltonian_matrix_families():
@@ -276,9 +337,14 @@ def test_hamiltonian_matrix_families():
     # near the bottom of the cosine well: -g + hbar omega_0 / 2
     assert ground == pytest.approx(-1.0 + 0.5 * HBAR, abs=5e-3)
 
+    # a quadratic model is built from its Weyl form whatever its name; a
+    # non-quadratic one must be a family known by name
     bogus = hamiltonians.harmonic()
+    renamed = type(bogus)("rotor", bogus.value, bogus.gradient, bogus.hessian,
+                         True, bogus.params)
+    assert np.max(np.abs(hamiltonian_matrix(renamed, dim, HBAR) - h)) < 1e-14
     fake = type(bogus)("rotor", bogus.value, bogus.gradient, bogus.hessian,
-                      bogus.quadratic, bogus.params)
+                      False, bogus.params)
     with pytest.raises(ValueError):
         hamiltonian_matrix(fake, dim, HBAR)
 
