@@ -12,11 +12,10 @@ from .curves import (BranchData, LagrangianCurve, branches_at, curve_from_sample
                      evolve_curve_classically, harmonic_circle,
                      pendulum_level_curve, quartic_level_curve)
 from .diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
-from .dynamics import (CentreTrajectory, DecoherenceMatrix, HamiltonianModel,
-                       LindbladChannel, advect, centre_trajectory,
+from .dynamics import (DecoherenceMatrix, HamiltonianModel, LindbladChannel, advect,
                        decoherence_matrix, decohered_reflection_symbol,
-                       double_hamiltonian, evolve_chord_function, hamiltonians,
-                       noise_matrix, positivity_time, total_gamma)
+                       evolve_chord_function, hamiltonians, noise_matrix,
+                       positivity_time, total_gamma)
 from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad,
                    cat_density_matrix, chord_function_exact, chord_function_grid,
                    coherent_density_matrix, displacement_matrix, fock_density_matrix,
@@ -37,8 +36,7 @@ from .lwc import (LwcSample, LwcWindow, Peak, ResolutionVerdict, SpectralDensity
                   spectrum, suggest_xi_q_grid)
 from .states import (CoherentState, coherent_chord, coherent_chord_function,
                      coherent_husimi, coherent_position_slices,
-                     coherent_wavefunction, coherent_wigner,
-                     short_chord_validity_radius, wkb_chord,
+                     coherent_wavefunction, coherent_wigner, wkb_chord,
                      wkb_short_chord_function)
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ window where no branch survives), 2 bad usage or bad config.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -41,8 +42,11 @@ _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
 _COMMON_KEYS = {"hbar", "seed", "time.t", "time.dt"}
 _STATE_KEYS = {"state.family", "state.eta", "state.action", "state.energy",
                "state.a", "state.b", "state.g", "state.n", "state.samples"}
-_H_KEYS = {"hamiltonian.family", "hamiltonian.omega", "hamiltonian.mass",
-           "hamiltonian.a", "hamiltonian.b", "hamiltonian.g", "channel"}
+# model family -> the factory's parameters, each read as hamiltonian.<name>
+_H_PARAMS = {fam: inspect.signature(factory).parameters
+             for fam, factory in hamiltonians.registry.items()}
+_H_KEYS = ({"hamiltonian.family", "channel"}
+           | {f"hamiltonian.{name}" for params in _H_PARAMS.values() for name in params})
 _GRID_KEYS = {"grid.points", "grid.half_width"}
 _XI_KEYS = {"xi.points", "xi.half_width"}
 _WINDOW_KEYS = {"window.q", "window.delta"}
@@ -156,18 +160,9 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _hamiltonian(cfg: Config):
-    fam = cfg.str("hamiltonian.family", "harmonic",
-                  choices={"zero", "free", "harmonic", "quartic", "pendulum"})
-    if fam == "zero":
-        return hamiltonians.zero()
-    if fam == "free":
-        return hamiltonians.free(cfg.float("hamiltonian.mass", 1.0))
-    if fam == "harmonic":
-        return hamiltonians.harmonic(cfg.float("hamiltonian.omega", 1.0))
-    if fam == "quartic":
-        return hamiltonians.quartic(cfg.float("hamiltonian.a", 1.0),
-                                    cfg.float("hamiltonian.b", 0.0))
-    return hamiltonians.pendulum(cfg.float("hamiltonian.g", 1.0))
+    fam = cfg.str("hamiltonian.family", "harmonic", choices=hamiltonians.registry)
+    return hamiltonians.registry[fam](**{
+        name: cfg.float(f"hamiltonian.{name}", p.default) for name, p in _H_PARAMS[fam].items()})
 
 
 def _channels(cfg: Config) -> list:

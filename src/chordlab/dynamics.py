@@ -30,9 +30,12 @@ Quadratic models are Gaussian and exact: every centre follows one affine
 map, every chord one monodromy M = exp(t A) with A = J Hess H + gamma, and
 Phi is the Gramian of (A, Lambda), taken from one Van Loan block exponential
 (IEEE TAC 23, 395, 1978).  No step size enters and no refinement is run.
-Other models are integrated with fixed-step RK4 (Phi by composite Simpson
-on the step grid); their refinement checks warn instead of adapting, so
-identical inputs give identical outputs.
+Other models go through one fixed-step RK4 flow, ``_rk4``: ``advect`` steps
+centres alone; decoherence matrices and evolved chord functions carry M
+along and accumulate Phi by composite Simpson on the step grid, the final
+frame by running the flow backward from its anchor (a negative step).
+Their refinement checks warn instead of adapting, so identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ __all__ = [
     "hamiltonians",
     "total_gamma",
     "noise_matrix",
-    "double_hamiltonian",
-    "CentreTrajectory",
-    "centre_trajectory",
     "DecoherenceMatrix",
     "decoherence_matrix",
     "decohered_reflection_symbol",
@@ -235,33 +235,18 @@ class hamiltonians:
     }
 
 
-def double_hamiltonian(H: HamiltonianModel, gamma: float, x, y) -> np.ndarray:
-    """Generator symbol on doubled phase space: H(x - Jy/2) - H(x + Jy/2) - gamma x.y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jy = np.einsum("ab,...b->...a", J_MATRIX, y)
-    plus = H.value(x - 0.5 * jy)
-    minus = H.value(x + 0.5 * jy)
-    return plus - minus - gamma * np.einsum("...a,...a->...", x, y)
-
-
 # ---------------------------------------------------------------------------
 # flows and fixed-step integration
 
 
-def _centre_field(H, gamma, x):
-    return np.einsum("ab,...b->...a", J_MATRIX, H.gradient(x)) - gamma * x
-
-
 def _chord_generator(H, gamma, x):
     """A(x) = J Hess H(x) + gamma, the chord variational generator."""
-    a = np.einsum("ab,...bc->...ac", J_MATRIX, H.hessian(x))
-    idx = np.arange(2)
-    a[..., idx, idx] += gamma
-    return a
+    return J_MATRIX @ H.hessian(x) + gamma * np.eye(2)
 
 
 def _steps_for(t: float, dt: float) -> int:
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     if t == 0.0:
         return 0
     n = max(2, int(math.ceil(t / dt)))
@@ -304,6 +289,55 @@ def _centre_map(H, gamma: float, t: float):
     return e[:2, :2], e[:2, 2]
 
 
+def _rk4(H, gamma, x, t, steps, lam=None):
+    """RK4 of the (n, 2) centres x over the signed time t in ``steps`` equal
+    steps; t < 0 runs the time-reversed system.
+
+        dx/dtau = J grad H(x) - gamma x
+
+    Without ``lam`` it returns the endpoints.  With it, the (n, 2, 2) chord
+    monodromy rides along, dM/dtau = (J Hess H(x) + gamma) M from M = I, and
+    G = Int M^T lam M |dtau| accumulates by composite Simpson on the step
+    grid (``steps`` even); it returns (x, M, G).
+    """
+    h = t / max(steps, 1)
+    jt = J_MATRIX.T
+
+    def field(s):
+        dx = H.gradient(s[0]) @ jt - gamma * s[0]
+        return (dx,) if lam is None else (dx, _chord_generator(H, gamma, s[0]) @ s[1])
+
+    def shifted(s, c, k):
+        return tuple(a + c * b for a, b in zip(s, k))
+
+    def quad(m):
+        return np.swapaxes(m, -1, -2) @ lam @ m
+
+    s = (x,)
+    if lam is not None:
+        s = (x, np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
+        g = np.zeros(s[1].shape)
+        f_left = quad(s[1])
+    for k in range(steps):
+        k1 = field(s)
+        k2 = field(shifted(s, 0.5 * h, k1))
+        k3 = field(shifted(s, 0.5 * h, k2))
+        k4 = field(shifted(s, h, k3))
+        s = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
+        if not all(np.all(np.isfinite(a)) for a in s):
+            raise FloatingPointError("centre flow diverged; reduce dt or the time span")
+        if lam is None:
+            continue
+        if k % 2 == 0:
+            f_mid = quad(s[1])
+        else:
+            f_right = quad(s[1])
+            g = g + (abs(h) / 3.0) * (f_left + 4.0 * f_mid + f_right)
+            f_left = f_right
+    return s[0] if lam is None else (s[0], s[1], g)
+
+
 def advect(H, channels, points, t: float, dt: float, direction: int = +1) -> np.ndarray:
     """Transport of (n, 2) centre points over time t: the exact affine map
     for quadratic models, fixed-step RK4 otherwise."""
@@ -318,123 +352,7 @@ def advect(H, channels, points, t: float, dt: float, direction: int = +1) -> np.
             raise FloatingPointError("centre flow overflows over this time span")
         return x
     steps = _steps_for(abs(t), dt)
-    h = direction * t / steps
-
-    def f(z):
-        return _centre_field(H, gamma, z)
-
-    for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError("centre flow diverged; reduce dt or the time span")
-    return x
-
-
-def _flow_with_monodromy(H, gamma, lam, x0, t, steps, sign=+1.0, want_quad=False):
-    """Joint RK4 of centres and chord monodromy, optionally accumulating
-    G = Int M^T Lambda M dtau by composite Simpson on the step grid.
-
-    sign=+1 integrates the forward system, sign=-1 the time-reversed one.
-    x0 may be (2,) or (n, 2); outputs broadcast accordingly.
-    """
-    x = np.atleast_2d(np.array(x0, dtype=float))
-    n = x.shape[0]
-    m = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    g = np.zeros((n, 2, 2))
-    if steps == 0:
-        return x, m, g, None, None
-    h = sign * t / steps
-
-    def rhs(xc, mc):
-        a = _chord_generator(H, gamma, xc)
-        return _centre_field(H, gamma, xc), np.einsum("...ab,...bc->...ac", a, mc)
-
-    def quad_value(mc):
-        return np.einsum("...ba,bc,...cd->...ad", mc, lam, mc)
-
-    traj_x = [x.copy()]
-    traj_m = [m.copy()]
-    f_prev2 = quad_value(m) if want_quad else None
-    f_prev1 = None
-    for k in range(steps):
-        k1x, k1m = rhs(x, m)
-        k2x, k2m = rhs(x + 0.5 * h * k1x, m + 0.5 * h * k1m)
-        k3x, k3m = rhs(x + 0.5 * h * k2x, m + 0.5 * h * k2m)
-        k4x, k4m = rhs(x + h * k3x, m + h * k3m)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(m))):
-            raise FloatingPointError("trajectory integration diverged; reduce dt")
-        traj_x.append(x.copy())
-        traj_m.append(m.copy())
-        if want_quad:
-            fk = quad_value(m)
-            if k % 2 == 0:
-                f_prev1 = fk
-            else:
-                g = g + (abs(h) / 3.0) * (f_prev2 + 4.0 * f_prev1 + fk)
-                f_prev2 = fk
-    return x, m, g, np.array(traj_x), np.array(traj_m)
-
-
-@dataclass
-class CentreTrajectory:
-    """Stored dissipative trajectory with its chord monodromy M(0 -> tau).
-
-    det M grows as exp(2 gamma tau): damping squeezes centres and stretches
-    chords by the same symplectic bookkeeping.
-    """
-
-    times: np.ndarray
-    points: np.ndarray
-    monodromy: np.ndarray
-    gamma: float
-    warnings: list = field(default_factory=list)
-
-    @property
-    def centre_monodromy(self) -> np.ndarray:
-        """Centre-picture monodromy, -J M^{-T} J per stored step."""
-        inv_t = np.linalg.inv(np.transpose(self.monodromy, (0, 2, 1)))
-        return -np.einsum("ab,kbc,cd->kad", J_MATRIX, inv_t, J_MATRIX)
-
-
-def centre_trajectory(H, channels, x0, t: float, dt: float, convergence_check: bool = True) -> CentreTrajectory:
-    """Integrate dx/dtau = J grad H - gamma x with the chord monodromy riding along."""
-    if t < 0 or dt <= 0:
-        raise ValueError("need t >= 0 and dt > 0")
-    gamma = total_gamma(channels)
-    lam = noise_matrix(channels)
-    steps = _steps_for(t, dt)
-    x1, m1, _, tx, tm = _flow_with_monodromy(H, gamma, lam, x0, t, steps)
-    notes = []
-    if steps == 0:
-        times = np.array([0.0])
-        tx = np.array([np.atleast_2d(np.asarray(x0, float))])
-        tm = np.array([[np.eye(2)]])
-    else:
-        times = np.linspace(0.0, t, steps + 1)
-        if convergence_check:
-            x2, m2, _, _, _ = _flow_with_monodromy(H, gamma, lam, x0, t, 2 * steps)
-            scale = max(1.0, float(np.max(np.abs(x1))), float(np.max(np.abs(m1))))
-            err = max(float(np.max(np.abs(x2 - x1))), float(np.max(np.abs(m2 - m1)))) / scale
-            if err > 1e-8:
-                report(
-                    notes,
-                    f"centre_trajectory: halving dt changes the endpoint by {err:.3e} (> 1e-8); "
-                    "reduce dt",
-                    ConvergenceWarning,
-                )
-    return CentreTrajectory(
-        times=times,
-        points=tx[:, 0, :],
-        monodromy=tm[:, 0, :, :],
-        gamma=gamma,
-        warnings=notes,
-    )
+    return _rk4(H, gamma, x, direction * t, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +409,10 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
         a = _chord_generator(H, gamma, anchor[None, :])[0]
         phi = _gramian(-a if frame == "final" else a, lam, t)
         return DecoherenceMatrix(phi, float(t), anchor, notes, frame)
-    model, g = H, gamma
-    if frame == "final":
-        # backward system: dz/ds = -(J grad H - gamma z), dB/ds = -(J Hess + gamma) B
-        model = HamiltonianModel(
-            name=H.name + "(reversed)",
-            value=lambda xx: -H.value(xx),
-            gradient=lambda xx: -H.gradient(xx),
-            hessian=lambda xx: -H.hessian(xx),
-            quadratic=H.quadratic,
-            params=H.params,
-        )
-        g = -gamma
+    span = -t if frame == "final" else t  # the final frame runs backward from the anchor
 
     def integrate(n):
-        return _flow_with_monodromy(model, g, lam, anchor, t, n, want_quad=True)[2][0]
+        return _rk4(H, gamma, anchor[None, :], span, n, lam)[2][0]
 
     steps = _steps_for(t, dt)
     phi = integrate(steps)
@@ -575,6 +482,8 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     map, so the sum is the exact Gaussian-modulated transport of the initial
     chord function; other models run RK4 per sample.
     """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     pts, w, hbar, src = _source_samples(source, hbar)
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
@@ -587,8 +496,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
         shared Phi for quadratic models)."""
         if H.quadratic:
             return points @ e.T + d, phi
-        xt, mt, g, _, _ = _flow_with_monodromy(H, gamma, lam, points, t, _steps_for(t, dt),
-                                               want_quad=True)
+        xt, mt, g = _rk4(H, gamma, points, t, _steps_for(t, dt), lam)
         minv = np.linalg.inv(mt)
         phis = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
         return xt, 0.5 * (phis + np.transpose(phis, (0, 2, 1)))

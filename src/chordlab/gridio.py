@@ -41,13 +41,11 @@ def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "cen
         fh.write(f"# half_width_q = {grid.half_width_q:.17g}\n")
         fh.write(f"# hbar = {grid.hbar:.17g}\n")
         fh.write(f"# columns = {cols}\n")
-        for i in range(grid.points):
-            for j in range(grid.points):
-                v = values[i, j]
-                if complex_data:
-                    fh.write(f"{a0[i]:.17g},{a1[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
-                else:
-                    fh.write(f"{a0[i]:.17g},{a1[j]:.17g},{v:.17g}\n")
+        pp, qq = np.meshgrid(a0, a1, indexing="ij")
+        parts = (values.real, values.imag) if complex_data else (values,)
+        table = np.stack([pp, qq, *parts], axis=-1).reshape(-1, 2 + len(parts))
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def load_grid_csv(path):

@@ -33,7 +33,6 @@ __all__ = [
     "coherent_chord",
     "wkb_short_chord_function",
     "wkb_chord",
-    "short_chord_validity_radius",
 ]
 
 
@@ -146,18 +145,3 @@ def wkb_chord(curve: LagrangianCurve, hbar: float, samples: int | None = None) -
         lambda xp, xq: wkb_short_chord_function(c, xp, xq, hbar, convergence_check=False),
         hbar, samples=c.points.shape[0], warnings=notes)
 
-
-def short_chord_validity_radius(curve: LagrangianCurve, hbar: float) -> float:
-    """(8 hbar R_min)^(1/3) with R_min the minimum osculating radius.
-
-    Chords longer than this pick up O(1) phase error from curve curvature,
-    so the uniform plane-wave average stops being trustworthy.
-    """
-    th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    sp, sq = curve._get_splines()
-    p1, q1 = sp(th, 1), sq(th, 1)
-    p2, q2 = sp(th, 2), sq(th, 2)
-    speed2 = p1**2 + q1**2
-    kappa = np.abs(p1 * q2 - q1 * p2) / np.maximum(speed2, 1e-300) ** 1.5
-    r_min = 1.0 / float(np.max(kappa))
-    return (8.0 * hbar * r_min) ** (1.0 / 3.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chordlab import cli, dynamics, hamiltonians, lwc
+from chordlab.config import Config
 from chordlab.curves import harmonic_circle
 
 
@@ -229,6 +230,26 @@ xi.points = 256
         assert win["closed_form_peaks"] == [
             {"position": pk.position, "height": pk.height, "variance": pk.variance,
              "flagged": pk.flagged} for pk in closed.peaks]
+
+
+# family -> (config line setting one non-default parameter, expected params)
+NON_DEFAULT_MODELS = {
+    "zero": ("", {}),
+    "free": ("hamiltonian.mass = 2.5", {"mass": 2.5}),
+    "harmonic": ("hamiltonian.omega = 1.5", {"omega": 1.5}),
+    "quartic": ("hamiltonian.b = 0.5", {"a": 1.0, "b": 0.5}),
+    "pendulum": ("hamiltonian.g = 0.7", {"g": 0.7}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NON_DEFAULT_MODELS))
+def test_hamiltonian_config_builds_registry_model(tmp_path, family):
+    text, params = NON_DEFAULT_MODELS[family]
+    cfg = Config.load(write_cfg(tmp_path, f"hamiltonian.family = {family}\n{text}\n"))
+    cfg.check_keys(cli.EXPERIMENT_KEYS["positivity"])
+    model = cli._hamiltonian(cfg)
+    assert model.name == family
+    assert model.params == params
 
 
 def test_positivity_requires_channel(tmp_path, capsys):

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from chordlab import dynamics as dy
 from chordlab.diagnostics import ConvergenceWarning
-from chordlab.geometry import J_MATRIX, random_symplectic, skew
+from chordlab.geometry import J_MATRIX, random_symplectic
 from chordlab.grids import CenteredGrid
 from chordlab.states import CoherentState, coherent_chord_function, coherent_wigner
 
@@ -55,17 +55,6 @@ def test_noise_matrix():
 def test_channel_validation():
     with pytest.raises(ValueError):
         dy.LindbladChannel((1.0, 0.0, 0.0))
-
-
-def test_double_hamiltonian_harmonic_closed_form():
-    """H(x - Jy/2) - H(x + Jy/2) - gamma x.y = omega x^y - gamma x.y."""
-    rng = np.random.default_rng(2)
-    omega, gamma = 1.7, 0.4
-    H = dy.hamiltonians.harmonic(omega)
-    x = rng.standard_normal((20, 2))
-    y = rng.standard_normal((20, 2))
-    want = omega * skew(x, y) - gamma * np.einsum("ka,ka->k", x, y)
-    assert np.allclose(dy.double_hamiltonian(H, gamma, x, y), want)
 
 
 def test_hamiltonian_registry_and_values():
@@ -127,31 +116,47 @@ def test_advect_zero_time_is_identity():
 
 
 def test_centre_trajectory_monodromy_dets():
-    """Chord monodromy grows as exp(2 gamma t); the centre picture shrinks."""
+    """Chord monodromy grows as exp(2 gamma t); the centre picture shrinks.
+    Checked on the RK4 flow itself along the damped harmonic trajectory
+    through (1, 0)."""
     H = dy.hamiltonians.harmonic()
     t = 2.0 * math.pi
-    traj = dy.centre_trajectory(H, [DAMPING], np.array([1.0, 0.0]), t, 1e-3,
-                                convergence_check=False)
-    assert np.isclose(traj.gamma, 1.0)
-    d_chord = np.linalg.det(traj.monodromy[-1])
-    d_centre = np.linalg.det(traj.centre_monodromy[-1])
+    x, m, _ = dy._rk4(H, DAMPING.gamma, np.array([[1.0, 0.0]]), t, dy._steps_for(t, 1e-3),
+                      DAMPING.noise)
+    m = m[0]
+    d_chord = np.linalg.det(m)
+    d_centre = np.linalg.det(-J_MATRIX @ np.linalg.inv(m.T) @ J_MATRIX)
     assert abs(d_chord - math.exp(2.0 * t)) < 1e-6 * math.exp(2.0 * t)
     assert abs(d_centre - math.exp(-2.0 * t)) < 1e-12
     # full-turn rotation: monodromy is the pure scale factor
-    assert np.max(np.abs(traj.monodromy[-1] - math.exp(t) * np.eye(2))) < 1e-6 * math.exp(t)
-    assert np.max(np.abs(traj.points[-1] - [math.exp(-t), 0.0])) < 1e-12
+    assert np.max(np.abs(m - math.exp(t) * np.eye(2))) < 1e-6 * math.exp(t)
+    assert np.max(np.abs(x[0] - [math.exp(-t), 0.0])) < 1e-12
 
 
-def test_centre_trajectory_warns_on_coarse_dt():
+def test_degenerate_times_and_steps_raise():
+    """Negative evolution times and nonpositive steps fail loudly; quadratic
+    models take closed forms and ignore dt."""
+    from chordlab.curves import harmonic_circle
+
+    curve = harmonic_circle(0.5, 64)
+    x0 = np.array([[0.3, 0.2]])
+    for H in (dy.hamiltonians.quartic(), dy.hamiltonians.harmonic()):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dy.evolve_chord_function(curve, H, [Q_CHANNEL], -0.5, hbar=HBAR)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dy.decoherence_matrix(dy.hamiltonians.zero(), None, np.zeros(2), -1.0, 1e-2)
     H = dy.hamiltonians.pendulum()
-    with pytest.warns(ConvergenceWarning):
-        traj = dy.centre_trajectory(H, None, np.array([0.9, 0.1]), 3.0, 0.5)
-    assert traj.warnings
-
-
-def test_centre_trajectory_validation():
-    with pytest.raises(ValueError):
-        dy.centre_trajectory(dy.hamiltonians.zero(), None, np.zeros(2), -1.0, 1e-2)
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), 0.5, dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dy.advect(H, None, x0, 0.5, dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dy.evolve_chord_function(curve, H, None, 0.5, dt=dt, hbar=HBAR)
+    H = dy.hamiltonians.harmonic()
+    assert np.array_equal(dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), 0.5, dt=0.0).phi,
+                          dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), 0.5).phi)
+    assert np.array_equal(dy.advect(H, None, x0, 0.5, 0.0), dy.advect(H, None, x0, 0.5, 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,44 @@ def test_phi_quadratic_and_rk4_paths_agree():
             a = dy.decoherence_matrix(H, ch, anchor, 0.8, frame=frame).phi
             b = dy.decoherence_matrix(H_slow, ch, anchor, 0.8, frame=frame).phi
             assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_decoherence_matrix_warns_on_coarse_dt():
+    """Halving a coarse step moves the pendulum's Phi by ~1e-3: the check
+    warns and returns the halved-step value."""
+    H = dy.hamiltonians.pendulum()
+    anchor = np.array([0.9, 0.1])
+    for frame in ("final", "initial"):
+        with pytest.warns(ConvergenceWarning, match="halving dt"):
+            dm = dy.decoherence_matrix(H, [Q_CHANNEL], anchor, 3.0, dt=0.5, frame=frame)
+        assert len(dm.warnings) == 1
+        finer = dy.decoherence_matrix(H, [Q_CHANNEL], anchor, 3.0, dt=0.25, frame=frame,
+                                      convergence_check=False)
+        assert np.array_equal(dm.phi, finer.phi)
+
+
+@pytest.mark.parametrize("model", ["quartic", "pendulum"])
+def test_non_quadratic_flow_matches_quarter_step(model):
+    """Phi in both frames and the evolved chi pass the step-halving check and
+    sit within its 1e-8 of the same call at a quarter of the step."""
+    from chordlab.curves import harmonic_circle
+
+    H = dy.hamiltonians.registry[model]()
+    ch = [DAMPING, Q_CHANNEL]
+    anchor = np.array([0.4, -0.3])
+    for frame in ("final", "initial"):
+        dm = dy.decoherence_matrix(H, ch, anchor, 1.0, dt=1e-2, frame=frame)
+        ref = dy.decoherence_matrix(H, ch, anchor, 1.0, dt=2.5e-3, frame=frame,
+                                    convergence_check=False)
+        assert not dm.warnings
+        assert np.max(np.abs(dm.phi - ref.phi)) < 1e-8 * np.max(np.abs(ref.phi))
+    curve = harmonic_circle(0.5, 64)
+    xi = math.sqrt(HBAR) * np.array([0.3, -0.8, 1.4, 2.1])
+    chi_fn = dy.evolve_chord_function(curve, H, ch, 1.0, dt=1e-2, hbar=HBAR)
+    ref = dy.evolve_chord_function(curve, H, ch, 1.0, dt=2.5e-3, hbar=HBAR,
+                                   convergence_check=False)(xi, xi[::-1])
+    assert not chi_fn.warnings
+    assert np.max(np.abs(chi_fn(xi, xi[::-1]) - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
 def test_phi_initial_frame_is_transported_final_frame():

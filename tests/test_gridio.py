@@ -49,3 +49,24 @@ def test_csv_row_count_check(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError):
         load_grid_csv(path)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_csv_rows_match_per_element_writer(tmp_path, complex_data):
+    """The whole-array write gives the bytes of formatting each element with
+    .17g, nan, inf and signed zero included."""
+    vals, grid = _sample_field(complex_data)
+    vals[3, 5] = np.nan
+    vals[7, 1] = -0.0
+    vals[0, 0] = np.inf
+    path = tmp_path / "field.csv"
+    save_grid_csv(path, vals, grid, "chord")
+    rows = []
+    for i, a0 in enumerate(grid.p_axis):
+        for j, a1 in enumerate(grid.q_axis):
+            v = vals[i, j]
+            tail = f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}"
+            rows.append(f"{a0:.17g},{a1:.17g},{tail}\n")
+    lines = path.read_text().splitlines(keepends=True)
+    assert all(line.startswith("#") for line in lines[:7])
+    assert "".join(lines[7:]) == "".join(rows)

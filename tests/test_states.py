@@ -5,7 +5,7 @@ import pytest
 from scipy.special import j0
 
 from chordlab.diagnostics import ConvergenceWarning
-from chordlab.curves import harmonic_circle, quartic_level_curve
+from chordlab.curves import harmonic_circle
 from chordlab.grids import CenteredGrid
 from chordlab.states import (
     CoherentState,
@@ -15,7 +15,6 @@ from chordlab.states import (
     coherent_position_slices,
     coherent_wavefunction,
     coherent_wigner,
-    short_chord_validity_radius,
     wkb_chord,
     wkb_short_chord_function,
 )
@@ -127,17 +126,6 @@ def test_wkb_chord_wrapper():
     assert np.allclose(fn(xi, xi), direct)
     with pytest.warns(ConvergenceWarning):
         wkb_chord(harmonic_circle(0.5, 16), HBAR)
-
-
-def test_validity_radius():
-    # the circle's osculating radius is its radius
-    curve = harmonic_circle(0.5, 1024)
-    want = (8.0 * HBAR * 1.0) ** (1.0 / 3.0)
-    assert abs(short_chord_validity_radius(curve, HBAR) - want) < 1e-4
-    # a quartic level curve is flatter at the q turning points than anywhere
-    # on the circle, so its minimum radius is smaller
-    quart = quartic_level_curve(0.5, samples=1024)
-    assert 0.0 < short_chord_validity_radius(quart, HBAR) < want
 
 
 def test_coherent_chord_container():
