@@ -13,8 +13,7 @@ from .curves import (BranchData, LagrangianCurve, branches_at, curve_from_sample
                      pendulum_level_curve, quartic_level_curve)
 from .diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
 from .dynamics import (DecoherenceMatrix, HamiltonianModel, LindbladChannel, advect,
-                       decoherence_matrix, decohered_reflection_symbol,
-                       evolve_chord_function, hamiltonians, noise_matrix,
+                       decoherence_matrix, evolve_chord_function, hamiltonians, noise_matrix,
                        positivity_time, total_gamma)
 from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad,
                    cat_density_matrix, chord_function_exact, chord_function_grid,
@@ -22,13 +21,11 @@ from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad
                    hamiltonian_matrix, hermite_functions, lindblad_evolve,
                    lowering, p_operator, position_density_matrix, pure_density,
                    purity, q_operator, wigner_exact)
-from .geometry import (J_MATRIX, is_symplectic, jmul, random_symplectic,
-                       reflection_symbol, skew, translation_symbol)
+from .geometry import J_MATRIX, is_symplectic, random_symplectic, skew
 from .grids import (CenteredGrid, boundary_decay_ok, centre_from_chord,
                     chord_from_centre, ft_axis, reflect_values, simpson_weights)
 from .gridio import load_grid_csv, save_grid_csv
-from .husimi import (husimi_fourier, husimi_from_lwc, husimi_from_wigner,
-                     matched_window_delta)
+from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from .lwc import (LwcSample, LwcWindow, Peak, ResolutionVerdict, SpectralDensity,
                   fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
                   lwc_direct, lwc_from_chord, lwc_sc_berry, lwc_sc_markov,

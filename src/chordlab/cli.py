@@ -192,17 +192,22 @@ def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
     return states.CoherentState(eta, hbar)
 
 
+def _half_width(cfg: Config, key: str) -> float:
+    """A configured half width; 0, the default, asks for the automatic one."""
+    half = cfg.float(key, 0.0)
+    if half < 0.0:
+        raise ConfigError(f"{key} must be positive, or 0 for the automatic width")
+    return half
+
+
 def _auto_centre_half_width(cfg: Config, hbar: float) -> float:
-    fam = _state_family(cfg)
+    """Centre-grid half width for the number-basis and coherent states, the
+    only ones the centre grids are built for."""
     pad = 8.0 * math.sqrt(hbar)
-    if fam in ("coherent", "cat"):
-        eta = cfg.floats("state.eta", 2, (0.0, 0.0))
-        return max(abs(eta[0]), abs(eta[1])) + pad
-    if fam == "fock":
-        n = cfg.int("state.n", 0)
-        return math.sqrt(2.0 * hbar * (n + 1)) + pad
-    curve = _curve(cfg, fam)
-    return float(np.max(np.abs(curve.points))) + pad
+    if _state_family(cfg) == "fock":
+        return math.sqrt(2.0 * hbar * (cfg.int("state.n", 0) + 1)) + pad
+    eta = cfg.floats("state.eta", 2, (0.0, 0.0))
+    return max(abs(eta[0]), abs(eta[1])) + pad
 
 
 def _capture(extra: dict, fn, *args, **kwargs):
@@ -225,7 +230,7 @@ def _exp_coherent_demo(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
     state = _coherent(cfg, hbar)
     m = cfg.int("grid.points", 256)
-    half = cfg.float("grid.half_width", 0.0) or _auto_centre_half_width(cfg, hbar)
+    half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
     grid = CenteredGrid(half, half, m, hbar)
     pp, qq = grid.meshgrid()
     w_vals = states.coherent_wigner(state, pp, qq)
@@ -250,7 +255,7 @@ def _chord_source(cfg: Config, hbar: float):
     if fam == "coherent":
         state = _coherent(cfg, hbar)
         m = cfg.int("grid.points", 128)
-        half = cfg.float("grid.half_width", 0.0) or _auto_centre_half_width(cfg, hbar)
+        half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
         grid = CenteredGrid(half, half, m, hbar)
         pp, qq = grid.meshgrid()
         return (states.coherent_wigner(state, pp, qq), grid)
@@ -271,7 +276,7 @@ def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
     m = cfg.int("xi.points", 0) or cfg.int("grid.points", 128)
     if m % 2:
         raise ConfigError("xi.points must be even")
-    half = cfg.float("xi.half_width", 0.0) or 7.44 * math.sqrt(2.0 * hbar)
+    half = _half_width(cfg, "xi.half_width") or 7.44 * math.sqrt(2.0 * hbar)
     cgrid = CenteredGrid(half, half, m, hbar)
     xp, xq = cgrid.meshgrid()
     vals = chi_fn(xp, xq)
@@ -288,7 +293,7 @@ def _xi_grid(cfg: Config, hbar: float) -> np.ndarray:
     pts = cfg.int("xi.points", 1024)
     if pts % 2:
         raise ConfigError("xi.points must be even")
-    half = cfg.float("xi.half_width", 0.0)
+    half = _half_width(cfg, "xi.half_width")
     if half:
         return (np.arange(pts) - pts // 2) * (2.0 * half / pts)
     return suggest_xi_q_grid(hbar, points=pts)
@@ -383,6 +388,11 @@ def _exp_lwc(cfg: Config, out: str, extra: dict) -> dict:
     return {"route": route, "windows": info}
 
 
+def _peak_records(peaks) -> list:
+    return [{"position": pk.position, "height": pk.height, "variance": pk.variance,
+             "flagged": pk.flagged} for pk in peaks]
+
+
 def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
     route, samples = _lwc_samples(cfg, extra)
@@ -396,9 +406,7 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
         entry = {
             "Q": q0,
             "imag_residue": sd.imag_residue,
-            "peaks": [{"position": pk.position, "height": pk.height,
-                       "variance": pk.variance, "flagged": pk.flagged}
-                      for pk in peaks[:6]],
+            "peaks": _peak_records(peaks[:6]),
         }
         if len(peaks) >= 2:
             v = resolution_verdict(peaks)
@@ -407,10 +415,7 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
             entry["widths"] = list(v.widths)
         if route in ("sc-markov", "sc-quadratic"):
             sc = _capture(extra, lwc_mod._sample_spectrum, sample, sd.p)
-            entry["closed_form_peaks"] = [
-                {"position": pk.position, "height": pk.height,
-                 "variance": pk.variance, "flagged": pk.flagged}
-                for pk in sc.peaks]
+            entry["closed_form_peaks"] = _peak_records(sc.peaks)
             if len(sc.peaks) >= 2:
                 v = resolution_verdict(list(sc.peaks))
                 entry["closed_form_resolved"] = v.resolved
@@ -460,12 +465,12 @@ def _exp_husimi(cfg: Config, out: str, extra: dict) -> dict:
     dim = cfg.int("fock.dim", 128)
     rho = _capture(extra, _fock_state, cfg, hbar, dim)
     t = cfg.float("time.t", 0.0)
-    if t > 0.0:
+    if t != 0.0:  # evolve_state rejects t < 0
         model = _hamiltonian(cfg)
         rho = _capture(extra, fock.evolve_state, rho, model, _channels(cfg), t,
                        cfg.float("time.dt", 1e-3))
     m = cfg.int("grid.points", 128)
-    half = cfg.float("grid.half_width", 0.0) or _auto_centre_half_width(cfg, hbar)
+    half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
     grid = CenteredGrid(half, half, m, hbar)
     w_vals = _capture(extra, fock.wigner_exact, rho, grid)
     h_vals = _capture(extra, husimi_mod.husimi_from_wigner, w_vals, grid)
@@ -575,6 +580,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(path, exc: ConfigError) -> int:
+    where = f"{path}:{exc.line}" if exc.line else (path or "config")
+    print(f"chordlab: {where}: {exc.message}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -599,9 +610,7 @@ def run(argv=None) -> int:
         print(f"chordlab: config file not found: {exc.filename}", file=sys.stderr)
         return 2
     except ConfigError as exc:
-        where = f"{args.config}:{exc.line}" if exc.line else (args.config or "config")
-        print(f"chordlab: {where}: {exc.message}", file=sys.stderr)
-        return 2
+        return _config_error(args.config, exc)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -609,9 +618,7 @@ def run(argv=None) -> int:
     try:
         result = _EXPERIMENTS[args.experiment](cfg, out, extra)
     except ConfigError as exc:
-        where = f"{args.config}:{exc.line}" if exc.line else (args.config or "config")
-        print(f"chordlab: {where}: {exc.message}", file=sys.stderr)
-        return 2
+        return _config_error(args.config, exc)
     except Exception as exc:  # numerical failure: report, nonzero exit
         print(f"chordlab: {args.experiment}: {exc}", file=sys.stderr)
         return 1

@@ -3,12 +3,14 @@
 Grammar: one ``key = value`` per line, ``#`` starts a comment, blank lines
 are skipped.  Keys are dotted lowercase identifiers.  Two keys are
 repeatable (``channel`` and ``window.q``); any other repetition is an
-error, as is any key the chosen experiment does not know.  All parse and
-validation failures raise ConfigError carrying the offending line number.
+error, as is any key the chosen experiment does not know.  Numbers must be
+finite (nan and inf are rejected).  All parse and validation failures raise
+ConfigError carrying the offending line number.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -76,9 +78,6 @@ class Config:
             if e.key not in allowed:
                 raise ConfigError(f"unknown key {e.key!r}", e.line)
 
-    def has(self, key: str) -> bool:
-        return key in self._by_key
-
     def _one(self, key: str, default):
         group = self._by_key.get(key)
         if group is None:
@@ -103,11 +102,7 @@ class Config:
         entry, fallback = self._one(key, default)
         if entry is None:
             return fallback
-        try:
-            return float(entry.raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs a number, got {entry.raw!r}",
-                              entry.line) from None
+        return self._number(entry, entry.raw, "a number")
 
     def int(self, key: str, default=_REQUIRED) -> int:
         entry, fallback = self._one(key, default)
@@ -127,14 +122,7 @@ class Config:
 
     def float_list(self, key: str) -> list:
         """All values of a repeatable scalar key, in file order."""
-        out = []
-        for e in self._by_key.get(key, []):
-            try:
-                out.append(float(e.raw))
-            except ValueError:
-                raise ConfigError(f"key {key!r} needs a number, got {e.raw!r}",
-                                  e.line) from None
-        return out
+        return [self._number(e, e.raw, "a number") for e in self._by_key.get(key, [])]
 
     def vector_list(self, key: str, n: int) -> list:
         return [self._parse_vector(e, n) for e in self._by_key.get(key, [])]
@@ -146,12 +134,20 @@ class Config:
             raise ConfigError(
                 f"key {entry.key!r} needs {n} numbers separated by spaces, "
                 f"got {len(parts)}", entry.line)
+        return tuple(Config._number(entry, p, "numbers") for p in parts)
+
+    @staticmethod
+    def _number(entry: _Entry, text: str, what: str) -> float:
+        """One finite float from ``text`` (part of ``entry``'s value)."""
         try:
-            return tuple(float(p) for p in parts)
+            value = float(text)
         except ValueError:
-            raise ConfigError(
-                f"key {entry.key!r} needs numbers, got {entry.raw!r}",
-                entry.line) from None
+            raise ConfigError(f"key {entry.key!r} needs {what}, got {entry.raw!r}",
+                              entry.line) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key {entry.key!r} needs finite values, got {entry.raw!r}",
+                              entry.line)
+        return value
 
     def echo(self) -> dict:
         """Raw entries for reproducibility sidecars (repeatables as lists)."""

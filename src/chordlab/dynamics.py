@@ -50,7 +50,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _plane_wave_sum
+from .grids import _plane_wave_sum, simpson_weights
 
 __all__ = [
     "LindbladChannel",
@@ -60,7 +60,6 @@ __all__ = [
     "noise_matrix",
     "DecoherenceMatrix",
     "decoherence_matrix",
-    "decohered_reflection_symbol",
     "evolve_chord_function",
     "positivity_time",
     "advect",
@@ -83,6 +82,8 @@ class LindbladChannel:
         lim = np.asarray(self.l_im, dtype=float)
         if lre.shape != (2,) or lim.shape != (2,):
             raise ValueError("channel coefficient vectors must have two components")
+        if not (np.all(np.isfinite(lre)) and np.all(np.isfinite(lim))):
+            raise ValueError("channel coefficients must be finite")
         object.__setattr__(self, "l_re", tuple(lre))
         object.__setattr__(self, "l_im", tuple(lim))
 
@@ -250,7 +251,7 @@ def _steps_for(t: float, dt: float) -> int:
     if t == 0.0:
         return 0
     n = max(2, int(math.ceil(t / dt)))
-    return n + (n % 2)  # even step count keeps the Simpson accumulator simple
+    return n + (n % 2)  # an even step count keeps every Simpson panel of _rk4 whole
 
 
 def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
@@ -297,8 +298,8 @@ def _rk4(H, gamma, x, t, steps, lam=None):
 
     Without ``lam`` it returns the endpoints.  With it, the (n, 2, 2) chord
     monodromy rides along, dM/dtau = (J Hess H(x) + gamma) M from M = I, and
-    G = Int M^T lam M |dtau| accumulates by composite Simpson on the step
-    grid (``steps`` even); it returns (x, M, G).
+    G = Int M^T lam M |dtau| accumulates with the Simpson weights of the step
+    grid; it returns (x, M, G).
     """
     h = t / max(steps, 1)
     jt = J_MATRIX.T
@@ -316,9 +317,9 @@ def _rk4(H, gamma, x, t, steps, lam=None):
     s = (x,)
     if lam is not None:
         s = (x, np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
-        g = np.zeros(s[1].shape)
-        f_left = quad(s[1])
-    for k in range(steps):
+        w = simpson_weights(steps + 1, abs(h)) if steps else np.zeros(1)
+        g = w[0] * quad(s[1])
+    for k in range(1, steps + 1):
         k1 = field(s)
         k2 = field(shifted(s, 0.5 * h, k1))
         k3 = field(shifted(s, 0.5 * h, k2))
@@ -327,32 +328,27 @@ def _rk4(H, gamma, x, t, steps, lam=None):
                   for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
         if not all(np.all(np.isfinite(a)) for a in s):
             raise FloatingPointError("centre flow diverged; reduce dt or the time span")
-        if lam is None:
-            continue
-        if k % 2 == 0:
-            f_mid = quad(s[1])
-        else:
-            f_right = quad(s[1])
-            g = g + (abs(h) / 3.0) * (f_left + 4.0 * f_mid + f_right)
-            f_left = f_right
+        if lam is not None:
+            g += w[k] * quad(s[1])
     return s[0] if lam is None else (s[0], s[1], g)
 
 
-def advect(H, channels, points, t: float, dt: float, direction: int = +1) -> np.ndarray:
-    """Transport of (n, 2) centre points over time t: the exact affine map
-    for quadratic models, fixed-step RK4 otherwise."""
+def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
+    """Transport of (n, 2) centre points over the signed time t (t < 0 runs
+    the flow backward): the exact affine map for quadratic models, fixed-step
+    RK4 otherwise."""
     gamma = total_gamma(channels)
     x = np.array(points, dtype=float)
     if t == 0.0:
         return x
     if H.quadratic:
-        e, d = _centre_map(H, gamma, direction * t)
+        e, d = _centre_map(H, gamma, t)
         x = x @ e.T + d
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("centre flow overflows over this time span")
         return x
     steps = _steps_for(abs(t), dt)
-    return _rk4(H, gamma, x, direction * t, steps)
+    return _rk4(H, gamma, x, t, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,41 +423,31 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     return DecoherenceMatrix(phi, float(t), anchor, notes, frame)
 
 
-def decohered_reflection_symbol(x_final, xi, phi, hbar: float) -> np.ndarray:
-    """exp[(i/hbar) x(t) ^ xi] * exp[-xi.Phi xi / (2 hbar)] for chords xi (..., 2)."""
-    xi = np.asarray(xi, dtype=float)
-    if isinstance(phi, DecoherenceMatrix):
-        if phi.frame != "final":
-            raise ValueError("reflections are attenuated by the final-frame Phi(t)")
-        phi = phi.phi
-    x_final = np.reshape(np.asarray(x_final, dtype=float), (1, 2))
-    return _plane_wave_sum(x_final, np.ones(1), xi[..., 0], xi[..., 1], hbar, phi)[()]
-
-
 # ---------------------------------------------------------------------------
 # evolved chord functions
 
 
-def _source_samples(source, hbar):
-    """Initial phase-space samples and quadrature weights from a Wigner grid
-    or a sampled closed curve."""
+def _source_samples(source, hbar, stride: int = 1):
+    """Initial phase-space samples, quadrature weights and hbar of a Wigner
+    grid or a sampled closed curve.  ``stride`` 2 gives the changed sample set
+    of the convergence check: every other grid node, or the curve resampled
+    at twice its count."""
     if isinstance(source, tuple) and len(source) == 2:
         values, grid = source
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.points, grid.points):
             raise ValueError("Wigner values do not match the grid")
         pp, qq = grid.meshgrid()
-        pts = np.stack([pp.ravel(), qq.ravel()], axis=-1)
-        w = values.ravel() * grid.dp * grid.dq
+        pts = np.stack([pp[::stride, ::stride].ravel(), qq[::stride, ::stride].ravel()], axis=-1)
+        w = values[::stride, ::stride].ravel() * float(stride**2) * grid.dp * grid.dq
         keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
-        return pts[keep], w[keep], grid.hbar, ("grid", values, grid)
+        return pts[keep], w[keep], grid.hbar
     if hasattr(source, "points") and hasattr(source, "theta"):
-        pts = np.asarray(source.points, dtype=float)
-        n = pts.shape[0]
-        w = np.full(n, 1.0 / n)
         if hbar is None:
             raise ValueError("hbar must be given for curve sources")
-        return pts, w, hbar, ("curve", source)
+        n = stride * len(source.theta)
+        curve = source if stride == 1 else source.resample(n)
+        return np.asarray(curve.points, dtype=float), np.full(n, 1.0 / n), hbar
     raise TypeError("source must be a (values, CenteredGrid) pair or a sampled curve")
 
 
@@ -484,7 +470,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    pts, w, hbar, src = _source_samples(source, hbar)
+    pts, w, hbar = _source_samples(source, hbar)
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
     if H.quadratic:
@@ -508,17 +494,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])
         ref = fn(probe_p, probe_q)
-        kind = src[0]
-        if kind == "curve":
-            finer = src[1].resample(2 * len(src[1].theta))
-            pts2, w2 = finer.points, np.full(2 * len(src[1].theta), 0.5 / len(src[1].theta))
-        else:
-            values, grid = src[1], src[2]
-            pp, qq = grid.meshgrid()
-            pts2 = np.stack([pp[::2, ::2].ravel(), qq[::2, ::2].ravel()], axis=-1)
-            w2 = values[::2, ::2].ravel() * 4.0 * grid.dp * grid.dq
-            keep = np.abs(w2) > 1e-16 * np.max(np.abs(w2))
-            pts2, w2 = pts2[keep], w2[keep]
+        pts2, w2, _ = _source_samples(source, hbar, stride=2)
         alt = _chi_from_samples(*transport(pts2), w2, hbar)(probe_p, probe_q)
         scale = max(np.max(np.abs(ref)), 1.0 / (2.0 * np.pi * hbar))
         err = float(np.max(np.abs(alt - ref))) / scale

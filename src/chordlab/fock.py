@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _LEAK_TOL = 1e-6
+#: lindblad_evolve checks for leaked population every (at most) _CHECK_EVERY * dt
+_CHECK_EVERY = 25
 _TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
@@ -76,20 +78,14 @@ def p_operator(dim: int, hbar: float) -> np.ndarray:
     return 1j * math.sqrt(0.5 * hbar) * (a.T - a)
 
 
-def build_linear_lindblad(channel, hbar: float, dim: int) -> np.ndarray:
+def build_linear_lindblad(channel: LindbladChannel, hbar: float, dim: int) -> np.ndarray:
     """L = (l'_p + i l''_p) p + (l'_q + i l''_q) q.
 
     A pure damping channel l' = (0, 1), l'' = (1, 0) gives q + i p =
     sqrt(2 hbar) a, the lowering operator.
     """
-    ch = channel
-    if not isinstance(ch, LindbladChannel):
-        parts = tuple(ch)
-        # accept the flat (l'_p, l'_q, l''_p, l''_q) form alongside pairs
-        ch = LindbladChannel(parts[:2], parts[2:]) if len(parts) == 4 \
-            else LindbladChannel(*parts)
-    lp = ch.l_re[0] + 1j * ch.l_im[0]
-    lq = ch.l_re[1] + 1j * ch.l_im[1]
+    lp = channel.l_re[0] + 1j * channel.l_im[0]
+    lq = channel.l_re[1] + 1j * channel.l_im[1]
     return lp * p_operator(dim, hbar) + lq * q_operator(dim, hbar)
 
 
@@ -121,6 +117,11 @@ def hamiltonian_matrix(model: HamiltonianModel, dim: int, hbar: float) -> np.nda
     raise ValueError(f"no matrix for the non-quadratic Hamiltonian family {model.name!r}")
 
 
+def _top_decile(populations) -> float:
+    """Population in the top tenth of the basis (at least its top state)."""
+    return float(np.sum(populations[-max(1, populations.size // 10):]))
+
+
 @dataclass(frozen=True)
 class FockDensityMatrix:
     """Density matrix in the number basis with its diagnostics."""
@@ -140,9 +141,7 @@ class FockDensityMatrix:
         return np.real(np.diag(self.rho))
 
     def leak_fraction(self) -> float:
-        pops = self.populations()
-        top = max(1, self.dim // 10)
-        return float(np.sum(pops[-top:]))
+        return _top_decile(self.populations())
 
     def validate(self) -> dict:
         rho = self.rho
@@ -234,13 +233,13 @@ def _liouvillian(h_mat, l_mats, hbar) -> sparse.csr_array:
 
 
 def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
-                    dt: float = 1e-3, check_every: int = 25) -> FockDensityMatrix:
+                    dt: float = 1e-3) -> FockDensityMatrix:
     """Exact solution of the Lindblad master equation,
 
         drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2),
 
     by the action of the sparse Liouvillian's exponential (Al-Mohy & Higham
-    2011) over equal segments of about check_every * dt.  Population reaching
+    2011) over equal segments of at most 25 dt.  Population reaching
     the top decile of the basis after a segment raises TruncationLeakError;
     trace drift beyond 1e-8 reports a ConvergenceWarning.
     """
@@ -248,16 +247,15 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     dim = rho.shape[0]
     if t < 0:
         raise ValueError("t must be nonnegative")
-    segments = max(1, int(math.ceil(t / (check_every * dt))))
+    segments = max(1, int(math.ceil(t / (_CHECK_EVERY * dt))))
     step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
-    top = max(1, dim // 10)
     tr0 = float(np.real(np.trace(rho)))
     vec = rho.ravel()
     for _ in range(segments):
         # traceA=0 keeps expm_multiply from shifting by the generator's trace,
         # which costs the state's trace an order of magnitude in rounding
         vec = expm_multiply(step, vec, traceA=0.0)
-        leak = float(np.sum(np.real(vec[::dim + 1][-top:])))
+        leak = _top_decile(np.real(vec[::dim + 1]))
         if leak > _LEAK_TOL:
             raise TruncationLeakError(
                 f"population {leak:.2e} reached the top decile of a dim-{dim} "

@@ -16,13 +16,11 @@ so grids of points can be pushed through without loops.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "J_MATRIX",
     "skew",
-    "jmul",
-    "translation_symbol",
-    "reflection_symbol",
     "random_symplectic",
     "is_symplectic",
 ]
@@ -45,39 +43,6 @@ def skew(a, b) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def jmul(x) -> np.ndarray:
-    """Apply J: (p, q) -> (-q, p).  Works on any (..., 2) array."""
-    x = _check_phase_point(x)
-    out = np.empty_like(x)
-    out[..., 0] = -x[..., 1]
-    out[..., 1] = x[..., 0]
-    return out
-
-
-def translation_symbol(x, xi, hbar: float) -> np.ndarray:
-    """Weyl symbol of the uniform translation by the chord ``xi``.
-
-    Returns exp(-(i/hbar) x ^ xi) evaluated at centre points ``x``; the
-    phase is linear in both arguments, and the symbol of the inverse
-    translation is the complex conjugate.
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    return np.exp(-1j / hbar * skew(x, xi))
-
-
-def reflection_symbol(x, xi, hbar: float) -> np.ndarray:
-    """Chord symbol of the reflection through the centre ``x``, times 2.
-
-    Returns exp(+(i/hbar) x ^ xi) evaluated at chords ``xi``.  This is the
-    full 2^N R-tilde object for N = 1; the bare reflection symbol is this
-    divided by 2.
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    return np.exp(1j / hbar * skew(x, xi))
-
-
 def random_symplectic(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Draw a random 2x2 symplectic matrix.
 
@@ -85,18 +50,7 @@ def random_symplectic(rng: np.random.Generator, scale: float = 1.0) -> np.ndarra
     which sweeps out the identity component of Sp(2, R) = SL(2, R).
     """
     s = rng.standard_normal(3) * scale
-    sym = np.array([[s[0], s[1]], [s[1], s[2]]])
-    a = J_MATRIX @ sym
-    # closed-form expm for 2x2 traceless a: exp(a) = cos(w) I + sinc-like * a
-    # with w^2 = det(a); works for both rotation (det>0) and boost (det<0).
-    d = np.linalg.det(a)
-    if d > 0:
-        w = np.sqrt(d)
-        return np.cos(w) * np.eye(2) + (np.sin(w) / w if w > 1e-12 else 1.0) * a
-    w = np.sqrt(-d)
-    if w < 1e-12:
-        return np.eye(2) + a
-    return np.cosh(w) * np.eye(2) + (np.sinh(w) / w) * a
+    return scipy.linalg.expm(J_MATRIX @ np.array([[s[0], s[1]], [s[1], s[2]]]))
 
 
 def is_symplectic(m, tol: float = 1e-10) -> bool:

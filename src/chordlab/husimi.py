@@ -20,18 +20,13 @@ import numpy as np
 from . import diagnostics
 from .chordfn import ChordFunction
 from .grids import CenteredGrid, simpson_weights
+from .lwc import LwcWindow
 
 __all__ = [
     "husimi_from_wigner",
     "husimi_fourier",
     "husimi_from_lwc",
-    "matched_window_delta",
 ]
-
-
-def matched_window_delta(hbar: float) -> float:
-    """The unique window width for exact reconstruction: sqrt(hbar / 2)."""
-    return math.sqrt(0.5 * hbar)
 
 
 def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
@@ -64,29 +59,23 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
     return np.real(conv) * grid.dp * grid.dq
 
 
-def husimi_fourier(chi, grid: CenteredGrid | None = None) -> ChordFunction:
-    """Chord-space form of the smoothing: F(xi) = exp(-xi^2 / 4 hbar) chi(xi).
-    A ChordFunction input passes its warnings on to the result."""
-    if isinstance(chi, ChordFunction):
-        if chi.gridded:
-            xp, xq = chi.grid.meshgrid()
-            damp = np.exp(-(xp**2 + xq**2) / (4.0 * chi.hbar))
-            out = ChordFunction.from_grid(chi.values * damp, chi.grid)
-            out.warnings = list(chi.warnings)
-            return out
-        fn = chi
+def husimi_fourier(chi: ChordFunction) -> ChordFunction:
+    """Chord-space form of the smoothing: F(xi) = exp(-xi^2 / 4 hbar) chi(xi),
+    gridded or callable as chi is.  The result keeps chi's warnings."""
+    def damping(xi_p, xi_q):
+        return np.exp(-(xi_p**2 + xi_q**2) / (4.0 * chi.hbar))
 
-        def damped(xi_p, xi_q):
-            xi_p = np.asarray(xi_p, dtype=float)
-            xi_q = np.asarray(xi_q, dtype=float)
-            return fn(xi_p, xi_q) * np.exp(-(xi_p**2 + xi_q**2) / (4.0 * fn.hbar))
+    if chi.gridded:
+        out = ChordFunction.from_grid(chi.values * damping(*chi.grid.meshgrid()), chi.grid)
+        out.warnings = list(chi.warnings)
+        return out
 
-        return ChordFunction.from_callable(damped, fn.hbar, warnings=fn.warnings)
-    if grid is None:
-        raise ValueError("raw values need their grid")
-    xp, xq = grid.meshgrid()
-    damp = np.exp(-(xp**2 + xq**2) / (4.0 * grid.hbar))
-    return ChordFunction.from_grid(np.asarray(chi) * damp, grid)
+    def damped(xi_p, xi_q):
+        xi_p = np.asarray(xi_p, dtype=float)
+        xi_q = np.asarray(xi_q, dtype=float)
+        return chi(xi_p, xi_q) * damping(xi_p, xi_q)
+
+    return ChordFunction.from_callable(damped, chi.hbar, warnings=chi.warnings)
 
 
 def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
@@ -104,7 +93,7 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
     if samples[0].window is None:
         raise ValueError("samples must carry their windows")
     hb = samples[0].window.hbar
-    want = matched_window_delta(hb)
+    want = LwcWindow.husimi_matched(0.0, hb).delta
     xi_q = samples[0].xi_q
     for s in samples:
         if s.window is None:

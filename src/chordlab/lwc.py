@@ -136,6 +136,21 @@ def local_translation_weyl(window: LwcWindow, xi_q, p, q):
                          - (window.Q - q) ** 2 / (2.0 * window.delta**2))
 
 
+def _window_quadrature(xp, h: float, window: LwcWindow, f, notes: list, edge: str):
+    """Int dxi_p f(xi_p, .) exp[i xi_p Q / hbar - Delta^2 xi_p^2 / 2 hbar^2]
+    by Simpson on the uniform nodes xp (rows of f), reporting an integrand
+    not decayed at the first or last node."""
+    hb = window.hbar
+    w = simpson_weights(xp.size, h) * np.exp(
+        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
+    g = np.abs(f) * np.abs(w)[:, None]
+    peak = float(np.max(g))
+    if peak > 0 and float(np.max(g[[0, -1]])) > 1e-12 * peak:
+        diagnostics.report(notes, f"lwc integrand not decayed at the xi_p {edge}",
+                           diagnostics.TruncationWarning, stacklevel=4)
+    return w @ f
+
+
 def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
                    xi_p_halfwidth: float | None = None,
                    xi_p_points: int = 2049) -> LwcSample:
@@ -156,24 +171,13 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
 
     if chi.gridded:
         grid = chi.grid
-        xp = grid.p_axis  # chord grids store (xi_p, xi_q) on the (p, q) axes
-        dxp = grid.dp
         cols = -xi_q / grid.dq + grid.points / 2
         idx = np.rint(cols).astype(int)
         if np.any(np.abs(cols - idx) > 1e-6) or np.any(idx < 0) or np.any(idx >= grid.points):
             raise ValueError("-xi_q must land on the chord grid's xi_q nodes")
-        slab = chi.values[:, idx]
-        w = simpson_weights(xp.size, dxp) * np.exp(
-            1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-        integrand_peak = float(np.max(np.abs(slab) * np.abs(w)[:, None]))
-        edge = float(np.max(np.abs(slab[[0, -1], :]) * np.abs(w[[0, -1]])[:, None]))
-        if integrand_peak > 0 and edge > 1e-12 * integrand_peak:
-            diagnostics.report(
-                notes,
-                "lwc integrand not decayed at the xi_p grid edge; widen the chord grid",
-                diagnostics.TruncationWarning,
-            )
-        vals = w @ slab
+        # chord grids store (xi_p, xi_q) on the (p, q) axes
+        vals = _window_quadrature(grid.p_axis, grid.dp, window, chi.values[:, idx], notes,
+                                  "grid edge; widen the chord grid")
         return LwcSample(xi_q, vals, window, notes)
 
     if xi_p_halfwidth is None:
@@ -188,19 +192,8 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
             "xi_p quadrature undersamples the window phase; raise xi_p_points",
             diagnostics.ConvergenceWarning,
         )
-    w = simpson_weights(xp.size, h) * np.exp(
-        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
     f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
-    g = np.abs(f) * np.abs(w)[:, None]
-    peak = float(np.max(g))
-    edge = float(max(np.max(g[0]), np.max(g[-1])))
-    vals = w @ f
-    if peak > 0 and edge > 1e-12 * peak:
-        diagnostics.report(
-            notes,
-            "lwc integrand not decayed at the xi_p range edge; widen xi_p_halfwidth",
-            diagnostics.TruncationWarning,
-        )
+    vals = _window_quadrature(xp, h, window, f, notes, "range edge; widen xi_p_halfwidth")
     return LwcSample(xi_q, vals, window, notes)
 
 

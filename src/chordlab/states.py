@@ -42,15 +42,12 @@ class CoherentState:
 
     eta: tuple
     hbar: float
-    omega: float = 1.0
 
     def __post_init__(self):
         eta = (float(self.eta[0]), float(self.eta[1]))
         object.__setattr__(self, "eta", eta)
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.omega != 1.0:
-            raise NotImplementedError("only unit frequency is supported")
 
 
 def coherent_chord_function(state: CoherentState, xi_p, xi_q):

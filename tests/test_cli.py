@@ -60,6 +60,49 @@ def test_malformed_config_line(tmp_path, capsys):
     assert f"{cfg}:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, text, line", [
+    ("coherent-demo", "grid.points = 32\nhbar = nan\n", 2),
+    ("coherent-demo", "hbar = inf\n", 1),
+    ("evolve-chord", "grid.points = 32\nxi.points = 32\ntime.t = nan\n", 3),
+    ("lwc", "window.q = nan\nxi.points = 32\n", 1),
+    ("positivity", "hamiltonian.family = zero\nchannel = nan 1 0 0\n", 2),
+], ids=["hbar-nan", "hbar-inf", "time-nan", "window-nan", "channel-nan"])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, experiment, text, line):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}:" in err and "finite" in err
+    assert not (out / f"{experiment}.json").exists()
+
+
+def test_negative_half_width_is_config_error(tmp_path, capsys):
+    # a negative xi.half_width used to reverse the xi_q grid and lose the peak
+    base = """\
+hbar = 0.05
+state.eta = 0.3 0
+window.q = 0
+lwc.route = closed-form
+xi.points = 128
+xi.half_width = {half}
+"""
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, base.format(half=0))  # 0 asks for the automatic width
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+    peaks = read_json(out, "spectrum.json")["result"]["windows"][0]["peaks"]
+    assert peaks[0]["position"] == pytest.approx(0.3, abs=1e-3)
+    cases = (("spectrum", base.format(half=-1), "xi.half_width"),
+             ("evolve-chord", "grid.points = 32\nxi.points = 32\nxi.half_width = -1\n",
+              "xi.half_width"),
+             ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\n"
+              "grid.half_width = -2\n", "grid.half_width"))
+    for experiment, text, key in cases:
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, text)
+        assert run_cli(experiment, "--config", cfg, "--out", str(tmp_path / key)) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
+
+
 def test_coherent_demo_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.eta = 0.2 0.1\ngrid.points = 64\n")
     out1 = tmp_path / "a"
@@ -400,6 +443,22 @@ grid.half_width = 2.0
     radius = math.hypot(res["peak_p"], res["peak_q"])
     assert 0.2 < radius < 0.45
     assert (out / "husimi.csv").exists()
+
+
+def test_husimi_rejects_negative_time(tmp_path, capsys):
+    # before, t < 0 skipped the evolution and wrote the unevolved state
+    cfg = write_cfg(tmp_path, """\
+state.family = fock
+state.n = 1
+fock.dim = 16
+grid.points = 32
+channel = 0 1 1 0
+time.t = -0.5
+""")
+    out = tmp_path / "o"
+    assert run_cli("husimi", "--config", cfg, "--out", str(out)) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (out / "husimi.json").exists()
 
 
 def test_console_script_runs():

@@ -24,7 +24,6 @@ def test_parse_and_accessors():
     assert cfg.int("grid.points") == 256
     assert cfg.vector_list("channel", 4) == [(0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0)]
     assert cfg.float_list("window.q") == [0.0, 0.3]
-    assert cfg.has("hbar") and not cfg.has("missing")
 
 
 def test_defaults_and_required():
@@ -87,6 +86,18 @@ def test_type_errors_carry_lines():
     with pytest.raises(ConfigError) as err:
         cfg.vector_list("channel", 4)
     assert err.value.line == 4
+
+
+def test_non_finite_numbers_carry_lines():
+    cfg = Config.from_text("hbar = nan\nt = inf\neta = 0 -inf\nchannel = nan 1 0 0\n"
+                           "window.q = 0.1\nwindow.q = NaN\n")
+    calls = ((lambda: cfg.float("hbar"), 1), (lambda: cfg.float("t"), 2),
+             (lambda: cfg.floats("eta", 2), 3), (lambda: cfg.vector_list("channel", 4), 4),
+             (lambda: cfg.float_list("window.q"), 6))
+    for call, line in calls:
+        with pytest.raises(ConfigError, match="finite") as err:
+            call()
+        assert err.value.line == line
 
 
 def test_check_keys():

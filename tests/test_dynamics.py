@@ -55,6 +55,11 @@ def test_noise_matrix():
 def test_channel_validation():
     with pytest.raises(ValueError):
         dy.LindbladChannel((1.0, 0.0, 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dy.LindbladChannel((bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            dy.LindbladChannel((0.0, 1.0), (1.0, bad))
 
 
 def test_hamiltonian_registry_and_values():
@@ -98,7 +103,7 @@ def test_advect_shifted_oscillator_matches_rk4():
         got = dy.advect(shifted_oscillator(0.6), ch, x0, 1.3, 1e-3)
         want = dy.advect(shifted_oscillator(0.6, quadratic=False), ch, x0, 1.3, 1e-3)
         assert np.max(np.abs(got - want)) < 1e-12
-        back = dy.advect(shifted_oscillator(0.6), ch, got, 1.3, 1e-3, direction=-1)
+        back = dy.advect(shifted_oscillator(0.6), ch, got, -1.3, 1e-3)
         assert np.max(np.abs(back - x0)) < 1e-12
 
 
@@ -106,7 +111,7 @@ def test_advect_reverses():
     H = dy.hamiltonians.quartic()
     x0 = np.array([[0.4, 0.8]])
     fwd = dy.advect(H, None, x0, 0.6, 1e-3)
-    back = dy.advect(H, None, fwd, 0.6, 1e-3, direction=-1)
+    back = dy.advect(H, None, fwd, -0.6, 1e-3)
     assert np.max(np.abs(back - x0)) < 1e-9
 
 
@@ -131,6 +136,10 @@ def test_centre_trajectory_monodromy_dets():
     # full-turn rotation: monodromy is the pure scale factor
     assert np.max(np.abs(m - math.exp(t) * np.eye(2))) < 1e-6 * math.exp(t)
     assert np.max(np.abs(x[0] - [math.exp(-t), 0.0])) < 1e-12
+    # no steps: the start point, M = I and G = 0
+    x0, m0, g0 = dy._rk4(H, DAMPING.gamma, np.array([[1.0, 0.0]]), 0.0, 0, DAMPING.noise)
+    assert np.array_equal(x0, [[1.0, 0.0]]) and np.array_equal(m0, [np.eye(2)])
+    assert np.array_equal(g0, np.zeros((1, 2, 2)))
 
 
 def test_degenerate_times_and_steps_raise():
@@ -268,8 +277,6 @@ def test_phi_initial_frame_is_transported_final_frame():
         dm = dy.decoherence_matrix(dy.hamiltonians.zero(), [PUMP], np.zeros(2), t,
                                    frame="initial")
         assert np.max(np.abs(dm.phi - 0.5 * (1.0 - math.exp(-2.0 * t)) * np.eye(2))) < 1e-10
-    with pytest.raises(ValueError):  # only the final-frame Phi attenuates reflections
-        dy.decohered_reflection_symbol(np.zeros(2), np.zeros(2), dm, HBAR)
     with pytest.raises(ValueError):
         dy.decoherence_matrix(H, [PUMP], np.zeros(2), t, frame="middle")
 
@@ -328,17 +335,6 @@ def test_phi_psd_and_monotone_without_damping():
             assert np.min(np.linalg.eigvalsh(phi)) > -1e-12
             assert np.min(np.linalg.eigvalsh(phi - prev)) > -1e-10
             prev = phi
-
-
-def test_decohered_reflection_symbol():
-    xi = np.array([[0.1, 0.0], [0.0, 0.2], [0.05, -0.07]])
-    x = np.array([0.3, 0.4])
-    phi = np.array([[0.2, 0.05], [0.05, 0.1]])
-    got = dy.decohered_reflection_symbol(x, xi, phi, HBAR)
-    for k, row in enumerate(xi):
-        want = (np.exp(1j / HBAR * (x[0] * row[1] - x[1] * row[0]))
-                * np.exp(-row @ phi @ row / (2.0 * HBAR)))
-        assert np.isclose(got[k], want)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,6 @@ def test_damping_channel_is_lowering():
     want = math.sqrt(2.0 * HBAR) * lowering(dim)
     got = build_linear_lindblad(DAMPING, HBAR, dim)
     assert np.max(np.abs(got - want)) < 1e-14
-    # a bare 4-tuple is accepted too
-    got2 = build_linear_lindblad((0.0, 1.0, 1.0, 0.0), HBAR, dim)
-    assert np.allclose(got2, want)
 
 
 def test_coherent_amplitudes_formula():

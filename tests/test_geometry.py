@@ -1,26 +1,11 @@
 import numpy as np
 import pytest
 
-from chordlab.geometry import (
-    J_MATRIX,
-    is_symplectic,
-    jmul,
-    random_symplectic,
-    reflection_symbol,
-    skew,
-    translation_symbol,
-)
+from chordlab.geometry import J_MATRIX, is_symplectic, random_symplectic, skew
 
 
 def test_j_matrix_squares_to_minus_identity():
     assert np.array_equal(J_MATRIX @ J_MATRIX, -np.eye(2))
-
-
-def test_jmul_matches_matrix():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((5, 4, 2))
-    want = np.einsum("ab,...b->...a", J_MATRIX, x)
-    assert np.allclose(jmul(x), want)
 
 
 def test_skew_is_j_inner_product():
@@ -30,7 +15,7 @@ def test_skew_is_j_inner_product():
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
         s = skew(a, b)
-        assert np.isclose(s, jmul(a) @ b)
+        assert np.isclose(s, (J_MATRIX @ a) @ b)
         assert np.isclose(s, a[0] * b[1] - a[1] * b[0])
         assert np.isclose(skew(b, a), -s)
     assert skew([1.0, 0.0], [0.0, 1.0]) == 1.0  # p ^ q orientation
@@ -45,25 +30,6 @@ def test_skew_broadcasts():
 def test_skew_rejects_bad_trailing_axis():
     with pytest.raises(ValueError):
         skew(np.zeros(3), np.zeros(3))
-
-
-def test_translation_and_reflection_symbols_are_conjugate_pair():
-    rng = np.random.default_rng(3)
-    hbar = 0.05
-    x = rng.standard_normal((6, 2))
-    xi = rng.standard_normal((6, 2))
-    t = translation_symbol(x, xi, hbar)
-    r = reflection_symbol(x, xi, hbar)
-    assert np.allclose(t * r, 1.0)
-    assert np.allclose(np.abs(t), 1.0)
-    assert np.allclose(t, np.exp(-1j / hbar * skew(x, xi)))
-
-
-def test_symbols_require_positive_hbar():
-    with pytest.raises(ValueError):
-        translation_symbol([1.0, 0.0], [0.0, 1.0], 0.0)
-    with pytest.raises(ValueError):
-        reflection_symbol([1.0, 0.0], [0.0, 1.0], -1.0)
 
 
 def test_random_symplectic_draws_are_symplectic():

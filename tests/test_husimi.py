@@ -7,12 +7,7 @@ from chordlab.chordfn import ChordFunction
 from chordlab.curves import harmonic_circle
 from chordlab.diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
 from chordlab.grids import CenteredGrid, centre_from_chord
-from chordlab.husimi import (
-    husimi_fourier,
-    husimi_from_lwc,
-    husimi_from_wigner,
-    matched_window_delta,
-)
+from chordlab.husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from chordlab.lwc import (
     LwcSample,
     LwcWindow,
@@ -33,7 +28,15 @@ HBAR = 0.05
 
 
 def test_matched_window_delta():
-    assert matched_window_delta(HBAR) == pytest.approx(math.sqrt(HBAR / 2))
+    """husimi_from_lwc takes LwcWindow.husimi_matched's width, sqrt(hbar / 2)."""
+    assert LwcWindow.husimi_matched(0.0, HBAR).delta == pytest.approx(math.sqrt(HBAR / 2))
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    vals = np.exp(-(xi_q**2) / (2.0 * HBAR)).astype(complex)
+    for delta in (math.sqrt(HBAR / 2), math.sqrt(HBAR / 2) * (1.0 + 1e-13)):
+        husimi_from_lwc([LwcSample(xi_q, vals, LwcWindow(0.0, delta, HBAR))], [0.0])
+    with pytest.raises(ValueError, match="sqrt"):
+        wide = LwcWindow(0.0, math.sqrt(HBAR / 2) * (1.0 + 1e-9), HBAR)
+        husimi_from_lwc([LwcSample(xi_q, vals, wide)], [0.0])
 
 
 def test_husimi_from_wigner_matches_closed_form():
@@ -65,6 +68,8 @@ def test_husimi_from_wigner_guards():
 
 
 def test_husimi_fourier_three_forms():
+    """Callable and gridded chord functions, and raw grid values through
+    ChordFunction.from_grid."""
     state = CoherentState((0.4, 0.1), HBAR)
     xi_p = np.array([0.0, 0.2, -0.35])
     xi_q = np.array([0.1, 0.0, 0.3])
@@ -83,10 +88,8 @@ def test_husimi_fourier_three_forms():
         -(xp**2 + xq**2) / (4.0 * HBAR))
     assert np.allclose(from_grid.values, full)
 
-    from_raw = husimi_fourier(sampled.values, grid)
+    from_raw = husimi_fourier(ChordFunction.from_grid(sampled.values, grid))
     assert np.allclose(from_raw.values, full)
-    with pytest.raises(ValueError):
-        husimi_fourier(sampled.values)
 
 
 def test_husimi_fourier_keeps_input_warnings():
@@ -121,7 +124,7 @@ def test_husimi_from_lwc_matches_grid_route_for_wkb():
     fn = wkb_chord(curve, HBAR)
 
     grid = CenteredGrid(2.6, 2.6, 256, HBAR)
-    f_vals = husimi_fourier(fn, None).sample(grid).values
+    f_vals = husimi_fourier(fn).sample(grid).values
     dens, centre_grid = centre_from_chord(f_vals, grid)
     dens = np.real(dens)
     peak = float(np.max(dens))

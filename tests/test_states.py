@@ -25,8 +25,6 @@ HBAR = 0.05
 def test_state_validation():
     with pytest.raises(ValueError):
         CoherentState((0.0, 0.0), 0.0)
-    with pytest.raises(NotImplementedError):
-        CoherentState((0.0, 0.0), HBAR, omega=2.0)
 
 
 def test_wavefunction_normalized():
