@@ -83,7 +83,7 @@ state selection (evolve-chord, lwc, spectrum, husimi)
   state.a state.b     quartic potential coefficients, defaults 1, 0
   state.g             pendulum coefficient, default 1
   state.n             int (fock), default 0
-  state.samples       int, curve sample count, default 1024
+  state.samples       int, curve sample count (>= 8), default 1024
 
 dynamics (evolve-chord, lwc, spectrum, positivity, husimi)
   hamiltonian.family  zero | free | harmonic | quartic | pendulum, default harmonic
@@ -94,14 +94,15 @@ dynamics (evolve-chord, lwc, spectrum, positivity, husimi)
   channel             repeatable, four floats "l'_p l'_q l''_p l''_q"
 
 grids
-  grid.points         int, default 256 (128 for evolve-chord, husimi)
+  grid.points         int, even and >= 2, default 256 (128 for evolve-chord,
+                      husimi)
   grid.half_width     float, default auto from the state
-  xi.points           int, default 1024: xi_q samples (even)
+  xi.points           int, default 1024: xi_q samples (even and >= 2)
   xi.half_width       float, default auto
 
 windows (lwc, spectrum)
   window.q            repeatable float: window centres (at least one)
-  window.delta        float, default sqrt(hbar)
+  window.delta        float > 0, default sqrt(hbar)
   lwc.route           auto | closed-form | chord | direct | sc-berry |
                       sc-quadratic | sc-markov, default auto (closed-form or
                       chord for coherent states, sc-quadratic or sc-markov
@@ -175,8 +176,17 @@ def _state_family(cfg: Config) -> str:
                    choices={"coherent", "circle", "quartic", "pendulum", "fock", "cat"})
 
 
+def _even_points(cfg: Config, key: str, default: int) -> int:
+    points = cfg.int(key, default)
+    if points < 2 or points % 2:
+        raise ConfigError(f"{key} must be even and >= 2, got {points}")
+    return points
+
+
 def _curve(cfg: Config, family: str):
     samples = cfg.int("state.samples", 1024)
+    if samples < 8:
+        raise ConfigError(f"state.samples must be >= 8, got {samples}")
     if family == "circle":
         return harmonic_circle(cfg.float("state.action", 0.5), samples)
     if family == "quartic":
@@ -229,7 +239,7 @@ def _capture(extra: dict, fn, *args, **kwargs):
 def _exp_coherent_demo(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
     state = _coherent(cfg, hbar)
-    m = cfg.int("grid.points", 256)
+    m = _even_points(cfg, "grid.points", 256)
     half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
     grid = CenteredGrid(half, half, m, hbar)
     pp, qq = grid.meshgrid()
@@ -254,7 +264,7 @@ def _chord_source(cfg: Config, hbar: float):
     fam = _state_family(cfg)
     if fam == "coherent":
         state = _coherent(cfg, hbar)
-        m = cfg.int("grid.points", 128)
+        m = _even_points(cfg, "grid.points", 128)
         half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
         grid = CenteredGrid(half, half, m, hbar)
         pp, qq = grid.meshgrid()
@@ -266,16 +276,15 @@ def _chord_source(cfg: Config, hbar: float):
 
 def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
     hbar = extra["hbar"]
-    source = _chord_source(cfg, hbar)
+    source = _capture(extra, _chord_source, cfg, hbar)
     model = _hamiltonian(cfg)
     channels = _channels(cfg)
     t = cfg.float("time.t", 0.0)
     dt = cfg.float("time.dt", 1e-3)
+    # xi.points = 0, the default here, reuses grid.points
+    m = _even_points(cfg, "xi.points" if cfg.int("xi.points", 0) else "grid.points", 128)
     chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
                       t, dt=dt, hbar=hbar)
-    m = cfg.int("xi.points", 0) or cfg.int("grid.points", 128)
-    if m % 2:
-        raise ConfigError("xi.points must be even")
     half = _half_width(cfg, "xi.half_width") or 7.44 * math.sqrt(2.0 * hbar)
     cgrid = CenteredGrid(half, half, m, hbar)
     xp, xq = cgrid.meshgrid()
@@ -290,9 +299,7 @@ def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
 
 
 def _xi_grid(cfg: Config, hbar: float) -> np.ndarray:
-    pts = cfg.int("xi.points", 1024)
-    if pts % 2:
-        raise ConfigError("xi.points must be even")
+    pts = _even_points(cfg, "xi.points", 1024)
     half = _half_width(cfg, "xi.half_width")
     if half:
         return (np.arange(pts) - pts // 2) * (2.0 * half / pts)
@@ -322,6 +329,8 @@ def _lwc_samples(cfg: Config, extra: dict):
     if not q_centres:
         raise ConfigError("need at least one window.q")
     delta = cfg.float("window.delta", math.sqrt(hbar))
+    if delta <= 0:
+        raise ConfigError(f"window.delta must be positive, got {delta:g}")
     xi_q = _xi_grid(cfg, hbar)
     route = _pick_route(cfg, fam, t)
     model = _hamiltonian(cfg)
@@ -335,7 +344,7 @@ def _lwc_samples(cfg: Config, extra: dict):
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = _coherent(cfg, hbar)
     elif route == "chord":
-        source = _chord_source(cfg, hbar)
+        source = _capture(extra, _chord_source, cfg, hbar)
         chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
                           t, dt=dt, hbar=hbar)
     else:
@@ -343,7 +352,7 @@ def _lwc_samples(cfg: Config, extra: dict):
             raise ConfigError(f"route {route!r} needs a curve state")
         if route != "sc-markov" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
-        curve = _curve(cfg, fam)
+        curve = _capture(extra, _curve, cfg, fam)
 
     samples = []
     for q0 in q_centres:
@@ -469,7 +478,7 @@ def _exp_husimi(cfg: Config, out: str, extra: dict) -> dict:
         model = _hamiltonian(cfg)
         rho = _capture(extra, fock.evolve_state, rho, model, _channels(cfg), t,
                        cfg.float("time.dt", 1e-3))
-    m = cfg.int("grid.points", 128)
+    m = _even_points(cfg, "grid.points", 128)
     half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
     grid = CenteredGrid(half, half, m, hbar)
     w_vals = _capture(extra, fock.wigner_exact, rho, grid)
@@ -638,3 +647,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import dynamics
+from .diagnostics import ConvergenceWarning, report
+from .grids import _BLOCK_ELEMENTS
 
 __all__ = [
     "LagrangianCurve",
@@ -129,30 +129,82 @@ def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
     return LagrangianCurve(th, pts, action)
 
 
-def _librating_curve(H, potential, energy: float, q_plus: float, samples: int) -> LagrangianCurve:
-    """Level curve of H = p^2/2 + V(q) at the given energy, sampled in time.
+#: cosine-series sizes for the time along a librating orbit: first and cap
+_SERIES_START = 16
+_SERIES_CAP = 1 << 16
+#: relative size the top quarter of the series must fall below
+_SERIES_TOL = 1e-15
+_NEWTON_ITERATIONS = 12
 
-    The period integral T = 2 Int dq / sqrt(2 (E - V)) is regularized by
-    q = q_plus sin u, which removes the turning-point singularity.
+
+def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
+    """Level curve of H = p^2/2 + V(q) with E - V(q) = (q_plus^2 - q^2) K(q).
+
+    With q = q_plus cos(phi) the time along the orbit has the analytic, even
+    and pi-periodic density w(phi) = dt/dphi = 1 / sqrt(2 K(q)).  One real FFT
+    of w on N nodes over [0, pi) gives w = c_0 + sum 2 c_k cos(2 k phi), so
+    t(phi) = c_0 phi + sum c_k sin(2 k phi) / k and T = 2 pi c_0.  N doubles
+    until the top quarter of the c_k falls below ``_SERIES_TOL`` c_0 (that
+    tail is the measured error; past ``_SERIES_CAP`` it is reported as a
+    ConvergenceWarning).  The samples at t = k T / m come from Newton's
+    method on t(phi), started from t inverted linearly between the nodes, and
+    x = (-q_plus sin(phi) sqrt(2 K), q_plus cos(phi)) lies on the energy
+    shell to rounding.  theta = 2 pi t / T starts at the upper turning point
+    and moves first with p < 0.
     """
 
-    def integrand(u):
-        qq = q_plus * math.sin(u)
-        v = 2.0 * (energy - potential(qq))
-        return 2.0 * q_plus * math.cos(u) / math.sqrt(max(v, 1e-300))
+    def density(phi):
+        return 1.0 / np.sqrt(2.0 * k_factor(q_plus * np.cos(phi)))
 
-    period, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, limit=200)
-    m = samples
-    sub = 8
-    dt = period / (m * sub)
-    x = np.array([[0.0, q_plus]])
-    pts = np.empty((m, 2))
-    pts[0] = x[0]
-    for k in range(1, m):
-        x = dynamics.advect(H, None, x, sub * dt, dt)
-        pts[k] = x[0]
-    th = np.arange(m) * _TWO_PI / m
-    return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI)
+    notes: list = []
+    n = _SERIES_START
+    while True:
+        c = np.fft.rfft(density(np.arange(n) * (math.pi / n))).real / n
+        tail = float(np.max(np.abs(c[3 * n // 8:]))) / c[0]
+        if tail <= _SERIES_TOL or n >= _SERIES_CAP:
+            break
+        n *= 2
+    if tail > _SERIES_TOL:
+        report(notes, f"orbit time series unconverged at {n} nodes: top-quarter "
+               f"coefficients {tail:.1e} of the mean (near the separatrix?)",
+               ConvergenceWarning)
+    k = np.arange(1, n // 2)
+    sine_weights = c[1:n // 2] / k
+    period = _TWO_PI * c[0]
+
+    def time_at(phi):
+        out = c[0] * phi
+        step = max(1, _BLOCK_ELEMENTS // k.size)
+        for j in range(0, phi.size, step):
+            js = slice(j, j + step)
+            table = np.outer(phi[js], 2.0 * k)
+            out[js] += np.sin(table, out=table) @ sine_weights
+            del table  # one table alive at a time
+        return out
+
+    th = np.arange(samples) * _TWO_PI / samples
+    target = th * (period / _TWO_PI)
+    # one inverse FFT gives t at the nodes; t(phi + pi) = t(phi) + T/2 extends
+    # them to [0, 2 pi]
+    nodes = np.arange(2 * n + 1) * (math.pi / n)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[1:n // 2] = -0.5j * n * sine_weights
+    t_half = c[0] * nodes[:n] + np.fft.irfft(spectrum, n)
+    phi = np.interp(target, np.concatenate([t_half, t_half + 0.5 * period, [period]]), nodes)
+    # Newton is asked for the accuracy of the series itself, not beyond it
+    tol = max(tail, _SERIES_TOL) * period
+    for _ in range(_NEWTON_ITERATIONS):
+        residual = time_at(phi) - target
+        phi -= residual / density(phi)
+        if np.max(np.abs(residual)) <= tol:
+            break
+    else:
+        raise RuntimeError(f"orbit sampling: Newton did not converge in {_NEWTON_ITERATIONS} "
+                           f"steps (time residual {np.max(np.abs(residual)) / period:.1e} T)")
+    q = q_plus * np.cos(phi)
+    p = -q_plus * np.sin(phi) * np.sqrt(2.0 * k_factor(q))
+    pts = np.stack([p, q], axis=-1)
+    return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI, notes)
 
 
 def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
@@ -160,29 +212,21 @@ def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
     """Level set of H = p^2/2 + a q^4/4 + b q^2/2 at the given energy."""
     if energy <= 0 or a <= 0 or b < 0:
         raise ValueError("need energy > 0, a > 0, b >= 0")
-    H = dynamics.hamiltonians.quartic(a=a, b=b)
-
-    def v(q):
-        return 0.25 * a * q**4 + 0.5 * b * q**2
-
-    hi = 1.0
-    while v(hi) < energy:
-        hi *= 2.0
-    q_plus = brentq(lambda q: v(q) - energy, 0.0, hi, xtol=1e-14)
-    return _librating_curve(H, v, energy, q_plus, samples)
+    q2 = 4.0 * energy / (b + math.sqrt(b * b + 4.0 * a * energy))  # a q^4/4 + b q^2/2 = E
+    return _librating_curve(lambda q: 0.25 * a * (q2 + q * q) + 0.5 * b,
+                            math.sqrt(q2), samples)
 
 
 def pendulum_level_curve(energy: float, g: float = 1.0, samples: int = 1024) -> LagrangianCurve:
     """Librating level set of H = p^2/2 - g cos q (requires -g < E < g)."""
     if not (-g < energy < g):
         raise ValueError("libration requires -g < energy < g")
-    H = dynamics.hamiltonians.pendulum(g=g)
-
-    def v(q):
-        return -g * math.cos(q)
-
     q_plus = math.acos(-energy / g)
-    return _librating_curve(H, v, energy, q_plus, samples)
+
+    def k_factor(q):  # g (cos q - cos q_plus) / (q_plus^2 - q^2), np.sinc(x) = sin(pi x)/(pi x)
+        return 0.5 * g * np.sinc((q_plus + q) / _TWO_PI) * np.sinc((q_plus - q) / _TWO_PI)
+
+    return _librating_curve(k_factor, q_plus, samples)
 
 
 @dataclass(frozen=True)

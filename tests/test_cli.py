@@ -103,6 +103,27 @@ xi.half_width = {half}
         assert f"{key} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, text, message", [
+    ("spectrum", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nwindow.delta = 0\n",
+     "window.delta must be positive"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nwindow.delta = -0.1\n",
+     "window.delta must be positive"),
+    ("coherent-demo", "grid.points = 31\n", "grid.points must be even and >= 2"),
+    ("coherent-demo", "grid.points = 0\n", "grid.points must be even and >= 2"),
+    ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 33\n",
+     "grid.points must be even and >= 2"),
+    ("spectrum", "state.family = circle\nstate.samples = 4\nwindow.q = 0\nxi.points = 64\n",
+     "state.samples must be >= 8"),
+], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
+        "samples-4"])
+def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / f"{experiment}.json").exists()
+
+
 def test_coherent_demo_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.eta = 0.2 0.1\ngrid.points = 64\n")
     out1 = tmp_path / "a"
@@ -461,6 +482,14 @@ time.t = -0.5
     assert not (out / "husimi.json").exists()
 
 
+def _run_fresh_python(*args):
+    """Run a fresh interpreter that imports the same chordlab as this one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_console_script_runs():
     """Run the declared console script in a fresh interpreter the way the
     wrapper that pip generates for it does, so no install is needed."""
@@ -474,14 +503,16 @@ def test_console_script_runs():
     module, func = entry.split(":")
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'chordlab'\nsys.exit({func}())\n")
-    # the fresh process imports the same chordlab as this one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", wrapper, "--schema"],
-                          capture_output=True, text=True, env=env)
+    proc = _run_fresh_python("-c", wrapper, "--schema")
     assert proc.returncode == 0, proc.stderr
     assert "chordlab config schema" in proc.stdout
+
+
+def test_python_m_cli_runs():
+    """``python -m chordlab.cli`` runs the same entry point as the script."""
+    proc = _run_fresh_python("-m", "chordlab.cli", "--schema")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("chordlab config schema")
 
 
 def test_module_main_matches(tmp_path, capsys, monkeypatch):

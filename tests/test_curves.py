@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipj, ellipk
 
 from chordlab import dynamics as dy
+from chordlab.diagnostics import ConvergenceWarning
+from chordlab.grids import _BLOCK_ELEMENTS
 from chordlab.curves import (
     branches_at,
     curve_from_samples,
@@ -80,6 +84,72 @@ def test_pendulum_level_curve():
         pendulum_level_curve(1.5)
     with pytest.raises(ValueError):
         quartic_level_curve(-1.0)
+
+
+def _pendulum_jacobi(energy, g, samples):
+    """Libration of H = p^2/2 - g cos q at t = k T / m, from q(0) = q+."""
+    k = math.sin(0.5 * math.acos(-energy / g))
+    quarter = ellipk(k * k)
+    period = 4.0 * quarter / math.sqrt(g)
+    t = np.arange(samples) * period / samples
+    sn, cn, _, _ = ellipj(math.sqrt(g) * t + quarter, k * k)
+    return np.stack([2.0 * k * math.sqrt(g) * cn, 2.0 * np.arcsin(k * sn)], axis=-1)
+
+
+def _quartic_jacobi(energy, a, b, samples):
+    """Oscillation of H = p^2/2 + a q^4/4 + b q^2/2: q = q+ cn(omega t | m)
+    with omega^2 = b + a q+^2 and m = a q+^2 / (2 omega^2)."""
+    q2 = (math.sqrt(b * b + 4.0 * a * energy) - b) / a
+    omega = math.sqrt(b + a * q2)
+    m = a * q2 / (2.0 * omega * omega)
+    period = 4.0 * ellipk(m) / omega
+    t = np.arange(samples) * period / samples
+    sn, cn, dn, _ = ellipj(omega * t, m)
+    q_plus = math.sqrt(q2)
+    return np.stack([-q_plus * omega * sn * dn, q_plus * cn], axis=-1)
+
+
+@pytest.mark.parametrize("family, energy, params, samples", [
+    ("quartic", 0.3, (1.0, 0.0), 320),
+    ("quartic", 0.7, (1.3, 0.8), 512),
+    ("quartic", 3.0, (1.0, 2.0), 100),
+    ("pendulum", -0.6, (1.0,), 320),
+    ("pendulum", 0.2, (1.0,), 512),
+    ("pendulum", 0.6, (2.0,), 100),
+])
+def test_level_curves_match_jacobi_elliptic_solutions(family, energy, params, samples):
+    """Sample k sits at t = k T / m of the exact solution.  Both the shape
+    and the period are tested: a period off by dT would move sample k by
+    k dT / m along the orbit."""
+    if family == "quartic":
+        curve = quartic_level_curve(energy, *params, samples=samples)
+        want = _quartic_jacobi(energy, *params, samples)
+    else:
+        curve = pendulum_level_curve(energy, *params, samples=samples)
+        want = _pendulum_jacobi(energy, *params, samples)
+    assert curve.warnings == []
+    assert np.max(np.abs(curve.points - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_pendulum_near_separatrix_stays_on_shell_in_bounded_memory():
+    H = dy.hamiltonians.pendulum()
+    curve = pendulum_level_curve(0.99999, samples=512)
+    assert curve.warnings == []
+    assert np.max(np.abs(H(curve.points) - 0.99999)) < 1e-14
+    assert curve.q_range()[1] < math.pi
+    # closer still, the time series reaches its node cap: the curve carries
+    # a ConvergenceWarning, and the 256 x 32767 phase table (67 MB in one
+    # piece) is built one block at a time
+    tracemalloc.start()
+    try:
+        with pytest.warns(ConvergenceWarning, match="unconverged"):
+            capped = pendulum_level_curve(1.0 - 1e-9, samples=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capped.warnings) == 1 and "65536 nodes" in capped.warnings[0]
+    assert peak < 2 * 8 * _BLOCK_ELEMENTS
+    assert np.max(np.abs(H(capped.points) - (1.0 - 1e-9))) < 1e-14
 
 
 def test_branches_on_the_circle():
