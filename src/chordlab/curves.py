@@ -92,7 +92,7 @@ class LagrangianCurve:
     def resample(self, n: int) -> "LagrangianCurve":
         th = np.arange(n) * _TWO_PI / n
         pts = self.position(th)
-        return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI)
+        return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI, list(self.warnings))
 
     def q_range(self):
         return float(np.min(self.points[:, 1])), float(np.max(self.points[:, 1]))
@@ -132,8 +132,11 @@ def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
 #: cosine-series sizes for the time along a librating orbit: first and cap
 _SERIES_START = 16
 _SERIES_CAP = 1 << 16
-#: relative size the top quarter of the series must fall below
+#: relative size the top quarter of the series must fall below, or below
+#: _SERIES_FLOOR eps max(w) / c_0, the FFT's rounding floor, if that is larger
 _SERIES_TOL = 1e-15
+_SERIES_FLOOR = 4.0
+_EPS = np.finfo(float).eps
 _NEWTON_ITERATIONS = 12
 
 
@@ -144,9 +147,10 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
     and pi-periodic density w(phi) = dt/dphi = 1 / sqrt(2 K(q)).  One real FFT
     of w on N nodes over [0, pi) gives w = c_0 + sum 2 c_k cos(2 k phi), so
     t(phi) = c_0 phi + sum c_k sin(2 k phi) / k and T = 2 pi c_0.  N doubles
-    until the top quarter of the c_k falls below ``_SERIES_TOL`` c_0 (that
-    tail is the measured error; past ``_SERIES_CAP`` it is reported as a
-    ConvergenceWarning).  The samples at t = k T / m come from Newton's
+    until the top quarter of the c_k falls below ``_SERIES_TOL`` c_0, or below
+    the FFT's rounding floor ``_SERIES_FLOOR`` eps max(w) / c_0 where that is
+    larger (the tail is the measured error; past ``_SERIES_CAP`` it is
+    reported as a ConvergenceWarning).  The samples at t = k T / m come from Newton's
     method on t(phi), started from t inverted linearly between the nodes, and
     x = (-q_plus sin(phi) sqrt(2 K), q_plus cos(phi)) lies on the energy
     shell to rounding.  theta = 2 pi t / T starts at the upper turning point
@@ -159,12 +163,15 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
     notes: list = []
     n = _SERIES_START
     while True:
-        c = np.fft.rfft(density(np.arange(n) * (math.pi / n))).real / n
+        w = density(np.arange(n) * (math.pi / n))
+        c = np.fft.rfft(w).real / n
         tail = float(np.max(np.abs(c[3 * n // 8:]))) / c[0]
-        if tail <= _SERIES_TOL or n >= _SERIES_CAP:
+        # the FFT's rounding floor: below it the tail is noise, not truncation
+        limit = max(_SERIES_TOL, _SERIES_FLOOR * _EPS * float(np.max(w)) / c[0])
+        if tail <= limit or n >= _SERIES_CAP:
             break
         n *= 2
-    if tail > _SERIES_TOL:
+    if tail > limit:
         report(notes, f"orbit time series unconverged at {n} nodes: top-quarter "
                f"coefficients {tail:.1e} of the mean (near the separatrix?)",
                ConvergenceWarning)
@@ -285,8 +292,10 @@ def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
                              dt: float = 1e-3) -> LagrangianCurve:
     """Advect every curve sample under the dissipative centre flow.
 
-    The image keeps the original theta labels; its action label is re-measured
-    from the advected samples (dissipation shrinks the enclosed area).
+    The image keeps the original theta labels and warnings; its action label
+    is re-measured from the advected samples (dissipation shrinks the
+    enclosed area).
     """
     pts = dynamics.advect(H, channels, curve.points, t, dt)
-    return LagrangianCurve(curve.theta.copy(), pts, _enclosed_area(curve.theta, pts) / _TWO_PI)
+    return LagrangianCurve(curve.theta.copy(), pts, _enclosed_area(curve.theta, pts) / _TWO_PI,
+                           list(curve.warnings))

@@ -256,7 +256,8 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
                   H, channels, t: float, dt: float, caustic_threshold: float | None):
     """One branch pass: the branches of the curve evolved to t at Q, their
     sheared decoherence widths Phi_qq (nan on caustic branches, 0 when t = 0
-    or there are no channels) and their line variances."""
+    or there are no channels) and their line variances.  The notes start
+    with the curve's own warnings; one RK4 pass gives every live branch's Phi."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t > 0:
@@ -264,7 +265,7 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
     if caustic_threshold is None:
         caustic_threshold = 1.0 / math.sqrt(hbar)
     br = branches_at(curve, Q, caustic_threshold)
-    notes: list = []
+    notes = list(curve.warnings)
     if len(br) == 0:
         diagnostics.report(
             notes, f"no real branches at Q = {Q:g} (evanescent region)",
@@ -278,11 +279,13 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
             diagnostics.ConvergenceWarning,
         )
     phi_qq = [math.nan if c else 0.0 for c in br.caustic]
-    if t > 0 and channels:
-        for j in np.flatnonzero(~br.caustic):
-            dm = dynamics.decoherence_matrix(H, channels, np.array([br.p[j], Q]), t, dt=dt)
-            notes.extend(dm.warnings)
-            phi_qq[j] = shear_phi_qq(dm.phi, br.slope[j])
+    live = np.flatnonzero(~br.caustic)
+    if t > 0 and channels and live.size:
+        anchors = np.stack([br.p[live], np.full(live.size, float(Q))], axis=-1)
+        phis, dm_notes = dynamics._decoherence_phis(H, channels, anchors, t, dt)
+        notes.extend(dm_notes)
+        for j, phi in zip(live, phis):
+            phi_qq[j] = shear_phi_qq(phi, br.slope[j])
     return br, tuple(phi_qq), _line_variance(br, phi_qq, hbar, delta), notes
 
 

@@ -88,12 +88,19 @@ def coherent_wavefunction(state: CoherentState, q):
 
 
 def coherent_position_slices(state: CoherentState, q, s):
-    """rho(q - s/2, q + s/2) on the outer product of the two axes."""
-    q = np.asarray(q, dtype=float)[:, None]
-    s = np.asarray(s, dtype=float)[None, :]
-    psi_m = coherent_wavefunction(state, q - 0.5 * s)
-    psi_p = coherent_wavefunction(state, q + 0.5 * s)
-    return psi_m * np.conj(psi_p)
+    """rho(q - s/2, q + s/2) on the outer product of the two axes.
+
+    The pure coherent state's slices factor into a(q) b(s), with
+    a = (pi hbar)^-1/2 exp[-(q - eta_q)^2 / hbar] and
+    b = exp[-s^2 / 4 hbar - i eta_p s / hbar]: one outer product.
+    """
+    hb = state.hbar
+    ep, eq = state.eta
+    q = np.asarray(q, dtype=float)
+    s = np.asarray(s, dtype=float)
+    a = np.exp(-((q - eq) ** 2) / hb) / math.sqrt(math.pi * hb)
+    b = np.exp(-(s**2) / (4.0 * hb) - 1j * (ep / hb) * s)
+    return np.multiply.outer(a, b)
 
 
 def coherent_chord(state: CoherentState) -> ChordFunction:

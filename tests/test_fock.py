@@ -144,6 +144,49 @@ def test_position_density_matrix_vs_coherent():
     assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
 
+def _complex_slices(rho, q_axis, s_axis):
+    """psi(q-)^T rho psi(q+) as one complex product per node."""
+    qm = (q_axis[:, None] - 0.5 * s_axis[None, :]).ravel()
+    qp = (q_axis[:, None] + 0.5 * s_axis[None, :]).ravel()
+    psi_m = hermite_functions(rho.dim - 1, qm, rho.hbar).astype(complex)
+    psi_p = hermite_functions(rho.dim - 1, qp, rho.hbar).astype(complex)
+    return np.sum(psi_m * (rho.rho @ psi_p), axis=0).reshape(q_axis.size, s_axis.size)
+
+
+def _evolved_cat(dim):
+    rho0 = cat_density_matrix((0.3, 0.4), HBAR, dim)
+    H = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
+    return lindblad_evolve(rho0, H, [build_linear_lindblad(Q_MEASURE, HBAR, dim)], 0.3, HBAR,
+                           dt=4e-3)
+
+
+@pytest.mark.parametrize("state", ["cat48", "cat56", "fock3"])
+@pytest.mark.parametrize("axes", ["centred", "asymmetric"])
+def test_position_density_matrix_matches_complex_reference(state, axes):
+    """The |s| half axis in real arithmetic reproduces the complex product on
+    every node: the unpaired -M/2 node of a centred even axis, s = 0, and s
+    values whose mirror image is not on the axis."""
+    rho = fock_density_matrix(3, HBAR, 48) if state == "fock3" else _evolved_cat(int(state[3:]))
+    if state != "fock3":
+        assert np.max(np.abs(rho.rho.imag)) > 1e-3  # complex off-diagonals
+    if axes == "centred":
+        grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+        q_axis, s_axis = grid.q_axis, grid.conjugate().q_axis
+    else:
+        q_axis = np.linspace(-1.7, 1.3, 61)
+        s_axis = np.array([-0.9, -0.45, -0.3, -0.05, 0.0, 0.05, 0.2, 0.45, 0.7, 1.1])
+    got = position_density_matrix(rho, q_axis, s_axis)
+    want = _complex_slices(rho, q_axis, s_axis)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def test_position_density_matrix_rejects_non_hermitian():
+    rho = coherent_density_matrix((0.3, 0.2), HBAR, 24)
+    skewed = FockDensityMatrix(rho.rho + 1e-6 * np.triu(np.ones((24, 24)), 1), HBAR)
+    with pytest.raises(ValueError, match="Hermitian"):
+        position_density_matrix(skewed, np.zeros(3), np.linspace(-0.2, 0.2, 3))
+
+
 def test_wigner_exact_fock_states_at_origin():
     grid = CenteredGrid(2.5, 2.5, 128, HBAR)
     mid = grid.points // 2

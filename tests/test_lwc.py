@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians
 from chordlab.chordfn import ChordFunction
-from chordlab.curves import branches_at, harmonic_circle, quartic_level_curve
+from chordlab.curves import (branches_at, evolve_curve_classically, harmonic_circle,
+                             pendulum_level_curve, quartic_level_curve)
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
                            fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
@@ -14,6 +16,7 @@ from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_func
 from chordlab.grids import CenteredGrid, simpson_weights
 from chordlab.lwc import (
     LwcSample,
+    _branch_lines,
     LwcWindow,
     Peak,
     fit_peaks,
@@ -422,6 +425,44 @@ def test_branch_notes():
         near = lwc_sc_berry(curve, 0.99, np.array([0.0]), HBAR, caustic_threshold=2.0)
     assert any("caustic" in msg for msg in near.warnings)
     assert np.allclose(near.values, 0.0)  # both branches excluded
+
+
+@pytest.mark.parametrize("family", ["quartic", "pendulum"])
+@pytest.mark.parametrize("dt", [1e-2, 0.25], ids=["fine", "coarse"])
+def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
+    """One RK4 pass over every live branch gives each branch's Phi bit for
+    bit, and (at the coarse step) the same halving warnings in branch order."""
+    if family == "quartic":
+        curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
+    else:
+        curve, H = pendulum_level_curve(-0.6, samples=128), hamiltonians.pendulum()
+    channels = [dynamics.LindbladChannel((0.0, 0.8))]
+    t, Q = 1.0, 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        br, phi_qq, _, notes = _branch_lines(curve, Q, HBAR, 0.2, H, channels, t, dt, None)
+        want, want_notes = [], []
+        for j in np.flatnonzero(~br.caustic):
+            dm = dynamics.decoherence_matrix(H, channels, np.array([br.p[j], Q]), t, dt=dt)
+            want.append(shear_phi_qq(dm.phi, br.slope[j]))
+            want_notes.extend(dm.warnings)
+    assert len(want) == 2
+    assert [phi_qq[j] for j in np.flatnonzero(~br.caustic)] == want
+    assert notes == want_notes
+    assert len(notes) == (2 if dt == 0.25 else 0)
+
+
+def test_curve_warnings_reach_the_sample():
+    with pytest.warns(ConvergenceWarning, match="unconverged"):
+        curve = pendulum_level_curve(1.0 - 1e-9, samples=64)
+    assert len(curve.warnings) == 1
+    H = hamiltonians.pendulum()
+    channels = [dynamics.LindbladChannel((0.0, 0.5))]
+    assert curve.resample(96).warnings == curve.warnings
+    assert evolve_curve_classically(curve, H, channels, 0.1, 1e-2).warnings == curve.warnings
+    sample = lwc_sc_markov(curve, H, channels, 0.1, LwcWindow.canonical(0.0, HBAR), [0.0],
+                           dt=1e-2)
+    assert sample.warnings[0] == curve.warnings[0]
 
 
 def test_lwc_from_callable_chord_memory_is_bounded():

@@ -47,6 +47,16 @@ def test_wigner_from_wavefunction_oracle():
         assert abs(w.real - coherent_wigner(state, p0, q0)) < 1e-9
 
 
+def test_position_slices_are_the_wavefunction_product():
+    state = CoherentState((0.7, -0.25), HBAR)
+    q = np.linspace(-1.5, 1.0, 81)
+    s = np.linspace(-1.2, 0.9, 64)
+    got = coherent_position_slices(state, q, s)
+    want = (coherent_wavefunction(state, q[:, None] - 0.5 * s)
+            * np.conj(coherent_wavefunction(state, q[:, None] + 0.5 * s)))
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
 def test_chord_from_slices_oracle():
     """chi(xi_p, xi_q) = (2 pi hbar)^-1 Int dq exp(-i xi_p q / hbar) rho(q + xi_q/2, q - xi_q/2)."""
     state = CoherentState((-0.2, 0.45), HBAR)
