@@ -53,6 +53,9 @@ class ChordFunction:
 
     def _lookup(self, xp, xq):
         g = self.grid
+        pair = np.broadcast(xp, xq)
+        if pair.size == 0:
+            return np.empty(pair.shape, dtype=complex)
         ip = xp / g.dp + g.points // 2
         iq = xq / g.dq + g.points // 2
         rp = np.rint(ip)

@@ -475,7 +475,11 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     with one trajectory and one decoherence matrix per initial sample.  For a
     quadratic model every Phi_i coincides and the endpoints follow one affine
     map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run RK4 per sample.
+    chord function; other models run RK4 per sample.  The returned callable
+    sums through ``grids._plane_wave_sum``: on an outer grid of chords a
+    per-sample Phi_i goes through the Taylor series of its cross term, to
+    within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
+    by point.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -49,3 +49,12 @@ def test_gridded_cannot_resample():
     fn = ChordFunction.from_grid(np.zeros((16, 16)), grid)
     with pytest.raises(ValueError):
         fn.sample(grid)
+
+
+def test_gridded_lookup_of_no_chords_is_empty():
+    grid = CenteredGrid(1.0, 1.0, 16, HBAR)
+    fn = ChordFunction.from_grid(np.ones((16, 16)), grid)
+    for shape in ((0, 3), (3, 0), (0,)):
+        got = fn(np.zeros(shape), np.zeros(shape))
+        assert got.shape == shape and got.dtype == complex
+    assert fn(np.zeros((0, 1)), np.zeros((1, 3))).shape == (0, 3)

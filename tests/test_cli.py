@@ -490,6 +490,14 @@ def _run_fresh_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats adds about a second to start-up and no module needs it:
+    the plane-wave series takes its Poisson tail from scipy.special."""
+    out = _run_fresh_python("-c", "import sys, chordlab; print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_console_script_runs():
     """Run the declared console script in a fresh interpreter the way the
     wrapper that pip generates for it does, so no install is needed."""

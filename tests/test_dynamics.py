@@ -424,6 +424,53 @@ def test_evolved_chord_source_validation():
                                  None, 0.1)
 
 
+@pytest.mark.parametrize("model", ["quartic", "pendulum"])
+def test_evolved_chord_outer_grid_series_matches_point_sum(model, monkeypatch):
+    """Per-sample Phi on an outer grid goes through the Taylor series of the
+    cross factor exp(g1 xi_p xi_q).  It agrees with the raveled chords, which
+    are summed point by point, at X from about 0.5 to 5 and with either axis
+    the narrower, and it is exact at xi = 0, where no term is cut."""
+    from chordlab import grids
+    from chordlab.curves import pendulum_level_curve, quartic_level_curve
+
+    curve = (quartic_level_curve(0.3, samples=128) if model == "quartic"
+             else pendulum_level_curve(-0.5, samples=128))
+    chi_fn = dy.evolve_chord_function(curve, getattr(dy.hamiltonians, model)(), [Q_CHANNEL],
+                                      0.5, hbar=HBAR, convergence_check=False)
+    seen = []
+    real = grids._series_terms
+
+    def spy(gauss, col, row):
+        x = np.max(np.abs(gauss[:, 1])) * np.max(np.abs(col)) * np.max(np.abs(row))
+        seen.append((x, real(gauss, col, row)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(grids, "_series_terms", spy)
+    for half, a, b in [(0.5, 40, 30), (1.0, 30, 40), (1.4, 41, 9), (1.4, 9, 41)]:
+        xp = half * (np.arange(a) - a // 2) / (a // 2)
+        xq = half * (np.arange(b) - b // 2) / (b // 2)
+        got = chi_fn(xp[:, None], xq[None, :])
+        assert seen[-1][1] > 1
+        mesh = np.meshgrid(xp, xq, indexing="ij")
+        want = chi_fn(mesh[0].ravel(), mesh[1].ravel()).reshape(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got[a // 2, b // 2] == 1.0 / (2.0 * np.pi * HBAR)  # 128 weights of 1/128
+    xs = [x for x, _ in seen]
+    assert min(xs) < 0.8 and max(xs) > 4.0
+
+
+def test_evolved_chord_of_no_chords_is_empty():
+    from chordlab.curves import quartic_level_curve
+
+    chi_fn = dy.evolve_chord_function(quartic_level_curve(0.3, samples=64),
+                                      dy.hamiltonians.quartic(), [Q_CHANNEL], 0.1, hbar=HBAR,
+                                      convergence_check=False)
+    for shape in ((0, 3), (3, 0), (0,)):
+        got = chi_fn(np.zeros(shape), np.zeros(shape))
+        assert got.shape == shape
+    assert chi_fn(np.zeros((0, 1)), np.zeros((1, 3))).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # positivity threshold
 

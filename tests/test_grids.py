@@ -177,10 +177,11 @@ def _plane_wave_direct(points, weights, xi_p, xi_q, phi):
     return out
 
 
-@pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample"])
+@pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample", "diagonal"])
 def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind):
     points, weights, phis = _plane_wave_case()
-    phi = {"none": None, "shared": phis[0], "per-sample": phis}[phi_kind]
+    diagonal = phis * np.eye(2)  # no cross term: one series term, per-sample Gaussians
+    phi = {"none": None, "shared": phis[0], "per-sample": phis, "diagonal": diagonal}[phi_kind]
     xp_axis = np.linspace(-0.6, 0.5, 24)
     xq_axis = np.linspace(-0.4, 0.7, 18)
     mesh = np.meshgrid(xp_axis, xq_axis, indexing="ij")
@@ -202,17 +203,20 @@ def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind):
 
 
 def test_plane_wave_sum_chord_dependent_weights():
-    """Amplitudes that vary along xi_q stay on the outer-grid path; scattered
-    chords with per-chord amplitudes are summed point by point."""
-    points, weights, _ = _plane_wave_case()
+    """Amplitudes that vary along xi_q stay on the outer-grid path, with or
+    without per-sample Phi; scattered chords with per-chord amplitudes are
+    summed point by point."""
+    points, weights, phis = _plane_wave_case()
     rng = np.random.default_rng(4)
     xp_axis = np.linspace(-0.6, 0.5, 12)
     xq_axis = np.linspace(-0.4, 0.7, 10)
     amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, xq_axis.size))
-    got = grids._plane_wave_sum(points, amp[:, None, :], xp_axis[:, None], xq_axis[None, :], HBAR)
-    want = np.stack([_plane_wave_direct(points, amp[:, j], xp_axis, xq_axis[j], None)
-                     for j in range(xq_axis.size)], axis=1)
-    assert np.max(np.abs(got - want)) <= 1e-13
+    for phi in (None, phis):  # per-sample Phi takes the series on the outer grid
+        got = grids._plane_wave_sum(points, amp[:, None, :], xp_axis[:, None], xq_axis[None, :],
+                                    HBAR, phi)
+        want = np.stack([_plane_wave_direct(points, amp[:, j], xp_axis, xq_axis[j], phi)
+                         for j in range(xq_axis.size)], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13
     xi_p, xi_q = rng.uniform(-0.6, 0.6, (2, 7))
     amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, 7))
     got = grids._plane_wave_sum(points, amp, xi_p, xi_q, HBAR)
@@ -244,15 +248,75 @@ def test_plane_wave_sum_scattered_2d_takes_pointwise_path(monkeypatch):
 
 
 def test_plane_wave_sum_blocks_agree(monkeypatch):
-    """A small element budget splits both paths into many blocks without
+    """Small element budgets split both paths into many blocks, and the
+    series over per-sample Phi into chunks of the wider axis as well, without
     changing the sum."""
     points, weights, phis = _plane_wave_case()
     xp_axis = np.linspace(-0.6, 0.5, 16)
     xq_axis = np.linspace(-0.4, 0.7, 14)
-    whole = [grids._plane_wave_sum(points, weights, xp_axis[:, None], xq_axis[None, :], HBAR, f)
-             for f in (phis[0], phis)]
-    monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", 97)
-    split = [grids._plane_wave_sum(points, weights, xp_axis[:, None], xq_axis[None, :], HBAR, f)
-             for f in (phis[0], phis)]
-    for a, b in zip(whole, split):
-        assert np.max(np.abs(a - b)) <= 1e-13
+    assert grids._series_terms(_gauss(phis), xp_axis, xq_axis) > 1  # the series runs
+    for xi_p, xi_q in ((xp_axis[:, None], xq_axis[None, :]), (xq_axis[:, None], xp_axis[None, :])):
+        whole = [grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, f)
+                 for f in (phis[0], phis)]
+        for budget in (97, 2000):
+            monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", budget)
+            split = [grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, f)
+                     for f in (phis[0], phis)]
+            monkeypatch.undo()
+            for a, b in zip(whole, split):
+                assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def _gauss(phis):
+    """Per-sample (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar)."""
+    return np.stack([phis[:, 0, 0], 2.0 * phis[:, 0, 1], phis[:, 1, 1]], axis=-1) / (-2.0 * HBAR)
+
+
+def _poisson_tail(x, r):
+    """P(N >= r) for N ~ Poisson(x), summed term by term."""
+    k = np.arange(r, r + 200)
+    return float(np.sum(np.exp(k * math.log(x) - x - [math.lgamma(j + 1.0) for j in k])))
+
+
+def test_series_terms_meet_the_tail_bound():
+    gauss = np.array([[-1.0, -1.0, -1.0], [-0.5, 0.25, -2.0]])  # PSD, max|g1| = 1
+    for x in (0.5, 2.0, 5.0):
+        r = grids._series_terms(gauss, np.array([-x, 0.5]), np.array([0.0, 1.0]))
+        assert _poisson_tail(x, r) <= 2.0**-53 < _poisson_tail(x, r - 1)
+    assert grids._series_terms(gauss, np.zeros(3), np.ones(2)) == 1
+    # the count ends, on no term, for every non-finite input
+    assert grids._series_terms(gauss, np.array([np.inf]), np.ones(2)) is None
+    assert grids._series_terms(np.full((1, 3), np.nan), np.ones(2), np.ones(2)) is None
+    assert grids._series_terms(np.array([[-1.0, np.inf, -1.0]]), np.ones(2), np.ones(2)) is None
+
+
+@pytest.mark.parametrize("broken", ["nan", "indefinite", "too-many-terms"])
+def test_plane_wave_sum_series_falls_back_to_point_sum(broken, monkeypatch):
+    points, weights, phis = _plane_wave_case()
+    phis = phis.copy()
+    if broken == "nan":
+        phis[3, 0, 1] = phis[3, 1, 0] = np.nan
+    elif broken == "indefinite":
+        phis[3] = [[0.02, 0.05], [0.05, 0.02]]  # eigenvalues 0.07 and -0.03
+    else:
+        phis *= 40.0  # X = 44, past the measured crossover
+    xp_axis = np.linspace(-0.6, 0.5, 12)
+    xq_axis = np.linspace(-0.4, 0.7, 10)
+    seen = []
+    real = grids._series_terms
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(grids, "_series_terms", spy)
+    with np.errstate(invalid="ignore"):  # exp(nan)
+        got = grids._plane_wave_sum(points, weights, xp_axis[:, None], xq_axis[None, :], HBAR, phis)
+        want = _plane_wave_direct(points, weights, *np.meshgrid(xp_axis, xq_axis, indexing="ij"),
+                                  phis)
+    assert seen == [None]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert broken != "nan" or not ok.any()
+    if ok.any():
+        assert np.max(np.abs(got[ok] - want[ok])) <= 1e-13 * np.max(np.abs(want[ok]))
