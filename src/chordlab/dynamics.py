@@ -30,12 +30,13 @@ Quadratic models are Gaussian and exact: every centre follows one affine
 map, every chord one monodromy M = exp(t A) with A = J Hess H + gamma, and
 Phi is the Gramian of (A, Lambda), taken from one Van Loan block exponential
 (IEEE TAC 23, 395, 1978).  No step size enters and no refinement is run.
-Other models go through one fixed-step RK4 flow, ``_rk4``: ``advect`` steps
-centres alone; decoherence matrices and evolved chord functions carry M
-along and accumulate Phi by composite Simpson on the step grid, the final
-frame by running the flow backward from its anchor (a negative step).
-Their refinement checks warn instead of adapting, so identical inputs give
-identical outputs.
+Other models go through one fixed-step RK4 flow, ``_rk4``, on one packed
+state [x | M] per sample: ``advect`` steps centres alone; decoherence
+matrices and evolved chord functions carry M along and accumulate Phi by
+composite Simpson on the step grid, the final frame by running the flow
+backward from its anchor (a negative step).  The evolved chord function's
+changed sample set rides in the same pass as its samples.  Refinement
+checks warn instead of adapting, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -195,13 +196,15 @@ class hamiltonians:
         def gradient(x):
             g = np.empty_like(x)
             g[..., 0] = x[..., 0]
-            g[..., 1] = a * x[..., 1] ** 3 + b * x[..., 1]
+            q = x[..., 1]
+            g[..., 1] = (a * q * q + b) * q  # q**3 runs libm pow, many times slower
             return g
 
         def hessian(x):
+            q = x[..., 1]
             h = np.zeros(x.shape[:-1] + (2, 2))
             h[..., 0, 0] = 1.0
-            h[..., 1, 1] = 3.0 * a * x[..., 1] ** 2 + b
+            h[..., 1, 1] = 3.0 * a * q * q + b
             return h
 
         return HamiltonianModel("quartic", value, gradient, hessian, a == 0.0, {"a": a, "b": b})
@@ -298,39 +301,44 @@ def _rk4(H, gamma, x, t, steps, lam=None):
 
     Without ``lam`` it returns the endpoints.  With it, the (n, 2, 2) chord
     monodromy rides along, dM/dtau = (J Hess H(x) + gamma) M from M = I, and
-    G = Int M^T lam M |dtau| accumulates with the Simpson weights of the step
-    grid; it returns (x, M, G).
+    G = Int M^T lam M |dtau| streams with the Simpson weights of the step
+    grid; it returns (x, M, G).  One (n, 2, 3) state [x | M] carries both, so
+    a stage is J [grad H | Hess H M] + (-gamma, gamma, gamma) [x | M].  A
+    non-finite state raises FloatingPointError, without numpy's warnings.
     """
     h = t / max(steps, 1)
-    jt = J_MATRIX.T
+    cols = 1 if lam is None else 3
+    s = np.zeros(x.shape[:-1] + (2, cols))
+    s[..., 0] = x
+    if lam is not None:
+        s[..., 0, 1] = s[..., 1, 2] = 1.0
+        w = simpson_weights(steps + 1, abs(h)) if steps else np.zeros(1)
+        g = np.zeros_like(s[..., 1:]) + w[0] * lam
+    # full-size factors keep every stage operation contiguous
+    sign = np.zeros_like(s) + [[-1.0], [1.0]]  # J [a; b] = [-b; a]
+    rate = np.zeros_like(s) + [-gamma, gamma, gamma][:cols]
 
     def field(s):
-        dx = H.gradient(s[0]) @ jt - gamma * s[0]
-        return (dx,) if lam is None else (dx, _chord_generator(H, gamma, s[0]) @ s[1])
-
-    def shifted(s, c, k):
-        return tuple(a + c * b for a, b in zip(s, k))
-
-    def quad(m):
-        return np.swapaxes(m, -1, -2) @ lam @ m
-
-    s = (x,)
-    if lam is not None:
-        s = (x, np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
-        w = simpson_weights(steps + 1, abs(h)) if steps else np.zeros(1)
-        g = w[0] * quad(s[1])
-    for k in range(1, steps + 1):
-        k1 = field(s)
-        k2 = field(shifted(s, 0.5 * h, k1))
-        k3 = field(shifted(s, 0.5 * h, k2))
-        k4 = field(shifted(s, h, k3))
-        s = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
-        if not all(np.all(np.isfinite(a)) for a in s):
-            raise FloatingPointError("centre flow diverged; reduce dt or the time span")
+        y = np.empty_like(s)  # the rows of [grad H | Hess H M], swapped for J
+        grad = H.gradient(s[..., 0])
+        y[..., 0, 0], y[..., 1, 0] = grad[..., 1], grad[..., 0]
         if lam is not None:
-            g += w[k] * quad(s[1])
-    return s[0] if lam is None else (s[0], s[1], g)
+            np.matmul(H.hessian(s[..., 0])[..., ::-1, :], s[..., 1:], out=y[..., 1:])
+        return sign * y + rate * s
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            k1 = field(s)
+            k2 = field(s + (0.5 * h) * k1)
+            k3 = field(s + (0.5 * h) * k2)
+            k4 = field(s + h * k3)
+            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(s).all():
+                raise FloatingPointError("centre flow diverged; reduce dt or the time span")
+            if lam is not None:
+                m = s[..., 1:]
+                g += w[k] * (np.swapaxes(m, -1, -2) @ lam @ m)
+    return s[..., 0] if lam is None else (s[..., 0], s[..., 1:], g)
 
 
 def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
@@ -475,8 +483,9 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     with one trajectory and one decoherence matrix per initial sample.  For a
     quadratic model every Phi_i coincides and the endpoints follow one affine
     map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run RK4 per sample.  The returned callable
-    sums through ``grids._plane_wave_sum``: on an outer grid of chords a
+    chord function; other models run RK4 per sample, in one pass with the
+    changed sample set of the convergence check.  The returned callable sums
+    through ``grids._plane_wave_sum``: on an outer grid of chords a
     per-sample Phi_i goes through the Taylor series of its cross term, to
     within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
     by point.
@@ -484,31 +493,30 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     if t < 0:
         raise ValueError("t must be nonnegative")
     pts, w, hbar = _source_samples(source, hbar)
+    n = w.size
+    check = convergence_check and t > 0
+    if check:  # the check's changed sample set rides in the same flow
+        pts2, w2, _ = _source_samples(source, hbar, stride=2)
+        pts = np.concatenate([pts, pts2])
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
     if H.quadratic:
         e, d = _centre_map(H, gamma, t)
         phi = _gramian(-_chord_generator(H, gamma, np.zeros((1, 2)))[0], lam, t)
-
-    def transport(points):
-        """Endpoints x_i(t) and final-frame Phi_i(t) of the samples (one
-        shared Phi for quadratic models)."""
-        if H.quadratic:
-            return points @ e.T + d, phi
-        xt, mt, g = _rk4(H, gamma, points, t, _steps_for(t, dt), lam)
+        xt, phis = pts @ e.T + d, (phi, phi)
+    else:
+        xt, mt, g = _rk4(H, gamma, pts, t, _steps_for(t, dt), lam)
         minv = np.linalg.inv(mt)
-        phis = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
-        return xt, 0.5 * (phis + np.transpose(phis, (0, 2, 1)))
-
-    xt, phis = transport(pts)
-    fn = _chi_from_samples(xt, phis, w, hbar)
-    out = ChordFunction.from_callable(fn, hbar, samples=w.size)
-    if convergence_check and t > 0:
+        phi = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
+        phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
+        phis = (phi[:n], phi[n:])
+    fn = _chi_from_samples(xt[:n], phis[0], w, hbar)
+    out = ChordFunction.from_callable(fn, hbar, samples=n)
+    if check:
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])
         ref = fn(probe_p, probe_q)
-        pts2, w2, _ = _source_samples(source, hbar, stride=2)
-        alt = _chi_from_samples(*transport(pts2), w2, hbar)(probe_p, probe_q)
+        alt = _chi_from_samples(xt[n:], phis[1], w2, hbar)(probe_p, probe_q)
         scale = max(np.max(np.abs(ref)), 1.0 / (2.0 * np.pi * hbar))
         err = float(np.max(np.abs(alt - ref))) / scale
         if err > 1e-6:

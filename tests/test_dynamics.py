@@ -74,6 +74,28 @@ def test_hamiltonian_registry_and_values():
     assert not dy.hamiltonians.pendulum().quadratic
 
 
+@pytest.mark.parametrize("name", sorted(dy.hamiltonians.registry))
+def test_model_derivatives_match_central_differences(name):
+    """gradient and hessian of every built-in model against central
+    differences of value and gradient, at |q| and |p| up to 3."""
+    models = [dy.hamiltonians.registry[name]()]
+    if name == "quartic":
+        models.append(dy.hamiltonians.quartic(0.7, -1.3))
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, size=(40, 2))
+    x[:2] = [[3.0, -3.0], [-3.0, 3.0]]
+    eps = 1e-5
+    for H in models:
+        grad, hess = H.gradient(x), H.hessian(x)
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = eps
+            fd_grad = (H.value(x + e) - H.value(x - e)) / (2.0 * eps)
+            fd_hess = (H.gradient(x + e) - H.gradient(x - e)) / (2.0 * eps)
+            assert np.max(np.abs(grad[:, i] - fd_grad)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
+            assert np.max(np.abs(hess[:, :, i] - fd_hess)) < 1e-7 * max(1.0, np.max(np.abs(hess)))
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
 # ---------------------------------------------------------------------------
 # flows
 
@@ -118,6 +140,47 @@ def test_advect_reverses():
 def test_advect_zero_time_is_identity():
     x0 = np.array([[0.1, 0.2]])
     assert np.array_equal(dy.advect(dy.hamiltonians.harmonic(), None, x0, 0.0, 1e-3), x0)
+
+
+def test_diverging_flow_raises_once_without_numpy_warnings():
+    """A quartic sample at q = 1e5 overflows within a few steps.  Every RK4
+    caller raises FloatingPointError, and numpy's overflow and invalid-value
+    warnings stay silent, since the per-step finiteness check catches them."""
+    import warnings
+
+    from chordlab.curves import harmonic_circle
+
+    H = dy.hamiltonians.quartic()
+    far = np.array([0.0, 1e5])
+    curve = harmonic_circle(0.5 * 1e10, 8)  # radius 1e5
+    calls = [lambda: dy.advect(H, None, far[None, :], 1.0, 1e-3),
+             lambda: dy.decoherence_matrix(H, [Q_CHANNEL], far, 1.0),
+             lambda: dy.evolve_chord_function(curve, H, [Q_CHANNEL], 1.0, hbar=HBAR)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="diverged"):
+                call()
+
+
+def test_batched_rk4_equals_per_sample_calls():
+    """Rows of one batched flow equal the samples' own flows, for x, M and G:
+    evolve_chord_function transports its check samples in the same batch."""
+    ch = [DAMPING, Q_CHANNEL]
+    gamma, lam = dy.total_gamma(ch), dy.noise_matrix(ch)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 2))
+    for name in ("quartic", "pendulum"):
+        H = dy.hamiltonians.registry[name]()
+        for t in (0.4, -0.4):
+            batch = dy._rk4(H, gamma, x, t, 40, lam)
+            for j in range(len(x)):
+                one = dy._rk4(H, gamma, x[j:j + 1], t, 40, lam)
+                for a, b in zip(batch, one):
+                    assert np.max(np.abs(a[j] - b[0])) <= 1e-15 * np.max(np.abs(b[0]))
+        batch = dy._rk4(H, gamma, x, 0.4, 40)
+        for j in range(len(x)):
+            one = dy._rk4(H, gamma, x[j:j + 1], 0.4, 40)
+            assert np.max(np.abs(batch[j] - one[0])) <= 1e-15 * np.max(np.abs(one[0]))
 
 
 def test_centre_trajectory_monodromy_dets():
@@ -409,6 +472,30 @@ def test_evolved_chord_warns_on_coarse_curve():
     with pytest.warns(ConvergenceWarning):
         dy.evolve_chord_function(curve, dy.hamiltonians.harmonic(), None, 0.1,
                                  dt=1e-2, hbar=HBAR)
+
+
+@pytest.mark.parametrize("model", ["quartic", "pendulum"])
+def test_evolved_chord_check_leaves_chi_unchanged(model):
+    """The convergence check's samples ride in the same RK4 batch as the main
+    samples; chi is the same with and without the check."""
+    from chordlab.curves import quartic_level_curve
+
+    H = dy.hamiltonians.registry[model]()
+    if model == "quartic":
+        source = quartic_level_curve(0.3, samples=64)
+    else:
+        grid = CenteredGrid(1.6, 1.6, 48, HBAR)
+        pp, qq = grid.meshgrid()
+        source = (coherent_wigner(CoherentState((0.3, 0.5), HBAR), pp, qq), grid)
+    kw = dict(dt=1e-2, hbar=HBAR)
+    xi = math.sqrt(HBAR) * np.linspace(-2.0, 2.0, 9)
+    xp, xq = np.meshgrid(xi, xi[::-1], indexing="ij")
+    with_check = dy.evolve_chord_function(source, H, [DAMPING, Q_CHANNEL], 0.3, **kw)
+    without = dy.evolve_chord_function(source, H, [DAMPING, Q_CHANNEL], 0.3,
+                                       convergence_check=False, **kw)
+    want = without(xp, xq)
+    assert with_check.samples == without.samples
+    assert np.max(np.abs(with_check(xp, xq) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_evolved_chord_source_validation():
