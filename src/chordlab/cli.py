@@ -3,10 +3,11 @@
     chordlab <experiment> --config FILE [--out DIR] [--seed N]
     chordlab --schema
 
-Each experiment reads a flat key = value config, writes <experiment>.csv
-plus a JSON sidecar with the echoed config, derived quantities, and each
-numerical warning raised along the way, once.  All floating-point output
-uses %.17g, so identical configs reproduce byte-identical files.
+Each experiment reads a flat key = value config, writes its CSV tables with
+``gridio.write_table`` (header lines, ``# columns``, %.17g rows) and a JSON
+sidecar with the echoed config, derived quantities, and each warning raised
+during the run, once, in the order raised.  Identical configs reproduce
+byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (including a semiclassical
 window where no branch survives), 2 bad usage or bad config.
@@ -20,7 +21,7 @@ import json
 import math
 import os
 import sys
-import warnings as _warnings
+import warnings
 
 import numpy as np
 
@@ -36,10 +37,9 @@ from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
 
 __all__ = ["main", "run", "resolution_verdict"]
 
-SCHEMA_VERSION = 1
-
+_TABLE_SCHEMA = ("chordlab schema_version", gridio.SCHEMA_VERSION)
 _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
-_COMMON_KEYS = {"hbar", "seed", "time.t", "time.dt"}
+_COMMON_KEYS = {"hbar", "seed"}
 _STATE_KEYS = {"state.family", "state.eta", "state.action", "state.energy",
                "state.a", "state.b", "state.g", "state.n", "state.samples"}
 # model family -> the factory's parameters, each read as hamiltonian.<name>
@@ -50,16 +50,16 @@ _H_KEYS = ({"hamiltonian.family", "channel"}
 _GRID_KEYS = {"grid.points", "grid.half_width"}
 _XI_KEYS = {"xi.points", "xi.half_width"}
 _WINDOW_KEYS = {"window.q", "window.delta"}
+# the experiments that evolve a chosen state read these
+_EVOLVED_KEYS = _COMMON_KEYS | {"time.t", "time.dt"} | _STATE_KEYS | _H_KEYS | _GRID_KEYS
 
 EXPERIMENT_KEYS = {
     "coherent-demo": _COMMON_KEYS | {"state.eta"} | _GRID_KEYS,
-    "evolve-chord": _COMMON_KEYS | _STATE_KEYS | _H_KEYS | _GRID_KEYS | _XI_KEYS,
-    "lwc": (_COMMON_KEYS | _STATE_KEYS | _H_KEYS | _GRID_KEYS | _XI_KEYS
-            | _WINDOW_KEYS | {"lwc.route"}),
-    "spectrum": (_COMMON_KEYS | _STATE_KEYS | _H_KEYS | _GRID_KEYS | _XI_KEYS
-                 | _WINDOW_KEYS | {"lwc.route"}),
+    "evolve-chord": _EVOLVED_KEYS | _XI_KEYS,
+    "lwc": _EVOLVED_KEYS | _XI_KEYS | _WINDOW_KEYS | {"lwc.route"},
+    "spectrum": _EVOLVED_KEYS | _XI_KEYS | _WINDOW_KEYS | {"lwc.route"},
     "positivity": _COMMON_KEYS | _H_KEYS,
-    "husimi": _COMMON_KEYS | _STATE_KEYS | _H_KEYS | _GRID_KEYS | {"fock.dim"},
+    "husimi": _EVOLVED_KEYS | {"fock.dim"},
     "validate": {"hbar"},
 }
 
@@ -69,6 +69,8 @@ chordlab config schema (flat key = value lines; '#' comments)
 common keys
   hbar                float, default 0.05
   seed                int, default 0 (echoed; no experiment is stochastic)
+
+evolution time (evolve-chord, lwc, spectrum, husimi)
   time.t              float, default 0: evolution time
   time.dt             float, default 1e-3: integrator step, used for
                       non-quadratic models only (quadratic ones are exact);
@@ -82,7 +84,8 @@ state selection (evolve-chord, lwc, spectrum, husimi)
   state.energy        float (quartic, pendulum level sets)
   state.a state.b     quartic potential coefficients, defaults 1, 0
   state.g             pendulum coefficient, default 1
-  state.n             int (fock), default 0
+  state.n             int (fock), 0 <= n < fock.dim, default 0
+  fock.dim            int >= 1 (husimi), default 128: number-basis dimension
   state.samples       int, curve sample count (>= 8), default 1024
 
 dynamics (evolve-chord, lwc, spectrum, positivity, husimi)
@@ -97,7 +100,8 @@ grids
   grid.points         int, even and >= 2, default 256 (128 for evolve-chord,
                       husimi)
   grid.half_width     float, default auto from the state
-  xi.points           int, default 1024: xi_q samples (even and >= 2)
+  xi.points           int, even and >= 2, default 1024: xi_q samples (for
+                      evolve-chord, chord-grid points, default grid.points)
   xi.half_width       float, default auto
 
 windows (lwc, spectrum)
@@ -127,21 +131,6 @@ experiments
 """
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _write_table(path, meta: list, columns: list, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# chordlab schema_version = {SCHEMA_VERSION}\n")
-        for k, v in meta:
-            fh.write(f"# {k} = {v}\n")
-        fh.write("# columns = " + ",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\n")
-
-
 def _jsonable(obj):
     """The payload with numpy values as Python ones and every non-finite float
     as null: RFC 8259 JSON has no NaN (a flagged peak's variance is nan)."""
@@ -152,12 +141,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 def _hamiltonian(cfg: Config):
@@ -210,51 +193,42 @@ def _half_width(cfg: Config, key: str) -> float:
     return half
 
 
-def _auto_centre_half_width(cfg: Config, hbar: float) -> float:
-    """Centre-grid half width for the number-basis and coherent states, the
-    only ones the centre grids are built for."""
-    pad = 8.0 * math.sqrt(hbar)
-    if _state_family(cfg) == "fock":
-        return math.sqrt(2.0 * hbar * (cfg.int("state.n", 0) + 1)) + pad
-    eta = cfg.floats("state.eta", 2, (0.0, 0.0))
-    return max(abs(eta[0]), abs(eta[1])) + pad
-
-
-def _capture(extra: dict, fn, *args, **kwargs):
-    """Run fn and record each warning it raises in the sidecar list, once."""
-    with _warnings.catch_warnings(record=True) as rec:
-        _warnings.simplefilter("always")
-        result = fn(*args, **kwargs)
-    for w in rec:
-        msg = f"{w.category.__name__}: {w.message}"
-        if msg not in extra["warnings"]:
-            extra["warnings"].append(msg)
-    return result
+def _centre_grid(cfg: Config, hbar: float, points: int) -> CenteredGrid:
+    """The grid.* centre grid for the number-basis and coherent states, the
+    only ones centre grids are built for; the automatic half width pads the
+    state by 8 sqrt(hbar)."""
+    m = _even_points(cfg, "grid.points", points)
+    half = _half_width(cfg, "grid.half_width")
+    if not half:
+        pad = 8.0 * math.sqrt(hbar)
+        if _state_family(cfg) == "fock":
+            half = math.sqrt(2.0 * hbar * (cfg.int("state.n", 0) + 1)) + pad
+        else:
+            eta = cfg.floats("state.eta", 2, (0.0, 0.0))
+            half = max(abs(eta[0]), abs(eta[1])) + pad
+    return CenteredGrid(half, half, m, hbar)
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _exp_coherent_demo(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
+def _exp_coherent_demo(cfg: Config, out: str, hbar: float) -> dict:
     state = _coherent(cfg, hbar)
-    m = _even_points(cfg, "grid.points", 256)
-    half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
-    grid = CenteredGrid(half, half, m, hbar)
+    grid = _centre_grid(cfg, hbar, 256)
     pp, qq = grid.meshgrid()
     w_vals = states.coherent_wigner(state, pp, qq)
-    chi, cgrid = _capture(extra, chord_from_centre, w_vals, grid)
+    chi, cgrid = chord_from_centre(w_vals, grid)
     xp, xq = cgrid.meshgrid()
     chi_err = float(np.max(np.abs(chi - states.coherent_chord_function(state, xp, xq))))
-    back, _ = _capture(extra, centre_from_chord, chi, cgrid)
+    back, _ = centre_from_chord(chi, cgrid)
     round_err = float(np.max(np.abs(back - w_vals)))
     gridio.save_grid_csv(os.path.join(out, "wigner.csv"), w_vals, grid, "centre")
     gridio.save_grid_csv(os.path.join(out, "chord.csv"), chi, cgrid, "chord")
     return {
         "chi_closed_form_error": chi_err,
         "round_trip_error": round_err,
-        "chi_at_zero": float(np.real(chi[m // 2, m // 2])),
+        "chi_at_zero": float(np.real(chi[grid.points // 2, grid.points // 2])),
         "expected_chi_at_zero": 1.0 / (2.0 * math.pi * hbar),
     }
 
@@ -264,9 +238,7 @@ def _chord_source(cfg: Config, hbar: float):
     fam = _state_family(cfg)
     if fam == "coherent":
         state = _coherent(cfg, hbar)
-        m = _even_points(cfg, "grid.points", 128)
-        half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
-        grid = CenteredGrid(half, half, m, hbar)
+        grid = _centre_grid(cfg, hbar, 128)
         pp, qq = grid.meshgrid()
         return (states.coherent_wigner(state, pp, qq), grid)
     if fam in _CURVE_FAMILIES:
@@ -274,17 +246,14 @@ def _chord_source(cfg: Config, hbar: float):
     raise ConfigError(f"state.family {fam!r} has no chord-transport source")
 
 
-def _exp_evolve_chord(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
-    source = _capture(extra, _chord_source, cfg, hbar)
+def _exp_evolve_chord(cfg: Config, out: str, hbar: float) -> dict:
+    source = _chord_source(cfg, hbar)
     model = _hamiltonian(cfg)
     channels = _channels(cfg)
     t = cfg.float("time.t", 0.0)
     dt = cfg.float("time.dt", 1e-3)
-    # xi.points = 0, the default here, reuses grid.points
-    m = _even_points(cfg, "xi.points" if cfg.int("xi.points", 0) else "grid.points", 128)
-    chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
-                      t, dt=dt, hbar=hbar)
+    m = _even_points(cfg, "xi.points", _even_points(cfg, "grid.points", 128))
+    chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
     half = _half_width(cfg, "xi.half_width") or 7.44 * math.sqrt(2.0 * hbar)
     cgrid = CenteredGrid(half, half, m, hbar)
     xp, xq = cgrid.meshgrid()
@@ -319,9 +288,8 @@ def _pick_route(cfg: Config, fam: str, t: float) -> str:
     raise ConfigError(f"no lwc route for state.family {fam!r}")
 
 
-def _lwc_samples(cfg: Config, extra: dict):
+def _lwc_samples(cfg: Config, hbar: float):
     """Shared by the lwc and spectrum experiments."""
-    hbar = extra["hbar"]
     fam = _state_family(cfg)
     t = cfg.float("time.t", 0.0)
     dt = cfg.float("time.dt", 1e-3)
@@ -344,15 +312,14 @@ def _lwc_samples(cfg: Config, extra: dict):
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = _coherent(cfg, hbar)
     elif route == "chord":
-        source = _capture(extra, _chord_source, cfg, hbar)
-        chi_fn = _capture(extra, evolve_chord_function, source, model, channels,
-                          t, dt=dt, hbar=hbar)
+        source = _chord_source(cfg, hbar)
+        chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
         if route != "sc-markov" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
-        curve = _capture(extra, _curve, cfg, fam)
+        curve = _curve(cfg, fam)
 
     samples = []
     for q0 in q_centres:
@@ -364,14 +331,13 @@ def _lwc_samples(cfg: Config, extra: dict):
             span = 6.0 * delta + 1.0
             q_axis = np.linspace(q0 - span, q0 + span, 801)
             slices = states.coherent_position_slices(coh, q_axis, xi_q)
-            sample = _capture(extra, lwc_direct, slices, q_axis, xi_q, window, xi_q)
+            sample = lwc_direct(slices, q_axis, xi_q, window, xi_q)
         elif route == "chord":
-            sample = _capture(extra, lwc_from_chord, chi_fn, window, xi_q)
+            sample = lwc_from_chord(chi_fn, window, xi_q)
         elif route == "sc-berry":
-            sample = _capture(extra, lwc_sc_berry, curve, q0, xi_q, hbar)
+            sample = lwc_sc_berry(curve, q0, xi_q, hbar)
         else:  # sc-quadratic is sc-markov at t = 0
-            sample = _capture(extra, lwc_sc_markov, curve, model, channels, t,
-                              window, xi_q, dt=dt)
+            sample = lwc_sc_markov(curve, model, channels, t, window, xi_q, dt=dt)
         if route.startswith("sc-") and not np.any(~sample.branches.caustic):
             raise RuntimeError(f"no semiclassical branch survives in the window at "
                                f"Q = {q0:g} ({'; '.join(sample.warnings)})")
@@ -379,21 +345,20 @@ def _lwc_samples(cfg: Config, extra: dict):
     return route, samples
 
 
-def _exp_lwc(cfg: Config, out: str, extra: dict) -> dict:
-    route, samples = _lwc_samples(cfg, extra)
-    rows = []
+def _exp_lwc(cfg: Config, out: str, hbar: float) -> dict:
+    route, samples = _lwc_samples(cfg, hbar)
     info = []
     for q0, sample in samples:
-        for x, v in zip(sample.xi_q, sample.values):
-            rows.append((q0, x, v.real, v.imag))
         entry = {"Q": q0, "c0_re": float(np.real(sample.c0())),
                  "c0_im": float(np.imag(sample.c0()))}
         if sample.branches is not None and len(sample.branches):
             entry["branch_momenta"] = [float(p) for p in sample.branches.p]
         info.append(entry)
-    _write_table(os.path.join(out, "lwc.csv"),
-                 [("experiment", "lwc"), ("route", route)],
-                 ["Q", "xi_q", "re", "im"], rows)
+    gridio.write_table(
+        os.path.join(out, "lwc.csv"), [_TABLE_SCHEMA, ("experiment", "lwc"), ("route", route)],
+        ["Q", "xi_q", "re", "im"],
+        np.vstack([np.column_stack([np.full(len(s.xi_q), q0), s.xi_q, s.values.real,
+                                    s.values.imag]) for q0, s in samples]))
     return {"route": route, "windows": info}
 
 
@@ -402,15 +367,13 @@ def _peak_records(peaks) -> list:
              "flagged": pk.flagged} for pk in peaks]
 
 
-def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
-    route, samples = _lwc_samples(cfg, extra)
-    rows = []
+def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
+    route, samples = _lwc_samples(cfg, hbar)
+    tables = []
     info = []
     for q0, sample in samples:
-        sd = _capture(extra, spectrum, sample, hbar)
-        for p, s in zip(sd.p, sd.values):
-            rows.append((q0, p, s))
+        sd = spectrum(sample, hbar)
+        tables.append(np.column_stack([np.full(len(sd.p), q0), sd.p, sd.values]))
         peaks = fit_peaks(sd.p, sd.values, 1e-2)
         entry = {
             "Q": q0,
@@ -423,32 +386,31 @@ def _exp_spectrum(cfg: Config, out: str, extra: dict) -> dict:
             entry["separation"] = v.separation
             entry["widths"] = list(v.widths)
         if route in ("sc-markov", "sc-quadratic"):
-            sc = _capture(extra, lwc_mod._sample_spectrum, sample, sd.p)
+            sc = lwc_mod._sample_spectrum(sample, sd.p)
             entry["closed_form_peaks"] = _peak_records(sc.peaks)
             if len(sc.peaks) >= 2:
                 v = resolution_verdict(list(sc.peaks))
                 entry["closed_form_resolved"] = v.resolved
         info.append(entry)
-    _write_table(os.path.join(out, "spectrum.csv"),
-                 [("experiment", "spectrum"), ("route", route)],
-                 ["Q", "p", "s"], rows)
+    gridio.write_table(os.path.join(out, "spectrum.csv"),
+                       [_TABLE_SCHEMA, ("experiment", "spectrum"), ("route", route)],
+                       ["Q", "p", "s"], np.vstack(tables))
     return {"route": route, "windows": info}
 
 
-def _exp_positivity(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
+def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
     model = _hamiltonian(cfg)
     channels = _channels(cfg)
     if not channels:
         raise ConfigError("positivity needs at least one channel")
-    tp = _capture(extra, positivity_time, model, channels)
+    tp = positivity_time(model, channels)
     rows = []
     for tk in np.linspace(0.0, 2.0 * tp, 65)[1:]:
         dm = decoherence_matrix(model, channels, np.zeros(2), float(tk), frame="initial")
         rows.append((tk, dm.det, dm.phi[0, 0], dm.phi[0, 1], dm.phi[1, 1]))
-    _write_table(os.path.join(out, "positivity.csv"),
-                 [("experiment", "positivity")],
-                 ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"], rows)
+    gridio.write_table(os.path.join(out, "positivity.csv"),
+                       [_TABLE_SCHEMA, ("experiment", "positivity")],
+                       ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"], rows)
     dm = decoherence_matrix(model, channels, np.zeros(2), tp, frame="initial")
     return {
         "positivity_time": tp,
@@ -463,29 +425,30 @@ def _fock_state(cfg: Config, hbar: float, dim: int) -> fock.FockDensityMatrix:
     if fam == "coherent":
         return fock.coherent_density_matrix(cfg.floats("state.eta", 2, (0.0, 0.0)), hbar, dim)
     if fam == "fock":
-        return fock.fock_density_matrix(cfg.int("state.n", 0), hbar, dim)
+        n = cfg.int("state.n", 0)
+        if not 0 <= n < dim:
+            raise ConfigError(f"state.n must be in [0, fock.dim) = [0, {dim}), got {n}")
+        return fock.fock_density_matrix(n, hbar, dim)
     if fam == "cat":
         return fock.cat_density_matrix(cfg.floats("state.eta", 2, (0.0, 0.0)), hbar, dim)
     raise ConfigError(f"state.family {fam!r} is not number-basis representable here")
 
 
-def _exp_husimi(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
+def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     dim = cfg.int("fock.dim", 128)
-    rho = _capture(extra, _fock_state, cfg, hbar, dim)
+    if dim < 1:
+        raise ConfigError(f"fock.dim must be >= 1, got {dim}")
+    rho = _fock_state(cfg, hbar, dim)
     t = cfg.float("time.t", 0.0)
     if t != 0.0:  # evolve_state rejects t < 0
         model = _hamiltonian(cfg)
-        rho = _capture(extra, fock.evolve_state, rho, model, _channels(cfg), t,
-                       cfg.float("time.dt", 1e-3))
-    m = _even_points(cfg, "grid.points", 128)
-    half = _half_width(cfg, "grid.half_width") or _auto_centre_half_width(cfg, hbar)
-    grid = CenteredGrid(half, half, m, hbar)
-    w_vals = _capture(extra, fock.wigner_exact, rho, grid)
-    h_vals = _capture(extra, husimi_mod.husimi_from_wigner, w_vals, grid)
+        rho = fock.evolve_state(rho, model, _channels(cfg), t, cfg.float("time.dt", 1e-3))
+    grid = _centre_grid(cfg, hbar, 128)
+    w_vals = fock.wigner_exact(rho, grid)
+    h_vals = husimi_mod.husimi_from_wigner(w_vals, grid)
     gridio.save_grid_csv(os.path.join(out, "husimi.csv"), h_vals, grid, "husimi")
     peak = int(np.argmax(h_vals))
-    i, j = divmod(peak, m)
+    i, j = divmod(peak, grid.points)
     return {
         "dim": dim,
         "mass": float(np.sum(h_vals) * grid.dp * grid.dq),
@@ -496,8 +459,7 @@ def _exp_husimi(cfg: Config, out: str, extra: dict) -> dict:
     }
 
 
-def _exp_validate(cfg: Config, out: str, extra: dict) -> dict:
-    hbar = extra["hbar"]
+def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
     checks = []
 
     state = states.CoherentState((0.3, -0.4), hbar)
@@ -550,10 +512,9 @@ def _exp_validate(cfg: Config, out: str, extra: dict) -> dict:
 
     rows = [(name, err, tol, "1" if err <= tol else "0")
             for name, err, tol in checks]
-    _write_table(os.path.join(out, "validate.csv"),
-                 [("experiment", "validate")],
-                 ["check", "error", "tol", "passed"],
-                 [(name, _fmt(err), _fmt(tol), ok) for name, err, tol, ok in rows])
+    gridio.write_table(os.path.join(out, "validate.csv"),
+                       [_TABLE_SCHEMA, ("experiment", "validate")],
+                       ["check", "error", "tol", "passed"], rows)
     failures = [name for name, err, tol, ok in rows if ok == "0"]
     if failures:
         raise RuntimeError("validation failed: " + ", ".join(failures))
@@ -623,9 +584,10 @@ def run(argv=None) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    extra = {"hbar": hbar, "warnings": []}
     try:
-        result = _EXPERIMENTS[args.experiment](cfg, out, extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _EXPERIMENTS[args.experiment](cfg, out, hbar)
     except ConfigError as exc:
         return _config_error(args.config, exc)
     except Exception as exc:  # numerical failure: report, nonzero exit
@@ -634,14 +596,18 @@ def run(argv=None) -> int:
 
     payload = {
         "experiment": args.experiment,
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": gridio.SCHEMA_VERSION,
         "hbar": hbar,
         "seed": seed,
         "config": cfg.echo(),
-        "warnings": extra["warnings"],
+        # each message once, in the order first raised
+        "warnings": list(dict.fromkeys(f"{w.category.__name__}: {w.message}"
+                                       for w in caught)),
         "result": result,
     }
-    _write_json(os.path.join(out, f"{args.experiment}.json"), payload)
+    with open(os.path.join(out, f"{args.experiment}.json"), "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
     return 0
 
 

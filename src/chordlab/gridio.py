@@ -1,8 +1,8 @@
-"""Serialization of gridded fields (Wigner, chord, Husimi) as long-format CSV.
-
-``#``-prefixed header lines carry the grid metadata, then one row per
-sample, axis values first.  Floats are written with %.17g so a write/read
-cycle is bit-exact.
+"""CSV tables: ``# key = value`` header lines, a ``# columns = ...`` line,
+then one comma-separated row per sample, every float written with %.17g so a
+write/read cycle is bit-exact.  ``write_table`` writes every table chordlab
+writes; gridded fields (Wigner, chord, Husimi) put their grid in the header
+and the axis values first in each row.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import numpy as np
 from .grids import CenteredGrid
 
 __all__ = [
+    "write_table",
     "save_grid_csv",
     "load_grid_csv",
     "SCHEMA_VERSION",
@@ -20,6 +21,27 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _KINDS = ("centre", "chord", "husimi")
+
+
+def _spec(cell) -> str:
+    return "%s" if isinstance(cell, str) else "%.17g"
+
+
+def write_table(path, header, columns, rows) -> None:
+    """Write ``header`` as ``(key, value)`` pairs, the column names, then ``rows``.
+
+    ``rows`` is a 2-D float array, or a sequence of tuples whose ``str``
+    cells are written as they are; every other cell and header value is
+    written with %.17g.  The first row fixes each column's format.
+    """
+    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [
+        cell for row in rows for cell in row]
+    row = ",".join(_spec(cell) for cell in cells[:len(columns)]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in header:
+            fh.write(f"# {key} = {_spec(value) % value}\n")
+        fh.write("# columns = " + ",".join(columns) + "\n")
+        fh.write((row * (len(cells) // len(columns))) % tuple(cells))
 
 
 def _check_kind(kind: str) -> None:
@@ -31,21 +53,14 @@ def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "cen
     _check_kind(kind)
     values = np.asarray(values)
     complex_data = np.iscomplexobj(values)
-    cols = "axis0,axis1,re,im" if complex_data else "axis0,axis1,value"
-    a0, a1 = grid.p_axis, grid.q_axis
-    with open(path, "w") as fh:
-        fh.write(f"# chordlab-grid schema_version = {SCHEMA_VERSION}\n")
-        fh.write(f"# kind = {kind}\n")
-        fh.write(f"# points = {grid.points}\n")
-        fh.write(f"# half_width_p = {grid.half_width_p:.17g}\n")
-        fh.write(f"# half_width_q = {grid.half_width_q:.17g}\n")
-        fh.write(f"# hbar = {grid.hbar:.17g}\n")
-        fh.write(f"# columns = {cols}\n")
-        pp, qq = np.meshgrid(a0, a1, indexing="ij")
-        parts = (values.real, values.imag) if complex_data else (values,)
-        table = np.stack([pp, qq, *parts], axis=-1).reshape(-1, 2 + len(parts))
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+    pp, qq = np.meshgrid(grid.p_axis, grid.q_axis, indexing="ij")
+    parts = (values.real, values.imag) if complex_data else (values,)
+    write_table(path,
+                [("chordlab-grid schema_version", SCHEMA_VERSION), ("kind", kind),
+                 ("points", grid.points), ("half_width_p", grid.half_width_p),
+                 ("half_width_q", grid.half_width_q), ("hbar", grid.hbar)],
+                ["axis0", "axis1", "re", "im"] if complex_data else ["axis0", "axis1", "value"],
+                np.stack([pp, qq, *parts], axis=-1).reshape(-1, 2 + len(parts)))
 
 
 def load_grid_csv(path):

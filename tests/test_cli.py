@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from chordlab import cli, dynamics, hamiltonians, lwc
 from chordlab.config import Config
 from chordlab.curves import harmonic_circle
+from chordlab.diagnostics import TruncationWarning
 
 
 def run_cli(*argv):
@@ -114,13 +116,36 @@ xi.half_width = {half}
      "grid.points must be even and >= 2"),
     ("spectrum", "state.family = circle\nstate.samples = 4\nwindow.q = 0\nxi.points = 64\n",
      "state.samples must be >= 8"),
+    ("evolve-chord", "state.eta = 0 0\nxi.points = 0\ngrid.points = 16\n",
+     "xi.points must be even and >= 2"),
+    ("husimi", "state.family = fock\nfock.dim = 0\ngrid.points = 32\n",
+     "fock.dim must be >= 1"),
+    ("husimi", "state.family = fock\nfock.dim = -3\ngrid.points = 32\n",
+     "fock.dim must be >= 1"),
+    ("husimi", "state.family = fock\nstate.n = -1\nfock.dim = 16\ngrid.points = 32\n",
+     "state.n must be in [0, fock.dim)"),
+    ("husimi", "state.family = fock\nstate.n = 200\nfock.dim = 16\ngrid.points = 32\n",
+     "state.n must be in [0, fock.dim)"),
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
-        "samples-4"])
+        "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
+        "fock-n-too-large"])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not (out / f"{experiment}.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["coherent-demo", "positivity"])
+@pytest.mark.parametrize("key", ["time.t", "time.dt"])
+def test_time_keys_are_unknown_where_unread(tmp_path, capsys, experiment, key):
+    # neither experiment evolves a state, so a time key would be echoed unused
+    cfg = write_cfg(tmp_path, f"hbar = 0.05\n{key} = 0.5\n")
+    out = tmp_path / "o"
+    assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and f"unknown key '{key}'" in err
     assert not (out / f"{experiment}.json").exists()
 
 
@@ -190,6 +215,25 @@ xi.half_width = 0.3
     notes = json.loads((out / "spectrum.json").read_text())["warnings"]
     assert len(notes) == len(set(notes))
     assert sum("not decayed" in msg for msg in notes) == 1
+
+
+def test_sidecar_lists_warnings_from_any_call_once(tmp_path, monkeypatch):
+    """The sidecar records every warning raised during the run, whichever
+    call raised it, once: here twice per window from the peak fit."""
+    real = cli.fit_peaks
+
+    def noisy_fit(*args, **kwargs):
+        for _ in range(2):
+            warnings.warn("probe note", TruncationWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_peaks", noisy_fit)
+    cfg = write_cfg(tmp_path, "state.eta = 0.3 0\nwindow.q = 0\nwindow.q = 0.2\n"
+                              "xi.points = 64\n")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+    notes = read_json(out, "spectrum.json")["warnings"]
+    assert notes.count("TruncationWarning: probe note") == 1
 
 
 def test_sidecar_is_strict_json(tmp_path):
@@ -442,6 +486,15 @@ def test_evolve_chord_rejects_odd_xi_points(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "state.eta = 0 0\nxi.points = 31\ngrid.points = 32\n")
     assert run_cli("evolve-chord", "--config", cfg, "--out", str(tmp_path)) == 2
     assert "must be even" in capsys.readouterr().err
+
+
+def test_evolve_chord_xi_points_default_to_grid_points(tmp_path):
+    cfg = write_cfg(tmp_path, "state.eta = 0 0\ngrid.points = 16\n")
+    out = tmp_path / "o"
+    assert run_cli("evolve-chord", "--config", cfg, "--out", str(out)) == 0
+    rows = [line for line in (out / "chord.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 16 * 16
 
 
 def test_husimi_fock_state(tmp_path):

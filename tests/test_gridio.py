@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chordlab.gridio import load_grid_csv, save_grid_csv
+from chordlab.gridio import load_grid_csv, save_grid_csv, write_table
 from chordlab.grids import CenteredGrid
 
 
@@ -70,3 +70,13 @@ def test_csv_rows_match_per_element_writer(tmp_path, complex_data):
     lines = path.read_text().splitlines(keepends=True)
     assert all(line.startswith("#") for line in lines[:7])
     assert "".join(lines[7:]) == "".join(rows)
+
+
+def test_write_table_keeps_str_cells_and_formats_the_rest(tmp_path):
+    """Tuple rows: str cells verbatim, numbers (header values too) with .17g."""
+    path = tmp_path / "t.csv"
+    rows = [("a", 0.1, -0.0, "1"), ("b", np.nan, 1e-300, "0")]
+    write_table(path, [("kind", "demo"), ("hbar", 0.05)], ["name", "x", "y", "ok"], rows)
+    assert path.read_text() == (
+        "# kind = demo\n# hbar = 0.050000000000000003\n# columns = name,x,y,ok\n"
+        "a,0.10000000000000001,-0,1\nb,nan,1e-300,0\n")
