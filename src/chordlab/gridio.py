@@ -1,8 +1,11 @@
 """CSV tables: ``# key = value`` header lines, a ``# columns = ...`` line,
 then one comma-separated row per sample, every float written with %.17g so a
 write/read cycle is bit-exact.  ``write_table`` writes every table chordlab
-writes; gridded fields (Wigner, chord, Husimi) put their grid in the header
-and the axis values first in each row.
+writes; its rows are a number array, an object array whose ``str`` cells are
+written as they are, or tuples.  Gridded fields (Wigner, chord, Husimi) put
+their grid in the header and the axis values first in each row; each axis
+value is formatted once and its string repeated down the grid, and
+``load_grid_csv`` checks the columns and the axes against the header grid.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _KINDS = ("centre", "chord", "husimi")
+_COLUMNS = {False: ["axis0", "axis1", "value"], True: ["axis0", "axis1", "re", "im"]}
 
 
 def _spec(cell) -> str:
@@ -30,9 +34,10 @@ def _spec(cell) -> str:
 def write_table(path, header, columns, rows) -> None:
     """Write ``header`` as ``(key, value)`` pairs, the column names, then ``rows``.
 
-    ``rows`` is a 2-D float array, or a sequence of tuples whose ``str``
-    cells are written as they are; every other cell and header value is
-    written with %.17g.  The first row fixes each column's format.
+    ``rows`` is an array with one row per line (numbers, or objects whose
+    ``str`` cells are written as they are), or a sequence of such tuples;
+    every other cell and header value is written with %.17g.  The first row
+    fixes each column's format.
     """
     cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [
         cell for row in rows for cell in row]
@@ -49,18 +54,28 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {_KINDS}")
 
 
+def _axis_strings(axis: np.ndarray) -> np.ndarray:
+    return np.array(["%.17g" % x for x in axis.tolist()], dtype=object)
+
+
 def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "centre"):
     _check_kind(kind)
     values = np.asarray(values)
+    m = grid.points
+    if values.shape != (m, m):
+        raise ValueError(f"values have shape {values.shape}; the grid needs {(m, m)}")
     complex_data = np.iscomplexobj(values)
-    pp, qq = np.meshgrid(grid.p_axis, grid.q_axis, indexing="ij")
     parts = (values.real, values.imag) if complex_data else (values,)
+    rows = np.empty((m, m, 2 + len(parts)), dtype=object)
+    rows[:, :, 0] = _axis_strings(grid.p_axis)[:, None]
+    rows[:, :, 1] = _axis_strings(grid.q_axis)
+    for k, part in enumerate(parts):
+        rows[:, :, 2 + k] = part
     write_table(path,
                 [("chordlab-grid schema_version", SCHEMA_VERSION), ("kind", kind),
-                 ("points", grid.points), ("half_width_p", grid.half_width_p),
+                 ("points", m), ("half_width_p", grid.half_width_p),
                  ("half_width_q", grid.half_width_q), ("hbar", grid.hbar)],
-                ["axis0", "axis1", "re", "im"] if complex_data else ["axis0", "axis1", "value"],
-                np.stack([pp, qq, *parts], axis=-1).reshape(-1, 2 + len(parts)))
+                _COLUMNS[complex_data], rows)
 
 
 def load_grid_csv(path):
@@ -90,11 +105,21 @@ def load_grid_csv(path):
     except KeyError as exc:
         raise ValueError(f"grid CSV is missing header field {exc}") from None
     _check_kind(kind)
-    data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
-    if data.shape[0] != m * m:
-        raise ValueError(f"expected {m * m} rows, found {data.shape[0]}")
-    if data.shape[1] == 4:
-        values = (data[:, 2] + 1j * data[:, 3]).reshape(m, m)
-    else:
-        values = data[:, 2].reshape(m, m)
-    return values, grid, kind
+    columns = meta.get("columns", "").split(",")
+    if columns not in _COLUMNS.values():
+        raise ValueError(f"grid CSV columns {meta.get('columns')!r}; expected "
+                         "'axis0,axis1,value' or 'axis0,axis1,re,im'")
+    if len(rows) != m * m:
+        raise ValueError(f"expected {m * m} rows, found {len(rows)}")
+    cells = [row.split(",") for row in rows]
+    for n, row in enumerate(cells):
+        if len(row) != len(columns):
+            raise ValueError(f"data row {n + 1} has {len(row)} cells; "
+                             f"the columns are {','.join(columns)}")
+    data = np.array([[float(tok) for tok in row] for row in cells]).reshape(m, m, -1)
+    for col, axis, name in ((0, grid.p_axis[:, None], "p_axis"), (1, grid.q_axis, "q_axis")):
+        if not (data[:, :, col].view(np.int64) == axis.view(np.int64)).all():
+            raise ValueError(f"column {columns[col]} does not hold the header grid's {name}")
+    if len(columns) == 4:
+        return data[:, :, 2] + 1j * data[:, :, 3], grid, kind
+    return data[:, :, 2], grid, kind

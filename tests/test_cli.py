@@ -13,6 +13,9 @@ from chordlab import cli, dynamics, hamiltonians, lwc
 from chordlab.config import Config
 from chordlab.curves import harmonic_circle
 from chordlab.diagnostics import TruncationWarning
+from chordlab.gridio import load_grid_csv
+from chordlab.grids import CenteredGrid, chord_from_centre
+from chordlab.states import CoherentState, coherent_wigner
 
 
 def run_cli(*argv):
@@ -168,6 +171,23 @@ def test_coherent_demo_and_determinism(tmp_path):
     assert res["chi_closed_form_error"] < 1e-10
     assert res["round_trip_error"] < 1e-12
     assert res["chi_at_zero"] == pytest.approx(res["expected_chi_at_zero"], rel=1e-10)
+
+
+def test_coherent_demo_grid_files_load_to_the_library_arrays(tmp_path):
+    """wigner.csv and chord.csv, on their two different grids, pass the loader's
+    column and axis checks and give back exactly the library's arrays."""
+    cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.eta = 0.3 -0.2\n"
+                    "grid.points = 32\ngrid.half_width = 2.5\n")
+    assert run_cli("coherent-demo", "--config", cfg, "--out", str(tmp_path)) == 0
+    grid = CenteredGrid(2.5, 2.5, 32, 0.05)
+    w_vals = coherent_wigner(CoherentState((0.3, -0.2), 0.05), *grid.meshgrid())
+    chi, cgrid = chord_from_centre(w_vals, grid)
+    for name, kind, want, want_grid in (("wigner.csv", "centre", w_vals, grid),
+                                        ("chord.csv", "chord", chi, cgrid)):
+        vals, back_grid, back_kind = load_grid_csv(tmp_path / name)
+        assert (back_kind, back_grid) == (kind, want_grid)
+        assert vals.dtype == want.dtype and np.array_equal(vals, want)
+    assert cgrid != grid
 
 
 def test_seed_override_is_echoed(tmp_path):

@@ -80,3 +80,76 @@ def test_write_table_keeps_str_cells_and_formats_the_rest(tmp_path):
     assert path.read_text() == (
         "# kind = demo\n# hbar = 0.050000000000000003\n# columns = name,x,y,ok\n"
         "a,0.10000000000000001,-0,1\nb,nan,1e-300,0\n")
+
+
+def _edit_rows(path, edit):
+    """Rewrite each data row of a grid CSV as ``edit(cells)``."""
+    lines = path.read_text().splitlines()
+    body = [",".join(edit(line.split(","))) for line in lines[7:]]
+    path.write_text("\n".join(lines[:7] + body) + "\n")
+
+
+def _one_ulp_off(cells):
+    if cells[1] == "0":
+        cells[1] = "%.17g" % np.nextafter(0.0, 1.0)
+    return cells
+
+
+@pytest.mark.parametrize("edit, header, match", [
+    (lambda c: c + ["0"], None, "4 cells"),
+    (lambda c: c[:2], None, "2 cells"),
+    (lambda c: ["9", "9"] + c[2:], None, "axis0"),
+    (_one_ulp_off, None, "axis1"),
+    (None, ("axis0,axis1,value", "p,q,value"), "columns"),
+    (None, ("# columns = axis0,axis1,value\n", ""), "columns"),
+], ids=["extra-cell", "two-cells", "axis-cells-nine", "axis1-one-ulp", "renamed-columns",
+        "no-columns-line"])
+def test_load_rejects_rows_off_the_columns_or_axes(tmp_path, edit, header, match):
+    vals, grid = _sample_field(False)
+    path = tmp_path / "field.csv"
+    save_grid_csv(path, vals, grid)
+    if edit is not None:
+        _edit_rows(path, edit)
+    if header is not None:
+        path.write_text(path.read_text().replace(*header))
+    with pytest.raises(ValueError, match=match):
+        load_grid_csv(path)
+
+
+def _per_element_file(vals, grid, kind):
+    """The grid CSV of ``vals`` as float64 or complex128, one .17g format per cell."""
+    complex_data = np.iscomplexobj(vals)
+    vals = np.asarray(vals, dtype=complex if complex_data else float)
+    lines = [f"# chordlab-grid schema_version = 1\n# kind = {kind}\n"
+             f"# points = {grid.points}\n# half_width_p = {grid.half_width_p:.17g}\n"
+             f"# half_width_q = {grid.half_width_q:.17g}\n# hbar = {grid.hbar:.17g}\n"
+             "# columns = " + ("axis0,axis1,re,im\n" if complex_data else "axis0,axis1,value\n")]
+    for i, a0 in enumerate(grid.p_axis):
+        for j, a1 in enumerate(grid.q_axis):
+            v = vals[i, j]
+            tail = f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}"
+            lines.append(f"{a0:.17g},{a1:.17g},{tail}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int64", "bool", "complex64",
+                                   "float64-transposed", "complex128-transposed"])
+def test_grid_write_of_any_value_dtype_matches_per_element_writer(tmp_path, dtype):
+    """Value cells keep their number type in the object rows; each must print
+    as its float64 (or complex128) value would."""
+    vals, grid = _sample_field(dtype.startswith("complex"))
+    vals = vals * 1e3
+    if dtype.endswith("transposed"):
+        vals = vals.T
+        assert not vals.flags.c_contiguous
+    else:
+        vals = vals.astype(dtype)
+    path = tmp_path / "field.csv"
+    save_grid_csv(path, vals, grid, "husimi")
+    assert path.read_text() == _per_element_file(vals, grid, "husimi")
+
+
+def test_save_rejects_values_off_the_grid_shape(tmp_path):
+    vals, grid = _sample_field(False)
+    with pytest.raises(ValueError, match="shape"):
+        save_grid_csv(tmp_path / "x.csv", vals[:1], grid)
