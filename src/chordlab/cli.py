@@ -72,7 +72,7 @@ common keys
 
 evolution time (evolve-chord, lwc, spectrum, husimi)
   time.t              float, default 0: evolution time
-  time.dt             float, default 1e-3: integrator step, used for
+  time.dt             float > 0, default 1e-3: integrator step, used for
                       non-quadratic models only (quadratic ones are exact);
                       for husimi, the spacing of the number-basis leak checks
                       (that evolution is exact)
@@ -185,6 +185,14 @@ def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
     return states.CoherentState(eta, hbar)
 
 
+def _time(cfg: Config) -> tuple:
+    """(time.t, time.dt); time.dt is a step or a check spacing, so it must be positive."""
+    dt = cfg.float("time.dt", 1e-3)
+    if dt <= 0.0:
+        raise ConfigError(f"time.dt must be positive, got {dt:g}")
+    return cfg.float("time.t", 0.0), dt
+
+
 def _half_width(cfg: Config, key: str) -> float:
     """A configured half width; 0, the default, asks for the automatic one."""
     half = cfg.float(key, 0.0)
@@ -250,8 +258,7 @@ def _exp_evolve_chord(cfg: Config, out: str, hbar: float) -> dict:
     source = _chord_source(cfg, hbar)
     model = _hamiltonian(cfg)
     channels = _channels(cfg)
-    t = cfg.float("time.t", 0.0)
-    dt = cfg.float("time.dt", 1e-3)
+    t, dt = _time(cfg)
     m = _even_points(cfg, "xi.points", _even_points(cfg, "grid.points", 128))
     chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
     half = _half_width(cfg, "xi.half_width") or 7.44 * math.sqrt(2.0 * hbar)
@@ -291,8 +298,7 @@ def _pick_route(cfg: Config, fam: str, t: float) -> str:
 def _lwc_samples(cfg: Config, hbar: float):
     """Shared by the lwc and spectrum experiments."""
     fam = _state_family(cfg)
-    t = cfg.float("time.t", 0.0)
-    dt = cfg.float("time.dt", 1e-3)
+    t, dt = _time(cfg)
     q_centres = cfg.float_list("window.q")
     if not q_centres:
         raise ConfigError("need at least one window.q")
@@ -439,10 +445,9 @@ def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     if dim < 1:
         raise ConfigError(f"fock.dim must be >= 1, got {dim}")
     rho = _fock_state(cfg, hbar, dim)
-    t = cfg.float("time.t", 0.0)
+    t, dt = _time(cfg)
     if t != 0.0:  # evolve_state rejects t < 0
-        model = _hamiltonian(cfg)
-        rho = fock.evolve_state(rho, model, _channels(cfg), t, cfg.float("time.dt", 1e-3))
+        rho = fock.evolve_state(rho, _hamiltonian(cfg), _channels(cfg), t, dt)
     grid = _centre_grid(cfg, hbar, 128)
     w_vals = fock.wigner_exact(rho, grid)
     h_vals = husimi_mod.husimi_from_wigner(w_vals, grid)

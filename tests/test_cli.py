@@ -129,9 +129,20 @@ xi.half_width = {half}
      "state.n must be in [0, fock.dim)"),
     ("husimi", "state.family = fock\nstate.n = 200\nfock.dim = 16\ngrid.points = 32\n",
      "state.n must be in [0, fock.dim)"),
+    ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
+     "time.t = 0.5\ntime.dt = -0.001\n", "time.dt must be positive"),
+    ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
+     "time.t = 0.5\ntime.dt = 0\n", "time.dt must be positive"),
+    ("evolve-chord", "state.eta = 0 0\ngrid.points = 16\ntime.t = 0.1\ntime.dt = 0\n",
+     "time.dt must be positive"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\ntime.dt = -1\n",
+     "time.dt must be positive"),
+    ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = 0.1\n"
+     "time.dt = 0\n", "time.dt must be positive"),
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
-        "fock-n-too-large"])
+        "fock-n-too-large", "husimi-dt-negative", "husimi-dt-zero", "evolve-chord-dt-zero",
+        "lwc-dt-negative", "spectrum-dt-zero"])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
-from chordlab import dynamics, hamiltonians
+from chordlab import dynamics, fock, hamiltonians
 from chordlab.diagnostics import GridDomainWarning, TruncationWarning
 from chordlab.dynamics import LindbladChannel
 from chordlab.fock import (
@@ -335,7 +336,16 @@ def test_lindblad_evolve_matches_dense_generator_exponential():
     form of the master equation, exponentiated densely.  The pendulum's
     eigh-built cos q carries rounding noise in every entry, which the sparse
     build drops."""
-    dim = 24
+    h, l_ops, gen = _dense_pendulum_generator()
+    rho0 = coherent_density_matrix((0.2, 0.3), HBAR, 24)
+    want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(24, 24)
+    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR)
+    assert np.max(np.abs(got.rho - want)) < 5e-14
+
+
+def _dense_pendulum_generator(dim=24):
+    """H and L of a damped, measured pendulum, and the generator assembled
+    column by column from the matrix form of the master equation."""
     h = hamiltonian_matrix(hamiltonians.pendulum(1.0), dim, HBAR)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in (DAMPING, Q_MEASURE)]
 
@@ -347,10 +357,107 @@ def test_lindblad_evolve_matches_dense_generator_exponential():
         return out
 
     gen = np.stack([rhs(e).ravel() for e in np.eye(dim * dim).reshape(-1, dim, dim)], axis=1)
-    rho0 = coherent_density_matrix((0.2, 0.3), HBAR, dim)
-    want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(dim, dim)
-    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR)
+    return h, l_ops, gen
+
+
+def test_one_segment_beyond_condition_3_13_matches_dense_exponential():
+    """dt = 1 makes t = 0.7 one segment whose 1-norm fails Al-Mohy & Higham's
+    condition 3.13, where their algorithm would lower s from norm estimates
+    of powers; the 1-norm's larger s must still be exact."""
+    h, l_ops, gen = _dense_pendulum_generator()
+    assert np.abs(0.7 * gen).sum(axis=0).max() > 63.36
+    rho0 = coherent_density_matrix((0.2, 0.3), HBAR, 24)
+    want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(24, 24)
+    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR, dt=1.0)
     assert np.max(np.abs(got.rho - want)) < 5e-14
+
+
+def _per_segment_reference(rho0, h, l_ops, t, dt):
+    """The evolution as scipy's expm_multiply, called once per segment."""
+    segments = max(1, math.ceil(t / (25 * dt)))
+    step = fock._liouvillian(h, l_ops, HBAR) * (t / segments)
+    vec = rho0.rho.ravel()
+    for _ in range(segments):
+        vec = expm_multiply(step, vec, traceA=0.0)
+    rho = vec.reshape(rho0.dim, rho0.dim)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("channels", [(Q_MEASURE,), (DAMPING,), (Q_MEASURE, DAMPING)],
+                         ids=["q", "damping", "both"])
+@pytest.mark.parametrize("model, dim", [
+    (hamiltonians.harmonic(), 24), (hamiltonians.harmonic(), 64),
+    (hamiltonians.quartic(1.0, 1.0), 48), (hamiltonians.quartic(1.0, 1.0), 120),
+    (hamiltonians.pendulum(1.0), 32), (hamiltonians.pendulum(1.0), 80),
+], ids=["harmonic-24", "harmonic-64", "quartic-48", "quartic-120", "pendulum-32",
+        "pendulum-80"])
+def test_taylor_loop_matches_per_segment_expm_multiply(model, dim, channels):
+    """Segment 1-norms here satisfy condition 3.13, where the loop's (m*, s) is
+    scipy's choice: the same terms in the same order."""
+    rho0 = cat_density_matrix((0.25, 0.3), HBAR, dim)
+    h = hamiltonian_matrix(model, dim, HBAR)
+    l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
+    got = lindblad_evolve(rho0, h, l_ops, 0.1, HBAR, dt=1e-3).rho
+    want = _per_segment_reference(rho0, h, l_ops, 0.1, 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_zero_generator_returns_rho0_unchanged():
+    # exactly Hermitian, so the closing symmetrization is the identity
+    cat = cat_density_matrix((0.3, -0.2), HBAR, 24).rho
+    rho0 = FockDensityMatrix(0.5 * (cat + cat.conj().T), HBAR)
+    h = np.zeros((24, 24))
+    for l_ops in ([], [np.zeros((24, 24))]):
+        out = lindblad_evolve(rho0, h, l_ops, 0.4, HBAR)
+        assert np.array_equal(out.rho, rho0.rho)
+    # t = 0 scales a nonzero generator to zero
+    l_ops = [build_linear_lindblad(DAMPING, HBAR, 24)]
+    out = lindblad_evolve(rho0, hamiltonian_matrix(hamiltonians.harmonic(), 24, HBAR), l_ops,
+                          0.0, HBAR)
+    assert np.array_equal(out.rho, rho0.rho)
+
+
+def test_leak_error_comes_from_the_first_segment_past_the_tolerance():
+    """The pumped vacuum's top-decile population grows with every segment; the
+    error must report the first segment's population over 1e-6, not the last."""
+    dim, t, dt = 16, 2.5, 4e-3
+    rho0 = coherent_density_matrix((0.0, 0.0), HBAR, dim)
+    h = hamiltonian_matrix(hamiltonians.zero(), dim, HBAR)
+    l_ops = [build_linear_lindblad(PUMP, HBAR, dim)]
+    segments = math.ceil(t / (25 * dt))
+    step = fock._liouvillian(h, l_ops, HBAR) * (t / segments)
+    vec = rho0.rho.ravel()
+    leaks = []
+    for _ in range(segments):
+        vec = expm_multiply(step, vec, traceA=0.0)
+        leaks.append(fock._top_decile(np.real(vec[::dim + 1])))
+    first = next(k for k, leak in enumerate(leaks) if leak > 1e-6)
+    assert 0 < first < segments - 1 and leaks[-1] > 10 * leaks[first]
+    with pytest.raises(TruncationLeakError, match=f"population {leaks[first]:.2e} reached"):
+        lindblad_evolve(rho0, h, l_ops, t, HBAR, dt=dt)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t": math.nan}, "t must be finite"),
+    ({"t": math.inf}, "t must be finite"),
+    ({"t": -1.0}, "t must be finite and nonnegative"),
+    ({"dt": 0.0}, "dt must be finite and positive"),
+    ({"dt": -1.0}, "dt must be finite and positive"),
+    ({"dt": math.nan}, "dt must be finite and positive"),
+    ({"dt": math.inf}, "dt must be finite and positive"),
+    ({"h_mat": np.zeros((23, 23))}, r"h_mat has shape \(23, 23\)"),
+    ({"l_mats": [np.zeros((24, 24)), np.zeros((24, 25))]}, r"l_mats\[1\] has shape"),
+], ids=["t-nan", "t-inf", "t-negative", "dt-zero", "dt-negative", "dt-nan", "dt-inf",
+        "h-shape", "l-shape"])
+def test_lindblad_evolve_rejects_bad_times_and_shapes(kwargs, message):
+    dim = 24
+    args = {"rho0": coherent_density_matrix((0.0, 0.0), HBAR, dim),
+            "h_mat": hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR),
+            "l_mats": [build_linear_lindblad(DAMPING, HBAR, dim)],
+            "t": 3.0, "hbar": HBAR, "dt": 1e-3}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=message):
+        lindblad_evolve(**args)
 
 
 def test_hamiltonian_matrix_families():
