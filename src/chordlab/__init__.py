@@ -26,8 +26,8 @@ from .grids import (CenteredGrid, boundary_decay_ok, centre_from_chord,
                     chord_from_centre, ft_axis, reflect_values, simpson_weights)
 from .gridio import load_grid_csv, save_grid_csv
 from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
-from .lwc import (LwcSample, LwcWindow, Peak, ResolutionVerdict, SpectralDensity,
-                  fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
+from .lwc import (BranchLines, LwcSample, LwcWindow, Peak, ResolutionVerdict,
+                  SpectralDensity, fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
                   lwc_direct, lwc_from_chord, lwc_sc_berry, lwc_sc_markov,
                   resolution_verdict, sc_spectrum_closed_form, shear_phi_qq,
                   spectrum, suggest_xi_q_grid)

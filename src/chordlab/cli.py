@@ -392,7 +392,7 @@ def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
             entry["separation"] = v.separation
             entry["widths"] = list(v.widths)
         if route in ("sc-markov", "sc-quadratic"):
-            sc = lwc_mod._sample_spectrum(sample, sd.p)
+            sc = sample.lines.spectrum(sd.p)
             entry["closed_form_peaks"] = _peak_records(sc.peaks)
             if len(sc.peaks) >= 2:
                 v = resolution_verdict(list(sc.peaks))

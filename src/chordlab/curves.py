@@ -260,6 +260,8 @@ def branches_at(curve: LagrangianCurve, Q: float,
     outside the curve's q-projection.  A root where the parametrization
     itself is stationary (both derivatives vanish) is degenerate and raises.
     """
+    if not math.isfinite(Q):
+        raise ValueError(f"Q must be finite, got {Q!r}")
     sp, sq = curve._get_splines()
     roots = sq.solve(Q, extrapolate=False)
     roots = np.mod(roots, _TWO_PI)

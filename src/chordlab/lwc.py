@@ -14,6 +14,10 @@ and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  Stationary-branch plane waves (``lwc_sc_berry``)
 are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
 
+One branch pass gives a window's lines as a ``BranchLines`` record, which
+gives C on a xi_q grid and the closed-form spectrum on a p axis; a sample
+keeps it as ``lines``, so ``sample.lines.spectrum(p)`` needs no second pass.
+
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
 """
@@ -34,6 +38,7 @@ from .states import CoherentState
 __all__ = [
     "LwcWindow",
     "LwcSample",
+    "BranchLines",
     "SpectralDensity",
     "Peak",
     "ResolutionVerdict",
@@ -61,8 +66,8 @@ class LwcWindow:
     hbar: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.hbar <= 0:
-            raise ValueError("delta and hbar must be positive")
+        if not (math.isfinite(self.Q) and 0 < self.delta < math.inf and 0 < self.hbar < math.inf):
+            raise ValueError("Q must be finite, delta and hbar finite and positive")
 
     @classmethod
     def canonical(cls, Q: float, hbar: float) -> "LwcWindow":
@@ -77,14 +82,22 @@ class LwcWindow:
 
 @dataclass(frozen=True)
 class LwcSample:
-    """C(xi_q) on a xi_q grid, with provenance for downstream spectra."""
+    """C(xi_q) on a xi_q grid; a semiclassical sample keeps the branch lines
+    it was summed from."""
 
     xi_q: np.ndarray
     values: np.ndarray
     window: LwcWindow | None
     warnings: list = field(default_factory=list)
-    branches: BranchData | None = None
-    phi_qq: tuple = ()
+    lines: BranchLines | None = None
+
+    @property
+    def branches(self) -> BranchData | None:
+        return None if self.lines is None else self.lines.branches
+
+    @property
+    def phi_qq(self) -> tuple:
+        return () if self.lines is None else self.lines.phi_qq
 
     def c0(self) -> complex:
         i = int(np.argmin(np.abs(self.xi_q)))
@@ -124,6 +137,52 @@ class ResolutionVerdict:
     resolved: bool
     separation: float
     widths: tuple
+
+
+@dataclass(frozen=True)
+class BranchLines:
+    """The lines of one window: each live branch j is A_j N(p_j, sigma_j^2),
+    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2 (``variance``; nan on
+    caustic branches, which both sums leave out), with the branch pass's notes."""
+
+    branches: BranchData
+    phi_qq: tuple
+    variance: np.ndarray
+    hbar: float
+    warnings: list
+
+    def correlation(self, xi_q) -> np.ndarray:
+        """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2),
+        the Fourier pair of the lines."""
+        xi_q = np.asarray(xi_q, dtype=float)
+        br, hb = self.branches, self.hbar
+        live = ~br.caustic
+        return np.exp(-1j * np.outer(xi_q, br.p[live]) / hb - np.outer(
+            xi_q**2, self.variance[live]) / (2.0 * hb**2)) @ br.amplitude[live]
+
+    def spectrum(self, p_axis) -> SpectralDensity:
+        """The lines sampled on p_axis, tallest peak first.  A variance below
+        the axis spacing squared is floored there and flagged (the true peak is
+        narrower than the axis shows); the warnings are the record's plus those."""
+        br = self.branches
+        p_axis = np.asarray(p_axis, dtype=float)
+        dp = float(np.min(np.abs(np.diff(p_axis)))) if p_axis.size > 1 else 0.0
+        notes = list(self.warnings)
+        vals = np.zeros(p_axis.size)
+        peaks = []
+        for j in np.flatnonzero(~br.caustic):
+            var = float(self.variance[j])
+            flagged = var < dp**2
+            if flagged:
+                var = max(dp**2, 1e-300)
+                diagnostics.report(notes, f"spectral peak at p = {br.p[j]:g} narrower than "
+                                   "the p axis spacing; width floored to one bin",
+                                   diagnostics.TruncationWarning)
+            height = br.amplitude[j] / math.sqrt(2.0 * math.pi * var)
+            vals += height * np.exp(-((p_axis - br.p[j]) ** 2) / (2.0 * var))
+            peaks.append(Peak(float(br.p[j]), float(height), var, flagged=flagged))
+        peaks.sort(key=lambda pk: -pk.height)
+        return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
 
 
 def local_translation_weyl(window: LwcWindow, xi_q, p, q):
@@ -247,17 +306,15 @@ def shear_phi_qq(phi, slope: float) -> float:
     return float(u @ mat @ u)
 
 
-def _line_variance(br: BranchData, phi_qq, hbar: float, delta: float) -> np.ndarray:
-    """Spectral variance of each branch line: hbar Phi_qq(shear) + Delta^2 slope^2."""
-    return hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
-
-
 def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
                   H, channels, t: float, dt: float, caustic_threshold: float | None):
     """One branch pass: the branches of the curve evolved to t at Q, their
     sheared decoherence widths Phi_qq (nan on caustic branches, 0 when t = 0
-    or there are no channels) and their line variances.  The notes start
-    with the curve's own warnings; one RK4 pass gives every live branch's Phi."""
+    or there are no channels) and their line variances, as one record.  The
+    notes start with the curve's own warnings; one RK4 pass gives every live
+    branch's Phi."""
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t > 0:
@@ -286,48 +343,8 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
         notes.extend(dm_notes)
         for j, phi in zip(live, phis):
             phi_qq[j] = shear_phi_qq(phi, br.slope[j])
-    return br, tuple(phi_qq), _line_variance(br, phi_qq, hbar, delta), notes
-
-
-def _line_sum(br: BranchData, variance, xi_q, hbar: float) -> np.ndarray:
-    """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
-    over the live branches: the Fourier pair of the lines A_j N(p_j, sigma_j^2)."""
-    live = ~br.caustic
-    return np.exp(-1j * np.outer(xi_q, br.p[live]) / hbar
-                  - np.outer(xi_q**2, variance[live]) / (2.0 * hbar**2)) @ br.amplitude[live]
-
-
-def _line_spectrum(br: BranchData, variance, p_axis, notes: list) -> SpectralDensity:
-    """The lines A_j N(p_j, sigma_j^2) sampled on p_axis, tallest peak first;
-    a variance below the axis spacing squared is floored there and flagged."""
-    p_axis = np.asarray(p_axis, dtype=float)
-    dp = float(np.min(np.abs(np.diff(p_axis)))) if p_axis.size > 1 else 0.0
-    vals = np.zeros(p_axis.size)
-    peaks = []
-    for j in np.flatnonzero(~br.caustic):
-        var = float(variance[j])
-        flagged = False
-        if var < dp**2:
-            var = max(dp**2, 1e-300)
-            flagged = True
-            diagnostics.report(
-                notes,
-                f"spectral peak at p = {br.p[j]:g} narrower than the p axis "
-                "spacing; width floored to one bin",
-                diagnostics.TruncationWarning,
-            )
-        height = br.amplitude[j] / math.sqrt(2.0 * math.pi * var)
-        vals += height * np.exp(-((p_axis - br.p[j]) ** 2) / (2.0 * var))
-        peaks.append(Peak(float(br.p[j]), float(height), var, flagged=flagged))
-    peaks.sort(key=lambda pk: -pk.height)
-    return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
-
-
-def _sample_spectrum(sample: LwcSample, p_axis) -> SpectralDensity:
-    """Closed-form spectrum of a semiclassical sample, from its own lines."""
-    w = sample.window
-    variance = _line_variance(sample.branches, sample.phi_qq, w.hbar, w.delta)
-    return _line_spectrum(sample.branches, variance, p_axis, [])
+    variance = hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
+    return BranchLines(br, tuple(phi_qq), variance, hbar, notes)
 
 
 def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float,
@@ -339,9 +356,8 @@ def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float,
     compare against exact routes after dividing by C(0).
     """
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    br, _, variance, notes = _branch_lines(curve, Q, hbar, 0.0, None, (), 0.0, 0.0,
-                                           caustic_threshold)
-    return LwcSample(xi_q, _line_sum(br, variance, xi_q, hbar), None, notes, branches=br)
+    lines = _branch_lines(curve, Q, hbar, 0.0, None, (), 0.0, 0.0, caustic_threshold)
+    return LwcSample(xi_q, lines.correlation(xi_q), None, lines.warnings, lines)
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
@@ -351,12 +367,10 @@ def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant."""
-    hb = window.hbar
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    br, phi_qq, variance, notes = _branch_lines(
-        curve, window.Q, hb, window.delta, H, channels, t, dt, caustic_threshold)
-    return LwcSample(xi_q, _line_sum(br, variance, xi_q, hb), window, notes,
-                     branches=br, phi_qq=phi_qq)
+    lines = _branch_lines(curve, window.Q, window.hbar, window.delta, H, channels, t, dt,
+                          caustic_threshold)
+    return LwcSample(xi_q, lines.correlation(xi_q), window, lines.warnings, lines)
 
 
 def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
@@ -373,7 +387,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
         hbar = sample.window.hbar
     xq = sample.xi_q
     n = xq.size
-    d = xq[1] - xq[0]
+    d = xq[1] - xq[0] if n > 1 else 0.0
     if n < 8 or n % 2 or not np.allclose(np.diff(xq), d, rtol=0, atol=1e-9 * abs(d)) \
             or abs(xq[n // 2]) > 1e-9 * abs(d):
         raise ValueError("spectrum needs a centred uniform even-count xi_q grid")
@@ -401,14 +415,14 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
                             caustic_threshold: float | None = None) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2: the exact spectrum of
-    ``lwc_sc_markov`` on the same arguments.
+    ``lwc_sc_markov`` on the same arguments (see ``BranchLines.spectrum``).
 
-    A variance below the grid spacing squared is floored there and flagged
-    (the true peak is narrower than the axis can represent).
+    This runs the branch pass again; with a sample from ``lwc_sc_markov`` in
+    hand, ``sample.lines.spectrum(p_axis)`` gives the same density from the
+    sample's own lines.
     """
-    br, _, variance, notes = _branch_lines(
-        curve, window.Q, window.hbar, window.delta, H, channels, t, dt, caustic_threshold)
-    return _line_spectrum(br, variance, p_axis, notes)
+    return _branch_lines(curve, window.Q, window.hbar, window.delta, H, channels, t, dt,
+                         caustic_threshold).spectrum(p_axis)
 
 
 def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:

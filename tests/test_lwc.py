@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chordlab import dynamics, hamiltonians
+from chordlab import dynamics, hamiltonians, lwc
 from chordlab.chordfn import ChordFunction
 from chordlab.curves import (branches_at, evolve_curve_classically, harmonic_circle,
                              pendulum_level_curve, quartic_level_curve)
@@ -50,6 +50,34 @@ def test_window_constructors():
         LwcWindow(0.0, 0.0, HBAR)
     with pytest.raises(ValueError):
         LwcWindow(0.0, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("route, args", [
+    ("window", (0.0, math.nan, HBAR)),
+    ("window", (math.nan, 0.2, HBAR)),
+    ("window", (math.inf, 0.2, HBAR)),
+    ("window", (0.0, math.inf, HBAR)),
+    ("window", (0.0, 0.2, math.nan)),
+    ("window", (0.0, 0.2, -math.inf)),
+    ("berry", (0.0, 0.0)),
+    ("berry", (0.0, -0.05)),
+    ("berry", (0.0, math.nan)),
+    ("berry", (0.0, math.inf)),
+    ("berry", (math.nan, HBAR)),
+    ("berry", (math.inf, HBAR)),
+], ids=["delta-nan", "Q-nan", "Q-inf", "delta-inf", "hbar-nan", "hbar-minus-inf",
+        "berry-hbar-0", "berry-hbar-negative", "berry-hbar-nan", "berry-hbar-inf",
+        "berry-Q-nan", "berry-Q-inf"])
+def test_non_finite_window_and_bad_hbar_raise(route, args):
+    """A window with a non-finite Q, delta or hbar, and a branch pass at an
+    hbar that is not finite and positive (or a non-finite Q), fail loudly
+    instead of returning nan or stopping inside the root finder."""
+    with pytest.raises(ValueError, match="finite"):
+        if route == "window":
+            LwcWindow(*args)
+        else:
+            Q, hbar = args
+            lwc_sc_berry(harmonic_circle(0.5, 256), Q, [0.0, 0.1], hbar)
 
 
 def test_routes_agree_on_coherent_state():
@@ -275,6 +303,8 @@ def test_spectrum_grid_validation():
     vals = np.exp(-10.0 * ok**2)
     spectrum(LwcSample(ok, vals, window))
     with pytest.raises(ValueError):
+        spectrum(LwcSample(ok[:1], vals[:1], window))  # one point
+    with pytest.raises(ValueError):
         spectrum(LwcSample(ok[:-1], vals[:-1], window))  # odd count
     with pytest.raises(ValueError):
         spectrum(LwcSample(ok + ok[-1], vals, window))  # not centred
@@ -440,7 +470,8 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
     t, Q = 1.0, 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        br, phi_qq, _, notes = _branch_lines(curve, Q, HBAR, 0.2, H, channels, t, dt, None)
+        lines = _branch_lines(curve, Q, HBAR, 0.2, H, channels, t, dt, None)
+        br, phi_qq, notes = lines.branches, lines.phi_qq, lines.warnings
         want, want_notes = [], []
         for j in np.flatnonzero(~br.caustic):
             dm = dynamics.decoherence_matrix(H, channels, np.array([br.p[j], Q]), t, dt=dt)
@@ -450,6 +481,63 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
     assert [phi_qq[j] for j in np.flatnonzero(~br.caustic)] == want
     assert notes == want_notes
     assert len(notes) == (2 if dt == 0.25 else 0)
+
+
+def _window_case(family):
+    if family == "ring":
+        return (harmonic_circle(0.5, 512), hamiltonians.harmonic(), 0.65,
+                LwcWindow.canonical(0.3, HBAR))
+    if family == "quartic":
+        return (quartic_level_curve(0.3, samples=512), hamiltonians.quartic(), 0.1,
+                LwcWindow.canonical(0.1, HBAR))
+    return (pendulum_level_curve(-0.6, samples=512), hamiltonians.pendulum(), 0.1,
+            LwcWindow.canonical(0.05, HBAR))
+
+
+@pytest.mark.parametrize("family", ["ring", "quartic", "pendulum"])
+def test_sample_lines_spectrum_is_the_closed_form(family):
+    """The lines a markov sample keeps give sc_spectrum_closed_form bit for
+    bit (values, peaks and warnings), on a fine axis and on one coarse
+    enough to floor every line."""
+    curve, H, t, window = _window_case(family)
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    sample = lwc_sc_markov(curve, H, channels, t, window, [0.0])
+    assert isinstance(sample.lines, lwc.BranchLines)
+    assert sample.branches is sample.lines.branches
+    assert sample.phi_qq is sample.lines.phi_qq
+    for p in (np.linspace(-2.0, 2.0, 801), np.linspace(-2.0, 2.0, 5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            got = sample.lines.spectrum(p)
+            want = sc_spectrum_closed_form(curve, H, channels, t, window, p)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.peaks == want.peaks and len(got.peaks) == 2
+        assert got.warnings == want.warnings
+
+
+def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
+    """lwc_sc_markov then lines.spectrum finds the branches once; spectrum
+    hands back a fresh warning list and leaves the record's own alone."""
+    calls = []
+    real = lwc.branches_at
+    monkeypatch.setattr(lwc, "branches_at", lambda *a: calls.append(a) or real(*a))
+    curve, H, t, window = _window_case("pendulum")
+    channels = [dynamics.LindbladChannel((0.0, 0.8))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sample = lwc_sc_markov(curve, H, channels, t, window, [0.0], dt=0.1)
+        before = list(sample.lines.warnings)
+        coarse = np.linspace(-2.0, 2.0, 5)
+        first, second = sample.lines.spectrum(coarse), sample.lines.spectrum(coarse)
+    assert len(calls) == 1
+    assert len(before) == 2  # the coarse step's halving notes
+    assert sample.lines.warnings == before and sample.warnings == before
+    assert first.warnings == second.warnings
+    assert first.warnings[:2] == before and len(first.warnings) == 4  # two floored lines
+    assert first.warnings is not sample.lines.warnings
+
+    plain = LwcSample(np.zeros(1), np.ones(1, dtype=complex), window, [])
+    assert plain.lines is None and plain.branches is None and plain.phi_qq == ()
 
 
 def test_curve_warnings_reach_the_sample():
