@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -63,29 +64,21 @@ class LagrangianCurve:
             raise ValueError("theta must be strictly increasing within [0, 2 pi)")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_splines", None)
 
-    def _get_splines(self):
-        cached = object.__getattribute__(self, "_splines")
-        if cached is None:
-            th = np.append(self.theta, self.theta[0] + _TWO_PI)
-            p = np.append(self.points[:, 0], self.points[0, 0])
-            q = np.append(self.points[:, 1], self.points[0, 1])
-            cached = (
-                CubicSpline(th, p, bc_type="periodic"),
-                CubicSpline(th, q, bc_type="periodic"),
-            )
-            object.__setattr__(self, "_splines", cached)
-        return cached
+    @cached_property
+    def _splines(self):
+        """Periodic splines of p(theta) and q(theta), built on first use."""
+        return _periodic_spline(self.theta, self.points[:, 0]), _periodic_spline(
+            self.theta, self.points[:, 1])
 
     def position(self, theta):
-        sp, sq = self._get_splines()
+        sp, sq = self._splines
         th = np.mod(theta, _TWO_PI)
         return np.stack([sp(th), sq(th)], axis=-1)
 
     def velocity(self, theta):
         """d x / d theta from the splines."""
-        sp, sq = self._get_splines()
+        sp, sq = self._splines
         th = np.mod(theta, _TWO_PI)
         return np.stack([sp(th, 1), sq(th, 1)], axis=-1)
 
@@ -98,6 +91,12 @@ class LagrangianCurve:
         return float(np.min(self.points[:, 1])), float(np.max(self.points[:, 1]))
 
 
+def _periodic_spline(theta, values) -> CubicSpline:
+    """Periodic cubic spline through the samples, closed at theta[0] + 2 pi."""
+    return CubicSpline(np.append(theta, theta[0] + _TWO_PI), np.append(values, values[0]),
+                       bc_type="periodic")
+
+
 def _enclosed_area(theta, points) -> float:
     """|oint p dq| by the trapezoid rule on the closed loop.
 
@@ -105,11 +104,9 @@ def _enclosed_area(theta, points) -> float:
     trapezoid rule is spectrally accurate, so the spline derivative is the
     limiting error (O(h^4) at the nodes).
     """
-    th = np.append(theta, theta[0] + _TWO_PI)
-    p = np.append(points[:, 0], points[0, 0])
-    q = np.append(points[:, 1], points[0, 1])
-    sq = CubicSpline(th, q, bc_type="periodic")
-    f = p * sq(th, 1)
+    sq = _periodic_spline(theta, points[:, 1])
+    th = sq.x  # the closed loop's nodes
+    f = np.append(points[:, 0], points[0, 0]) * sq(th, 1)
     return abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(th))))
 
 
@@ -262,7 +259,7 @@ def branches_at(curve: LagrangianCurve, Q: float,
     """
     if not math.isfinite(Q):
         raise ValueError(f"Q must be finite, got {Q!r}")
-    sp, sq = curve._get_splines()
+    sp, sq = curve._splines
     roots = sq.solve(Q, extrapolate=False)
     roots = np.mod(roots, _TWO_PI)
     roots.sort()

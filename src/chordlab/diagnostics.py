@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
+
 __all__ = [
     "GridDomainWarning",
     "ConvergenceWarning",
@@ -35,3 +37,14 @@ def report(sink, message: str, category=UserWarning, stacklevel: int = 3):
     warnings.warn(message, category, stacklevel=stacklevel)
     if sink is not None:
         sink.append(message)
+
+
+def _real_part(values, what: str, sink):
+    """(Re values, max|Im| / max|Re|) of values that should be real; a residue
+    above 1e-8 is reported as a TruncationWarning naming ``what``."""
+    re = np.real(values)
+    residue = float(np.max(np.abs(np.imag(values))) / max(np.max(np.abs(re)), 1e-300))
+    if residue > 1e-8:
+        report(sink, f"{what} imaginary residue {residue:.2e} above 1e-8", TruncationWarning,
+               stacklevel=4)
+    return re, residue

@@ -26,10 +26,12 @@ and every evolved Wigner function is nonnegative once det Phi_0 >= 1/4.
 det M = exp(2 gamma t), so the two frames share a determinant only for
 Hermitian channels (gamma = 0).
 
-Quadratic models are Gaussian and exact: every centre follows one affine
-map, every chord one monodromy M = exp(t A) with A = J Hess H + gamma, and
-Phi is the Gramian of (A, Lambda), taken from one Van Loan block exponential
-(IEEE TAC 23, 395, 1978).  No step size enters and no refinement is run.
+The built-in quadratic families (zero, harmonic, free) are one form,
+H = x.S x / 2 with symmetric S.  Quadratic models are Gaussian and exact:
+every centre follows one affine map, every chord one monodromy M = exp(t A)
+with A = J Hess H + gamma, and Phi is the Gramian of (A, Lambda), taken from
+one Van Loan block exponential (IEEE TAC 23, 395, 1978) and shared by every
+anchor.  No step size enters and no refinement is run.
 Other models go through one fixed-step RK4 flow, ``_rk4``, on one packed
 state [x | M] per sample: ``advect`` steps centres alone; decoherence
 matrices and evolved chord functions carry M along and accumulate Phi by
@@ -139,51 +141,32 @@ class HamiltonianModel:
         return self.value(np.asarray(x, dtype=float))
 
 
+def _quadratic(name: str, params: dict, s: np.ndarray) -> HamiltonianModel:
+    """The quadratic form H = x.S x / 2 with symmetric S."""
+    return HamiltonianModel(
+        name=name,
+        value=lambda x: 0.5 * np.einsum("...a,ab,...b->...", x, s, x),
+        gradient=lambda x: x @ s,
+        hessian=lambda x: np.zeros(x.shape[:-1] + (2, 2)) + s,
+        quadratic=True,
+        params=params,
+    )
+
+
 class hamiltonians:
     """Built-in model families."""
 
     @staticmethod
     def zero() -> HamiltonianModel:
-        return HamiltonianModel(
-            name="zero",
-            value=lambda x: np.zeros(x.shape[:-1]),
-            gradient=lambda x: np.zeros_like(x),
-            hessian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-            quadratic=True,
-        )
+        return _quadratic("zero", {}, np.zeros((2, 2)))
 
     @staticmethod
     def harmonic(omega: float = 1.0) -> HamiltonianModel:
-        def value(x):
-            return 0.5 * omega * (x[..., 0] ** 2 + x[..., 1] ** 2)
-
-        def gradient(x):
-            return omega * x
-
-        def hessian(x):
-            h = np.zeros(x.shape[:-1] + (2, 2))
-            h[..., 0, 0] = omega
-            h[..., 1, 1] = omega
-            return h
-
-        return HamiltonianModel("harmonic", value, gradient, hessian, True, {"omega": omega})
+        return _quadratic("harmonic", {"omega": omega}, omega * np.eye(2))
 
     @staticmethod
     def free(mass: float = 1.0) -> HamiltonianModel:
-        def value(x):
-            return x[..., 0] ** 2 / (2.0 * mass)
-
-        def gradient(x):
-            g = np.zeros_like(x)
-            g[..., 0] = x[..., 0] / mass
-            return g
-
-        def hessian(x):
-            h = np.zeros(x.shape[:-1] + (2, 2))
-            h[..., 0, 0] = 1.0 / mass
-            return h
-
-        return HamiltonianModel("free", value, gradient, hessian, True, {"mass": mass})
+        return _quadratic("free", {"mass": mass}, np.diag([1.0 / mass, 0.0]))
 
     @staticmethod
     def quartic(a: float = 1.0, b: float = 0.0) -> HamiltonianModel:
@@ -243,9 +226,10 @@ class hamiltonians:
 # flows and fixed-step integration
 
 
-def _chord_generator(H, gamma, x):
-    """A(x) = J Hess H(x) + gamma, the chord variational generator."""
-    return J_MATRIX @ H.hessian(x) + gamma * np.eye(2)
+def _chord_generator(H, gamma):
+    """A = J Hess H + gamma, the chord variational generator of a quadratic
+    model (its Hessian taken at the origin)."""
+    return J_MATRIX @ H.hessian(np.zeros(2)) + gamma * np.eye(2)
 
 
 def _steps_for(t: float, dt: float) -> int:
@@ -415,17 +399,18 @@ def _decoherence_phis(H, channels, anchors, t: float, dt: float,
     """Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, with the
     warnings in anchor order: ``decoherence_matrix`` for a batch.
 
-    Quadratic models take the closed form per anchor.  Otherwise one RK4 pass
-    carries every anchor, and with the check a second at half the step; an
-    anchor whose Phi moves by more than 1e-8 under the halving keeps the finer
-    value and reports a ConvergenceWarning.
+    Quadratic models share one generator, so one closed-form Phi serves every
+    anchor.  Otherwise one RK4 pass carries every anchor, and with the check a
+    second at half the step; an anchor whose Phi moves by more than 1e-8 under
+    the halving keeps the finer value and reports a ConvergenceWarning.
     """
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
     notes: list = []
     if H.quadratic:
-        gens = _chord_generator(H, gamma, anchors)
-        return np.stack([_gramian(-a if frame == "final" else a, lam, t) for a in gens]), notes
+        a = _chord_generator(H, gamma)
+        phi = _gramian(-a if frame == "final" else a, lam, t)
+        return np.repeat(phi[None], anchors.shape[0], axis=0), notes
     span = -t if frame == "final" else t  # the final frame runs backward from the anchor
     steps = _steps_for(t, dt)
     phi = _rk4(H, gamma, anchors, span, steps, lam)[2]
@@ -502,7 +487,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     lam = noise_matrix(channels)
     if H.quadratic:
         e, d = _centre_map(H, gamma, t)
-        phi = _gramian(-_chord_generator(H, gamma, np.zeros((1, 2)))[0], lam, t)
+        phi = _gramian(-_chord_generator(H, gamma), lam, t)
         xt, phis = pts @ e.T + d, (phi, phi)
     else:
         xt, mt, g = _rk4(H, gamma, pts, t, _steps_for(t, dt), lam)
@@ -552,7 +537,7 @@ def positivity_time(H, channels) -> float:
     if not H.quadratic:
         raise ValueError("positivity_time applies to quadratic Hamiltonian models only")
     channels = _as_channels(channels)
-    a = _chord_generator(H, total_gamma(channels), np.zeros((1, 2)))[0]
+    a = _chord_generator(H, total_gamma(channels))
     lam = noise_matrix(channels)
     eps = np.finfo(float).eps
     if np.trace(a) < 0.0 and np.linalg.det(a) > 0.0:

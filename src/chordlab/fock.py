@@ -195,9 +195,7 @@ def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
 def coherent_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
     sink: list = []
     c = coherent_amplitudes(eta, hbar, dim, sink)
-    out = pure_density(c, hbar)
-    out.warnings.extend(sink)
-    return out
+    return FockDensityMatrix(pure_density(c, hbar).rho, hbar, sink)
 
 
 def cat_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
@@ -207,9 +205,7 @@ def cat_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
     psi = c.copy()
     psi[1::2] = 0.0
     psi[0::2] *= 2.0
-    out = pure_density(psi, hbar)
-    out.warnings.extend(sink)
-    return out
+    return FockDensityMatrix(pure_density(psi, hbar).rho, hbar, sink)
 
 
 def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
@@ -500,10 +496,4 @@ def wigner_exact(rho: FockDensityMatrix, grid: CenteredGrid, sink=None) -> np.nd
             "p axis (its conjugate sets the s range)",
             diagnostics.GridDomainWarning)
     w = ft_axis(slices, conj.dq, hb, axis=1, sign=+1) / (2.0 * math.pi * hb)
-    w = w.T  # (q, p) -> (p, q)
-    residue = float(np.max(np.abs(np.imag(w))) / max(np.max(np.abs(np.real(w))), 1e-300))
-    if residue > 1e-8:
-        diagnostics.report(
-            sink, f"Wigner imaginary residue {residue:.2e} above 1e-8",
-            diagnostics.TruncationWarning)
-    return np.real(w)
+    return diagnostics._real_part(w.T, "Wigner", sink)[0]  # (q, p) -> (p, q)

@@ -54,10 +54,10 @@ class CenteredGrid:
     def __post_init__(self):
         if self.points < 2 or self.points % 2:
             raise ValueError("points must be an even integer >= 2")
-        if self.half_width_p <= 0 or self.half_width_q <= 0:
-            raise ValueError("half widths must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (0 < self.half_width_p < np.inf and 0 < self.half_width_q < np.inf):
+            raise ValueError("half widths must be finite and positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be finite and positive")
 
     @property
     def dp(self) -> float:
@@ -136,14 +136,15 @@ def boundary_decay_ok(values: np.ndarray, rel: float = 1e-14) -> bool:
     return bool(edge <= rel * peak)
 
 
-def _check_shape(values, grid):
+def _symplectic_ft(values, grid: CenteredGrid, where: str):
+    """The two stages both directions of the pair share: axis 0 with kernel
+    e^{+i x_0 k / hbar}, axis 1 with e^{-i x_1 k / hbar}, then the transpose
+    (output axis 0 pairs with input axis 1) and the 1 / (2 pi hbar)
+    normalisation.  ``where`` names the public caller in the boundary warning."""
     if values.shape != (grid.points, grid.points):
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.points}x{grid.points}"
         )
-
-
-def _warn_boundary(values, where: str):
     if not boundary_decay_ok(values):
         warnings.warn(
             f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
@@ -151,39 +152,30 @@ def _warn_boundary(values, where: str):
             GridDomainWarning,
             stacklevel=3,
         )
+    tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
+    tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
+    return np.ascontiguousarray(tmp.T / (2.0 * np.pi * grid.hbar)), grid.conjugate()
 
 
 def chord_from_centre(values: np.ndarray, grid: CenteredGrid):
     """Chord function chi(xi_p, xi_q) from a centre field W(p, q).
 
-    chi(xi) = (2 pi hbar)^(-1) Int dp dq W exp[(i/hbar)(p xi_q - q xi_p)].
+    chi(xi) = (2 pi hbar)^(-1) Int dp dq W exp[(i/hbar)(p xi_q - q xi_p)]:
+    the p axis goes to xi_q, the q axis to xi_p.
     Returns (chi_values, chord_grid) with chi indexed [xi_p, xi_q].
     """
-    _check_shape(values, grid)
-    _warn_boundary(values, "chord_from_centre")
-    # p axis (0) -> xi_q with kernel e^{+i p xi_q / hbar}
-    tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
-    # q axis (1) -> xi_p with kernel e^{-i q xi_p / hbar}
-    tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
-    chi = tmp.T / (2.0 * np.pi * grid.hbar)  # [xi_q, xi_p] -> [xi_p, xi_q]
-    return np.ascontiguousarray(chi), grid.conjugate()
+    return _symplectic_ft(values, grid, "chord_from_centre")
 
 
 def centre_from_chord(values: np.ndarray, grid: CenteredGrid):
     """Centre field W(p, q) from a chord function chi(xi_p, xi_q).
 
-    W(x) = (2 pi hbar)^(-1) Int dxi chi exp[(i/hbar)(xi_p q - xi_q p)].
+    W(x) = (2 pi hbar)^(-1) Int dxi chi exp[(i/hbar)(xi_p q - xi_q p)]:
+    the xi_p axis goes to q, the xi_q axis to p.
     Returns (W_values, centre_grid); W is complex with imaginary part at
     round-off level for hermitian chi.
     """
-    _check_shape(values, grid)
-    _warn_boundary(values, "centre_from_chord")
-    # xi_p axis (0) -> q with kernel e^{+i xi_p q / hbar}
-    tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
-    # xi_q axis (1) -> p with kernel e^{-i xi_q p / hbar}
-    tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
-    w = tmp.T / (2.0 * np.pi * grid.hbar)  # [q, p] -> [p, q]
-    return np.ascontiguousarray(w), grid.conjugate()
+    return _symplectic_ft(values, grid, "centre_from_chord")
 
 
 #: complex elements per exponential table; bounds the kernel's scratch memory

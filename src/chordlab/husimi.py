@@ -114,9 +114,4 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
     kernel = np.exp(1j * np.outer(p_axis, xi_q) / hb) * w
     c_mat = np.stack([s.values for s in samples], axis=1)
     out = kernel @ c_mat / (2.0 * math.pi * hb)
-    residue = float(np.max(np.abs(np.imag(out))) / max(np.max(np.abs(np.real(out))), 1e-300))
-    if residue > 1e-8:
-        diagnostics.report(
-            sink, f"reconstructed density has imaginary residue {residue:.2e}",
-            diagnostics.TruncationWarning)
-    return np.real(out)
+    return diagnostics._real_part(out, "reconstructed density", sink)[0]

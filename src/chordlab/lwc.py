@@ -163,10 +163,14 @@ class BranchLines:
     def spectrum(self, p_axis) -> SpectralDensity:
         """The lines sampled on p_axis, tallest peak first.  A variance below
         the axis spacing squared is floored there and flagged (the true peak is
-        narrower than the axis shows); the warnings are the record's plus those."""
+        narrower than the axis shows); the warnings are the record's plus those.
+        p_axis must be finite, with at least two points and none repeated."""
         br = self.branches
         p_axis = np.asarray(p_axis, dtype=float)
-        dp = float(np.min(np.abs(np.diff(p_axis)))) if p_axis.size > 1 else 0.0
+        if p_axis.ndim != 1 or p_axis.size < 2 or not np.all(np.isfinite(p_axis)) \
+                or np.unique(p_axis).size < p_axis.size:
+            raise ValueError("p_axis must be 1-D and finite, with at least two distinct points")
+        dp = float(np.min(np.abs(np.diff(p_axis))))
         notes = list(self.warnings)
         vals = np.zeros(p_axis.size)
         peaks = []
@@ -401,12 +405,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
                   axis=0, sign=+1) / (2.0 * math.pi * hbar)
     dp = 2.0 * math.pi * hbar / (n * d)
     p_axis = (np.arange(n) - n // 2) * dp
-    re = np.real(s_c)
-    residue = float(np.max(np.abs(np.imag(s_c))) / max(np.max(np.abs(re)), 1e-300))
-    if residue > 1e-8:
-        diagnostics.report(
-            notes, f"spectrum imaginary residue {residue:.2e} above 1e-8",
-            diagnostics.TruncationWarning)
+    re, residue = diagnostics._real_part(s_c, "spectrum", notes)
     return SpectralDensity(p_axis, re, residue, notes)
 
 

@@ -46,8 +46,10 @@ class CoherentState:
     def __post_init__(self):
         eta = (float(self.eta[0]), float(self.eta[1]))
         object.__setattr__(self, "eta", eta)
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(eta[0]) and math.isfinite(eta[1])):
+            raise ValueError(f"eta must be finite, got {eta!r}")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError("hbar must be finite and positive")
 
 
 def coherent_chord_function(state: CoherentState, xi_p, xi_q):

@@ -550,6 +550,75 @@ grid.half_width = 2.0
     assert (out / "husimi.csv").exists()
 
 
+@pytest.mark.parametrize("family, extra", [
+    ("coherent", "state.eta = 0.3 0.1\nfock.dim = 48\n"),
+    ("cat", "state.eta = 0.4 0.0\nfock.dim = 64\nchannel = 0 1 0 0\ntime.t = 0.1\n"),
+])
+def test_husimi_coherent_and_cat_states(tmp_path, family, extra):
+    cfg = write_cfg(tmp_path, f"""\
+hbar = 0.05
+state.family = {family}
+{extra}grid.points = 64
+grid.half_width = 2.0
+""")
+    out = tmp_path / "o"
+    assert run_cli("husimi", "--config", cfg, "--out", str(out)) == 0
+    res = json.loads((out / "husimi.json").read_text())["result"]
+    assert abs(res["mass"] - 1.0) < 1e-8
+    assert res["min_value"] >= -1e-6 * res["peak_value"]
+
+
+def test_lwc_quartic_branch_momenta_lie_on_the_energy_shell(tmp_path):
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = quartic
+state.energy = 0.3
+state.a = 1.0
+state.b = 0.5
+state.samples = 512
+lwc.route = sc-quadratic
+window.q = 0.1
+window.q = -0.4
+xi.points = 64
+""")
+    out = tmp_path / "o"
+    assert run_cli("lwc", "--config", cfg, "--out", str(out)) == 0
+    windows = json.loads((out / "lwc.json").read_text())["result"]["windows"]
+    H = hamiltonians.quartic(1.0, 0.5)
+    assert [len(w["branch_momenta"]) for w in windows] == [2, 2]
+    for w in windows:
+        for p in w["branch_momenta"]:
+            assert abs(H(np.array([p, w["Q"]])) - 0.3) <= 1e-8 * 0.3
+
+
+def test_spectrum_pendulum_markov_has_closed_form_peaks(tmp_path):
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = pendulum
+state.energy = -0.5
+state.samples = 512
+hamiltonian.family = pendulum
+channel = 0 1.5 0 0
+time.t = 0.3
+window.q = 0.2
+xi.points = 512
+xi.half_width = 2.5
+""")
+    out = tmp_path / "o"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["warnings"] == []
+    win = payload["result"]["windows"][0]
+    cf = sorted(win["closed_form_peaks"], key=lambda pk: pk["position"])
+    # a Hermitian channel keeps the evolved curve on the shell p^2/2 - cos q = E
+    p_shell = math.sqrt(2.0 * (-0.5 + math.cos(0.2)))
+    assert [pk["flagged"] for pk in cf] == [False, False]
+    assert cf[0]["position"] == pytest.approx(-p_shell, abs=1e-8)
+    assert cf[1]["position"] == pytest.approx(p_shell, abs=1e-8)
+    fitted = sorted(pk["position"] for pk in win["peaks"][:2])
+    assert fitted == pytest.approx([pk["position"] for pk in cf], abs=1e-6)
+
+
 def test_husimi_rejects_negative_time(tmp_path, capsys):
     # before, t < 0 skipped the evolution and wrote the unevolved state
     cfg = write_cfg(tmp_path, """\

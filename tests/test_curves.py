@@ -46,6 +46,16 @@ def test_position_velocity_splines():
     assert np.allclose(curve.position(2.0 * math.pi + 0.7), curve.position(0.7))
 
 
+def test_splines_are_built_once_and_close_the_loop():
+    curve = harmonic_circle(0.5, 64)
+    first = curve._splines
+    curve.position(0.3), curve.velocity(0.3), branches_at(curve, 0.2)
+    assert curve._splines is first
+    for spline, column in zip(first, curve.points.T):
+        assert spline.x[-1] == curve.theta[0] + 2.0 * math.pi
+        assert abs(spline(spline.x[-1]) - column[0]) < 1e-14
+
+
 def test_quartic_level_curve_energy_and_action():
     energy, a = 0.5, 1.0
     curve = quartic_level_curve(energy, a=a, samples=1024)

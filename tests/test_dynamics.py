@@ -96,6 +96,40 @@ def test_model_derivatives_match_central_differences(name):
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
 
 
+def test_families_at_the_origin():
+    """Every family's value, gradient and hessian at the origin, bit for bit,
+    on a single point and on a batch."""
+    want = {
+        "zero": (dy.hamiltonians.zero(), 0.0, np.zeros((2, 2))),
+        "harmonic": (dy.hamiltonians.harmonic(1.3), 0.0, np.diag([1.3, 1.3])),
+        "free": (dy.hamiltonians.free(3.0), 0.0, np.diag([1.0 / 3.0, 0.0])),
+        "quartic": (dy.hamiltonians.quartic(0.7, 1.3), 0.0, np.diag([1.0, 1.3])),
+        "pendulum": (dy.hamiltonians.pendulum(2.0), -2.0, np.diag([1.0, 2.0])),
+    }
+    for name, (H, value, hess) in want.items():
+        for shape in ((), (3,)):
+            x = np.zeros(shape + (2,))
+            assert H.value(x).tobytes() == np.full(shape, value).tobytes(), name
+            assert H.gradient(x).tobytes() == np.zeros(shape + (2,)).tobytes(), name
+            assert H.hessian(x).tobytes() == np.broadcast_to(
+                hess, shape + (2, 2)).tobytes(), name
+
+
+def test_quadratic_families_are_the_form_x_s_x():
+    """zero, harmonic and free are H = x.S x / 2: the gradient x S and the
+    constant Hessian S exactly, the value to rounding."""
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(50, 2))
+    for H, s in ((dy.hamiltonians.zero(), np.zeros((2, 2))),
+                 (dy.hamiltonians.harmonic(0.7), 0.7 * np.eye(2)),
+                 (dy.hamiltonians.free(3.0), np.diag([1.0 / 3.0, 0.0]))):
+        assert H.quadratic
+        want = 0.5 * np.sum((x @ s) * x, axis=-1)
+        assert np.all(np.abs(H.value(x) - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
+        assert np.array_equal(H.gradient(x), x @ s)
+        assert np.array_equal(H.hessian(x), np.broadcast_to(s, (50, 2, 2)))
+    assert np.array_equal(dy.hamiltonians.harmonic(0.7).gradient(x), 0.7 * x)
+
+
 # ---------------------------------------------------------------------------
 # flows
 
@@ -358,6 +392,23 @@ def test_phi_anchor_independent_for_quadratic():
     a = dy.decoherence_matrix(H, [DAMPING], np.zeros(2), 0.6).phi
     b = dy.decoherence_matrix(H, [DAMPING], np.array([2.0, -1.0]), 0.6).phi
     assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("frame", ["final", "initial"])
+def test_quadratic_phis_share_one_gramian(frame, monkeypatch):
+    """A quadratic model has one chord generator, so a batch of anchors takes
+    one block exponential; each anchor's matrix is decoherence_matrix's."""
+    H = dy.hamiltonians.harmonic(0.7)
+    chans = [DAMPING, Q_CHANNEL]
+    anchors = np.array([[0.0, 0.0], [2.0, -1.0], [-0.3, 0.5]])
+    calls = []
+    real = dy._gramian
+    monkeypatch.setattr(dy, "_gramian", lambda *a: calls.append(a) or real(*a))
+    phis, notes = dy._decoherence_phis(H, chans, anchors, 0.6, 1e-3, frame=frame)
+    assert len(calls) == 1 and notes == [] and phis.shape == (3, 2, 2)
+    for anchor, phi in zip(anchors, phis):
+        want = dy.decoherence_matrix(H, chans, anchor, 0.6, frame=frame).phi
+        assert phi.tobytes() == want.tobytes()
 
 
 def test_phi_symplectic_covariance():

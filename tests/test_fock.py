@@ -279,6 +279,17 @@ def test_cat_parity_and_trace():
     assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("build", [coherent_density_matrix, cat_density_matrix])
+def test_pure_states_carry_their_amplitude_warnings(build):
+    """The amplitude tail note lands in the returned record, whose rho is the
+    normalized pure state of the amplitudes."""
+    with pytest.warns(TruncationWarning, match="tail"):
+        rho = build((0.0, 1.0), HBAR, 12)
+    assert len(rho.warnings) == 1 and "tail" in rho.warnings[0]
+    assert rho.hbar == HBAR and rho.trace() == pytest.approx(1.0, abs=1e-14)
+    assert build((0.0, 0.3), HBAR, 48).warnings == []
+
+
 def test_fock_density_validation():
     with pytest.raises(ValueError):
         fock_density_matrix(-1, HBAR, 8)

@@ -38,6 +38,16 @@ def test_grid_validation():
         CenteredGrid(1.0, 1.0, 64, 0.0)
 
 
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, 64, math.nan), (1.0, 1.0, 64, math.inf), (math.nan, 1.0, 64, HBAR),
+    (1.0, math.nan, 64, HBAR), (math.inf, 1.0, 64, HBAR),
+], ids=["hbar-nan", "hbar-inf", "half-width-p-nan", "half-width-q-nan", "half-width-inf"])
+def test_grid_rejects_non_finite_values(args):
+    """Before, these gave nan axes and a nan conjugate grid."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        CenteredGrid(*args)
+
+
 def test_conjugate_grid_crosses_half_widths():
     """dp pairs with d(xi_q): dp * dxi_q = 2 pi hbar / M."""
     g = CenteredGrid(1.5, 2.5, 128, HBAR)
@@ -134,6 +144,18 @@ def test_boundary_decay_flags_and_warning():
     tight = np.exp(-(pp**2 + qq**2) / 0.005)
     assert boundary_decay_ok(tight)
     assert boundary_decay_ok(np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("transform", [chord_from_centre, centre_from_chord],
+                         ids=lambda f: f.__name__)
+def test_boundary_warning_names_its_transform(transform):
+    """Both directions share one transform body, and each still names
+    itself in the warning, which points at the caller's line."""
+    g = CenteredGrid(1.0, 1.0, 32, HBAR)
+    pp, qq = g.meshgrid()
+    with pytest.warns(GridDomainWarning, match=f"^{transform.__name__}: input") as rec:
+        transform(np.exp(-(pp**2 + qq**2) / 2.0), g)
+    assert len(rec) == 1 and rec[0].filename == __file__
 
 
 def test_shape_mismatch_raises():

@@ -39,6 +39,18 @@ def test_matched_window_delta():
         husimi_from_lwc([LwcSample(xi_q, vals, wide)], [0.0])
 
 
+def test_husimi_from_lwc_reports_an_imaginary_residue():
+    """C(-xi) != conj C(xi) rebuilds a complex density; the residue is
+    reported in the shared wording."""
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    vals = (np.exp(-(xi_q**2) / (2.0 * HBAR)) * (1.0 + 0.5 * xi_q)).astype(complex)
+    sink = []
+    with pytest.warns(TruncationWarning, match="^reconstructed density imaginary residue"):
+        husimi_from_lwc([LwcSample(xi_q, vals, LwcWindow.husimi_matched(0.0, HBAR))],
+                        np.linspace(-1.0, 1.0, 9), sink)
+    assert len(sink) == 1 and sink[0].endswith("above 1e-8")
+
+
 def test_husimi_from_wigner_matches_closed_form():
     state = CoherentState((0.3, -0.2), HBAR)
     grid = CenteredGrid(2.5, 2.5, 256, HBAR)

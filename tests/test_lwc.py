@@ -324,6 +324,37 @@ def test_spectrum_truncation_warning():
     assert any("not decayed" in msg for msg in dens.warnings)
 
 
+def test_spectrum_of_non_hermitian_correlation_warns_once():
+    """C(-xi) != conj C(xi) gives a complex S(p); the residue is reported
+    once, in the shared wording."""
+    window = LwcWindow.canonical(0.0, HBAR)
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    vals = np.exp(-10.0 * xi_q**2) * (1.0 + 0.5 * xi_q)  # real and not even
+    with pytest.warns(TruncationWarning, match="imaginary residue") as rec:
+        dens = spectrum(LwcSample(xi_q, vals.astype(complex), window))
+    notes = [m for m in dens.warnings if "imaginary residue" in m]
+    assert len(rec) == 1 and len(notes) == 1
+    assert notes[0] == f"spectrum imaginary residue {dens.imag_residue:.2e} above 1e-8"
+    assert dens.imag_residue > 1e-3
+
+
+@pytest.mark.parametrize("p_axis", [[0.9], [0.9, 0.9, 1.0], [0.0, math.nan, 1.0],
+                                    [-math.inf, 0.0, 1.0], []],
+                         ids=["one-point", "repeated-point", "nan", "inf", "empty"])
+def test_lines_spectrum_rejects_degenerate_p_axis(p_axis):
+    """Before, a one-point or repeated-point axis gave nan values and peaks
+    of height inf, with numpy RuntimeWarnings only."""
+    curve = harmonic_circle(0.5, 256)
+    window = LwcWindow.canonical(0.3, HBAR)
+    lines = lwc_sc_berry(curve, 0.3, [0.0], HBAR).lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="p_axis"):
+            lines.spectrum(p_axis)
+        with pytest.raises(ValueError, match="p_axis"):
+            sc_spectrum_closed_form(curve, hamiltonians.zero(), [], 0.0, window, p_axis)
+
+
 def test_fit_peaks_recovers_gaussians():
     p = np.linspace(-2.5, 2.5, 501)
     gauss = lambda a, mu, sig: a / math.sqrt(2 * math.pi * sig**2) * np.exp(

@@ -27,6 +27,16 @@ def test_state_validation():
         CoherentState((0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("eta, hbar", [
+    ((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf), ((math.nan, 0.0), HBAR),
+    ((0.0, math.inf), HBAR), ((0.0, -math.inf), HBAR),
+], ids=["hbar-nan", "hbar-inf", "eta-p-nan", "eta-q-inf", "eta-q-minus-inf"])
+def test_state_rejects_non_finite_values(eta, hbar):
+    """Before, coherent_wigner then returned nan or 0."""
+    with pytest.raises(ValueError, match="finite"):
+        CoherentState(eta, hbar)
+
+
 def test_wavefunction_normalized():
     state = CoherentState((0.4, -0.3), HBAR)
     q = np.linspace(-3.0, 3.0, 4001)
