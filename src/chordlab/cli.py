@@ -16,6 +16,7 @@ window where no branch survives), 2 bad usage or bad config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -97,8 +98,8 @@ dynamics (evolve-chord, lwc, spectrum, positivity, husimi)
   channel             repeatable, four floats "l'_p l'_q l''_p l''_q"
 
 grids
-  grid.points         int, even and >= 2, default 256 (128 for evolve-chord,
-                      husimi)
+  grid.points         int, even and >= 2, default 128 (256 for coherent-demo);
+                      lwc and spectrum read it for the chord route's grid
   grid.half_width     float, default auto from the state
   xi.points           int, even and >= 2, default 1024: xi_q samples (for
                       evolve-chord, chord-grid points, default grid.points)
@@ -143,10 +144,22 @@ def _jsonable(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
+@contextlib.contextmanager
+def _library_checks(*keys):
+    """Report a ValueError of the library call inside as a ConfigError naming
+    the config keys its arguments came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+
+
 def _hamiltonian(cfg: Config):
     fam = cfg.str("hamiltonian.family", "harmonic", choices=hamiltonians.registry)
-    return hamiltonians.registry[fam](**{
-        name: cfg.float(f"hamiltonian.{name}", p.default) for name, p in _H_PARAMS[fam].items()})
+    params = {name: cfg.float(f"hamiltonian.{name}", p.default)
+              for name, p in _H_PARAMS[fam].items()}
+    with _library_checks(*(f"hamiltonian.{name}" for name in params)):
+        return hamiltonians.registry[fam](**params)
 
 
 def _channels(cfg: Config) -> list:
@@ -171,13 +184,14 @@ def _curve(cfg: Config, family: str):
     if samples < 8:
         raise ConfigError(f"state.samples must be >= 8, got {samples}")
     if family == "circle":
-        return harmonic_circle(cfg.float("state.action", 0.5), samples)
+        with _library_checks("state.action"):
+            return harmonic_circle(cfg.float("state.action", 0.5), samples)
     if family == "quartic":
-        return quartic_level_curve(cfg.float("state.energy"),
-                                   cfg.float("state.a", 1.0),
-                                   cfg.float("state.b", 0.0), samples)
-    return pendulum_level_curve(cfg.float("state.energy"),
-                                cfg.float("state.g", 1.0), samples)
+        with _library_checks("state.energy", "state.a", "state.b"):
+            return quartic_level_curve(cfg.float("state.energy"), cfg.float("state.a", 1.0),
+                                       cfg.float("state.b", 0.0), samples)
+    with _library_checks("state.energy", "state.g"):
+        return pendulum_level_curve(cfg.float("state.energy"), cfg.float("state.g", 1.0), samples)
 
 
 def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
@@ -279,7 +293,8 @@ def _xi_grid(cfg: Config, hbar: float) -> np.ndarray:
     half = _half_width(cfg, "xi.half_width")
     if half:
         return (np.arange(pts) - pts // 2) * (2.0 * half / pts)
-    return suggest_xi_q_grid(hbar, points=pts)
+    with _library_checks("xi.points"):
+        return suggest_xi_q_grid(hbar, points=pts)
 
 
 def _pick_route(cfg: Config, fam: str, t: float) -> str:
@@ -482,8 +497,7 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
     damping = LindbladChannel((0.0, 1.0), (1.0, 0.0))
     model = hamiltonians.harmonic()
     tt = 0.3
-    chi_fn = evolve_chord_function((w_vals, grid), model, [damping], tt,
-                                   dt=1e-3, convergence_check=False)
+    chi_fn = evolve_chord_function((w_vals, grid), model, [damping], tt, dt=1e-3)
     rot = np.array([[math.cos(tt), -math.sin(tt)], [math.sin(tt), math.cos(tt)]])
     eta_t = math.exp(-tt) * rot @ np.array(state.eta)
     moved = states.CoherentState((eta_t[0], eta_t[1]), hbar)
@@ -494,8 +508,7 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
                    float(np.max(np.abs(got - want))) * 2.0 * math.pi * hbar, 1e-6))
 
     qchan = LindbladChannel((0.0, 1.0), (0.0, 0.0))
-    dm = decoherence_matrix(model, [qchan], np.zeros(2), math.pi, dt=1e-3,
-                            convergence_check=False)
+    dm = decoherence_matrix(model, [qchan], np.zeros(2), math.pi, dt=1e-3)
     checks.append(("phi_harmonic_pi",
                    float(np.max(np.abs(dm.phi - 0.5 * math.pi * np.eye(2)))), 1e-8))
 

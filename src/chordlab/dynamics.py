@@ -166,6 +166,8 @@ class hamiltonians:
 
     @staticmethod
     def free(mass: float = 1.0) -> HamiltonianModel:
+        if not math.isfinite(mass) or mass == 0.0:
+            raise ValueError(f"mass must be finite and nonzero, got {mass!r}")
         return _quadratic("free", {"mass": mass}, np.diag([1.0 / mass, 0.0]))
 
     @staticmethod
@@ -496,7 +498,8 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
         phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
         phis = (phi[:n], phi[n:])
     fn = _chi_from_samples(xt[:n], phis[0], w, hbar)
-    out = ChordFunction.from_callable(fn, hbar, samples=n)
+    out = ChordFunction.from_callable(fn, hbar, samples=n,
+                                      warnings=getattr(source, "warnings", ()))
     if check:
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])

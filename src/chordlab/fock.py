@@ -422,13 +422,13 @@ def _q_support(rho: FockDensityMatrix) -> float:
 
 
 def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
-                         method: str = "auto") -> np.ndarray:
+                         method: str = "position") -> np.ndarray:
     """chi(xi) = (2 pi hbar)^-1 tr(T(-xi) rho) at arbitrary chord points.
 
-    method "displacement" evaluates the displacement-matrix trace point by
-    point (exact, slow); "position" integrates position slices against the
-    xi_p phase (same values; one GEMM on an outer grid of chords, see
-    ``grids._plane_wave_sum``).  "auto" switches on point count.
+    method "position" integrates position slices against the xi_p phase (one
+    GEMM on an outer grid of chords, see ``grids._plane_wave_sum``);
+    "displacement" evaluates the displacement-matrix trace point by point,
+    the slower reference that gives the same values.
     """
     hb = rho.hbar
     xi_p = np.asarray(xi_p, dtype=float)
@@ -436,8 +436,6 @@ def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
     shape = np.broadcast(xi_p, xi_q).shape
     xp = np.broadcast_to(xi_p, shape).ravel()
     xq = np.broadcast_to(xi_q, shape).ravel()
-    if method == "auto":
-        method = "displacement" if xp.size <= 256 else "position"
 
     if method == "displacement":
         vals = np.empty(xp.size, dtype=complex)
@@ -449,7 +447,7 @@ def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
         return vals[()] if shape == () else vals
 
     if method != "position":
-        raise ValueError("method must be auto, displacement, or position")
+        raise ValueError("method must be position or displacement")
     q_max = _q_support(rho)
     p_max = math.sqrt(2.0 * hb * rho.dim) + 4.0 * math.sqrt(hb)
     freq = (float(np.max(np.abs(xp))) + p_max) / hb

@@ -3,9 +3,10 @@ then one comma-separated row per sample, every float written with %.17g so a
 write/read cycle is bit-exact.  ``write_table`` writes every table chordlab
 writes; its rows are a number array, an object array whose ``str`` cells are
 written as they are, or tuples.  Gridded fields (Wigner, chord, Husimi) put
-their grid in the header and the axis values first in each row; each axis
-value is formatted once and its string repeated down the grid, and
-``load_grid_csv`` checks the columns and the axes against the header grid.
+their grid in the header and only their values in the rows, one row per grid
+point in ``[p, q]`` row-major order (row ``i * points + j`` holds
+``values[i, j]``); ``load_grid_csv`` checks the header, the columns and the
+row and cell counts.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _KINDS = ("centre", "chord", "husimi")
-_COLUMNS = {False: ["axis0", "axis1", "value"], True: ["axis0", "axis1", "re", "im"]}
+_COLUMNS = {False: ["value"], True: ["re", "im"]}
 
 
 def _spec(cell) -> str:
@@ -54,10 +55,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {_KINDS}")
 
 
-def _axis_strings(axis: np.ndarray) -> np.ndarray:
-    return np.array(["%.17g" % x for x in axis.tolist()], dtype=object)
-
-
 def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "centre"):
     _check_kind(kind)
     values = np.asarray(values)
@@ -65,12 +62,7 @@ def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "cen
     if values.shape != (m, m):
         raise ValueError(f"values have shape {values.shape}; the grid needs {(m, m)}")
     complex_data = np.iscomplexobj(values)
-    parts = (values.real, values.imag) if complex_data else (values,)
-    rows = np.empty((m, m, 2 + len(parts)), dtype=object)
-    rows[:, :, 0] = _axis_strings(grid.p_axis)[:, None]
-    rows[:, :, 1] = _axis_strings(grid.q_axis)
-    for k, part in enumerate(parts):
-        rows[:, :, 2 + k] = part
+    rows = np.stack((values.real, values.imag), axis=-1) if complex_data else values
     write_table(path,
                 [("chordlab-grid schema_version", SCHEMA_VERSION), ("kind", kind),
                  ("points", m), ("half_width_p", grid.half_width_p),
@@ -95,20 +87,15 @@ def load_grid_csv(path):
             rows.append(line)
     try:
         m = int(meta["points"])
-        grid = CenteredGrid(
-            half_width_p=float(meta["half_width_p"]),
-            half_width_q=float(meta["half_width_q"]),
-            points=m,
-            hbar=float(meta["hbar"]),
-        )
+        grid = CenteredGrid(float(meta["half_width_p"]), float(meta["half_width_q"]), m,
+                            float(meta["hbar"]))
         kind = meta["kind"]
     except KeyError as exc:
         raise ValueError(f"grid CSV is missing header field {exc}") from None
     _check_kind(kind)
     columns = meta.get("columns", "").split(",")
     if columns not in _COLUMNS.values():
-        raise ValueError(f"grid CSV columns {meta.get('columns')!r}; expected "
-                         "'axis0,axis1,value' or 'axis0,axis1,re,im'")
+        raise ValueError(f"grid CSV columns {meta.get('columns')!r}; expected 'value' or 're,im'")
     if len(rows) != m * m:
         raise ValueError(f"expected {m * m} rows, found {len(rows)}")
     cells = [row.split(",") for row in rows]
@@ -117,9 +104,6 @@ def load_grid_csv(path):
             raise ValueError(f"data row {n + 1} has {len(row)} cells; "
                              f"the columns are {','.join(columns)}")
     data = np.array([[float(tok) for tok in row] for row in cells]).reshape(m, m, -1)
-    for col, axis, name in ((0, grid.p_axis[:, None], "p_axis"), (1, grid.q_axis, "q_axis")):
-        if not (data[:, :, col].view(np.int64) == axis.view(np.int64)).all():
-            raise ValueError(f"column {columns[col]} does not hold the header grid's {name}")
-    if len(columns) == 4:
-        return data[:, :, 2] + 1j * data[:, :, 3], grid, kind
-    return data[:, :, 2], grid, kind
+    if len(columns) == 2:  # each (re, im) pair is one complex128, signed zeros kept
+        data = data.view(complex)
+    return data[:, :, 0], grid, kind

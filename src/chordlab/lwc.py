@@ -230,7 +230,7 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     if chi.hbar != hb:
         raise ValueError("window and chord function disagree on hbar")
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    notes: list = []
+    notes = list(chi.warnings)
 
     if chi.gridded:
         grid = chi.grid

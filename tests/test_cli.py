@@ -139,10 +139,29 @@ xi.half_width = {half}
      "time.dt must be positive"),
     ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = 0.1\n"
      "time.dt = 0\n", "time.dt must be positive"),
+    # values the library call rejects with ValueError, reported with their keys
+    ("positivity", "hamiltonian.family = free\nhamiltonian.mass = 0\nchannel = 0 1 0 0\n",
+     "hamiltonian.mass: mass must be finite and nonzero"),
+    ("evolve-chord", "hamiltonian.family = free\nhamiltonian.mass = 0\ngrid.points = 16\n",
+     "hamiltonian.mass: mass must be finite and nonzero"),
+    ("evolve-chord", "state.family = circle\nstate.action = 0\nxi.points = 16\n",
+     "state.action: action must be positive"),
+    ("lwc", "state.family = circle\nstate.action = -1\nwindow.q = 0\nxi.points = 64\n",
+     "state.action: action must be positive"),
+    ("spectrum", "state.family = quartic\nstate.energy = 0\nwindow.q = 0\nxi.points = 64\n",
+     "state.energy, state.a, state.b: need energy > 0"),
+    ("lwc", "state.family = pendulum\nstate.energy = 2\nwindow.q = 0\nxi.points = 64\n",
+     "state.energy, state.g: libration requires"),
+    ("spectrum", "state.family = pendulum\nstate.energy = 0.5\nstate.g = 0\nwindow.q = 0\n"
+     "xi.points = 64\n", "state.energy, state.g: libration requires"),
+    ("lwc", "state.family = circle\nwindow.q = 0\nxi.points = 4\n",
+     "xi.points: points must be even and at least 8"),
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
         "fock-n-too-large", "husimi-dt-negative", "husimi-dt-zero", "evolve-chord-dt-zero",
-        "lwc-dt-negative", "spectrum-dt-zero"])
+        "lwc-dt-negative", "spectrum-dt-zero", "free-mass-zero-positivity",
+        "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
+        "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4"])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
@@ -175,7 +194,7 @@ def test_coherent_demo_and_determinism(tmp_path):
         assert a == b and a
 
     payload = json.loads((out1 / "coherent-demo.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["experiment"] == "coherent-demo"
     assert payload["config"]["state.eta"] == "0.2 0.1"
     res = payload["result"]

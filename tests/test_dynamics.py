@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,12 @@ def test_quadratic_families_are_the_form_x_s_x():
         assert np.array_equal(H.gradient(x), x @ s)
         assert np.array_equal(H.hessian(x), np.broadcast_to(s, (50, 2, 2)))
     assert np.array_equal(dy.hamiltonians.harmonic(0.7).gradient(x), 0.7 * x)
+
+
+@pytest.mark.parametrize("mass", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_free_rejects_a_zero_or_non_finite_mass(mass):
+    with pytest.raises(ValueError, match="mass must be finite and nonzero"):
+        dy.hamiltonians.free(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +530,24 @@ def test_evolved_chord_warns_on_coarse_curve():
     with pytest.warns(ConvergenceWarning):
         dy.evolve_chord_function(curve, dy.hamiltonians.harmonic(), None, 0.1,
                                  dt=1e-2, hbar=HBAR)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_evolved_chord_keeps_the_curve_warnings(t):
+    """chi starts from a copy of the curve source's warnings; the check's own
+    warning comes after them."""
+    from chordlab.curves import pendulum_level_curve
+
+    with pytest.warns(ConvergenceWarning, match="unconverged"):
+        curve = pendulum_level_curve(1.0 - 1e-9, samples=64)
+    note = list(curve.warnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        chi = dy.evolve_chord_function(curve, dy.hamiltonians.pendulum(), None, t,
+                                       dt=1e-2, hbar=HBAR)
+    assert len(note) == 1 and chi.warnings[:1] == note
+    chi.warnings.append("later")
+    assert curve.warnings == note
 
 
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])

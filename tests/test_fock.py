@@ -115,6 +115,18 @@ def test_position_route_matches_displacement_on_grid_and_scattered_points():
         assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
+def test_chord_function_defaults_to_the_position_route():
+    """The default is the position route at any point count; "auto" is gone."""
+    rho = coherent_density_matrix((0.3, -0.4), HBAR, 48)
+    xi_p, xi_q = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 6))
+    got = chord_function_exact(rho, xi_p, xi_q)
+    assert got.tobytes() == chord_function_exact(rho, xi_p, xi_q, method="position").tobytes()
+    want = chord_function_exact(rho, xi_p, xi_q, method="displacement")
+    assert np.max(np.abs(got - want)) < 1e-12 / (2.0 * math.pi * HBAR)
+    with pytest.raises(ValueError, match="position or displacement"):
+        chord_function_exact(rho, xi_p, xi_q, method="auto")
+
+
 def test_displacement_matrix_properties():
     alpha = 0.5 + 0.2j
     dim = 48

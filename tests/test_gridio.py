@@ -62,11 +62,10 @@ def test_csv_rows_match_per_element_writer(tmp_path, complex_data):
     path = tmp_path / "field.csv"
     save_grid_csv(path, vals, grid, "chord")
     rows = []
-    for i, a0 in enumerate(grid.p_axis):
-        for j, a1 in enumerate(grid.q_axis):
+    for i in range(grid.points):
+        for j in range(grid.points):
             v = vals[i, j]
-            tail = f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}"
-            rows.append(f"{a0:.17g},{a1:.17g},{tail}\n")
+            rows.append((f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}") + "\n")
     lines = path.read_text().splitlines(keepends=True)
     assert all(line.startswith("#") for line in lines[:7])
     assert "".join(lines[7:]) == "".join(rows)
@@ -89,23 +88,15 @@ def _edit_rows(path, edit):
     path.write_text("\n".join(lines[:7] + body) + "\n")
 
 
-def _one_ulp_off(cells):
-    if cells[1] == "0":
-        cells[1] = "%.17g" % np.nextafter(0.0, 1.0)
-    return cells
-
-
-@pytest.mark.parametrize("edit, header, match", [
-    (lambda c: c + ["0"], None, "4 cells"),
-    (lambda c: c[:2], None, "2 cells"),
-    (lambda c: ["9", "9"] + c[2:], None, "axis0"),
-    (_one_ulp_off, None, "axis1"),
-    (None, ("axis0,axis1,value", "p,q,value"), "columns"),
-    (None, ("# columns = axis0,axis1,value\n", ""), "columns"),
-], ids=["extra-cell", "two-cells", "axis-cells-nine", "axis1-one-ulp", "renamed-columns",
-        "no-columns-line"])
-def test_load_rejects_rows_off_the_columns_or_axes(tmp_path, edit, header, match):
-    vals, grid = _sample_field(False)
+@pytest.mark.parametrize("complex_data, edit, header, match", [
+    (True, lambda c: c + ["0"], None, "3 cells"),
+    (False, lambda c: c + ["0"], None, "2 cells"),
+    (True, lambda c: c[:1], None, "1 cells"),
+    (False, None, ("columns = value", "columns = v"), "columns"),
+    (False, None, ("# columns = value\n", ""), "columns"),
+], ids=["extra-cell", "two-cells", "one-cell", "renamed-columns", "no-columns-line"])
+def test_load_rejects_rows_off_the_columns_or_axes(tmp_path, complex_data, edit, header, match):
+    vals, grid = _sample_field(complex_data)
     path = tmp_path / "field.csv"
     save_grid_csv(path, vals, grid)
     if edit is not None:
@@ -116,27 +107,65 @@ def test_load_rejects_rows_off_the_columns_or_axes(tmp_path, edit, header, match
         load_grid_csv(path)
 
 
+def test_load_rejects_a_schema_1_file(tmp_path):
+    """A schema-1 file, whose rows start with the two axis values, fails on its
+    columns line."""
+    path = tmp_path / "old.csv"
+    path.write_text("# chordlab-grid schema_version = 1\n# kind = centre\n# points = 2\n"
+                    "# half_width_p = 1\n# half_width_q = 1\n# hbar = 0.05\n"
+                    "# columns = axis0,axis1,value\n"
+                    "-1,-1,0.5\n-1,0,0.25\n0,-1,0.125\n0,0,1\n")
+    with pytest.raises(ValueError, match="columns 'axis0,axis1,value'"):
+        load_grid_csv(path)
+
+
+@pytest.mark.parametrize("points", [2, 8, 64])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_round_trip_is_exact_and_row_k_holds_values_i_j(tmp_path, points, complex_data):
+    """Row k = i * points + j holds values[i, j]; the file carries no axis cells,
+    and loading gives back the values and the grid bit for bit."""
+    rng = np.random.default_rng(points)
+    grid = CenteredGrid(1.5, 0.625, points, 0.05)
+    vals = rng.standard_normal((points, points))
+    if complex_data:
+        vals = vals + 1j * rng.standard_normal((points, points))
+        vals[0, -1] = complex(-0.0, -0.0)
+        vals[-1, 0] = complex(1.5, np.inf)
+    path = tmp_path / "field.csv"
+    save_grid_csv(path, vals, grid, "husimi")
+    lines = path.read_text().splitlines()
+    assert lines[6] == "# columns = " + ("re,im" if complex_data else "value")
+    rows = lines[7:]
+    assert len(rows) == points * points
+    for k, row in enumerate(rows):
+        v = vals[divmod(k, points)]
+        assert [float(c) for c in row.split(",")] == ([v.real, v.imag] if complex_data else [v])
+    back, bgrid, kind = load_grid_csv(path)
+    assert (bgrid, kind) == (grid, "husimi")
+    assert back.dtype == vals.dtype
+    assert back.view(np.int64).tobytes() == vals.view(np.int64).tobytes()
+
+
 def _per_element_file(vals, grid, kind):
     """The grid CSV of ``vals`` as float64 or complex128, one .17g format per cell."""
     complex_data = np.iscomplexobj(vals)
     vals = np.asarray(vals, dtype=complex if complex_data else float)
-    lines = [f"# chordlab-grid schema_version = 1\n# kind = {kind}\n"
+    lines = [f"# chordlab-grid schema_version = 2\n# kind = {kind}\n"
              f"# points = {grid.points}\n# half_width_p = {grid.half_width_p:.17g}\n"
              f"# half_width_q = {grid.half_width_q:.17g}\n# hbar = {grid.hbar:.17g}\n"
-             "# columns = " + ("axis0,axis1,re,im\n" if complex_data else "axis0,axis1,value\n")]
-    for i, a0 in enumerate(grid.p_axis):
-        for j, a1 in enumerate(grid.q_axis):
+             "# columns = " + ("re,im\n" if complex_data else "value\n")]
+    for i in range(grid.points):
+        for j in range(grid.points):
             v = vals[i, j]
-            tail = f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}"
-            lines.append(f"{a0:.17g},{a1:.17g},{tail}\n")
+            lines.append((f"{v.real:.17g},{v.imag:.17g}" if complex_data else f"{v:.17g}") + "\n")
     return "".join(lines)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "int64", "bool", "complex64",
                                    "float64-transposed", "complex128-transposed"])
 def test_grid_write_of_any_value_dtype_matches_per_element_writer(tmp_path, dtype):
-    """Value cells keep their number type in the object rows; each must print
-    as its float64 (or complex128) value would."""
+    """Value cells keep their number type; each must print as its float64 (or
+    complex128) value would."""
     vals, grid = _sample_field(dtype.startswith("complex"))
     vals = vals * 1e3
     if dtype.endswith("transposed"):

@@ -584,6 +584,23 @@ def test_curve_warnings_reach_the_sample():
     assert sample.warnings[0] == curve.warnings[0]
 
 
+def test_chord_function_warnings_reach_the_lwc_sample():
+    """lwc_from_chord starts from a copy of chi's warnings, for a callable chi
+    and for its grid sample, and appends its own after them."""
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    with pytest.warns(ConvergenceWarning, match="sample count moves chi by 3.0"):
+        chi = dynamics.evolve_chord_function(harmonic_circle(0.5, 16), hamiltonians.harmonic(),
+                                             channels, 0.3, hbar=HBAR)
+    assert len(chi.warnings) == 1
+    window = LwcWindow.canonical(0.2, HBAR)
+    for source in (chi, chi.sample(CenteredGrid(3.0, 3.0, 64, HBAR))):
+        assert lwc_from_chord(source, window, [0.0]).warnings == chi.warnings
+    with pytest.warns(TruncationWarning, match="widen"):
+        sample = lwc_from_chord(chi, window, [0.0], xi_p_halfwidth=0.3)
+    assert sample.warnings[:1] == chi.warnings and len(sample.warnings) == 2
+    assert len(chi.warnings) == 1
+
+
 def test_lwc_from_callable_chord_memory_is_bounded():
     """All columns go to chi in one call, and the per-sample sum behind a
     non-quadratic evolved chi is built in bounded blocks.  One complex table
