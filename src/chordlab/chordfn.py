@@ -49,23 +49,7 @@ class ChordFunction:
         xq = np.asarray(xi_q, dtype=float)
         if self.fn is not None:
             return self.fn(xp, xq)
-        return self._lookup(xp, xq)
-
-    def _lookup(self, xp, xq):
-        g = self.grid
-        pair = np.broadcast(xp, xq)
-        if pair.size == 0:
-            return np.empty(pair.shape, dtype=complex)
-        ip = xp / g.dp + g.points // 2
-        iq = xq / g.dq + g.points // 2
-        rp = np.rint(ip)
-        rq = np.rint(iq)
-        if np.max(np.abs(ip - rp)) > 1e-6 or np.max(np.abs(iq - rq)) > 1e-6:
-            raise ValueError("requested chord is not a grid node; sampled chord "
-                             "functions are not interpolated")
-        if np.any(rp < 0) or np.any(rp >= g.points) or np.any(rq < 0) or np.any(rq >= g.points):
-            raise ValueError("requested chord lies outside the sampled grid")
-        return self.values[rp.astype(int), rq.astype(int)]
+        return self.values[self.grid._node_index(xp, 0), self.grid._node_index(xq, 1)]
 
     def sample(self, grid: CenteredGrid) -> "ChordFunction":
         """Evaluate a closed-form chord function onto a grid."""

@@ -36,7 +36,7 @@ from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
                   lwc_from_chord, lwc_sc_berry, lwc_sc_markov, resolution_verdict,
                   spectrum, suggest_xi_q_grid)
 
-__all__ = ["main", "run", "resolution_verdict"]
+__all__ = ["main", "run"]
 
 _TABLE_SCHEMA = ("chordlab schema_version", gridio.SCHEMA_VERSION)
 _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
@@ -292,7 +292,7 @@ def _xi_grid(cfg: Config, hbar: float) -> np.ndarray:
     pts = _even_points(cfg, "xi.points", 1024)
     half = _half_width(cfg, "xi.half_width")
     if half:
-        return (np.arange(pts) - pts // 2) * (2.0 * half / pts)
+        return CenteredGrid(half, half, pts, hbar).q_axis
     with _library_checks("xi.points"):
         return suggest_xi_q_grid(hbar, points=pts)
 

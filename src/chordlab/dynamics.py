@@ -153,6 +153,25 @@ def _quadratic(name: str, params: dict, s: np.ndarray) -> HamiltonianModel:
     )
 
 
+def _separable(name: str, params: dict, quadratic: bool, v, dv, d2v) -> HamiltonianModel:
+    """H = p^2/2 + V(q), from V and its first two derivatives."""
+
+    def gradient(x):
+        g = np.empty_like(x)
+        g[..., 0] = x[..., 0]
+        g[..., 1] = dv(x[..., 1])
+        return g
+
+    def hessian(x):
+        h = np.zeros(x.shape[:-1] + (2, 2))
+        h[..., 0, 0] = 1.0
+        h[..., 1, 1] = d2v(x[..., 1])
+        return h
+
+    return HamiltonianModel(name, lambda x: 0.5 * x[..., 0] ** 2 + v(x[..., 1]), gradient,
+                            hessian, quadratic, params)
+
+
 class hamiltonians:
     """Built-in model families."""
 
@@ -173,47 +192,16 @@ class hamiltonians:
     @staticmethod
     def quartic(a: float = 1.0, b: float = 0.0) -> HamiltonianModel:
         """H = p^2/2 + a q^4/4 + b q^2/2."""
-
-        def value(x):
-            q = x[..., 1]
-            return 0.5 * x[..., 0] ** 2 + 0.25 * a * q**4 + 0.5 * b * q**2
-
-        def gradient(x):
-            g = np.empty_like(x)
-            g[..., 0] = x[..., 0]
-            q = x[..., 1]
-            g[..., 1] = (a * q * q + b) * q  # q**3 runs libm pow, many times slower
-            return g
-
-        def hessian(x):
-            q = x[..., 1]
-            h = np.zeros(x.shape[:-1] + (2, 2))
-            h[..., 0, 0] = 1.0
-            h[..., 1, 1] = 3.0 * a * q * q + b
-            return h
-
-        return HamiltonianModel("quartic", value, gradient, hessian, a == 0.0, {"a": a, "b": b})
+        return _separable("quartic", {"a": a, "b": b}, a == 0.0,
+                          lambda q: 0.25 * a * q**4 + 0.5 * b * q**2,
+                          lambda q: (a * q * q + b) * q,  # q**3 runs libm pow, many times slower
+                          lambda q: 3.0 * a * q * q + b)
 
     @staticmethod
     def pendulum(g: float = 1.0) -> HamiltonianModel:
         """H = p^2/2 - g cos q; libration below E = g."""
-
-        def value(x):
-            return 0.5 * x[..., 0] ** 2 - g * np.cos(x[..., 1])
-
-        def gradient(x):
-            grad = np.empty_like(x)
-            grad[..., 0] = x[..., 0]
-            grad[..., 1] = g * np.sin(x[..., 1])
-            return grad
-
-        def hessian(x):
-            h = np.zeros(x.shape[:-1] + (2, 2))
-            h[..., 0, 0] = 1.0
-            h[..., 1, 1] = g * np.cos(x[..., 1])
-            return h
-
-        return HamiltonianModel("pendulum", value, gradient, hessian, False, {"g": g})
+        return _separable("pendulum", {"g": g}, False, lambda q: -g * np.cos(q),
+                          lambda q: g * np.sin(q), lambda q: g * np.cos(q))
 
     registry = {
         "zero": zero.__func__,
@@ -232,6 +220,11 @@ def _chord_generator(H, gamma):
     """A = J Hess H + gamma, the chord variational generator of a quadratic
     model (its Hessian taken at the origin)."""
     return J_MATRIX @ H.hessian(np.zeros(2)) + gamma * np.eye(2)
+
+
+def _check_time(t) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
 
 
 def _steps_for(t: float, dt: float) -> int:
@@ -271,10 +264,9 @@ def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
 def _centre_map(H, gamma: float, t: float):
     """Affine centre flow x(t) = E x(0) + d of a quadratic model, from the
     exponential of [[J Hess H - gamma, J grad H(0)], [0, 0]]."""
-    origin = np.zeros(2)
     gen = np.zeros((3, 3))
-    gen[:2, :2] = J_MATRIX @ H.hessian(origin) - gamma * np.eye(2)
-    gen[:2, 2] = J_MATRIX @ H.gradient(origin)
+    gen[:2, :2] = _chord_generator(H, -gamma)
+    gen[:2, 2] = J_MATRIX @ H.gradient(np.zeros(2))
     e = scipy.linalg.expm(t * gen)
     return e[:2, :2], e[:2, 2]
 
@@ -385,8 +377,7 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     are unused); otherwise the trajectory is co-integrated with RK4 and the
     step is halved once to check convergence.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     if frame not in ("final", "initial"):
         raise ValueError(f"frame must be 'final' or 'initial', not {frame!r}")
     anchor = np.asarray(anchor, dtype=float)
@@ -441,6 +432,8 @@ def _source_samples(source, hbar, stride: int = 1):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.points, grid.points):
             raise ValueError("Wigner values do not match the grid")
+        if hbar is not None and hbar != grid.hbar:
+            raise ValueError(f"hbar = {hbar!r} differs from the grid's {grid.hbar!r}")
         pp, qq = grid.meshgrid()
         pts = np.stack([pp[::stride, ::stride].ravel(), qq[::stride, ::stride].ravel()], axis=-1)
         w = values[::stride, ::stride].ravel() * float(stride**2) * grid.dp * grid.dq
@@ -475,10 +468,10 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     through ``grids._plane_wave_sum``: on an outer grid of chords a
     per-sample Phi_i goes through the Taylor series of its cross term, to
     within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
-    by point.
+    by point.  A grid source carries its own hbar, which a given ``hbar`` must
+    equal; a curve source needs ``hbar``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     pts, w, hbar = _source_samples(source, hbar)
     n = w.size
     check = convergence_check and t > 0

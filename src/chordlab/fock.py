@@ -24,7 +24,7 @@ from scipy import sparse
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
-from .dynamics import HamiltonianModel, LindbladChannel, _as_channels
+from .dynamics import HamiltonianModel, LindbladChannel, _as_channels, _check_time
 from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _outer_grid, _plane_wave_sum, ft_axis,
                     simpson_weights)
 
@@ -295,14 +295,15 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     more terms than needed, but it never loses digits.  No trace shift is
     applied: it would cost the state's trace an order of magnitude in rounding.
 
-    t must be finite and nonnegative, dt finite and positive, and h_mat and
-    every L the shape of rho0; anything else raises ValueError.
+    t must be finite and nonnegative, dt and hbar finite and positive, and
+    h_mat and every L the shape of rho0; anything else raises ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
     dim = rho.shape[0]
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    _check_time(t)
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:

@@ -77,6 +77,19 @@ class CenteredGrid:
         n = np.arange(self.points) - self.points // 2
         return n * self.dq
 
+    def _node_index(self, x, axis: int) -> np.ndarray:
+        """Indices along ``axis`` (0 for p, 1 for q) of the nodes at x, the
+        inverse of x_n = (n - M/2) d.  Every x must lie within 1e-6 steps of a
+        node inside the grid: sampled fields are not interpolated."""
+        i = np.asarray(x, dtype=float) / (self.dp, self.dq)[axis] + self.points // 2
+        n = np.rint(i)
+        if not np.all(np.abs(i - n) <= 1e-6):
+            raise ValueError("requested point is not a grid node; sampled functions "
+                             "are not interpolated")
+        if np.any(n < 0) or np.any(n >= self.points):
+            raise ValueError("requested point lies outside the sampled grid")
+        return n.astype(int)
+
     def meshgrid(self):
         """(P, Q) arrays of shape (points, points), indexed [p, q]."""
         return np.meshgrid(self.p_axis, self.q_axis, indexing="ij")
@@ -120,6 +133,19 @@ def ft_axis(values: np.ndarray, dx: float, hbar: float, axis: int, sign: int) ->
     else:
         out = np.fft.ifft(shifted, axis=axis) * n
     return dx * np.fft.fftshift(out, axes=axis)
+
+
+def _uniform_step(axis, what: str, points: int) -> float:
+    """The step of a 1-D finite axis of at least ``points`` (>= 2) nodes that
+    increases in equal steps (to 1e-9 of a step); ValueError naming ``what``
+    otherwise."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size < points or not np.all(np.isfinite(axis)):
+        raise ValueError(f"{what} must be 1-D and finite, with at least {points} points")
+    d = float(axis[1] - axis[0])
+    if not (d > 0 and np.allclose(np.diff(axis), d, rtol=0, atol=1e-9 * d)):
+        raise ValueError(f"{what} must increase in equal steps")
+    return d
 
 
 def boundary_decay_ok(values: np.ndarray, rel: float = 1e-14) -> bool:

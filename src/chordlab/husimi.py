@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics
 from .chordfn import ChordFunction
-from .grids import CenteredGrid, simpson_weights
+from .grids import CenteredGrid, _uniform_step, simpson_weights
 from .lwc import LwcWindow
 
 __all__ = [
@@ -84,20 +84,19 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
         rho_H(P, Q_k) = (2 pi hbar)^-1 Int dxi_q C(xi_q, Q_k)
                         exp(+i P xi_q / hbar) exp(-Delta^2 xi_q^2 / 2 hbar^2),
 
-    exact if and only if every window has Delta = sqrt(hbar / 2).  Returns an
-    array of shape (len(p_axis), len(samples)), one column per window centre.
+    exact if and only if every window has Delta = sqrt(hbar / 2).  The shared
+    xi_q grid must be uniform and increasing.  Returns an array of shape
+    (len(p_axis), len(samples)), one column per window centre.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one windowed sample")
-    if samples[0].window is None:
+    if any(s.window is None for s in samples):
         raise ValueError("samples must carry their windows")
     hb = samples[0].window.hbar
     want = LwcWindow.husimi_matched(0.0, hb).delta
     xi_q = samples[0].xi_q
     for s in samples:
-        if s.window is None:
-            raise ValueError("samples must carry their windows")
         if abs(s.window.delta - want) > 1e-12 * want or s.window.hbar != hb:
             raise ValueError(
                 "reconstruction requires window width sqrt(hbar/2) exactly; "
@@ -105,11 +104,7 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
         if s.xi_q.shape != xi_q.shape or not np.allclose(s.xi_q, xi_q, rtol=0, atol=1e-12):
             raise ValueError("all samples must share one xi_q grid")
     p_axis = np.asarray(p_axis, dtype=float)
-    if xi_q.size < 3:
-        raise ValueError("xi_q grid too small")
-    d = xi_q[1] - xi_q[0]
-    if not np.allclose(np.diff(xi_q), d, rtol=0, atol=1e-9 * abs(d)):
-        raise ValueError("xi_q grid must be uniform")
+    d = _uniform_step(xi_q, "xi_q grid", 3)
     w = simpson_weights(xi_q.size, d) * np.exp(-(want * xi_q) ** 2 / (2.0 * hb**2))
     kernel = np.exp(1j * np.outer(p_axis, xi_q) / hb) * w
     c_mat = np.stack([s.values for s in samples], axis=1)

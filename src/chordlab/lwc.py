@@ -32,7 +32,7 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import ft_axis, simpson_weights
+from .grids import CenteredGrid, _uniform_step, ft_axis, simpson_weights
 from .states import CoherentState
 
 __all__ = [
@@ -232,31 +232,24 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
     notes = list(chi.warnings)
 
-    if chi.gridded:
+    if chi.gridded:  # chord grids store (xi_p, xi_q) on the (p, q) axes
         grid = chi.grid
-        cols = -xi_q / grid.dq + grid.points / 2
-        idx = np.rint(cols).astype(int)
-        if np.any(np.abs(cols - idx) > 1e-6) or np.any(idx < 0) or np.any(idx >= grid.points):
-            raise ValueError("-xi_q must land on the chord grid's xi_q nodes")
-        # chord grids store (xi_p, xi_q) on the (p, q) axes
-        vals = _window_quadrature(grid.p_axis, grid.dp, window, chi.values[:, idx], notes,
-                                  "grid edge; widen the chord grid")
-        return LwcSample(xi_q, vals, window, notes)
-
-    if xi_p_halfwidth is None:
-        xi_p_halfwidth = 9.0 * hb / window.delta
-    if xi_p_points < 3:
-        raise ValueError("xi_p_points must be at least 3")
-    xp = np.linspace(-xi_p_halfwidth, xi_p_halfwidth, xi_p_points)
-    h = xp[1] - xp[0]
-    if h * abs(window.Q) / hb > 0.5 * math.pi:
-        diagnostics.report(
-            notes,
-            "xi_p quadrature undersamples the window phase; raise xi_p_points",
-            diagnostics.ConvergenceWarning,
-        )
-    f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
-    vals = _window_quadrature(xp, h, window, f, notes, "range edge; widen xi_p_halfwidth")
+        xp, h = grid.p_axis, grid.dp
+        f = chi.values[:, grid._node_index(-xi_q, 1)]
+        edge = "grid edge; widen the chord grid"
+    else:
+        if xi_p_halfwidth is None:
+            xi_p_halfwidth = 9.0 * hb / window.delta
+        if xi_p_points < 3:
+            raise ValueError("xi_p_points must be at least 3")
+        xp = np.linspace(-xi_p_halfwidth, xi_p_halfwidth, xi_p_points)
+        h = xp[1] - xp[0]
+        if h * abs(window.Q) / hb > 0.5 * math.pi:
+            diagnostics.report(notes, "xi_p quadrature undersamples the window phase; "
+                               "raise xi_p_points", diagnostics.ConvergenceWarning)
+        f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
+        edge = "range edge; widen xi_p_halfwidth"
+    vals = _window_quadrature(xp, h, window, f, notes, edge)
     return LwcSample(xi_q, vals, window, notes)
 
 
@@ -264,13 +257,14 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     """Windowed correlation straight from rho(q - s/2, q + s/2) samples.
 
     Every requested xi_q must coincide with an s_axis node, and q_axis must
-    cover the window out to Q +- 6 Delta.
+    be uniform and increasing, and cover the window out to Q +- 6 Delta.
     """
     rho_slices = np.asarray(rho_slices)
     q_axis = np.asarray(q_axis, dtype=float)
     s_axis = np.asarray(s_axis, dtype=float)
     if rho_slices.shape != (q_axis.size, s_axis.size):
         raise ValueError("rho_slices must be (len(q_axis), len(s_axis))")
+    dq = _uniform_step(q_axis, "q_axis", 3)
     lo, hi = window.Q - 6.0 * window.delta, window.Q + 6.0 * window.delta
     if q_axis[0] > lo or q_axis[-1] < hi:
         raise ValueError("q_axis must cover the window out to Q +- 6 Delta")
@@ -280,7 +274,6 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     cols = np.clip(cols, 0, s_axis.size - 1)
     if np.any(np.abs(s_axis[cols] - xi_q) > 1e-6 * max(abs(ds), 1e-12)):
         raise ValueError("every xi_q must coincide with an s_axis node")
-    dq = q_axis[1] - q_axis[0]
     wq = simpson_weights(q_axis.size, dq) * np.exp(
         -((q_axis - window.Q) ** 2) / (2.0 * window.delta**2))
     wq /= math.sqrt(2.0 * math.pi) * window.delta
@@ -319,8 +312,7 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
     branch's Phi."""
     if not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    dynamics._check_time(t)
     if t > 0:
         curve = evolve_curve_classically(curve, H, channels, t, dt)
     if caustic_threshold is None:
@@ -382,8 +374,9 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 
         S(p') = (2 pi hbar)^-1 Int dxi_q C(xi_q) exp(+i p' xi_q / hbar).
 
-    Requires a centred uniform xi_q grid with an even point count.  S is
-    real up to an edge-bin residue, which is recorded.
+    Requires a centred, increasing, uniform xi_q grid with an even point
+    count of at least 8.  S is real up to an edge-bin residue, which is
+    recorded.
     """
     if hbar is None:
         if sample.window is None:
@@ -391,9 +384,8 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
         hbar = sample.window.hbar
     xq = sample.xi_q
     n = xq.size
-    d = xq[1] - xq[0] if n > 1 else 0.0
-    if n < 8 or n % 2 or not np.allclose(np.diff(xq), d, rtol=0, atol=1e-9 * abs(d)) \
-            or abs(xq[n // 2]) > 1e-9 * abs(d):
+    d = _uniform_step(xq, "xi_q grid", 8)
+    if n % 2 or abs(xq[n // 2]) > 1e-9 * d:
         raise ValueError("spectrum needs a centred uniform even-count xi_q grid")
     notes = list(sample.warnings)
     mags = np.abs(sample.values)
@@ -401,7 +393,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
         diagnostics.report(
             notes, "C(xi_q) not decayed at the grid edge; widen the xi_q grid",
             diagnostics.TruncationWarning)
-    s_c = ft_axis(np.asarray(sample.values, dtype=complex), float(d), hbar,
+    s_c = ft_axis(np.asarray(sample.values, dtype=complex), d, hbar,
                   axis=0, sign=+1) / (2.0 * math.pi * hbar)
     dp = 2.0 * math.pi * hbar / (n * d)
     p_axis = (np.arange(n) - n // 2) * dp
@@ -429,7 +421,8 @@ def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
 
     Exact for sampled Gaussians: returns vertex position and variance
     -1 / (2 a) of the fitted log-parabola.  Peaks whose neighbourhood is not
-    log-concave are reported at grid resolution and flagged.
+    log-concave are reported at grid resolution and flagged.  p_axis must be
+    uniform and increasing, and the values finite.
 
     For a line that is not exactly Gaussian the fit reads the curvature over
     +-2 bins, so the variance depends on the p spacing: the exact spectrum of
@@ -441,7 +434,9 @@ def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
     v = np.asarray(values, dtype=float)
     if p_axis.size != v.size or v.size < 5:
         raise ValueError("need matching axes with at least 5 samples")
-    dp = p_axis[1] - p_axis[0]
+    dp = _uniform_step(p_axis, "p_axis", 5)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
     top = float(np.max(v))
     peaks = []
     for i in range(2, v.size - 2):
@@ -486,16 +481,18 @@ def resolution_verdict(peaks) -> ResolutionVerdict:
 
 def suggest_xi_q_grid(hbar: float, envelope_sigma: float | None = None,
                       points: int = 1024, dp_target: float | None = None) -> np.ndarray:
-    """Centred even xi_q grid wide enough that a Gaussian envelope of the
-    given sigma decays to 1e-12 (default sigma: the coherent chord width
-    sqrt(2 hbar)).  dp_target, when set, further widens the grid so the
-    spectral bin 2 pi hbar / (M dxi) is at most that fine."""
+    """Centred even xi_q grid (a ``CenteredGrid`` q axis) wide enough that a
+    Gaussian envelope of the given sigma decays to 1e-12 (default sigma: the
+    coherent chord width sqrt(2 hbar)).  dp_target, when set, further widens
+    the grid so the spectral bin 2 pi hbar / (M dxi) is at most that fine.
+    hbar and sigma must be finite and positive, dp_target positive."""
     if points % 2 or points < 8:
         raise ValueError("points must be even and at least 8")
     if envelope_sigma is None:
         envelope_sigma = math.sqrt(2.0 * hbar)
     half = envelope_sigma * math.sqrt(2.0 * math.log(1e12))
     if dp_target is not None:
+        if not dp_target > 0:
+            raise ValueError(f"dp_target must be positive, got {dp_target!r}")
         half = max(half, math.pi * hbar / dp_target)
-    d = 2.0 * half / points
-    return (np.arange(points) - points // 2) * d
+    return CenteredGrid(half, half, points, hbar).q_axis

@@ -30,6 +30,8 @@ def test_sample_onto_grid_then_lookup():
         sampled(grid.dp * 0.5, 0.0)
     with pytest.raises(ValueError):
         sampled(grid.half_width_p + grid.dp, 0.0)  # outside
+    with pytest.raises(ValueError, match="not a grid node"):
+        sampled(0.0, np.nan)
 
 
 def test_sample_requires_matching_hbar():

@@ -156,12 +156,29 @@ xi.half_width = {half}
      "xi.points = 64\n", "state.energy, state.g: libration requires"),
     ("lwc", "state.family = circle\nwindow.q = 0\nxi.points = 4\n",
      "xi.points: points must be even and at least 8"),
+    # route and state combinations no experiment can run
+    ("lwc", "state.eta = 0.3 0\nxi.points = 64\n", "need at least one window.q"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nlwc.route = closed-form\n"
+     "time.t = 0.1\n", "route 'closed-form' needs state.family = coherent and time.t = 0"),
+    ("lwc", "state.family = circle\nwindow.q = 0\nxi.points = 64\nlwc.route = direct\n",
+     "route 'direct' needs state.family = coherent and time.t = 0"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nlwc.route = sc-markov\n",
+     "route 'sc-markov' needs a curve state"),
+    ("lwc", "state.family = fock\nwindow.q = 0\nxi.points = 64\n",
+     "no lwc route for state.family 'fock'"),
+    ("lwc", "state.family = fock\nwindow.q = 0\nxi.points = 64\nlwc.route = chord\n",
+     "state.family 'fock' has no chord-transport source"),
+    ("husimi", "state.family = circle\ngrid.points = 32\n",
+     "state.family 'circle' is not number-basis representable here"),
+    ("coherent-demo", "hbar = 0\nstate.eta = 0 0\ngrid.points = 16\n", "hbar must be positive"),
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
         "fock-n-too-large", "husimi-dt-negative", "husimi-dt-zero", "evolve-chord-dt-zero",
         "lwc-dt-negative", "spectrum-dt-zero", "free-mass-zero-positivity",
         "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
-        "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4"])
+        "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4",
+        "no-window", "closed-form-evolved", "direct-circle", "sc-markov-coherent",
+        "lwc-fock", "chord-fock", "husimi-circle", "hbar-zero"])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"

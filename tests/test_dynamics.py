@@ -131,6 +131,22 @@ def test_quadratic_families_are_the_form_x_s_x():
     assert np.array_equal(dy.hamiltonians.harmonic(0.7).gradient(x), 0.7 * x)
 
 
+def test_separable_families_match_their_written_out_derivatives():
+    """quartic and pendulum are H = p^2/2 + V(q): gradient (p, V'(q)) and
+    Hessian diag(1, V''(q)) bit for bit against the bodies written out, the
+    quartic V' as (a q q + b) q."""
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(200, 2))
+    p, q = x[..., 0], x[..., 1]
+    a, b, g = 0.7, 1.3, 2.0
+    for H, dv, d2v in ((dy.hamiltonians.quartic(a, b), (a * q * q + b) * q, 3.0 * a * q * q + b),
+                       (dy.hamiltonians.pendulum(g), g * np.sin(q), g * np.cos(q))):
+        hess = np.zeros((200, 2, 2))
+        hess[:, 0, 0], hess[:, 1, 1] = 1.0, d2v
+        assert H.gradient(x).tobytes() == np.stack([p, dv], axis=-1).tobytes(), H.name
+        assert H.hessian(x).tobytes() == hess.tobytes(), H.name
+    assert dy.hamiltonians.pendulum(g).value(x).tobytes() == (0.5 * p**2 - g * np.cos(q)).tobytes()
+
+
 @pytest.mark.parametrize("mass", [0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_free_rejects_a_zero_or_non_finite_mass(mass):
     with pytest.raises(ValueError, match="mass must be finite and nonzero"):
@@ -258,6 +274,13 @@ def test_degenerate_times_and_steps_raise():
             dy.evolve_chord_function(curve, H, [Q_CHANNEL], -0.5, hbar=HBAR)
     with pytest.raises(ValueError, match="nonnegative"):
         dy.decoherence_matrix(dy.hamiltonians.zero(), None, np.zeros(2), -1.0, 1e-2)
+    # a nan or infinite time is refused too, not turned into an all-nan Phi or chi
+    for t in (math.nan, math.inf):
+        for H in (dy.hamiltonians.quartic(), dy.hamiltonians.harmonic()):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                dy.evolve_chord_function(curve, H, [Q_CHANNEL], t, hbar=HBAR)
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), t)
     H = dy.hamiltonians.pendulum()
     for dt in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="dt must be positive"):
@@ -585,6 +608,16 @@ def test_evolved_chord_source_validation():
     with pytest.raises(ValueError):  # curve sources need hbar
         dy.evolve_chord_function(harmonic_circle(0.5, 64), dy.hamiltonians.zero(),
                                  None, 0.1)
+    # a grid source carries its hbar: another one given beside it raises
+    # instead of being dropped, and the grid's own is accepted
+    pp, qq = grid.meshgrid()
+    source = (coherent_wigner(CoherentState((0.0, 0.2), HBAR), pp, qq), grid)
+    H = dy.hamiltonians.harmonic()
+    with pytest.raises(ValueError, match="differs from the grid"):
+        dy.evolve_chord_function(source, H, None, 0.1, hbar=2.0 * HBAR)
+    chi, ref = (dy.evolve_chord_function(source, H, None, 0.1, hbar=hbar,
+                                         convergence_check=False) for hbar in (HBAR, None))
+    assert chi.hbar == HBAR and np.array_equal(chi(0.1, 0.2), ref(0.1, 0.2))
 
 
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])

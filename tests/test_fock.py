@@ -468,10 +468,14 @@ def test_leak_error_comes_from_the_first_segment_past_the_tolerance():
     ({"dt": -1.0}, "dt must be finite and positive"),
     ({"dt": math.nan}, "dt must be finite and positive"),
     ({"dt": math.inf}, "dt must be finite and positive"),
+    ({"hbar": 0.0}, "hbar must be finite and positive"),
+    ({"hbar": -HBAR}, "hbar must be finite and positive"),
+    ({"hbar": math.inf}, "hbar must be finite and positive"),
+    ({"hbar": math.nan}, "hbar must be finite and positive"),
     ({"h_mat": np.zeros((23, 23))}, r"h_mat has shape \(23, 23\)"),
     ({"l_mats": [np.zeros((24, 24)), np.zeros((24, 25))]}, r"l_mats\[1\] has shape"),
 ], ids=["t-nan", "t-inf", "t-negative", "dt-zero", "dt-negative", "dt-nan", "dt-inf",
-        "h-shape", "l-shape"])
+        "hbar-zero", "hbar-negative", "hbar-inf", "hbar-nan", "h-shape", "l-shape"])
 def test_lindblad_evolve_rejects_bad_times_and_shapes(kwargs, message):
     dim = 24
     args = {"rho0": coherent_density_matrix((0.0, 0.0), HBAR, dim),

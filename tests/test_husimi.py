@@ -175,6 +175,13 @@ def test_husimi_from_lwc_validation():
     with pytest.raises(ValueError):
         crooked = LwcSample(xi_q**3, vals, good)
         husimi_from_lwc([crooked], [0.0])
+    # a later sample without its window is refused like the first
+    with pytest.raises(ValueError, match="carry their windows"):
+        husimi_from_lwc([ok, LwcSample(xi_q, vals, None)], [0.0])
+    # read with its negative step, a decreasing axis gave the density negated
+    assert husimi_from_lwc([ok], [0.0])[0, 0] > 0.0
+    with pytest.raises(ValueError, match="increase in equal steps"):
+        husimi_from_lwc([LwcSample(-xi_q, vals, good)], [0.0])
 
 
 def test_husimi_from_lwc_imag_residue_warning():

@@ -310,6 +310,8 @@ def test_spectrum_grid_validation():
         spectrum(LwcSample(ok + ok[-1], vals, window))  # not centred
     with pytest.raises(ValueError):
         spectrum(LwcSample(ok**3, vals, window))  # not uniform
+    with pytest.raises(ValueError, match="increase in equal steps"):
+        spectrum(LwcSample(-ok, vals, window))  # centred and uniform, but decreasing
     with pytest.raises(ValueError):
         spectrum(LwcSample(ok, vals, None))  # window-free needs hbar
     assert spectrum(LwcSample(ok, vals, None), hbar=HBAR).p.size == ok.size
@@ -375,6 +377,12 @@ def test_fit_peaks_recovers_gaussians():
 
     with pytest.raises(ValueError):
         fit_peaks(p[:4], vals[:4])
+    with pytest.raises(ValueError, match="p_axis must increase in equal steps"):
+        fit_peaks(p + 0.05 * np.sin(p), vals)  # increasing, not uniform
+    with pytest.raises(ValueError, match="p_axis must increase in equal steps"):
+        fit_peaks(np.full(p.size, 0.3), vals)  # a zero step
+    with pytest.raises(ValueError, match="values must be finite"):
+        fit_peaks(p, np.full(p.size, math.nan))
 
 
 def test_fit_peaks_flags_non_log_concave():
@@ -433,6 +441,12 @@ def test_suggest_xi_q_grid():
         suggest_xi_q_grid(HBAR, points=255)
     with pytest.raises(ValueError):
         suggest_xi_q_grid(HBAR, points=4)
+    # an hbar or width that would give an all-zero, nan or descending axis
+    for hbar, kwargs in ((0.0, {}), (math.nan, {}), (HBAR, {"envelope_sigma": 0.0}),
+                         (HBAR, {"envelope_sigma": -1.0}), (HBAR, {"dp_target": 0.0}),
+                         (HBAR, {"dp_target": -1e-3})):
+        with pytest.raises(ValueError):
+            suggest_xi_q_grid(hbar, points=64, **kwargs)
 
 
 def test_lwc_from_chord_validation_and_warnings():
@@ -474,6 +488,24 @@ def test_lwc_direct_validation():
     with pytest.raises(ValueError):
         lwc_direct(coherent_position_slices(state, narrow_q, s_axis),
                    narrow_q, s_axis, window, [0.0])
+    # an increasing q_axis in unequal steps would be summed with the first step
+    warped = q_axis + 0.3 * np.sin(0.5 * math.pi * q_axis)
+    with pytest.raises(ValueError, match="q_axis must increase in equal steps"):
+        lwc_direct(coherent_position_slices(state, warped, s_axis), warped, s_axis,
+                   window, [0.0])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+def test_branch_pass_rejects_a_bad_time(t):
+    """A nan, infinite or negative time raises instead of giving the t = 0 lines."""
+    curve = harmonic_circle(0.5, 256)
+    window = LwcWindow.canonical(0.1, HBAR)
+    channels = [dynamics.LindbladChannel((0.0, 0.5))]
+    H = hamiltonians.harmonic()
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        lwc_sc_markov(curve, H, channels, t, window, [0.0, 0.1])
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        sc_spectrum_closed_form(curve, H, channels, t, window, np.linspace(-1.0, 1.0, 11))
 
 
 def test_branch_notes():
