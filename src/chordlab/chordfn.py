@@ -36,8 +36,7 @@ class ChordFunction:
     @classmethod
     def from_grid(cls, values: np.ndarray, grid: CenteredGrid) -> "ChordFunction":
         values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.points, grid.points):
-            raise ValueError("values shape does not match the grid")
+        grid._check_field(values)
         return cls(hbar=grid.hbar, values=values, grid=grid)
 
     @property

@@ -200,11 +200,14 @@ def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
 
 
 def _time(cfg: Config) -> tuple:
-    """(time.t, time.dt); time.dt is a step or a check spacing, so it must be positive."""
+    """(time.t, time.dt): t >= 0, and dt, a step or a check spacing, positive."""
     dt = cfg.float("time.dt", 1e-3)
     if dt <= 0.0:
         raise ConfigError(f"time.dt must be positive, got {dt:g}")
-    return cfg.float("time.t", 0.0), dt
+    t = cfg.float("time.t", 0.0)
+    if t < 0.0:
+        raise ConfigError(f"time.t must be nonnegative, got {t:g}")
+    return t, dt
 
 
 def _half_width(cfg: Config, key: str) -> float:

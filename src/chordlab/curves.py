@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from . import dynamics
 from .diagnostics import ConvergenceWarning, report
-from .grids import _BLOCK_ELEMENTS
+from .grids import _BLOCK_ELEMENTS, _check_positive
 
 __all__ = [
     "LagrangianCurve",
@@ -118,8 +118,7 @@ def curve_from_samples(theta, points) -> LagrangianCurve:
 
 def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
     """Circle p^2 + q^2 = 2 I sampled along the harmonic flow (theta = t)."""
-    if action <= 0:
-        raise ValueError("action must be positive")
+    _check_positive(action, "action")
     r = math.sqrt(2.0 * action)
     th = np.arange(samples) * _TWO_PI / samples
     pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)

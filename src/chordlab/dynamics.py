@@ -53,7 +53,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _plane_wave_sum, simpson_weights
+from .grids import _check_positive, _plane_wave_sum, simpson_weights
 
 __all__ = [
     "LindbladChannel",
@@ -136,6 +136,11 @@ class HamiltonianModel:
     hessian: object
     quadratic: bool
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
 
     def __call__(self, x):
         return self.value(np.asarray(x, dtype=float))
@@ -228,8 +233,7 @@ def _check_time(t) -> None:
 
 
 def _steps_for(t: float, dt: float) -> int:
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_positive(dt, "dt")
     if t == 0.0:
         return 0
     n = max(2, int(math.ceil(t / dt)))
@@ -430,8 +434,7 @@ def _source_samples(source, hbar, stride: int = 1):
     if isinstance(source, tuple) and len(source) == 2:
         values, grid = source
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.points, grid.points):
-            raise ValueError("Wigner values do not match the grid")
+        grid._check_field(values)
         if hbar is not None and hbar != grid.hbar:
             raise ValueError(f"hbar = {hbar!r} differs from the grid's {grid.hbar!r}")
         pp, qq = grid.meshgrid()
@@ -442,6 +445,7 @@ def _source_samples(source, hbar, stride: int = 1):
     if hasattr(source, "points") and hasattr(source, "theta"):
         if hbar is None:
             raise ValueError("hbar must be given for curve sources")
+        _check_positive(hbar, "hbar")
         n = stride * len(source.theta)
         curve = source if stride == 1 else source.resample(n)
         return np.asarray(curve.points, dtype=float), np.full(n, 1.0 / n), hbar

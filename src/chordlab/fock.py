@@ -25,8 +25,9 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
 from .dynamics import HamiltonianModel, LindbladChannel, _as_channels, _check_time
-from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _outer_grid, _plane_wave_sum, ft_axis,
-                    simpson_weights)
+from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _check_positive, _edge_decayed, _outer_grid,
+                    _plane_wave_sum, ft_axis, simpson_weights)
+from .states import CoherentState
 
 __all__ = [
     "TruncationLeakError",
@@ -145,6 +146,9 @@ class FockDensityMatrix:
     hbar: float
     warnings: list = field(default_factory=list)
 
+    def __post_init__(self):
+        _check_positive(self.hbar, "hbar")
+
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
@@ -179,7 +183,8 @@ def pure_density(psi: np.ndarray, hbar: float) -> FockDensityMatrix:
 
 def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
     """<n|eta> for the coherent state at centre eta = (eta_p, eta_q)."""
-    alpha = (eta[1] + 1j * eta[0]) / math.sqrt(2.0 * hbar)
+    eta_p, eta_q = CoherentState(eta, hbar).eta
+    alpha = (eta_q + 1j * eta_p) / math.sqrt(2.0 * hbar)
     c = np.empty(dim, dtype=complex)
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
@@ -302,10 +307,8 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     l_mats = list(l_mats)
     dim = rho.shape[0]
     _check_time(t)
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _check_positive(hbar, "hbar")
+    _check_positive(dt, "dt")
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:
         if np.shape(mat) != rho.shape:
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
@@ -487,9 +490,7 @@ def wigner_exact(rho: FockDensityMatrix, grid: CenteredGrid, sink=None) -> np.nd
     conj = grid.conjugate()
     s_axis = conj.q_axis  # paired with p
     slices = position_density_matrix(rho, grid.q_axis, s_axis)
-    edge = float(np.max(np.abs(slices[:, [0, -1]])))
-    peak = float(np.max(np.abs(slices)))
-    if peak > 0 and edge > 1e-10 * peak:
+    if not _edge_decayed(slices, 1e-10, (1,)):
         diagnostics.report(
             sink, "position slices not decayed at the s range edge; refine the "
             "p axis (its conjugate sets the s range)",

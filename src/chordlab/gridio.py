@@ -58,14 +58,12 @@ def _check_kind(kind: str) -> None:
 def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "centre"):
     _check_kind(kind)
     values = np.asarray(values)
-    m = grid.points
-    if values.shape != (m, m):
-        raise ValueError(f"values have shape {values.shape}; the grid needs {(m, m)}")
+    grid._check_field(values)
     complex_data = np.iscomplexobj(values)
     rows = np.stack((values.real, values.imag), axis=-1) if complex_data else values
     write_table(path,
                 [("chordlab-grid schema_version", SCHEMA_VERSION), ("kind", kind),
-                 ("points", m), ("half_width_p", grid.half_width_p),
+                 ("points", grid.points), ("half_width_p", grid.half_width_p),
                  ("half_width_q", grid.half_width_q), ("hbar", grid.hbar)],
                 _COLUMNS[complex_data], rows)
 

@@ -54,10 +54,9 @@ class CenteredGrid:
     def __post_init__(self):
         if self.points < 2 or self.points % 2:
             raise ValueError("points must be an even integer >= 2")
-        if not (0 < self.half_width_p < np.inf and 0 < self.half_width_q < np.inf):
-            raise ValueError("half widths must be finite and positive")
-        if not 0 < self.hbar < np.inf:
-            raise ValueError("hbar must be finite and positive")
+        _check_positive(self.half_width_p, "half_width_p")
+        _check_positive(self.half_width_q, "half_width_q")
+        _check_positive(self.hbar, "hbar")
 
     @property
     def dp(self) -> float:
@@ -89,6 +88,12 @@ class CenteredGrid:
         if np.any(n < 0) or np.any(n >= self.points):
             raise ValueError("requested point lies outside the sampled grid")
         return n.astype(int)
+
+    def _check_field(self, values) -> None:
+        """ValueError unless ``values`` holds one sample per node, shape (M, M)."""
+        m = self.points
+        if np.shape(values) != (m, m):
+            raise ValueError(f"values have shape {np.shape(values)}; the grid needs {(m, m)}")
 
     def meshgrid(self):
         """(P, Q) arrays of shape (points, points), indexed [p, q]."""
@@ -135,6 +140,12 @@ def ft_axis(values: np.ndarray, dx: float, hbar: float, axis: int, sign: int) ->
     return dx * np.fft.fftshift(out, axes=axis)
 
 
+def _check_positive(value, what: str) -> None:
+    """ValueError naming ``what`` unless value is finite and positive."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
 def _uniform_step(axis, what: str, points: int) -> float:
     """The step of a 1-D finite axis of at least ``points`` (>= 2) nodes that
     increases in equal steps (to 1e-9 of a step); ValueError naming ``what``
@@ -148,18 +159,20 @@ def _uniform_step(axis, what: str, points: int) -> float:
     return d
 
 
-def boundary_decay_ok(values: np.ndarray, rel: float = 1e-14) -> bool:
-    """True when the grid boundary carries less than ``rel`` of the peak."""
-    peak = np.max(np.abs(values))
+def _edge_decayed(values, rel: float, axes) -> bool:
+    """True when the first and last slices of |values| along each of ``axes``
+    carry at most ``rel`` of its peak, or the field is all zero."""
+    mags = np.abs(values)
+    peak = np.max(mags)
     if peak == 0.0:
         return True
-    edge = max(
-        np.max(np.abs(values[0, :])),
-        np.max(np.abs(values[-1, :])),
-        np.max(np.abs(values[:, 0])),
-        np.max(np.abs(values[:, -1])),
-    )
+    edge = max(np.max(np.take(mags, [0, -1], axis=a)) for a in axes)
     return bool(edge <= rel * peak)
+
+
+def boundary_decay_ok(values: np.ndarray, rel: float = 1e-14) -> bool:
+    """True when the grid boundary carries less than ``rel`` of the peak."""
+    return _edge_decayed(values, rel, (0, 1))
 
 
 def _symplectic_ft(values, grid: CenteredGrid, where: str):
@@ -167,10 +180,7 @@ def _symplectic_ft(values, grid: CenteredGrid, where: str):
     e^{+i x_0 k / hbar}, axis 1 with e^{-i x_1 k / hbar}, then the transpose
     (output axis 0 pairs with input axis 1) and the 1 / (2 pi hbar)
     normalisation.  ``where`` names the public caller in the boundary warning."""
-    if values.shape != (grid.points, grid.points):
-        raise ValueError(
-            f"values shape {values.shape} does not match grid {grid.points}x{grid.points}"
-        )
+    grid._check_field(values)
     if not boundary_decay_ok(values):
         warnings.warn(
             f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "

@@ -37,8 +37,7 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
     GridDomainWarning.
     """
     values = np.asarray(values)
-    if values.shape != (grid.points, grid.points):
-        raise ValueError("values shape must match the grid")
+    grid._check_field(values)
     hb = grid.hbar
     margin = 3.0 * math.sqrt(hb)
     pp, qq = grid.meshgrid()

@@ -32,7 +32,8 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import CenteredGrid, _uniform_step, ft_axis, simpson_weights
+from .grids import (CenteredGrid, _check_positive, _edge_decayed, _uniform_step, ft_axis,
+                    simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -66,8 +67,10 @@ class LwcWindow:
     hbar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.Q) and 0 < self.delta < math.inf and 0 < self.hbar < math.inf):
-            raise ValueError("Q must be finite, delta and hbar finite and positive")
+        if not math.isfinite(self.Q):
+            raise ValueError(f"Q must be finite, got {self.Q!r}")
+        _check_positive(self.delta, "delta")
+        _check_positive(self.hbar, "hbar")
 
     @classmethod
     def canonical(cls, Q: float, hbar: float) -> "LwcWindow":
@@ -206,9 +209,7 @@ def _window_quadrature(xp, h: float, window: LwcWindow, f, notes: list, edge: st
     hb = window.hbar
     w = simpson_weights(xp.size, h) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-    g = np.abs(f) * np.abs(w)[:, None]
-    peak = float(np.max(g))
-    if peak > 0 and float(np.max(g[[0, -1]])) > 1e-12 * peak:
+    if not _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,)):
         diagnostics.report(notes, f"lwc integrand not decayed at the xi_p {edge}",
                            diagnostics.TruncationWarning, stacklevel=4)
     return w @ f
@@ -310,8 +311,7 @@ def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
     or there are no channels) and their line variances, as one record.  The
     notes start with the curve's own warnings; one RK4 pass gives every live
     branch's Phi."""
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
+    _check_positive(hbar, "hbar")
     dynamics._check_time(t)
     if t > 0:
         curve = evolve_curve_classically(curve, H, channels, t, dt)
@@ -376,11 +376,16 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 
     Requires a centred, increasing, uniform xi_q grid with an even point
     count of at least 8.  S is real up to an edge-bin residue, which is
-    recorded.
+    recorded.  A window-free sample needs a finite positive ``hbar``; a
+    windowed one carries its own, which a given ``hbar`` must equal.
     """
-    if hbar is None:
-        if sample.window is None:
+    if sample.window is None:
+        if hbar is None:
             raise ValueError("pass hbar explicitly for window-free samples")
+        _check_positive(hbar, "hbar")
+    elif hbar is not None and hbar != sample.window.hbar:
+        raise ValueError(f"hbar = {hbar!r} differs from the window's {sample.window.hbar!r}")
+    else:
         hbar = sample.window.hbar
     xq = sample.xi_q
     n = xq.size
@@ -388,8 +393,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
     if n % 2 or abs(xq[n // 2]) > 1e-9 * d:
         raise ValueError("spectrum needs a centred uniform even-count xi_q grid")
     notes = list(sample.warnings)
-    mags = np.abs(sample.values)
-    if mags.max() > 0 and max(mags[0], mags[-1]) > 1e-10 * mags.max():
+    if not _edge_decayed(sample.values, 1e-10, (0,)):
         diagnostics.report(
             notes, "C(xi_q) not decayed at the grid edge; widen the xi_q grid",
             diagnostics.TruncationWarning)
@@ -485,14 +489,13 @@ def suggest_xi_q_grid(hbar: float, envelope_sigma: float | None = None,
     Gaussian envelope of the given sigma decays to 1e-12 (default sigma: the
     coherent chord width sqrt(2 hbar)).  dp_target, when set, further widens
     the grid so the spectral bin 2 pi hbar / (M dxi) is at most that fine.
-    hbar and sigma must be finite and positive, dp_target positive."""
+    hbar, sigma and dp_target must be finite and positive."""
     if points % 2 or points < 8:
         raise ValueError("points must be even and at least 8")
     if envelope_sigma is None:
         envelope_sigma = math.sqrt(2.0 * hbar)
     half = envelope_sigma * math.sqrt(2.0 * math.log(1e12))
     if dp_target is not None:
-        if not dp_target > 0:
-            raise ValueError(f"dp_target must be positive, got {dp_target!r}")
+        _check_positive(dp_target, "dp_target")
         half = max(half, math.pi * hbar / dp_target)
     return CenteredGrid(half, half, points, hbar).q_axis

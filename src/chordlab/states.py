@@ -20,7 +20,7 @@ import numpy as np
 
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve
-from .grids import _plane_wave_sum
+from .grids import _check_positive, _plane_wave_sum
 from . import diagnostics
 
 __all__ = [
@@ -48,8 +48,7 @@ class CoherentState:
         object.__setattr__(self, "eta", eta)
         if not (math.isfinite(eta[0]) and math.isfinite(eta[1])):
             raise ValueError(f"eta must be finite, got {eta!r}")
-        if not 0 < self.hbar < math.inf:
-            raise ValueError("hbar must be finite and positive")
+        _check_positive(self.hbar, "hbar")
 
 
 def coherent_chord_function(state: CoherentState, xi_p, xi_q):
@@ -118,6 +117,8 @@ def wkb_short_chord_function(curve: LagrangianCurve, xi_p, xi_q, hbar: float,
     The sampling is checked by comparing against a doubled resampling; a
     relative drift above 1e-8 reports a ConvergenceWarning.
     """
+    _check_positive(hbar, "hbar")
+
     def average(c: LagrangianCurve):
         n = c.points.shape[0]
         return _plane_wave_sum(c.points, np.full(n, 1.0 / n), xi_p, xi_q, hbar)

@@ -139,15 +139,19 @@ xi.half_width = {half}
      "time.dt must be positive"),
     ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = 0.1\n"
      "time.dt = 0\n", "time.dt must be positive"),
+    ("evolve-chord", "state.family = circle\nstate.samples = 64\nxi.points = 16\ntime.t = -0.1\n",
+     "time.t must be nonnegative"),
+    ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = -0.1\n",
+     "time.t must be nonnegative"),
     # values the library call rejects with ValueError, reported with their keys
     ("positivity", "hamiltonian.family = free\nhamiltonian.mass = 0\nchannel = 0 1 0 0\n",
      "hamiltonian.mass: mass must be finite and nonzero"),
     ("evolve-chord", "hamiltonian.family = free\nhamiltonian.mass = 0\ngrid.points = 16\n",
      "hamiltonian.mass: mass must be finite and nonzero"),
     ("evolve-chord", "state.family = circle\nstate.action = 0\nxi.points = 16\n",
-     "state.action: action must be positive"),
+     "state.action: action must be finite and positive"),
     ("lwc", "state.family = circle\nstate.action = -1\nwindow.q = 0\nxi.points = 64\n",
-     "state.action: action must be positive"),
+     "state.action: action must be finite and positive"),
     ("spectrum", "state.family = quartic\nstate.energy = 0\nwindow.q = 0\nxi.points = 64\n",
      "state.energy, state.a, state.b: need energy > 0"),
     ("lwc", "state.family = pendulum\nstate.energy = 2\nwindow.q = 0\nxi.points = 64\n",
@@ -174,7 +178,8 @@ xi.half_width = {half}
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
         "fock-n-too-large", "husimi-dt-negative", "husimi-dt-zero", "evolve-chord-dt-zero",
-        "lwc-dt-negative", "spectrum-dt-zero", "free-mass-zero-positivity",
+        "lwc-dt-negative", "spectrum-dt-zero", "evolve-chord-t-negative",
+        "spectrum-t-negative", "free-mass-zero-positivity",
         "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
         "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4",
         "no-window", "closed-form-evolved", "direct-circle", "sc-markov-coherent",
@@ -666,7 +671,7 @@ channel = 0 1 1 0
 time.t = -0.5
 """)
     out = tmp_path / "o"
-    assert run_cli("husimi", "--config", cfg, "--out", str(out)) == 1
+    assert run_cli("husimi", "--config", cfg, "--out", str(out)) == 2
     assert "nonnegative" in capsys.readouterr().err
     assert not (out / "husimi.json").exists()
 

@@ -96,6 +96,13 @@ def test_pendulum_level_curve():
         quartic_level_curve(-1.0)
 
 
+@pytest.mark.parametrize("action", [0.0, -1.0, math.nan, math.inf])
+def test_harmonic_circle_rejects_an_action_that_is_not_finite_and_positive(action):
+    """Before, nan gave a nan curve and inf gave inf and nan points."""
+    with pytest.raises(ValueError, match="action must be finite and positive"):
+        harmonic_circle(action)
+
+
 def _pendulum_jacobi(energy, g, samples):
     """Libration of H = p^2/2 - g cos q at t = k T / m, from q(0) = q+."""
     k = math.sin(0.5 * math.acos(-energy / g))

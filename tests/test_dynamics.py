@@ -153,6 +153,17 @@ def test_free_rejects_a_zero_or_non_finite_mass(mass):
         dy.hamiltonians.free(mass)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    ("harmonic", {"omega": math.nan}, "omega must be finite"),
+    ("pendulum", {"g": math.inf}, "g must be finite"),
+    ("quartic", {"b": -math.inf}, "b must be finite"),
+], ids=["harmonic-nan", "pendulum-inf", "quartic-b-minus-inf"])
+def test_models_reject_non_finite_parameters(family, params, message):
+    """Before, harmonic(nan) gave an all-nan Phi and Hamiltonian matrix."""
+    with pytest.raises(ValueError, match=message):
+        dy.hamiltonians.registry[family](**params)
+
+
 # ---------------------------------------------------------------------------
 # flows
 
@@ -282,12 +293,12 @@ def test_degenerate_times_and_steps_raise():
             with pytest.raises(ValueError, match="t must be finite and nonnegative"):
                 dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), t)
     H = dy.hamiltonians.pendulum()
-    for dt in (0.0, -1e-3, math.nan):
-        with pytest.raises(ValueError, match="dt must be positive"):
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
             dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), 0.5, dt=dt)
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
             dy.advect(H, None, x0, 0.5, dt)
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
             dy.evolve_chord_function(curve, H, None, 0.5, dt=dt, hbar=HBAR)
     H = dy.hamiltonians.harmonic()
     assert np.array_equal(dy.decoherence_matrix(H, [Q_CHANNEL], np.zeros(2), 0.5, dt=0.0).phi,
@@ -608,6 +619,10 @@ def test_evolved_chord_source_validation():
     with pytest.raises(ValueError):  # curve sources need hbar
         dy.evolve_chord_function(harmonic_circle(0.5, 64), dy.hamiltonians.zero(),
                                  None, 0.1)
+    for bad in (-0.05, 0.0, math.nan):  # before, -0.05 gave chi = -0.713 at (0.1, 0)
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            dy.evolve_chord_function(harmonic_circle(0.5, 64), dy.hamiltonians.harmonic(),
+                                     [], 0.1, hbar=bad)
     # a grid source carries its hbar: another one given beside it raises
     # instead of being dropped, and the grid's own is accepted
     pp, qq = grid.meshgrid()

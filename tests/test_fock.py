@@ -302,11 +302,24 @@ def test_pure_states_carry_their_amplitude_warnings(build):
     assert build((0.0, 0.3), HBAR, 48).warnings == []
 
 
+@pytest.mark.parametrize("build", [coherent_density_matrix, cat_density_matrix])
+@pytest.mark.parametrize("eta", [(math.nan, 0.0), (0.0, math.inf)], ids=["p-nan", "q-inf"])
+def test_pure_states_reject_a_non_finite_centre(build, eta):
+    """Before, these gave an all-nan rho."""
+    with pytest.raises(ValueError, match="eta must be finite"):
+        build(eta, HBAR, 16)
+
+
 def test_fock_density_validation():
     with pytest.raises(ValueError):
         fock_density_matrix(-1, HBAR, 8)
     with pytest.raises(ValueError):
         fock_density_matrix(8, HBAR, 8)
+    for bad in (-0.05, 0.0, math.nan):  # before, every state record took any hbar
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            fock_density_matrix(1, bad, 8)
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            pure_density(np.ones(4), bad)
     rho = fock_density_matrix(3, HBAR, 8)
     assert rho.populations()[3] == 1.0 and rho.dim == 8
 

@@ -65,19 +65,27 @@ def test_window_constructors():
     ("berry", (0.0, math.inf)),
     ("berry", (math.nan, HBAR)),
     ("berry", (math.inf, HBAR)),
+    ("spectrum", -0.05),
+    ("spectrum", 0.0),
+    ("spectrum", math.nan),
 ], ids=["delta-nan", "Q-nan", "Q-inf", "delta-inf", "hbar-nan", "hbar-minus-inf",
         "berry-hbar-0", "berry-hbar-negative", "berry-hbar-nan", "berry-hbar-inf",
-        "berry-Q-nan", "berry-Q-inf"])
+        "berry-Q-nan", "berry-Q-inf", "spectrum-hbar-negative", "spectrum-hbar-0",
+        "spectrum-hbar-nan"])
 def test_non_finite_window_and_bad_hbar_raise(route, args):
-    """A window with a non-finite Q, delta or hbar, and a branch pass at an
-    hbar that is not finite and positive (or a non-finite Q), fail loudly
-    instead of returning nan or stopping inside the root finder."""
+    """A window with a non-finite Q, delta or hbar, a branch pass at an hbar
+    that is not finite and positive (or a non-finite Q), and the spectrum of
+    a window-free sample at such an hbar fail loudly instead of returning
+    nan, +-inf or stopping inside the root finder."""
     with pytest.raises(ValueError, match="finite"):
         if route == "window":
             LwcWindow(*args)
-        else:
+        elif route == "berry":
             Q, hbar = args
             lwc_sc_berry(harmonic_circle(0.5, 256), Q, [0.0, 0.1], hbar)
+        else:
+            xi_q = suggest_xi_q_grid(HBAR, points=64)
+            spectrum(LwcSample(xi_q, np.exp(-10.0 * xi_q**2), None), hbar=args)
 
 
 def test_routes_agree_on_coherent_state():
@@ -315,6 +323,12 @@ def test_spectrum_grid_validation():
     with pytest.raises(ValueError):
         spectrum(LwcSample(ok, vals, None))  # window-free needs hbar
     assert spectrum(LwcSample(ok, vals, None), hbar=HBAR).p.size == ok.size
+    # a windowed sample carries its hbar: another one given beside it raises
+    # (before, it was used and put every line at twice its momentum)
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the window's 0.05"):
+        spectrum(LwcSample(ok, vals, window), hbar=0.1)
+    assert np.array_equal(spectrum(LwcSample(ok, vals, window), hbar=HBAR).values,
+                          spectrum(LwcSample(ok, vals, window)).values)
 
 
 def test_spectrum_truncation_warning():

@@ -37,6 +37,16 @@ def test_state_rejects_non_finite_values(eta, hbar):
         CoherentState(eta, hbar)
 
 
+@pytest.mark.parametrize("hbar", [-0.05, 0.0, math.nan])
+def test_wkb_rejects_an_hbar_that_is_not_finite_and_positive(hbar):
+    """Before, hbar = -0.05 gave the values of hbar = 0.05 and hbar = 0 gave nan."""
+    curve = harmonic_circle(0.5, 64)
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        wkb_short_chord_function(curve, 0.1, 0.0, hbar)
+    with pytest.raises(ValueError):
+        wkb_chord(curve, hbar)
+
+
 def test_wavefunction_normalized():
     state = CoherentState((0.4, -0.3), HBAR)
     q = np.linspace(-3.0, 3.0, 4001)
