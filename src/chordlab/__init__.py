@@ -22,8 +22,8 @@ from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad
                    lowering, p_operator, position_density_matrix, pure_density,
                    purity, q_operator, wigner_exact)
 from .geometry import J_MATRIX, is_symplectic, random_symplectic, skew
-from .grids import (CenteredGrid, boundary_decay_ok, centre_from_chord,
-                    chord_from_centre, ft_axis, reflect_values, simpson_weights)
+from .grids import (CenteredGrid, centre_from_chord, chord_from_centre, ft_axis,
+                    reflect_values, simpson_weights)
 from .gridio import load_grid_csv, save_grid_csv
 from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from .lwc import (BranchLines, LwcSample, LwcWindow, Peak, ResolutionVerdict,

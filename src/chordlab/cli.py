@@ -33,8 +33,7 @@ from .dynamics import (LindbladChannel, decoherence_matrix, evolve_chord_functio
                        hamiltonians, positivity_time, total_gamma)
 from .grids import CenteredGrid, centre_from_chord, chord_from_centre
 from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
-                  lwc_from_chord, lwc_sc_berry, lwc_sc_markov, resolution_verdict,
-                  spectrum, suggest_xi_q_grid)
+                  lwc_from_chord, resolution_verdict, spectrum, suggest_xi_q_grid)
 
 __all__ = ["main", "run"]
 
@@ -329,7 +328,6 @@ def _lwc_samples(cfg: Config, hbar: float):
     channels = _channels(cfg)
 
     chi_fn = None
-    curve = None
     coh = None
     if route in ("closed-form", "direct"):
         if fam != "coherent" or t != 0.0:
@@ -343,10 +341,13 @@ def _lwc_samples(cfg: Config, hbar: float):
             raise ConfigError(f"route {route!r} needs a curve state")
         if route != "sc-markov" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
-        curve = _curve(cfg, fam)
+        berry = route == "sc-berry"  # the t = 0 lines at window width 0, with no window
+        # one branch pass serves every window
+        lines = lwc_mod._branch_lines(_curve(cfg, fam), q_centres, hbar,
+                                      0.0 if berry else delta, model, channels, t, dt)
 
     samples = []
-    for q0 in q_centres:
+    for k, q0 in enumerate(q_centres):
         window = LwcWindow(q0, delta, hbar)
         if route == "closed-form":
             vals = lwc_coherent_closed_form(coh, window, xi_q)
@@ -358,13 +359,12 @@ def _lwc_samples(cfg: Config, hbar: float):
             sample = lwc_direct(slices, q_axis, xi_q, window, xi_q)
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
-        elif route == "sc-berry":
-            sample = lwc_sc_berry(curve, q0, xi_q, hbar)
         else:  # sc-quadratic is sc-markov at t = 0
-            sample = lwc_sc_markov(curve, model, channels, t, window, xi_q, dt=dt)
-        if route.startswith("sc-") and not np.any(~sample.branches.caustic):
-            raise RuntimeError(f"no semiclassical branch survives in the window at "
-                               f"Q = {q0:g} ({'; '.join(sample.warnings)})")
+            sample = lwc_mod.LwcSample(xi_q, lines[k].correlation(xi_q),
+                                       None if berry else window, lines[k].warnings, lines[k])
+            if not np.any(~sample.branches.caustic):
+                raise RuntimeError(f"no semiclassical branch survives in the window at "
+                                   f"Q = {q0:g} ({'; '.join(sample.warnings)})")
         samples.append((q0, sample))
     return route, samples
 

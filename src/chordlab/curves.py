@@ -87,9 +87,6 @@ class LagrangianCurve:
         pts = self.position(th)
         return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI, list(self.warnings))
 
-    def q_range(self):
-        return float(np.min(self.points[:, 1])), float(np.max(self.points[:, 1]))
-
 
 def _periodic_spline(theta, values) -> CubicSpline:
     """Periodic cubic spline through the samples, closed at theta[0] + 2 pi."""

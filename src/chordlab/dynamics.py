@@ -387,39 +387,47 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     anchor = np.asarray(anchor, dtype=float)
     if t == 0.0:
         return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, [], frame)
-    phi, notes = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
-    return DecoherenceMatrix(phi[0], float(t), anchor, notes, frame)
+    phi, errs = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
+    return DecoherenceMatrix(phi[0], float(t), anchor, _report_halving(errs), frame)
 
 
 def _decoherence_phis(H, channels, anchors, t: float, dt: float,
                       convergence_check: bool = True, frame: str = "final"):
-    """Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, with the
-    warnings in anchor order: ``decoherence_matrix`` for a batch.
+    """(phis, errs): Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, and
+    each anchor's change under step halving (zeros for quadratic models or without
+    the check), which the caller reports: ``decoherence_matrix`` for a batch.
 
     Quadratic models share one generator, so one closed-form Phi serves every
     anchor.  Otherwise one RK4 pass carries every anchor, and with the check a
     second at half the step; an anchor whose Phi moves by more than 1e-8 under
-    the halving keeps the finer value and reports a ConvergenceWarning.
+    the halving keeps the finer value.
     """
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
-    notes: list = []
+    errs = np.zeros(anchors.shape[0])
     if H.quadratic:
         a = _chord_generator(H, gamma)
         phi = _gramian(-a if frame == "final" else a, lam, t)
-        return np.repeat(phi[None], anchors.shape[0], axis=0), notes
+        return np.repeat(phi[None], anchors.shape[0], axis=0), errs
     span = -t if frame == "final" else t  # the final frame runs backward from the anchor
     steps = _steps_for(t, dt)
     phi = _rk4(H, gamma, anchors, span, steps, lam)[2]
     if convergence_check:
         phi2 = _rk4(H, gamma, anchors, span, 2 * steps, lam)[2]
-        for j in range(phi.shape[0]):
-            err = float(np.max(np.abs(phi2[j] - phi[j]))) / max(1.0, float(np.max(np.abs(phi[j]))))
-            if err > 1e-8:
-                report(notes, f"decoherence_matrix: halving dt changes Phi by {err:.3e}",
-                       ConvergenceWarning)
-                phi[j] = phi2[j]
-    return 0.5 * (phi + np.swapaxes(phi, -1, -2)), notes
+        errs = (np.max(np.abs(phi2 - phi), axis=(1, 2))
+                / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2))))
+        phi = np.where((errs > 1e-8)[:, None, None], phi2, phi)
+    return 0.5 * (phi + np.swapaxes(phi, -1, -2)), errs
+
+
+def _report_halving(errs) -> list:
+    """Notes of the halving changes above 1e-8, each raised as a ConvergenceWarning."""
+    notes: list = []
+    for err in errs:
+        if err > 1e-8:
+            report(notes, f"decoherence_matrix: halving dt changes Phi by {err:.3e}",
+                   ConvergenceWarning)
+    return notes
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "chord_from_centre",
     "centre_from_chord",
     "reflect_values",
-    "boundary_decay_ok",
     "simpson_weights",
 ]
 
@@ -170,18 +169,13 @@ def _edge_decayed(values, rel: float, axes) -> bool:
     return bool(edge <= rel * peak)
 
 
-def boundary_decay_ok(values: np.ndarray, rel: float = 1e-14) -> bool:
-    """True when the grid boundary carries less than ``rel`` of the peak."""
-    return _edge_decayed(values, rel, (0, 1))
-
-
 def _symplectic_ft(values, grid: CenteredGrid, where: str):
     """The two stages both directions of the pair share: axis 0 with kernel
     e^{+i x_0 k / hbar}, axis 1 with e^{-i x_1 k / hbar}, then the transpose
     (output axis 0 pairs with input axis 1) and the 1 / (2 pi hbar)
     normalisation.  ``where`` names the public caller in the boundary warning."""
     grid._check_field(values)
-    if not boundary_decay_ok(values):
+    if not _edge_decayed(values, 1e-14, (0, 1)):
         warnings.warn(
             f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
             "transform may be contaminated by truncation",

@@ -14,9 +14,9 @@ and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  Stationary-branch plane waves (``lwc_sc_berry``)
 are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
 
-One branch pass gives a window's lines as a ``BranchLines`` record, which
-gives C on a xi_q grid and the closed-form spectrum on a p axis; a sample
-keeps it as ``lines``, so ``sample.lines.spectrum(p)`` needs no second pass.
+One branch pass gives every window's lines (a ``BranchLines`` record each: C on
+a xi_q grid, the closed-form spectrum on a p axis) from one evolved curve and
+one anchor pass; a sample keeps its own as ``lines``, needing no second pass.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
@@ -304,47 +304,49 @@ def shear_phi_qq(phi, slope: float) -> float:
     return float(u @ mat @ u)
 
 
-def _branch_lines(curve: LagrangianCurve, Q: float, hbar: float, delta: float,
-                  H, channels, t: float, dt: float, caustic_threshold: float | None):
-    """One branch pass: the branches of the curve evolved to t at Q, their
-    sheared decoherence widths Phi_qq (nan on caustic branches, 0 when t = 0
-    or there are no channels) and their line variances, as one record.  The
-    notes start with the curve's own warnings; one RK4 pass gives every live
-    branch's Phi."""
+def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
+                  H, channels, t: float, dt: float) -> list:
+    """One branch pass for every window centre in ``qs``: the curve evolved to t
+    once, then each window's record of its branches at Q (caustic beyond |slope| =
+    1/sqrt(hbar)), their sheared decoherence widths Phi_qq from one RK4 pass over
+    every window's live branches (nan on caustic branches, 0 when t = 0 or there
+    are no channels) and their line variances.  Notes start with the curve's."""
     _check_positive(hbar, "hbar")
     dynamics._check_time(t)
     if t > 0:
         curve = evolve_curve_classically(curve, H, channels, t, dt)
-    if caustic_threshold is None:
-        caustic_threshold = 1.0 / math.sqrt(hbar)
-    br = branches_at(curve, Q, caustic_threshold)
-    notes = list(curve.warnings)
-    if len(br) == 0:
-        diagnostics.report(
-            notes, f"no real branches at Q = {Q:g} (evanescent region)",
-            diagnostics.ConvergenceWarning)
-    elif np.any(br.caustic):
-        kept = int(np.sum(~br.caustic))
-        diagnostics.report(
-            notes,
-            f"excluded {int(np.sum(br.caustic))} caustic branch(es) at Q = {Q:g}; "
-            f"{kept} kept",
-            diagnostics.ConvergenceWarning,
-        )
-    phi_qq = [math.nan if c else 0.0 for c in br.caustic]
-    live = np.flatnonzero(~br.caustic)
-    if t > 0 and channels and live.size:
-        anchors = np.stack([br.p[live], np.full(live.size, float(Q))], axis=-1)
-        phis, dm_notes = dynamics._decoherence_phis(H, channels, anchors, t, dt)
-        notes.extend(dm_notes)
-        for j, phi in zip(live, phis):
-            phi_qq[j] = shear_phi_qq(phi, br.slope[j])
-    variance = hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
-    return BranchLines(br, tuple(phi_qq), variance, hbar, notes)
+    brs = [branches_at(curve, Q, 1.0 / math.sqrt(hbar)) for Q in qs]
+    lives = [np.flatnonzero(~br.caustic) for br in brs]
+    anchors = np.concatenate([np.stack([br.p[live], np.full(live.size, br.Q)], axis=-1)
+                              for br, live in zip(brs, lives)])
+    if t > 0 and channels and anchors.size:
+        phis, errs = dynamics._decoherence_phis(H, channels, anchors, t, dt)
+    out = []
+    for Q, br, live in zip(qs, brs, lives):
+        notes = list(curve.warnings)
+        if len(br) == 0:
+            diagnostics.report(
+                notes, f"no real branches at Q = {Q:g} (evanescent region)",
+                diagnostics.ConvergenceWarning)
+        elif np.any(br.caustic):
+            diagnostics.report(
+                notes,
+                f"excluded {int(np.sum(br.caustic))} caustic branch(es) at Q = {Q:g}; "
+                f"{live.size} kept",
+                diagnostics.ConvergenceWarning,
+            )
+        phi_qq = [math.nan if c else 0.0 for c in br.caustic]
+        if t > 0 and channels and live.size:
+            notes += dynamics._report_halving(errs[:live.size])
+            for j, phi in zip(live, phis):
+                phi_qq[j] = shear_phi_qq(phi, br.slope[j])
+            phis, errs = phis[live.size:], errs[live.size:]
+        variance = hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
+        out.append(BranchLines(br, tuple(phi_qq), variance, hbar, notes))
+    return out
 
 
-def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float,
-                 caustic_threshold: float | None = None) -> LwcSample:
+def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float) -> LwcSample:
     """Stationary-branch approximant: C = sum_j A_j exp(-i p_j xi_q / hbar),
     the branch sum with window width 0.
 
@@ -352,20 +354,18 @@ def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float,
     compare against exact routes after dividing by C(0).
     """
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    lines = _branch_lines(curve, Q, hbar, 0.0, None, (), 0.0, 0.0, caustic_threshold)
+    [lines] = _branch_lines(curve, [Q], hbar, 0.0, None, (), 0.0, 0.0)
     return LwcSample(xi_q, lines.correlation(xi_q), None, lines.warnings, lines)
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
-                  window: LwcWindow, xi_q, dt: float = 1e-3,
-                  caustic_threshold: float | None = None) -> LwcSample:
+                  window: LwcWindow, xi_q, dt: float = 1e-3) -> LwcSample:
     """Branches of the dissipatively evolved curve, damped per-branch by the
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant."""
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    lines = _branch_lines(curve, window.Q, window.hbar, window.delta, H, channels, t, dt,
-                          caustic_threshold)
+    [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return LwcSample(xi_q, lines.correlation(xi_q), window, lines.warnings, lines)
 
 
@@ -406,8 +406,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 
 
 def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
-                            window: LwcWindow, p_axis, dt: float = 1e-3,
-                            caustic_threshold: float | None = None) -> SpectralDensity:
+                            window: LwcWindow, p_axis, dt: float = 1e-3) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2: the exact spectrum of
     ``lwc_sc_markov`` on the same arguments (see ``BranchLines.spectrum``).
@@ -416,8 +415,8 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
     hand, ``sample.lines.spectrum(p_axis)`` gives the same density from the
     sample's own lines.
     """
-    return _branch_lines(curve, window.Q, window.hbar, window.delta, H, channels, t, dt,
-                         caustic_threshold).spectrum(p_axis)
+    [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
+    return lines.spectrum(p_axis)
 
 
 def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:

@@ -144,6 +144,7 @@ def wkb_chord(curve: LagrangianCurve, hbar: float, samples: int | None = None) -
     The doubling check runs once here rather than on every evaluation; its
     warning, if any, is kept in the result's ``warnings``.
     """
+    _check_positive(hbar, "hbar")
     c = curve if samples is None else curve.resample(samples)
     probe = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
     notes: list = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from chordlab import cli, dynamics, hamiltonians, lwc
 from chordlab.config import Config
-from chordlab.curves import harmonic_circle
+from chordlab.curves import harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import TruncationWarning
 from chordlab.gridio import load_grid_csv
 from chordlab.grids import CenteredGrid, chord_from_centre
@@ -410,6 +411,70 @@ xi.points = 256
         assert win["closed_form_peaks"] == [
             {"position": pk.position, "height": pk.height, "variance": pk.variance,
              "flagged": pk.flagged} for pk in closed.peaks]
+
+
+def _same_lines(a, b) -> bool:
+    """Two BranchLines records agree bit for bit, warnings included."""
+    return (all(np.asarray(getattr(a.branches, f.name)).tobytes()
+                == np.asarray(getattr(b.branches, f.name)).tobytes()
+                for f in dataclasses.fields(a.branches))
+            and np.array(a.phi_qq).tobytes() == np.array(b.phi_qq).tobytes()
+            and a.variance.tobytes() == b.variance.tobytes()
+            and a.hbar == b.hbar and a.warnings == b.warnings)
+
+
+def test_spectrum_windows_share_one_flow(tmp_path, monkeypatch):
+    """A multi-window sc-markov run evolves the curve once and makes one
+    anchor pass for every window, and each window's sample is the
+    single-window lwc_sc_markov sample bit for bit, lines included."""
+    calls = {"evolve": 0, "phis": 0}
+    got = []
+    real_evolve, real_phis, real_samples = (lwc.evolve_curve_classically,
+                                            dynamics._decoherence_phis, cli._lwc_samples)
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    def keeping(*args):
+        route, samples = real_samples(*args)
+        got.extend(samples)
+        return route, samples
+
+    monkeypatch.setattr(lwc, "evolve_curve_classically", counting("evolve", real_evolve))
+    monkeypatch.setattr(dynamics, "_decoherence_phis", counting("phis", real_phis))
+    monkeypatch.setattr(cli, "_lwc_samples", keeping)
+    cfg = write_cfg(tmp_path, """\
+hbar = 0.05
+state.family = quartic
+state.energy = 0.3
+state.samples = 256
+hamiltonian.family = quartic
+channel = 0 1 0 0
+time.t = 0.5
+time.dt = 0.01
+window.q = -0.4
+window.q = 0.0
+window.q = 0.3
+window.q = 0.6
+lwc.route = sc-markov
+xi.points = 256
+""")
+    assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    assert calls == {"evolve": 1, "phis": 1}
+    assert [q0 for q0, _ in got] == [-0.4, 0.0, 0.3, 0.6]
+
+    curve = quartic_level_curve(0.3, samples=256)
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    for q0, sample in got:
+        window = lwc.LwcWindow(q0, math.sqrt(0.05), 0.05)
+        want = lwc.lwc_sc_markov(curve, hamiltonians.quartic(), channels, 0.5, window,
+                                 sample.xi_q, dt=0.01)
+        assert sample.window == window and len(sample.branches) == 2
+        assert sample.values.tobytes() == want.values.tobytes()
+        assert _same_lines(sample.lines, want.lines)
 
 
 # family -> (config line setting one non-default parameter, expected params)

@@ -445,8 +445,8 @@ def test_quadratic_phis_share_one_gramian(frame, monkeypatch):
     calls = []
     real = dy._gramian
     monkeypatch.setattr(dy, "_gramian", lambda *a: calls.append(a) or real(*a))
-    phis, notes = dy._decoherence_phis(H, chans, anchors, 0.6, 1e-3, frame=frame)
-    assert len(calls) == 1 and notes == [] and phis.shape == (3, 2, 2)
+    phis, errs = dy._decoherence_phis(H, chans, anchors, 0.6, 1e-3, frame=frame)
+    assert len(calls) == 1 and errs.tolist() == [0.0] * 3 and phis.shape == (3, 2, 2)
     for anchor, phi in zip(anchors, phis):
         want = dy.decoherence_matrix(H, chans, anchor, 0.6, frame=frame).phi
         assert phi.tobytes() == want.tobytes()

@@ -7,7 +7,6 @@ from chordlab import grids
 from chordlab.diagnostics import GridDomainWarning
 from chordlab.grids import (
     CenteredGrid,
-    boundary_decay_ok,
     centre_from_chord,
     chord_from_centre,
     ft_axis,
@@ -138,12 +137,12 @@ def test_boundary_decay_flags_and_warning():
     g = CenteredGrid(1.0, 1.0, 32, HBAR)
     pp, qq = g.meshgrid()
     wide = np.exp(-(pp**2 + qq**2) / 2.0)  # nowhere near decayed
-    assert not boundary_decay_ok(wide)
+    assert not grids._edge_decayed(wide, 1e-14, (0, 1))
     with pytest.warns(GridDomainWarning):
         chord_from_centre(wide, g)
     tight = np.exp(-(pp**2 + qq**2) / 0.005)
-    assert boundary_decay_ok(tight)
-    assert boundary_decay_ok(np.zeros((8, 8)))
+    assert grids._edge_decayed(tight, 1e-14, (0, 1))
+    assert grids._edge_decayed(np.zeros((8, 8)), 1e-14, (0, 1))
 
 
 @pytest.mark.parametrize("transform", [chord_from_centre, centre_from_chord],

@@ -529,7 +529,7 @@ def test_branch_notes():
     assert np.allclose(empty.values, 0.0)
     assert any("no real branches" in msg for msg in empty.warnings)
     with pytest.warns(ConvergenceWarning):
-        near = lwc_sc_berry(curve, 0.99, np.array([0.0]), HBAR, caustic_threshold=2.0)
+        near = lwc_sc_berry(curve, 0.99, np.array([0.0]), HBAR)
     assert any("caustic" in msg for msg in near.warnings)
     assert np.allclose(near.values, 0.0)  # both branches excluded
 
@@ -547,7 +547,7 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
     t, Q = 1.0, 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        lines = _branch_lines(curve, Q, HBAR, 0.2, H, channels, t, dt, None)
+        [lines] = _branch_lines(curve, [Q], HBAR, 0.2, H, channels, t, dt)
         br, phi_qq, notes = lines.branches, lines.phi_qq, lines.warnings
         want, want_notes = [], []
         for j in np.flatnonzero(~br.caustic):
@@ -558,6 +558,34 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
     assert [phi_qq[j] for j in np.flatnonzero(~br.caustic)] == want
     assert notes == want_notes
     assert len(notes) == (2 if dt == 0.25 else 0)
+
+
+def test_each_window_keeps_its_own_halving_notes(monkeypatch):
+    """One anchor pass serves two windows at a coarse step; each record keeps
+    the notes of its own branches, as a single-window call gives them, and
+    the notes print the errors the pass measured."""
+    curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
+    channels = [dynamics.LindbladChannel((0.0, 0.8))]
+    t, dt, qs = 1.0, 0.25, [-0.3, 0.2]
+    errs = []
+    real = dynamics._decoherence_phis
+
+    def recording(*args):
+        phis, e = real(*args)
+        errs.append(e)
+        return phis, e
+
+    monkeypatch.setattr(dynamics, "_decoherence_phis", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        lines = _branch_lines(curve, qs, HBAR, 0.2, H, channels, t, dt)
+        assert len(errs) == 1 and errs[0].shape == (4,)  # two live branches a window
+        want = [lwc_sc_markov(curve, H, channels, t, LwcWindow(Q, 0.2, HBAR), [0.0],
+                              dt=dt).warnings for Q in qs]
+    assert [record.warnings for record in lines] == want
+    assert [len(notes) for notes in want] == [2, 2]
+    assert want[0] + want[1] == [f"decoherence_matrix: halving dt changes Phi by {e:.3e}"
+                                 for e in errs[0]]
 
 
 def _window_case(family):

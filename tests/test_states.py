@@ -43,7 +43,7 @@ def test_wkb_rejects_an_hbar_that_is_not_finite_and_positive(hbar):
     curve = harmonic_circle(0.5, 64)
     with pytest.raises(ValueError, match="hbar must be finite and positive"):
         wkb_short_chord_function(curve, 0.1, 0.0, hbar)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
         wkb_chord(curve, hbar)
 
 
