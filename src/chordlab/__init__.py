@@ -20,8 +20,8 @@ from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad
                    coherent_density_matrix, displacement_matrix, fock_density_matrix,
                    hamiltonian_matrix, hermite_functions, lindblad_evolve,
                    lowering, p_operator, position_density_matrix, pure_density,
-                   purity, q_operator, wigner_exact)
-from .geometry import J_MATRIX, is_symplectic, random_symplectic, skew
+                   q_operator, wigner_exact)
+from .geometry import J_MATRIX, random_symplectic, skew
 from .grids import (CenteredGrid, centre_from_chord, chord_from_centre, ft_axis,
                     reflect_values, simpson_weights)
 from .gridio import load_grid_csv, save_grid_csv
@@ -33,7 +33,6 @@ from .lwc import (BranchLines, LwcSample, LwcWindow, Peak, ResolutionVerdict,
                   spectrum, suggest_xi_q_grid)
 from .states import (CoherentState, coherent_chord, coherent_chord_function,
                      coherent_husimi, coherent_position_slices,
-                     coherent_wavefunction, coherent_wigner, wkb_chord,
-                     wkb_short_chord_function)
+                     coherent_wavefunction, coherent_wigner, wkb_chord)
 
 __version__ = "0.1.0"

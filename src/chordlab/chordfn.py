@@ -54,7 +54,7 @@ class ChordFunction:
         """Evaluate a closed-form chord function onto a grid."""
         if self.fn is None:
             raise ValueError("already gridded")
-        if abs(grid.hbar - self.hbar) > 1e-12 * self.hbar:
+        if grid.hbar != self.hbar:
             raise ValueError("grid hbar does not match the chord function")
         xp, xq = grid.meshgrid()
         out = ChordFunction.from_grid(self.fn(xp, xq), grid)

@@ -60,6 +60,8 @@ class LagrangianCurve:
             raise ValueError("theta must be (n,) and points (n, 2)")
         if th.size < 8:
             raise ValueError("need at least 8 samples")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(pts))):
+            raise ValueError("theta and points must be finite")
         if np.any(np.diff(th) <= 0) or th[0] < 0 or th[-1] >= _TWO_PI:
             raise ValueError("theta must be strictly increasing within [0, 2 pi)")
         object.__setattr__(self, "theta", th)
@@ -210,7 +212,7 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
 def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
                         samples: int = 1024) -> LagrangianCurve:
     """Level set of H = p^2/2 + a q^4/4 + b q^2/2 at the given energy."""
-    if energy <= 0 or a <= 0 or b < 0:
+    if not (0 < energy < math.inf and 0 < a < math.inf and 0 <= b < math.inf):
         raise ValueError("need energy > 0, a > 0, b >= 0")
     q2 = 4.0 * energy / (b + math.sqrt(b * b + 4.0 * a * energy))  # a q^4/4 + b q^2/2 = E
     return _librating_curve(lambda q: 0.25 * a * (q2 + q * q) + 0.5 * b,
@@ -255,10 +257,7 @@ def branches_at(curve: LagrangianCurve, Q: float,
     """
     if not math.isfinite(Q):
         raise ValueError(f"Q must be finite, got {Q!r}")
-    sp, sq = curve._splines
-    roots = sq.solve(Q, extrapolate=False)
-    roots = np.mod(roots, _TWO_PI)
-    roots.sort()
+    roots = np.sort(np.mod(curve._splines[1].solve(Q, extrapolate=False), _TWO_PI))
     keep = []
     for r in roots:
         if not keep or min(abs(r - keep[-1]), _TWO_PI - abs(r - keep[-1])) > 1e-9:
@@ -269,18 +268,16 @@ def branches_at(curve: LagrangianCurve, Q: float,
     if th.size == 0:
         empty = np.array([])
         return BranchData(Q, empty, empty, empty, empty, empty.astype(bool))
-    qp = sq(th, 1)
-    pp = sp(th, 1)
+    pp, qp = curve.velocity(th).T
     speed = np.hypot(qp, pp)
     scale = max(1.0, float(np.max(np.abs(curve.points))))
     if np.any(speed < 1e-12 * scale):
         raise ValueError(f"degenerate parametrization: x'(theta) vanishes at a root of q = {Q}")
-    p_j = sp(th)
     with np.errstate(divide="ignore"):
         amplitude = 1.0 / np.abs(qp)
         slope = pp / qp
     caustic = np.abs(slope) > caustic_threshold
-    return BranchData(float(Q), th, np.asarray(p_j), amplitude, slope, caustic)
+    return BranchData(float(Q), th, curve.position(th)[:, 0], amplitude, slope, caustic)
 
 
 def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,

@@ -248,7 +248,8 @@ def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     doublings Phi(2 tau) = Phi(tau) + M(tau)^T Phi(tau) M(tau),
     M(2 tau) = M(tau)^2 then reach t.  The doubling keeps Phi finite wherever
     Phi is finite; the block exponential alone overflows its exp(-t a^T)
-    corner once Phi has saturated (nan at t = 1000 for a unit rate).
+    corner once Phi has saturated (nan at t = 1000 for a unit rate).  A Phi
+    that overflows raises FloatingPointError, without numpy's warnings.
     """
     scale = t * float(np.max(np.sum(np.abs(a), axis=0)))
     k = max(0, math.ceil(math.log2(scale))) if scale > 0.0 else 0
@@ -259,10 +260,14 @@ def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     e = scipy.linalg.expm((t / 2**k) * block)
     m = e[2:, 2:]
     phi = m.T @ e[:2, 2:]
-    for _ in range(k):
-        phi = phi + m.T @ phi @ m
-        m = m @ m
-    return 0.5 * (phi + phi.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            phi = phi + m.T @ phi @ m
+            m = m @ m
+        phi = 0.5 * (phi + phi.T)
+    if not np.isfinite(phi).all():
+        raise FloatingPointError("decoherence matrix overflows over this time span")
+    return phi
 
 
 def _centre_map(H, gamma: float, t: float):
@@ -332,8 +337,9 @@ def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
     if t == 0.0:
         return x
     if H.quadratic:
-        e, d = _centre_map(H, gamma, t)
-        x = x @ e.T + d
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, d = _centre_map(H, gamma, t)
+            x = x @ e.T + d
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("centre flow overflows over this time span")
         return x
@@ -493,9 +499,9 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
     if H.quadratic:
-        e, d = _centre_map(H, gamma, t)
+        xt = advect(H, channels, pts, t, dt)
         phi = _gramian(-_chord_generator(H, gamma), lam, t)
-        xt, phis = pts @ e.T + d, (phi, phi)
+        phis = (phi, phi)
     else:
         xt, mt, g = _rk4(H, gamma, pts, t, _steps_for(t, dt), lam)
         minv = np.linalg.inv(mt)

@@ -42,7 +42,6 @@ __all__ = [
     "cat_density_matrix",
     "fock_density_matrix",
     "pure_density",
-    "purity",
     "lindblad_evolve",
     "displacement_matrix",
     "chord_function_exact",
@@ -221,9 +220,11 @@ def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(rho, hbar)
 
 
-def purity(rho) -> float:
-    mat = getattr(rho, "rho", rho)
-    return float(np.real(np.einsum("ij,ji->", mat, mat)))
+def _check_hermitian(mat) -> None:
+    """ValueError unless rho - rho+ is at most 1e-12 of rho's largest entry."""
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > 1e-12 * float(np.max(np.abs(mat))):
+        raise ValueError(f"rho is not Hermitian (max |rho - rho+| = {herm:.2e})")
 
 
 def _sparse(mat) -> sparse.csr_array:
@@ -300,8 +301,9 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     more terms than needed, but it never loses digits.  No trace shift is
     applied: it would cost the state's trace an order of magnitude in rounding.
 
-    t must be finite and nonnegative, dt and hbar finite and positive, and
-    h_mat and every L the shape of rho0; anything else raises ValueError.
+    t must be finite and nonnegative, dt and hbar finite and positive, rho0
+    Hermitian (with a FockDensityMatrix's hbar equal to ``hbar``), and h_mat
+    and every L the shape of rho0; anything else raises ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
@@ -309,9 +311,12 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     _check_time(t)
     _check_positive(hbar, "hbar")
     _check_positive(dt, "dt")
+    if getattr(rho0, "hbar", hbar) != hbar:
+        raise ValueError(f"hbar = {hbar!r} differs from the state's {rho0.hbar!r}")
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:
         if np.shape(mat) != rho.shape:
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
+    _check_hermitian(rho)
     segments = max(1, int(math.ceil(t / (_CHECK_EVERY * dt))))
     step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
     m_star, s = _taylor_plan(step)
@@ -367,6 +372,7 @@ def hermite_functions(n_max: int, x, hbar: float) -> np.ndarray:
     Stable three-term recurrence; psi_0 is the round Gaussian of variance
     hbar/2 matching the coherent-state convention.
     """
+    _check_positive(hbar, "hbar")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = x / math.sqrt(hbar)
     out = np.empty((n_max + 1, x.size))
@@ -393,9 +399,7 @@ def position_density_matrix(rho, q_axis, s_axis) -> np.ndarray:
     hb = getattr(rho, "hbar", None)
     if hb is None:
         raise ValueError("pass a FockDensityMatrix (hbar is needed for the basis)")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-12 * float(np.max(np.abs(mat))):
-        raise ValueError(f"rho is not Hermitian (max |rho - rho+| = {herm:.2e})")
+    _check_hermitian(mat)
     dim = mat.shape[0]
     stacked = np.concatenate([0.5 * (mat.real + mat.real.T), 0.5 * (mat.imag - mat.imag.T)])
     q_axis = np.asarray(q_axis, dtype=float)

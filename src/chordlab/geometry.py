@@ -22,7 +22,6 @@ __all__ = [
     "J_MATRIX",
     "skew",
     "random_symplectic",
-    "is_symplectic",
 ]
 
 #: 2x2 symplectic unit in (p, q) ordering: J @ (p, q) = (-q, p).
@@ -52,8 +51,3 @@ def random_symplectic(rng: np.random.Generator, scale: float = 1.0) -> np.ndarra
     s = rng.standard_normal(3) * scale
     return scipy.linalg.expm(J_MATRIX @ np.array([[s[0], s[1]], [s[1], s[2]]]))
 
-
-def is_symplectic(m, tol: float = 1e-10) -> bool:
-    """True when m^T J m = J to within tol (for 2x2, det m = 1)."""
-    m = np.asarray(m, dtype=float)
-    return bool(np.allclose(m.T @ J_MATRIX @ m, J_MATRIX, atol=tol))

@@ -67,13 +67,11 @@ class CenteredGrid:
 
     @property
     def p_axis(self) -> np.ndarray:
-        n = np.arange(self.points) - self.points // 2
-        return n * self.dp
+        return _centred_axis(self.points, self.dp)
 
     @property
     def q_axis(self) -> np.ndarray:
-        n = np.arange(self.points) - self.points // 2
-        return n * self.dq
+        return _centred_axis(self.points, self.dq)
 
     def _node_index(self, x, axis: int) -> np.ndarray:
         """Indices along ``axis`` (0 for p, 1 for q) of the nodes at x, the
@@ -137,6 +135,11 @@ def ft_axis(values: np.ndarray, dx: float, hbar: float, axis: int, sign: int) ->
     else:
         out = np.fft.ifft(shifted, axis=axis) * n
     return dx * np.fft.fftshift(out, axes=axis)
+
+
+def _centred_axis(points: int, step: float) -> np.ndarray:
+    """The centred layout x_n = (n - M/2) d of M = ``points`` nodes."""
+    return (np.arange(points) - points // 2) * step
 
 
 def _check_positive(value, what: str) -> None:

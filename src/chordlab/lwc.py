@@ -32,8 +32,8 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import (CenteredGrid, _check_positive, _edge_decayed, _uniform_step, ft_axis,
-                    simpson_weights)
+from .grids import (CenteredGrid, _centred_axis, _check_positive, _edge_decayed,
+                    _uniform_step, ft_axis, simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -75,11 +75,13 @@ class LwcWindow:
     @classmethod
     def canonical(cls, Q: float, hbar: float) -> "LwcWindow":
         """delta = sqrt(hbar): balances shear and decoherence sensitivity."""
+        _check_positive(hbar, "hbar")
         return cls(Q, math.sqrt(hbar), hbar)
 
     @classmethod
     def husimi_matched(cls, Q: float, hbar: float) -> "LwcWindow":
         """delta = sqrt(hbar / 2): the width that rebuilds a Husimi section."""
+        _check_positive(hbar, "hbar")
         return cls(Q, math.sqrt(0.5 * hbar), hbar)
 
 
@@ -399,8 +401,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
             diagnostics.TruncationWarning)
     s_c = ft_axis(np.asarray(sample.values, dtype=complex), d, hbar,
                   axis=0, sign=+1) / (2.0 * math.pi * hbar)
-    dp = 2.0 * math.pi * hbar / (n * d)
-    p_axis = (np.arange(n) - n // 2) * dp
+    p_axis = _centred_axis(n, 2.0 * math.pi * hbar / (n * d))
     re, residue = diagnostics._real_part(s_c, "spectrum", notes)
     return SpectralDensity(p_axis, re, residue, notes)
 
@@ -483,18 +484,15 @@ def resolution_verdict(peaks) -> ResolutionVerdict:
 
 
 def suggest_xi_q_grid(hbar: float, envelope_sigma: float | None = None,
-                      points: int = 1024, dp_target: float | None = None) -> np.ndarray:
+                      points: int = 1024) -> np.ndarray:
     """Centred even xi_q grid (a ``CenteredGrid`` q axis) wide enough that a
     Gaussian envelope of the given sigma decays to 1e-12 (default sigma: the
-    coherent chord width sqrt(2 hbar)).  dp_target, when set, further widens
-    the grid so the spectral bin 2 pi hbar / (M dxi) is at most that fine.
-    hbar, sigma and dp_target must be finite and positive."""
+    coherent chord width sqrt(2 hbar)).  hbar and sigma must be finite and
+    positive."""
+    _check_positive(hbar, "hbar")
     if points % 2 or points < 8:
         raise ValueError("points must be even and at least 8")
     if envelope_sigma is None:
         envelope_sigma = math.sqrt(2.0 * hbar)
     half = envelope_sigma * math.sqrt(2.0 * math.log(1e12))
-    if dp_target is not None:
-        _check_positive(dp_target, "dp_target")
-        half = max(half, math.pi * hbar / dp_target)
     return CenteredGrid(half, half, points, hbar).q_axis

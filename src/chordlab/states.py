@@ -31,7 +31,6 @@ __all__ = [
     "coherent_wavefunction",
     "coherent_position_slices",
     "coherent_chord",
-    "wkb_short_chord_function",
     "wkb_chord",
 ]
 
@@ -109,47 +108,36 @@ def coherent_chord(state: CoherentState) -> ChordFunction:
         lambda xp, xq: coherent_chord_function(state, xp, xq), state.hbar)
 
 
-def wkb_short_chord_function(curve: LagrangianCurve, xi_p, xi_q, hbar: float,
-                             convergence_check: bool = True, sink=None):
-    """Uniform average of translation symbols over the curve, times (2 pi hbar)^-1.
+def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:
+    """Short-chord curve state: the uniform average of translation symbols over
+    the curve, times (2 pi hbar)^-1, as a ChordFunction.
 
     For the harmonic circle of action I this is (2 pi hbar)^-1 J0(sqrt(2 I) |xi| / hbar).
-    The sampling is checked by comparing against a doubled resampling; a
-    relative drift above 1e-8 reports a ConvergenceWarning.
+    The sampling is checked once, at four probe chords, against a doubled
+    resampling: a drift above 1e-8 of chi(0) reports a ConvergenceWarning,
+    kept in the result's ``warnings``.
     """
     _check_positive(hbar, "hbar")
 
-    def average(c: LagrangianCurve):
+    def average(c: LagrangianCurve, xi_p, xi_q):
         n = c.points.shape[0]
         return _plane_wave_sum(c.points, np.full(n, 1.0 / n), xi_p, xi_q, hbar)
 
-    vals = average(curve)
-    if convergence_check:
-        fine = average(curve.resample(2 * curve.theta.size))
-        drift = float(np.max(np.abs(vals - fine)))
-        if drift > 1e-8:
-            diagnostics.report(
-                sink,
-                f"curve average drifts by {drift:.2e} under doubled sampling; "
-                "increase the curve sample count",
-                diagnostics.ConvergenceWarning,
-            )
-    vals = vals / (2.0 * math.pi * hbar)
-    return vals[()] if vals.ndim == 0 else vals
-
-
-def wkb_chord(curve: LagrangianCurve, hbar: float, samples: int | None = None) -> ChordFunction:
-    """Short-chord curve state as a ChordFunction (sampling fixed up front).
-
-    The doubling check runs once here rather than on every evaluation; its
-    warning, if any, is kept in the result's ``warnings``.
-    """
-    _check_positive(hbar, "hbar")
-    c = curve if samples is None else curve.resample(samples)
     probe = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
+    fine = curve.resample(2 * curve.theta.size)
+    drift = float(np.max(np.abs(average(curve, probe, probe[::-1])
+                                - average(fine, probe, probe[::-1]))))
     notes: list = []
-    wkb_short_chord_function(c, probe, probe[::-1], hbar, convergence_check=True, sink=notes)
-    return ChordFunction.from_callable(
-        lambda xp, xq: wkb_short_chord_function(c, xp, xq, hbar, convergence_check=False),
-        hbar, samples=c.points.shape[0], warnings=notes)
+    if drift > 1e-8:
+        diagnostics.report(
+            notes,
+            f"curve average drifts by {drift:.2e} under doubled sampling; "
+            "increase the curve sample count",
+            diagnostics.ConvergenceWarning,
+        )
 
+    def chi(xi_p, xi_q):
+        vals = average(curve, xi_p, xi_q) / (2.0 * math.pi * hbar)
+        return vals[()] if vals.ndim == 0 else vals
+
+    return ChordFunction.from_callable(chi, hbar, samples=curve.points.shape[0], warnings=notes)

@@ -38,6 +38,10 @@ def test_sample_requires_matching_hbar():
     state = CoherentState((0.0, 0.0), HBAR)
     with pytest.raises(ValueError):
         coherent_chord(state).sample(CenteredGrid(1.0, 1.0, 16, 2.0 * HBAR))
+    # compared exactly, like every other hbar check: before, a grid 1e-13 off
+    # was accepted and the sample took the grid's hbar
+    with pytest.raises(ValueError, match="grid hbar"):
+        coherent_chord(state).sample(CenteredGrid(1.0, 1.0, 16, HBAR * (1.0 + 1e-13)))
 
 
 def test_from_grid_shape_check():

@@ -10,6 +10,7 @@ from chordlab import dynamics as dy
 from chordlab.diagnostics import ConvergenceWarning
 from chordlab.grids import _BLOCK_ELEMENTS
 from chordlab.curves import (
+    LagrangianCurve,
     branches_at,
     curve_from_samples,
     evolve_curve_classically,
@@ -225,6 +226,16 @@ def test_evolved_curve_contracts():
     assert np.array_equal(evolved.theta, curve.theta)
 
 
+@pytest.mark.parametrize("energy, a, b", [(math.nan, 1.0, 0.0), (0.3, math.inf, 0.0),
+                                          (0.3, 1.0, math.nan), (math.inf, 1.0, 0.0)],
+                         ids=["energy-nan", "a-inf", "b-nan", "energy-inf"])
+def test_quartic_level_curve_rejects_non_finite_parameters(energy, a, b):
+    """Before, a nan energy spent seconds doubling the orbit-time series and
+    then raised "Newton did not converge"."""
+    with pytest.raises(ValueError, match="need energy > 0"):
+        quartic_level_curve(energy, a, b)
+
+
 def test_curve_validation():
     th = np.arange(16) * 2.0 * math.pi / 16
     pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -234,5 +245,13 @@ def test_curve_validation():
         curve_from_samples(th[::-1], pts)  # not increasing
     with pytest.raises(ValueError):
         curve_from_samples(th + 1.0, pts)  # runs past 2 pi
+    bad = pts.copy()
+    bad[3, 1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        curve_from_samples(th, bad)  # one nan point (it used to give a nan curve)
+    bad_th = th.copy()
+    bad_th[5] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        LagrangianCurve(bad_th, pts, 0.5)
     with pytest.raises(ValueError):
         harmonic_circle(0.0)

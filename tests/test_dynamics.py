@@ -229,6 +229,17 @@ def test_diverging_flow_raises_once_without_numpy_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="diverged"):
                 call()
+    # a pumped harmonic flow: Phi overflows by t = 400 and the centres by t = 800
+    H = dy.hamiltonians.harmonic()
+    for t, what in ((400.0, "decoherence matrix"), (800.0, "centre flow")):
+        calls = [lambda: dy.decoherence_matrix(H, [PUMP], np.zeros(2), t),
+                 lambda: dy.evolve_chord_function(harmonic_circle(0.5, 16), H, [PUMP], t,
+                                                  hbar=HBAR)]
+        for call, match in zip(calls, ("decoherence matrix", what)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError, match=f"{match} overflows"):
+                    call()
 
 
 def test_batched_rk4_equals_per_sample_calls():

@@ -27,7 +27,6 @@ from chordlab.fock import (
     p_operator,
     position_density_matrix,
     pure_density,
-    purity,
     q_operator,
     wigner_exact,
 )
@@ -237,7 +236,7 @@ def test_damped_harmonic_first_moments():
     assert abs(mean_p - (-decay * math.sin(t))) < 1e-14
     assert abs(mean_q - decay * math.cos(t)) < 1e-14
     # pure damping carries a coherent state into a coherent state
-    assert purity(out) > 1.0 - 1e-8
+    assert np.real(np.trace(out.rho @ out.rho)) > 1.0 - 1e-8
 
 
 def test_quadratic_form_first_moments_follow_centre_map():
@@ -269,7 +268,7 @@ def test_measurement_channel_decoheres():
     dim = 48
     rho0 = coherent_density_matrix((0.0, 0.5), HBAR, dim)
     out = evolve_state(rho0, hamiltonians.zero(), [Q_MEASURE], 0.5)
-    assert purity(out) < 0.9
+    assert np.real(np.trace(out.rho @ out.rho)) < 0.9
     rep = out.validate()
     assert rep["trace_error"] < 1e-10
     assert rep["hermiticity_error"] < 1e-12
@@ -288,7 +287,7 @@ def test_cat_parity_and_trace():
     pops = rho.populations()
     assert np.allclose(pops[1::2], 0.0)
     assert rho.trace() == pytest.approx(1.0)
-    assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+    assert np.real(np.trace(rho.rho @ rho.rho)) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("build", [coherent_density_matrix, cat_density_matrix])
@@ -498,6 +497,28 @@ def test_lindblad_evolve_rejects_bad_times_and_shapes(kwargs, message):
     args.update(kwargs)
     with pytest.raises(ValueError, match=message):
         lindblad_evolve(**args)
+
+
+def test_lindblad_evolve_rejects_another_hbar_and_a_non_hermitian_state():
+    """Before, a state built at another hbar came back relabelled, and a
+    non-Hermitian rho0 was evolved as its Hermitian part."""
+    dim = 24
+    h = hamiltonian_matrix(hamiltonians.harmonic(), dim, 0.1)
+    rho0 = coherent_density_matrix((0.0, 0.0), HBAR, dim)
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the state's 0.05"):
+        lindblad_evolve(rho0, h, [], 0.5, 0.1)
+    raw = np.zeros((dim, dim), dtype=complex)
+    raw[0, 0] = raw[1, 1] = 0.5
+    raw[0, 1] = 0.3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        lindblad_evolve(raw, h, [], 0.5, 0.1)
+
+
+@pytest.mark.parametrize("hbar", [-HBAR, 0.0, math.nan])
+def test_hermite_functions_reject_an_hbar_that_is_not_finite_and_positive(hbar):
+    """Before, a negative hbar raised math's "math domain error"."""
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        hermite_functions(3, np.linspace(-1.0, 1.0, 5), hbar)
 
 
 def test_hamiltonian_matrix_families():

@@ -16,7 +16,6 @@ from chordlab.states import (
     coherent_wavefunction,
     coherent_wigner,
     wkb_chord,
-    wkb_short_chord_function,
 )
 
 HBAR = 0.05
@@ -40,11 +39,8 @@ def test_state_rejects_non_finite_values(eta, hbar):
 @pytest.mark.parametrize("hbar", [-0.05, 0.0, math.nan])
 def test_wkb_rejects_an_hbar_that_is_not_finite_and_positive(hbar):
     """Before, hbar = -0.05 gave the values of hbar = 0.05 and hbar = 0 gave nan."""
-    curve = harmonic_circle(0.5, 64)
     with pytest.raises(ValueError, match="hbar must be finite and positive"):
-        wkb_short_chord_function(curve, 0.1, 0.0, hbar)
-    with pytest.raises(ValueError, match="hbar must be finite and positive"):
-        wkb_chord(curve, hbar)
+        wkb_chord(harmonic_circle(0.5, 64), hbar)
 
 
 def test_wavefunction_normalized():
@@ -120,29 +116,17 @@ def test_wkb_circle_is_bessel():
     rng = np.random.default_rng(9)
     xi_p = math.sqrt(HBAR) * rng.uniform(-2.5, 2.5, 40)
     xi_q = math.sqrt(HBAR) * rng.uniform(-2.5, 2.5, 40)
-    got = wkb_short_chord_function(curve, xi_p, xi_q, HBAR)
+    got = wkb_chord(curve, HBAR)(xi_p, xi_q)
     want = j0(math.sqrt(2.0 * action) * np.hypot(xi_p, xi_q) / HBAR) / (2.0 * math.pi * HBAR)
     assert np.max(np.abs(got - want)) < 1e-8 / (2.0 * math.pi * HBAR)
     assert np.max(np.abs(got.imag)) < 1e-12 / (2.0 * math.pi * HBAR)
 
 
 def test_wkb_scalar_and_broadcast():
-    curve = harmonic_circle(0.5, 1024)
-    v = wkb_short_chord_function(curve, 0.1, 0.0, HBAR, convergence_check=False)
+    fn = wkb_chord(harmonic_circle(0.5, 1024), HBAR)
+    v = fn(0.1, 0.0)
     assert np.ndim(v) == 0
-    m = wkb_short_chord_function(curve, np.zeros((2, 3)), 0.1, HBAR, convergence_check=False)
-    assert m.shape == (2, 3)
-
-
-def test_wkb_warns_on_undersampled_curve():
-    curve = harmonic_circle(0.5, 16)
-    xi = np.array([2.0 * math.sqrt(HBAR)])
-    with pytest.warns(ConvergenceWarning):
-        wkb_short_chord_function(curve, xi, xi, HBAR)
-    sink = []
-    with pytest.warns(ConvergenceWarning):
-        wkb_short_chord_function(curve, xi, xi, HBAR, sink=sink)
-    assert len(sink) == 1  # records alongside the warning
+    assert fn(np.zeros((2, 3)), 0.1).shape == (2, 3)
 
 
 def test_wkb_chord_wrapper():
@@ -150,8 +134,9 @@ def test_wkb_chord_wrapper():
     fn = wkb_chord(curve, HBAR)
     assert not fn.gridded
     xi = math.sqrt(HBAR) * np.array([0.5, 1.0])
-    direct = wkb_short_chord_function(curve, xi, xi, HBAR, convergence_check=False)
-    assert np.allclose(fn(xi, xi), direct)
+    p, q = curve.points.T
+    direct = np.mean(np.exp(1j * (p[:, None] - q[:, None]) * xi / HBAR), axis=0)
+    assert np.allclose(fn(xi, xi), direct / (2.0 * math.pi * HBAR))
     with pytest.warns(ConvergenceWarning):
         wkb_chord(harmonic_circle(0.5, 16), HBAR)
 
