@@ -223,6 +223,7 @@ def pendulum_level_curve(energy: float, g: float = 1.0, samples: int = 1024) -> 
     """Librating level set of H = p^2/2 - g cos q (requires -g < E < g)."""
     if not (-g < energy < g):
         raise ValueError("libration requires -g < energy < g")
+    _check_positive(g, "g")  # g = inf passes the range test
     q_plus = math.acos(-energy / g)
 
     def k_factor(q):  # g (cos q - cos q_plus) / (q_plus^2 - q^2), np.sinc(x) = sin(pi x)/(pi x)

@@ -5,9 +5,12 @@ eigenbasis, scaled so that q = sqrt(hbar/2)(a + a+) and p comes with the
 matching factor.  It provides the ground truth the phase-space machinery is
 checked against: exact Lindblad evolution (the exponential of the sparse
 Liouvillian acting on the state, by one truncated-Taylor loop whose degree and
-scaling are chosen once per evolution from the generator's 1-norm), exact
-chord functions via displacement traces or position-space slices, and exact
-Wigner functions.
+scaling are chosen once per evolution from the complex generator's 1-norm),
+exact chord functions via displacement traces or position-space slices, and
+exact Wigner functions.  The evolution runs in real arithmetic on a packed
+state, d^2 reals triu(Re rho) + tril(Im rho, -1) with the populations on the
+diagonal, under the real sparse generator the Liouvillian becomes on
+Hermitian matrices; the evolved rho is Hermitian by construction.
 
 Truncation is monitored rather than hidden: populations leaking into the
 top decile of the basis raise TruncationLeakError with advice to enlarge
@@ -220,11 +223,13 @@ def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(rho, hbar)
 
 
-def _check_hermitian(mat) -> None:
-    """ValueError unless rho - rho+ is at most 1e-12 of rho's largest entry."""
+def _check_hermitian(mat, name: str) -> None:
+    """ValueError naming ``name`` unless mat - mat+ is at most 1e-12 of mat's
+    largest entry."""
+    mat = np.asarray(mat)
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > 1e-12 * float(np.max(np.abs(mat))):
-        raise ValueError(f"rho is not Hermitian (max |rho - rho+| = {herm:.2e})")
+        raise ValueError(f"{name} is not Hermitian (max |{name} - {name}+| = {herm:.2e})")
 
 
 def _sparse(mat) -> sparse.csr_array:
@@ -260,6 +265,49 @@ def _taylor_plan(step) -> tuple:
                key=lambda ms: ms[0] * ms[1])
 
 
+def _pack(rho) -> np.ndarray:
+    """A Hermitian rho as d^2 reals: triu(Re rho) + tril(Im rho, -1), raveled
+    row-major, so the diagonal (every dim+1-th entry) holds the populations."""
+    return (np.triu(rho.real) + np.tril(rho.imag, -1)).ravel()
+
+
+def _unpack(x, dim: int) -> np.ndarray:
+    """The Hermitian matrix packed in x, Hermitian bit for bit."""
+    x = x.reshape(dim, dim)
+    lower = np.tril(x, -1)
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.real = np.triu(x) + np.triu(x, 1).T
+    rho.imag = lower - lower.T
+    return rho
+
+
+def _packed_generator(step) -> sparse.csr_array:
+    """The real CSR matrix with _pack(rho') = R _pack(rho) where rho'.ravel() =
+    step @ rho.ravel(), for the complex generator ``step`` and Hermitian rho.
+
+    Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo], with
+    lo, hi the smaller and larger of a and b, so each column of ``step`` splits
+    into a real slot and a signed imaginary slot.  The generator keeps rho
+    Hermitian, so only its rows (i, j) with i <= j are needed: Re of the row
+    goes to slot (i, j), -Im to the mirror slot (j, i) when i < j."""
+    dim = math.isqrt(step.shape[0])
+    coo = step.tocoo()
+    i, j = np.divmod(coo.row, dim)
+    upper = i <= j
+    i, j, g = i[upper], j[upper], coo.data[upper]
+    a, b = np.divmod(coo.col[upper], dim)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    re_col, im_col, sign = lo * dim + hi, hi * dim + lo, np.sign(a - b)
+    off = i < j
+    row, mirror = i * dim + j, (j * dim + i)[off]
+    out = sparse.csr_array((
+        np.concatenate([g.real, -sign * g.imag, -g.imag[off], -(sign * g.real)[off]]),
+        (np.concatenate([row, row, mirror, mirror]),
+         np.concatenate([re_col, im_col, re_col[off], im_col[off]]))), shape=step.shape)
+    out.eliminate_zeros()
+    return out
+
+
 def _taylor_action(step, vec, m_star: int, s: int) -> np.ndarray:
     """exp(step) vec as s rounds of the degree-m* Taylor series of exp(step/s),
     each round cut short once two consecutive terms sum below 2^-53 of the
@@ -291,10 +339,15 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     segment raises TruncationLeakError; trace drift beyond 1e-8 reports a
     ConvergenceWarning.
 
-    Each segment is s rounds of a truncated Taylor series (``_taylor_action``).
-    Every segment has the same generator, so its degree m* and scaling s are
-    chosen once per evolution, from the segment generator's exact 1-norm and
-    the theta_m table (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).
+    The state is packed as d^2 reals (``_pack``) and evolved by the real
+    generator (``_packed_generator``), the same map on Hermitian matrices; the
+    returned rho is unpacked from them, Hermitian bit for bit.  Each segment is
+    s rounds of a truncated Taylor series (``_taylor_action``).  Every segment
+    has the same generator, so its degree m* and scaling s are chosen once per
+    evolution, from the complex segment generator's exact 1-norm and the
+    theta_m table (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011); the
+    real matrix is the same map, and its own larger 1-norm would only change
+    the plan.
     Where their condition 3.13 holds (1-norm <= 63.36 for one vector) this is
     the choice their algorithm makes.  Beyond it they lower s with estimates of
     ||A^p||^(1/p), which the 1-norm bounds from above: this loop may then take
@@ -302,8 +355,9 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     applied: it would cost the state's trace an order of magnitude in rounding.
 
     t must be finite and nonnegative, dt and hbar finite and positive, rho0
-    Hermitian (with a FockDensityMatrix's hbar equal to ``hbar``), and h_mat
-    and every L the shape of rho0; anything else raises ValueError.
+    Hermitian (with a FockDensityMatrix's hbar equal to ``hbar``), h_mat
+    Hermitian, and h_mat and every L the shape of rho0; anything else raises
+    ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
@@ -316,29 +370,29 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:
         if np.shape(mat) != rho.shape:
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
-    _check_hermitian(rho)
+    _check_hermitian(rho, "rho0")
+    _check_hermitian(h_mat, "h_mat")
     segments = max(1, int(math.ceil(t / (_CHECK_EVERY * dt))))
     step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
     m_star, s = _taylor_plan(step)
-    tr0 = float(np.real(np.trace(rho)))
-    vec = rho.ravel()
+    step = _packed_generator(step)
+    x = _pack(rho)
+    tr0 = float(np.sum(x[::dim + 1]))
     for _ in range(segments):
-        vec = _taylor_action(step, vec, m_star, s)
-        leak = _top_decile(np.real(vec[::dim + 1]))
+        x = _taylor_action(step, x, m_star, s)
+        leak = _top_decile(x[::dim + 1])
         if leak > _LEAK_TOL:
             raise TruncationLeakError(
                 f"population {leak:.2e} reached the top decile of a dim-{dim} "
                 "basis; increase dim", dim)
-    rho = vec.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
     notes: list = []
-    drift = abs(float(np.real(np.trace(rho))) - tr0)
+    drift = abs(float(np.sum(x[::dim + 1])) - tr0)
     if drift > _TRACE_TOL:
         diagnostics.report(
             notes, f"trace drifted by {drift:.2e} during evolution (the generator "
             "conserves it: rounding); check H and the channels for huge entries",
             diagnostics.ConvergenceWarning)
-    return FockDensityMatrix(rho, float(hbar), notes)
+    return FockDensityMatrix(_unpack(x, dim), float(hbar), notes)
 
 
 def evolve_state(rho0: FockDensityMatrix, model: HamiltonianModel, channels,
@@ -399,7 +453,7 @@ def position_density_matrix(rho, q_axis, s_axis) -> np.ndarray:
     hb = getattr(rho, "hbar", None)
     if hb is None:
         raise ValueError("pass a FockDensityMatrix (hbar is needed for the basis)")
-    _check_hermitian(mat)
+    _check_hermitian(mat, "rho")
     dim = mat.shape[0]
     stacked = np.concatenate([0.5 * (mat.real + mat.real.T), 0.5 * (mat.imag - mat.imag.T)])
     q_axis = np.asarray(q_axis, dtype=float)

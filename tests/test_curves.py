@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ def test_quartic_level_curve_rejects_non_finite_parameters(energy, a, b):
     then raised "Newton did not converge"."""
     with pytest.raises(ValueError, match="need energy > 0"):
         quartic_level_curve(energy, a, b)
+
+
+def test_pendulum_level_curve_rejects_an_infinite_g():
+    """Before, g = inf passed the -g < E < g test, emitted numpy RuntimeWarnings
+    and raised "Newton did not converge"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="g must be finite and positive, got inf"):
+            pendulum_level_curve(0.3, math.inf)
 
 
 def test_curve_validation():

@@ -514,6 +514,59 @@ def test_lindblad_evolve_rejects_another_hbar_and_a_non_hermitian_state():
         lindblad_evolve(raw, h, [], 0.5, 0.1)
 
 
+def test_lindblad_evolve_rejects_a_non_hermitian_hamiltonian():
+    """The packed real state holds only Hermitian matrices, so a generator that
+    does not keep rho Hermitian must not reach it.  Every built H passes."""
+    dim = 24
+    rho0 = coherent_density_matrix((0.1, 0.2), HBAR, dim)
+    h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR).astype(complex)
+    h[0, 1] += 1e-6j
+    with pytest.raises(ValueError, match=r"h_mat is not Hermitian \(max \|h_mat - h_mat\+\|"):
+        lindblad_evolve(rho0, h, [], 0.1, HBAR)
+    for model in (hamiltonians.harmonic(), hamiltonians.quartic(1.0, 1.0),
+                  hamiltonians.pendulum(1.0)):
+        for d in (48, 220):
+            fock._check_hermitian(hamiltonian_matrix(model, d, HBAR), "h_mat")
+
+
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T  # Hermitian bit for bit
+
+
+@pytest.mark.parametrize("channels", [(Q_MEASURE,), (DAMPING,), (PUMP,), (Q_MEASURE, DAMPING)],
+                         ids=["q", "damping", "pump", "both"])
+@pytest.mark.parametrize("model, dim", [
+    (hamiltonians.harmonic(), 8), (hamiltonians.quartic(1.0, 1.0), 16),
+    (hamiltonians.pendulum(1.0), 32),
+], ids=["harmonic-8", "quartic-16", "pendulum-32"])
+def test_packed_generator_acts_as_the_liouvillian(model, dim, channels):
+    """On Hermitian rho the real generator is the complex one: unpacking
+    R pack(rho) gives G vec(rho).  The evolved state is Hermitian bit for bit."""
+    h = hamiltonian_matrix(model, dim, HBAR)
+    l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
+    gen = fock._liouvillian(h, l_ops, HBAR)
+    real = fock._packed_generator(gen)
+    assert real.dtype == np.float64
+    for seed in range(3):
+        rho = _random_hermitian(dim, seed)
+        want = (gen @ rho.ravel()).reshape(dim, dim)
+        got = fock._unpack(real @ fock._pack(rho), dim)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    out = lindblad_evolve(coherent_density_matrix((0.05, 0.05), HBAR, dim), h, l_ops, 0.05,
+                          HBAR).rho
+    assert np.array_equal(out, out.conj().T)
+
+
+def test_packed_generator_of_a_zero_generator_is_empty():
+    dim = 12
+    gen = fock._liouvillian(np.zeros((dim, dim)), [np.zeros((dim, dim))], HBAR)
+    assert fock._packed_generator(gen).nnz == 0
+    rho = _random_hermitian(dim, 0)
+    assert np.array_equal(fock._unpack(fock._pack(rho), dim), rho)
+
+
 @pytest.mark.parametrize("hbar", [-HBAR, 0.0, math.nan])
 def test_hermite_functions_reject_an_hbar_that_is_not_finite_and_positive(hbar):
     """Before, a negative hbar raised math's "math domain error"."""
