@@ -72,10 +72,11 @@ common keys
 
 evolution time (evolve-chord, lwc, spectrum, husimi)
   time.t              float, default 0: evolution time
-  time.dt             float > 0, default 1e-3: integrator step, used for
-                      non-quadratic models only (quadratic ones are exact);
-                      for husimi, the spacing of the number-basis leak checks
-                      (that evolution is exact)
+  time.dt             float > 0: the fixed step of the Dormand-Prince flow,
+                      default 1e-2, used for non-quadratic models only
+                      (quadratic ones are exact); for husimi, the spacing of
+                      the number-basis leak checks, default 1e-3 (that
+                      evolution is exact)
 
 state selection (evolve-chord, lwc, spectrum, husimi)
   state.family        coherent | circle | quartic | pendulum | fock | cat
@@ -198,9 +199,9 @@ def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
     return states.CoherentState(eta, hbar)
 
 
-def _time(cfg: Config) -> tuple:
+def _time(cfg: Config, dt_default: float = 1e-2) -> tuple:
     """(time.t, time.dt): t >= 0, and dt, a step or a check spacing, positive."""
-    dt = cfg.float("time.dt", 1e-3)
+    dt = cfg.float("time.dt", dt_default)
     if dt <= 0.0:
         raise ConfigError(f"time.dt must be positive, got {dt:g}")
     t = cfg.float("time.t", 0.0)
@@ -463,7 +464,7 @@ def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     if dim < 1:
         raise ConfigError(f"fock.dim must be >= 1, got {dim}")
     rho = _fock_state(cfg, hbar, dim)
-    t, dt = _time(cfg)
+    t, dt = _time(cfg, 1e-3)
     if t != 0.0:  # evolve_state rejects t < 0
         rho = fock.evolve_state(rho, _hamiltonian(cfg), _channels(cfg), t, dt)
     grid = _centre_grid(cfg, hbar, 128)

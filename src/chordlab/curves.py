@@ -282,7 +282,7 @@ def branches_at(curve: LagrangianCurve, Q: float,
 
 
 def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
-                             dt: float = 1e-3) -> LagrangianCurve:
+                             dt: float = 1e-2) -> LagrangianCurve:
     """Advect every curve sample under the dissipative centre flow.
 
     The image keeps the original theta labels and warnings; its action label

@@ -32,13 +32,15 @@ every centre follows one affine map, every chord one monodromy M = exp(t A)
 with A = J Hess H + gamma, and Phi is the Gramian of (A, Lambda), taken from
 one Van Loan block exponential (IEEE TAC 23, 395, 1978) and shared by every
 anchor.  No step size enters and no refinement is run.
-Other models go through one fixed-step RK4 flow, ``_rk4``, on one packed
-state [x | M] per sample: ``advect`` steps centres alone; decoherence
-matrices and evolved chord functions carry M along and accumulate Phi by
-composite Simpson on the step grid, the final frame by running the flow
-backward from its anchor (a negative step).  The evolved chord function's
-changed sample set rides in the same pass as its samples.  Refinement
-checks warn instead of adapting, so identical inputs give identical outputs.
+Other models go through one fixed-step Dormand-Prince 5(4) flow, ``_dp54``,
+at step dt on one packed state per sample: ``advect`` steps centres alone;
+decoherence matrices and evolved chord functions carry M and
+G = Int M^T Lambda M along as [x | M | G], the final frame by running the
+flow backward from its anchor (a negative step).  The embedded 4th-order
+difference, summed over the steps, is the convergence check's measured
+error, and no second pass is run.  The evolved chord function's changed
+sample set rides in the same pass as its samples.  Checks warn instead of
+adapting, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _check_positive, _plane_wave_sum, simpson_weights
+from .grids import _check_positive, _plane_wave_sum
 
 __all__ = [
     "LindbladChannel",
@@ -236,8 +238,7 @@ def _steps_for(t: float, dt: float) -> int:
     _check_positive(dt, "dt")
     if t == 0.0:
         return 0
-    n = max(2, int(math.ceil(t / dt)))
-    return n + (n % 2)  # an even step count keeps every Simpson panel of _rk4 whole
+    return max(1, int(math.ceil(t / dt)))
 
 
 def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
@@ -280,58 +281,86 @@ def _centre_map(H, gamma: float, t: float):
     return e[:2, :2], e[:2, 2]
 
 
-def _rk4(H, gamma, x, t, steps, lam=None):
-    """RK4 of the (n, 2) centres x over the signed time t in ``steps`` equal
-    steps; t < 0 runs the time-reversed system.
+# Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980): stage rows, whose last
+# row holds the 5th-order weights (so the seventh stage is the next step's first),
+# and the embedded difference b - b^ of the 5th- and 4th-order weights
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _dp54(H, gamma, x, t, steps, lam=None):
+    """Fixed-step Dormand-Prince 5(4) of the (n, 2) centres x over the signed
+    time t in ``steps`` equal steps; t < 0 runs the time-reversed system.
 
         dx/dtau = J grad H(x) - gamma x
 
-    Without ``lam`` it returns the endpoints.  With it, the (n, 2, 2) chord
+    Without ``lam`` the state is (n, 2, 1), the centres.  With it, the chord
     monodromy rides along, dM/dtau = (J Hess H(x) + gamma) M from M = I, and
-    G = Int M^T lam M |dtau| streams with the Simpson weights of the step
-    grid; it returns (x, M, G).  One (n, 2, 3) state [x | M] carries both, so
-    a stage is J [grad H | Hess H M] + (-gamma, gamma, gamma) [x | M].  A
+    so does G = Int M^T lam M |dtau| from G = 0, as one (n, 2, 5) state
+    [x | M | G]: a stage is J [grad H | Hess H M] + (-gamma, gamma, gamma) [x | M]
+    beside sign(t) M^T lam M.  Returns the final state and, per sample, the
+    embedded 5(4) difference summed over the steps (its largest entry per
+    step): the 4th-order error, which overstates the 5th-order result's error
+    wherever h is small enough for the orders to show.  Every stage sum is
+    elementwise, so a sample's row does not depend on the batch.  A
     non-finite state raises FloatingPointError, without numpy's warnings.
     """
     h = t / max(steps, 1)
-    cols = 1 if lam is None else 3
+    cols = 1 if lam is None else 5
     s = np.zeros(x.shape[:-1] + (2, cols))
     s[..., 0] = x
     if lam is not None:
         s[..., 0, 1] = s[..., 1, 2] = 1.0
-        w = simpson_weights(steps + 1, abs(h)) if steps else np.zeros(1)
-        g = np.zeros_like(s[..., 1:]) + w[0] * lam
+        lam = math.copysign(1.0, t) * lam  # G grows with |tau| in either direction
     # full-size factors keep every stage operation contiguous
-    sign = np.zeros_like(s) + [[-1.0], [1.0]]  # J [a; b] = [-b; a]
-    rate = np.zeros_like(s) + [-gamma, gamma, gamma][:cols]
+    sign = np.ones_like(s)
+    sign[..., 0, :3] = -1.0  # J [a; b] = [-b; a] on [x | M]
+    rate = np.zeros_like(s) + [-gamma, gamma, gamma, 0.0, 0.0][:cols]
 
     def field(s):
         y = np.empty_like(s)  # the rows of [grad H | Hess H M], swapped for J
         grad = H.gradient(s[..., 0])
         y[..., 0, 0], y[..., 1, 0] = grad[..., 1], grad[..., 0]
         if lam is not None:
-            np.matmul(H.hessian(s[..., 0])[..., ::-1, :], s[..., 1:], out=y[..., 1:])
+            m = s[..., 1:3]
+            np.matmul(H.hessian(s[..., 0])[..., ::-1, :], m, out=y[..., 1:3])
+            np.matmul(np.swapaxes(m, -1, -2) @ lam, m, out=y[..., 3:])
         return sign * y + rate * s
 
+    def ahead(s, coefs, ks):
+        out = s.copy()
+        for c, k in zip(coefs, ks):
+            if c:
+                out += (h * c) * k
+        return out
+
+    err = np.zeros(x.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            k1 = field(s)
-            k2 = field(s + (0.5 * h) * k1)
-            k3 = field(s + (0.5 * h) * k2)
-            k4 = field(s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ks = [field(s)]
+        for _ in range(steps):
+            for row in _DP_A[1:]:
+                stage = ahead(s, row, ks)
+                ks.append(field(stage))
+            s = stage
             if not np.isfinite(s).all():
                 raise FloatingPointError("centre flow diverged; reduce dt or the time span")
-            if lam is not None:
-                m = s[..., 1:]
-                g += w[k] * (np.swapaxes(m, -1, -2) @ lam @ m)
-    return s[..., 0] if lam is None else (s[..., 0], s[..., 1:], g)
+            err += np.max(np.abs(ahead(np.zeros_like(s), _DP_E, ks)), axis=(-2, -1))
+            ks = ks[-1:]
+    return s, err
 
 
 def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
     """Transport of (n, 2) centre points over the signed time t (t < 0 runs
-    the flow backward): the exact affine map for quadratic models, fixed-step
-    RK4 otherwise."""
+    the flow backward): the exact affine map for quadratic models, the
+    fixed-step Dormand-Prince flow otherwise."""
     gamma = total_gamma(channels)
     x = np.array(points, dtype=float)
     if t == 0.0:
@@ -343,8 +372,7 @@ def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("centre flow overflows over this time span")
         return x
-    steps = _steps_for(abs(t), dt)
-    return _rk4(H, gamma, x, t, steps)
+    return _dp54(H, gamma, x, t, _steps_for(abs(t), dt))[0][..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +395,7 @@ class DecoherenceMatrix:
         return float(np.linalg.det(self.phi))
 
 
-def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
+def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-2,
                        convergence_check: bool = True, frame: str = "final") -> DecoherenceMatrix:
     """Decoherence matrix of the trajectory through ``anchor``.
 
@@ -384,8 +412,9 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     Its determinant decides positivity (see ``positivity_time``).
 
     Quadratic models take the closed form (``dt`` and ``convergence_check``
-    are unused); otherwise the trajectory is co-integrated with RK4 and the
-    step is halved once to check convergence.
+    are unused); otherwise the trajectory is co-integrated by the fixed-step
+    Dormand-Prince flow at step ``dt``, and with the check an embedded error
+    estimate above 1e-8 of max(1, |Phi|) warns.
     """
     _check_time(t)
     if frame not in ("final", "initial"):
@@ -394,19 +423,19 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-3,
     if t == 0.0:
         return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, [], frame)
     phi, errs = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
-    return DecoherenceMatrix(phi[0], float(t), anchor, _report_halving(errs), frame)
+    return DecoherenceMatrix(phi[0], float(t), anchor, _report_step_errors(errs), frame)
 
 
 def _decoherence_phis(H, channels, anchors, t: float, dt: float,
                       convergence_check: bool = True, frame: str = "final"):
     """(phis, errs): Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, and
-    each anchor's change under step halving (zeros for quadratic models or without
-    the check), which the caller reports: ``decoherence_matrix`` for a batch.
+    each anchor's error estimate relative to max(1, |Phi|) (zeros for quadratic
+    models or without the check), which the caller reports: ``decoherence_matrix``
+    for a batch.
 
     Quadratic models share one generator, so one closed-form Phi serves every
-    anchor.  Otherwise one RK4 pass carries every anchor, and with the check a
-    second at half the step; an anchor whose Phi moves by more than 1e-8 under
-    the halving keeps the finer value.
+    anchor.  Otherwise one Dormand-Prince pass carries every anchor, and its
+    embedded 5(4) difference, summed over the steps, is the estimate.
     """
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
@@ -416,23 +445,20 @@ def _decoherence_phis(H, channels, anchors, t: float, dt: float,
         phi = _gramian(-a if frame == "final" else a, lam, t)
         return np.repeat(phi[None], anchors.shape[0], axis=0), errs
     span = -t if frame == "final" else t  # the final frame runs backward from the anchor
-    steps = _steps_for(t, dt)
-    phi = _rk4(H, gamma, anchors, span, steps, lam)[2]
+    s, err = _dp54(H, gamma, anchors, span, _steps_for(t, dt), lam)
+    phi = s[..., 3:]
     if convergence_check:
-        phi2 = _rk4(H, gamma, anchors, span, 2 * steps, lam)[2]
-        errs = (np.max(np.abs(phi2 - phi), axis=(1, 2))
-                / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2))))
-        phi = np.where((errs > 1e-8)[:, None, None], phi2, phi)
+        errs = err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
     return 0.5 * (phi + np.swapaxes(phi, -1, -2)), errs
 
 
-def _report_halving(errs) -> list:
-    """Notes of the halving changes above 1e-8, each raised as a ConvergenceWarning."""
+def _report_step_errors(errs) -> list:
+    """Notes of the error estimates above 1e-8, each raised as a ConvergenceWarning."""
     notes: list = []
     for err in errs:
         if err > 1e-8:
-            report(notes, f"decoherence_matrix: halving dt changes Phi by {err:.3e}",
-                   ConvergenceWarning)
+            report(notes, f"decoherence_matrix: the step's error estimate for Phi is "
+                   f"{err:.3e} (> 1e-8); reduce dt", ConvergenceWarning)
     return notes
 
 
@@ -471,7 +497,7 @@ def _chi_from_samples(endpoints, phis, weights, hbar):
     return lambda xi_p, xi_q: pref * _plane_wave_sum(endpoints, weights, xi_p, xi_q, hbar, phis)
 
 
-def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
+def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
                           hbar: float = None, convergence_check: bool = True) -> ChordFunction:
     """Chord function of the evolved state as an attenuated-reflection sum.
 
@@ -481,8 +507,9 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
     with one trajectory and one decoherence matrix per initial sample.  For a
     quadratic model every Phi_i coincides and the endpoints follow one affine
     map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run RK4 per sample, in one pass with the
-    changed sample set of the convergence check.  The returned callable sums
+    chord function; other models run the Dormand-Prince flow per sample, in
+    one pass with the changed sample set of the convergence check, which also
+    reports the flow's error estimate above 1e-8.  The returned callable sums
     through ``grids._plane_wave_sum``: on an outer grid of chords a
     per-sample Phi_i goes through the Taylor series of its cross term, to
     within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
@@ -498,19 +525,26 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-3,
         pts = np.concatenate([pts, pts2])
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
+    step_err = 0.0
     if H.quadratic:
         xt = advect(H, channels, pts, t, dt)
         phi = _gramian(-_chord_generator(H, gamma), lam, t)
         phis = (phi, phi)
     else:
-        xt, mt, g = _rk4(H, gamma, pts, t, _steps_for(t, dt), lam)
-        minv = np.linalg.inv(mt)
-        phi = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
+        s, err = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam)
+        xt = s[..., 0]
+        minv = np.linalg.inv(s[..., 1:3])
+        phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
         phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
         phis = (phi[:n], phi[n:])
+        step_err = float(np.max(err[:n] / np.maximum(1.0, np.max(np.abs(phis[0]), axis=(1, 2)))))
     fn = _chi_from_samples(xt[:n], phis[0], w, hbar)
     out = ChordFunction.from_callable(fn, hbar, samples=n,
                                       warnings=getattr(source, "warnings", ()))
+    if check and step_err > 1e-8:
+        report(out.warnings,
+               f"evolve_chord_function: the step's error estimate is {step_err:.3e} "
+               "(> 1e-8); reduce dt", ConvergenceWarning)
     if check:
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])

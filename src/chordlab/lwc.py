@@ -310,9 +310,10 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
                   H, channels, t: float, dt: float) -> list:
     """One branch pass for every window centre in ``qs``: the curve evolved to t
     once, then each window's record of its branches at Q (caustic beyond |slope| =
-    1/sqrt(hbar)), their sheared decoherence widths Phi_qq from one RK4 pass over
-    every window's live branches (nan on caustic branches, 0 when t = 0 or there
-    are no channels) and their line variances.  Notes start with the curve's."""
+    1/sqrt(hbar)), their sheared decoherence widths Phi_qq from one Dormand-Prince
+    pass over every window's live branches (nan on caustic branches, 0 when t = 0
+    or there are no channels), each branch's error-estimate note, and their line
+    variances.  Notes start with the curve's."""
     _check_positive(hbar, "hbar")
     dynamics._check_time(t)
     if t > 0:
@@ -339,7 +340,7 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
             )
         phi_qq = [math.nan if c else 0.0 for c in br.caustic]
         if t > 0 and channels and live.size:
-            notes += dynamics._report_halving(errs[:live.size])
+            notes += dynamics._report_step_errors(errs[:live.size])
             for j, phi in zip(live, phis):
                 phi_qq[j] = shear_phi_qq(phi, br.slope[j])
             phis, errs = phis[live.size:], errs[live.size:]
@@ -361,7 +362,7 @@ def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float) -> LwcSamp
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
-                  window: LwcWindow, xi_q, dt: float = 1e-3) -> LwcSample:
+                  window: LwcWindow, xi_q, dt: float = 1e-2) -> LwcSample:
     """Branches of the dissipatively evolved curve, damped per-branch by the
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
@@ -407,7 +408,7 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 
 
 def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
-                            window: LwcWindow, p_axis, dt: float = 1e-3) -> SpectralDensity:
+                            window: LwcWindow, p_axis, dt: float = 1e-2) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2: the exact spectrum of
     ``lwc_sc_markov`` on the same arguments (see ``BranchLines.spectrum``).

@@ -438,7 +438,7 @@ def test_taylor_loop_matches_per_segment_expm_multiply(model, dim, channels):
 
 
 def test_zero_generator_returns_rho0_unchanged():
-    # exactly Hermitian, so the closing symmetrization is the identity
+    # exactly Hermitian, so packing and unpacking it is exact
     cat = cat_density_matrix((0.3, -0.2), HBAR, 24).rho
     rho0 = FockDensityMatrix(0.5 * (cat + cat.conj().T), HBAR)
     h = np.zeros((24, 24))

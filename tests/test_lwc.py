@@ -543,8 +543,9 @@ def test_branch_notes():
 @pytest.mark.parametrize("family", ["quartic", "pendulum"])
 @pytest.mark.parametrize("dt", [1e-2, 0.25], ids=["fine", "coarse"])
 def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
-    """One RK4 pass over every live branch gives each branch's Phi bit for
-    bit, and (at the coarse step) the same halving warnings in branch order."""
+    """One Dormand-Prince pass over every live branch gives each branch's Phi
+    bit for bit, and (at the coarse step) the same error-estimate warnings in
+    branch order."""
     if family == "quartic":
         curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
     else:
@@ -590,8 +591,8 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
                               dt=dt).warnings for Q in qs]
     assert [record.warnings for record in lines] == want
     assert [len(notes) for notes in want] == [2, 2]
-    assert want[0] + want[1] == [f"decoherence_matrix: halving dt changes Phi by {e:.3e}"
-                                 for e in errs[0]]
+    assert want[0] + want[1] == [f"decoherence_matrix: the step's error estimate for Phi is "
+                                 f"{e:.3e} (> 1e-8); reduce dt" for e in errs[0]]
 
 
 def _window_case(family):
@@ -641,7 +642,7 @@ def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
         coarse = np.linspace(-2.0, 2.0, 5)
         first, second = sample.lines.spectrum(coarse), sample.lines.spectrum(coarse)
     assert len(calls) == 1
-    assert len(before) == 2  # the coarse step's halving notes
+    assert len(before) == 2  # the coarse step's error-estimate notes
     assert sample.lines.warnings == before and sample.warnings == before
     assert first.warnings == second.warnings
     assert first.warnings[:2] == before and len(first.warnings) == 4  # two floored lines
