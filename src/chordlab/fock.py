@@ -6,11 +6,16 @@ matching factor.  It provides the ground truth the phase-space machinery is
 checked against: exact Lindblad evolution (the exponential of the sparse
 Liouvillian acting on the state, by one truncated-Taylor loop whose degree and
 scaling are chosen once per evolution from the complex generator's 1-norm),
-exact chord functions via displacement traces or position-space slices, and
-exact Wigner functions.  The evolution runs in real arithmetic on a packed
-state, d^2 reals triu(Re rho) + tril(Im rho, -1) with the populations on the
-diagonal, under the real sparse generator the Liouvillian becomes on
-Hermitian matrices; the evolved rho is Hermitian by construction.
+exact position slices, chord functions and Wigner functions.  The evolution
+runs in real arithmetic on a packed state, d^2 reals triu(Re rho) +
+tril(Im rho, -1) with the populations on the diagonal, under the real sparse
+generator the Liouvillian becomes on Hermitian matrices; the evolved rho is
+Hermitian by construction.
+
+The readouts (position slices, chi and W) are closed forms in the two-mode
+oscillator basis rotated by 45 degrees (``_rotation_map``): real GEMMs on
+Hermite tables at the requested points, with no quadrature nodes and no FFT.
+The displacement-matrix trace stays as the point-by-point reference for chi.
 
 Truncation is monitored rather than hidden: populations leaking into the
 top decile of the basis raise TruncationLeakError with advice to enlarge
@@ -19,6 +24,7 @@ the space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,8 +34,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
 from .dynamics import HamiltonianModel, LindbladChannel, _as_channels, _check_time
-from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _check_positive, _edge_decayed, _outer_grid,
-                    _plane_wave_sum, ft_axis, simpson_weights)
+from .grids import CenteredGrid, _check_positive, _outer_grid
 from .states import CoherentState
 
 __all__ = [
@@ -424,7 +429,8 @@ def hermite_functions(n_max: int, x, hbar: float) -> np.ndarray:
     """Oscillator eigenfunctions psi_0..psi_n_max on x, shape (n_max+1, len(x)).
 
     Stable three-term recurrence; psi_0 is the round Gaussian of variance
-    hbar/2 matching the coherent-state convention.
+    hbar/2 matching the coherent-state convention.  Negating x negates the
+    odd orders bit for bit.
     """
     _check_positive(hbar, "hbar")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -439,56 +445,108 @@ def hermite_functions(n_max: int, x, hbar: float) -> np.ndarray:
     return out
 
 
+def _rotation_levels(dim: int):
+    """The two-mode rotation by 45 degrees, one table per level N = m + n,
+    yielded in turn from N = 0 to 2 dim - 2.
+
+    Level N holds C[m - max(0, N - dim + 1), k] = <k, N - k|_uv |m, N - m>_xy
+    for the rows with m, N - m < dim and every k <= N, where u = (x + y)/sqrt2
+    and v = (y - x)/sqrt2, so psi_m(x) psi_n(y) = sum_k C[m, k] psi_k(u)
+    psi_{N-k}(v).  Each level comes from the one below by the two-ladder step
+    N |m, n> = sqrt(m) a_x+ |m-1, n> + sqrt(n) a_y+ |m, n-1>, with
+    a_x+ = (a_u+ - a_v+)/sqrt2 and a_y+ = (a_u+ + a_v+)/sqrt2 (Risbo,
+    J. Geodesy 70, 383, 1996): its rows stay orthonormal to rounding, where
+    the one-ladder step a_x+ / sqrt(m + 1) does not.
+    """
+    prev = np.ones((1, 1))
+    yield prev
+    for n in range(1, 2 * dim - 1):
+        lo = max(0, n - dim)  # prev's rows start at m = lo
+        k = np.arange(n + 1.0)
+        raise_u = np.zeros((prev.shape[0], n + 1))  # a_u+ |k, n-1-k>
+        raise_u[:, 1:] = prev * np.sqrt(k[1:])
+        raise_v = np.zeros((prev.shape[0], n + 1))  # a_v+ |k, n-1-k>
+        raise_v[:, :-1] = prev * np.sqrt(n - k[:-1])
+        m = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1)
+        out = np.zeros((m.size, n + 1))
+        x, y = m >= 1, m < n
+        out[x] += np.sqrt(m[x])[:, None] * (raise_u - raise_v)[m[x] - 1 - lo]
+        out[y] += np.sqrt(n - m[y])[:, None] * (raise_u + raise_v)[m[y] - lo]
+        prev = out / (n * math.sqrt(2.0))
+        yield prev
+
+
+@functools.lru_cache(maxsize=4)
+def _rotation_map(dim: int) -> sparse.csr_array:
+    """The real CSR matrix taking [vec A; vec B] to vec G (row-major, G of
+    size 2 dim - 1 squared), for rho = A + iB with A symmetric and B
+    antisymmetric: G[k, l] = sum_m C[m, k] X[m, k + l - m] over the level
+    k + l of ``_rotation_levels``, X = A for even l and B for odd l.
+
+    Swapping x and y flips v, so the symmetric A reaches only even l and the
+    antisymmetric B only odd l, and G holds both: rho(x, y) =
+    sum_kl (G_A + i G_B)[k, l] psi_k(u) psi_l(v), with G_A the even and G_B
+    the odd columns of G.  It has dim^3 entries (2.1 MB at dim 56, 21 MB
+    at 120, with int32 indices)."""
+    size = 2 * dim - 1
+    level = np.add.outer(np.arange(size), np.arange(size)).ravel()
+    indptr = np.zeros(size * size + 1, dtype=np.int32)
+    np.cumsum(np.maximum(0, np.minimum(level + 1, size - level)), out=indptr[1:])
+    data = np.empty(dim**3)
+    indices = np.empty(dim**3, dtype=np.int32)
+    for n, c in enumerate(_rotation_levels(dim)):
+        m = np.arange(max(0, n - dim + 1), min(n, dim - 1) + 1)
+        k = np.arange(n + 1)
+        at = indptr[k * size + n - k] + np.arange(m.size)[:, None]  # laid out as c
+        data[at] = c
+        indices[at] = (m * dim + n - m)[:, None] + (n - k) % 2 * dim * dim
+    return sparse.csr_array((data, indices, indptr), shape=(size * size, 2 * dim * dim))
+
+
+def _rotated(mat) -> np.ndarray:
+    """G of ``_rotation_map`` for a Hermitian matrix (ValueError otherwise)."""
+    _check_hermitian(mat, "rho")
+    dim = mat.shape[0]
+    parts = np.concatenate([(0.5 * (mat.real + mat.real.T)).ravel(),
+                            (0.5 * (mat.imag - mat.imag.T)).ravel()])
+    return (_rotation_map(dim) @ parts).reshape(2 * dim - 1, 2 * dim - 1)
+
+
 def position_density_matrix(rho, q_axis, s_axis) -> np.ndarray:
     """rho(q - s/2, q + s/2) on the outer product of the two axes.
 
-    With rho = A + iB (A = Re rho symmetric, B = Im rho antisymmetric) and
-    real psi_n, a slice is psi(q-)^T A psi(q+) + i psi(q-)^T B psi(q+), and
-    the slice at -s is the conjugate of the one at s.  So only |s| is
-    evaluated, in real arithmetic: per block of nodes one GEMM of the stacked
-    [A; B] with the psi(q+) table and two contractions with psi(q-).
+    In the rotated pair u = sqrt2 q, v = s/sqrt2 a slice is
+    Psi(u)^T (G_A + i G_B) Psi(v), with Psi the Hermite table of
+    ``hermite_functions`` and G of ``_rotation_map``: two real GEMMs, the
+    even orders of Psi(v) against G_A and the odd ones against G_B, then one
+    with Psi(u).  psi_l(-v) = (-1)^l psi_l(v), so the slice at -s is the
+    conjugate of the one at s.
     A non-Hermitian matrix has no such slices and raises ValueError.
     """
     mat = np.asarray(getattr(rho, "rho", rho))
     hb = getattr(rho, "hbar", None)
     if hb is None:
         raise ValueError("pass a FockDensityMatrix (hbar is needed for the basis)")
-    _check_hermitian(mat, "rho")
-    dim = mat.shape[0]
-    stacked = np.concatenate([0.5 * (mat.real + mat.real.T), 0.5 * (mat.imag - mat.imag.T)])
-    q_axis = np.asarray(q_axis, dtype=float)
-    s_axis = np.asarray(s_axis, dtype=float)
-    half, inv = np.unique(np.abs(s_axis), return_inverse=True)
-    qm = (q_axis[:, None] - 0.5 * half[None, :]).ravel()
-    qp = (q_axis[:, None] + 0.5 * half[None, :]).ravel()
-    out = np.empty(qm.size, dtype=complex)
-    # blocks keep the (dim, points) basis tables off the heap all at once
-    block = max(1024, _BLOCK_ELEMENTS // dim)
-    for i in range(0, qm.size, block):
-        sl = slice(i, i + block)
-        psi_m = hermite_functions(dim - 1, qm[sl], hb)
-        prod = stacked @ hermite_functions(dim - 1, qp[sl], hb)
-        out.real[sl] = np.einsum("mk,mk->k", psi_m, prod[:dim])
-        out.imag[sl] = np.einsum("mk,mk->k", psi_m, prod[dim:])
-    out = out.reshape(q_axis.size, half.size)[:, inv]
-    np.conjugate(out, out=out, where=s_axis[None, :] < 0)
-    return out
-
-
-def _q_support(rho: FockDensityMatrix) -> float:
-    pops = np.maximum(rho.populations(), 0.0)
-    csum = np.cumsum(pops[::-1])[::-1]
-    occupied = np.nonzero(csum > 1e-12)[0]
-    n_top = int(occupied[-1]) + 1 if occupied.size else 1
-    return math.sqrt(2.0 * rho.hbar * (n_top + 1.0)) + 8.0 * math.sqrt(rho.hbar)
+    g = _rotated(mat)
+    top = g.shape[0] - 1
+    psi_v = hermite_functions(top, np.asarray(s_axis, dtype=float) / math.sqrt(2.0), hb)
+    psi_u = hermite_functions(top, math.sqrt(2.0) * np.asarray(q_axis, dtype=float), hb)
+    ns = psi_v.shape[1]
+    prod = psi_u.T @ np.concatenate([g[:, 0::2] @ psi_v[0::2], g[:, 1::2] @ psi_v[1::2]], axis=1)
+    return prod[:, :ns] + 1j * prod[:, ns:]
 
 
 def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
                          method: str = "position") -> np.ndarray:
     """chi(xi) = (2 pi hbar)^-1 tr(T(-xi) rho) at arbitrary chord points.
 
-    method "position" integrates position slices against the xi_p phase (one
-    GEMM on an outer grid of chords, see ``grids._plane_wave_sum``);
+    method "position" is the Fourier transform of the position slices in
+    closed form: each Hermite function is its own hbar-Fourier transform up
+    to (-i)^k, so chi = (4 pi hbar)^-1/2 sum_kl (-i)^k (G_A + i G_B)[k, l]
+    psi_k(xi_p/sqrt2) psi_l(-xi_q/sqrt2) (see ``position_density_matrix``),
+    taken in real arithmetic.  On an outer grid of chords (see
+    ``grids._outer_grid``) that is two GEMMs, elsewhere one GEMM and one
+    contraction per point; chi(-xi) is the conjugate of chi(xi).
     "displacement" evaluates the displacement-matrix trace point by point,
     the slower reference that gives the same values.
     """
@@ -510,21 +568,21 @@ def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
 
     if method != "position":
         raise ValueError("method must be position or displacement")
-    q_max = _q_support(rho)
-    p_max = math.sqrt(2.0 * hb * rho.dim) + 4.0 * math.sqrt(hb)
-    freq = (float(np.max(np.abs(xp))) + p_max) / hb
-    dq = min(math.pi / (2.0 * freq), 0.25 * math.sqrt(hb))
-    nq = 2 * int(math.ceil(q_max / dq)) + 1
-    q_axis = np.linspace(-q_max, q_max, nq)
-    # chi = (2 pi hbar)^-1 sum_j w_j rho(q_j + xi_q/2, q_j - xi_q/2) exp(-i q_j xi_p / hbar):
-    # a plane-wave sum over q nodes whose amplitudes depend on xi_q only
+    g = _rotated(rho.rho)
+    top = g.shape[0] - 1
+    k = np.arange(top + 1)[:, None]
+    odd = (k + k.T) % 2 == 1
+    # (-i)^k (G_A + i G_B): even k + l is real, odd k + l imaginary
+    parts = np.concatenate([np.where(odd, 0.0, (-1.0) ** (k // 2) * g),
+                            np.where(odd, (-1.0) ** ((k + 1) // 2) * g, 0.0)])
     axes = _outer_grid(xi_p, xi_q)
-    s_axis, inv = np.unique(-(xq if axes is None else axes[1]), return_inverse=True)
-    slices = position_density_matrix(rho, q_axis, s_axis)
-    amp = (simpson_weights(nq, q_axis[1] - q_axis[0])[:, None] * slices)[:, inv]
-    amp = amp.reshape((nq,) + (shape if axes is None else (1, -1)))
-    nodes = np.stack([np.zeros(nq), q_axis], axis=-1)
-    vals = _plane_wave_sum(nodes, amp, xi_p, xi_q, hb) / (2.0 * math.pi * hb)
+    left = hermite_functions(top, (xp if axes is None else axes[0]) / math.sqrt(2.0), hb)
+    right = parts @ hermite_functions(top, -(xq if axes is None else axes[1]) / math.sqrt(2.0), hb)
+    if axes is None:
+        re, im = (np.einsum("kj,kj->j", left, half) for half in np.split(right, 2))
+    else:
+        re, im = np.split(left.T @ np.concatenate(np.split(right, 2), axis=1), 2, axis=1)
+    vals = (re + 1j * im).reshape(shape) / math.sqrt(4.0 * math.pi * hb)
     return vals[()] if shape == () else vals
 
 
@@ -536,22 +594,22 @@ def chord_function_grid(rho: FockDensityMatrix, grid: CenteredGrid) -> np.ndarra
     return chord_function_exact(rho, xp, xq, method="position")
 
 
-def wigner_exact(rho: FockDensityMatrix, grid: CenteredGrid, sink=None) -> np.ndarray:
-    """W on a centre grid by Fourier transforming exact position slices.
+def wigner_exact(rho: FockDensityMatrix, grid: CenteredGrid) -> np.ndarray:
+    """W on a centre grid from the position slices in closed form.
 
-    The s integration runs over the grid conjugate to the p axis, so the
-    transform lands exactly on grid.p_axis.
+    The s transform of a slice turns psi_l(s/sqrt2) into
+    i^l psi_l(sqrt2 p) (see ``position_density_matrix``), so
+    W(p, q) = (pi hbar)^-1/2 sum_kl i^l (G_A + i G_B)[k, l] psi_k(sqrt2 q)
+    psi_l(sqrt2 p): the even columns of G carry (-1)^(l/2) and the odd ones
+    (-1)^((l+1)/2), and W is real by construction.  Two GEMMs, with no s
+    range and no grid condition beyond the axes themselves.
     """
     if grid.hbar != rho.hbar:
         raise ValueError("grid and state disagree on hbar")
     hb = rho.hbar
-    conj = grid.conjugate()
-    s_axis = conj.q_axis  # paired with p
-    slices = position_density_matrix(rho, grid.q_axis, s_axis)
-    if not _edge_decayed(slices, 1e-10, (1,)):
-        diagnostics.report(
-            sink, "position slices not decayed at the s range edge; refine the "
-            "p axis (its conjugate sets the s range)",
-            diagnostics.GridDomainWarning)
-    w = ft_axis(slices, conj.dq, hb, axis=1, sign=+1) / (2.0 * math.pi * hb)
-    return diagnostics._real_part(w.T, "Wigner", sink)[0]  # (q, p) -> (p, q)
+    g = _rotated(rho.rho)
+    top = g.shape[0] - 1
+    signed = g * (-1.0) ** ((np.arange(top + 1) + 1) // 2)
+    psi_q = hermite_functions(top, math.sqrt(2.0) * grid.q_axis, hb)
+    psi_p = hermite_functions(top, math.sqrt(2.0) * grid.p_axis, hb)
+    return psi_p.T @ (signed.T @ psi_q) / math.sqrt(math.pi * hb)  # (p, q)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,8 +101,9 @@ def test_chord_function_matches_closed_form():
 
 
 def test_position_route_matches_displacement_on_grid_and_scattered_points():
-    """The position route is one GEMM on an outer grid of chords and a
-    pointwise sum on scattered chords; both reproduce the displacement trace."""
+    """The position route is two GEMMs on an outer grid of chords and one
+    contraction per point on scattered chords; both reproduce the
+    displacement trace."""
     rho = cat_density_matrix((0.3, -0.2), HBAR, 64)
     s = 3.0 * math.sqrt(HBAR)
     grid = np.meshgrid(np.linspace(-s, s, 7), np.linspace(-s, 0.8 * s, 6), indexing="ij")
@@ -138,10 +140,11 @@ def test_displacement_matrix_properties():
 
 
 def test_hermite_functions_orthonormal():
-    x = np.linspace(-3.0, 3.0, 4001)
-    psi = hermite_functions(12, x, HBAR)
-    gram = psi @ psi.T * (x[1] - x[0])
-    assert np.max(np.abs(gram - np.eye(13))) < 1e-8
+    """Up to order 238, the table of a dim-120 rotated readout."""
+    x = np.arange(-7.0, 7.0, 0.005)
+    psi = hermite_functions(238, x, HBAR)
+    gram = psi @ psi.T * 0.005
+    assert np.max(np.abs(gram - np.eye(239))) <= 1e-12
     ground = coherent_wavefunction(CoherentState((0.0, 0.0), HBAR), x)
     assert np.max(np.abs(psi[0] - np.real(ground))) < 1e-12
 
@@ -175,9 +178,9 @@ def _evolved_cat(dim):
 @pytest.mark.parametrize("state", ["cat48", "cat56", "fock3"])
 @pytest.mark.parametrize("axes", ["centred", "asymmetric"])
 def test_position_density_matrix_matches_complex_reference(state, axes):
-    """The |s| half axis in real arithmetic reproduces the complex product on
-    every node: the unpaired -M/2 node of a centred even axis, s = 0, and s
-    values whose mirror image is not on the axis."""
+    """The rotated-basis GEMMs in real arithmetic reproduce the complex
+    product on every node: the unpaired -M/2 node of a centred even axis,
+    s = 0, and s values whose mirror image is not on the axis."""
     rho = fock_density_matrix(3, HBAR, 48) if state == "fock3" else _evolved_cat(int(state[3:]))
     if state != "fock3":
         assert np.max(np.abs(rho.rho.imag)) > 1e-3  # complex off-diagonals
@@ -617,11 +620,81 @@ def test_pure_density_normalizes():
     assert rho.rho[0, 0] == pytest.approx(0.36)
 
 
-def test_wigner_grid_warning_on_cramped_axis():
-    rho = coherent_density_matrix((0.0, 1.2), HBAR, 96)
-    # coarse p axis makes the conjugate s range too short for the slices
+def test_wigner_exact_on_a_wide_coarse_p_axis_matches_the_closed_form():
+    """The closed form has no s range, so a coarse p axis (whose conjugate
+    used to cut the s integral short) costs no digits and warns nothing."""
+    state = CoherentState((0.0, 1.2), HBAR)
+    rho = coherent_density_matrix(state.eta, HBAR, 96)
     grid = CenteredGrid(10.0, 2.0, 64, HBAR)
-    sink = []
-    with pytest.warns(GridDomainWarning):
-        wigner_exact(rho, grid, sink=sink)
-    assert sink
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridDomainWarning)
+        w = wigner_exact(rho, grid)
+    want = coherent_wigner(state, *grid.meshgrid())
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _number56():
+    """The oracle benchmark's number56 state: |3> at dim 56 under the
+    harmonic flow and a q-channel, at 1.15 t_p."""
+    dim = 56
+    channel = LindbladChannel((0.0, 1.0))
+    model = hamiltonians.harmonic()
+    t = 1.15 * dynamics.positivity_time(model, [channel])
+    return lindblad_evolve(fock_density_matrix(3, HBAR, dim), hamiltonian_matrix(model, dim, HBAR),
+                           [build_linear_lindblad(channel, HBAR, dim)], t, HBAR, dt=4e-3)
+
+
+def test_number56_readouts_match_the_parity_and_displacement_references():
+    """W(0, 0) is the parity sum(-1)^n rho_nn / (pi hbar) and chi is the
+    displacement trace, both to rounding on the benchmark's own grids; a
+    quadrature over s misses them by 8.9e-13 and 3.0e-14 (chi at 0)."""
+    rho = _number56()
+    dim = rho.dim
+    half = math.sqrt(2.0 * HBAR * (dim + 1)) + 4.0 * math.sqrt(HBAR)
+    grid = CenteredGrid(half, half, 192, HBAR)
+    w = wigner_exact(rho, grid)
+    parity = np.sum((-1.0) ** np.arange(dim) * rho.populations()) / (math.pi * HBAR)
+    assert abs(w[96, 96] - parity) <= 1e-15
+    cgrid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    chi = chord_function_grid(rho, cgrid)
+    # the origin, where chi is largest, and 24 nodes drawn at random
+    i, j = np.concatenate([[[32], [32]], np.random.default_rng(7).integers(0, 64, (2, 24))], axis=1)
+    want = chord_function_exact(rho, cgrid.p_axis[i], cgrid.q_axis[j], method="displacement")
+    assert np.max(np.abs(chi[i, j] - want)) <= 5e-15 / (2.0 * math.pi * HBAR)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 48, 120])
+def test_rotation_levels_are_orthonormal(dim):
+    levels = list(fock._rotation_levels(dim))
+    assert len(levels) == 2 * dim - 1
+    for n, c in enumerate(levels):
+        assert c.shape == (min(n + 1, 2 * dim - 1 - n), n + 1)
+        assert np.max(np.abs(c @ c.T - np.eye(c.shape[0]))) <= 1e-13
+
+
+def test_rotation_levels_rotate_products_of_hermite_functions():
+    """psi_m(x) psi_n(y) = sum_k C[m, k] psi_k(u) psi_{m+n-k}(v), u = (x+y)/sqrt2,
+    v = (y-x)/sqrt2, for every kept row of every level."""
+    dim = 7
+    x, y = np.random.default_rng(3).uniform(-0.6, 0.6, (2, 40))
+    psi_x, psi_y = hermite_functions(dim - 1, x, HBAR), hermite_functions(dim - 1, y, HBAR)
+    psi_u = hermite_functions(2 * dim - 2, (x + y) / math.sqrt(2.0), HBAR)
+    psi_v = hermite_functions(2 * dim - 2, (y - x) / math.sqrt(2.0), HBAR)
+    scale = np.max(np.abs(psi_x)) * np.max(np.abs(psi_y))
+    for n, c in enumerate(fock._rotation_levels(dim)):
+        for row, m in enumerate(range(max(0, n - dim + 1), min(n, dim - 1) + 1)):
+            rotated = sum(c[row, k] * psi_u[k] * psi_v[n - k] for k in range(n + 1))
+            assert np.max(np.abs(rotated - psi_x[m] * psi_y[n - m])) <= 1e-13 * scale
+
+
+def test_readout_symmetries_hold_bit_for_bit():
+    """G_A rides on even orders only and G_B on odd ones, and psi_l(-x) =
+    (-1)^l psi_l(x) exactly, so the slices at -s and s, and chi at -xi and
+    xi, are conjugates bit for bit, and W is real."""
+    rho = _evolved_cat(48)
+    grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    slices = position_density_matrix(rho, grid.q_axis, grid.conjugate().q_axis)
+    assert np.array_equal(slices[:, 1:], np.conj(slices[:, :0:-1]))  # off the -M/2 node
+    assert np.isrealobj(wigner_exact(rho, grid))
+    chi = chord_function_grid(rho, grid)
+    assert np.array_equal(chi[1:, 1:], np.conj(chi[:0:-1, :0:-1]))
