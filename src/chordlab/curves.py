@@ -84,11 +84,6 @@ class LagrangianCurve:
         th = np.mod(theta, _TWO_PI)
         return np.stack([sp(th, 1), sq(th, 1)], axis=-1)
 
-    def resample(self, n: int) -> "LagrangianCurve":
-        th = np.arange(n) * _TWO_PI / n
-        pts = self.position(th)
-        return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI, list(self.warnings))
-
 
 def _periodic_spline(theta, values) -> CubicSpline:
     """Periodic cubic spline through the samples, closed at theta[0] + 2 pi."""

@@ -39,8 +39,8 @@ G = Int M^T Lambda M along as [x | M | G], the final frame by running the
 flow backward from its anchor (a negative step).  The embedded 4th-order
 difference, summed over the steps, is the convergence check's measured
 error, and no second pass is run.  The evolved chord function's changed
-sample set rides in the same pass as its samples.  Checks warn instead of
-adapting, so identical inputs give identical outputs.
+sample set is read off its flowed samples, so it needs no flow of its own.
+Checks warn instead of adapting, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _check_positive, _plane_wave_sum
+from .grids import _check_positive, _plane_wave_sum, _trig_doubled
 
 __all__ = [
     "LindbladChannel",
@@ -466,11 +466,10 @@ def _report_step_errors(errs) -> list:
 # evolved chord functions
 
 
-def _source_samples(source, hbar, stride: int = 1):
+def _source_samples(source, hbar):
     """Initial phase-space samples, quadrature weights and hbar of a Wigner
-    grid or a sampled closed curve.  ``stride`` 2 gives the changed sample set
-    of the convergence check: every other grid node, or the curve resampled
-    at twice its count."""
+    grid or a sampled closed curve, and the rows of a grid source that lie on
+    every other node each way (None for a curve)."""
     if isinstance(source, tuple) and len(source) == 2:
         values, grid = source
         values = np.asarray(values, dtype=float)
@@ -478,17 +477,18 @@ def _source_samples(source, hbar, stride: int = 1):
         if hbar is not None and hbar != grid.hbar:
             raise ValueError(f"hbar = {hbar!r} differs from the grid's {grid.hbar!r}")
         pp, qq = grid.meshgrid()
-        pts = np.stack([pp[::stride, ::stride].ravel(), qq[::stride, ::stride].ravel()], axis=-1)
-        w = values[::stride, ::stride].ravel() * float(stride**2) * grid.dp * grid.dq
+        pts = np.stack([pp.ravel(), qq.ravel()], axis=-1)
+        w = values.ravel() * grid.dp * grid.dq
         keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
-        return pts[keep], w[keep], grid.hbar
+        coarse = np.zeros(values.shape, dtype=bool)
+        coarse[::2, ::2] = True
+        return pts[keep], w[keep], grid.hbar, coarse.ravel()[keep]
     if hasattr(source, "points") and hasattr(source, "theta"):
         if hbar is None:
             raise ValueError("hbar must be given for curve sources")
         _check_positive(hbar, "hbar")
-        n = stride * len(source.theta)
-        curve = source if stride == 1 else source.resample(n)
-        return np.asarray(curve.points, dtype=float), np.full(n, 1.0 / n), hbar
+        n = len(source.theta)
+        return np.asarray(source.points, dtype=float), np.full(n, 1.0 / n), hbar, None
     raise TypeError("source must be a (values, CenteredGrid) pair or a sampled curve")
 
 
@@ -507,49 +507,57 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
     with one trajectory and one decoherence matrix per initial sample.  For a
     quadratic model every Phi_i coincides and the endpoints follow one affine
     map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run the Dormand-Prince flow per sample, in
-    one pass with the changed sample set of the convergence check, which also
-    reports the flow's error estimate above 1e-8.  The returned callable sums
-    through ``grids._plane_wave_sum``: on an outer grid of chords a
+    chord function; other models run the Dormand-Prince flow per sample, and
+    the convergence check reports the flow's error estimate above 1e-8.  The
+    result keeps its terms (x_i(t), w_i, Phi_i) beside the callable, which
+    sums them through ``grids._plane_wave_sum``: on an outer grid of chords a
     per-sample Phi_i goes through the Taylor series of its cross term, to
     within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
-    by point.  A grid source carries its own hbar, which a given ``hbar`` must
-    equal; a curve source needs ``hbar``.
+    by point.
+
+    The check also compares chi at eight probe chords with the sum over a
+    changed sample set, taken from the flowed terms without a second flow:
+    for a curve source the trigonometric interpolant of the evolved endpoints
+    and Phi_i at twice the sample count, for a grid source every other node
+    each way (weights times 4).  A change above 1e-6 of max(|chi|,
+    1/(2 pi hbar)) warns.  A grid source carries its own hbar, which a given
+    ``hbar`` must equal; a curve source needs ``hbar``.
     """
     _check_time(t)
-    pts, w, hbar = _source_samples(source, hbar)
-    n = w.size
+    pts, w, hbar, coarse = _source_samples(source, hbar)
     check = convergence_check and t > 0
-    if check:  # the check's changed sample set rides in the same flow
-        pts2, w2, _ = _source_samples(source, hbar, stride=2)
-        pts = np.concatenate([pts, pts2])
     gamma = total_gamma(channels)
     lam = noise_matrix(channels)
     step_err = 0.0
     if H.quadratic:
         xt = advect(H, channels, pts, t, dt)
         phi = _gramian(-_chord_generator(H, gamma), lam, t)
-        phis = (phi, phi)
     else:
         s, err = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam)
         xt = s[..., 0]
         minv = np.linalg.inv(s[..., 1:3])
         phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
         phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
-        phis = (phi[:n], phi[n:])
-        step_err = float(np.max(err[:n] / np.maximum(1.0, np.max(np.abs(phis[0]), axis=(1, 2)))))
-    fn = _chi_from_samples(xt[:n], phis[0], w, hbar)
-    out = ChordFunction.from_callable(fn, hbar, samples=n,
-                                      warnings=getattr(source, "warnings", ()))
+        step_err = float(np.max(err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))))
+    fn = _chi_from_samples(xt, phi, w, hbar)
+    out = ChordFunction.from_callable(fn, hbar, warnings=getattr(source, "warnings", ()),
+                                      terms=(xt, w, phi))
     if check and step_err > 1e-8:
         report(out.warnings,
                f"evolve_chord_function: the step's error estimate is {step_err:.3e} "
                "(> 1e-8); reduce dt", ConvergenceWarning)
     if check:
+        each = phi.ndim == 3
+        if coarse is None:
+            m = 2 * w.size
+            x2, w2 = _trig_doubled(xt), np.full(m, 1.0 / m)
+            phi2 = _trig_doubled(phi) if each else phi
+        else:
+            x2, w2, phi2 = xt[coarse], 4.0 * w[coarse], phi[coarse] if each else phi
         probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
         probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])
         ref = fn(probe_p, probe_q)
-        alt = _chi_from_samples(xt[n:], phis[1], w2, hbar)(probe_p, probe_q)
+        alt = _chi_from_samples(x2, phi2, w2, hbar)(probe_p, probe_q)
         scale = max(np.max(np.abs(ref)), 1.0 / (2.0 * np.pi * hbar))
         err = float(np.max(np.abs(alt - ref))) / scale
         if err > 1e-6:

@@ -360,6 +360,18 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     return out
 
 
+def _trig_doubled(values) -> np.ndarray:
+    """The trigonometric interpolant of n real periodic samples (along axis 0)
+    at 2n uniform points: FFT zero padding, with an even n's Nyquist bin split
+    evenly between its two copies.  The given samples recur at the even
+    indices, to rounding."""
+    n = values.shape[0]
+    c = np.fft.rfft(values, axis=0)
+    if n % 2 == 0:
+        c[-1] *= 0.5
+    return np.fft.irfft(c, 2 * n, axis=0) * 2.0
+
+
 def _monomials(xi_p, xi_q):
     return np.stack([xi_p**2, xi_p * xi_q, xi_q**2])
 

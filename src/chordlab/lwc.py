@@ -18,6 +18,10 @@ One branch pass gives every window's lines (a ``BranchLines`` record each: C on
 a xi_q grid, the closed-form spectrum on a p axis) from one evolved curve and
 one anchor pass; a sample keeps its own as ``lines``, needing no second pass.
 
+The chord route integrates a chord function that keeps its plane-wave terms
+in closed form: each term is one line, broadened by its Phi, and term lines
+and branch lines go through one line sum.
+
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
 """
@@ -32,8 +36,8 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import (CenteredGrid, _centred_axis, _check_positive, _edge_decayed,
-                    _uniform_step, ft_axis, simpson_weights)
+from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _centred_axis, _check_positive,
+                    _edge_decayed, _uniform_step, ft_axis, simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -159,11 +163,9 @@ class BranchLines:
     def correlation(self, xi_q) -> np.ndarray:
         """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2),
         the Fourier pair of the lines."""
-        xi_q = np.asarray(xi_q, dtype=float)
-        br, hb = self.branches, self.hbar
+        br = self.branches
         live = ~br.caustic
-        return np.exp(-1j * np.outer(xi_q, br.p[live]) / hb - np.outer(
-            xi_q**2, self.variance[live]) / (2.0 * hb**2)) @ br.amplitude[live]
+        return _line_sum(br.amplitude[live], br.p[live], self.variance[live], xi_q, self.hbar)
 
     def spectrum(self, p_axis) -> SpectralDensity:
         """The lines sampled on p_axis, tallest peak first.  A variance below
@@ -194,6 +196,23 @@ class BranchLines:
         return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
 
 
+def _line_sum(amplitude, p, variance, xi_q, hbar: float) -> np.ndarray:
+    """sum_k A_k exp(-i p_k xi_q / hbar - sigma_k^2 xi_q^2 / 2 hbar^2) at the
+    flattened xi_q, the Fourier pair of the lines A_k N(p_k, sigma_k^2), in
+    blocks of xi_q of about ``_BLOCK_ELEMENTS`` table entries."""
+    xi_q = np.asarray(xi_q, dtype=float).ravel()
+    out = np.empty(xi_q.size, dtype=complex)
+    step = max(1, _BLOCK_ELEMENTS // max(p.size, 1))
+    for j in range(0, xi_q.size, step):
+        x = xi_q[j:j + step]
+        e = -1j * np.outer(x, p)
+        e /= hbar
+        e -= np.outer(x**2, variance) / (2.0 * hbar**2)
+        out[j:j + step] = np.exp(e, out=e) @ amplitude
+        del e  # one table alive at a time
+    return out
+
+
 def local_translation_weyl(window: LwcWindow, xi_q, p, q):
     """Weyl symbol of the windowed position translation at centre (p, q)."""
     xi_q = np.asarray(xi_q, dtype=float)
@@ -217,6 +236,20 @@ def _window_quadrature(xp, h: float, window: LwcWindow, f, notes: list, edge: st
     return w @ f
 
 
+def _term_lines(terms, window: LwcWindow):
+    """(A_k, p~_k, sigma_k^2): the line of each plane-wave term of a chord
+    function under the window's xi_p integral (see ``lwc_from_chord``)."""
+    x, w, phi = terms
+    hb = window.hbar
+    phi = np.zeros((2, 2)) if phi is None else phi
+    f_pp, f_pq, f_qq = phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 1]
+    a = f_pp / (2.0 * hb) + window.delta**2 / (2.0 * hb**2)
+    d = window.Q - x[:, 1]
+    amp = w * np.sqrt(math.pi / a) * np.exp(-d**2 / (4.0 * a * hb**2)) / (2.0 * math.pi * hb)
+    p = x[:, 0] - d * f_pq / (2.0 * a * hb)
+    return amp, p, np.broadcast_to(hb * f_qq - f_pq**2 / (2.0 * a), p.shape)
+
+
 def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
                    xi_p_halfwidth: float | None = None,
                    xi_p_points: int = 2049) -> LwcSample:
@@ -225,9 +258,21 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
         C(xi_q) = Int dxi_p chi(xi_p, -xi_q)
                   exp[i xi_p Q / hbar - Delta^2 xi_p^2 / 2 hbar^2].
 
-    Grid-backed chord functions are integrated along their own xi_p axis (so
-    each -xi_q must land on a grid node); callables use composite Simpson on
-    an auto-sized xi_p range.
+    A chord function that keeps its plane-wave terms (``chi.terms``: an
+    evolved chord function or a WKB curve state) is integrated exactly, term
+    by term.  With a_k = Phi_pp,k / 2 hbar + Delta^2 / 2 hbar^2 each term is
+    one spectral line A_k N(p~_k, sigma_k^2),
+
+        A_k       = w_k (2 pi hbar)^-1 sqrt(pi / a_k) exp[-(Q - q_k)^2 / 4 a_k hbar^2]
+        p~_k      = p_k - (Q - q_k) Phi_pq,k / 2 a_k hbar
+        sigma_k^2 = hbar Phi_qq,k - Phi_pq,k^2 / 2 a_k      (>= 0 for Phi_k >= 0),
+
+    summed by the branch lines' own line sum; ``xi_p_halfwidth`` and
+    ``xi_p_points`` are unused there.  Grid-backed chord functions are
+    integrated along their own xi_p axis (so each -xi_q must land on a grid
+    node); other callables use composite Simpson on ``xi_p_points`` nodes
+    over +-``xi_p_halfwidth`` (default 9 hbar / Delta), asking for all the
+    columns in one call.
     """
     hb = window.hbar
     if chi.hbar != hb:
@@ -235,6 +280,9 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
     notes = list(chi.warnings)
 
+    if chi.terms is not None:
+        return LwcSample(xi_q, _line_sum(*_term_lines(chi.terms, window), xi_q, hb),
+                         window, notes)
     if chi.gridded:  # chord grids store (xi_p, xi_q) on the (p, q) axes
         grid = chi.grid
         xp, h = grid.p_axis, grid.dp

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve
-from .grids import _check_positive, _plane_wave_sum
+from .grids import _check_positive, _plane_wave_sum, _trig_doubled
 from . import diagnostics
 
 __all__ = [
@@ -110,23 +110,23 @@ def coherent_chord(state: CoherentState) -> ChordFunction:
 
 def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:
     """Short-chord curve state: the uniform average of translation symbols over
-    the curve, times (2 pi hbar)^-1, as a ChordFunction.
+    the curve, times (2 pi hbar)^-1, as a ChordFunction that keeps its terms
+    (the curve points, weights 1/n, no Phi).
 
     For the harmonic circle of action I this is (2 pi hbar)^-1 J0(sqrt(2 I) |xi| / hbar).
-    The sampling is checked once, at four probe chords, against a doubled
-    resampling: a drift above 1e-8 of chi(0) reports a ConvergenceWarning,
-    kept in the result's ``warnings``.
+    The sampling is checked once, at four probe chords, against the average
+    over the points' trigonometric interpolant at twice the sample count: a
+    drift above 1e-8 of chi(0) reports a ConvergenceWarning, kept in the
+    result's ``warnings``.
     """
     _check_positive(hbar, "hbar")
-
-    def average(c: LagrangianCurve, xi_p, xi_q):
-        n = c.points.shape[0]
-        return _plane_wave_sum(c.points, np.full(n, 1.0 / n), xi_p, xi_q, hbar)
-
+    n = curve.points.shape[0]
+    weights = np.full(n, 1.0 / n)
     probe = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
-    fine = curve.resample(2 * curve.theta.size)
-    drift = float(np.max(np.abs(average(curve, probe, probe[::-1])
-                                - average(fine, probe, probe[::-1]))))
+    fine = _trig_doubled(curve.points)
+    drift = float(np.max(np.abs(
+        _plane_wave_sum(curve.points, weights, probe, probe[::-1], hbar)
+        - _plane_wave_sum(fine, np.full(2 * n, 0.5 / n), probe, probe[::-1], hbar))))
     notes: list = []
     if drift > 1e-8:
         diagnostics.report(
@@ -137,7 +137,8 @@ def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:
         )
 
     def chi(xi_p, xi_q):
-        vals = average(curve, xi_p, xi_q) / (2.0 * math.pi * hbar)
+        vals = _plane_wave_sum(curve.points, weights, xi_p, xi_q, hbar) / (2.0 * math.pi * hbar)
         return vals[()] if vals.ndim == 0 else vals
 
-    return ChordFunction.from_callable(chi, hbar, samples=curve.points.shape[0], warnings=notes)
+    return ChordFunction.from_callable(chi, hbar, warnings=notes,
+                                       terms=(curve.points, weights, None))

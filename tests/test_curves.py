@@ -33,7 +33,7 @@ def test_harmonic_circle_geometry():
 def test_measured_action_matches_label():
     """The area functional on the samples reproduces I = area / 2 pi."""
     curve = harmonic_circle(0.37, 1024)
-    re = curve.resample(1024)
+    re = curve_from_samples(curve.theta, curve.points)
     assert abs(re.action - 0.37) < 1e-9
 
 

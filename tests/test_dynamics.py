@@ -243,8 +243,8 @@ def test_diverging_flow_raises_once_without_numpy_warnings():
 
 
 def test_batched_rk4_equals_per_sample_calls():
-    """Rows of one batched flow equal the samples' own flows, for x, M and G:
-    evolve_chord_function transports its check samples in the same batch."""
+    """Rows of one batched flow equal the samples' own flows, for x, M and G,
+    so a sample's chi term does not depend on the batch it flowed in."""
     ch = [DAMPING, Q_CHANNEL]
     gamma, lam = dy.total_gamma(ch), dy.noise_matrix(ch)
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 2))
@@ -636,6 +636,22 @@ def test_evolved_chord_warns_on_coarse_curve():
                                  dt=1e-2, hbar=HBAR)
 
 
+def test_evolved_chord_check_reads_the_flowed_curve():
+    """A curve source's check resamples the evolved endpoints and Phi
+    trigonometrically, with no second flow: the 32-sample circle passes (a
+    spline resample read 3.025e-06 there) and the 16-sample one still warns."""
+    from chordlab.curves import harmonic_circle
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        chi = dy.evolve_chord_function(harmonic_circle(0.5, 32), dy.hamiltonians.harmonic(),
+                                       [Q_CHANNEL], 0.3, hbar=HBAR)
+    assert chi.warnings == []
+    with pytest.warns(ConvergenceWarning, match="sample count moves chi by 3.0"):
+        dy.evolve_chord_function(harmonic_circle(0.5, 16), dy.hamiltonians.harmonic(),
+                                 [Q_CHANNEL], 0.3, hbar=HBAR)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_evolved_chord_keeps_the_curve_warnings(t):
     """chi starts from a copy of the curve source's warnings; the check's own
@@ -656,8 +672,8 @@ def test_evolved_chord_keeps_the_curve_warnings(t):
 
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])
 def test_evolved_chord_check_leaves_chi_unchanged(model):
-    """The convergence check's samples ride in the same RK4 batch as the main
-    samples; chi is the same with and without the check."""
+    """The convergence check reads the flowed samples and flows nothing of its
+    own; chi and its terms are the same with and without the check."""
     from chordlab.curves import quartic_level_curve
 
     H = dy.hamiltonians.registry[model]()
@@ -675,6 +691,7 @@ def test_evolved_chord_check_leaves_chi_unchanged(model):
                                        convergence_check=False, **kw)
     want = without(xp, xq)
     assert with_check.samples == without.samples
+    assert all(np.array_equal(a, b) for a, b in zip(with_check.terms, without.terms))
     assert np.max(np.abs(with_check(xp, xq) - want)) <= 1e-15 * np.max(np.abs(want))
 
 

@@ -190,8 +190,7 @@ def test_quadratic_approximant_converges_semiclassically():
         window = LwcWindow.canonical(Q, hbar)
         xi_q = np.linspace(-math.sqrt(hbar), math.sqrt(hbar), 33)
         quad = lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window, xi_q)
-        exact = lwc_from_chord(wkb_chord(curve.resample(2048), hbar), window, xi_q,
-                               xi_p_points=2049)
+        exact = lwc_from_chord(wkb_chord(curve, hbar), window, xi_q)
         diffs.append(float(np.max(np.abs(quad.normalized() - exact.normalized()))))
     assert diffs[0] < 0.12
     assert diffs[0] > diffs[1] > diffs[2]
@@ -658,7 +657,6 @@ def test_curve_warnings_reach_the_sample():
     assert len(curve.warnings) == 1
     H = hamiltonians.pendulum()
     channels = [dynamics.LindbladChannel((0.0, 0.5))]
-    assert curve.resample(96).warnings == curve.warnings
     assert evolve_curve_classically(curve, H, channels, 0.1, 1e-2).warnings == curve.warnings
     sample = lwc_sc_markov(curve, H, channels, 0.1, LwcWindow.canonical(0.0, HBAR), [0.0],
                            dt=1e-2)
@@ -666,20 +664,106 @@ def test_curve_warnings_reach_the_sample():
 
 
 def test_chord_function_warnings_reach_the_lwc_sample():
-    """lwc_from_chord starts from a copy of chi's warnings, for a callable chi
-    and for its grid sample, and appends its own after them."""
+    """lwc_from_chord starts from a copy of chi's warnings, for a term-sum chi,
+    an opaque callable of the same chi and its grid sample; the Simpson route
+    appends its own after them.  The term route has no xi_p range, so a
+    narrow one changes nothing there."""
     channels = [dynamics.LindbladChannel((0.0, 1.0))]
     with pytest.warns(ConvergenceWarning, match="sample count moves chi by 3.0"):
         chi = dynamics.evolve_chord_function(harmonic_circle(0.5, 16), hamiltonians.harmonic(),
                                              channels, 0.3, hbar=HBAR)
     assert len(chi.warnings) == 1
+    opaque = ChordFunction.from_callable(lambda xp, xq: chi(xp, xq), HBAR, warnings=chi.warnings)
     window = LwcWindow.canonical(0.2, HBAR)
-    for source in (chi, chi.sample(CenteredGrid(3.0, 3.0, 64, HBAR))):
+    for source in (chi, opaque, chi.sample(CenteredGrid(3.0, 3.0, 64, HBAR))):
         assert lwc_from_chord(source, window, [0.0]).warnings == chi.warnings
     with pytest.warns(TruncationWarning, match="widen"):
-        sample = lwc_from_chord(chi, window, [0.0], xi_p_halfwidth=0.3)
+        sample = lwc_from_chord(opaque, window, [0.0], xi_p_halfwidth=0.3)
     assert sample.warnings[:1] == chi.warnings and len(sample.warnings) == 2
     assert len(chi.warnings) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        narrow = lwc_from_chord(chi, window, [0.0], xi_p_halfwidth=0.3)
+    assert narrow.warnings == chi.warnings
+    assert np.array_equal(narrow.values, lwc_from_chord(chi, window, [0.0]).values)
+
+
+def _term_sources():
+    """Transported chord functions that keep their terms, one per source kind:
+    a coherent Wigner grid (harmonic, damped; one shared Phi), a circle
+    (harmonic, q-channel) and quartic and pendulum level curves (one Phi per
+    sample), each at t = 0.1."""
+    q_channel = dynamics.LindbladChannel((0.0, 1.0))
+    damping = dynamics.LindbladChannel((0.0, 0.7), (0.7, 0.0))
+    grid = CenteredGrid(1.9, 1.9, 64, HBAR)
+    pp, qq = grid.meshgrid()
+    cases = [((coherent_wigner(CoherentState((0.3, -0.2), HBAR), pp, qq), grid),
+              hamiltonians.harmonic(), damping),
+             (harmonic_circle(0.5, 320), hamiltonians.harmonic(), q_channel),
+             (quartic_level_curve(0.3, samples=320), hamiltonians.quartic(), q_channel),
+             (pendulum_level_curve(-0.6, samples=320), hamiltonians.pendulum(), damping)]
+    return [dynamics.evolve_chord_function(src, H, [ch], 0.1, hbar=HBAR)
+            for src, H, ch in cases]
+
+
+def test_term_route_matches_simpson_on_every_transport_source():
+    """A term sum integrates exactly, one Gaussian line per term.  It matches
+    the Simpson route of an opaque callable of the same chi at 4,097 nodes
+    (measured 1.3e-13 of max, which is Simpson's own change from 1,025 to
+    4,097 nodes), and every line variance is nonnegative."""
+    xi_q = 0.04 * (np.arange(8) - 4)
+    for chi in _term_sources():
+        assert chi.warnings == []
+        opaque = ChordFunction.from_callable(lambda xp, xq, chi=chi: chi(xp, xq), HBAR)
+        for Q in (0.0, 0.3, -0.3):
+            window = LwcWindow.canonical(Q, HBAR)
+            got = lwc_from_chord(chi, window, xi_q)
+            want = lwc_from_chord(opaque, window, xi_q, xi_p_points=4097)
+            assert got.warnings == [] and want.warnings == []
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+            assert np.all(lwc._term_lines(chi.terms, window)[2] >= 0.0)
+
+
+def test_term_route_matches_the_moved_coherent_state():
+    """Damping moves a coherent state to exp(-t) R(t) eta and keeps it
+    coherent, so the transported Wigner grid's correlation is the closed form
+    of the moved state (measured 8.3e-16 of max)."""
+    state = CoherentState((0.3, -0.2), HBAR)
+    grid = CenteredGrid(0.3 + 8.0 * math.sqrt(HBAR), 0.3 + 8.0 * math.sqrt(HBAR), 128, HBAR)
+    pp, qq = grid.meshgrid()
+    t = 0.3
+    chi = dynamics.evolve_chord_function((coherent_wigner(state, pp, qq), grid),
+                                         hamiltonians.harmonic(),
+                                         [dynamics.LindbladChannel((0.0, 1.0), (1.0, 0.0))], t)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    moved = CoherentState(tuple(math.exp(-t) * rot @ np.array(state.eta)), HBAR)
+    xi_q = suggest_xi_q_grid(HBAR, points=256)
+    for Q in (0.0, 0.25, -0.3):
+        window = LwcWindow.canonical(Q, HBAR)
+        want = lwc_coherent_closed_form(moved, window, xi_q)
+        got = lwc_from_chord(chi, window, xi_q).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_term_route_memory_is_bounded():
+    """The line sum works in blocks of xi_q: on a 128^2 coherent grid source
+    (5,432 kept samples) at 1,024 xi_q, one table of every line would alone
+    be 89 MB."""
+    state = CoherentState((0.3, -0.2), HBAR)
+    grid = CenteredGrid(0.3 + 8.0 * math.sqrt(HBAR), 0.3 + 8.0 * math.sqrt(HBAR), 128, HBAR)
+    pp, qq = grid.meshgrid()
+    chi = dynamics.evolve_chord_function((coherent_wigner(state, pp, qq), grid),
+                                         hamiltonians.harmonic(),
+                                         [dynamics.LindbladChannel((0.0, 1.0), (1.0, 0.0))], 0.3)
+    assert chi.samples == 5432
+    xi_q = suggest_xi_q_grid(HBAR, points=1024)
+    tracemalloc.start()
+    try:
+        lwc_from_chord(chi, LwcWindow.canonical(0.0, HBAR), xi_q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_lwc_from_callable_chord_memory_is_bounded():
