@@ -52,10 +52,10 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .chordfn import ChordFunction
+from .chordfn import ChordFunction, _doubled
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _check_positive, _plane_wave_sum, _trig_doubled
+from .grids import _check_positive
 
 __all__ = [
     "LindbladChannel",
@@ -492,11 +492,6 @@ def _source_samples(source, hbar):
     raise TypeError("source must be a (values, CenteredGrid) pair or a sampled curve")
 
 
-def _chi_from_samples(endpoints, phis, weights, hbar):
-    pref = 1.0 / (2.0 * np.pi * hbar)
-    return lambda xi_p, xi_q: pref * _plane_wave_sum(endpoints, weights, xi_p, xi_q, hbar, phis)
-
-
 def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
                           hbar: float = None, convergence_check: bool = True) -> ChordFunction:
     """Chord function of the evolved state as an attenuated-reflection sum.
@@ -509,19 +504,15 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
     map, so the sum is the exact Gaussian-modulated transport of the initial
     chord function; other models run the Dormand-Prince flow per sample, and
     the convergence check reports the flow's error estimate above 1e-8.  The
-    result keeps its terms (x_i(t), w_i, Phi_i) beside the callable, which
-    sums them through ``grids._plane_wave_sum``: on an outer grid of chords a
-    per-sample Phi_i goes through the Taylor series of its cross term, to
-    within 2^-53 of sum |w_i| / (2 pi hbar), and is otherwise summed point
-    by point.
+    result is the term sum of (x_i(t), w_i, Phi_i) (``ChordFunction.from_terms``).
 
     The check also compares chi at eight probe chords with the sum over a
-    changed sample set, taken from the flowed terms without a second flow:
-    for a curve source the trigonometric interpolant of the evolved endpoints
-    and Phi_i at twice the sample count, for a grid source every other node
-    each way (weights times 4).  A change above 1e-6 of max(|chi|,
-    1/(2 pi hbar)) warns.  A grid source carries its own hbar, which a given
-    ``hbar`` must equal; a curve source needs ``hbar``.
+    changed sample set (``ChordFunction._drift``), taken from the flowed terms
+    without a second flow: for a curve source the trigonometric interpolant
+    of the evolved endpoints and Phi_i at twice the sample count, for a grid
+    source every other node each way (weights times 4).  A change above 1e-6
+    of max(|chi|, 1/(2 pi hbar)) warns.  A grid source carries its own hbar,
+    which a given ``hbar`` must equal; a curve source needs ``hbar``.
     """
     _check_time(t)
     pts, w, hbar, coarse = _source_samples(source, hbar)
@@ -539,27 +530,16 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
         phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
         phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
         step_err = float(np.max(err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))))
-    fn = _chi_from_samples(xt, phi, w, hbar)
-    out = ChordFunction.from_callable(fn, hbar, warnings=getattr(source, "warnings", ()),
-                                      terms=(xt, w, phi))
+    out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
     if check and step_err > 1e-8:
         report(out.warnings,
                f"evolve_chord_function: the step's error estimate is {step_err:.3e} "
                "(> 1e-8); reduce dt", ConvergenceWarning)
     if check:
-        each = phi.ndim == 3
         if coarse is None:
-            m = 2 * w.size
-            x2, w2 = _trig_doubled(xt), np.full(m, 1.0 / m)
-            phi2 = _trig_doubled(phi) if each else phi
+            err = out._drift(*_doubled(xt, phi))
         else:
-            x2, w2, phi2 = xt[coarse], 4.0 * w[coarse], phi[coarse] if each else phi
-        probe = np.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
-        probe_p, probe_q = np.concatenate([probe, -probe]), np.concatenate([probe[::-1], probe])
-        ref = fn(probe_p, probe_q)
-        alt = _chi_from_samples(x2, phi2, w2, hbar)(probe_p, probe_q)
-        scale = max(np.max(np.abs(ref)), 1.0 / (2.0 * np.pi * hbar))
-        err = float(np.max(np.abs(alt - ref))) / scale
+            err = out._drift(xt[coarse], 4.0 * w[coarse], phi[coarse] if phi.ndim == 3 else phi)
         if err > 1e-6:
             report(out.warnings,
                    f"evolve_chord_function: changing the sample count moves chi by {err:.3e} "

@@ -264,15 +264,12 @@ def _series_terms(gauss, col, row):
 def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.ndarray:
     """sum_k w_k exp[(i/hbar) x_k ^ xi] exp[-xi . Phi_k xi / (2 hbar)].
 
-    ``points`` are the x_k = (p_k, q_k), shape (n, 2).  ``weights`` is (n,),
-    or, when the amplitudes vary with the chord, (n,) + a shape of the same
-    rank as (xi_p, xi_q) that broadcasts against theirs.  ``phi`` is None, one shared symmetric
-    (2, 2) matrix, or one per sample (n, 2, 2).  Returns the broadcast shape
-    of (xi_p, xi_q).
+    ``points`` are the x_k = (p_k, q_k), shape (n, 2), and ``weights`` the
+    w_k, shape (n,).  ``phi`` is None, one shared symmetric (2, 2) matrix, or
+    one per sample (n, 2, 2).  Returns the broadcast shape of (xi_p, xi_q).
 
-    On an outer grid (see ``_outer_grid``), with weights that vary along
-    xi_q at most, x_k ^ xi = p_k xi_q - q_k xi_p splits each term into
-    L_k(xi_p) R_k(xi_q) exp(g1_k xi_p xi_q), with
+    On an outer grid (see ``_outer_grid``), x_k ^ xi = p_k xi_q - q_k xi_p
+    splits each term into L_k(xi_p) R_k(xi_q) exp(g1_k xi_p xi_q), with
     L_k = exp(-i q_k xi_p / hbar + g0_k xi_p^2),
     R_k = w_k exp(i p_k xi_q / hbar + g2_k xi_q^2) and
     (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar).  The cross factor
@@ -281,11 +278,10 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     the narrower chord axis, one GEMM sums the samples, and Horner's rule in
     the other axis sums the powers.  With Phi absent or shared there is no
     per-sample Gaussian and one term; a shared Gaussian multiplies the grid
-    afterwards.  Every other input (scattered chords, chord-dependent
-    weights across xi_p, or a per-sample Phi that is non-finite, indefinite
-    or needs too many terms) is summed point by point.  Both paths work in
-    blocks of about ``_BLOCK_ELEMENTS`` table entries (at least one sample
-    or chord per block).
+    afterwards.  Every other input (scattered chords, or a per-sample Phi
+    that is non-finite, indefinite or needs too many terms) is summed point
+    by point.  Both paths work in blocks of about ``_BLOCK_ELEMENTS`` table
+    entries (at least one sample or chord per block).
     """
     p, q = points[:, 0], points[:, 1]
     w = np.asarray(weights)
@@ -299,12 +295,9 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     each = gauss is not None and not shared
     axes = _outer_grid(xi_p, xi_q)
     terms = _series_terms(gauss, *axes) if each and axes is not None else 1
-    if (axes is not None and terms is not None
-            and (w.ndim == 1 or (w.ndim == 3 and w.shape[1] == 1))):
-        # the linear exponent coefficients of L_k on xi_p and R_k on xi_q, and
-        # the amplitudes, which ride on xi_q
+    if axes is not None and terms is not None:
+        # the linear exponent coefficients of L_k on xi_p and R_k on xi_q
         lin = [(-1j / hbar) * q, (1j / hbar) * p]
-        amp = np.broadcast_to(w[:, None] if w.ndim == 1 else w[:, 0, :], (p.size, axes[1].size))
         wide = int(axes[0].size < axes[1].size)
         narrow = 1 - wide
         nodes = axes[narrow]
@@ -320,7 +313,7 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
             e = lin[i][ks, None] * x
             if each:
                 e += gauss[ks, 2 * i, None] * x**2  # g0 on xi_p, g2 on xi_q
-            return np.exp(e, out=e) * amp[ks, cs] if i else np.exp(e, out=e)
+            return np.exp(e, out=e) * w[ks, None] if i else np.exp(e, out=e)
 
         for a in range(0, axes[wide].size, chunk):
             cs = slice(a, a + chunk)
@@ -342,8 +335,6 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
                 view[cs] += acc
     else:
         xp, xq = xi_p.ravel(), xi_q.ravel()
-        if w.ndim > 1:
-            w = np.broadcast_to(w, w.shape[:1] + shape).reshape(w.shape[0], -1)
         out = np.empty(xp.size, dtype=complex)
         step = max(1, _BLOCK_ELEMENTS // max(p.size, 1))
         for j in range(0, xp.size, step):
@@ -352,7 +343,7 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
             e.imag = points @ (np.stack([xq[js], -xp[js]]) / hbar)
             e.real = 0.0 if gauss is None or shared else gauss @ _monomials(xp[js], xq[js])
             np.exp(e, out=e)
-            out[js] = w @ e if w.ndim == 1 else np.einsum("kj,kj->j", w[:, js], e)
+            out[js] = w @ e
             del e  # one table alive at a time
         out = out.reshape(shape)
     if shared:

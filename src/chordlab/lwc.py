@@ -20,7 +20,7 @@ one anchor pass; a sample keeps its own as ``lines``, needing no second pass.
 
 The chord route integrates a chord function that keeps its plane-wave terms
 in closed form: each term is one line, broadened by its Phi, and term lines
-and branch lines go through one line sum.
+and branch lines go through one line sum, a call of the plane-wave kernel.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
@@ -36,8 +36,8 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import (_BLOCK_ELEMENTS, CenteredGrid, _centred_axis, _check_positive,
-                    _edge_decayed, _uniform_step, ft_axis, simpson_weights)
+from .grids import (CenteredGrid, _centred_axis, _check_positive, _edge_decayed,
+                    _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -198,19 +198,13 @@ class BranchLines:
 
 def _line_sum(amplitude, p, variance, xi_q, hbar: float) -> np.ndarray:
     """sum_k A_k exp(-i p_k xi_q / hbar - sigma_k^2 xi_q^2 / 2 hbar^2) at the
-    flattened xi_q, the Fourier pair of the lines A_k N(p_k, sigma_k^2), in
-    blocks of xi_q of about ``_BLOCK_ELEMENTS`` table entries."""
-    xi_q = np.asarray(xi_q, dtype=float).ravel()
-    out = np.empty(xi_q.size, dtype=complex)
-    step = max(1, _BLOCK_ELEMENTS // max(p.size, 1))
-    for j in range(0, xi_q.size, step):
-        x = xi_q[j:j + step]
-        e = -1j * np.outer(x, p)
-        e /= hbar
-        e -= np.outer(x**2, variance) / (2.0 * hbar**2)
-        out[j:j + step] = np.exp(e, out=e) @ amplitude
-        del e  # one table alive at a time
-    return out
+    flattened xi_q, the Fourier pair of the lines A_k N(p_k, sigma_k^2): the
+    plane-wave sum of the terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar at
+    the chords (0, -xi_q)."""
+    phi = np.zeros((p.size, 2, 2))
+    phi[:, 1, 1] = variance / hbar
+    return _plane_wave_sum(np.stack([p, np.zeros(p.size)], axis=-1), amplitude, 0.0,
+                           -np.asarray(xi_q, dtype=float).ravel(), hbar, phi)
 
 
 def local_translation_weyl(window: LwcWindow, xi_q, p, q):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chordfn import ChordFunction
+from .chordfn import ChordFunction, _doubled
 from .curves import LagrangianCurve
-from .grids import _check_positive, _plane_wave_sum, _trig_doubled
+from .grids import _check_positive
 from . import diagnostics
 
 __all__ = [
@@ -110,35 +110,21 @@ def coherent_chord(state: CoherentState) -> ChordFunction:
 
 def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:
     """Short-chord curve state: the uniform average of translation symbols over
-    the curve, times (2 pi hbar)^-1, as a ChordFunction that keeps its terms
-    (the curve points, weights 1/n, no Phi).
+    the curve, times (2 pi hbar)^-1, as the term sum of the curve points with
+    weights 1/n and no Phi (``ChordFunction.from_terms``).
 
     For the harmonic circle of action I this is (2 pi hbar)^-1 J0(sqrt(2 I) |xi| / hbar).
-    The sampling is checked once, at four probe chords, against the average
-    over the points' trigonometric interpolant at twice the sample count: a
-    drift above 1e-8 of chi(0) reports a ConvergenceWarning, kept in the
-    result's ``warnings``.
+    The sampling is checked once by ``ChordFunction._drift``: chi at eight
+    probe chords against the average over the points' trigonometric
+    interpolant at twice the sample count.  A drift above 1e-8 of chi(0)
+    reports a ConvergenceWarning, kept in the result's ``warnings``.
     """
     _check_positive(hbar, "hbar")
     n = curve.points.shape[0]
-    weights = np.full(n, 1.0 / n)
-    probe = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
-    fine = _trig_doubled(curve.points)
-    drift = float(np.max(np.abs(
-        _plane_wave_sum(curve.points, weights, probe, probe[::-1], hbar)
-        - _plane_wave_sum(fine, np.full(2 * n, 0.5 / n), probe, probe[::-1], hbar))))
-    notes: list = []
+    chi = ChordFunction.from_terms(curve.points, np.full(n, 1.0 / n), None, hbar)
+    drift = chi._drift(*_doubled(curve.points, None))
     if drift > 1e-8:
-        diagnostics.report(
-            notes,
-            f"curve average drifts by {drift:.2e} under doubled sampling; "
-            "increase the curve sample count",
-            diagnostics.ConvergenceWarning,
-        )
-
-    def chi(xi_p, xi_q):
-        vals = _plane_wave_sum(curve.points, weights, xi_p, xi_q, hbar) / (2.0 * math.pi * hbar)
-        return vals[()] if vals.ndim == 0 else vals
-
-    return ChordFunction.from_callable(chi, hbar, warnings=notes,
-                                       terms=(curve.points, weights, None))
+        diagnostics.report(chi.warnings, f"curve average drifts by {drift:.2e} under doubled "
+                           "sampling; increase the curve sample count",
+                           diagnostics.ConvergenceWarning)
+    return chi

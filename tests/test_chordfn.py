@@ -64,3 +64,58 @@ def test_gridded_lookup_of_no_chords_is_empty():
         got = fn(np.zeros(shape), np.zeros(shape))
         assert got.shape == shape and got.dtype == complex
     assert fn(np.zeros((0, 1)), np.zeros((1, 3))).shape == (0, 3)
+
+
+def _terms(n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.5, 0.5, (n, 2))
+    weights = rng.uniform(0.1, 1.0, n)
+    a = rng.uniform(-0.3, 0.3, (n, 2, 2))
+    phis = a @ np.swapaxes(a, -1, -2)  # positive semidefinite
+    return points, weights, phis
+
+
+@pytest.mark.parametrize("case", ["points-1d", "points-3-columns", "weights-2d",
+                                  "weights-too-few", "phi-shape", "phi-count",
+                                  "points-nan", "weights-inf", "phi-nan"])
+def test_from_terms_rejects_malformed_terms(case):
+    points, weights, phis = _terms()
+    phi = phis
+    if case == "points-1d":
+        points = points[:, 0]
+    elif case == "points-3-columns":
+        points = np.hstack([points, points[:, :1]])
+    elif case == "weights-2d":
+        weights = weights[:, None]
+    elif case == "weights-too-few":
+        weights = weights[:-1]
+    elif case == "phi-shape":
+        phi = phis[0, :, :1]
+    elif case == "phi-count":
+        phi = phis[:-1]
+    elif case == "points-nan":
+        points[2, 1] = np.nan
+    elif case == "weights-inf":
+        weights[0] = np.inf
+    else:
+        phi = phis[0].copy()
+        phi[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        ChordFunction.from_terms(points, weights, phi, HBAR)
+
+
+def test_from_terms_sums_the_terms():
+    """chi = (2 pi hbar)^-1 sum_k w_k exp[(i/hbar) x_k ^ xi] exp[-xi.Phi_k xi / 2 hbar],
+    written out term by term, on scattered chords and on an outer grid."""
+    points, weights, phis = _terms(40, seed=1)
+    chi = ChordFunction.from_terms(points, weights, phis, HBAR)
+    assert chi.samples == 40
+    xi_p, xi_q = np.random.default_rng(2).uniform(-0.6, 0.6, (2, 30))
+    mesh = np.meshgrid(np.linspace(-0.6, 0.5, 9), np.linspace(-0.4, 0.7, 11), indexing="ij")
+    for xp, xq in ((xi_p, xi_q), mesh):
+        want = np.zeros(xp.shape, dtype=complex)
+        for (p, q), w, f in zip(points, weights, phis):
+            quad = f[0, 0] * xp**2 + 2.0 * f[0, 1] * xp * xq + f[1, 1] * xq**2
+            want += w * np.exp(1j * (p * xq - q * xp) / HBAR - quad / (2.0 * HBAR))
+        want /= 2.0 * np.pi * HBAR
+        assert np.max(np.abs(chi(xp, xq) - want)) <= 1e-13 * np.max(np.abs(want))

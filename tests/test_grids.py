@@ -223,28 +223,6 @@ def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind):
         assert np.max(np.abs(got - again)) <= 1e-13
 
 
-def test_plane_wave_sum_chord_dependent_weights():
-    """Amplitudes that vary along xi_q stay on the outer-grid path, with or
-    without per-sample Phi; scattered chords with per-chord amplitudes are
-    summed point by point."""
-    points, weights, phis = _plane_wave_case()
-    rng = np.random.default_rng(4)
-    xp_axis = np.linspace(-0.6, 0.5, 12)
-    xq_axis = np.linspace(-0.4, 0.7, 10)
-    amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, xq_axis.size))
-    for phi in (None, phis):  # per-sample Phi takes the series on the outer grid
-        got = grids._plane_wave_sum(points, amp[:, None, :], xp_axis[:, None], xq_axis[None, :],
-                                    HBAR, phi)
-        want = np.stack([_plane_wave_direct(points, amp[:, j], xp_axis, xq_axis[j], phi)
-                         for j in range(xq_axis.size)], axis=1)
-        assert np.max(np.abs(got - want)) <= 1e-13
-    xi_p, xi_q = rng.uniform(-0.6, 0.6, (2, 7))
-    amp = weights[:, None] * rng.uniform(0.0, 2.0, (weights.size, 7))
-    got = grids._plane_wave_sum(points, amp, xi_p, xi_q, HBAR)
-    want = [_plane_wave_direct(points, amp[:, j], xi_p[j], xi_q[j], None) for j in range(7)]
-    assert np.max(np.abs(got - np.array(want))) <= 1e-13
-
-
 def test_plane_wave_sum_scattered_2d_takes_pointwise_path(monkeypatch):
     points, weights, phis = _plane_wave_case()
     rng = np.random.default_rng(5)

@@ -142,21 +142,38 @@ def test_wkb_chord_wrapper():
         wkb_chord(harmonic_circle(0.5, 16), HBAR)
 
 
+def _probe_error(chi, action, hbar):
+    """max |chi - (2 pi hbar)^-1 J0(sqrt(2 I) |xi| / hbar)| over the check's eight
+    probe chords sqrt(hbar) (+-a_i, a_{3-i}), in units of chi(0)."""
+    a = math.sqrt(hbar) * np.array([0.3, 0.7, 1.3, 2.1])
+    xi_p, xi_q = np.concatenate([a, -a]), np.concatenate([a[::-1], a])
+    truth = j0(math.sqrt(2.0 * action) * np.hypot(xi_p, xi_q) / hbar)
+    return np.max(np.abs(chi(xi_p, xi_q) * 2.0 * math.pi * hbar - truth))
+
+
 def test_wkb_chord_check_reads_the_sampling_error():
     """The check compares the average with that over the points' trigonometric
     interpolant at twice the count, so it reads the sum's own sampling error
-    (J0 at the probe chords gives the truth): 1.7e-16 at 64 samples, with no
-    warning, and 1.02e-03 at 16.  A spline resample read 1.89e-07 at 64."""
-    probe = math.sqrt(HBAR) * np.array([0.3, 0.7, 1.3, 2.1])
-    truth = j0(np.hypot(probe, probe[::-1]) / HBAR) / (2.0 * math.pi * HBAR)
+    (J0 at the eight probe chords gives the truth): 8.09e-02 at 16 samples,
+    and no warning at 64.  A spline resample read 1.89e-07 at 64."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
         chi = wkb_chord(harmonic_circle(0.5, 64), HBAR)
     assert chi.warnings == []
-    with pytest.warns(ConvergenceWarning, match="drifts by 1.02e-03"):
+    with pytest.warns(ConvergenceWarning, match="drifts by 8.09e-02"):
         coarse = wkb_chord(harmonic_circle(0.5, 16), HBAR)
-    err = np.max(np.abs(coarse(probe, probe[::-1]) - truth)) * 2.0 * math.pi * HBAR
-    assert f"{err:.2e}" == "1.02e-03"
+    assert f"{_probe_error(coarse, 0.5, HBAR):.2e}" == "8.09e-02"
+
+
+@pytest.mark.parametrize("samples, hbar, reading", [(64, 0.0125, "1.33e-03"),
+                                                    (48, 0.025, "8.65e-04")])
+def test_wkb_chord_check_reads_every_probe_chord(samples, hbar, reading):
+    """A circle of action 2 sampled this coarsely is off J0 only at the probe
+    chords (-a_i, a_{3-i}); a check at the four chords (a_i, a_{3-i}) alone
+    let these through without a warning."""
+    with pytest.warns(ConvergenceWarning, match=f"drifts by {reading}"):
+        chi = wkb_chord(harmonic_circle(2.0, samples), hbar)
+    assert f"{_probe_error(chi, 2.0, hbar):.2e}" == reading
 
 
 def test_coherent_chord_container():
