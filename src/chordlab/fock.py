@@ -12,10 +12,11 @@ tril(Im rho, -1) with the populations on the diagonal, under the real sparse
 generator the Liouvillian becomes on Hermitian matrices; the evolved rho is
 Hermitian by construction.
 
-The readouts (position slices, chi and W) are closed forms in the two-mode
-oscillator basis rotated by 45 degrees (``_rotation_map``): real GEMMs on
-Hermite tables at the requested points, with no quadrature nodes and no FFT.
-The displacement-matrix trace stays as the point-by-point reference for chi.
+The readouts (position slices, chi and W) are one bilinear form in the
+two-mode oscillator basis rotated by 45 degrees, ``_hermite_form``: real GEMMs
+on Hermite tables at the requested points, with no quadrature nodes and no
+FFT; each readout names only its points and turns.  The displacement-matrix
+trace stays as the point-by-point reference for chi.
 
 Truncation is monitored rather than hidden: populations leaking into the
 top decile of the basis raise TruncationLeakError with advice to enlarge
@@ -77,6 +78,8 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _TAYLOR_TOL = 2.0 ** -53
+#: i^e for e = 0, 1, 2, 3
+_UNITS = np.array([1.0, 1j, -1.0, -1j])
 
 
 class TruncationLeakError(RuntimeError):
@@ -512,104 +515,99 @@ def _rotated(mat) -> np.ndarray:
     return (_rotation_map(dim) @ parts).reshape(2 * dim - 1, 2 * dim - 1)
 
 
-def position_density_matrix(rho, q_axis, s_axis) -> np.ndarray:
-    """rho(q - s/2, q + s/2) on the outer product of the two axes.
-
-    In the rotated pair u = sqrt2 q, v = s/sqrt2 a slice is
-    Psi(u)^T (G_A + i G_B) Psi(v), with Psi the Hermite table of
-    ``hermite_functions`` and G of ``_rotation_map``: two real GEMMs, the
-    even orders of Psi(v) against G_A and the odd ones against G_B, then one
-    with Psi(u).  psi_l(-v) = (-1)^l psi_l(v), so the slice at -s is the
-    conjugate of the one at s.
-    A non-Hermitian matrix has no such slices and raises ValueError.
-    """
-    mat = np.asarray(getattr(rho, "rho", rho))
+def _state(rho, hbar=None) -> tuple:
+    """(matrix, hbar) of a FockDensityMatrix whose hbar is ``hbar`` (a grid's),
+    if given; ValueError otherwise, a raw matrix included."""
     hb = getattr(rho, "hbar", None)
     if hb is None:
         raise ValueError("pass a FockDensityMatrix (hbar is needed for the basis)")
+    if hbar is not None and hbar != hb:
+        raise ValueError("grid and state disagree on hbar")
+    return np.asarray(rho.rho), hb
+
+
+@functools.lru_cache(maxsize=8)
+def _phases(size: int, turns: tuple) -> np.ndarray:
+    """Re and Im of i^(turns . (k, l) + l mod 2) on G's index grid, from one
+    phase vector per axis; Im is left out where it vanishes."""
+    k = np.arange(size)
+    phase = np.outer(_UNITS[turns[0] * k % 4], _UNITS[(turns[1] * k + k % 2) % 4])
+    return np.stack([phase.real, phase.imag][:1 + phase.imag.any()])
+
+
+def _hermite_form(rho, u, v, turns, outer=True, v_rows=False, hbar=None) -> np.ndarray:
+    """sum_kl i^e (G_A + i G_B)[k, l] psi_k(u) psi_l(v), e = turns . (k, l), with
+    G of ``_rotated`` and psi of ``hermite_functions``: every readout's form.
+
+    G_A is the even and G_B the odd columns of G, so entry (k, l) of G
+    carries i^(e + l mod 2) (``_phases``); a Hermite function is its own
+    hbar-Fourier transform up to (-i)^k, which the turns count.  The real and
+    imaginary parts are real GEMMs, the column side contracted first: with
+    ``outer`` u and v are axes and the form is indexed [u, v] ([v, u] with
+    ``v_rows``); otherwise they are paired points, one contraction each.
+    rho must be a Hermitian FockDensityMatrix, with the ``hbar`` given, if
+    any; anything else raises ValueError.
+    """
+    mat, hb = _state(rho, hbar)
     g = _rotated(mat)
-    top = g.shape[0] - 1
-    psi_v = hermite_functions(top, np.asarray(s_axis, dtype=float) / math.sqrt(2.0), hb)
-    psi_u = hermite_functions(top, math.sqrt(2.0) * np.asarray(q_axis, dtype=float), hb)
-    ns = psi_v.shape[1]
-    prod = psi_u.T @ np.concatenate([g[:, 0::2] @ psi_v[0::2], g[:, 1::2] @ psi_v[1::2]], axis=1)
-    return prod[:, :ns] + 1j * prod[:, ns:]
+    parts = g * _phases(g.shape[0], turns)
+    psi_u, psi_v = (hermite_functions(g.shape[0] - 1, x, hb) for x in (u, v))
+    if v_rows:
+        parts, psi_u, psi_v = parts.transpose(0, 2, 1), psi_v, psi_u
+    cols = parts @ psi_v
+    out = psi_u.T @ cols if outer else np.einsum("kj,nkj->nj", psi_u, cols)
+    return out[0] if len(out) == 1 else out[0] + 1j * out[1]
+
+
+def position_density_matrix(rho, q_axis, s_axis) -> np.ndarray:
+    """rho(q - s/2, q + s/2) on the outer product of the two axes:
+    ``_hermite_form`` at (sqrt2 q, s/sqrt2) with turns (0, 0).  The slice at
+    -s is the conjugate of the one at s."""
+    return _hermite_form(rho, math.sqrt(2.0) * np.asarray(q_axis, dtype=float),
+                         np.asarray(s_axis, dtype=float) / math.sqrt(2.0), (0, 0))
 
 
 def chord_function_exact(rho: FockDensityMatrix, xi_p, xi_q,
                          method: str = "position") -> np.ndarray:
     """chi(xi) = (2 pi hbar)^-1 tr(T(-xi) rho) at arbitrary chord points.
 
-    method "position" is the Fourier transform of the position slices in
-    closed form: each Hermite function is its own hbar-Fourier transform up
-    to (-i)^k, so chi = (4 pi hbar)^-1/2 sum_kl (-i)^k (G_A + i G_B)[k, l]
-    psi_k(xi_p/sqrt2) psi_l(-xi_q/sqrt2) (see ``position_density_matrix``),
-    taken in real arithmetic.  On an outer grid of chords (see
-    ``grids._outer_grid``) that is two GEMMs, elsewhere one GEMM and one
-    contraction per point; chi(-xi) is the conjugate of chi(xi).
-    "displacement" evaluates the displacement-matrix trace point by point,
-    the slower reference that gives the same values.
+    method "position" is ``_hermite_form`` at (xi_p/sqrt2, -xi_q/sqrt2) with
+    turns (-1, 0), over (4 pi hbar)^1/2: its outer form on an outer grid of
+    chords (see ``grids._outer_grid``), its pointwise form elsewhere.
+    chi(-xi) is the conjugate of chi(xi).  "displacement" evaluates the
+    displacement-matrix trace point by point, the slower reference that
+    gives the same values.
     """
-    hb = rho.hbar
-    xi_p = np.asarray(xi_p, dtype=float)
-    xi_q = np.asarray(xi_q, dtype=float)
+    mat, hb = _state(rho)
+    xi_p, xi_q = np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float)
     shape = np.broadcast(xi_p, xi_q).shape
-    xp = np.broadcast_to(xi_p, shape).ravel()
-    xq = np.broadcast_to(xi_q, shape).ravel()
-
+    xp, xq = (np.broadcast_to(x, shape).ravel() for x in (xi_p, xi_q))
     if method == "displacement":
-        vals = np.empty(xp.size, dtype=complex)
-        rho_t = rho.rho.T.copy()
-        for i in range(xp.size):
-            alpha = (xq[i] + 1j * xp[i]) / math.sqrt(2.0 * hb)
-            vals[i] = np.sum(displacement_matrix(-alpha, rho.dim) * rho_t)
-        vals = vals.reshape(shape) / (2.0 * math.pi * hb)
-        return vals[()] if shape == () else vals
-
-    if method != "position":
-        raise ValueError("method must be position or displacement")
-    g = _rotated(rho.rho)
-    top = g.shape[0] - 1
-    k = np.arange(top + 1)[:, None]
-    odd = (k + k.T) % 2 == 1
-    # (-i)^k (G_A + i G_B): even k + l is real, odd k + l imaginary
-    parts = np.concatenate([np.where(odd, 0.0, (-1.0) ** (k // 2) * g),
-                            np.where(odd, (-1.0) ** ((k + 1) // 2) * g, 0.0)])
-    axes = _outer_grid(xi_p, xi_q)
-    left = hermite_functions(top, (xp if axes is None else axes[0]) / math.sqrt(2.0), hb)
-    right = parts @ hermite_functions(top, -(xq if axes is None else axes[1]) / math.sqrt(2.0), hb)
-    if axes is None:
-        re, im = (np.einsum("kj,kj->j", left, half) for half in np.split(right, 2))
+        rho_t, root = mat.T.copy(), math.sqrt(2.0 * hb)
+        vals = np.array([np.sum(displacement_matrix(-(q + 1j * p) / root, len(mat)) * rho_t)
+                         for p, q in zip(xp, xq)], dtype=complex) / (2.0 * math.pi * hb)
+    elif method == "position":
+        axes = _outer_grid(xi_p, xi_q)
+        xp, xq = (xp, xq) if axes is None else axes
+        vals = _hermite_form(rho, xp / math.sqrt(2.0), -xq / math.sqrt(2.0), (-1, 0),
+                             outer=axes is not None) / math.sqrt(4.0 * math.pi * hb)
     else:
-        re, im = np.split(left.T @ np.concatenate(np.split(right, 2), axis=1), 2, axis=1)
-    vals = (re + 1j * im).reshape(shape) / math.sqrt(4.0 * math.pi * hb)
+        raise ValueError("method must be position or displacement")
+    vals = vals.reshape(shape)
     return vals[()] if shape == () else vals
 
 
 def chord_function_grid(rho: FockDensityMatrix, grid: CenteredGrid) -> np.ndarray:
-    """chi sampled on a full chord grid, via the position route."""
-    if grid.hbar != rho.hbar:
-        raise ValueError("grid and state disagree on hbar")
-    xp, xq = grid.meshgrid()
-    return chord_function_exact(rho, xp, xq, method="position")
+    """chi on a full chord grid, indexed (xi_p, xi_q): ``chord_function_exact``'s
+    outer form on the grid's own axes."""
+    return _hermite_form(rho, grid.p_axis / math.sqrt(2.0), -grid.q_axis / math.sqrt(2.0),
+                         (-1, 0), hbar=grid.hbar) / math.sqrt(4.0 * math.pi * grid.hbar)
 
 
 def wigner_exact(rho: FockDensityMatrix, grid: CenteredGrid) -> np.ndarray:
-    """W on a centre grid from the position slices in closed form.
-
-    The s transform of a slice turns psi_l(s/sqrt2) into
-    i^l psi_l(sqrt2 p) (see ``position_density_matrix``), so
-    W(p, q) = (pi hbar)^-1/2 sum_kl i^l (G_A + i G_B)[k, l] psi_k(sqrt2 q)
-    psi_l(sqrt2 p): the even columns of G carry (-1)^(l/2) and the odd ones
-    (-1)^((l+1)/2), and W is real by construction.  Two GEMMs, with no s
-    range and no grid condition beyond the axes themselves.
-    """
-    if grid.hbar != rho.hbar:
-        raise ValueError("grid and state disagree on hbar")
-    hb = rho.hbar
-    g = _rotated(rho.rho)
-    top = g.shape[0] - 1
-    signed = g * (-1.0) ** ((np.arange(top + 1) + 1) // 2)
-    psi_q = hermite_functions(top, math.sqrt(2.0) * grid.q_axis, hb)
-    psi_p = hermite_functions(top, math.sqrt(2.0) * grid.p_axis, hb)
-    return psi_p.T @ (signed.T @ psi_q) / math.sqrt(math.pi * hb)  # (p, q)
+    """W on a centre grid, indexed (p, q): ``_hermite_form`` at
+    (sqrt2 q, sqrt2 p) with turns (0, 1), over (pi hbar)^1/2, real by
+    construction.  There is no s range and no grid condition beyond the axes
+    themselves."""
+    return _hermite_form(rho, math.sqrt(2.0) * grid.q_axis, math.sqrt(2.0) * grid.p_axis,
+                         (0, 1), v_rows=True, hbar=grid.hbar) / math.sqrt(math.pi * grid.hbar)

@@ -263,5 +263,7 @@ def test_curve_validation():
     bad_th[5] = math.nan
     with pytest.raises(ValueError, match="finite"):
         LagrangianCurve(bad_th, pts, 0.5)
+    with pytest.raises(ValueError, match=r"points \(n, 2\)"):
+        LagrangianCurve(th, pts[:, :1], 0.5)
     with pytest.raises(ValueError):
         harmonic_circle(0.0)

@@ -687,6 +687,49 @@ def test_rotation_levels_rotate_products_of_hermite_functions():
             assert np.max(np.abs(rotated - psi_x[m] * psi_y[n - m])) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("turns", [(0, 0), (-1, 0), (0, 1)],
+                         ids=["slices", "chord", "wigner"])
+def test_hermite_form_matches_the_term_by_term_sum(turns):
+    """The kernel against sum_kl i^(turns . (k, l)) (G_A + i G_B)[k, l]
+    psi_k(u) psi_l(v) taken term by term in complex arithmetic, on an outer
+    grid (both layouts) and on paired points, for a random Hermitian rho with
+    complex off-diagonals: a wrong parity or turn flips whole terms."""
+    rho = FockDensityMatrix(_random_hermitian(7, 11), HBAR)
+    g = fock._rotated(rho.rho).astype(complex)
+    g[:, 1::2] *= 1j  # G_A on even columns, i G_B on odd ones
+    size = g.shape[0]
+    u, v = np.random.default_rng(12).uniform(-0.6, 0.6, (2, 9))
+    psi_u, psi_v = hermite_functions(size - 1, u, HBAR), hermite_functions(size - 1, v, HBAR)
+    grid = np.zeros((9, 9), dtype=complex)
+    points = np.zeros(9, dtype=complex)
+    for k in range(size):
+        for l in range(size):
+            term = 1j ** ((turns[0] * k + turns[1] * l) % 4) * g[k, l]
+            grid += term * np.outer(psi_u[k], psi_v[l])
+            points += term * psi_u[k] * psi_v[l]
+    scale = np.max(np.abs(grid))
+    for got, want in [(fock._hermite_form(rho, u, v, turns), grid),
+                      (fock._hermite_form(rho, u, v, turns, v_rows=True), grid.T),
+                      (fock._hermite_form(rho, u, v, turns, outer=False), points)]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.isrealobj(got) == (turns == (0, 1))
+
+
+@pytest.mark.parametrize("readout", [
+    lambda m, g: position_density_matrix(m, g.q_axis, g.p_axis),
+    lambda m, g: chord_function_exact(m, g.p_axis, g.q_axis),
+    lambda m, g: chord_function_exact(m, 0.1, -0.2, method="displacement"),
+    chord_function_grid,
+    wigner_exact,
+], ids=["slices", "chi-position", "chi-displacement", "chi-grid", "wigner"])
+def test_readouts_reject_a_raw_matrix(readout):
+    """A bare array has no hbar; every readout says so by one ValueError."""
+    mat = fock_density_matrix(1, HBAR, 12).rho
+    with pytest.raises(ValueError, match="pass a FockDensityMatrix"):
+        readout(mat, CenteredGrid(1.0, 1.0, 8, HBAR))
+
+
 def test_readout_symmetries_hold_bit_for_bit():
     """G_A rides on even orders only and G_B on odd ones, and psi_l(-x) =
     (-1)^l psi_l(x) exactly, so the slices at -s and s, and chi at -xi and

@@ -58,6 +58,8 @@ def test_conjugate_grid_crosses_half_widths():
     assert np.isclose(back.half_width_q, g.half_width_q)
     assert c.is_conjugate_of(g) and g.is_conjugate_of(c)
     assert not g.is_conjugate_of(g)
+    assert not CenteredGrid(c.half_width_p, c.half_width_q, 64, HBAR).is_conjugate_of(g)
+    assert not CenteredGrid(c.half_width_p, c.half_width_q, 128, 2 * HBAR).is_conjugate_of(g)
 
 
 def test_ft_axis_matches_direct_dft():

@@ -50,6 +50,9 @@ def test_window_constructors():
         LwcWindow(0.0, 0.0, HBAR)
     with pytest.raises(ValueError):
         LwcWindow(0.0, 0.1, -1.0)
+    with pytest.raises(ValueError, match="state and window disagree on hbar"):
+        lwc_coherent_closed_form(CoherentState((0.4, 0.3), HBAR), LwcWindow.canonical(0.1, 2 * HBAR),
+                                 [0.0])
 
 
 @pytest.mark.parametrize("build", [LwcWindow.canonical, LwcWindow.husimi_matched,
@@ -416,6 +419,10 @@ def test_fit_peaks_flags_non_log_concave():
     peaks = fit_peaks(p, v)
     assert peaks[0].flagged and math.isnan(peaks[0].variance)
     assert peaks[0].position == 5.0
+    # positive, but the log-parabola through the five samples opens upward
+    peaks = fit_peaks(np.arange(7.0), np.exp([2.0, 2.0, 0.0, 1.0, 0.0, 2.0, 2.0]))
+    assert len(peaks) == 1 and peaks[0].flagged and math.isnan(peaks[0].variance)
+    assert peaks[0].position == 3.0
 
 
 def test_resolution_verdict():
