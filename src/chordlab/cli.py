@@ -7,7 +7,9 @@ Each experiment reads a flat key = value config, writes its CSV tables with
 ``gridio.write_table`` (header lines, ``# columns``, %.17g rows) and a JSON
 sidecar with the echoed config, derived quantities, and each warning raised
 during the run, once, in the order raised.  Identical configs reproduce
-byte-identical files.
+byte-identical files.  A config key is valid when the run reads it: once the
+experiment returns, the first entry no code path of the run read is a config
+error, and no sidecar is written.
 
 Exit codes: 0 success, 1 numerical failure (including a semiclassical
 window where no branch survives), 2 bad usage or bad config.
@@ -39,32 +41,14 @@ __all__ = ["main", "run"]
 
 _TABLE_SCHEMA = ("chordlab schema_version", gridio.SCHEMA_VERSION)
 _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
-_COMMON_KEYS = {"hbar", "seed"}
-_STATE_KEYS = {"state.family", "state.eta", "state.action", "state.energy",
-               "state.a", "state.b", "state.g", "state.n", "state.samples"}
 # model family -> the factory's parameters, each read as hamiltonian.<name>
 _H_PARAMS = {fam: inspect.signature(factory).parameters
              for fam, factory in hamiltonians.registry.items()}
-_H_KEYS = ({"hamiltonian.family", "channel"}
-           | {f"hamiltonian.{name}" for params in _H_PARAMS.values() for name in params})
-_GRID_KEYS = {"grid.points", "grid.half_width"}
-_XI_KEYS = {"xi.points", "xi.half_width"}
-_WINDOW_KEYS = {"window.q", "window.delta"}
-# the experiments that evolve a chosen state read these
-_EVOLVED_KEYS = _COMMON_KEYS | {"time.t", "time.dt"} | _STATE_KEYS | _H_KEYS | _GRID_KEYS
-
-EXPERIMENT_KEYS = {
-    "coherent-demo": _COMMON_KEYS | {"state.eta"} | _GRID_KEYS,
-    "evolve-chord": _EVOLVED_KEYS | _XI_KEYS,
-    "lwc": _EVOLVED_KEYS | _XI_KEYS | _WINDOW_KEYS | {"lwc.route"},
-    "spectrum": _EVOLVED_KEYS | _XI_KEYS | _WINDOW_KEYS | {"lwc.route"},
-    "positivity": _COMMON_KEYS | _H_KEYS,
-    "husimi": _EVOLVED_KEYS | {"fock.dim"},
-    "validate": {"hbar"},
-}
 
 SCHEMA_TEXT = """\
 chordlab config schema (flat key = value lines; '#' comments)
+A key is valid when the run reads it: one that no code path of the run reads
+is a config error (exit 2, no sidecar), reported after the run's own errors.
 
 common keys
   hbar                float, default 0.05
@@ -89,7 +73,7 @@ state selection (evolve-chord, lwc, spectrum, husimi)
   fock.dim            int >= 1 (husimi), default 128: number-basis dimension
   state.samples       int, curve sample count (>= 8), default 1024
 
-dynamics (evolve-chord, lwc, spectrum, positivity, husimi)
+dynamics (evolve-chord, positivity, the chord and sc routes, husimi at t > 0)
   hamiltonian.family  zero | free | harmonic | quartic | pendulum, default harmonic
   hamiltonian.omega   float, default 1 (harmonic)
   hamiltonian.mass    float, default 1 (free)
@@ -107,7 +91,7 @@ grids
 
 windows (lwc, spectrum)
   window.q            repeatable float: window centres (at least one)
-  window.delta        float > 0, default sqrt(hbar)
+  window.delta        float > 0, default sqrt(hbar); sc-berry has no window
   lwc.route           auto | closed-form | chord | direct | sc-berry |
                       sc-quadratic | sc-markov, default auto (closed-form or
                       chord for coherent states, sc-quadratic or sc-markov
@@ -218,15 +202,15 @@ def _half_width(cfg: Config, key: str) -> float:
     return half
 
 
-def _centre_grid(cfg: Config, hbar: float, points: int) -> CenteredGrid:
-    """The grid.* centre grid for the number-basis and coherent states, the
-    only ones centre grids are built for; the automatic half width pads the
-    state by 8 sqrt(hbar)."""
+def _centre_grid(cfg: Config, hbar: float, points: int, family: str) -> CenteredGrid:
+    """The grid.* centre grid for a state of the given number-basis or
+    coherent family, the only ones centre grids are built for; the automatic
+    half width pads the state by 8 sqrt(hbar)."""
     m = _even_points(cfg, "grid.points", points)
     half = _half_width(cfg, "grid.half_width")
     if not half:
         pad = 8.0 * math.sqrt(hbar)
-        if _state_family(cfg) == "fock":
+        if family == "fock":
             half = math.sqrt(2.0 * hbar * (cfg.int("state.n", 0) + 1)) + pad
         else:
             eta = cfg.floats("state.eta", 2, (0.0, 0.0))
@@ -240,7 +224,7 @@ def _centre_grid(cfg: Config, hbar: float, points: int) -> CenteredGrid:
 
 def _exp_coherent_demo(cfg: Config, out: str, hbar: float) -> dict:
     state = _coherent(cfg, hbar)
-    grid = _centre_grid(cfg, hbar, 256)
+    grid = _centre_grid(cfg, hbar, 256, "coherent")
     pp, qq = grid.meshgrid()
     w_vals = states.coherent_wigner(state, pp, qq)
     chi, cgrid = chord_from_centre(w_vals, grid)
@@ -263,7 +247,7 @@ def _chord_source(cfg: Config, hbar: float):
     fam = _state_family(cfg)
     if fam == "coherent":
         state = _coherent(cfg, hbar)
-        grid = _centre_grid(cfg, hbar, 128)
+        grid = _centre_grid(cfg, hbar, 128, fam)
         pp, qq = grid.meshgrid()
         return (states.coherent_wigner(state, pp, qq), grid)
     if fam in _CURVE_FAMILIES:
@@ -273,8 +257,7 @@ def _chord_source(cfg: Config, hbar: float):
 
 def _exp_evolve_chord(cfg: Config, out: str, hbar: float) -> dict:
     source = _chord_source(cfg, hbar)
-    model = _hamiltonian(cfg)
-    channels = _channels(cfg)
+    model, channels = _hamiltonian(cfg), _channels(cfg)
     t, dt = _time(cfg)
     m = _even_points(cfg, "xi.points", _even_points(cfg, "grid.points", 128))
     chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
@@ -320,21 +303,21 @@ def _lwc_samples(cfg: Config, hbar: float):
     q_centres = cfg.float_list("window.q")
     if not q_centres:
         raise ConfigError("need at least one window.q")
-    delta = cfg.float("window.delta", math.sqrt(hbar))
-    if delta <= 0:
-        raise ConfigError(f"window.delta must be positive, got {delta:g}")
-    xi_q = _xi_grid(cfg, hbar)
     route = _pick_route(cfg, fam, t)
-    model = _hamiltonian(cfg)
-    channels = _channels(cfg)
+    delta = 0.0  # sc-berry: the t = 0 lines at window width 0, with no window
+    if route != "sc-berry":
+        delta = cfg.float("window.delta", math.sqrt(hbar))
+        if delta <= 0:
+            raise ConfigError(f"window.delta must be positive, got {delta:g}")
+    xi_q = _xi_grid(cfg, hbar)
 
-    chi_fn = None
-    coh = None
+    chi_fn = coh = None
     if route in ("closed-form", "direct"):
         if fam != "coherent" or t != 0.0:
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = _coherent(cfg, hbar)
     elif route == "chord":
+        model, channels = _hamiltonian(cfg), _channels(cfg)
         source = _chord_source(cfg, hbar)
         chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
     else:
@@ -342,14 +325,14 @@ def _lwc_samples(cfg: Config, hbar: float):
             raise ConfigError(f"route {route!r} needs a curve state")
         if route != "sc-markov" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
-        berry = route == "sc-berry"  # the t = 0 lines at window width 0, with no window
+        model, channels = _hamiltonian(cfg), _channels(cfg)
         # one branch pass serves every window
-        lines = lwc_mod._branch_lines(_curve(cfg, fam), q_centres, hbar,
-                                      0.0 if berry else delta, model, channels, t, dt)
+        lines = lwc_mod._branch_lines(_curve(cfg, fam), q_centres, hbar, delta,
+                                      model, channels, t, dt)
 
     samples = []
     for k, q0 in enumerate(q_centres):
-        window = LwcWindow(q0, delta, hbar)
+        window = LwcWindow(q0, delta, hbar) if delta else None
         if route == "closed-form":
             vals = lwc_coherent_closed_form(coh, window, xi_q)
             sample = lwc_mod.LwcSample(xi_q, vals, window, [])
@@ -361,8 +344,8 @@ def _lwc_samples(cfg: Config, hbar: float):
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
         else:  # sc-quadratic is sc-markov at t = 0
-            sample = lwc_mod.LwcSample(xi_q, lines[k].correlation(xi_q),
-                                       None if berry else window, lines[k].warnings, lines[k])
+            sample = lwc_mod.LwcSample(xi_q, lines[k].correlation(xi_q), window,
+                                       lines[k].warnings, lines[k])
             if not np.any(~sample.branches.caustic):
                 raise RuntimeError(f"no semiclassical branch survives in the window at "
                                    f"Q = {q0:g} ({'; '.join(sample.warnings)})")
@@ -394,17 +377,14 @@ def _peak_records(peaks) -> list:
 
 def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
     route, samples = _lwc_samples(cfg, hbar)
-    tables = []
-    info = []
+    tables, info = [], []
     for q0, sample in samples:
-        sd = spectrum(sample, hbar)
+        with _library_checks("xi.points"):
+            sd = spectrum(sample, hbar)
         tables.append(np.column_stack([np.full(len(sd.p), q0), sd.p, sd.values]))
         peaks = fit_peaks(sd.p, sd.values, 1e-2)
-        entry = {
-            "Q": q0,
-            "imag_residue": sd.imag_residue,
-            "peaks": _peak_records(peaks[:6]),
-        }
+        entry = {"Q": q0, "imag_residue": sd.imag_residue,
+                 "peaks": _peak_records(peaks[:6])}
         if len(peaks) >= 2:
             v = resolution_verdict(peaks)
             entry["resolved"] = v.resolved
@@ -424,8 +404,7 @@ def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
 
 
 def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
-    model = _hamiltonian(cfg)
-    channels = _channels(cfg)
+    model, channels = _hamiltonian(cfg), _channels(cfg)
     if not channels:
         raise ConfigError("positivity needs at least one channel")
     tp = positivity_time(model, channels)
@@ -467,7 +446,7 @@ def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     t, dt = _time(cfg, 1e-3)
     if t != 0.0:  # evolve_state rejects t < 0
         rho = fock.evolve_state(rho, _hamiltonian(cfg), _channels(cfg), t, dt)
-    grid = _centre_grid(cfg, hbar, 128)
+    grid = _centre_grid(cfg, hbar, 128, _state_family(cfg))
     w_vals = fock.wigner_exact(rho, grid)
     h_vals = husimi_mod.husimi_from_wigner(w_vals, grid)
     gridio.save_grid_csv(os.path.join(out, "husimi.csv"), h_vals, grid, "husimi")
@@ -593,11 +572,10 @@ def run(argv=None) -> int:
             cfg = Config.load(args.config)
         else:
             cfg = Config.from_text("")
-        cfg.check_keys(EXPERIMENT_KEYS[args.experiment])
         hbar = cfg.float("hbar", 0.05)
         if hbar <= 0:
             raise ConfigError("hbar must be positive")
-        seed = args.seed if args.seed is not None else cfg.int("seed", 0)
+        seed = cfg.int("seed", 0)  # parsed even where --seed overrides it
     except FileNotFoundError as exc:
         print(f"chordlab: config file not found: {exc.filename}", file=sys.stderr)
         return 2
@@ -606,28 +584,35 @@ def run(argv=None) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
+    sidecar = os.path.join(out, f"{args.experiment}.json")
+    if os.path.exists(sidecar):  # a failed run leaves no sidecar beside its tables
+        os.remove(sidecar)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = _EXPERIMENTS[args.experiment](cfg, out, hbar)
+            cfg.check_all_read()
     except ConfigError as exc:
         return _config_error(args.config, exc)
     except Exception as exc:  # numerical failure: report, nonzero exit
-        print(f"chordlab: {args.experiment}: {exc}", file=sys.stderr)
+        unread = ", ".join(f"{e.key} (line {e.line})" for e in cfg.unread())
+        print(f"chordlab: {args.experiment}: {exc}"
+              + (f"; config entries not read before the failure: {unread}" if unread else ""),
+              file=sys.stderr)
         return 1
 
     payload = {
         "experiment": args.experiment,
         "schema_version": gridio.SCHEMA_VERSION,
         "hbar": hbar,
-        "seed": seed,
+        "seed": seed if args.seed is None else args.seed,
         "config": cfg.echo(),
         # each message once, in the order first raised
         "warnings": list(dict.fromkeys(f"{w.category.__name__}: {w.message}"
                                        for w in caught)),
         "result": result,
     }
-    with open(os.path.join(out, f"{args.experiment}.json"), "w", encoding="utf-8") as fh:
+    with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return 0

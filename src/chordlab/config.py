@@ -3,9 +3,11 @@
 Grammar: one ``key = value`` per line, ``#`` starts a comment, blank lines
 are skipped.  Keys are dotted lowercase identifiers.  Two keys are
 repeatable (``channel`` and ``window.q``); any other repetition is an
-error, as is any key the chosen experiment does not know.  Numbers must be
-finite (nan and inf are rejected).  All parse and validation failures raise
-ConfigError carrying the offending line number.
+error.  Numbers must be finite (nan and inf are rejected).  Every accessor
+records the key it reads, and ``check_all_read`` rejects an entry no
+accessor read, so a key is valid exactly when the run reads it.  All parse
+and validation failures raise ConfigError carrying the offending line
+number.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class Config:
 
     def __init__(self, entries: list):
         self.entries = entries
+        self._read: set = set()
         self._by_key: dict = {}
         for e in entries:
             self._by_key.setdefault(e.key, []).append(e)
@@ -72,15 +75,23 @@ class Config:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def check_keys(self, allowed) -> None:
-        allowed = set(allowed)
-        for e in self.entries:
-            if e.key not in allowed:
-                raise ConfigError(f"unknown key {e.key!r}", e.line)
+    def unread(self) -> list:
+        """The entries no accessor has read so far, in file order."""
+        return [e for e in self.entries if e.key not in self._read]
+
+    def check_all_read(self) -> None:
+        """Reject the first entry no accessor has read."""
+        unread = self.unread()
+        if unread:
+            raise ConfigError(f"unknown key {unread[0].key!r}", unread[0].line)
+
+    def _group(self, key: str) -> list:
+        self._read.add(key)
+        return self._by_key.get(key, [])
 
     def _one(self, key: str, default):
-        group = self._by_key.get(key)
-        if group is None:
+        group = self._group(key)
+        if not group:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             return None, default
@@ -122,10 +133,10 @@ class Config:
 
     def float_list(self, key: str) -> list:
         """All values of a repeatable scalar key, in file order."""
-        return [self._number(e, e.raw, "a number") for e in self._by_key.get(key, [])]
+        return [self._number(e, e.raw, "a number") for e in self._group(key)]
 
     def vector_list(self, key: str, n: int) -> list:
-        return [self._parse_vector(e, n) for e in self._by_key.get(key, [])]
+        return [self._parse_vector(e, n) for e in self._group(key)]
 
     @staticmethod
     def _parse_vector(entry: _Entry, n: int) -> tuple:

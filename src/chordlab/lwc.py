@@ -537,5 +537,6 @@ def suggest_xi_q_grid(hbar: float, envelope_sigma: float | None = None,
         raise ValueError("points must be even and at least 8")
     if envelope_sigma is None:
         envelope_sigma = math.sqrt(2.0 * hbar)
+    _check_positive(envelope_sigma, "envelope_sigma")
     half = envelope_sigma * math.sqrt(2.0 * math.log(1e12))
     return CenteredGrid(half, half, points, hbar).q_axis

@@ -54,7 +54,7 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_unknown_key_reports_path_and_line(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "hbar = 0.05\nwho = 1\n")
+    cfg = write_cfg(tmp_path, "hbar = 0.05\nwho = 1\nchannel = 0 1 0 0\n")
     assert run_cli("positivity", "--config", cfg, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert f"{cfg}:2:" in err and "unknown key" in err
@@ -161,6 +161,8 @@ xi.half_width = {half}
      "xi.points = 64\n", "state.energy, state.g: libration requires"),
     ("lwc", "state.family = circle\nwindow.q = 0\nxi.points = 4\n",
      "xi.points: points must be even and at least 8"),
+    ("spectrum", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 4\nxi.half_width = 1\n",
+     "xi.points: xi_q grid must be 1-D and finite, with at least 8 points"),
     # route and state combinations no experiment can run
     ("lwc", "state.eta = 0.3 0\nxi.points = 64\n", "need at least one window.q"),
     ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nlwc.route = closed-form\n"
@@ -183,6 +185,7 @@ xi.half_width = {half}
         "spectrum-t-negative", "free-mass-zero-positivity",
         "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
         "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4",
+        "explicit-xi-points-4",
         "no-window", "closed-form-evolved", "direct-circle", "sc-markov-coherent",
         "lwc-fock", "chord-fock", "husimi-circle", "hbar-zero"])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment, text, message):
@@ -197,12 +200,83 @@ def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment,
 @pytest.mark.parametrize("key", ["time.t", "time.dt"])
 def test_time_keys_are_unknown_where_unread(tmp_path, capsys, experiment, key):
     # neither experiment evolves a state, so a time key would be echoed unused
-    cfg = write_cfg(tmp_path, f"hbar = 0.05\n{key} = 0.5\n")
+    channel = "channel = 0 1 0 0\n" if experiment == "positivity" else ""
+    cfg = write_cfg(tmp_path, f"hbar = 0.05\n{key} = 0.5\n{channel}")
     out = tmp_path / "o"
     assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"{cfg}:2:" in err and f"unknown key '{key}'" in err
     assert not (out / f"{experiment}.json").exists()
+
+
+_HUSIMI_FOCK = "state.family = fock\nfock.dim = 16\ngrid.points = 32\n"
+_CHORD_COHERENT = "state.eta = 0 0\ngrid.points = 16\n"
+_SC_MARKOV = ("state.family = circle\nstate.samples = 64\nlwc.route = sc-markov\n"
+              "window.q = 0\nxi.points = 64\n")
+_SC_BERRY = ("state.family = quartic\nstate.energy = 0.3\nstate.samples = 64\n"
+             "hamiltonian.family = quartic\nlwc.route = sc-berry\nwindow.q = 0\n"
+             "xi.points = 64\n")
+
+
+@pytest.mark.parametrize("experiment, base, extra", [
+    ("husimi", _HUSIMI_FOCK, "state.samples = 5"),
+    ("husimi", _HUSIMI_FOCK, "state.energy = 0.3"),
+    ("husimi", _HUSIMI_FOCK, "state.action = -1"),
+    ("husimi", _HUSIMI_FOCK, "hamiltonian.g = 0.7"),
+    ("evolve-chord", _CHORD_COHERENT, "state.n = 2"),
+    ("evolve-chord", _CHORD_COHERENT, "state.samples = 3"),
+    ("lwc", _SC_MARKOV, "grid.points = 3"),
+    ("lwc", _SC_MARKOV, "state.n = 1"),
+    ("lwc", _SC_BERRY, "hamiltonian.omega = 1.5"),
+    ("lwc", _SC_BERRY, "state.eta = 0.1 0"),
+    ("lwc", _SC_BERRY, "window.delta = 0.3"),
+    ("coherent-demo", _CHORD_COHERENT, "state.family = fock"),
+], ids=["husimi-samples", "husimi-energy", "husimi-action", "husimi-g", "chord-n",
+        "chord-samples", "markov-grid-points", "markov-n", "berry-omega", "berry-eta",
+        "berry-delta", "demo-family"])
+def test_a_key_the_run_does_not_read_is_a_config_error(tmp_path, capsys, experiment,
+                                                       base, extra):
+    """The base config runs; the same run with one more entry it never reads
+    fails with that entry's line, however its value would have been checked."""
+    text = base + extra + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
+    key = extra.split(" = ")[0]
+    line = text.count("\n")
+    assert f"{cfg}:{line}: unknown key '{key}'" in capsys.readouterr().err
+    assert not (out / f"{experiment}.json").exists()
+    assert run_cli(experiment, "--config", write_cfg(tmp_path, base, "base.cfg"),
+                   "--out", str(out)) == 0
+
+
+def test_a_failed_run_leaves_no_earlier_sidecar(tmp_path, capsys):
+    out = tmp_path / "o"
+    good = write_cfg(tmp_path, _SC_MARKOV, "good.cfg")
+    assert run_cli("lwc", "--config", good, "--out", str(out)) == 0
+    assert (out / "lwc.json").exists()
+    bad = write_cfg(tmp_path, _SC_MARKOV + "state.n = 1\n", "bad.cfg")
+    assert run_cli("lwc", "--config", bad, "--out", str(out)) == 2
+    assert "unknown key 'state.n'" in capsys.readouterr().err
+    assert (out / "lwc.csv").exists() and not (out / "lwc.json").exists()
+
+
+def test_a_numerical_failure_names_the_unread_entries(tmp_path, capsys):
+    # the dead window of test_dead_semiclassical_window_fails, with a misspelled key
+    cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.family = circle\nwindow.q = 0.999\n"
+                    "window.dleta = 1\nlwc.route = sc-quadratic\nxi.points = 256\n")
+    assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "Q = 0.999" in err
+    assert "config entries not read before the failure: window.dleta (line 4)" in err
+
+
+def test_seed_is_parsed_under_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "hbar = 0.05\nseed = banana\ngrid.points = 32\n")
+    out = tmp_path / "o"
+    assert run_cli("coherent-demo", "--config", cfg, "--out", str(out), "--seed", "3") == 2
+    assert f"{cfg}:2: key 'seed' needs an integer" in capsys.readouterr().err
+    assert not (out / "coherent-demo.json").exists()
 
 
 def test_coherent_demo_and_determinism(tmp_path):
@@ -491,7 +565,6 @@ NON_DEFAULT_MODELS = {
 def test_hamiltonian_config_builds_registry_model(tmp_path, family):
     text, params = NON_DEFAULT_MODELS[family]
     cfg = Config.load(write_cfg(tmp_path, f"hamiltonian.family = {family}\n{text}\n"))
-    cfg.check_keys(cli.EXPERIMENT_KEYS["positivity"])
     model = cli._hamiltonian(cfg)
     assert model.name == family
     assert model.params == params

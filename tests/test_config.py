@@ -100,12 +100,22 @@ def test_non_finite_numbers_carry_lines():
         assert err.value.line == line
 
 
-def test_check_keys():
-    cfg = Config.from_text("hbar = 0.05\nwho = 1\n")
+def test_check_all_read():
+    cfg = Config.from_text(GOOD + "who = 1\n")
+    cfg.str("state")
+    cfg.float("hbar")
+    cfg.int("grid.points")
+    cfg.floats("eta", 2)
+    cfg.float_list("window.q")
+    with pytest.raises(ConfigError) as err:  # every entry but these two is read
+        cfg.check_all_read()
+    assert "unknown key 'channel'" in err.value.message and err.value.line == 5
+    cfg.vector_list("channel", 4)
     with pytest.raises(ConfigError) as err:
-        cfg.check_keys({"hbar"})
-    assert "unknown key 'who'" in err.value.message and err.value.line == 2
-    cfg.check_keys({"hbar", "who"})
+        cfg.check_all_read()
+    assert "unknown key 'who'" in err.value.message and err.value.line == 10
+    cfg.float("who", 0.0)
+    cfg.check_all_read()
 
 
 def test_echo_round_trip():

@@ -469,10 +469,11 @@ def test_suggest_xi_q_grid():
     with pytest.raises(ValueError):
         suggest_xi_q_grid(HBAR, points=4)
     # an hbar or width that would give an all-zero, nan or descending axis
-    for hbar, kwargs in ((0.0, {}), (math.nan, {}), (HBAR, {"envelope_sigma": 0.0}),
-                         (HBAR, {"envelope_sigma": -1.0})):
-        with pytest.raises(ValueError):
-            suggest_xi_q_grid(hbar, points=64, **kwargs)
+    for hbar, sigma, name in ((0.0, None, "hbar"), (math.nan, None, "hbar"),
+                              (HBAR, -0.1, "envelope_sigma"), (HBAR, 0.0, "envelope_sigma"),
+                              (HBAR, math.nan, "envelope_sigma")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            suggest_xi_q_grid(hbar, sigma, points=64)
 
 
 def test_lwc_from_chord_validation_and_warnings():
