@@ -55,12 +55,13 @@ common keys
   seed                int, default 0 (echoed; no experiment is stochastic)
 
 evolution time (evolve-chord, lwc, spectrum, husimi)
-  time.t              float, default 0: evolution time
-  time.dt             float > 0: the fixed step of the Dormand-Prince flow,
-                      default 1e-2, used for non-quadratic models only
-                      (quadratic ones are exact); for husimi, the spacing of
-                      the number-basis leak checks, default 1e-3 (that
-                      evolution is exact)
+  time.t              float >= 0, default 0: evolution time (at 0 nothing
+                      evolves, and no other time or dynamics key is read)
+  time.dt             float > 0, read only where a step is taken: the fixed
+                      step of a non-quadratic model's Dormand-Prince flow,
+                      default 1e-2 (quadratic flows are exact); for husimi
+                      at time.t > 0, whatever the model, the spacing of the
+                      number-basis leak checks, default 1e-3
 
 state selection (evolve-chord, lwc, spectrum, husimi)
   state.family        coherent | circle | quartic | pendulum | fock | cat
@@ -73,7 +74,8 @@ state selection (evolve-chord, lwc, spectrum, husimi)
   fock.dim            int >= 1 (husimi), default 128: number-basis dimension
   state.samples       int, curve sample count (>= 8), default 1024
 
-dynamics (evolve-chord, positivity, the chord and sc routes, husimi at t > 0)
+dynamics, channel included (positivity; evolve-chord, lwc, spectrum and
+husimi at time.t > 0)
   hamiltonian.family  zero | free | harmonic | quartic | pendulum, default harmonic
   hamiltonian.omega   float, default 1 (harmonic)
   hamiltonian.mass    float, default 1 (free)
@@ -86,7 +88,8 @@ grids
                       lwc and spectrum read it for the chord route's grid
   grid.half_width     float, default auto from the state
   xi.points           int, even and >= 2, default 1024: xi_q samples (for
-                      evolve-chord, chord-grid points, default grid.points)
+                      evolve-chord, chord-grid points, default grid.points,
+                      which is read for it only when xi.points is absent)
   xi.half_width       float, default auto
 
 windows (lwc, spectrum)
@@ -151,6 +154,29 @@ def _channels(cfg: Config) -> list:
             for v in cfg.vector_list("channel", 4)]
 
 
+def _evolution(cfg: Config, spacing: float = 0.0) -> tuple:
+    """(t, model, channels, dt) of a run that evolves its state to time.t >= 0.
+
+    At t = 0 nothing evolves: no other time, model or channel key is read, and
+    the zero model, exact there, comes back with no channels.  Otherwise the
+    model and channels are read, and time.dt only where a step is taken: a
+    non-quadratic model's flow (default 1e-2), or, given a ``spacing`` default,
+    the number-basis evolution's leak checks.  Where it is not read, dt is its
+    default, which no step uses."""
+    t = cfg.float("time.t", 0.0)
+    if t < 0.0:
+        raise ConfigError(f"time.t must be nonnegative, got {t:g}")
+    dt = spacing or 1e-2
+    if t == 0.0:
+        return t, hamiltonians.zero(), [], dt
+    model, channels = _hamiltonian(cfg), _channels(cfg)
+    if spacing or not model.quadratic:
+        dt = cfg.float("time.dt", dt)
+        if dt <= 0.0:
+            raise ConfigError(f"time.dt must be positive, got {dt:g}")
+    return t, model, channels, dt
+
+
 def _state_family(cfg: Config) -> str:
     return cfg.str("state.family", "coherent",
                    choices={"coherent", "circle", "quartic", "pendulum", "fock", "cat"})
@@ -183,17 +209,6 @@ def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
     return states.CoherentState(eta, hbar)
 
 
-def _time(cfg: Config, dt_default: float = 1e-2) -> tuple:
-    """(time.t, time.dt): t >= 0, and dt, a step or a check spacing, positive."""
-    dt = cfg.float("time.dt", dt_default)
-    if dt <= 0.0:
-        raise ConfigError(f"time.dt must be positive, got {dt:g}")
-    t = cfg.float("time.t", 0.0)
-    if t < 0.0:
-        raise ConfigError(f"time.t must be nonnegative, got {t:g}")
-    return t, dt
-
-
 def _half_width(cfg: Config, key: str) -> float:
     """A configured half width; 0, the default, asks for the automatic one."""
     half = cfg.float(key, 0.0)
@@ -222,16 +237,21 @@ def _centre_grid(cfg: Config, hbar: float, points: int, family: str) -> Centered
 # experiments
 
 
+def _coherent_round_trip(state: states.CoherentState, grid: CenteredGrid) -> tuple:
+    """(W, chi, chord grid, chi error, round-trip error): a coherent W on the
+    grid, its chord function by the grid transform, that chi's error against
+    the closed form and W's error after the transform back."""
+    w_vals = states.coherent_wigner(state, *grid.meshgrid())
+    chi, cgrid = chord_from_centre(w_vals, grid)
+    chi_err = np.max(np.abs(chi - states.coherent_chord_function(state, *cgrid.meshgrid())))
+    back, _ = centre_from_chord(chi, cgrid)
+    return w_vals, chi, cgrid, float(chi_err), float(np.max(np.abs(back - w_vals)))
+
+
 def _exp_coherent_demo(cfg: Config, out: str, hbar: float) -> dict:
     state = _coherent(cfg, hbar)
     grid = _centre_grid(cfg, hbar, 256, "coherent")
-    pp, qq = grid.meshgrid()
-    w_vals = states.coherent_wigner(state, pp, qq)
-    chi, cgrid = chord_from_centre(w_vals, grid)
-    xp, xq = cgrid.meshgrid()
-    chi_err = float(np.max(np.abs(chi - states.coherent_chord_function(state, xp, xq))))
-    back, _ = centre_from_chord(chi, cgrid)
-    round_err = float(np.max(np.abs(back - w_vals)))
+    w_vals, chi, cgrid, chi_err, round_err = _coherent_round_trip(state, grid)
     gridio.save_grid_csv(os.path.join(out, "wigner.csv"), w_vals, grid, "centre")
     gridio.save_grid_csv(os.path.join(out, "chord.csv"), chi, cgrid, "chord")
     return {
@@ -257,9 +277,10 @@ def _chord_source(cfg: Config, hbar: float):
 
 def _exp_evolve_chord(cfg: Config, out: str, hbar: float) -> dict:
     source = _chord_source(cfg, hbar)
-    model, channels = _hamiltonian(cfg), _channels(cfg)
-    t, dt = _time(cfg)
-    m = _even_points(cfg, "xi.points", _even_points(cfg, "grid.points", 128))
+    t, model, channels, dt = _evolution(cfg)
+    # grid.points stands in for an absent xi.points (a coherent source reads it anyway)
+    m = _even_points(cfg, "grid.points" if cfg.int("xi.points", None) is None else "xi.points",
+                     128)
     chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
     half = _half_width(cfg, "xi.half_width") or 7.44 * math.sqrt(2.0 * hbar)
     cgrid = CenteredGrid(half, half, m, hbar)
@@ -299,7 +320,7 @@ def _pick_route(cfg: Config, fam: str, t: float) -> str:
 def _lwc_samples(cfg: Config, hbar: float):
     """Shared by the lwc and spectrum experiments."""
     fam = _state_family(cfg)
-    t, dt = _time(cfg)
+    t, model, channels, dt = _evolution(cfg)
     q_centres = cfg.float_list("window.q")
     if not q_centres:
         raise ConfigError("need at least one window.q")
@@ -317,15 +338,13 @@ def _lwc_samples(cfg: Config, hbar: float):
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = _coherent(cfg, hbar)
     elif route == "chord":
-        model, channels = _hamiltonian(cfg), _channels(cfg)
-        source = _chord_source(cfg, hbar)
-        chi_fn = evolve_chord_function(source, model, channels, t, dt=dt, hbar=hbar)
+        chi_fn = evolve_chord_function(_chord_source(cfg, hbar), model, channels, t, dt=dt,
+                                       hbar=hbar)
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
         if route != "sc-markov" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
-        model, channels = _hamiltonian(cfg), _channels(cfg)
         # one branch pass serves every window
         lines = lwc_mod._branch_lines(_curve(cfg, fam), q_centres, hbar, delta,
                                       model, channels, t, dt)
@@ -443,9 +462,9 @@ def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     if dim < 1:
         raise ConfigError(f"fock.dim must be >= 1, got {dim}")
     rho = _fock_state(cfg, hbar, dim)
-    t, dt = _time(cfg, 1e-3)
-    if t != 0.0:  # evolve_state rejects t < 0
-        rho = fock.evolve_state(rho, _hamiltonian(cfg), _channels(cfg), t, dt)
+    t, model, channels, dt = _evolution(cfg, spacing=1e-3)
+    if t:
+        rho = fock.evolve_state(rho, model, channels, t, dt)
     grid = _centre_grid(cfg, hbar, 128, _state_family(cfg))
     w_vals = fock.wigner_exact(rho, grid)
     h_vals = husimi_mod.husimi_from_wigner(w_vals, grid)
@@ -467,15 +486,8 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
 
     state = states.CoherentState((0.3, -0.4), hbar)
     grid = CenteredGrid(2.5, 2.5, 128, hbar)
-    pp, qq = grid.meshgrid()
-    w_vals = states.coherent_wigner(state, pp, qq)
-    chi, cgrid = chord_from_centre(w_vals, grid)
-    xp, xq = cgrid.meshgrid()
-    checks.append(("coherent_chord_fft",
-                   float(np.max(np.abs(chi - states.coherent_chord_function(state, xp, xq)))),
-                   1e-10))
-    back, _ = centre_from_chord(chi, cgrid)
-    checks.append(("grid_round_trip", float(np.max(np.abs(back - w_vals))), 1e-12))
+    w_vals, _, _, chi_err, round_err = _coherent_round_trip(state, grid)
+    checks += [("coherent_chord_fft", chi_err, 1e-10), ("grid_round_trip", round_err, 1e-12)]
 
     damping = LindbladChannel((0.0, 1.0), (1.0, 0.0))
     model = hamiltonians.harmonic()
@@ -506,7 +518,7 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
                    float(np.max(np.abs(closed - via_chord.values))), 1e-8))
 
     h_direct = husimi_mod.husimi_from_wigner(w_vals, grid)
-    h_closed = states.coherent_husimi(state, pp, qq)
+    h_closed = states.coherent_husimi(state, *grid.meshgrid())
     checks.append(("husimi_smoothing",
                    float(np.max(np.abs(h_direct - h_closed))) * 2.0 * math.pi * hbar,
                    1e-6))

@@ -192,8 +192,8 @@ class hamiltonians:
 
     @staticmethod
     def free(mass: float = 1.0) -> HamiltonianModel:
-        if not math.isfinite(mass) or mass == 0.0:
-            raise ValueError(f"mass must be finite and nonzero, got {mass!r}")
+        if mass == 0.0:  # the model checks that mass is finite
+            raise ValueError(f"mass must be nonzero, got {mass!r}")
         return _quadratic("free", {"mass": mass}, np.diag([1.0 / mass, 0.0]))
 
     @staticmethod
@@ -229,9 +229,10 @@ def _chord_generator(H, gamma):
     return J_MATRIX @ H.hessian(np.zeros(2)) + gamma * np.eye(2)
 
 
-def _check_time(t) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+def _check_time(t, signed: bool = False) -> None:
+    """Reject a non-finite t, and unless ``signed`` (a flow run backward) a negative one."""
+    if not (math.isfinite(t) and (signed or t >= 0)):
+        raise ValueError(f"t must be finite{'' if signed else ' and nonnegative'}, got {t!r}")
 
 
 def _steps_for(t: float, dt: float) -> int:
@@ -361,6 +362,7 @@ def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
     """Transport of (n, 2) centre points over the signed time t (t < 0 runs
     the flow backward): the exact affine map for quadratic models, the
     fixed-step Dormand-Prince flow otherwise."""
+    _check_time(t, signed=True)
     gamma = total_gamma(channels)
     x = np.array(points, dtype=float)
     if t == 0.0:

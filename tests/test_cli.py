@@ -134,21 +134,22 @@ xi.half_width = {half}
      "time.t = 0.5\ntime.dt = -0.001\n", "time.dt must be positive"),
     ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
      "time.t = 0.5\ntime.dt = 0\n", "time.dt must be positive"),
-    ("evolve-chord", "state.eta = 0 0\ngrid.points = 16\ntime.t = 0.1\ntime.dt = 0\n",
-     "time.dt must be positive"),
-    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\ntime.dt = -1\n",
-     "time.dt must be positive"),
-    ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = 0.1\n"
-     "time.dt = 0\n", "time.dt must be positive"),
+    # time.dt is read where a step is taken: a non-quadratic flow at time.t > 0
+    ("evolve-chord", "state.eta = 0 0\ngrid.points = 16\nhamiltonian.family = pendulum\n"
+     "time.t = 0.1\ntime.dt = 0\n", "time.dt must be positive"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\nhamiltonian.family = quartic\n"
+     "time.t = 0.1\ntime.dt = -1\n", "time.dt must be positive"),
+    ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\n"
+     "hamiltonian.family = quartic\ntime.t = 0.1\ntime.dt = 0\n", "time.dt must be positive"),
     ("evolve-chord", "state.family = circle\nstate.samples = 64\nxi.points = 16\ntime.t = -0.1\n",
      "time.t must be nonnegative"),
     ("spectrum", "state.family = circle\nwindow.q = 0\nxi.points = 64\ntime.t = -0.1\n",
      "time.t must be nonnegative"),
     # values the library call rejects with ValueError, reported with their keys
     ("positivity", "hamiltonian.family = free\nhamiltonian.mass = 0\nchannel = 0 1 0 0\n",
-     "hamiltonian.mass: mass must be finite and nonzero"),
-    ("evolve-chord", "hamiltonian.family = free\nhamiltonian.mass = 0\ngrid.points = 16\n",
-     "hamiltonian.mass: mass must be finite and nonzero"),
+     "hamiltonian.mass: mass must be nonzero"),
+    ("evolve-chord", "hamiltonian.family = free\nhamiltonian.mass = 0\ngrid.points = 16\n"
+     "time.t = 0.1\n", "hamiltonian.mass: mass must be nonzero"),
     ("evolve-chord", "state.family = circle\nstate.action = 0\nxi.points = 16\n",
      "state.action: action must be finite and positive"),
     ("lwc", "state.family = circle\nstate.action = -1\nwindow.q = 0\nxi.points = 64\n",
@@ -214,8 +215,11 @@ _CHORD_COHERENT = "state.eta = 0 0\ngrid.points = 16\n"
 _SC_MARKOV = ("state.family = circle\nstate.samples = 64\nlwc.route = sc-markov\n"
               "window.q = 0\nxi.points = 64\n")
 _SC_BERRY = ("state.family = quartic\nstate.energy = 0.3\nstate.samples = 64\n"
-             "hamiltonian.family = quartic\nlwc.route = sc-berry\nwindow.q = 0\n"
-             "xi.points = 64\n")
+             "lwc.route = sc-berry\nwindow.q = 0\nxi.points = 64\n")
+_SC_QUADRATIC = ("state.family = circle\nstate.samples = 64\nlwc.route = sc-quadratic\n"
+                 "window.q = 0\nxi.points = 64\n")
+_CLOSED_FORM = "state.eta = 0.3 0\nlwc.route = closed-form\nwindow.q = 0\nxi.points = 64\n"
+_CHORD_CIRCLE = "state.family = circle\nstate.samples = 64\nxi.points = 16\n"
 
 
 @pytest.mark.parametrize("experiment, base, extra", [
@@ -231,19 +235,29 @@ _SC_BERRY = ("state.family = quartic\nstate.energy = 0.3\nstate.samples = 64\n"
     ("lwc", _SC_BERRY, "state.eta = 0.1 0"),
     ("lwc", _SC_BERRY, "window.delta = 0.3"),
     ("coherent-demo", _CHORD_COHERENT, "state.family = fock"),
+    # keys that change nothing: no model or channel at t = 0, no step where
+    # none is taken, no grid.points beside an explicit xi.points
+    ("lwc", _SC_QUADRATIC, "hamiltonian.family = pendulum\nhamiltonian.g = 3\nchannel = 0 5 0 0"),
+    ("lwc", _CLOSED_FORM, "time.dt = 5"),
+    ("evolve-chord", _CHORD_CIRCLE + "time.t = 0\n",
+     "hamiltonian.family = quartic\nhamiltonian.a = 7\nchannel = 0 5 0 0\ntime.dt = 3"),
+    ("evolve-chord", _CHORD_CIRCLE + "time.t = 0.1\n", "time.dt = 0.37"),
+    ("evolve-chord", _CHORD_CIRCLE, "grid.points = 64"),
+    ("husimi", _HUSIMI_FOCK + "time.t = 0\n", "time.dt = 0.5"),
 ], ids=["husimi-samples", "husimi-energy", "husimi-action", "husimi-g", "chord-n",
         "chord-samples", "markov-grid-points", "markov-n", "berry-omega", "berry-eta",
-        "berry-delta", "demo-family"])
+        "berry-delta", "demo-family", "quadratic-model", "closed-form-dt", "chord-t0-model",
+        "chord-harmonic-dt", "chord-grid-points", "husimi-t0-dt"])
 def test_a_key_the_run_does_not_read_is_a_config_error(tmp_path, capsys, experiment,
                                                        base, extra):
-    """The base config runs; the same run with one more entry it never reads
-    fails with that entry's line, however its value would have been checked."""
+    """The base config runs; the same run with more entries it never reads
+    fails with the first one's line, however its value would have been checked."""
     text = base + extra + "\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert run_cli(experiment, "--config", cfg, "--out", str(out)) == 2
     key = extra.split(" = ")[0]
-    line = text.count("\n")
+    line = base.count("\n") + 1
     assert f"{cfg}:{line}: unknown key '{key}'" in capsys.readouterr().err
     assert not (out / f"{experiment}.json").exists()
     assert run_cli(experiment, "--config", write_cfg(tmp_path, base, "base.cfg"),
@@ -585,6 +599,21 @@ def test_validate_green(tmp_path):
     data = [line for line in table if not line.startswith("#")]
     assert len(data) == 7
     assert all(line.endswith(",1") for line in data)
+
+
+def test_validate_failure_exits_one_and_writes_no_sidecar(tmp_path, capsys, monkeypatch):
+    # a wrong flat-model threshold breaks one check; the table still lists every check
+    monkeypatch.setattr(cli, "positivity_time", lambda model, channels: 0.5)
+    out = tmp_path / "o"
+    assert run_cli("validate", "--out", str(out)) == 1
+    assert "validation failed: positivity_time_damping" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "validate.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert {row[0]: row[3] for row in rows} == {
+        "coherent_chord_fft": "1", "grid_round_trip": "1", "damped_coherent_transport": "1",
+        "phi_harmonic_pi": "1", "positivity_time_damping": "0", "lwc_routes_coherent": "1",
+        "husimi_smoothing": "1"}
+    assert not (out / "validate.json").exists()
 
 
 def test_lwc_closed_form_route(tmp_path):

@@ -204,6 +204,19 @@ def test_branches_outside_projection_empty():
     assert len(br) == 0
 
 
+def test_branches_at_the_period_seam_are_found_once():
+    """On a rotated circle, q = q(theta = 0) is crossed at theta = 0 and once
+    more; for some rotations the root solver also returns the theta = 0
+    crossing just below 2 pi, and that duplicate is dropped."""
+    circle = harmonic_circle(0.7, 32)
+    for t in np.linspace(0.05, 3.0, 12):
+        curve = evolve_curve_classically(circle, dy.hamiltonians.harmonic(), [], float(t))
+        br = branches_at(curve, curve.points[0, 1])
+        assert len(br) == 2, t
+        gap = abs(br.theta[1] - br.theta[0])
+        assert min(gap, 2.0 * math.pi - gap) > 1e-3, t
+
+
 def test_degenerate_parametrization_raises():
     # a curve collapsed to the origin (e.g. by long damping) has no branch
     # structure left; x'(theta) sits at round-off scale

@@ -149,7 +149,8 @@ def test_separable_families_match_their_written_out_derivatives():
 
 @pytest.mark.parametrize("mass", [0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_free_rejects_a_zero_or_non_finite_mass(mass):
-    with pytest.raises(ValueError, match="mass must be finite and nonzero"):
+    # the zero test is free's own; the finite one is every model's parameter check
+    with pytest.raises(ValueError, match="mass must be (nonzero|finite)"):
         dy.hamiltonians.free(mass)
 
 
@@ -208,6 +209,20 @@ def test_advect_reverses():
 def test_advect_zero_time_is_identity():
     x0 = np.array([[0.1, 0.2]])
     assert np.array_equal(dy.advect(dy.hamiltonians.harmonic(), None, x0, 0.0, 1e-3), x0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", ["harmonic", "quartic"])
+def test_advect_rejects_a_non_finite_time(family, t):
+    """Before, each model kind failed with an unrelated error: an overflowing
+    centre map, a nan or infinite step count."""
+    from chordlab.curves import evolve_curve_classically, harmonic_circle
+
+    H = dy.hamiltonians.registry[family]()
+    with pytest.raises(ValueError, match="t must be finite, got"):
+        dy.advect(H, None, np.array([[0.1, 0.2]]), t, 1e-2)
+    with pytest.raises(ValueError, match="t must be finite, got"):
+        evolve_curve_classically(harmonic_circle(0.5, 16), H, [Q_CHANNEL], t)
 
 
 def test_diverging_flow_raises_once_without_numpy_warnings():

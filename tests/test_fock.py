@@ -532,6 +532,26 @@ def test_lindblad_evolve_rejects_a_non_hermitian_hamiltonian():
             fock._check_hermitian(hamiltonian_matrix(model, d, HBAR), "h_mat")
 
 
+def test_lindblad_evolve_warns_of_trace_drift():
+    """The generator conserves the trace, so a drift is rounding; the check is
+    absolute, and a state of trace 1e12 (three coupled levels, one decay)
+    loses more than 1e-8 of it where the normalized state loses none."""
+    dim = 10
+    h_mat = np.zeros((dim, dim))
+    h_mat[0, 1] = h_mat[1, 0] = 1.0
+    h_mat[1, 2] = h_mat[2, 1] = 0.7
+    decay = np.zeros((dim, dim))
+    decay[0, 1] = 0.3
+    for scale in (1.0, 1e12):
+        rho0 = np.zeros((dim, dim))
+        rho0[1, 1] = scale
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = lindblad_evolve(rho0, h_mat, [decay], 1.0, 0.05, 1e-2)
+        assert len(caught) == len(out.warnings) == (scale > 1.0)
+        assert all("trace drifted by" in msg for msg in out.warnings)
+
+
 def _random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

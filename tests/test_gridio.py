@@ -28,6 +28,16 @@ def test_csv_round_trip_is_bit_exact(tmp_path, complex_data):
     assert bgrid.hbar == grid.hbar
 
 
+def test_load_skips_blank_lines(tmp_path):
+    vals, grid = _sample_field(True)
+    path = tmp_path / "field.csv"
+    save_grid_csv(path, vals, grid, "chord")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "   "] + lines[3:20] + [""] + lines[20:]) + "\n\n")
+    back, bgrid, kind = load_grid_csv(path)
+    assert kind == "chord" and bgrid == grid and np.array_equal(back, vals)
+
+
 def test_unknown_kind_rejected(tmp_path):
     vals, grid = _sample_field(False)
     with pytest.raises(ValueError):
