@@ -10,17 +10,21 @@ exact position slices, chord functions and Wigner functions.  The evolution
 runs in real arithmetic on a packed state, d^2 reals triu(Re rho) +
 tril(Im rho, -1) with the populations on the diagonal, under the real sparse
 generator the Liouvillian becomes on Hermitian matrices; the evolved rho is
-Hermitian by construction.
+Hermitian by construction.  Only the blocks of that generator the initial
+state reaches are evolved (half the space for a number or cat state), and
+the partial sum's largest entry is read only when a running bound lets a
+Taylor round stop; neither changes a bit of the result.
 
 The readouts (position slices, chi and W) are one bilinear form in the
 two-mode oscillator basis rotated by 45 degrees, ``_hermite_form``: real GEMMs
 on Hermite tables at the requested points, with no quadrature nodes and no
-FFT; each readout names only its points and turns.  The displacement-matrix
-trace stays as the point-by-point reference for chi.
+FFT; each readout names only its points and turns, and a square grid builds
+one Hermite table for both axes.  The displacement-matrix trace stays as the
+point-by-point reference for chi.
 
 Truncation is monitored rather than hidden: populations leaking into the
-top decile of the basis raise TruncationLeakError with advice to enlarge
-the space.
+top decile of the basis (relative to the initial trace) raise
+TruncationLeakError with advice to enlarge the space.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
@@ -232,9 +237,11 @@ def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
 
 
 def _check_hermitian(mat, name: str) -> None:
-    """ValueError naming ``name`` unless mat - mat+ is at most 1e-12 of mat's
-    largest entry."""
+    """ValueError naming ``name`` unless mat is finite and mat - mat+ is at
+    most 1e-12 of mat's largest entry."""
     mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} has non-finite entries")
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > 1e-12 * float(np.max(np.abs(mat))):
         raise ValueError(f"{name} is not Hermitian (max |{name} - {name}+| = {herm:.2e})")
@@ -316,21 +323,36 @@ def _packed_generator(step) -> sparse.csr_array:
     return out
 
 
+def _reached(step, x) -> np.ndarray:
+    """Sorted indices of the weakly connected components of the generator
+    ``step``'s graph that hold an exactly nonzero entry of x: the only entries
+    exp(step) x can reach.  Every built-in model and linear channel keeps the
+    parity of m + n, so a number or cat state reaches half of the space."""
+    _, labels = connected_components(step, connection="weak")
+    return np.flatnonzero(np.isin(labels, labels[x != 0]))
+
+
 def _taylor_action(step, vec, m_star: int, s: int) -> np.ndarray:
     """exp(step) vec as s rounds of the degree-m* Taylor series of exp(step/s),
     each round cut short once two consecutive terms sum below 2^-53 of the
     partial sum's largest entry (Al-Mohy & Higham 2011, Algorithm 3.2, with no
-    trace shift)."""
+    trace shift).
+
+    That entry is read only when the bound ``top`` on it lets the round stop,
+    so each round stops at the same term: ``top`` is the round's first largest
+    entry plus every term's, summed in floating point, and rounding is
+    monotone, so it bounds each entry of the rounded partial sum."""
     f = vec
     for _ in range(s):
         b = f
-        c1 = np.abs(b).max()
+        c1 = top = np.abs(b).max()
         for j in range(m_star):
             b = step @ b
             b *= 1.0 / (s * (j + 1))
             c2 = np.abs(b).max()
             f = f + b
-            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+            top += c2
+            if c1 + c2 <= _TAYLOR_TOL * top and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
                 break
             c1 = c2
     return f
@@ -343,13 +365,19 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
         drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2),
 
     by the action of the sparse Liouvillian's exponential over equal segments
-    of at most 25 dt.  Population reaching the top decile of the basis after a
-    segment raises TruncationLeakError; trace drift beyond 1e-8 reports a
-    ConvergenceWarning.
+    of at most 25 dt.  Population above 1e-6 of the initial trace reaching the
+    top decile of the basis after a segment raises TruncationLeakError; trace
+    drift beyond 1e-8 of the initial trace reports a ConvergenceWarning.
 
     The state is packed as d^2 reals (``_pack``) and evolved by the real
     generator (``_packed_generator``), the same map on Hermitian matrices; the
-    returned rho is unpacked from them, Hermitian bit for bit.  Each segment is
+    returned rho is unpacked from them, Hermitian bit for bit.  Only the
+    weakly connected components of the generator's graph that hold an exactly
+    nonzero packed entry of rho0 (``_reached``) are evolved, on the generator
+    restricted to them: the rest stays exactly zero, and each kept row sums the
+    same entries in the same order, so the result is the full evolution's bit
+    for bit.  A number or cat state under a parity-keeping model and channels
+    evolves on half the space; a coherent state on all of it.  Each segment is
     s rounds of a truncated Taylor series (``_taylor_action``).  Every segment
     has the same generator, so its degree m* and scaling s are chosen once per
     evolution, from the complex segment generator's exact 1-norm and the
@@ -363,9 +391,9 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     applied: it would cost the state's trace an order of magnitude in rounding.
 
     t must be finite and nonnegative, dt and hbar finite and positive, rho0
-    Hermitian (with a FockDensityMatrix's hbar equal to ``hbar``), h_mat
-    Hermitian, and h_mat and every L the shape of rho0; anything else raises
-    ValueError.
+    finite and Hermitian with a positive trace (and, for a FockDensityMatrix,
+    hbar equal to ``hbar``), h_mat finite and Hermitian, and h_mat and every L
+    the shape of rho0; anything else raises ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
@@ -380,26 +408,34 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
     _check_hermitian(rho, "rho0")
     _check_hermitian(h_mat, "h_mat")
+    x = _pack(rho)
+    with np.errstate(over="ignore"):  # an overflowing trace is rejected next
+        tr0 = float(np.sum(x[::dim + 1]))
+    if not (math.isfinite(tr0) and tr0 > 0.0):
+        raise ValueError(f"rho0 must have a finite positive trace, got {tr0!r}")
     segments = max(1, int(math.ceil(t / (_CHECK_EVERY * dt))))
     step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
     m_star, s = _taylor_plan(step)
     step = _packed_generator(step)
-    x = _pack(rho)
-    tr0 = float(np.sum(x[::dim + 1]))
+    live = _reached(step, x)
+    if live.size < x.size:
+        step = step[live][:, live]
+    else:
+        live = slice(None)
     for _ in range(segments):
-        x = _taylor_action(step, x, m_star, s)
+        x[live] = _taylor_action(step, x[live], m_star, s)
         leak = _top_decile(x[::dim + 1])
-        if leak > _LEAK_TOL:
+        if leak > _LEAK_TOL * tr0:
             raise TruncationLeakError(
-                f"population {leak:.2e} reached the top decile of a dim-{dim} "
+                f"population {leak / tr0:.2e} reached the top decile of a dim-{dim} "
                 "basis; increase dim", dim)
     notes: list = []
-    drift = abs(float(np.sum(x[::dim + 1])) - tr0)
+    drift = abs(float(np.sum(x[::dim + 1])) - tr0) / tr0
     if drift > _TRACE_TOL:
         diagnostics.report(
-            notes, f"trace drifted by {drift:.2e} during evolution (the generator "
-            "conserves it: rounding); check H and the channels for huge entries",
-            diagnostics.ConvergenceWarning)
+            notes, f"trace drifted by {drift:.2e} of its initial value during evolution "
+            "(the generator conserves it: rounding); check H and the channels for huge "
+            "entries", diagnostics.ConvergenceWarning)
     return FockDensityMatrix(_unpack(x, dim), float(hbar), notes)
 
 
@@ -545,13 +581,22 @@ def _hermite_form(rho, u, v, turns, outer=True, v_rows=False, hbar=None) -> np.n
     imaginary parts are real GEMMs, the column side contracted first: with
     ``outer`` u and v are axes and the form is indexed [u, v] ([v, u] with
     ``v_rows``); otherwise they are paired points, one contraction each.
-    rho must be a Hermitian FockDensityMatrix, with the ``hbar`` given, if
-    any; anything else raises ValueError.
+    Where v equals u, or -u, psi(v) is psi(u), or psi(u) with its odd orders
+    negated (bit for bit what ``hermite_functions`` gives at -u), so a square
+    grid builds one table.  rho must be a Hermitian FockDensityMatrix, with
+    the ``hbar`` given, if any; anything else raises ValueError.
     """
     mat, hb = _state(rho, hbar)
     g = _rotated(mat)
     parts = g * _phases(g.shape[0], turns)
-    psi_u, psi_v = (hermite_functions(g.shape[0] - 1, x, hb) for x in (u, v))
+    psi_u = hermite_functions(g.shape[0] - 1, u, hb)
+    if np.array_equal(v, u):
+        psi_v = psi_u
+    elif np.array_equal(v, -u):
+        psi_v = psi_u.copy()
+        psi_v[1::2] *= -1.0
+    else:
+        psi_v = hermite_functions(g.shape[0] - 1, v, hb)
     if v_rows:
         parts, psi_u, psi_v = parts.transpose(0, 2, 1), psi_v, psi_u
     cols = parts @ psi_v

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -421,19 +422,31 @@ def _per_segment_reference(rho0, h, l_ops, t, dt):
     return 0.5 * (rho + rho.conj().T)
 
 
+def _h_of(model, q_shift=0.0):
+    """H(dim) of ``model``, plus q_shift q (which breaks the parity of m + n)."""
+    return lambda dim: hamiltonian_matrix(model, dim, HBAR) + q_shift * q_operator(dim, HBAR)
+
+
 @pytest.mark.parametrize("channels", [(Q_MEASURE,), (DAMPING,), (Q_MEASURE, DAMPING)],
                          ids=["q", "damping", "both"])
-@pytest.mark.parametrize("model, dim", [
-    (hamiltonians.harmonic(), 24), (hamiltonians.harmonic(), 64),
-    (hamiltonians.quartic(1.0, 1.0), 48), (hamiltonians.quartic(1.0, 1.0), 120),
-    (hamiltonians.pendulum(1.0), 32), (hamiltonians.pendulum(1.0), 80),
+@pytest.mark.parametrize("h_of, dim, build", [
+    (_h_of(hamiltonians.harmonic()), 24, cat_density_matrix),
+    (_h_of(hamiltonians.harmonic()), 64, cat_density_matrix),
+    (_h_of(hamiltonians.quartic(1.0, 1.0)), 48, cat_density_matrix),
+    (_h_of(hamiltonians.quartic(1.0, 1.0)), 120, cat_density_matrix),
+    (_h_of(hamiltonians.pendulum(1.0)), 32, cat_density_matrix),
+    (_h_of(hamiltonians.pendulum(1.0)), 80, cat_density_matrix),
+    (_h_of(hamiltonians.harmonic()), 48, coherent_density_matrix),
+    (_h_of(hamiltonians.harmonic(), 0.3), 48, cat_density_matrix),
 ], ids=["harmonic-24", "harmonic-64", "quartic-48", "quartic-120", "pendulum-32",
-        "pendulum-80"])
-def test_taylor_loop_matches_per_segment_expm_multiply(model, dim, channels):
+        "pendulum-80", "coherent-harmonic-48", "harmonic-plus-q-48"])
+def test_taylor_loop_matches_per_segment_expm_multiply(h_of, dim, build, channels):
     """Segment 1-norms here satisfy condition 3.13, where the loop's (m*, s) is
-    scipy's choice: the same terms in the same order."""
-    rho0 = cat_density_matrix((0.25, 0.3), HBAR, dim)
-    h = hamiltonian_matrix(model, dim, HBAR)
+    scipy's choice: the same terms in the same order.  A cat state under a
+    parity-keeping model evolves on its parity block only; a coherent state,
+    or a cat under harmonic + 0.3 q, on the whole space."""
+    rho0 = build((0.25, 0.3), HBAR, dim)
+    h = h_of(dim)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
     got = lindblad_evolve(rho0, h, l_ops, 0.1, HBAR, dt=1e-3).rho
     want = _per_segment_reference(rho0, h, l_ops, 0.1, 1e-3)
@@ -532,24 +545,137 @@ def test_lindblad_evolve_rejects_a_non_hermitian_hamiltonian():
             fock._check_hermitian(hamiltonian_matrix(model, d, HBAR), "h_mat")
 
 
-def test_lindblad_evolve_warns_of_trace_drift():
-    """The generator conserves the trace, so a drift is rounding; the check is
-    absolute, and a state of trace 1e12 (three coupled levels, one decay)
-    loses more than 1e-8 of it where the normalized state loses none."""
-    dim = 10
+def _three_levels(dim=10):
+    """H coupling levels 0, 1 and 2 of a dim-level space, and one decay 1 -> 0."""
     h_mat = np.zeros((dim, dim))
     h_mat[0, 1] = h_mat[1, 0] = 1.0
     h_mat[1, 2] = h_mat[2, 1] = 0.7
     decay = np.zeros((dim, dim))
     decay[0, 1] = 0.3
-    for scale in (1.0, 1e12):
-        rho0 = np.zeros((dim, dim))
+    return h_mat, [decay]
+
+
+def test_lindblad_evolve_warns_of_trace_drift(monkeypatch):
+    """The generator conserves the trace, so a drift is rounding, and the check
+    is relative to the initial trace: three coupled levels with one decay warn
+    at no scale (before, at trace 1e12 the absolute check warned of a drift of
+    rounding).  A generator that loses 1e-6 of the trace per unit time warns
+    at every scale."""
+    h_mat, l_ops = _three_levels()
+
+    def evolve(scale):
+        rho0 = np.zeros((10, 10))
         rho0[1, 1] = scale
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = lindblad_evolve(rho0, h_mat, [decay], 1.0, 0.05, 1e-2)
-        assert len(caught) == len(out.warnings) == (scale > 1.0)
-        assert all("trace drifted by" in msg for msg in out.warnings)
+            out = lindblad_evolve(rho0, h_mat, l_ops, 1.0, 0.05, 1e-2)
+        assert len(caught) == len(out.warnings)
+        return out.warnings
+
+    scales = (1e-9, 1.0, 1e9, 1e12)
+    assert all(evolve(scale) == [] for scale in scales)
+    liouvillian = fock._liouvillian
+    monkeypatch.setattr(fock, "_liouvillian", lambda h, l, hbar: liouvillian(h, l, hbar)
+                        - 1e-6 * sparse.eye_array(h.shape[0] ** 2, format="csr"))
+    for scale in scales:
+        notes = evolve(scale)
+        assert len(notes) == 1
+        assert notes[0].startswith("trace drifted by 1.00e-06 of its initial value")
+
+
+def test_leak_check_is_relative_to_the_initial_trace():
+    """The pumped vacuum at dim 16 leaks at every scale of its trace, and the
+    error reports the same fraction; before, at trace 1e-9 it passed silently
+    with 0.90 of its population in the top decile."""
+    dim = 16
+    h = hamiltonian_matrix(hamiltonians.zero(), dim, HBAR)
+    l_ops = [build_linear_lindblad(PUMP, HBAR, dim)]
+    vacuum = coherent_density_matrix((0.0, 0.0), HBAR, dim).rho
+    with pytest.raises(TruncationLeakError) as err:
+        lindblad_evolve(vacuum, h, l_ops, 2.5, HBAR)
+    message = str(err.value)
+    for scale in (1e-9, 1e9):
+        with pytest.raises(TruncationLeakError) as err:
+            lindblad_evolve(scale * vacuum, h, l_ops, 2.5, HBAR)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 1e308], ids=["zero", "negative", "overflow"])
+def test_lindblad_evolve_rejects_a_trace_that_is_not_finite_and_positive(scale):
+    """The leak and drift checks are relative to the initial trace, so a state
+    without a finite positive one has no scale to check against.  Before, a
+    zero rho0 came back as zeros."""
+    rho0 = np.zeros((8, 8))
+    rho0[2, 2] = rho0[3, 3] = scale
+    with pytest.raises(ValueError, match="rho0 must have a finite positive trace"):
+        lindblad_evolve(rho0, hamiltonian_matrix(hamiltonians.harmonic(), 8, HBAR), [], 0.1, HBAR)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_states_are_rejected(bad):
+    """Before, a nan population evolved to a nan rho with no warning, and the
+    readouts read it."""
+    rho = fock_density_matrix(1, HBAR, 8).rho.copy()
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="rho0 has non-finite entries"):
+        lindblad_evolve(rho, hamiltonian_matrix(hamiltonians.harmonic(), 8, HBAR), [], 0.1, HBAR)
+    with pytest.raises(ValueError, match="rho has non-finite entries"):
+        wigner_exact(FockDensityMatrix(rho, HBAR), CenteredGrid(1.0, 1.0, 8, HBAR))
+
+
+def _full_space_evolution(rho0, h, l_ops, t, hbar, dt):
+    """The evolution as ``_taylor_action`` on the whole packed space, segment
+    by segment, with lindblad_evolve's plan."""
+    rho0 = np.asarray(getattr(rho0, "rho", rho0), dtype=complex)
+    segments = max(1, math.ceil(t / (25 * dt)))
+    step = fock._liouvillian(h, l_ops, hbar) * (t / segments)
+    m_star, s = fock._taylor_plan(step)
+    real = fock._packed_generator(step)
+    x = fock._pack(rho0)
+    for _ in range(segments):
+        x = fock._taylor_action(real, x, m_star, s)
+    return fock._unpack(x, len(rho0))
+
+
+def _three_level_case():
+    h_mat, l_ops = _three_levels()
+    rho0 = np.zeros((10, 10))
+    rho0[1, 1] = 1.0
+    return rho0, h_mat, l_ops, 1.0, 0.05, 1e-2
+
+
+@pytest.mark.parametrize("case, restricted", [
+    (lambda: (fock_density_matrix(3, HBAR, 48), hamiltonian_matrix(hamiltonians.harmonic(), 48, HBAR),
+              [build_linear_lindblad(Q_MEASURE, HBAR, 48)], 1.2, HBAR, 4e-3), True),
+    (lambda: (cat_density_matrix((0.3, -0.2), HBAR, 40),
+              hamiltonian_matrix(hamiltonians.quartic(1.0, 1.0), 40, HBAR),
+              [build_linear_lindblad(ch, HBAR, 40) for ch in (Q_MEASURE, DAMPING)], 0.3, HBAR,
+              4e-3), True),
+    (_three_level_case, True),
+    (lambda: (coherent_density_matrix((0.3, -0.2), HBAR, 40),
+              hamiltonian_matrix(hamiltonians.harmonic(), 40, HBAR),
+              [build_linear_lindblad(Q_MEASURE, HBAR, 40)], 0.3, HBAR, 4e-3), False),
+], ids=["number", "cat", "three-level", "coherent"])
+def test_block_evolution_equals_the_full_space_loop_bit_for_bit(monkeypatch, case, restricted):
+    """Entries outside the components rho0 reaches stay exactly zero, and each
+    row of the restricted generator sums the same products in the same order,
+    so evolving the block alone gives the full loop's rho bit for bit.  A
+    number or cat state reaches half of the space, the three-level state its
+    levels' block; a coherent state reaches all of it."""
+    rho0, h, l_ops, t, hbar, dt = case()
+    want = _full_space_evolution(rho0, h, l_ops, t, hbar, dt)
+    sizes = []
+    taylor_action = fock._taylor_action
+
+    def spy(step, vec, m_star, s):
+        sizes.append(vec.size)
+        return taylor_action(step, vec, m_star, s)
+
+    monkeypatch.setattr(fock, "_taylor_action", spy)
+    got = lindblad_evolve(rho0, h, l_ops, t, hbar, dt).rho
+    assert np.array_equal(got, want)
+    full = len(want) ** 2
+    assert sizes and all(size < full if restricted else size == full for size in sizes)
 
 
 def _random_hermitian(dim, seed):
@@ -761,3 +887,76 @@ def test_readout_symmetries_hold_bit_for_bit():
     assert np.isrealobj(wigner_exact(rho, grid))
     chi = chord_function_grid(rho, grid)
     assert np.array_equal(chi[1:, 1:], np.conj(chi[:0:-1, :0:-1]))
+
+
+def _two_table_form(rho, u, v, turns, v_rows=False):
+    """``_hermite_form`` with a Hermite table built for each axis."""
+    g = fock._rotated(rho.rho)
+    parts = g * fock._phases(g.shape[0], turns)
+    psi_u, psi_v = (hermite_functions(g.shape[0] - 1, x, rho.hbar) for x in (u, v))
+    if v_rows:
+        parts, psi_u, psi_v = parts.transpose(0, 2, 1), psi_v, psi_u
+    out = psi_u.T @ (parts @ psi_v)
+    return out[0] if len(out) == 1 else out[0] + 1j * out[1]
+
+
+def test_square_grids_build_one_hermite_table(monkeypatch):
+    """W reads both axes at the same points on a square grid, and chi at
+    opposite ones, where psi_l(-x) is (-1)^l psi_l(x) bit for bit: one table
+    serves both and the readouts equal the two-table form exactly.  A grid
+    that is not square still builds two."""
+    rho = FockDensityMatrix(_random_hermitian(12, 5), HBAR)
+    calls = []
+    monkeypatch.setattr(fock, "hermite_functions",
+                        lambda *args: calls.append(1) or hermite_functions(*args))
+    root = math.sqrt(2.0)
+    for grid, tables in [(CenteredGrid(2.2, 2.2, 32, HBAR), 1),
+                         (CenteredGrid(2.2, 1.5, 32, HBAR), 2)]:
+        calls.clear()
+        w = wigner_exact(rho, grid)
+        assert len(calls) == tables
+        assert np.array_equal(w, _two_table_form(
+            rho, root * grid.q_axis, root * grid.p_axis, (0, 1), v_rows=True)
+            / math.sqrt(math.pi * HBAR))
+        calls.clear()
+        chi = chord_function_grid(rho, grid)
+        assert len(calls) == tables
+        assert np.array_equal(chi, _two_table_form(
+            rho, grid.p_axis / root, -grid.q_axis / root, (-1, 0))
+            / math.sqrt(4.0 * math.pi * HBAR))
+
+
+def _taylor_action_reading_every_norm(step, vec, m_star, s):
+    """Al-Mohy & Higham's loop as written: the partial sum's largest entry
+    read after every term."""
+    f = vec
+    for _ in range(s):
+        b = f
+        c1 = np.abs(b).max()
+        for j in range(m_star):
+            b = step @ b
+            b *= 1.0 / (s * (j + 1))
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                break
+            c1 = c2
+    return f
+
+
+@pytest.mark.parametrize("build", [fock_density_matrix, coherent_density_matrix, cat_density_matrix])
+@pytest.mark.parametrize("channels", [(Q_MEASURE,), (DAMPING,), (PUMP,)], ids=["q", "damping", "pump"])
+def test_taylor_rounds_stop_at_the_term_the_exact_norm_picks(build, channels):
+    """The running bound only skips reading the partial sum's largest entry
+    where the round could not stop: each round stops at the same term, so
+    the result is bit for bit the loop that reads it after every term."""
+    dim = 32
+    rho0 = build(2 if build is fock_density_matrix else (0.2, -0.3), HBAR, dim)
+    l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
+    step = fock._liouvillian(hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR), l_ops, HBAR)
+    x = fock._pack(rho0.rho)
+    for t in (0.01, 0.3, 1.1):
+        m_star, s = fock._taylor_plan(step * t)
+        real = fock._packed_generator(step * t)
+        want = _taylor_action_reading_every_norm(real, x, m_star, s)
+        assert np.array_equal(fock._taylor_action(real, x, m_star, s), want)
