@@ -1,14 +1,14 @@
 """Container for chord functions chi(xi).
 
-A chord function is carried either as a closed form (a callable broadcasting
-over xi_p, xi_q arrays) or as samples on a centered chord grid.  Sampled
-functions are only ever read at their own grid nodes; no interpolation is
-offered, because chi oscillates on the hbar scale and silent interpolation
-there is a trap.  A plane-wave sum (an evolved chord function, a WKB curve
-state) is built by ``ChordFunction.from_terms``: it keeps its terms, which
-readouts such as ``lwc_from_chord`` integrate in closed form, and its
-callable sums them through ``grids._plane_wave_sum``.  ``_drift`` is the
-sampling check both sums share.
+A chord function has one of two forms.  A plane-wave term sum (a coherent
+state, an evolved chord function, a WKB curve state) is built by
+``ChordFunction.from_terms``: it keeps its terms, which readouts such as
+``lwc_from_chord`` integrate in closed form, and its callable ``fn`` sums
+them through ``grids._plane_wave_sum`` at any chords.  Samples on a centred
+chord grid are built by ``ChordFunction.from_grid`` and only ever read at
+their own grid nodes; no interpolation is offered, because chi oscillates on
+the hbar scale and silent interpolation there is a trap.  ``_drift`` is the
+sampling check the term sums share.
 """
 
 from __future__ import annotations
@@ -45,12 +45,8 @@ class ChordFunction:
     grid: CenteredGrid = None
     warnings: list = field(default_factory=list)
     #: the terms (x_k, w_k, Phi) that ``fn`` sums (see ``from_terms``); None
-    #: for other chord functions
+    #: for a grid
     terms: tuple = None
-
-    @classmethod
-    def from_callable(cls, fn, hbar: float, warnings=()) -> "ChordFunction":
-        return cls(hbar=hbar, fn=fn, warnings=list(warnings))
 
     @classmethod
     def from_terms(cls, points, weights, phi, hbar: float, warnings=()) -> "ChordFunction":
@@ -80,8 +76,14 @@ class ChordFunction:
 
     @property
     def samples(self) -> int | None:
-        """Number of terms in the plane-wave sum (None for other chord functions)."""
+        """Number of terms in the plane-wave sum (None for a grid)."""
         return None if self.terms is None else self.terms[1].size
+
+    def _check_form(self) -> None:
+        """Raise unless this holds terms or a grid, the two forms readouts take."""
+        if self.terms is None and not self.gridded:
+            raise ValueError("a chord function must hold plane-wave terms (from_terms) "
+                             "or grid samples (from_grid)")
 
     def __call__(self, xi_p, xi_q):
         xp = np.asarray(xi_p, dtype=float)
@@ -102,7 +104,7 @@ class ChordFunction:
         return float(np.max(np.abs(alt - ref))) / scale
 
     def sample(self, grid: CenteredGrid) -> "ChordFunction":
-        """Evaluate a closed-form chord function onto a grid."""
+        """Evaluate a term sum onto a grid."""
         if self.fn is None:
             raise ValueError("already gridded")
         if grid.hbar != self.hbar:

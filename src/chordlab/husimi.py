@@ -60,21 +60,20 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
 
 def husimi_fourier(chi: ChordFunction) -> ChordFunction:
     """Chord-space form of the smoothing: F(xi) = exp(-xi^2 / 4 hbar) chi(xi),
-    gridded or callable as chi is.  The result keeps chi's warnings."""
-    def damping(xi_p, xi_q):
-        return np.exp(-(xi_p**2 + xi_q**2) / (4.0 * chi.hbar))
-
-    if chi.gridded:
-        out = ChordFunction.from_grid(chi.values * damping(*chi.grid.meshgrid()), chi.grid)
-        out.warnings = list(chi.warnings)
-        return out
-
-    def damped(xi_p, xi_q):
-        xi_p = np.asarray(xi_p, dtype=float)
-        xi_q = np.asarray(xi_q, dtype=float)
-        return chi(xi_p, xi_q) * damping(xi_p, xi_q)
-
-    return ChordFunction.from_callable(damped, chi.hbar, warnings=chi.warnings)
+    in chi's form.  A term sum keeps its terms with each Phi raised by I/2
+    (Phi = I/2 where chi has none); a grid is damped node by node.  The result
+    keeps chi's warnings."""
+    chi._check_form()
+    if chi.terms is not None:
+        points, weights, phi = chi.terms
+        half = 0.5 * np.eye(2)
+        return ChordFunction.from_terms(points, weights, half if phi is None else phi + half,
+                                        chi.hbar, warnings=chi.warnings)
+    xp, xq = chi.grid.meshgrid()
+    out = ChordFunction.from_grid(chi.values * np.exp(-(xp**2 + xq**2) / (4.0 * chi.hbar)),
+                                  chi.grid)
+    out.warnings = list(chi.warnings)
+    return out
 
 
 def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:

@@ -18,9 +18,10 @@ One branch pass gives every window's lines (a ``BranchLines`` record each: C on
 a xi_q grid, the closed-form spectrum on a p axis) from one evolved curve and
 one anchor pass; a sample keeps its own as ``lines``, needing no second pass.
 
-The chord route integrates a chord function that keeps its plane-wave terms
-in closed form: each term is one line, broadened by its Phi, and term lines
-and branch lines go through one line sum, a call of the plane-wave kernel.
+The chord route integrates a term-sum chord function in closed form: each
+term is one line, broadened by its Phi, and term lines and branch lines go
+through one line sum, a call of the plane-wave kernel.  A chord grid is
+integrated by Simpson along its own xi_p axis.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
@@ -217,19 +218,6 @@ def local_translation_weyl(window: LwcWindow, xi_q, p, q):
                          - (window.Q - q) ** 2 / (2.0 * window.delta**2))
 
 
-def _window_quadrature(xp, h: float, window: LwcWindow, f, notes: list, edge: str):
-    """Int dxi_p f(xi_p, .) exp[i xi_p Q / hbar - Delta^2 xi_p^2 / 2 hbar^2]
-    by Simpson on the uniform nodes xp (rows of f), reporting an integrand
-    not decayed at the first or last node."""
-    hb = window.hbar
-    w = simpson_weights(xp.size, h) * np.exp(
-        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-    if not _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,)):
-        diagnostics.report(notes, f"lwc integrand not decayed at the xi_p {edge}",
-                           diagnostics.TruncationWarning, stacklevel=4)
-    return w @ f
-
-
 def _term_lines(terms, window: LwcWindow):
     """(A_k, p~_k, sigma_k^2): the line of each plane-wave term of a chord
     function under the window's xi_p integral (see ``lwc_from_chord``)."""
@@ -245,29 +233,32 @@ def _term_lines(terms, window: LwcWindow):
 
 
 def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
-                   xi_p_halfwidth: float | None = None,
                    xi_p_points: int = 2049) -> LwcSample:
     """Windowed correlation as a chord-space integral,
 
         C(xi_q) = Int dxi_p chi(xi_p, -xi_q)
                   exp[i xi_p Q / hbar - Delta^2 xi_p^2 / 2 hbar^2].
 
-    A chord function that keeps its plane-wave terms (``chi.terms``: an
-    evolved chord function or a WKB curve state) is integrated exactly, term
-    by term.  With a_k = Phi_pp,k / 2 hbar + Delta^2 / 2 hbar^2 each term is
-    one spectral line A_k N(p~_k, sigma_k^2),
+    A chord function that keeps its plane-wave terms (``chi.terms``: a
+    coherent state, an evolved chord function or a WKB curve state) is
+    integrated exactly, term by term.  With
+    a_k = Phi_pp,k / 2 hbar + Delta^2 / 2 hbar^2 each term is one spectral
+    line A_k N(p~_k, sigma_k^2),
 
         A_k       = w_k (2 pi hbar)^-1 sqrt(pi / a_k) exp[-(Q - q_k)^2 / 4 a_k hbar^2]
         p~_k      = p_k - (Q - q_k) Phi_pq,k / 2 a_k hbar
         sigma_k^2 = hbar Phi_qq,k - Phi_pq,k^2 / 2 a_k      (>= 0 for Phi_k >= 0),
 
-    summed by the branch lines' own line sum; ``xi_p_halfwidth`` and
-    ``xi_p_points`` are unused there.  Grid-backed chord functions are
-    integrated along their own xi_p axis (so each -xi_q must land on a grid
-    node); other callables use composite Simpson on ``xi_p_points`` nodes
-    over +-``xi_p_halfwidth`` (default 9 hbar / Delta), asking for all the
-    columns in one call.
+    summed by the branch lines' own line sum.  A grid-backed chord function
+    is integrated by Simpson along its own xi_p axis (so each -xi_q must land
+    on a grid node), with a TruncationWarning when the integrand has not
+    decayed at the grid edge.  Any other chord function raises ValueError.
+
+    ``xi_p_points`` is ignored: neither form has xi_p nodes to choose.  It is
+    kept because the benchmark's transport workload still passes it and its
+    tracer reads it.
     """
+    chi._check_form()
     hb = window.hbar
     if chi.hbar != hb:
         raise ValueError("window and chord function disagree on hbar")
@@ -277,25 +268,15 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     if chi.terms is not None:
         return LwcSample(xi_q, _line_sum(*_term_lines(chi.terms, window), xi_q, hb),
                          window, notes)
-    if chi.gridded:  # chord grids store (xi_p, xi_q) on the (p, q) axes
-        grid = chi.grid
-        xp, h = grid.p_axis, grid.dp
-        f = chi.values[:, grid._node_index(-xi_q, 1)]
-        edge = "grid edge; widen the chord grid"
-    else:
-        if xi_p_halfwidth is None:
-            xi_p_halfwidth = 9.0 * hb / window.delta
-        if xi_p_points < 3:
-            raise ValueError("xi_p_points must be at least 3")
-        xp = np.linspace(-xi_p_halfwidth, xi_p_halfwidth, xi_p_points)
-        h = xp[1] - xp[0]
-        if h * abs(window.Q) / hb > 0.5 * math.pi:
-            diagnostics.report(notes, "xi_p quadrature undersamples the window phase; "
-                               "raise xi_p_points", diagnostics.ConvergenceWarning)
-        f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
-        edge = "range edge; widen xi_p_halfwidth"
-    vals = _window_quadrature(xp, h, window, f, notes, edge)
-    return LwcSample(xi_q, vals, window, notes)
+    grid = chi.grid  # chord grids store (xi_p, xi_q) on the (p, q) axes
+    xp = grid.p_axis
+    f = chi.values[:, grid._node_index(-xi_q, 1)]
+    w = simpson_weights(xp.size, grid.dp) * np.exp(
+        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
+    if not _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,)):
+        diagnostics.report(notes, "lwc integrand not decayed at the xi_p grid edge; "
+                           "widen the chord grid", diagnostics.TruncationWarning)
+    return LwcSample(xi_q, w @ f, window, notes)
 
 
 def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample:

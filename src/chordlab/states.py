@@ -104,8 +104,8 @@ def coherent_position_slices(state: CoherentState, q, s):
 
 
 def coherent_chord(state: CoherentState) -> ChordFunction:
-    return ChordFunction.from_callable(
-        lambda xp, xq: coherent_chord_function(state, xp, xq), state.hbar)
+    """``coherent_chord_function`` as the one-term sum at eta with weight 1 and Phi = I/2."""
+    return ChordFunction.from_terms([state.eta], [1.0], 0.5 * np.eye(2), state.hbar)
 
 
 def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:

@@ -3,6 +3,8 @@ import pytest
 
 from chordlab.chordfn import ChordFunction
 from chordlab.grids import CenteredGrid
+from chordlab.husimi import husimi_fourier
+from chordlab.lwc import LwcWindow, lwc_from_chord
 from chordlab.states import CoherentState, coherent_chord, coherent_chord_function
 
 HBAR = 0.05
@@ -119,3 +121,13 @@ def test_from_terms_sums_the_terms():
             want += w * np.exp(1j * (p * xq - q * xp) / HBAR - quad / (2.0 * HBAR))
         want /= 2.0 * np.pi * HBAR
         assert np.max(np.abs(chi(xp, xq) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_readouts_refuse_a_chord_function_of_neither_form():
+    """A ChordFunction built around a bare callable holds neither terms nor a
+    grid; the readouts name the two forms instead of failing on chi.grid."""
+    bare = ChordFunction(HBAR, fn=coherent_chord(CoherentState((0.1, 0.2), HBAR)).fn)
+    for readout in (husimi_fourier,
+                    lambda chi: lwc_from_chord(chi, LwcWindow.canonical(0.0, HBAR), [0.0])):
+        with pytest.raises(ValueError, match=r"terms \(from_terms\) or grid samples \(from_grid\)"):
+            readout(bare)

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians, lwc
-from chordlab.chordfn import ChordFunction
 from chordlab.curves import (branches_at, evolve_curve_classically, harmonic_circle,
                              pendulum_level_curve, quartic_level_curve)
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
                            fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
                            position_density_matrix, wigner_exact)
-from chordlab.grids import CenteredGrid, simpson_weights
+from chordlab.grids import CenteredGrid, _edge_decayed, simpson_weights
 from chordlab.lwc import (
     LwcSample,
     _branch_lines,
@@ -41,6 +40,22 @@ from chordlab.states import (
 )
 
 HBAR = 0.05
+
+
+def _simpson_lwc(chi, window, xi_q, points):
+    """The windowed xi_p integral of a callable chi(xi_p, xi_q) by composite
+    Simpson on ``points`` uniform nodes over +-9 hbar / Delta, asking chi for
+    every column in one call: the reference the closed-form term lines and
+    the Fock spectrum are checked with.  The integrand must have decayed to
+    1e-12 of its peak at the range edge."""
+    hb = window.hbar
+    half = 9.0 * hb / window.delta
+    xp = np.linspace(-half, half, points)
+    f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
+    w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
+        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
+    assert _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,))
+    return w @ f
 
 
 def test_window_constructors():
@@ -109,8 +124,8 @@ def test_routes_agree_on_coherent_state():
     want = lwc_coherent_closed_form(state, window, xi_q)
     scale = float(np.max(np.abs(want)))
 
-    from_callable = lwc_from_chord(coherent_chord(state), window, xi_q)
-    assert np.max(np.abs(from_callable.values - want)) < 1e-6 * scale
+    from_terms = lwc_from_chord(coherent_chord(state), window, xi_q)
+    assert np.max(np.abs(from_terms.values - want)) < 1e-6 * scale
 
     gridded = coherent_chord(state).sample(grid)
     from_grid = lwc_from_chord(gridded, window, xi_q)
@@ -214,14 +229,14 @@ def test_sc_lines_converge_to_exact_spectrum_as_hbar_shrinks():
     for hbar, n, dim in ((0.05, 10, 80), (0.025, 20, 152)):
         rho = lindblad_evolve(fock_density_matrix(n, hbar, dim), hamiltonian_matrix(H, dim, hbar),
                               [build_linear_lindblad(weak, hbar, dim)], tp, hbar, dt=1e-2)
-        chi = ChordFunction.from_callable(
-            lambda xp, xq: chord_function_exact(rho, xp, xq, method="position"), hbar)
         window = LwcWindow.canonical(0.0, hbar)
         # the xi_q range grows as sqrt(hbar), like the line widths, so the
         # p spacing stays a fixed fraction (~0.2) of the line width
         half = 4.4 * math.sqrt(hbar / 0.05)
         xi_q = (np.arange(128) - 64) * (2.0 * half / 128)
-        sd = spectrum(lwc_from_chord(chi, window, xi_q, xi_p_points=257))
+        c = _simpson_lwc(lambda xp, xq: chord_function_exact(rho, xp, xq, method="position"),
+                         window, xi_q, 257)
+        sd = spectrum(LwcSample(xi_q, c, window))
         exact = max(fit_peaks(sd.p, sd.values)[:2], key=lambda pk: pk.position)
         lines = sc_spectrum_closed_form(harmonic_circle((n + 0.5) * hbar, 1024), H, [weak], tp,
                                         window, sd.p)
@@ -482,15 +497,6 @@ def test_lwc_from_chord_validation_and_warnings():
     fn = coherent_chord(state)
     with pytest.raises(ValueError):
         lwc_from_chord(fn, LwcWindow.canonical(0.0, 2 * HBAR), [0.0])
-    with pytest.raises(ValueError):
-        lwc_from_chord(fn, window, [0.0], xi_p_points=2)
-    # truncated xi_p range leaves live integrand at the edge
-    with pytest.warns(TruncationWarning):
-        sample = lwc_from_chord(fn, window, [0.0], xi_p_halfwidth=0.3)
-    assert any("widen" in msg for msg in sample.warnings)
-    # too few nodes for the window phase at large Q
-    with pytest.warns(ConvergenceWarning):
-        lwc_from_chord(fn, LwcWindow.canonical(3.0, HBAR), [0.0], xi_p_points=9)
 
     grid = CenteredGrid(0.5, 0.5, 64, HBAR)
     cramped = coherent_chord(state).sample(grid)
@@ -672,28 +678,20 @@ def test_curve_warnings_reach_the_sample():
 
 
 def test_chord_function_warnings_reach_the_lwc_sample():
-    """lwc_from_chord starts from a copy of chi's warnings, for a term-sum chi,
-    an opaque callable of the same chi and its grid sample; the Simpson route
-    appends its own after them.  The term route has no xi_p range, so a
-    narrow one changes nothing there."""
+    """lwc_from_chord starts from a copy of chi's warnings, for a term-sum chi
+    and its grid sample; the grid route appends its own after them."""
     channels = [dynamics.LindbladChannel((0.0, 1.0))]
     with pytest.warns(ConvergenceWarning, match="sample count moves chi by 3.0"):
         chi = dynamics.evolve_chord_function(harmonic_circle(0.5, 16), hamiltonians.harmonic(),
                                              channels, 0.3, hbar=HBAR)
     assert len(chi.warnings) == 1
-    opaque = ChordFunction.from_callable(lambda xp, xq: chi(xp, xq), HBAR, warnings=chi.warnings)
     window = LwcWindow.canonical(0.2, HBAR)
-    for source in (chi, opaque, chi.sample(CenteredGrid(3.0, 3.0, 64, HBAR))):
+    for source in (chi, chi.sample(CenteredGrid(3.0, 3.0, 64, HBAR))):
         assert lwc_from_chord(source, window, [0.0]).warnings == chi.warnings
     with pytest.warns(TruncationWarning, match="widen"):
-        sample = lwc_from_chord(opaque, window, [0.0], xi_p_halfwidth=0.3)
+        sample = lwc_from_chord(chi.sample(CenteredGrid(0.3, 0.3, 16, HBAR)), window, [0.0])
     assert sample.warnings[:1] == chi.warnings and len(sample.warnings) == 2
     assert len(chi.warnings) == 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        narrow = lwc_from_chord(chi, window, [0.0], xi_p_halfwidth=0.3)
-    assert narrow.warnings == chi.warnings
-    assert np.array_equal(narrow.values, lwc_from_chord(chi, window, [0.0]).values)
 
 
 def _term_sources():
@@ -716,19 +714,18 @@ def _term_sources():
 
 def test_term_route_matches_simpson_on_every_transport_source():
     """A term sum integrates exactly, one Gaussian line per term.  It matches
-    the Simpson route of an opaque callable of the same chi at 4,097 nodes
-    (measured 1.3e-13 of max, which is Simpson's own change from 1,025 to
-    4,097 nodes), and every line variance is nonnegative."""
+    Simpson on chi at 4,097 nodes (measured 1.3e-13 of max, which is
+    Simpson's own change from 1,025 to 4,097 nodes), and every line variance
+    is nonnegative."""
     xi_q = 0.04 * (np.arange(8) - 4)
     for chi in _term_sources():
         assert chi.warnings == []
-        opaque = ChordFunction.from_callable(lambda xp, xq, chi=chi: chi(xp, xq), HBAR)
         for Q in (0.0, 0.3, -0.3):
             window = LwcWindow.canonical(Q, HBAR)
             got = lwc_from_chord(chi, window, xi_q)
-            want = lwc_from_chord(opaque, window, xi_q, xi_p_points=4097)
-            assert got.warnings == [] and want.warnings == []
-            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+            want = _simpson_lwc(chi, window, xi_q, 4097)
+            assert got.warnings == []
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.all(lwc._term_lines(chi.terms, window)[2] >= 0.0)
 
 
@@ -809,9 +806,10 @@ def test_line_sum_matches_the_line_by_line_sum():
 
 
 def test_lwc_from_callable_chord_memory_is_bounded():
-    """All columns go to chi in one call, and the per-sample sum behind a
-    non-quadratic evolved chi is built in bounded blocks.  One complex table
-    of the whole 320-sample x 1025-node x 8-column sum would alone be 42 MB."""
+    """The term route of a non-quadratic evolved chi (one Phi per sample)
+    works in bounded memory and gives each column's Simpson integral over
+    1,025 xi_p nodes.  One complex table of the whole 320-sample x 1025-node
+    x 8-column sum would alone be 42 MB."""
     curve = quartic_level_curve(0.3, samples=320)
     chi = dynamics.evolve_chord_function(curve, hamiltonians.quartic(),
                                          [dynamics.LindbladChannel((0.0, 1.0))], 0.1, hbar=HBAR)

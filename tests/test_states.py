@@ -180,6 +180,7 @@ def test_coherent_chord_container():
     state = CoherentState((0.1, 0.1), HBAR)
     fn = coherent_chord(state)
     assert fn.hbar == HBAR
+    assert fn.samples == 1
     assert np.isclose(fn(0.0, 0.0), 1.0 / (2.0 * math.pi * HBAR))
 
 
