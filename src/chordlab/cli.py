@@ -4,9 +4,11 @@
     chordlab --schema
 
 Each experiment reads a flat key = value config, writes its CSV tables with
-``gridio.write_table`` (header lines, ``# columns``, %.17g rows) and a JSON
-sidecar with the echoed config, derived quantities, and each warning raised
-during the run, once, in the order raised.  Identical configs reproduce
+``gridio.write_table`` (header lines, ``# columns``, then rows in which
+every number is its ``'%.17g' %`` text, computed a block of cells at a time
+by gridio's numpy kernel) and a JSON sidecar with the echoed config, derived
+quantities, and each warning raised during the run, once, in the order
+raised.  Identical configs reproduce
 byte-identical files at a fixed BLAS thread count (a threaded BLAS may sum in
 another order).  A config key is valid when the run reads it: once the
 experiment returns, the first entry no code path of the run read is a config

@@ -1,15 +1,35 @@
 """CSV tables: ``# key = value`` header lines, a ``# columns = ...`` line,
-then one comma-separated row per sample, every float written with %.17g so a
-write/read cycle is bit-exact.  ``write_table`` writes every table chordlab
-writes; its rows are a number array, an object array whose ``str`` cells are
-written as they are, or tuples.  Gridded fields (Wigner, chord, Husimi) put
-their grid in the header and only their values in the rows, one row per grid
-point in ``[p, q]`` row-major order (row ``i * points + j`` holds
-``values[i, j]``); ``load_grid_csv`` checks the header, the columns and the
-row and cell counts.
+then one comma-separated row per sample, every number written as
+``'%.17g' % value`` so a write/read cycle is bit-exact.  ``write_table``
+writes every table chordlab writes; its rows are a number array, an object
+array whose ``str`` cells are written as they are, or tuples.  Gridded
+fields (Wigner, chord, Husimi) put their grid in the header and only their
+values in the rows, one row per grid point in ``[p, q]`` row-major order
+(row ``i * points + j`` holds ``values[i, j]``); ``load_grid_csv`` checks the
+header, the columns and the row and cell counts.
+
+Numbers are formatted by one numpy kernel, ``_format``, a whole array at a
+time instead of one CPython format call per cell.  For each cell it takes
+the decade ``k = floor(log10|x|)``, forms ``|x| 10**(16 - k)`` as a
+double-double product with a table of double-double powers of ten (Dekker,
+Numer. Math. 18, 224, 1971), settles the decade on that exact sum and rounds
+it half-even to the 17 significant digits.  It then lays the ``%g`` text
+(fixed form for ``-4 <= k < 17``, otherwise ``d.ddde+XX``, trailing zeros
+trimmed) out in a fixed-width byte slot per cell and keeps the slot's bytes
+that belong to the text with one ``np.compress``.  The cells it cannot
+decide go to ``'%.17g' %`` itself: +-0, nan, +-inf, ``|x|`` outside
+``[1e-250, 1e250]``, and any cell within 1e-6 units of its 17th digit of a
+rounding tie.  So the bytes are those of ``'%.17g' %`` for every cell.  The
+tables are built on the first write, and a table's rows go through the
+kernel in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in
+turn, so the memory a write takes does not grow with the table.
 """
 
 from __future__ import annotations
+
+import functools
+import numbers
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,27 +47,223 @@ SCHEMA_VERSION = 2
 _KINDS = ("centre", "chord", "husimi")
 _COLUMNS = {False: ["value"], True: ["re", "im"]}
 
+_BLOCK_CELLS = 1 << 13  # cells per kernel call: about 3.5 MB of work arrays
 
-def _spec(cell) -> str:
-    return "%s" if isinstance(cell, str) else "%.17g"
+# A cell's slot, in output order (the kernel keeps some of its bytes):
+#   0      the separator before the cell: ',' or, in column 0, the '\n' ending the row above
+#   1      '-'
+#   2      the '0' of 0.000ddd
+#   3-19   the 17 digits, read as the integer part (d.ddd or ddd.d)
+#   20     '.'
+#   21-23  the zeros of 0.000ddd
+#   27-43  the 17 digits again, read as the fraction
+#   44     'e'
+#   48-51  the exponent's sign and digits, '+05 ' or '-123'
+# Bytes 24-26 and 45-47 are never kept; they align the digits and the
+# exponent to 4-byte words, which the kernel writes whole.
+_SLOT = 52
+_SLOT_ROW = b",-00" + b"0" * 16 + b".000" + b"   " + b"0" * 17 + b"e   +000"
+_FORMS = np.r_[np.arange(-4, 17), 17, 100]  # fixed at decade -4..16, then d.ddde+XX, d.ddde+XXX
+_P_MIN, _P_MAX = -236, 268  # every power 16 - k the kernel asks for, with a decade to spare
+
+
+def _keep_rows(k, nd, neg) -> np.ndarray:
+    """The slot bytes a cell's text keeps, given its decade ``k`` (a ``_FORMS``
+    entry stands for every decade of its form), its ``nd`` significant digits
+    and its sign ``neg``."""
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)
+    whole = np.where(small, 0, np.where(fixed, k + 1, 1))  # digits before the '.'
+    j = np.arange(17)
+    keep = np.zeros((k.size, _SLOT), bool)
+    keep[:, 0] = True
+    keep[:, 1] = neg
+    keep[:, 2] = small
+    keep[:, 3:20] = j < whole[:, None]
+    keep[:, 20] = small | (nd > whole)
+    keep[:, 21:24] = np.arange(3) < np.where(small, -k - 1, 0)[:, None]
+    keep[:, 27:44] = (j >= whole[:, None]) & (j < nd[:, None])
+    keep[:, 44] = keep[:, 48] = keep[:, 49] = keep[:, 50] = ~fixed
+    keep[:, 51] = ~fixed & (np.abs(k) >= 100)
+    return keep
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The kernel's lookup tables, built on first use."""
+    pow_hi, pow_lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):  # 10**p = hi + lo, each correctly rounded
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        hi = num / den
+        m, s = hi.as_integer_ratio()
+        pow_hi.append(hi)
+        pow_lo.append((num * s - m * den) / (den * s))
+    quad = ((np.arange(10000)[:, None] // [1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    exponent = b"".join(b"%+04d" % e if abs(e) >= 100 else b"%+03d " % e
+                        for e in range(-300, 301))
+    f, nd, neg = np.meshgrid(np.arange(_FORMS.size), np.arange(1, 18), [False, True],
+                             indexing="ij")
+    return SimpleNamespace(
+        pow_hi=np.array(pow_hi), pow_lo=np.array(pow_lo),
+        quad=quad.view(np.uint32).ravel(),  # the four digits of 0..9999, as one word
+        quad_zeros=np.cumprod(quad[:, ::-1] == 48, axis=1).sum(axis=1),  # trailing '0's
+        exponent=np.frombuffer(exponent, np.uint32),  # sign and digits of -300..300
+        keep=_keep_rows(_FORMS[f.ravel()], nd.ravel(), neg.ravel()).view(np.uint32),
+        slot=np.frombuffer(_SLOT_ROW, np.uint8))
+
+
+def _halves(a):
+    """Veltkamp's split ``a = h + l``, each half with 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    h = c - (c - a)
+    return h, a - h
+
+
+def _scaled(a, p, t):
+    """``a * 10**p`` as ``hi + lo``, to about 1e-31 relative: ``hi`` is the
+    rounded product with the table's ``10**p`` and ``lo`` its exact remainder
+    (Dekker's product) plus the table's low part times ``a``."""
+    th, tl = t.pow_hi[p - _P_MIN], t.pow_lo[p - _P_MIN]
+    hi = a * th
+    ah, al = _halves(a)
+    bh, bl = _halves(th)
+    return hi, (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * tl
+
+
+def _format(cells: np.ndarray) -> str:
+    """The 2-D number array ``cells`` as CSV rows, each cell as ``'%.17g' % cell``."""
+    t = _tables()
+    rows, cols = cells.shape
+    x = np.ascontiguousarray(cells, dtype=np.float64).ravel()
+    if not x.size:
+        return ""
+    a = np.abs(x)
+    sure = (a >= 1e-250) & (a <= 1e250)  # False for 0, nan and inf
+    a[~sure] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - k, t)
+    # log10 may miss the decade by one near a power of ten: settle it on the exact sum
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(up | down)
+    if moved.size:
+        k[moved] += up[moved].astype(np.int64) - down[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], 16 - k[moved], t)
+    # 1e16 <= hi + lo < 1e17, so hi is a whole number and lo carries the rounding
+    floor = np.floor(lo)
+    frac = lo - floor
+    sure &= np.abs(frac - 0.5) > 1e-6
+    d = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k += carry
+    lead, rest = np.divmod(d, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    quads = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
+    zeros = t.quad_zeros
+    trailing = zeros[quads[3]] + (quads[3] == 0) * zeros[quads[2]] + (low == 0) * (
+        zeros[quads[1]] + (quads[1] == 0) * zeros[quads[0]])
+    form = np.where((k < -4) | (k >= 17), 21 + (np.abs(k) >= 100), k + 4)  # _FORMS index
+
+    slot = np.empty((x.size, _SLOT), np.uint8)
+    slot[:] = t.slot
+    slot.reshape(rows, cols, _SLOT)[:, 0, 0] = ord("\n")
+    slot[:, 3] = slot[:, 27] = lead + 48
+    words = slot.view(np.uint32)
+    for col, quad in enumerate(quads, 1):
+        words[:, col] = t.quad[quad]
+    words[:, 7:11] = words[:, 1:5]
+    words[:, 12] = t.exponent[k + 300]
+    keep = np.take(t.keep, (form * 17 + 16 - trailing) * 2 + (x < 0), axis=0).view(bool)
+    keep[0, 0] = False
+    fallback = np.flatnonzero(~sure)
+    if fallback.size:  # '%.17g' % x has at most 24 characters
+        text = np.array(["%.17g" % v for v in x[fallback].tolist()], "S24").view(np.uint8)
+        text = text.reshape(fallback.size, 24)
+        slot[fallback, 1:25] = text
+        keep[fallback, 1:25] = text != 0
+        keep[fallback, 25:] = False
+    return np.compress(keep.ravel(), slot.ravel()).tobytes().decode("ascii") + "\n"
+
+
+_REAL = (numbers.Real, np.bool_)
+
+
+def _check_width(r: int, width: int, names: list) -> None:
+    if width != len(names):
+        where = (f"no cell in column {names[width]!r}" if width < len(names)
+                 else f"{width} cells; the last column is {names[-1]!r}")
+        raise ValueError(f"data row {r} has {where}")
+
+
+def _table(columns, rows):
+    """The table's cells: a 2-D number array when every column holds numbers,
+    else one entry per column, a float64 array or a list of ``str``.  A
+    column's kind is that of its first cell.  Raises ``ValueError`` naming the
+    first row and column that do not fit."""
+    names = list(columns)
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        if rows.ndim != 2 or rows.dtype.kind not in "biuf":
+            raise ValueError(f"rows must be a 2-D array of real numbers (one row per "
+                             f"line), not a {rows.ndim}-D {rows.dtype} array")
+        _check_width(1, rows.shape[1], names)
+        return rows
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    for r, row in enumerate(rows, 1):
+        _check_width(r, len(row), names)
+    cols = list(zip(*rows))
+    text = [isinstance(cells[0], str) for cells in cols]
+    for name, cells, is_text in zip(names, cols, text):
+        plain = np.asarray(cells)  # a 1-D number array unless some cell is not a plain number
+        if is_text or plain.ndim != 1 or plain.dtype.kind not in "biuf":
+            for r, cell in enumerate(cells, 1):
+                if isinstance(cell, str) != is_text or not (is_text or isinstance(cell, _REAL)):
+                    kind = "str" if is_text else "numbers"
+                    raise ValueError(f"data row {r}, column {name!r}: {cell!r} in a column "
+                                     f"of {kind}")
+    if not any(text):
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    return [list(cells) if is_text else np.array(cells, dtype=np.float64)
+            for cells, is_text in zip(cols, text)]
+
+
+def _rows_text(table, rows: slice) -> str:
+    """Rows ``rows`` of a ``_table`` as CSV lines."""
+    if isinstance(table, np.ndarray):
+        return _format(table[rows])
+    cells = [col[rows] if isinstance(col, list) else _format(col[rows, None]).splitlines()
+             for col in table]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_table(path, header, columns, rows) -> None:
     """Write ``header`` as ``(key, value)`` pairs, the column names, then ``rows``.
 
-    ``rows`` is an array with one row per line (numbers, or objects whose
-    ``str`` cells are written as they are), or a sequence of such tuples;
-    every other cell and header value is written with %.17g.  The first row
-    fixes each column's format.
+    ``rows`` is a 2-D array with one row per line (numbers, or objects whose
+    ``str`` cells are written as they are), or a sequence of such rows.  A
+    column's first cell sets its kind, ``str`` or number; every number cell
+    and header value is written as ``'%.17g' % value`` by the ``_format``
+    kernel, which hands +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]``
+    and near-ties to ``%`` itself.  Everything is checked before the file is
+    opened: a row whose cell count is not the column count, or a cell whose
+    kind is not its column's, raises ``ValueError`` naming the row and the
+    column, and nothing is written.  The rows then go through the kernel in
+    row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in turn.
     """
-    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [
-        cell for row in rows for cell in row]
-    row = ",".join(_spec(cell) for cell in cells[:len(columns)]) + "\n"
+    table = _table(columns, rows)
+    for key, value in header:
+        if not isinstance(value, (str, *_REAL)):
+            raise ValueError(f"header {key!r}: {value!r} is neither a str nor a real number")
+    values = [value for _, value in header if not isinstance(value, str)]
+    texts = iter(_format(np.array(values, dtype=np.float64).reshape(-1, 1)).splitlines())
+    head = "".join(f"# {key} = {value if isinstance(value, str) else next(texts)}\n"
+                   for key, value in header)
+    count = len(table) if isinstance(table, np.ndarray) else len(table[0])
+    step = max(1, _BLOCK_CELLS // max(len(columns), 1))
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in header:
-            fh.write(f"# {key} = {_spec(value) % value}\n")
-        fh.write("# columns = " + ",".join(columns) + "\n")
-        fh.write((row * (len(cells) // len(columns))) % tuple(cells))
+        fh.write(head + "# columns = " + ",".join(columns) + "\n")
+        for start in range(0, count, step):
+            fh.write(_rows_text(table, slice(start, start + step)))
 
 
 def _check_kind(kind: str) -> None:
@@ -65,7 +281,7 @@ def save_grid_csv(path, values: np.ndarray, grid: CenteredGrid, kind: str = "cen
                 [("chordlab-grid schema_version", SCHEMA_VERSION), ("kind", kind),
                  ("points", grid.points), ("half_width_p", grid.half_width_p),
                  ("half_width_q", grid.half_width_q), ("hbar", grid.hbar)],
-                _COLUMNS[complex_data], rows)
+                _COLUMNS[complex_data], rows.reshape(grid.points ** 2, -1))
 
 
 def load_grid_csv(path):

@@ -1,8 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chordlab import cli, gridio
 from chordlab.gridio import load_grid_csv, save_grid_csv, write_table
 from chordlab.grids import CenteredGrid
+
+
+def _spec(cell) -> str:
+    return "%s" if isinstance(cell, str) else "%.17g"
+
+
+def _percent_write_table(path, header, columns, rows) -> None:
+    """The reference writer: ``write_table`` as it was before the ``_format``
+    kernel, one ``%`` format over every cell, the first row fixing each
+    column's format."""
+    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [
+        cell for row in rows for cell in row]
+    row = ",".join(_spec(cell) for cell in cells[:len(columns)]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in header:
+            fh.write(f"# {key} = {_spec(value) % value}\n")
+        fh.write("# columns = " + ",".join(columns) + "\n")
+        fh.write((row * (len(cells) // len(columns))) % tuple(cells))
 
 
 def _sample_field(complex_data):
@@ -192,3 +213,228 @@ def test_save_rejects_values_off_the_grid_shape(tmp_path):
     vals, grid = _sample_field(False)
     with pytest.raises(ValueError, match="shape"):
         save_grid_csv(tmp_path / "x.csv", vals[:1], grid)
+
+
+def _assert_cells_match_percent(x):
+    """``_format`` gives the bytes of ``'%.17g' %`` for every cell of ``x``."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    got = gridio._format(x[:, None])
+    want = "".join(["%.17g\n" % v for v in x.tolist()])
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got.splitlines(), want.splitlines())
+               if g != w]
+        pytest.fail(f"{len(bad)} cells differ from %.17g, (value, got, want): {bad[:5]}")
+
+
+def _ulps_around(values, ulps=2):
+    """Every double within ``ulps`` steps of each of ``values``, both signs."""
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    up = down = values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    both = np.concatenate(out)
+    return np.concatenate([both, -both])
+
+
+def test_kernel_matches_percent_on_random_bit_patterns():
+    """1e6 random 64-bit patterns: every finite double is as likely as any
+    other, subnormals and both signs included."""
+    bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 1_002_000, dtype=np.uint64,
+                                                    endpoint=False)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    assert x.size > 1_000_000 and (x < 0).mean() == pytest.approx(0.5, abs=0.01)
+    _assert_cells_match_percent(x)
+
+
+def test_kernel_matches_percent_at_powers_of_ten():
+    """Within two ulps of every power of ten a double can hold, where log10
+    misses the decade and the 17 digits carry into a new one."""
+    _assert_cells_match_percent(_ulps_around([float(f"1e{j}") for j in range(-323, 309)]))
+
+
+def test_kernel_matches_percent_at_the_edges_of_the_doubles():
+    tiny = np.float64(5e-324)
+    x = np.r_[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, np.finfo(float).max,
+              np.finfo(float).tiny, tiny, tiny * np.arange(1, 100),
+              np.finfo(float).tiny - tiny * np.arange(1, 100),
+              _ulps_around([1e-250, 1e250, 2.0 ** -1022, 2.0 ** 1023])]
+    _assert_cells_match_percent(x)
+
+
+def test_kernel_matches_percent_on_ties_and_wide_integers():
+    """Exact ties round half-even: x.25 and x.75 with 16 integer digits, and
+    2**-k (18 or more significant digits ending in 5).  The integers near 1e16
+    and 1e17 have 17 and 18 digits."""
+    whole = np.arange(1e15, 1e15 + 200) * np.r_[1.0, 2.0][:, None]
+    x = np.r_[(whole + 0.25).ravel(), (whole + 0.75).ravel(), 2.0 ** -np.arange(1, 1075),
+              2.0 ** np.arange(0, 1024), 3.0 * 2.0 ** -np.arange(1, 60),
+              1e16 + np.arange(-300, 300), 1e17 + 16.0 * np.arange(-300, 300),
+              2.0 ** 53 + np.arange(-20, 20)]
+    _assert_cells_match_percent(x)
+
+
+def test_kernel_matches_percent_where_fixed_and_exponent_forms_meet():
+    """%g switches from fixed to exponent form below 1e-4 and from 1e17 up;
+    1e-5 and 1e16 are the last fixed-form decades' other ends."""
+    edges = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 9.99999999999999999e16]
+    rng = np.random.default_rng(7)
+    near = np.concatenate([e * (1 + rng.uniform(-1e-15, 1e-15, 2000)) for e in edges])
+    _assert_cells_match_percent(np.r_[_ulps_around(edges, 40), near,
+                                      np.arange(1, 10) * 1e-5, np.arange(1, 10) * 1e16])
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
+def test_tables_of_one_to_five_columns_match_the_reference(tmp_path, ncols):
+    rng = np.random.default_rng(ncols)
+    rows = rng.standard_normal((37, ncols)) * 10.0 ** rng.integers(-30, 30, (37, ncols))
+    rows[::5, ncols - 1] = 0.0
+    header = [("kind", "demo"), ("points", 37), ("hbar", 0.05)]
+    names = [f"c{j}" for j in range(ncols)]
+    write_table(tmp_path / "new.csv", header, names, rows)
+    _percent_write_table(tmp_path / "ref.csv", header, names, rows)
+    assert (tmp_path / "new.csv").read_text() == (tmp_path / "ref.csv").read_text()
+    tuples = [tuple(row) for row in rows.tolist()]
+    write_table(tmp_path / "tuples.csv", header, names, tuples)
+    assert (tmp_path / "tuples.csv").read_text() == (tmp_path / "ref.csv").read_text()
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)), [],
+    np.arange(-60, 60).reshape(40, 3),
+    np.array([[2 ** 62, -2 ** 63, 0], [7, 10 ** 17 + 1, 1]], dtype=np.int64),
+    np.array([[True, False, True]]),
+    np.arange(30, dtype=np.uint8).reshape(10, 3),
+], ids=["empty-array", "empty-list", "int", "wide-int", "bool", "uint8"])
+def test_empty_and_integer_tables_match_the_reference(tmp_path, rows):
+    header = [("schema", 2)]
+    write_table(tmp_path / "new.csv", header, ["a", "b", "c"], rows)
+    _percent_write_table(tmp_path / "ref.csv", header, ["a", "b", "c"], rows)
+    assert (tmp_path / "new.csv").read_text() == (tmp_path / "ref.csv").read_text()
+
+
+@pytest.mark.parametrize("block", [1, 7, 12, None])
+def test_tables_across_block_boundaries_match_the_reference(tmp_path, monkeypatch, block):
+    """The row-aligned blocks join into the one table: a cell count that
+    straddles a block boundary, blocks smaller than a row, and the default
+    block size with a mixed str/number table."""
+    if block is not None:
+        monkeypatch.setattr(gridio, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(11)
+    step = max(1, gridio._BLOCK_CELLS // 3)  # rows per block
+    rows = rng.standard_normal((3 * step + 1, 3))
+    rows[step] = [0.0, np.nan, -np.inf]
+    write_table(tmp_path / "new.csv", [("hbar", 0.05)], ["x", "y", "z"], rows)
+    _percent_write_table(tmp_path / "ref.csv", [("hbar", 0.05)], ["x", "y", "z"], rows)
+    assert (tmp_path / "new.csv").read_text() == (tmp_path / "ref.csv").read_text()
+    mixed = [(f"r{i}", *row, "1" if i % 2 else "0") for i, row in enumerate(rows.tolist())]
+    write_table(tmp_path / "new.csv", [], ["name", "x", "y", "z", "ok"], mixed)
+    _percent_write_table(tmp_path / "ref.csv", [], ["name", "x", "y", "z", "ok"], mixed)
+    assert (tmp_path / "new.csv").read_text() == (tmp_path / "ref.csv").read_text()
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.zeros((4, 3)), r"data row 1 has no cell in column 'd'"),
+    (np.zeros((2, 5)), r"data row 1 has 5 cells; the last column is 'd'"),
+    ([(1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0)], r"data row 2 has no cell in column 'd'"),
+    ([(1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0, 5.0)], r"data row 2 has 5 cells"),
+    ([(1.0, 2.0, 3.0, 4.0), (1.0, "x", 3.0, 4.0)], r"data row 2, column 'b': 'x'"),
+    ([("s", 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0)], r"data row 2, column 'a': 1.0"),
+    ([(1.0, 2.0, None, 4.0)], r"data row 1, column 'c': None"),
+    ([(1.0, 2.0, 3.0, 1j)], r"data row 1, column 'd'"),
+    (np.zeros((2, 4), complex), "real numbers"),
+    (np.zeros(4), "2-D"),
+], ids=["array-narrow", "array-wide", "short-tuple", "long-tuple", "str-in-numbers",
+        "number-in-str", "none", "complex-cell", "complex-array", "1-d-array"])
+def test_write_table_rejects_rows_off_the_columns_and_writes_nothing(tmp_path, rows, match):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=match):
+        write_table(path, [("kind", "demo")], ["a", "b", "c", "d"], rows)
+    assert not path.exists()
+
+
+def _reference_text(path):
+    """The file at ``path`` rewritten from the values it holds: every cell and
+    header value that reads as a float printed as ``'%.17g' %`` of that
+    float, every other one kept as it is."""
+    def cell(tok):
+        try:
+            return "%.17g" % float(tok)
+        except ValueError:
+            return tok
+    lines = []
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("# columns = "):
+            lines.append(line)
+        elif line.startswith("# "):
+            key, _, value = line[2:-1].partition(" = ")
+            lines.append(f"# {key} = {cell(value)}\n")
+        else:
+            lines.append(",".join(cell(tok) for tok in line[:-1].split(",")) + "\n")
+    return "".join(lines)
+
+
+_CLI_RUNS = {
+    "coherent-demo": "hbar = 0.05\nstate.eta = 0.2 0.1\ngrid.points = 32\n",
+    "evolve-chord": ("hbar = 0.05\nstate.family = coherent\nstate.eta = 0.0 0.4\n"
+                     "channel = 0 1 1 0\ntime.t = 0.1\ngrid.points = 32\nxi.points = 32\n"),
+    "lwc": ("hbar = 0.05\nstate.family = coherent\nstate.eta = 0.4 0.3\nwindow.q = 0.0\n"
+            "window.q = 0.3\nxi.points = 64\n"),
+    "spectrum": ("hbar = 0.05\nstate.family = circle\nstate.action = 0.5\n"
+                 "state.samples = 256\nhamiltonian.family = harmonic\nchannel = 0 0.5 0 0\n"
+                 "time.t = 3.14159265358979\nwindow.q = 0.0\nxi.points = 256\n"),
+    "positivity": "hamiltonian.family = zero\nchannel = 0 1 1 0\n",
+    "husimi": ("hbar = 0.05\nstate.family = fock\nstate.n = 1\nfock.dim = 32\n"
+               "grid.points = 32\ngrid.half_width = 2.0\n"),
+    "validate": None,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CLI_RUNS))
+def test_every_cli_csv_holds_the_reference_text_of_its_values(tmp_path, experiment):
+    """Each CSV an experiment writes reads back to values whose ``'%.17g' %``
+    text is the file, byte for byte."""
+    argv = [experiment, "--out", str(tmp_path / "out")]
+    if _CLI_RUNS[experiment] is not None:
+        (tmp_path / "run.cfg").write_text(_CLI_RUNS[experiment])
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.run(argv) == 0
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert path.read_text() == _reference_text(path), path.name
+
+
+def test_grid_write_memory_stays_under_the_reference_writer(tmp_path, monkeypatch):
+    """The peak traced memory while writing a 256^2 complex grid: 4.55 MB
+    through the kernel's 8,192-cell blocks, against 10.53 MB through the
+    reference writer's one ``%`` format (both including the 1 MB (re, im)
+    array that ``save_grid_csv`` stacks; Python 3.11, numpy 2.4)."""
+    rng = np.random.default_rng(256)
+    grid = CenteredGrid(1.0, 1.0, 256, 0.05)
+    vals = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+
+    def peak():
+        save_grid_csv(tmp_path / "g.csv", vals, grid, "chord")  # lookup tables, warm caches
+        tracemalloc.start()
+        try:
+            save_grid_csv(tmp_path / "g.csv", vals, grid, "chord")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kernel = peak()
+    text = (tmp_path / "g.csv").read_text()
+    monkeypatch.setattr(gridio, "write_table", _percent_write_table)
+    reference = peak()
+    assert (tmp_path / "g.csv").read_text() == text
+    assert kernel <= reference
+
+
+def test_write_table_rejects_a_header_value_of_neither_kind(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"header 'hbar': None"):
+        write_table(path, [("kind", "demo"), ("hbar", None)], ["a"], [(1.0,)])
+    assert not path.exists()
