@@ -61,10 +61,11 @@ evolution time (evolve-chord, lwc, spectrum, husimi)
   time.t              float >= 0, default 0: evolution time (at 0 nothing
                       evolves, and no other time or dynamics key is read)
   time.dt             float > 0, read only where a step is taken: the fixed
-                      step of a non-quadratic model's Dormand-Prince flow,
-                      default 1e-2 (quadratic flows are exact); for husimi
-                      at time.t > 0, whatever the model, the spacing of the
-                      number-basis leak checks, default 1e-3
+                      step of a non-quadratic model's Dormand-Prince flow
+                      at time.t > 0 (evolve-chord, and the chord and
+                      sc-markov routes of lwc and spectrum), default 1e-2;
+                      quadratic flows are exact, and husimi's number-basis
+                      evolution takes no step
 
 state selection (evolve-chord, lwc, spectrum, husimi)
   state.family        coherent | circle | quartic | pendulum | fock | cat
@@ -157,27 +158,27 @@ def _channels(cfg: Config) -> list:
             for v in cfg.vector_list("channel", 4)]
 
 
-def _evolution(cfg: Config, spacing: float = 0.0) -> tuple:
-    """(t, model, channels, dt) of a run that evolves its state to time.t >= 0.
+def _evolution(cfg: Config) -> tuple:
+    """(t, model, channels) of a run that evolves its state to time.t >= 0.
 
     At t = 0 nothing evolves: no other time, model or channel key is read, and
     the zero model, exact there, comes back with no channels.  Otherwise the
-    model and channels are read, and time.dt only where a step is taken: a
-    non-quadratic model's flow (default 1e-2), or, given a ``spacing`` default,
-    the number-basis evolution's leak checks.  Where it is not read, dt is its
-    default, which no step uses."""
+    model and channels are read."""
     t = cfg.float("time.t", 0.0)
     if t < 0.0:
         raise ConfigError(f"time.t must be nonnegative, got {t:g}")
-    dt = spacing or 1e-2
     if t == 0.0:
-        return t, hamiltonians.zero(), [], dt
-    model, channels = _hamiltonian(cfg), _channels(cfg)
-    if spacing or not model.quadratic:
-        dt = cfg.float("time.dt", dt)
-        if dt <= 0.0:
-            raise ConfigError(f"time.dt must be positive, got {dt:g}")
-    return t, model, channels, dt
+        return t, hamiltonians.zero(), []
+    return t, _hamiltonian(cfg), _channels(cfg)
+
+
+def _flow_step(cfg: Config, model) -> float:
+    """time.dt, the step of a non-quadratic model's Dormand-Prince flow
+    (default 1e-2); a quadratic flow is exact, reads none and takes no step."""
+    dt = 1e-2 if model.quadratic else cfg.float("time.dt", 1e-2)
+    if dt <= 0.0:
+        raise ConfigError(f"time.dt must be positive, got {dt:g}")
+    return dt
 
 
 def _state_family(cfg: Config) -> str:
@@ -280,7 +281,8 @@ def _chord_source(cfg: Config, hbar: float):
 
 def _exp_evolve_chord(cfg: Config, out: str, hbar: float) -> dict:
     source = _chord_source(cfg, hbar)
-    t, model, channels, dt = _evolution(cfg)
+    t, model, channels = _evolution(cfg)
+    dt = _flow_step(cfg, model)
     # grid.points stands in for an absent xi.points (a coherent source reads it anyway)
     m = _even_points(cfg, "grid.points" if cfg.int("xi.points", None) is None else "xi.points",
                      128)
@@ -323,7 +325,8 @@ def _pick_route(cfg: Config, fam: str, t: float) -> str:
 def _lwc_samples(cfg: Config, hbar: float):
     """Shared by the lwc and spectrum experiments."""
     fam = _state_family(cfg)
-    t, model, channels, dt = _evolution(cfg)
+    t, model, channels = _evolution(cfg)
+    dt = _flow_step(cfg, model)  # at t > 0 only the chord and sc-markov routes run
     q_centres = cfg.float_list("window.q")
     if not q_centres:
         raise ConfigError("need at least one window.q")
@@ -465,9 +468,9 @@ def _exp_husimi(cfg: Config, out: str, hbar: float) -> dict:
     if dim < 1:
         raise ConfigError(f"fock.dim must be >= 1, got {dim}")
     rho = _fock_state(cfg, hbar, dim)
-    t, model, channels, dt = _evolution(cfg, spacing=1e-3)
+    t, model, channels = _evolution(cfg)
     if t:
-        rho = fock.evolve_state(rho, model, channels, t, dt)
+        rho = fock.evolve_state(rho, model, channels, t)
     grid = _centre_grid(cfg, hbar, 128, _state_family(cfg))
     w_vals = fock.wigner_exact(rho, grid)
     h_vals = husimi_mod.husimi_from_wigner(w_vals, grid)
@@ -495,7 +498,7 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
     damping = LindbladChannel((0.0, 1.0), (1.0, 0.0))
     model = hamiltonians.harmonic()
     tt = 0.3
-    chi_fn = evolve_chord_function((w_vals, grid), model, [damping], tt, dt=1e-3)
+    chi_fn = evolve_chord_function((w_vals, grid), model, [damping], tt)
     rot = np.array([[math.cos(tt), -math.sin(tt)], [math.sin(tt), math.cos(tt)]])
     eta_t = math.exp(-tt) * rot @ np.array(state.eta)
     moved = states.CoherentState((eta_t[0], eta_t[1]), hbar)
@@ -506,7 +509,7 @@ def _exp_validate(cfg: Config, out: str, hbar: float) -> dict:
                    float(np.max(np.abs(got - want))) * 2.0 * math.pi * hbar, 1e-6))
 
     qchan = LindbladChannel((0.0, 1.0), (0.0, 0.0))
-    dm = decoherence_matrix(model, [qchan], np.zeros(2), math.pi, dt=1e-3)
+    dm = decoherence_matrix(model, [qchan], np.zeros(2), math.pi)
     checks.append(("phi_harmonic_pi",
                    float(np.max(np.abs(dm.phi - 0.5 * math.pi * np.eye(2)))), 1e-8))
 

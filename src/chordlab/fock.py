@@ -4,16 +4,17 @@ Everything here works with dense matrices in the harmonic oscillator
 eigenbasis, scaled so that q = sqrt(hbar/2)(a + a+) and p comes with the
 matching factor.  It provides the ground truth the phase-space machinery is
 checked against: exact Lindblad evolution (the exponential of the sparse
-Liouvillian acting on the state, by one truncated-Taylor loop whose degree and
-scaling are chosen once per evolution from the complex generator's 1-norm),
-exact position slices, chord functions and Wigner functions.  The evolution
-runs in real arithmetic on a packed state, d^2 reals triu(Re rho) +
-tril(Im rho, -1) with the populations on the diagonal, under the real sparse
-generator the Liouvillian becomes on Hermitian matrices; the evolved rho is
-Hermitian by construction.  Only the blocks of that generator the initial
-state reaches are evolved (half the space for a number or cat state), and
-the partial sum's largest entry is read only when a running bound lets a
-Taylor round stop; neither changes a bit of the result.
+Liouvillian acting on the state, by one truncated-Taylor plan per evolution
+from the complex generator's 1-norm, whose rounds end on the exact states
+the leak check reads), exact position slices, chord functions and Wigner
+functions.  The evolution runs in real arithmetic on a packed state, d^2
+reals triu(Re rho) + tril(Im rho, -1) with the populations on the diagonal,
+under the real sparse generator the Liouvillian becomes on Hermitian
+matrices; the evolved rho is Hermitian by construction.  Only the blocks of
+that generator the initial state reaches are evolved (half the space for a
+number or cat state), and the partial sum's largest entry is read only when
+a running bound lets a Taylor round stop; neither changes a bit of the
+result.
 
 The readouts (position slices, chi and W) are one bilinear form in the
 two-mode oscillator basis rotated by 45 degrees, ``_hermite_form``: real GEMMs
@@ -23,8 +24,8 @@ one Hermite table for both axes.  The displacement-matrix trace stays as the
 point-by-point reference for chi.
 
 Truncation is monitored rather than hidden: populations leaking into the
-top decile of the basis (relative to the initial trace) raise
-TruncationLeakError with advice to enlarge the space.
+top decile of the basis (relative to the initial trace) after any round
+raise TruncationLeakError with advice to enlarge the space.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 _LEAK_TOL = 1e-6
-#: lindblad_evolve checks for leaked population every (at most) _CHECK_EVERY * dt
-_CHECK_EVERY = 25
 _TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 #: theta_m: the largest 1-norm of A for which the degree-m Taylor polynomial of
@@ -269,11 +268,16 @@ def _liouvillian(h_mat, l_mats, hbar) -> sparse.csr_array:
     return sparse.csr_array(gen / hbar)
 
 
-def _taylor_plan(step) -> tuple:
-    """(m*, s) for exp(step): the degree m and the s = ceil(||step||_1 / theta_m)
-    sub-steps that minimise the matvec count m s (the first such m on a tie).
-    A zero generator needs no term: (0, 1)."""
-    norm = float(abs(step).sum(axis=0).max())
+def _taylor_plan(gen) -> tuple:
+    """(m*, s) for exp(gen): the degree m and the s = ceil(||gen||_1 / theta_m)
+    rounds that minimise the matvec count m s (the first such m on a tie).
+    A zero generator needs no term: (0, 1).  Each round's gen/s has 1-norm
+    at most theta_m*.  Up to their condition 3.13 (||gen||_1 <= 63.36) this
+    is Al-Mohy & Higham's choice.  A whole evolution nearly always exceeds
+    it (270-320 for the benchmark's dim-48 ones); there they lower s with
+    estimates of ||gen^p||^(1/p), which the 1-norm bounds from above, so this
+    plan may take more rounds than theirs, never fewer digits."""
+    norm = float(abs(gen).sum(axis=0).max())
     if norm == 0.0:
         return 0, 1
     return min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
@@ -296,17 +300,17 @@ def _unpack(x, dim: int) -> np.ndarray:
     return rho
 
 
-def _packed_generator(step) -> sparse.csr_array:
+def _packed_generator(gen) -> sparse.csr_array:
     """The real CSR matrix with _pack(rho') = R _pack(rho) where rho'.ravel() =
-    step @ rho.ravel(), for the complex generator ``step`` and Hermitian rho.
+    gen @ rho.ravel(), for the complex generator ``gen`` and Hermitian rho.
 
     Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo], with
-    lo, hi the smaller and larger of a and b, so each column of ``step`` splits
+    lo, hi the smaller and larger of a and b, so each column of ``gen`` splits
     into a real slot and a signed imaginary slot.  The generator keeps rho
     Hermitian, so only its rows (i, j) with i <= j are needed: Re of the row
     goes to slot (i, j), -Im to the mirror slot (j, i) when i < j."""
-    dim = math.isqrt(step.shape[0])
-    coo = step.tocoo()
+    dim = math.isqrt(gen.shape[0])
+    coo = gen.tocoo()
     i, j = np.divmod(coo.row, dim)
     upper = i <= j
     i, j, g = i[upper], j[upper], coo.data[upper]
@@ -318,56 +322,59 @@ def _packed_generator(step) -> sparse.csr_array:
     out = sparse.csr_array((
         np.concatenate([g.real, -sign * g.imag, -g.imag[off], -(sign * g.real)[off]]),
         (np.concatenate([row, row, mirror, mirror]),
-         np.concatenate([re_col, im_col, re_col[off], im_col[off]]))), shape=step.shape)
+         np.concatenate([re_col, im_col, re_col[off], im_col[off]]))), shape=gen.shape)
     out.eliminate_zeros()
     return out
 
 
-def _reached(step, x) -> np.ndarray:
+def _reached(gen, x) -> np.ndarray:
     """Sorted indices of the weakly connected components of the generator
-    ``step``'s graph that hold an exactly nonzero entry of x: the only entries
-    exp(step) x can reach.  Every built-in model and linear channel keeps the
+    ``gen``'s graph that hold an exactly nonzero entry of x: the only entries
+    exp(gen) x can reach.  Every built-in model and linear channel keeps the
     parity of m + n, so a number or cat state reaches half of the space."""
-    _, labels = connected_components(step, connection="weak")
+    _, labels = connected_components(gen, connection="weak")
     return np.flatnonzero(np.isin(labels, labels[x != 0]))
 
 
-def _taylor_action(step, vec, m_star: int, s: int) -> np.ndarray:
-    """exp(step) vec as s rounds of the degree-m* Taylor series of exp(step/s),
-    each round cut short once two consecutive terms sum below 2^-53 of the
-    partial sum's largest entry (Al-Mohy & Higham 2011, Algorithm 3.2, with no
-    trace shift).
+def _taylor_round(gen, vec, m_star: int, s: int) -> np.ndarray:
+    """exp(gen/s) vec: one round of the degree-m* Taylor series, cut short once
+    two consecutive terms sum below 2^-53 of the partial sum's largest entry
+    (Al-Mohy & Higham 2011, Algorithm 3.2, with no trace shift).
 
     That entry is read only when the bound ``top`` on it lets the round stop,
-    so each round stops at the same term: ``top`` is the round's first largest
+    so the round stops at the same term: ``top`` is the round's first largest
     entry plus every term's, summed in floating point, and rounding is
     monotone, so it bounds each entry of the rounded partial sum."""
-    f = vec
-    for _ in range(s):
-        b = f
-        c1 = top = np.abs(b).max()
-        for j in range(m_star):
-            b = step @ b
-            b *= 1.0 / (s * (j + 1))
-            c2 = np.abs(b).max()
-            f = f + b
-            top += c2
-            if c1 + c2 <= _TAYLOR_TOL * top and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
-                break
-            c1 = c2
+    f = b = vec
+    c1 = top = np.abs(b).max()
+    for j in range(m_star):
+        b = gen @ b
+        b *= 1.0 / (s * (j + 1))
+        c2 = np.abs(b).max()
+        f = f + b
+        top += c2
+        if c1 + c2 <= _TAYLOR_TOL * top and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+            break
+        c1 = c2
     return f
 
 
 def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
-                    dt: float = 1e-3) -> FockDensityMatrix:
+                    dt: float | None = None) -> FockDensityMatrix:
     """Exact solution of the Lindblad master equation,
 
         drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2),
 
-    by the action of the sparse Liouvillian's exponential over equal segments
-    of at most 25 dt.  Population above 1e-6 of the initial trace reaching the
-    top decile of the basis after a segment raises TruncationLeakError; trace
-    drift beyond 1e-8 of the initial trace reports a ConvergenceWarning.
+    by the sparse Liouvillian's exponential over the whole span t, in the s
+    rounds of one truncated Taylor plan (``_taylor_plan``; Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488, 2011), chosen from the complex generator's
+    1-norm.  Round k ends on the exact state at k t / s, where population
+    above 1e-6 of the initial trace in the top decile of the basis raises
+    TruncationLeakError: the rounds follow the generator's fastest rate
+    (0.041-0.06 apart in the benchmark's dim-48 and dim-56 evolutions; one
+    round, checked at t only, while t ||L||_1 <= 9.9).  Trace drift beyond
+    1e-8 of the initial trace reports a ConvergenceWarning.  ``dt`` is
+    ignored; the acceptance tests and the benchmark's oracle still pass it.
 
     The state is packed as d^2 reals (``_pack``) and evolved by the real
     generator (``_packed_generator``), the same map on Hermitian matrices; the
@@ -377,30 +384,20 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     restricted to them: the rest stays exactly zero, and each kept row sums the
     same entries in the same order, so the result is the full evolution's bit
     for bit.  A number or cat state under a parity-keeping model and channels
-    evolves on half the space; a coherent state on all of it.  Each segment is
-    s rounds of a truncated Taylor series (``_taylor_action``).  Every segment
-    has the same generator, so its degree m* and scaling s are chosen once per
-    evolution, from the complex segment generator's exact 1-norm and the
-    theta_m table (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011); the
-    real matrix is the same map, and its own larger 1-norm would only change
-    the plan.
-    Where their condition 3.13 holds (1-norm <= 63.36 for one vector) this is
-    the choice their algorithm makes.  Beyond it they lower s with estimates of
-    ||A^p||^(1/p), which the 1-norm bounds from above: this loop may then take
-    more terms than needed, but it never loses digits.  No trace shift is
-    applied: it would cost the state's trace an order of magnitude in rounding.
+    evolves on half the space; a coherent state on all of it.  No trace shift
+    is applied: it would cost the state's trace an order of magnitude in
+    rounding.
 
-    t must be finite and nonnegative, dt and hbar finite and positive, rho0
-    finite and Hermitian with a positive trace (and, for a FockDensityMatrix,
-    hbar equal to ``hbar``), h_mat finite and Hermitian, and h_mat and every L
-    the shape of rho0; anything else raises ValueError.
+    t must be finite and nonnegative, hbar finite and positive, rho0 finite
+    and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar
+    equal to ``hbar``), h_mat finite and Hermitian, and h_mat and every L the
+    shape of rho0; anything else raises ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
     dim = rho.shape[0]
     _check_time(t)
     _check_positive(hbar, "hbar")
-    _check_positive(dt, "dt")
     if getattr(rho0, "hbar", hbar) != hbar:
         raise ValueError(f"hbar = {hbar!r} differs from the state's {rho0.hbar!r}")
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:
@@ -413,17 +410,16 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
         tr0 = float(np.sum(x[::dim + 1]))
     if not (math.isfinite(tr0) and tr0 > 0.0):
         raise ValueError(f"rho0 must have a finite positive trace, got {tr0!r}")
-    segments = max(1, int(math.ceil(t / (_CHECK_EVERY * dt))))
-    step = _liouvillian(h_mat, l_mats, hbar) * (t / segments)
-    m_star, s = _taylor_plan(step)
-    step = _packed_generator(step)
-    live = _reached(step, x)
+    gen = _liouvillian(h_mat, l_mats, hbar) * t
+    m_star, s = _taylor_plan(gen)
+    gen = _packed_generator(gen)
+    live = _reached(gen, x)
     if live.size < x.size:
-        step = step[live][:, live]
+        gen = gen[live][:, live]
     else:
         live = slice(None)
-    for _ in range(segments):
-        x[live] = _taylor_action(step, x[live], m_star, s)
+    for _ in range(s):
+        x[live] = _taylor_round(gen, x[live], m_star, s)
         leak = _top_decile(x[::dim + 1])
         if leak > _LEAK_TOL * tr0:
             raise TruncationLeakError(
@@ -440,13 +436,13 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
 
 
 def evolve_state(rho0: FockDensityMatrix, model: HamiltonianModel, channels,
-                 t: float, dt: float = 1e-3) -> FockDensityMatrix:
+                 t: float) -> FockDensityMatrix:
     """Convenience wrapper: assemble matrices from models, then evolve."""
     dim = rho0.dim
     hb = rho0.hbar
     h_mat = hamiltonian_matrix(model, dim, hb)
     l_mats = [build_linear_lindblad(ch, hb, dim) for ch in _as_channels(channels)]
-    return lindblad_evolve(rho0, h_mat, l_mats, t, hb, dt)
+    return lindblad_evolve(rho0, h_mat, l_mats, t, hb)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:

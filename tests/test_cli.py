@@ -130,10 +130,6 @@ xi.half_width = {half}
      "state.n must be in [0, fock.dim)"),
     ("husimi", "state.family = fock\nstate.n = 200\nfock.dim = 16\ngrid.points = 32\n",
      "state.n must be in [0, fock.dim)"),
-    ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
-     "time.t = 0.5\ntime.dt = -0.001\n", "time.dt must be positive"),
-    ("husimi", "state.family = fock\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
-     "time.t = 0.5\ntime.dt = 0\n", "time.dt must be positive"),
     # time.dt is read where a step is taken: a non-quadratic flow at time.t > 0
     ("evolve-chord", "state.eta = 0 0\ngrid.points = 16\nhamiltonian.family = pendulum\n"
      "time.t = 0.1\ntime.dt = 0\n", "time.dt must be positive"),
@@ -181,7 +177,7 @@ xi.half_width = {half}
     ("coherent-demo", "hbar = 0\nstate.eta = 0 0\ngrid.points = 16\n", "hbar must be positive"),
 ], ids=["delta-zero", "delta-negative", "grid-odd", "grid-zero", "husimi-grid-odd",
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
-        "fock-n-too-large", "husimi-dt-negative", "husimi-dt-zero", "evolve-chord-dt-zero",
+        "fock-n-too-large", "evolve-chord-dt-zero",
         "lwc-dt-negative", "spectrum-dt-zero", "evolve-chord-t-negative",
         "spectrum-t-negative", "free-mass-zero-positivity",
         "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
@@ -236,7 +232,8 @@ _CHORD_CIRCLE = "state.family = circle\nstate.samples = 64\nxi.points = 16\n"
     ("lwc", _SC_BERRY, "window.delta = 0.3"),
     ("coherent-demo", _CHORD_COHERENT, "state.family = fock"),
     # keys that change nothing: no model or channel at t = 0, no step where
-    # none is taken, no grid.points beside an explicit xi.points
+    # none is taken (the number-basis evolution takes none at any t), no
+    # grid.points beside an explicit xi.points
     ("lwc", _SC_QUADRATIC, "hamiltonian.family = pendulum\nhamiltonian.g = 3\nchannel = 0 5 0 0"),
     ("lwc", _CLOSED_FORM, "time.dt = 5"),
     ("evolve-chord", _CHORD_CIRCLE + "time.t = 0\n",
@@ -244,10 +241,13 @@ _CHORD_CIRCLE = "state.family = circle\nstate.samples = 64\nxi.points = 16\n"
     ("evolve-chord", _CHORD_CIRCLE + "time.t = 0.1\n", "time.dt = 0.37"),
     ("evolve-chord", _CHORD_CIRCLE, "grid.points = 64"),
     ("husimi", _HUSIMI_FOCK + "time.t = 0\n", "time.dt = 0.5"),
+    ("husimi", _HUSIMI_FOCK + "channel = 0 1 0 0\ntime.t = 0.5\n", "time.dt = -0.001"),
+    ("husimi", _HUSIMI_FOCK + "channel = 0 1 0 0\ntime.t = 0.5\n", "time.dt = 0"),
 ], ids=["husimi-samples", "husimi-energy", "husimi-action", "husimi-g", "chord-n",
         "chord-samples", "markov-grid-points", "markov-n", "berry-omega", "berry-eta",
         "berry-delta", "demo-family", "quadratic-model", "closed-form-dt", "chord-t0-model",
-        "chord-harmonic-dt", "chord-grid-points", "husimi-t0-dt"])
+        "chord-harmonic-dt", "chord-grid-points", "husimi-t0-dt", "husimi-t-dt-negative",
+        "husimi-t-dt-zero"])
 def test_a_key_the_run_does_not_read_is_a_config_error(tmp_path, capsys, experiment,
                                                        base, extra):
     """The base config runs; the same run with more entries it never reads

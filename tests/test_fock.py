@@ -172,8 +172,7 @@ def _complex_slices(rho, q_axis, s_axis):
 def _evolved_cat(dim):
     rho0 = cat_density_matrix((0.3, 0.4), HBAR, dim)
     H = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
-    return lindblad_evolve(rho0, H, [build_linear_lindblad(Q_MEASURE, HBAR, dim)], 0.3, HBAR,
-                           dt=4e-3)
+    return lindblad_evolve(rho0, H, [build_linear_lindblad(Q_MEASURE, HBAR, dim)], 0.3, HBAR)
 
 
 @pytest.mark.parametrize("state", ["cat48", "cat56", "fock3"])
@@ -359,26 +358,46 @@ def test_pumped_vacuum_occupation():
         evolve(16, 2.5)
 
 
+def test_a_leak_seen_only_mid_evolution_raises():
+    """A pendulum swing carries 6.37e-6 of the population into the top decile
+    near t = 1.22 and back out to 2.95e-8 by t = 3, where a check at the end
+    alone passes; the round checkpoints catch it.  The dim-16 pumped vacuum,
+    which leaks for good, still raises."""
+    dim = 40
+    rho0 = coherent_density_matrix((0.8, 0.6), HBAR, dim)
+    h = hamiltonian_matrix(hamiltonians.pendulum(1.0), dim, HBAR)
+    final = expm_multiply(fock._liouvillian(h, [], HBAR) * 3.0, rho0.rho.ravel(), traceA=0.0)
+    assert fock._top_decile(final[::dim + 1].real) < 1e-7
+    with pytest.raises(TruncationLeakError, match="dim-40 basis"):
+        lindblad_evolve(rho0, h, [], 3.0, HBAR)
+    vacuum = coherent_density_matrix((0.0, 0.0), HBAR, 16)
+    with pytest.raises(TruncationLeakError, match="dim-16 basis"):
+        lindblad_evolve(vacuum, hamiltonian_matrix(hamiltonians.zero(), 16, HBAR),
+                        [build_linear_lindblad(PUMP, HBAR, 16)], 2.5, HBAR)
+
+
 def test_checkpoint_spacing_does_not_change_the_state():
-    """dt only spaces the leak checks: the evolution itself is exact."""
+    """The Taylor rounds space the leak checks, so the dt the acceptance
+    tests and the benchmark pass is ignored and changes no bit."""
     dim = 48
     rho0 = cat_density_matrix((0.3, -0.2), HBAR, dim)
     h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
     l_ops = [build_linear_lindblad(Q_MEASURE, HBAR, dim)]
-    fine = lindblad_evolve(rho0, h, l_ops, 1.3, HBAR, dt=1e-3)
-    coarse = lindblad_evolve(rho0, h, l_ops, 1.3, HBAR, dt=0.05)
-    assert np.max(np.abs(fine.rho - coarse.rho)) < 1e-13
+    want = lindblad_evolve(rho0, h, l_ops, 1.3, HBAR).rho
+    for dt in (1e-3, 4e-3, 1.0):
+        assert np.array_equal(lindblad_evolve(rho0, h, l_ops, 1.3, HBAR, dt=dt).rho, want)
 
 
 def test_lindblad_evolve_matches_dense_generator_exponential():
     """Reference: the generator assembled column by column from the matrix
     form of the master equation, exponentiated densely.  The pendulum's
     eigh-built cos q carries rounding noise in every entry, which the sparse
-    build drops."""
+    build drops.  At t = 0.05 the plan is one round within condition 3.13."""
     h, l_ops, gen = _dense_pendulum_generator()
+    assert np.abs(0.05 * gen).sum(axis=0).max() <= 63.36
     rho0 = coherent_density_matrix((0.2, 0.3), HBAR, 24)
-    want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(24, 24)
-    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR)
+    want = (expm(0.05 * gen) @ rho0.rho.ravel()).reshape(24, 24)
+    got = lindblad_evolve(rho0, h, l_ops, 0.05, HBAR)
     assert np.max(np.abs(got.rho - want)) < 5e-14
 
 
@@ -400,24 +419,20 @@ def _dense_pendulum_generator(dim=24):
 
 
 def test_one_segment_beyond_condition_3_13_matches_dense_exponential():
-    """dt = 1 makes t = 0.7 one segment whose 1-norm fails Al-Mohy & Higham's
+    """The plan for t = 0.7 has a 1-norm that fails Al-Mohy & Higham's
     condition 3.13, where their algorithm would lower s from norm estimates
     of powers; the 1-norm's larger s must still be exact."""
     h, l_ops, gen = _dense_pendulum_generator()
     assert np.abs(0.7 * gen).sum(axis=0).max() > 63.36
     rho0 = coherent_density_matrix((0.2, 0.3), HBAR, 24)
     want = (expm(0.7 * gen) @ rho0.rho.ravel()).reshape(24, 24)
-    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR, dt=1.0)
+    got = lindblad_evolve(rho0, h, l_ops, 0.7, HBAR)
     assert np.max(np.abs(got.rho - want)) < 5e-14
 
 
-def _per_segment_reference(rho0, h, l_ops, t, dt):
-    """The evolution as scipy's expm_multiply, called once per segment."""
-    segments = max(1, math.ceil(t / (25 * dt)))
-    step = fock._liouvillian(h, l_ops, HBAR) * (t / segments)
-    vec = rho0.rho.ravel()
-    for _ in range(segments):
-        vec = expm_multiply(step, vec, traceA=0.0)
+def _expm_multiply_reference(rho0, h, l_ops, t):
+    """The evolution as one call of scipy's expm_multiply."""
+    vec = expm_multiply(fock._liouvillian(h, l_ops, HBAR) * t, rho0.rho.ravel(), traceA=0.0)
     rho = vec.reshape(rho0.dim, rho0.dim)
     return 0.5 * (rho + rho.conj().T)
 
@@ -441,15 +456,17 @@ def _h_of(model, q_shift=0.0):
 ], ids=["harmonic-24", "harmonic-64", "quartic-48", "quartic-120", "pendulum-32",
         "pendulum-80", "coherent-harmonic-48", "harmonic-plus-q-48"])
 def test_taylor_loop_matches_per_segment_expm_multiply(h_of, dim, build, channels):
-    """Segment 1-norms here satisfy condition 3.13, where the loop's (m*, s) is
-    scipy's choice: the same terms in the same order.  A cat state under a
-    parity-keeping model evolves on its parity block only; a coherent state,
-    or a cat under harmonic + 0.3 q, on the whole space."""
+    """The whole span t = 0.025 is the one segment.  Its 1-norms here satisfy
+    condition 3.13, where the plan's (m*, s) is scipy's choice: the same
+    terms in the same order.  A cat state under a parity-keeping model
+    evolves on its parity block only; a coherent state, or a cat under
+    harmonic + 0.3 q, on the whole space."""
     rho0 = build((0.25, 0.3), HBAR, dim)
     h = h_of(dim)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
-    got = lindblad_evolve(rho0, h, l_ops, 0.1, HBAR, dt=1e-3).rho
-    want = _per_segment_reference(rho0, h, l_ops, 0.1, 1e-3)
+    assert abs(fock._liouvillian(h, l_ops, HBAR) * 0.025).sum(axis=0).max() <= 63.36
+    got = lindblad_evolve(rho0, h, l_ops, 0.025, HBAR).rho
+    want = _expm_multiply_reference(rho0, h, l_ops, 0.025)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -468,48 +485,45 @@ def test_zero_generator_returns_rho0_unchanged():
     assert np.array_equal(out.rho, rho0.rho)
 
 
-def test_leak_error_comes_from_the_first_segment_past_the_tolerance():
-    """The pumped vacuum's top-decile population grows with every segment; the
-    error must report the first segment's population over 1e-6, not the last."""
-    dim, t, dt = 16, 2.5, 4e-3
+def test_leak_error_comes_from_the_first_round_past_the_tolerance():
+    """The pumped vacuum's top-decile population grows with every Taylor
+    round; the error must report the first round's population over 1e-6, not
+    the last.  The reference runs expm_multiply once per round of the plan."""
+    dim, t = 16, 2.5
     rho0 = coherent_density_matrix((0.0, 0.0), HBAR, dim)
     h = hamiltonian_matrix(hamiltonians.zero(), dim, HBAR)
     l_ops = [build_linear_lindblad(PUMP, HBAR, dim)]
-    segments = math.ceil(t / (25 * dt))
-    step = fock._liouvillian(h, l_ops, HBAR) * (t / segments)
+    gen = fock._liouvillian(h, l_ops, HBAR) * t
+    _, s = fock._taylor_plan(gen)
     vec = rho0.rho.ravel()
     leaks = []
-    for _ in range(segments):
-        vec = expm_multiply(step, vec, traceA=0.0)
+    for _ in range(s):
+        vec = expm_multiply(gen / s, vec, traceA=0.0)
         leaks.append(fock._top_decile(np.real(vec[::dim + 1])))
     first = next(k for k, leak in enumerate(leaks) if leak > 1e-6)
-    assert 0 < first < segments - 1 and leaks[-1] > 10 * leaks[first]
+    assert 0 < first < s - 1 and leaks[-1] > 10 * leaks[first]
     with pytest.raises(TruncationLeakError, match=f"population {leaks[first]:.2e} reached"):
-        lindblad_evolve(rho0, h, l_ops, t, HBAR, dt=dt)
+        lindblad_evolve(rho0, h, l_ops, t, HBAR)
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"t": math.nan}, "t must be finite"),
     ({"t": math.inf}, "t must be finite"),
     ({"t": -1.0}, "t must be finite and nonnegative"),
-    ({"dt": 0.0}, "dt must be finite and positive"),
-    ({"dt": -1.0}, "dt must be finite and positive"),
-    ({"dt": math.nan}, "dt must be finite and positive"),
-    ({"dt": math.inf}, "dt must be finite and positive"),
     ({"hbar": 0.0}, "hbar must be finite and positive"),
     ({"hbar": -HBAR}, "hbar must be finite and positive"),
     ({"hbar": math.inf}, "hbar must be finite and positive"),
     ({"hbar": math.nan}, "hbar must be finite and positive"),
     ({"h_mat": np.zeros((23, 23))}, r"h_mat has shape \(23, 23\)"),
     ({"l_mats": [np.zeros((24, 24)), np.zeros((24, 25))]}, r"l_mats\[1\] has shape"),
-], ids=["t-nan", "t-inf", "t-negative", "dt-zero", "dt-negative", "dt-nan", "dt-inf",
-        "hbar-zero", "hbar-negative", "hbar-inf", "hbar-nan", "h-shape", "l-shape"])
+], ids=["t-nan", "t-inf", "t-negative", "hbar-zero", "hbar-negative", "hbar-inf", "hbar-nan",
+        "h-shape", "l-shape"])
 def test_lindblad_evolve_rejects_bad_times_and_shapes(kwargs, message):
     dim = 24
     args = {"rho0": coherent_density_matrix((0.0, 0.0), HBAR, dim),
             "h_mat": hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR),
             "l_mats": [build_linear_lindblad(DAMPING, HBAR, dim)],
-            "t": 3.0, "hbar": HBAR, "dt": 1e-3}
+            "t": 3.0, "hbar": HBAR}
     args.update(kwargs)
     with pytest.raises(ValueError, match=message):
         lindblad_evolve(**args)
@@ -568,7 +582,7 @@ def test_lindblad_evolve_warns_of_trace_drift(monkeypatch):
         rho0[1, 1] = scale
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = lindblad_evolve(rho0, h_mat, l_ops, 1.0, 0.05, 1e-2)
+            out = lindblad_evolve(rho0, h_mat, l_ops, 1.0, 0.05)
         assert len(caught) == len(out.warnings)
         return out.warnings
 
@@ -623,17 +637,16 @@ def test_non_finite_states_are_rejected(bad):
         wigner_exact(FockDensityMatrix(rho, HBAR), CenteredGrid(1.0, 1.0, 8, HBAR))
 
 
-def _full_space_evolution(rho0, h, l_ops, t, hbar, dt):
-    """The evolution as ``_taylor_action`` on the whole packed space, segment
-    by segment, with lindblad_evolve's plan."""
+def _full_space_evolution(rho0, h, l_ops, t, hbar):
+    """The evolution as ``_taylor_round`` on the whole packed space, round by
+    round, with lindblad_evolve's plan."""
     rho0 = np.asarray(getattr(rho0, "rho", rho0), dtype=complex)
-    segments = max(1, math.ceil(t / (25 * dt)))
-    step = fock._liouvillian(h, l_ops, hbar) * (t / segments)
-    m_star, s = fock._taylor_plan(step)
-    real = fock._packed_generator(step)
+    gen = fock._liouvillian(h, l_ops, hbar) * t
+    m_star, s = fock._taylor_plan(gen)
+    real = fock._packed_generator(gen)
     x = fock._pack(rho0)
-    for _ in range(segments):
-        x = fock._taylor_action(real, x, m_star, s)
+    for _ in range(s):
+        x = fock._taylor_round(real, x, m_star, s)
     return fock._unpack(x, len(rho0))
 
 
@@ -641,20 +654,20 @@ def _three_level_case():
     h_mat, l_ops = _three_levels()
     rho0 = np.zeros((10, 10))
     rho0[1, 1] = 1.0
-    return rho0, h_mat, l_ops, 1.0, 0.05, 1e-2
+    return rho0, h_mat, l_ops, 1.0, 0.05
 
 
 @pytest.mark.parametrize("case, restricted", [
     (lambda: (fock_density_matrix(3, HBAR, 48), hamiltonian_matrix(hamiltonians.harmonic(), 48, HBAR),
-              [build_linear_lindblad(Q_MEASURE, HBAR, 48)], 1.2, HBAR, 4e-3), True),
+              [build_linear_lindblad(Q_MEASURE, HBAR, 48)], 1.2, HBAR), True),
     (lambda: (cat_density_matrix((0.3, -0.2), HBAR, 40),
               hamiltonian_matrix(hamiltonians.quartic(1.0, 1.0), 40, HBAR),
-              [build_linear_lindblad(ch, HBAR, 40) for ch in (Q_MEASURE, DAMPING)], 0.3, HBAR,
-              4e-3), True),
+              [build_linear_lindblad(ch, HBAR, 40) for ch in (Q_MEASURE, DAMPING)], 0.3, HBAR),
+     True),
     (_three_level_case, True),
     (lambda: (coherent_density_matrix((0.3, -0.2), HBAR, 40),
               hamiltonian_matrix(hamiltonians.harmonic(), 40, HBAR),
-              [build_linear_lindblad(Q_MEASURE, HBAR, 40)], 0.3, HBAR, 4e-3), False),
+              [build_linear_lindblad(Q_MEASURE, HBAR, 40)], 0.3, HBAR), False),
 ], ids=["number", "cat", "three-level", "coherent"])
 def test_block_evolution_equals_the_full_space_loop_bit_for_bit(monkeypatch, case, restricted):
     """Entries outside the components rho0 reaches stay exactly zero, and each
@@ -662,17 +675,17 @@ def test_block_evolution_equals_the_full_space_loop_bit_for_bit(monkeypatch, cas
     so evolving the block alone gives the full loop's rho bit for bit.  A
     number or cat state reaches half of the space, the three-level state its
     levels' block; a coherent state reaches all of it."""
-    rho0, h, l_ops, t, hbar, dt = case()
-    want = _full_space_evolution(rho0, h, l_ops, t, hbar, dt)
+    rho0, h, l_ops, t, hbar = case()
+    want = _full_space_evolution(rho0, h, l_ops, t, hbar)
     sizes = []
-    taylor_action = fock._taylor_action
+    taylor_round = fock._taylor_round
 
-    def spy(step, vec, m_star, s):
+    def spy(gen, vec, m_star, s):
         sizes.append(vec.size)
-        return taylor_action(step, vec, m_star, s)
+        return taylor_round(gen, vec, m_star, s)
 
-    monkeypatch.setattr(fock, "_taylor_action", spy)
-    got = lindblad_evolve(rho0, h, l_ops, t, hbar, dt).rho
+    monkeypatch.setattr(fock, "_taylor_round", spy)
+    got = lindblad_evolve(rho0, h, l_ops, t, hbar).rho
     assert np.array_equal(got, want)
     full = len(want) ** 2
     assert sizes and all(size < full if restricted else size == full for size in sizes)
@@ -787,7 +800,7 @@ def _number56():
     model = hamiltonians.harmonic()
     t = 1.15 * dynamics.positivity_time(model, [channel])
     return lindblad_evolve(fock_density_matrix(3, HBAR, dim), hamiltonian_matrix(model, dim, HBAR),
-                           [build_linear_lindblad(channel, HBAR, dim)], t, HBAR, dt=4e-3)
+                           [build_linear_lindblad(channel, HBAR, dim)], t, HBAR)
 
 
 def test_number56_readouts_match_the_parity_and_displacement_references():
@@ -926,21 +939,19 @@ def test_square_grids_build_one_hermite_table(monkeypatch):
             / math.sqrt(4.0 * math.pi * HBAR))
 
 
-def _taylor_action_reading_every_norm(step, vec, m_star, s):
-    """Al-Mohy & Higham's loop as written: the partial sum's largest entry
+def _taylor_round_reading_every_norm(gen, vec, m_star, s):
+    """Al-Mohy & Higham's round as written: the partial sum's largest entry
     read after every term."""
-    f = vec
-    for _ in range(s):
-        b = f
-        c1 = np.abs(b).max()
-        for j in range(m_star):
-            b = step @ b
-            b *= 1.0 / (s * (j + 1))
-            c2 = np.abs(b).max()
-            f = f + b
-            if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
-                break
-            c1 = c2
+    f = b = vec
+    c1 = np.abs(b).max()
+    for j in range(m_star):
+        b = gen @ b
+        b *= 1.0 / (s * (j + 1))
+        c2 = np.abs(b).max()
+        f = f + b
+        if c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+            break
+        c1 = c2
     return f
 
 
@@ -954,9 +965,11 @@ def test_taylor_rounds_stop_at_the_term_the_exact_norm_picks(build, channels):
     rho0 = build(2 if build is fock_density_matrix else (0.2, -0.3), HBAR, dim)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
     step = fock._liouvillian(hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR), l_ops, HBAR)
-    x = fock._pack(rho0.rho)
     for t in (0.01, 0.3, 1.1):
         m_star, s = fock._taylor_plan(step * t)
         real = fock._packed_generator(step * t)
-        want = _taylor_action_reading_every_norm(real, x, m_star, s)
-        assert np.array_equal(fock._taylor_action(real, x, m_star, s), want)
+        x = fock._pack(rho0.rho)
+        for _ in range(s):
+            want = _taylor_round_reading_every_norm(real, x, m_star, s)
+            x = fock._taylor_round(real, x, m_star, s)
+            assert np.array_equal(x, want)
