@@ -1,15 +1,23 @@
 """Closed classical curves (1-DOF tori) and their branch decomposition.
 
-A curve is a dense uniform sampling of theta -> x(theta) = (p, q) with
-periodic cubic splines providing derivatives.  For the built-in families the
+A curve is a dense sampling of theta -> x(theta) = (p, q) with periodic
+cubic splines providing derivatives.  For the built-in families the
 parameter theta is 2 pi t / T along the Hamiltonian flow, so the branch
 amplitude |d theta / dQ| is the classical residence density familiar from
 WKB intensities.
 
+The spline is this module's own (``_periodic_spline``): the node slopes
+solve the cyclic tridiagonal system with one banded solve, and evaluation is
+a ``searchsorted`` and the piece's cubic.  A curve fits each coordinate once;
+the q fit also gives the measured action, whose trapezoid rule reads the
+node slopes.
+
 Branches at a position Q are the solutions theta_j of q(theta_j) = Q, each
-carrying its momentum p_j, amplitude |d theta/dq|, and slope dp/dq.  Near a
-turning point of the q-projection the slope diverges; callers flag such
-branches as caustic via a threshold instead of regularizing them.
+carrying its momentum p_j, amplitude |d theta/dq|, and slope dp/dq.  Only
+the spline pieces whose range holds Q are solved, each split at its interior
+extrema into monotone runs.  Near a turning point of the q-projection the
+slope diverges; callers flag such branches as caustic via a threshold
+instead of regularizing them.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import dynamics
 from .diagnostics import ConvergenceWarning, report
@@ -68,46 +76,186 @@ class LagrangianCurve:
         object.__setattr__(self, "points", pts)
 
     @cached_property
+    def _q_spline(self):
+        """The q(theta) spline: the measured action and the branch solve share it."""
+        return _periodic_spline(self.theta, self.points[:, 1])
+
+    @cached_property
     def _splines(self):
-        """Periodic splines of p(theta) and q(theta), built on first use."""
-        return _periodic_spline(self.theta, self.points[:, 0]), _periodic_spline(
-            self.theta, self.points[:, 1])
+        """Periodic splines of p(theta) and q(theta), each fitted once, on first use."""
+        return _periodic_spline(self.theta, self.points[:, 0]), self._q_spline
 
     def position(self, theta):
         sp, sq = self._splines
-        th = np.mod(theta, _TWO_PI)
-        return np.stack([sp(th), sq(th)], axis=-1)
+        return np.stack([sp(theta), sq(theta)], axis=-1)
 
     def velocity(self, theta):
         """d x / d theta from the splines."""
         sp, sq = self._splines
-        th = np.mod(theta, _TWO_PI)
-        return np.stack([sp(th, 1), sq(th, 1)], axis=-1)
+        return np.stack([sp(theta, 1), sq(theta, 1)], axis=-1)
 
 
-def _periodic_spline(theta, values) -> CubicSpline:
-    """Periodic cubic spline through the samples, closed at theta[0] + 2 pi."""
-    return CubicSpline(np.append(theta, theta[0] + _TWO_PI), np.append(values, values[0]),
-                       bc_type="periodic")
+#: Newton steps (each kept inside its run by bisection) allowed per root
+_ROOT_STEPS = 64
 
 
-def _enclosed_area(theta, points) -> float:
-    """|oint p dq| by the trapezoid rule on the closed loop.
+@dataclass(frozen=True)
+class _PeriodicSpline:
+    """Periodic cubic spline on the closed nodes ``x`` (theta and theta[0] +
+    2 pi): values ``y``, node slopes ``slopes`` and, per piece, the power
+    coefficients ``c[:, i]`` of the cubic in s = theta - x[i], highest first."""
 
-    q' comes from a periodic spline; on a uniform theta grid the periodic
-    trapezoid rule is spectrally accurate, so the spline derivative is the
-    limiting error (O(h^4) at the nodes).
+    x: np.ndarray
+    y: np.ndarray
+    slopes: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, theta, nu: int = 0):
+        """Values (nu = 0) or first derivatives (nu = 1), theta taken mod the
+        period.  The terms are summed lowest power first, as scipy's PPoly
+        does, so both are scipy's bit for bit."""
+        x = self.x
+        th = x[0] + np.mod(np.asarray(theta, dtype=float) - x[0], x[-1] - x[0])
+        i = np.clip(np.searchsorted(x, th, side="right") - 1, 0, x.size - 2)
+        s = th - x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        s2 = s * s
+        if nu == 0:
+            return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        return c2 + c1 * s * 2 + c0 * s2 * 3
+
+    @cached_property
+    def _runs(self):
+        """Each piece cut into monotone runs at the zeros of its derivative
+        inside it: knots (4, n) 0 <= e1 <= e2 <= h (a missing zero sits at h),
+        the spline's values there, and each piece's lowest and highest value."""
+        c0, c1, c2, c3 = self.c
+        h = np.diff(self.x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # zeros of 3 c0 s^2 + 2 c1 s + c2, without cancellation
+            big = -(c1 + np.copysign(np.sqrt(c1 * c1 - 3.0 * c0 * c2), c1))
+            zeros = np.stack([big / (3.0 * c0), c2 / big])
+        zeros = np.where((zeros > 0) & (zeros < h), zeros, h)
+        inner = np.stack([np.minimum(*zeros), np.maximum(*zeros)])
+        knots = np.concatenate([np.zeros((1, h.size)), inner, h[None]])
+        vals = np.concatenate([self.y[None, :-1],
+                               np.where(inner < h, ((c0 * inner + c1) * inner + c2) * inner + c3,
+                                        self.y[1:]),
+                               self.y[None, 1:]])
+        return knots, vals, vals.min(axis=0), vals.max(axis=0)
+
+    def roots(self, value: float) -> list:
+        """Every theta in [x[0], x[-1]] where the spline equals ``value``.
+
+        Only the pieces whose range holds ``value`` are solved: their end
+        values straddle it, or an interior extremum lies on its other side.
+        Each monotone run whose ends straddle ``value`` holds one root.  A
+        root at a node or an extremum can come once from each run that ends
+        there.
+        """
+        knots, vals, lo, hi = self._runs
+        piece = np.flatnonzero((lo <= value) & (value <= hi))
+        out = []
+        for x0, k, f, (c0, c1, c2, c3) in zip(self.x[piece].tolist(), knots[:, piece].T.tolist(),
+                                              (vals[:, piece] - value).T.tolist(),
+                                              self.c[:, piece].T.tolist()):
+            for a, b, fa, fb in zip(k, k[1:], f, f[1:]):
+                if a < b and (fa <= 0.0 <= fb or fb <= 0.0 <= fa):
+                    out.append(x0 + _run_root((c0, c1, c2, c3 - value), a, b, fa, fb))
+        return out
+
+
+def _run_root(coef, a: float, b: float, fa: float, fb: float) -> float:
+    """The root in [a, b] of the cubic with power coefficients ``coef``
+    (highest first), monotone there with end values fa, fb of opposite sign
+    or zero: Newton's method from the secant point, with a bisection of the
+    shrinking bracket wherever a Newton step would leave it or fail to halve
+    the step before it."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    c0, c1, c2, d = coef
+    s = a - fa * (b - a) / (fb - fa)
+    last = b - a
+    for _ in range(_ROOT_STEPS):
+        fs = ((c0 * s + c1) * s + c2) * s + d
+        if fs == 0.0:
+            break
+        if (fs < 0.0) == (fa < 0.0):
+            a, fa = s, fs
+        else:
+            b = s
+        slope = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        step = s - fs / slope if slope != 0.0 else math.nan
+        # bisect when Newton leaves the bracket, has no step, or does not halve its last step
+        if not (a < step < b and abs(step - s) <= 0.5 * last):
+            step = 0.5 * (a + b)
+        last = abs(step - s)
+        if last <= 2.0 * _EPS * b:
+            return step
+        s = step
+    return s
+
+
+def _periodic_spline(theta, values) -> _PeriodicSpline:
+    """Periodic cubic spline through the samples, closed at theta[0] + 2 pi.
+
+    The slopes solve the cyclic tridiagonal system of C2 continuity.  The
+    last unknown is eliminated from the cyclic corner, which leaves a
+    tridiagonal system with two right-hand sides, solved by one
+    ``solve_banded`` call; the last slope follows from the remaining row.
+    Every slope and coefficient is bit for bit scipy's periodic
+    ``CubicSpline``.
     """
-    sq = _periodic_spline(theta, points[:, 1])
-    th = sq.x  # the closed loop's nodes
-    f = np.append(points[:, 0], points[0, 0]) * sq(th, 1)
-    return abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(th))))
+    x = np.append(theta, theta[0] + _TWO_PI)
+    y = np.append(values, values[0])
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    prev_dx = np.roll(dx, 1)
+    # row j: dx[j] m[j-1] + 2 (dx[j-1] + dx[j]) m[j] + dx[j-1] m[j+1] = rhs[j], indices mod n
+    rhs = 3.0 * (dx * np.roll(slope, 1) + prev_dx * slope)
+    n = dx.size
+    band = np.zeros((3, n - 1))
+    band[0, 1:] = prev_dx[:n - 2]
+    band[1] = 2.0 * (prev_dx[:n - 1] + dx[:n - 1])
+    band[2, :-1] = dx[1:n - 1]
+    # the rows without the last unknown, and that unknown's column moved right
+    both = np.zeros((n - 1, 2))
+    both[:, 0] = rhs[:n - 1]
+    both[0, 1], both[-1, 1] = -dx[0], -dx[-3]
+    s1, s2 = solve_banded((1, 1), band, both, check_finite=False).T
+    last = ((rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+            / (2.0 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    m = np.empty(n + 1)
+    m[:-2] = s1 + last * s2
+    m[-2], m[-1] = last, m[0]
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+    c = np.stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
+    return _PeriodicSpline(x, y, m, c)
+
+
+def _enclosed_area(sq: _PeriodicSpline, p) -> float:
+    """|oint p dq| by the trapezoid rule on the closed loop, dq/dtheta the
+    node slopes of the q spline.
+
+    On a uniform theta grid the periodic trapezoid rule is spectrally
+    accurate, so the spline derivative is the limiting error (O(h^4) at the
+    nodes).
+    """
+    f = np.append(p, p[0]) * sq.slopes
+    return abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(sq.x))))
+
+
+def _measured_curve(theta, points, warnings=()) -> LagrangianCurve:
+    """The checked curve through the samples, its action measured by the q
+    spline it keeps."""
+    curve = LagrangianCurve(theta, points, math.nan, list(warnings))
+    object.__setattr__(curve, "action",
+                       _enclosed_area(curve._q_spline, curve.points[:, 0]) / _TWO_PI)
+    return curve
 
 
 def curve_from_samples(theta, points) -> LagrangianCurve:
-    theta = np.asarray(theta, dtype=float)
-    points = np.asarray(points, dtype=float)
-    return LagrangianCurve(theta, points, _enclosed_area(theta, points) / _TWO_PI)
+    return _measured_curve(theta, points)
 
 
 def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
@@ -201,7 +349,7 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
     q = q_plus * np.cos(phi)
     p = -q_plus * np.sin(phi) * np.sqrt(2.0 * k_factor(q))
     pts = np.stack([p, q], axis=-1)
-    return LagrangianCurve(th, pts, _enclosed_area(th, pts) / _TWO_PI, notes)
+    return _measured_curve(th, pts, notes)
 
 
 def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
@@ -247,13 +395,16 @@ def branches_at(curve: LagrangianCurve, Q: float,
     """Solve q(theta) = Q on the curve and differentiate the branches.
 
     amplitude = |d theta / dq|, slope = dp/dq; a branch is flagged caustic
-    when |slope| exceeds the threshold.  Returns empty arrays when Q lies
+    when |slope| exceeds the threshold, which must be positive (the default,
+    inf, flags none).  Returns empty arrays when Q lies
     outside the curve's q-projection.  A root where the parametrization
     itself is stationary (both derivatives vanish) is degenerate and raises.
     """
     if not math.isfinite(Q):
         raise ValueError(f"Q must be finite, got {Q!r}")
-    roots = np.sort(np.mod(curve._splines[1].solve(Q, extrapolate=False), _TWO_PI))
+    if not caustic_threshold > 0:
+        raise ValueError(f"caustic_threshold must be positive, got {caustic_threshold!r}")
+    roots = np.sort(np.mod(curve._q_spline.roots(Q), _TWO_PI))
     keep = []
     for r in roots:
         if not keep or min(abs(r - keep[-1]), _TWO_PI - abs(r - keep[-1])) > 1e-9:
@@ -285,5 +436,4 @@ def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
     enclosed area).
     """
     pts = dynamics.advect(H, channels, curve.points, t, dt)
-    return LagrangianCurve(curve.theta.copy(), pts, _enclosed_area(curve.theta, pts) / _TWO_PI,
-                           list(curve.warnings))
+    return _measured_curve(curve.theta.copy(), pts, curve.warnings)

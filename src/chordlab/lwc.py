@@ -303,7 +303,7 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     wq = simpson_weights(q_axis.size, dq) * np.exp(
         -((q_axis - window.Q) ** 2) / (2.0 * window.delta**2))
     wq /= math.sqrt(2.0 * math.pi) * window.delta
-    vals = wq @ rho_slices[:, cols]
+    vals = (wq @ rho_slices)[cols]  # contract first: no gathered copy of the table
     return LwcSample(xi_q, vals, window, [])
 
 

@@ -859,6 +859,15 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_interpolate_unloaded():
+    """The curve splines are chordlab's own, so neither the library nor the
+    CLI pays scipy.interpolate's import (tens of milliseconds)."""
+    out = _run_fresh_python("-c", "import sys, chordlab, chordlab.cli; "
+                            "print('scipy.interpolate' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_console_script_runs():
     """Run the declared console script in a fresh interpreter the way the
     wrapper that pip generates for it does, so no install is needed."""

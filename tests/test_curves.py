@@ -1,12 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import ellipj, ellipk
 
+from chordlab import curves as cv
 from chordlab import dynamics as dy
 from chordlab.diagnostics import ConvergenceWarning
 from chordlab.grids import _BLOCK_ELEMENTS
@@ -56,6 +59,157 @@ def test_splines_are_built_once_and_close_the_loop():
     for spline, column in zip(first, curve.points.T):
         assert spline.x[-1] == curve.theta[0] + 2.0 * math.pi
         assert abs(spline(spline.x[-1]) - column[0]) < 1e-14
+
+
+def _scipy_spline(theta, values):
+    """The reference: scipy's periodic CubicSpline on the closed loop."""
+    return CubicSpline(np.append(theta, theta[0] + 2.0 * math.pi), np.append(values, values[0]),
+                       bc_type="periodic")
+
+
+def _nonuniform_curve():
+    """A curve on a non-uniform theta that starts past 0."""
+    rng = np.random.default_rng(7)
+    th = np.sort(rng.uniform(0.3, 2.0 * math.pi, 200))
+    return curve_from_samples(th, np.stack([np.cos(th) + 0.2 * np.sin(2.0 * th), np.sin(th)], -1))
+
+
+_SPLINE_CURVES = {
+    "circle": lambda: harmonic_circle(0.5, 1024),
+    "quartic": lambda: quartic_level_curve(0.5, samples=512),
+    "pendulum": lambda: pendulum_level_curve(0.2, samples=512),
+    "nonuniform": _nonuniform_curve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLINE_CURVES))
+def test_splines_match_scipy_periodic_cubic_spline(name):
+    """Values and first derivatives, at theta inside and outside [0, 2 pi)."""
+    curve = _SPLINE_CURVES[name]()
+    th = np.random.default_rng(1).uniform(-7.0, 14.0, 4000)
+    th = np.concatenate([th, curve.theta, [curve.theta[0] + 2.0 * math.pi]])
+    for spline, column in zip(curve._splines, curve.points.T):
+        want = _scipy_spline(curve.theta, column)
+        tol = 1e-14 * np.max(np.abs(column))
+        assert np.max(np.abs(spline(th) - want(th))) <= tol
+        assert np.max(np.abs(spline(th, 1) - want(th, 1))) <= tol
+
+
+def _scipy_branch_thetas(curve, Q):
+    """scipy's roots of q(theta) = Q, mod 2 pi, grouped where they lie within
+    1e-9 of each other (around the seam too): one group per branch."""
+    roots = np.sort(np.mod(_scipy_spline(curve.theta, curve.points[:, 1]).solve(
+        Q, extrapolate=False), 2.0 * math.pi))
+    groups = []
+    for r in roots:
+        if groups and r - groups[-1][-1] <= 1e-9:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    if len(groups) > 1 and groups[0][0] + 2.0 * math.pi - groups[-1][-1] <= 1e-9:
+        groups[0] += [r - 2.0 * math.pi for r in groups.pop()]
+    return groups
+
+
+def _branches_match_scipy(curve, Q) -> int:
+    """Assert one branch per group of scipy's roots, each within 1e-12 of
+    its group, and return the branch count."""
+    groups = _scipy_branch_thetas(curve, Q)
+    br = branches_at(curve, Q)
+    assert len(br) == len(groups), Q
+    for theta, group in zip(br.theta, groups):
+        gap = np.abs(np.asarray(group) - theta)
+        assert np.min(np.minimum(gap, 2.0 * math.pi - gap)) <= 1e-12, Q
+    return len(br)
+
+
+def _clipped_cosine():
+    th = np.arange(64) * 2.0 * math.pi / 64
+    return curve_from_samples(th, np.stack([np.sin(th), np.clip(1.5 * np.cos(th), -1.0, 1.0)], -1))
+
+
+@pytest.mark.parametrize("samples, Q, count", [
+    (1024, 1.0, 1),  # tangent at a node
+    (1024, 1.0 + 1e-12, 0),
+    (1001, 1.0 - 1e-7, 2),  # both roots inside one piece, whose ends lie below Q
+    (64, 1.0, 17),  # the clipped cosine: scipy returns 21 roots, 4 of them repeats at a node
+], ids=["circle-node-tangent", "circle-above", "circle-one-piece", "clipped-cosine"])
+def test_branch_roots_match_scipy(samples, Q, count):
+    curve = harmonic_circle(0.5, samples) if samples != 64 else _clipped_cosine()
+    assert _branches_match_scipy(curve, Q) == count
+
+
+def _exact_root(spline, Q, guess, width=1e-9):
+    """The float theta nearest the root of the spline piece at ``guess``:
+    bisection over floats, each sign taken in exact rational arithmetic."""
+    i = int(np.searchsorted(spline.x, guess, side="right")) - 1
+    x0, coef = Fraction(spline.x[i]), [Fraction(v) for v in spline.c[:, i]]
+
+    def sign(theta):
+        s = Fraction(theta) - x0
+        return ((coef[0] * s + coef[1]) * s + coef[2]) * s + coef[3] > Fraction(Q)
+
+    a, b = guess - width, guess + width
+    assert sign(a) != sign(b)
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        a, b = (m, b) if sign(m) == sign(a) else (a, m)
+    return a
+
+
+def test_branch_roots_just_below_a_tangent_are_exact():
+    """At Q = R (1 - 1e-12) the circle's two roots lie 1.4e-6 either side of
+    the node at the top, where q' is 1e-6: scipy finds both, but its first one
+    (from the companion matrix) lies 7.8e-11 from the exact root of the same
+    cubic.  The cubic's rounding in floats (eps times terms of 2e-5, over that
+    slope) fixes a root only to about 3e-15, and both of branches_at's roots
+    are within 1e-14 of the exact ones."""
+    curve = harmonic_circle(0.5, 1024)
+    Q = 1.0 - 1e-12
+    reference = _scipy_spline(curve.theta, curve.points[:, 1])
+    scipy_roots = np.sort(reference.solve(Q, extrapolate=False))
+    br = branches_at(curve, Q)
+    assert len(br) == scipy_roots.size == 2
+    exact = [_exact_root(reference, Q, r) for r in scipy_roots]
+    assert np.max(np.abs(br.theta - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["quartic", "pendulum", "nonuniform"])
+def test_branch_roots_match_scipy_across_the_projection(name):
+    curve = _SPLINE_CURVES[name]()
+    q = curve.points[:, 1]
+    for Q in np.linspace(q.min() - 0.01, q.max() + 0.01, 61):
+        _branches_match_scipy(curve, Q)
+
+
+def test_run_root_bisects_where_newton_crawls():
+    """s^3 - 1e-40 on [0, 1]: from the secant start Newton jumps far out of
+    the bracket, and from above it shrinks s by only 1/3 a step, which would
+    take about 74 steps to reach the root 4.6e-14.  Bisecting whenever a
+    Newton step fails to halve the one before gets there inside the budget."""
+    root = cv._run_root((1.0, 0.0, 0.0, -1e-40), 0.0, 1.0, -1e-40, 1.0)
+    want = 1e-40 ** (1.0 / 3.0)
+    assert abs(root - want) <= 1e-12 * want
+
+
+def test_an_evolved_curve_fits_each_coordinate_once(monkeypatch):
+    """The fit behind the measured action is the one the branches use."""
+    fitted = []
+
+    def counting(theta, values):
+        fitted.append(values.copy())
+        return fit(theta, values)
+
+    fit = cv._periodic_spline
+    circle = harmonic_circle(0.5, 128)
+    monkeypatch.setattr(cv, "_periodic_spline", counting)
+    damping = dy.LindbladChannel((0.0, 1.0), (1.0, 0.0))
+    evolved = evolve_curve_classically(circle, dy.hamiltonians.harmonic(), [damping], 0.3)
+    assert len(fitted) == 1 and np.array_equal(fitted[0], evolved.points[:, 1])
+    for Q in (0.0, 0.2, -0.4):
+        branches_at(evolved, Q)
+    evolved.position(0.3), evolved.velocity(0.3)
+    assert len(fitted) == 2 and np.array_equal(fitted[1], evolved.points[:, 0])
 
 
 def test_quartic_level_curve_energy_and_action():
@@ -196,6 +350,13 @@ def test_branch_caustic_flag():
     assert br.caustic.all()  # |slope| = 0.99 / sqrt(1 - 0.99^2) ~ 7
     br = branches_at(curve, 0.99)  # default threshold inf
     assert not br.caustic.any()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, -math.inf])
+def test_branches_at_rejects_a_caustic_threshold_that_is_not_positive(threshold):
+    """Before, nan flagged no branch and a threshold <= 0 flagged every one."""
+    with pytest.raises(ValueError, match="caustic_threshold must be positive"):
+        branches_at(harmonic_circle(0.5, 64), 0.2, caustic_threshold=threshold)
 
 
 def test_branches_outside_projection_empty():
