@@ -590,10 +590,9 @@ def positivity_time(H, channels) -> float:
             raise ValueError(
                 "channels too weak: det Phi_0 = 0 for all t, because the noise "
                 "misses an eigen-direction of the chord flow")
-    anchor = np.zeros(2)
 
-    def f(t):
-        return decoherence_matrix(H, channels, anchor, t, frame="initial").det - 0.25
+    def f(t):  # det Phi_0(t) - 1/4, as decoherence_matrix(..., frame="initial") gives it
+        return float(np.linalg.det(_gramian(a, lam, t))) - 0.25
 
     lo, hi = 0.0, 1.0
     f_hi = f(hi)

@@ -3,14 +3,16 @@
 Everything here works with dense matrices in the harmonic oscillator
 eigenbasis, scaled so that q = sqrt(hbar/2)(a + a+) and p comes with the
 matching factor.  It provides the ground truth the phase-space machinery is
-checked against: exact Lindblad evolution (the exponential of the sparse
-Liouvillian acting on the state, by one truncated-Taylor plan per evolution
+checked against: exact Lindblad evolution (the exponential of the Lindblad
+generator acting on the state, by one truncated-Taylor plan per evolution
 from the complex generator's 1-norm, whose rounds end on the exact states
 the leak check reads), exact position slices, chord functions and Wigner
 functions.  The evolution runs in real arithmetic on a packed state, d^2
 reals triu(Re rho) + tril(Im rho, -1) with the populations on the diagonal,
 under the real sparse generator the Liouvillian becomes on Hermitian
-matrices; the evolved rho is Hermitian by construction.  Only the blocks of
+matrices, written in one index pass from the nonzeros of H and each L (no
+complex Liouvillian, no Kronecker product), with the plan's 1-norm from the
+same pass; the evolved rho is Hermitian by construction.  Only the blocks of
 that generator the initial state reaches are evolved (half the space for a
 number or cat state), and the partial sum's largest entry is read only when
 a running bound lets a Taylor round stop; neither changes a bit of the
@@ -246,38 +248,202 @@ def _check_hermitian(mat, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian (max |{name} - {name}+| = {herm:.2e})")
 
 
-def _sparse(mat) -> sparse.csr_array:
-    """CSR copy without the entries below eps times the largest: rounding noise
-    (the eigh-built pendulum cos q is full of it) would fill a banded matrix."""
+def _kept(mat) -> np.ndarray:
+    """Complex copy of mat without the entries at most eps times its largest:
+    rounding noise (the eigh-built pendulum cos q is full of it) would fill a
+    banded generator."""
     mat = np.asarray(mat, dtype=complex)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("operator has non-finite entries")
-    return sparse.csr_array(np.where(np.abs(mat) > _EPS * np.abs(mat).max(), mat, 0.0))
+    return np.where(np.abs(mat) > _EPS * np.abs(mat).max(), mat, 0.0)
 
 
-def _liouvillian(h_mat, l_mats, hbar) -> sparse.csr_array:
-    """The Lindblad generator acting on rho.ravel() (row-major), in CSR:
-    -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2 - I (x) (L+L)^T/2)/hbar."""
-    h = _sparse(h_mat)
-    eye = sparse.eye_array(h.shape[0], dtype=complex, format="csr")
-    gen = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
-    for lm in map(_sparse, l_mats):
-        ldl = lm.conj().T @ lm
-        gen = gen + sparse.kron(lm, lm.conj()) \
-            - 0.5 * (sparse.kron(ldl, eye) + sparse.kron(eye, ldl.T))
-    return sparse.csr_array(gen / hbar)
+def _slots(mask) -> tuple:
+    """(cols, valid): the columns of each row's True entries of mask, ascending,
+    padded with zeros to the longest row, and which of them are real."""
+    counts = mask.sum(axis=1)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    table = np.zeros(valid.shape, dtype=np.int32)
+    table[valid] = np.nonzero(mask)[1]
+    return table, valid
 
 
-def _taylor_plan(gen) -> tuple:
-    """(m*, s) for exp(gen): the degree m and the s = ceil(||gen||_1 / theta_m)
-    rounds that minimise the matvec count m s (the first such m on a tie).
-    A zero generator needs no term: (0, 1).  Each round's gen/s has 1-norm
-    at most theta_m*.  Up to their condition 3.13 (||gen||_1 <= 63.36) this
-    is Al-Mohy & Higham's choice.  A whole evolution nearly always exceeds
-    it (270-320 for the benchmark's dim-48 ones); there they lower s with
-    estimates of ||gen^p||^(1/p), which the 1-norm bounds from above, so this
-    plan may take more rounds than theirs, never fewer digits."""
-    norm = float(abs(gen).sum(axis=0).max())
+def _gram(l_q, qc) -> np.ndarray:
+    """K = L+L from the entries l_q of L at the columns qc of each row:
+    K[a, b] = sum_k L*[k, a] L[k, b], each product the textbook complex one
+    rounded, summed over k in order, as a sparse matrix product forms it."""
+    dim = len(qc)
+    x, y = l_q[:, :, None], l_q[:, None, :]
+    prod = np.empty(x.shape[:2] + y.shape[2:], dtype=complex)
+    prod.real = x.real * y.real + x.imag * y.imag
+    prod.imag = x.real * y.imag - x.imag * y.real
+    k = np.zeros(dim * dim, dtype=complex)
+    np.add.at(k, (qc[:, :, None] * dim + qc[:, None, :]).ravel(), prod.ravel())
+    return k.reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=4)
+def _packing(dim: int, tables: tuple, nonzero: bytes) -> tuple:
+    """(cols, terms, indices, indptr): the index work of ``_generator`` for a
+    table of complex entries with the column tables ``tables`` (the bytes of
+    qc, lc and rc) and the nonzero real and imaginary parts ``nonzero``.
+    Evolutions that share a sparsity pattern (a scan over t or over a
+    channel's strength) share it.  An entry holds about 1 MB at dim 48 and
+    38 MB for the quartic at dim 220; building one costs about what the
+    Kronecker-sum build did (1.2-1.5 times it for dim 120-220).
+
+    cols[p] = a dim + b is the complex column of table entry p (row-major over
+    (i, j, slot)).  The packed matrix is CSR with ``indices`` and ``indptr``;
+    its slot m holds c0 v[q0] + c1 v[q1] for terms = (q0, c0, q1, c1), with v
+    the table's interleaved real and imaginary parts (c1 = 0 where the slot
+    has one term).
+
+    Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo],
+    with lo, hi the smaller and larger of a and b, so each complex column
+    splits into a real slot and a signed imaginary slot.  The generator keeps
+    rho Hermitian, so only its rows (i, j) with i <= j are packed: Re of the
+    row goes to slot (i, j), -Im to the mirror slot (j, i) when i < j.  The
+    columns (a, b) and (b, a) share their slots, so a slot has at most two
+    terms."""
+    qc, lc, rc = (np.frombuffer(tab, dtype=np.int32).reshape(dim, -1) for tab in tables)
+    wq, wl, wr = qc.shape[1], lc.shape[1], rc.shape[1]
+    idx = np.arange(dim, dtype=np.int32)[:, None]
+    a_of = np.hstack([np.repeat(qc, wq, axis=1), lc, np.repeat(idx, wr, axis=1)])  # [i, slot]
+    b_of = np.hstack([np.tile(qc, wq), np.repeat(idx, wl, axis=1), rc])  # [j, slot]
+    cols = (a_of[:, None, :] * dim + b_of[None, :, :]).ravel()
+    nz = np.unpackbits(np.frombuffer(nonzero, dtype=np.uint8), count=2 * cols.size)
+    nz = nz.reshape(-1, 2).astype(bool)
+    entry = np.flatnonzero(nz[:, 0] | nz[:, 1]).astype(np.int32)
+    i, rest = np.divmod(entry, dim * a_of.shape[1])
+    j, slot = np.divmod(rest, a_of.shape[1])
+    upper = i <= j
+    entry, i, j, slot = entry[upper], i[upper], j[upper], slot[upper]
+    a, b = a_of[i, slot], b_of[j, slot]
+    re, im = nz[entry].T
+    lo, hi, sign = np.minimum(a, b), np.maximum(a, b), np.sign(a - b).astype(float)
+    row, mirror, off = i * dim + j, j * dim + i, i < j
+    terms = [  # (present, packed row, packed column, index into v, coefficient)
+        (re, row, lo * dim + hi, 2 * entry, 1.0),
+        (im & (a != b), row, hi * dim + lo, 2 * entry + 1, -sign),
+        (im & off, mirror, lo * dim + hi, 2 * entry + 1, -1.0),
+        (re & off & (a != b), mirror, hi * dim + lo, 2 * entry, -sign)]
+    rows, packed, q, c = (np.concatenate([np.broadcast_to(term[k], row.shape)[term[0]]
+                                          for term in terms]) for k in range(1, 5))
+    key = rows.astype(np.int64) * dim**2 + packed
+    order = np.argsort(key)
+    key, q, c = key[order], q[order], c[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    pair = np.diff(first, append=key.size) == 2
+    q1, c1 = np.zeros(first.size, dtype=np.intp), np.zeros(first.size)
+    q1[pair], c1[pair] = q[first[pair] + 1], c[first[pair] + 1]
+    rows, packed = np.divmod(key[first], dim**2)
+    indptr = np.zeros(dim**2 + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim**2), out=indptr[1:])
+    return (cols.astype(np.intp), (q[first].astype(np.intp), c[first], q1, c1),
+            packed.astype(np.int32), indptr)
+
+
+def _generator(h_mat, l_mats, hbar, t) -> tuple:
+    """(R, norm): the real CSR matrix R with _pack(rho') = R _pack(rho) for
+    Hermitian rho, where rho' is t times the Lindblad right-hand side, and the
+    1-norm of that map on complex rho.ravel() (row-major), the generator
+
+        G[(i,j),(a,b)] = t (-(i/hbar)(H[i,a] d_jb - d_ia H[b,j])
+                            + sum_k (L[i,a] L*[j,b] - (K[i,a] d_jb + d_ia K[b,j])/2)/hbar),
+
+    K = L+L (``_gram``), with H and each L first stripped by ``_kept``.
+
+    Every entry is written once, from index arithmetic on the nonzeros of H,
+    the L and the K, into a table over (i, j, slot) in row order.  Row (i,j)
+    holds three disjoint families of columns (a,b): Q_i x Q_j, where Q_i is i
+    and the columns of row i of any L (the jump terms); (a,j) outside it,
+    where H or a K has (i,a); and (i,b) outside it, where H or a K has (b,j).
+    The entries are evaluated by the operations of the Kronecker-sum
+    Liouvillian -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2
+    - I (x) (L+L)^T/2)/hbar, in its order, so G equals it bit for bit, and
+    norm is its exact 1-norm: column sums of |G| over every row, ascending.
+    The packed matrix's own 1-norm is larger, and would plan more Taylor
+    terms.  The packed entries are read off the table by ``_packing``, whose
+    index work is done once per sparsity pattern.
+
+    A generator whose entries or 1-norm overflow raises ValueError, with no
+    numpy warning.
+    """
+    dim = len(h_mat)
+    idx = np.arange(dim, dtype=np.int32)[:, None]
+    h = _kept(h_mat)
+    ls = [_kept(lm) for lm in l_mats]
+    jump = np.zeros((dim, dim), dtype=bool)
+    for lm in ls:
+        jump |= lm != 0
+    np.fill_diagonal(jump, False)
+    qc, qv = _slots(jump)
+    qc, qv = np.hstack([idx, qc]), np.hstack([idx >= 0, qv])  # slot 0 is the diagonal
+    wq = qc.shape[1]
+    l_qs = [np.where(qv, lm[idx, qc], 0.0) for lm in ls]
+
+    def at(mat, rows, cols, valid):
+        return np.where(valid, mat[rows, cols], 0.0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ks = [_gram(l_q, qc) for l_q in l_qs]
+        drift = h != 0
+        for k in ks:
+            drift |= k != 0
+        np.fill_diagonal(jump, True)
+        lc, lv = _slots(drift & ~jump)
+        rc, rv = _slots(drift.T & ~jump)
+        # the jump family slot-major, core[ka, kb, i, j] at (qc[i, ka], qc[j, kb])
+        core = np.zeros((wq, wq, dim, dim), dtype=complex)
+        core[:, 0] = at(h, idx, qc, qv).T[:, :, None]
+        core[0] -= at(h, qc, idx, qv).T[:, None, :]
+        core *= -1j
+        left = at(h, idx, lc, lv) * -1j
+        right = (0.0 - at(h, rc, idx, rv)) * -1j
+        for l_q, k in zip(l_qs, ks):
+            l_q = l_q.T
+            core += l_q[:, None, :, None] * l_q.conj()[None, :, None, :]
+            k_ia, k_bj = at(k, idx, qc, qv).T, at(k, qc, idx, qv).T
+            core[1:, 0] -= k_ia[1:, :, None] * 0.5
+            core[0, 1:] -= k_bj[1:, None, :] * 0.5
+            core[0, 0] -= (k_ia[0][:, None] + k_bj[0][None, :]) * 0.5
+            left = left - at(k, idx, lc, lv) * 0.5
+            right = right - at(k, rc, idx, rv) * 0.5
+        split = [wq * wq, wq * wq + lc.shape[1]]
+        vals = np.empty((dim, dim, split[1] + rc.shape[1]), dtype=complex)
+        head, mid, tail = np.split(vals, split, axis=2)
+        head[...] = core.reshape(wq * wq, dim, dim).transpose(1, 2, 0)
+        mid[...] = left[:, None]
+        tail[...] = right
+        vals *= 1 / hbar
+        vals *= t
+        v = vals.view(float).ravel()
+        cols, terms, indices, indptr = _packing(
+            dim, (qc.tobytes(), lc.tobytes(), rc.tobytes()), np.packbits(v != 0).tobytes())
+        norm = float(np.bincount(cols, weights=np.abs(vals).ravel(), minlength=1).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"the Lindblad generator overflows over t = {t!r}: its 1-norm "
+                         f"is {norm!r}; rescale H, the channels or t")
+    q0, c0, q1, c1 = terms
+    data = c0 * v[q0]
+    data += c1 * v[q1]
+    keep = data != 0
+    if not keep.all():  # two terms that cancel
+        rows = np.repeat(np.arange(dim * dim), np.diff(indptr))[keep]
+        indptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(rows, minlength=dim * dim), out=indptr[1:])
+        data, indices = data[keep], indices[keep]
+    return sparse.csr_array((data, indices.copy(), indptr.copy()), shape=(dim * dim,) * 2), norm
+
+
+def _taylor_plan(norm: float) -> tuple:
+    """(m*, s) for exp(gen) with ||gen||_1 = norm: the degree m and the
+    s = ceil(norm / theta_m) rounds that minimise the matvec count m s (the
+    first such m on a tie).  A zero generator needs no term: (0, 1).  Each
+    round's gen/s has 1-norm at most theta_m*.  Up to their condition 3.13
+    (norm <= 63.36) this is Al-Mohy & Higham's choice.  A whole evolution
+    nearly always exceeds it (270-320 for the benchmark's dim-48 ones); there
+    they lower s with estimates of ||gen^p||^(1/p), which the 1-norm bounds
+    from above, so this plan may take more rounds than theirs, never fewer
+    digits."""
     if norm == 0.0:
         return 0, 1
     return min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
@@ -300,33 +466,6 @@ def _unpack(x, dim: int) -> np.ndarray:
     return rho
 
 
-def _packed_generator(gen) -> sparse.csr_array:
-    """The real CSR matrix with _pack(rho') = R _pack(rho) where rho'.ravel() =
-    gen @ rho.ravel(), for the complex generator ``gen`` and Hermitian rho.
-
-    Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo], with
-    lo, hi the smaller and larger of a and b, so each column of ``gen`` splits
-    into a real slot and a signed imaginary slot.  The generator keeps rho
-    Hermitian, so only its rows (i, j) with i <= j are needed: Re of the row
-    goes to slot (i, j), -Im to the mirror slot (j, i) when i < j."""
-    dim = math.isqrt(gen.shape[0])
-    coo = gen.tocoo()
-    i, j = np.divmod(coo.row, dim)
-    upper = i <= j
-    i, j, g = i[upper], j[upper], coo.data[upper]
-    a, b = np.divmod(coo.col[upper], dim)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    re_col, im_col, sign = lo * dim + hi, hi * dim + lo, np.sign(a - b)
-    off = i < j
-    row, mirror = i * dim + j, (j * dim + i)[off]
-    out = sparse.csr_array((
-        np.concatenate([g.real, -sign * g.imag, -g.imag[off], -(sign * g.real)[off]]),
-        (np.concatenate([row, row, mirror, mirror]),
-         np.concatenate([re_col, im_col, re_col[off], im_col[off]]))), shape=gen.shape)
-    out.eliminate_zeros()
-    return out
-
-
 def _reached(gen, x) -> np.ndarray:
     """Sorted indices of the weakly connected components of the generator
     ``gen``'s graph that hold an exactly nonzero entry of x: the only entries
@@ -334,6 +473,20 @@ def _reached(gen, x) -> np.ndarray:
     parity of m + n, so a number or cat state reaches half of the space."""
     _, labels = connected_components(gen, connection="weak")
     return np.flatnonzero(np.isin(labels, labels[x != 0]))
+
+
+def _restricted(gen, live) -> sparse.csr_array:
+    """gen[live][:, live] in one pass over the rows of ``live``, sorted indices of
+    whole weakly connected components of gen's graph (``_reached``), whose
+    rows hold no column outside it: each row keeps its entries in order."""
+    counts = np.diff(gen.indptr)[live]
+    indptr = np.zeros(live.size + 1, dtype=gen.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.repeat(gen.indptr[live] - indptr[:-1], counts) + np.arange(indptr[-1])
+    pos = np.empty(gen.shape[0], dtype=gen.indices.dtype)
+    pos[live] = np.arange(live.size)
+    return sparse.csr_array((gen.data[take], pos[gen.indices[take]], indptr),
+                            shape=(live.size,) * 2)
 
 
 def _taylor_round(gen, vec, m_star: int, s: int) -> np.ndarray:
@@ -365,11 +518,11 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
 
         drho/dt = -(i/hbar)[H, rho] + (1/hbar) sum_k (L rho L+ - {L+L, rho}/2),
 
-    by the sparse Liouvillian's exponential over the whole span t, in the s
-    rounds of one truncated Taylor plan (``_taylor_plan``; Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488, 2011), chosen from the complex generator's
-    1-norm.  Round k ends on the exact state at k t / s, where population
-    above 1e-6 of the initial trace in the top decile of the basis raises
+    by the generator's exponential over the whole span t, in the s rounds of
+    one truncated Taylor plan (``_taylor_plan``; Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488, 2011), chosen from the complex generator's 1-norm.
+    Round k ends on the exact state at k t / s, where population above 1e-6
+    of the initial trace in the top decile of the basis raises
     TruncationLeakError: the rounds follow the generator's fastest rate
     (0.041-0.06 apart in the benchmark's dim-48 and dim-56 evolutions; one
     round, checked at t only, while t ||L||_1 <= 9.9).  Trace drift beyond
@@ -377,21 +530,25 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     ignored; the acceptance tests and the benchmark's oracle still pass it.
 
     The state is packed as d^2 reals (``_pack``) and evolved by the real
-    generator (``_packed_generator``), the same map on Hermitian matrices; the
-    returned rho is unpacked from them, Hermitian bit for bit.  Only the
-    weakly connected components of the generator's graph that hold an exactly
-    nonzero packed entry of rho0 (``_reached``) are evolved, on the generator
-    restricted to them: the rest stays exactly zero, and each kept row sums the
-    same entries in the same order, so the result is the full evolution's bit
-    for bit.  A number or cat state under a parity-keeping model and channels
-    evolves on half the space; a coherent state on all of it.  No trace shift
+    generator, the same map on Hermitian matrices, which ``_generator`` writes
+    in one pass from the nonzeros of H and each L together with the complex
+    generator's exact 1-norm; the returned rho is unpacked from them,
+    Hermitian bit for bit.  Only the weakly connected components of the
+    generator's graph that hold an exactly nonzero packed entry of rho0
+    (``_reached``) are evolved, on the generator restricted to them
+    (``_restricted``, one pass over their rows): the rest stays exactly zero,
+    and each kept row sums the same entries in the same order, so the result
+    is the full evolution's bit for bit.  A number or cat state under a
+    parity-keeping model and channels evolves on half the space; a coherent
+    state on all of it.  No trace shift
     is applied: it would cost the state's trace an order of magnitude in
     rounding.
 
     t must be finite and nonnegative, hbar finite and positive, rho0 finite
     and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar
-    equal to ``hbar``), h_mat finite and Hermitian, and h_mat and every L the
-    shape of rho0; anything else raises ValueError.
+    equal to ``hbar``), h_mat finite and Hermitian, every L finite, h_mat and
+    every L the shape of rho0, and t times the generator finite; anything else
+    raises ValueError.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
@@ -405,17 +562,19 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
     _check_hermitian(rho, "rho0")
     _check_hermitian(h_mat, "h_mat")
+    for k, lm in enumerate(l_mats):
+        if not np.all(np.isfinite(lm)):
+            raise ValueError(f"l_mats[{k}] has non-finite entries")
     x = _pack(rho)
     with np.errstate(over="ignore"):  # an overflowing trace is rejected next
         tr0 = float(np.sum(x[::dim + 1]))
     if not (math.isfinite(tr0) and tr0 > 0.0):
         raise ValueError(f"rho0 must have a finite positive trace, got {tr0!r}")
-    gen = _liouvillian(h_mat, l_mats, hbar) * t
-    m_star, s = _taylor_plan(gen)
-    gen = _packed_generator(gen)
+    gen, norm = _generator(h_mat, l_mats, hbar, t)
+    m_star, s = _taylor_plan(norm)
     live = _reached(gen, x)
     if live.size < x.size:
-        gen = gen[live][:, live]
+        gen = _restricted(gen, live)
     else:
         live = slice(None)
     for _ in range(s):

@@ -48,6 +48,33 @@ PUMP = LindbladChannel((1.0, 0.0), (0.0, 1.0))
 Q_MEASURE = LindbladChannel((0.0, 1.0))
 
 
+def _sparse(mat) -> sparse.csr_array:
+    """CSR copy of mat without the entries at most eps times its largest, the
+    rounding noise the generator build drops."""
+    mat = np.asarray(mat, dtype=complex)
+    return sparse.csr_array(np.where(np.abs(mat) > np.finfo(float).eps * np.abs(mat).max(),
+                                     mat, 0.0))
+
+
+def _liouvillian(h_mat, l_mats, hbar) -> sparse.csr_array:
+    """Reference: the Lindblad generator acting on rho.ravel() (row-major) as a
+    sum of Kronecker products, in CSR:
+    -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2 - I (x) (L+L)^T/2)/hbar."""
+    h = _sparse(h_mat)
+    eye = sparse.eye_array(h.shape[0], dtype=complex, format="csr")
+    gen = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for lm in map(_sparse, l_mats):
+        ldl = lm.conj().T @ lm
+        gen = gen + sparse.kron(lm, lm.conj()) \
+            - 0.5 * (sparse.kron(ldl, eye) + sparse.kron(eye, ldl.T))
+    return sparse.csr_array(gen / hbar)
+
+
+def _norm(gen) -> float:
+    """The 1-norm of a sparse matrix: its largest column sum of |entries|."""
+    return float(abs(gen).sum(axis=0).max())
+
+
 def test_canonical_commutator():
     dim = 24
     q = q_operator(dim, HBAR)
@@ -366,7 +393,7 @@ def test_a_leak_seen_only_mid_evolution_raises():
     dim = 40
     rho0 = coherent_density_matrix((0.8, 0.6), HBAR, dim)
     h = hamiltonian_matrix(hamiltonians.pendulum(1.0), dim, HBAR)
-    final = expm_multiply(fock._liouvillian(h, [], HBAR) * 3.0, rho0.rho.ravel(), traceA=0.0)
+    final = expm_multiply(_liouvillian(h, [], HBAR) * 3.0, rho0.rho.ravel(), traceA=0.0)
     assert fock._top_decile(final[::dim + 1].real) < 1e-7
     with pytest.raises(TruncationLeakError, match="dim-40 basis"):
         lindblad_evolve(rho0, h, [], 3.0, HBAR)
@@ -432,7 +459,7 @@ def test_one_segment_beyond_condition_3_13_matches_dense_exponential():
 
 def _expm_multiply_reference(rho0, h, l_ops, t):
     """The evolution as one call of scipy's expm_multiply."""
-    vec = expm_multiply(fock._liouvillian(h, l_ops, HBAR) * t, rho0.rho.ravel(), traceA=0.0)
+    vec = expm_multiply(_liouvillian(h, l_ops, HBAR) * t, rho0.rho.ravel(), traceA=0.0)
     rho = vec.reshape(rho0.dim, rho0.dim)
     return 0.5 * (rho + rho.conj().T)
 
@@ -464,7 +491,7 @@ def test_taylor_loop_matches_per_segment_expm_multiply(h_of, dim, build, channel
     rho0 = build((0.25, 0.3), HBAR, dim)
     h = h_of(dim)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
-    assert abs(fock._liouvillian(h, l_ops, HBAR) * 0.025).sum(axis=0).max() <= 63.36
+    assert _norm(_liouvillian(h, l_ops, HBAR) * 0.025) <= 63.36
     got = lindblad_evolve(rho0, h, l_ops, 0.025, HBAR).rho
     want = _expm_multiply_reference(rho0, h, l_ops, 0.025)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -493,8 +520,8 @@ def test_leak_error_comes_from_the_first_round_past_the_tolerance():
     rho0 = coherent_density_matrix((0.0, 0.0), HBAR, dim)
     h = hamiltonian_matrix(hamiltonians.zero(), dim, HBAR)
     l_ops = [build_linear_lindblad(PUMP, HBAR, dim)]
-    gen = fock._liouvillian(h, l_ops, HBAR) * t
-    _, s = fock._taylor_plan(gen)
+    gen = _liouvillian(h, l_ops, HBAR) * t
+    _, s = fock._taylor_plan(fock._generator(h, l_ops, HBAR, t)[1])
     vec = rho0.rho.ravel()
     leaks = []
     for _ in range(s):
@@ -588,9 +615,13 @@ def test_lindblad_evolve_warns_of_trace_drift(monkeypatch):
 
     scales = (1e-9, 1.0, 1e9, 1e12)
     assert all(evolve(scale) == [] for scale in scales)
-    liouvillian = fock._liouvillian
-    monkeypatch.setattr(fock, "_liouvillian", lambda h, l, hbar: liouvillian(h, l, hbar)
-                        - 1e-6 * sparse.eye_array(h.shape[0] ** 2, format="csr"))
+    generator = fock._generator
+
+    def leaky(h, l, hbar, t):
+        gen, norm = generator(h, l, hbar, t)
+        return gen - 1e-6 * t * sparse.eye_array(gen.shape[0], format="csr"), norm + 1e-6 * t
+
+    monkeypatch.setattr(fock, "_generator", leaky)
     for scale in scales:
         notes = evolve(scale)
         assert len(notes) == 1
@@ -641,9 +672,8 @@ def _full_space_evolution(rho0, h, l_ops, t, hbar):
     """The evolution as ``_taylor_round`` on the whole packed space, round by
     round, with lindblad_evolve's plan."""
     rho0 = np.asarray(getattr(rho0, "rho", rho0), dtype=complex)
-    gen = fock._liouvillian(h, l_ops, hbar) * t
-    m_star, s = fock._taylor_plan(gen)
-    real = fock._packed_generator(gen)
+    real, norm = fock._generator(h, l_ops, hbar, t)
+    m_star, s = fock._taylor_plan(norm)
     x = fock._pack(rho0)
     for _ in range(s):
         x = fock._taylor_round(real, x, m_star, s)
@@ -708,8 +738,8 @@ def test_packed_generator_acts_as_the_liouvillian(model, dim, channels):
     R pack(rho) gives G vec(rho).  The evolved state is Hermitian bit for bit."""
     h = hamiltonian_matrix(model, dim, HBAR)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
-    gen = fock._liouvillian(h, l_ops, HBAR)
-    real = fock._packed_generator(gen)
+    gen = _liouvillian(h, l_ops, HBAR)
+    real, _ = fock._generator(h, l_ops, HBAR, 1.0)
     assert real.dtype == np.float64
     for seed in range(3):
         rho = _random_hermitian(dim, seed)
@@ -723,10 +753,92 @@ def test_packed_generator_acts_as_the_liouvillian(model, dim, channels):
 
 def test_packed_generator_of_a_zero_generator_is_empty():
     dim = 12
-    gen = fock._liouvillian(np.zeros((dim, dim)), [np.zeros((dim, dim))], HBAR)
-    assert fock._packed_generator(gen).nnz == 0
+    real, norm = fock._generator(np.zeros((dim, dim)), [np.zeros((dim, dim))], HBAR, 1.0)
+    assert real.nnz == 0 and norm == 0.0
     rho = _random_hermitian(dim, 0)
     assert np.array_equal(fock._unpack(fock._pack(rho), dim), rho)
+
+
+def _packed_reference(gen, dim) -> np.ndarray:
+    """_pack o gen o _unpack as a dense real matrix, column by column, with the
+    image rho' read from its upper triangle (the rows a Hermitian-keeping
+    generator needs): x'[i, j] = Re rho'[i, j], x'[j, i] = -Im rho'[i, j]."""
+    images = gen @ np.stack([fock._unpack(e, dim).ravel() for e in np.eye(dim * dim)], axis=1)
+    upper = [np.triu(m) + np.triu(m, 1).conj().T for m in images.T.reshape(-1, dim, dim)]
+    return np.stack([fock._pack(m) for m in upper], axis=1)
+
+
+def _assert_generator_equals_the_reference(h, l_ops, t=0.7):
+    """The one-pass build is _pack o (t G) o _unpack for the Kronecker-sum
+    Liouvillian G, entry for entry, with the same nonzeros, in canonical CSR
+    (each row's columns ascending, so a matvec sums them in one order); its
+    1-norm is G's exact one, over every row, so the Taylor plan is unchanged."""
+    want_gen = _liouvillian(h, l_ops, HBAR) * t
+    real, norm = fock._generator(h, l_ops, HBAR, t)
+    want = _packed_reference(want_gen, len(h))
+    assert real.has_canonical_format
+    assert np.array_equal(real.toarray(), want)
+    assert real.nnz == np.count_nonzero(want)
+    assert norm == _norm(want_gen)
+    assert fock._taylor_plan(norm) == fock._taylor_plan(_norm(want_gen))
+
+
+@pytest.mark.parametrize("channels", [(Q_MEASURE,), (DAMPING,), (PUMP,), (Q_MEASURE, DAMPING)],
+                         ids=["q", "damping", "pump", "both"])
+@pytest.mark.parametrize("model, dim", [
+    (hamiltonians.harmonic(), 8), (hamiltonians.quartic(1.0, 1.0), 16),
+    (hamiltonians.pendulum(1.0), 32),
+], ids=["harmonic-8", "quartic-16", "pendulum-32"])
+def test_generator_equals_the_kronecker_liouvillian_bit_for_bit(model, dim, channels):
+    """The pendulum's eigh noise is dropped alike: the same nonzeros."""
+    _assert_generator_equals_the_reference(
+        hamiltonian_matrix(model, dim, HBAR),
+        [build_linear_lindblad(ch, HBAR, dim) for ch in channels])
+
+
+def test_generator_of_zero_and_dense_operators_equals_the_kronecker_liouvillian():
+    """The zero generator is empty with a zero norm.  A random dense complex L
+    puts a jump term on every entry, on top of the drift terms wherever a
+    row or column index is shared, and its diagonal adds to them.  An L whose
+    jump terms at columns (2, 3) and (3, 2) of row (0, 1) cancel in their
+    shared slot leaves no entry there.  Each case is built twice: the second
+    build reuses the first one's packing."""
+    rng = np.random.default_rng(3)
+    l_op = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    cancel = np.zeros((4, 4))
+    cancel[0, 2] = cancel[1, 3] = cancel[0, 3] = 1.0
+    cancel[1, 2] = -1.0
+    for h, l_ops in [(np.zeros((8, 8)), [np.zeros((8, 8))]), (_random_hermitian(6, 3), [l_op]),
+                     (np.zeros((4, 4)), [cancel])]:
+        for _ in range(2):
+            _assert_generator_equals_the_reference(h, l_ops)
+
+
+def test_a_non_finite_jump_operator_is_named():
+    """Before, a nan in an L raised an anonymous "operator has non-finite
+    entries" from inside the generator build."""
+    dim = 8
+    rho0 = fock_density_matrix(1, HBAR, dim)
+    h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
+    l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in (Q_MEASURE, DAMPING)]
+    l_ops[1][2, 3] = np.inf
+    with pytest.raises(ValueError, match=r"^l_mats\[1\] has non-finite entries$"):
+        lindblad_evolve(rho0, h, l_ops, 0.1, HBAR)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale_h, scale_l, t", [(1.0, 1e160, 0.1), (1e307, 1.0, 1e3)],
+                         ids=["huge-L", "huge-H"])
+def test_an_overflowing_generator_raises_one_value_error(scale_h, scale_l, t):
+    """Finite H and L whose t G overflows: before, 1e160 L ended in "cannot
+    convert float NaN to integer" after numpy warnings, and 1e307 H at t = 1e3
+    in an OverflowError."""
+    dim = 8
+    rho0 = fock_density_matrix(1, HBAR, dim)
+    h = scale_h * hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
+    l_ops = [scale_l * build_linear_lindblad(DAMPING, HBAR, dim)]
+    with pytest.raises(ValueError, match=f"the Lindblad generator overflows over t = {t!r}"):
+        lindblad_evolve(rho0, h, l_ops, t, HBAR)
 
 
 @pytest.mark.parametrize("hbar", [-HBAR, 0.0, math.nan])
@@ -964,10 +1076,10 @@ def test_taylor_rounds_stop_at_the_term_the_exact_norm_picks(build, channels):
     dim = 32
     rho0 = build(2 if build is fock_density_matrix else (0.2, -0.3), HBAR, dim)
     l_ops = [build_linear_lindblad(ch, HBAR, dim) for ch in channels]
-    step = fock._liouvillian(hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR), l_ops, HBAR)
+    h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
     for t in (0.01, 0.3, 1.1):
-        m_star, s = fock._taylor_plan(step * t)
-        real = fock._packed_generator(step * t)
+        real, norm = fock._generator(h, l_ops, HBAR, t)
+        m_star, s = fock._taylor_plan(norm)
         x = fock._pack(rho0.rho)
         for _ in range(s):
             want = _taylor_round_reading_every_norm(real, x, m_star, s)
