@@ -10,13 +10,13 @@ the leak check reads), exact position slices, chord functions and Wigner
 functions.  The evolution runs in real arithmetic on a packed state, d^2
 reals triu(Re rho) + tril(Im rho, -1) with the populations on the diagonal,
 under the real sparse generator the Liouvillian becomes on Hermitian
-matrices, written in one index pass from the nonzeros of H and each L (no
-complex Liouvillian, no Kronecker product), with the plan's 1-norm from the
-same pass; the evolved rho is Hermitian by construction.  Only the blocks of
-that generator the initial state reaches are evolved (half the space for a
-number or cat state), and the partial sum's largest entry is read only when
-a running bound lets a Taylor round stop; neither changes a bit of the
-result.
+matrices, built from the nonzeros of H and each L in two sparse products
+(no Kronecker product, no format conversion), the first of which gives the
+plan's 1-norm; the evolved rho is Hermitian by construction.  Only the
+blocks of that generator the initial state reaches are evolved (half the
+space for a number or cat state), and the partial sum's largest entry is
+read only when a running bound lets a Taylor round stop; neither changes a
+bit of the result.
 
 The readouts (position slices, chi and W) are one bilinear form in the
 two-mode oscillator basis rotated by 45 degrees, ``_hermite_form``: real GEMMs
@@ -256,182 +256,107 @@ def _kept(mat) -> np.ndarray:
     return np.where(np.abs(mat) > _EPS * np.abs(mat).max(), mat, 0.0)
 
 
-def _slots(mask) -> tuple:
-    """(cols, valid): the columns of each row's True entries of mask, ascending,
-    padded with zeros to the longest row, and which of them are real."""
-    counts = mask.sum(axis=1)
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    table = np.zeros(valid.shape, dtype=np.int32)
-    table[valid] = np.nonzero(mask)[1]
-    return table, valid
+def _indptr(counts) -> np.ndarray:
+    """CSR row pointers for rows holding ``counts`` entries."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
 
 
-def _gram(l_q, qc) -> np.ndarray:
-    """K = L+L from the entries l_q of L at the columns qc of each row:
-    K[a, b] = sum_k L*[k, a] L[k, b], each product the textbook complex one
-    rounded, summed over k in order, as a sparse matrix product forms it."""
-    dim = len(qc)
-    x, y = l_q[:, :, None], l_q[:, None, :]
-    prod = np.empty(x.shape[:2] + y.shape[2:], dtype=complex)
-    prod.real = x.real * y.real + x.imag * y.imag
-    prod.imag = x.real * y.imag - x.imag * y.real
-    k = np.zeros(dim * dim, dtype=complex)
-    np.add.at(k, (qc[:, :, None] * dim + qc[:, None, :]).ravel(), prod.ravel())
-    return k.reshape(dim, dim)
+def _csr_parts(mat) -> tuple:
+    """(data, indices, indptr) of the nonzeros of a dense 2-d array, row by row."""
+    rows, cols = np.nonzero(mat)
+    return mat[rows, cols], cols.astype(np.int32), _indptr(np.bincount(rows, minlength=len(mat)))
 
 
-@functools.lru_cache(maxsize=4)
-def _packing(dim: int, tables: tuple, nonzero: bytes) -> tuple:
-    """(cols, terms, indices, indptr): the index work of ``_generator`` for a
-    table of complex entries with the column tables ``tables`` (the bytes of
-    qc, lc and rc) and the nonzero real and imaginary parts ``nonzero``.
-    Evolutions that share a sparsity pattern (a scan over t or over a
-    channel's strength) share it.  An entry holds about 1 MB at dim 48 and
-    38 MB for the quartic at dim 220; building one costs about what the
-    Kronecker-sum build did (1.2-1.5 times it for dim 120-220).
+def _runs(first, last) -> tuple:
+    """(n, k) for every k in range(first[n], last[n]), n ascending."""
+    counts = last - first
+    n = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    return n, np.arange(n.size) + (first - _indptr(counts)[:-1])[n]
 
-    cols[p] = a dim + b is the complex column of table entry p (row-major over
-    (i, j, slot)).  The packed matrix is CSR with ``indices`` and ``indptr``;
-    its slot m holds c0 v[q0] + c1 v[q1] for terms = (q0, c0, q1, c1), with v
-    the table's interleaved real and imaginary parts (c1 = 0 where the slot
-    has one term).
 
-    Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo],
-    with lo, hi the smaller and larger of a and b, so each complex column
-    splits into a real slot and a signed imaginary slot.  The generator keeps
-    rho Hermitian, so only its rows (i, j) with i <= j are packed: Re of the
-    row goes to slot (i, j), -Im to the mirror slot (j, i) when i < j.  The
-    columns (a, b) and (b, a) share their slots, so a slot has at most two
-    terms."""
-    qc, lc, rc = (np.frombuffer(tab, dtype=np.int32).reshape(dim, -1) for tab in tables)
-    wq, wl, wr = qc.shape[1], lc.shape[1], rc.shape[1]
-    idx = np.arange(dim, dtype=np.int32)[:, None]
-    a_of = np.hstack([np.repeat(qc, wq, axis=1), lc, np.repeat(idx, wr, axis=1)])  # [i, slot]
-    b_of = np.hstack([np.tile(qc, wq), np.repeat(idx, wl, axis=1), rc])  # [j, slot]
-    cols = (a_of[:, None, :] * dim + b_of[None, :, :]).ravel()
-    nz = np.unpackbits(np.frombuffer(nonzero, dtype=np.uint8), count=2 * cols.size)
-    nz = nz.reshape(-1, 2).astype(bool)
-    entry = np.flatnonzero(nz[:, 0] | nz[:, 1]).astype(np.int32)
-    i, rest = np.divmod(entry, dim * a_of.shape[1])
-    j, slot = np.divmod(rest, a_of.shape[1])
-    upper = i <= j
-    entry, i, j, slot = entry[upper], i[upper], j[upper], slot[upper]
-    a, b = a_of[i, slot], b_of[j, slot]
-    re, im = nz[entry].T
-    lo, hi, sign = np.minimum(a, b), np.maximum(a, b), np.sign(a - b).astype(float)
-    row, mirror, off = i * dim + j, j * dim + i, i < j
-    terms = [  # (present, packed row, packed column, index into v, coefficient)
-        (re, row, lo * dim + hi, 2 * entry, 1.0),
-        (im & (a != b), row, hi * dim + lo, 2 * entry + 1, -sign),
-        (im & off, mirror, lo * dim + hi, 2 * entry + 1, -1.0),
-        (re & off & (a != b), mirror, hi * dim + lo, 2 * entry, -sign)]
-    rows, packed, q, c = (np.concatenate([np.broadcast_to(term[k], row.shape)[term[0]]
-                                          for term in terms]) for k in range(1, 5))
-    key = rows.astype(np.int64) * dim**2 + packed
-    order = np.argsort(key)
-    key, q, c = key[order], q[order], c[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    pair = np.diff(first, append=key.size) == 2
-    q1, c1 = np.zeros(first.size, dtype=np.intp), np.zeros(first.size)
-    q1[pair], c1[pair] = q[first[pair] + 1], c[first[pair] + 1]
-    rows, packed = np.divmod(key[first], dim**2)
-    indptr = np.zeros(dim**2 + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim**2), out=indptr[1:])
-    return (cols.astype(np.intp), (q[first].astype(np.intp), c[first], q1, c1),
-            packed.astype(np.int32), indptr)
+def _complex_generator(h, ls, hbar, t) -> sparse.csr_array:
+    """The Lindblad generator times t on complex rho.ravel() (row-major),
+
+        G = t ((A (x) I + I (x) B^T + sum_k L_k (x) L_k*) / hbar),
+        A = -i H - K/2,  B = i H - K/2,  K = sum_k L_k+ L_k
+
+    (A rho + rho B is -i[H, rho] - {K, rho}/2), in CSR, as one sparse
+    product kron(X, I) @ kron(I, Y) over the n terms X_u (x) Y_u = (A, I),
+    (I, B^T), (L_k, L_k*) of d x d matrices: X[i, a n + u] = X_u[i, a] and
+    Y[u d + j, b] = Y_u[j, b].  Both factors are written straight from the
+    nonzeros of X and Y; the product adds up the terms that share an entry
+    and drops the entries that vanish.  K sums the products of the entries
+    in each row of each L."""
+    dim = len(h)
+    size = dim * dim
+    ld, li, lp = _csr_parts(np.vstack(ls) if ls else np.zeros((0, dim), dtype=complex))
+    row = np.repeat(np.arange(lp.size - 1), np.diff(lp))
+    own, mate = _runs(lp[row], lp[row + 1])  # each entry with every entry of its row
+    prod = ld[own].conj() * ld[mate]
+    pos = li[own] * dim + li[mate]
+    k = (np.bincount(pos, prod.real, minlength=size)
+         + 1j * np.bincount(pos, prod.imag, minlength=size)).reshape(dim, dim)
+    eye = np.eye(dim)
+    xs = [-1j * h - 0.5 * k, eye] + ls
+    ys = [eye, (1j * h - 0.5 * k).T] + [lm.conj() for lm in ls]
+    xd, xi, xp = _csr_parts(np.stack(xs, axis=2).reshape(dim, -1))
+    yd, yi, yp = _csr_parts(np.concatenate(ys))
+    # kron(X, I): row (i, j) holds row i of X, column c moved to c dim + j
+    row, e = _runs(np.repeat(xp[:-1], dim), np.repeat(xp[1:], dim))
+    left = sparse.csr_array((xd[e], xi[e] * dim + row % dim, _indptr(np.repeat(np.diff(xp), dim))),
+                            shape=(size, len(xs) * size))
+    del row, e
+    # kron(I, Y): dim copies of Y, copy a moved to columns a dim + b
+    right = sparse.csr_array((np.tile(yd, dim), (np.arange(0, size, dim, dtype=np.int32)[:, None] + yi).ravel(),
+                              _indptr(np.tile(np.diff(yp), dim))), shape=(len(ys) * size, size))
+    gen = left @ right
+    parts = gen.data.view(float)
+    parts *= 1.0 / hbar
+    parts *= t
+    return gen
 
 
 def _generator(h_mat, l_mats, hbar, t) -> tuple:
     """(R, norm): the real CSR matrix R with _pack(rho') = R _pack(rho) for
     Hermitian rho, where rho' is t times the Lindblad right-hand side, and the
-    1-norm of that map on complex rho.ravel() (row-major), the generator
+    1-norm of that map on complex rho.ravel(), the generator G of
+    ``_complex_generator`` with H and each L first stripped by ``_kept``:
+    its largest column sum of |entries|, over every row.  The packed matrix's
+    own 1-norm is larger, and would plan more Taylor terms.
 
-        G[(i,j),(a,b)] = t (-(i/hbar)(H[i,a] d_jb - d_ia H[b,j])
-                            + sum_k (L[i,a] L*[j,b] - (K[i,a] d_jb + d_ia K[b,j])/2)/hbar),
+    Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo],
+    with lo, hi the smaller and larger of a and b, so rho = E x.  x' holds
+    Re rho' on and above the diagonal and Im rho' = Re(-i rho') below it, so
+    R = Re(P G E), P = 1 on the rows (i, j), i <= j, and -i below them: a
+    second sparse product, which leaves each row's columns unsorted.
 
-    K = L+L (``_gram``), with H and each L first stripped by ``_kept``.
-
-    Every entry is written once, from index arithmetic on the nonzeros of H,
-    the L and the K, into a table over (i, j, slot) in row order.  Row (i,j)
-    holds three disjoint families of columns (a,b): Q_i x Q_j, where Q_i is i
-    and the columns of row i of any L (the jump terms); (a,j) outside it,
-    where H or a K has (i,a); and (i,b) outside it, where H or a K has (b,j).
-    The entries are evaluated by the operations of the Kronecker-sum
-    Liouvillian -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2
-    - I (x) (L+L)^T/2)/hbar, in its order, so G equals it bit for bit, and
-    norm is its exact 1-norm: column sums of |G| over every row, ascending.
-    The packed matrix's own 1-norm is larger, and would plan more Taylor
-    terms.  The packed entries are read off the table by ``_packing``, whose
-    index work is done once per sparsity pattern.
-
-    A generator whose entries or 1-norm overflow raises ValueError, with no
-    numpy warning.
+    G adds its terms in another order than the Kronecker-sum Liouvillian
+    -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2
+    - I (x) (L+L)^T/2)/hbar does: each entry of R, and norm, is within a few
+    units in the last place of the largest.  A generator whose entries or
+    1-norm overflow raises ValueError, with no numpy warning.
     """
-    dim = len(h_mat)
-    idx = np.arange(dim, dtype=np.int32)[:, None]
-    h = _kept(h_mat)
-    ls = [_kept(lm) for lm in l_mats]
-    jump = np.zeros((dim, dim), dtype=bool)
-    for lm in ls:
-        jump |= lm != 0
-    np.fill_diagonal(jump, False)
-    qc, qv = _slots(jump)
-    qc, qv = np.hstack([idx, qc]), np.hstack([idx >= 0, qv])  # slot 0 is the diagonal
-    wq = qc.shape[1]
-    l_qs = [np.where(qv, lm[idx, qc], 0.0) for lm in ls]
-
-    def at(mat, rows, cols, valid):
-        return np.where(valid, mat[rows, cols], 0.0)
-
+    size = len(h_mat) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        ks = [_gram(l_q, qc) for l_q in l_qs]
-        drift = h != 0
-        for k in ks:
-            drift |= k != 0
-        np.fill_diagonal(jump, True)
-        lc, lv = _slots(drift & ~jump)
-        rc, rv = _slots(drift.T & ~jump)
-        # the jump family slot-major, core[ka, kb, i, j] at (qc[i, ka], qc[j, kb])
-        core = np.zeros((wq, wq, dim, dim), dtype=complex)
-        core[:, 0] = at(h, idx, qc, qv).T[:, :, None]
-        core[0] -= at(h, qc, idx, qv).T[:, None, :]
-        core *= -1j
-        left = at(h, idx, lc, lv) * -1j
-        right = (0.0 - at(h, rc, idx, rv)) * -1j
-        for l_q, k in zip(l_qs, ks):
-            l_q = l_q.T
-            core += l_q[:, None, :, None] * l_q.conj()[None, :, None, :]
-            k_ia, k_bj = at(k, idx, qc, qv).T, at(k, qc, idx, qv).T
-            core[1:, 0] -= k_ia[1:, :, None] * 0.5
-            core[0, 1:] -= k_bj[1:, None, :] * 0.5
-            core[0, 0] -= (k_ia[0][:, None] + k_bj[0][None, :]) * 0.5
-            left = left - at(k, idx, lc, lv) * 0.5
-            right = right - at(k, rc, idx, rv) * 0.5
-        split = [wq * wq, wq * wq + lc.shape[1]]
-        vals = np.empty((dim, dim, split[1] + rc.shape[1]), dtype=complex)
-        head, mid, tail = np.split(vals, split, axis=2)
-        head[...] = core.reshape(wq * wq, dim, dim).transpose(1, 2, 0)
-        mid[...] = left[:, None]
-        tail[...] = right
-        vals *= 1 / hbar
-        vals *= t
-        v = vals.view(float).ravel()
-        cols, terms, indices, indptr = _packing(
-            dim, (qc.tobytes(), lc.tobytes(), rc.tobytes()), np.packbits(v != 0).tobytes())
-        norm = float(np.bincount(cols, weights=np.abs(vals).ravel(), minlength=1).max())
+        gen = _complex_generator(_kept(h_mat), [_kept(lm) for lm in l_mats], hbar, t)
+        norm = float(np.bincount(gen.indices, np.abs(gen.data), minlength=1).max())
     if not math.isfinite(norm):
         raise ValueError(f"the Lindblad generator overflows over t = {t!r}: its 1-norm "
                          f"is {norm!r}; rescale H, the channels or t")
-    q0, c0, q1, c1 = terms
-    data = c0 * v[q0]
-    data += c1 * v[q1]
-    keep = data != 0
-    if not keep.all():  # two terms that cancel
-        rows = np.repeat(np.arange(dim * dim), np.diff(indptr))[keep]
-        indptr = np.zeros_like(indptr)
-        np.cumsum(np.bincount(rows, minlength=dim * dim), out=indptr[1:])
-        data, indices = data[keep], indices[keep]
-    return sparse.csr_array((data, indices.copy(), indptr.copy()), shape=(dim * dim,) * 2), norm
+    col = np.arange(size, dtype=np.int32)
+    a, b = np.divmod(col, len(h_mat))
+    gen.data *= np.repeat(np.where(a <= b, 1.0, -1j), np.diff(gen.indptr))
+    # row (a, b) of E: 1 at (lo, hi), i sign(a - b) at (hi, lo), the same slot when a = b
+    turned = b * len(h_mat) + a
+    fold = sparse.csr_array((np.stack([np.ones(size), 1j * np.sign(a - b)], axis=1).ravel(),
+                             np.stack([np.minimum(col, turned), np.maximum(col, turned)], axis=1).ravel(),
+                             np.arange(0, 2 * size + 1, 2)), shape=(size, size))
+    gen = gen @ fold
+    out = sparse.csr_array((gen.data.real.copy(), gen.indices, gen.indptr), shape=gen.shape)
+    out.eliminate_zeros()
+    return out, norm
 
 
 def _taylor_plan(norm: float) -> tuple:
@@ -530,19 +455,18 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     ignored; the acceptance tests and the benchmark's oracle still pass it.
 
     The state is packed as d^2 reals (``_pack``) and evolved by the real
-    generator, the same map on Hermitian matrices, which ``_generator`` writes
-    in one pass from the nonzeros of H and each L together with the complex
-    generator's exact 1-norm; the returned rho is unpacked from them,
-    Hermitian bit for bit.  Only the weakly connected components of the
-    generator's graph that hold an exactly nonzero packed entry of rho0
-    (``_reached``) are evolved, on the generator restricted to them
-    (``_restricted``, one pass over their rows): the rest stays exactly zero,
-    and each kept row sums the same entries in the same order, so the result
-    is the full evolution's bit for bit.  A number or cat state under a
-    parity-keeping model and channels evolves on half the space; a coherent
-    state on all of it.  No trace shift
-    is applied: it would cost the state's trace an order of magnitude in
-    rounding.
+    generator, the same map on Hermitian matrices, which ``_generator``
+    builds from the nonzeros of H and each L together with the complex
+    generator's 1-norm; the returned rho is unpacked from them, Hermitian
+    bit for bit.  Only the weakly connected components of the generator's
+    graph that hold an exactly nonzero packed entry of rho0 (``_reached``)
+    are evolved, on the generator restricted to them (``_restricted``, one
+    pass over their rows): the rest stays exactly zero, and each kept row
+    sums the same entries in the same order, so the result is the full
+    evolution's bit for bit.  A number or cat state under a parity-keeping
+    model and channels evolves on half the space; a coherent state on all of
+    it.  No trace shift is applied: it would cost the state's trace an order
+    of magnitude in rounding.
 
     t must be finite and nonnegative, hbar finite and positive, rho0 finite
     and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar
