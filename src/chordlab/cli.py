@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import json
 import math
@@ -31,11 +32,11 @@ import warnings
 
 import numpy as np
 
-from . import fock, gridio, husimi as husimi_mod, lwc as lwc_mod, states
+from . import dynamics, fock, gridio, husimi as husimi_mod, lwc as lwc_mod, states
 from .config import Config, ConfigError
 from .curves import harmonic_circle, pendulum_level_curve, quartic_level_curve
 from .dynamics import (LindbladChannel, decoherence_matrix, evolve_chord_function,
-                       hamiltonians, positivity_time, total_gamma)
+                       hamiltonians, noise_matrix, positivity_time, total_gamma)
 from .grids import CenteredGrid, centre_from_chord, chord_from_centre
 from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
                   lwc_from_chord, resolution_verdict, spectrum, suggest_xi_q_grid)
@@ -433,13 +434,16 @@ def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
     if not channels:
         raise ConfigError("positivity needs at least one channel")
     tp = positivity_time(model, channels)
-    rows = []
-    for tk in np.linspace(0.0, 2.0 * tp, 65)[1:]:
-        dm = decoherence_matrix(model, channels, np.zeros(2), float(tk), frame="initial")
-        rows.append((tk, dm.det, dm.phi[0, 0], dm.phi[0, 1], dm.phi[1, 1]))
+    # the 64 rows' Phi_0 from one stacked Gramian, each bit for bit the one
+    # decoherence_matrix(..., frame="initial") gives at its time
+    times = np.linspace(0.0, 2.0 * tp, 65)[1:]
+    phi = dynamics._gramian(dynamics._chord_generator(model, total_gamma(channels)),
+                            noise_matrix(channels), times)
     gridio.write_table(os.path.join(out, "positivity.csv"),
                        [_TABLE_SCHEMA, ("experiment", "positivity")],
-                       ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"], rows)
+                       ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"],
+                       np.column_stack([times, np.linalg.det(phi), phi[:, 0, 0], phi[:, 0, 1],
+                                        phi[:, 1, 1]]))
     dm = decoherence_matrix(model, channels, np.zeros(2), tp, frame="initial")
     return {
         "positivity_time": tp,
@@ -552,7 +556,10 @@ _EXPERIMENTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    as it was, so every ``run`` shares it."""
     parser = argparse.ArgumentParser(
         prog="chordlab",
         description="phase-space experiments for open quantum evolution")

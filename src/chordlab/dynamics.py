@@ -242,8 +242,10 @@ def _steps_for(t: float, dt: float) -> int:
     return max(1, int(math.ceil(t / dt)))
 
 
-def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
-    """Phi = Int_0^t exp(u a^T) lam exp(u a) du for a constant generator a.
+def _gramian(a: np.ndarray, lam: np.ndarray, t) -> np.ndarray:
+    """Phi = Int_0^t exp(u a^T) lam exp(u a) du for a constant generator a:
+    a 2x2 matrix for a scalar t, or one per time, stacked (n, 2, 2), for a
+    1-d array of n times.
 
     One block exponential of [[-a^T, lam], [0, a]] over tau = t / 2^k gives
     M(tau) = exp(tau a) and Phi(tau) = M(tau)^T (upper-right block); k exact
@@ -252,21 +254,38 @@ def _gramian(a: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     Phi is finite; the block exponential alone overflows its exp(-t a^T)
     corner once Phi has saturated (nan at t = 1000 for a unit rate).  A Phi
     that overflows raises FloatingPointError, without numpy's warnings.
+
+    Times share one stacked block exponential (scipy's is per matrix, bit for
+    bit) and one doubling loop of the largest time's k rounds.  A time of
+    fewer doublings is reset to its own Phi(tau), M(tau) that many rounds
+    before the end, so each Phi is the one its time gives alone, bit for bit.
     """
-    scale = t * float(np.max(np.sum(np.abs(a), axis=0)))
-    k = max(0, math.ceil(math.log2(scale))) if scale > 0.0 else 0
+    t = np.asarray(t, dtype=float)
+    times = t.ravel().tolist()
+    norm = float(np.abs(a).sum(axis=0).max())
+    ks = [max(0, math.ceil(math.log2(s * norm))) if s * norm > 0.0 else 0 for s in times]
+    rounds = max(ks, default=0)
     block = np.zeros((4, 4))
     block[:2, :2] = -a.T
     block[:2, 2:] = lam
     block[2:, 2:] = a
-    e = scipy.linalg.expm((t / 2**k) * block)
-    m = e[2:, 2:]
-    phi = m.T @ e[:2, 2:]
+    taus = np.array([s / 2**k for s, k in zip(times, ks)]).reshape(t.shape)
+    e = scipy.linalg.expm(np.multiply.outer(taus, block))
+    m = e[..., 2:, 2:]
+    phi = m.swapaxes(-1, -2) @ e[..., :2, 2:]
+    first = phi, m  # every time's Phi(tau) and M(tau); the loop never writes them
+    restarts = {}  # loop round -> the times whose own k doublings start after it
+    for i, k in enumerate(ks):
+        if k < rounds:
+            restarts.setdefault(rounds - k - 1, []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            phi = phi + m.T @ phi @ m
+        for j in range(rounds):
+            phi = phi + m.swapaxes(-1, -2) @ phi @ m
             m = m @ m
-        phi = 0.5 * (phi + phi.T)
+            rows = restarts.get(j)
+            if rows:
+                phi[rows], m[rows] = first[0][rows], first[1][rows]
+        phi = 0.5 * (phi + phi.swapaxes(-1, -2))
     if not np.isfinite(phi).all():
         raise FloatingPointError("decoherence matrix overflows over this time span")
     return phi

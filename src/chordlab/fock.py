@@ -472,7 +472,9 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar
     equal to ``hbar``), h_mat finite and Hermitian, every L finite, h_mat and
     every L the shape of rho0, and t times the generator finite; anything else
-    raises ValueError.
+    raises ValueError.  So does a plan of more rounds than its rounding
+    allows, s eps > 1e-8 (the trace tolerance; s > 4.5e7 rounds), before any
+    round runs: each round rounds the state afresh.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
@@ -496,6 +498,10 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
         raise ValueError(f"rho0 must have a finite positive trace, got {tr0!r}")
     gen, norm = _generator(h_mat, l_mats, hbar, t)
     m_star, s = _taylor_plan(norm)
+    if s * _EPS > _TRACE_TOL:
+        raise ValueError(f"the Taylor plan over t = {t!r} needs s = {s} rounds, whose rounding "
+                         f"(s eps = {s * _EPS:.2e}) exceeds the trace tolerance {_TRACE_TOL:g}; "
+                         "rescale H, the channels or t")
     live = _reached(gen, x)
     if live.size < x.size:
         gen = _restricted(gen, live)

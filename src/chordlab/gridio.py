@@ -15,14 +15,16 @@ double-double product with a table of double-double powers of ten (Dekker,
 Numer. Math. 18, 224, 1971), settles the decade on that exact sum and rounds
 it half-even to the 17 significant digits.  It then lays the ``%g`` text
 (fixed form for ``-4 <= k < 17``, otherwise ``d.ddde+XX``, trailing zeros
-trimmed) out in a fixed-width byte slot per cell and keeps the slot's bytes
-that belong to the text with one ``np.compress``.  The cells it cannot
-decide go to ``'%.17g' %`` itself: +-0, nan, +-inf, ``|x|`` outside
-``[1e-250, 1e250]``, and any cell within 1e-6 units of its 17th digit of a
-rounding tie.  So the bytes are those of ``'%.17g' %`` for every cell.  The
-tables are built on the first write, and a table's rows go through the
-kernel in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in
-turn, so the memory a write takes does not grow with the table.
+trimmed) out in a fixed-width byte slot per cell, ANDs each slot with a
+0x00/0xFF mask of the bytes that belong to the text, and deletes the NUL
+bytes that leaves with one ``bytes.translate`` (no cell's text holds a NUL),
+so no index array is built.  The cells it cannot decide go to ``'%.17g' %``
+itself: +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]``, and any cell
+within 1e-6 units of its 17th digit of a rounding tie.  So the bytes are
+those of ``'%.17g' %`` for every cell.  The tables are built on the first
+write, and a table's rows go through the kernel in row-aligned blocks of
+about ``_BLOCK_CELLS`` cells, each written in turn, so the memory a write
+takes does not grow with the table.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ def _tables() -> SimpleNamespace:
         quad=quad.view(np.uint32).ravel(),  # the four digits of 0..9999, as one word
         quad_zeros=np.cumprod(quad[:, ::-1] == 48, axis=1).sum(axis=1),  # trailing '0's
         exponent=np.frombuffer(exponent, np.uint32),  # sign and digits of -300..300
-        keep=_keep_rows(_FORMS[f.ravel()], nd.ravel(), neg.ravel()).view(np.uint32),
+        # 0xFF on a kept byte, 0x00 on a dropped one, ANDed into the slot's words
+        keep=(_keep_rows(_FORMS[f.ravel()], nd.ravel(), neg.ravel()) * np.uint8(0xFF)
+              ).view(np.uint32),
         slot=np.frombuffer(_SLOT_ROW, np.uint8))
 
 
@@ -131,7 +135,11 @@ def _scaled(a, p, t):
 
 
 def _format(cells: np.ndarray) -> str:
-    """The 2-D number array ``cells`` as CSV rows, each cell as ``'%.17g' % cell``."""
+    """The 2-D number array ``cells`` as CSV rows, each cell as ``'%.17g' % cell``.
+
+    Each cell's slot is laid out whole, its dropped bytes are zeroed by an AND
+    with the ``_tables().keep`` mask (a fallback cell's by its NUL padding),
+    and the NULs are deleted from the joined slots in one ``translate``."""
     t = _tables()
     rows, cols = cells.shape
     x = np.ascontiguousarray(cells, dtype=np.float64).ravel()
@@ -174,16 +182,14 @@ def _format(cells: np.ndarray) -> str:
         words[:, col] = t.quad[quad]
     words[:, 7:11] = words[:, 1:5]
     words[:, 12] = t.exponent[k + 300]
-    keep = np.take(t.keep, (form * 17 + 16 - trailing) * 2 + (x < 0), axis=0).view(bool)
-    keep[0, 0] = False
+    words &= np.take(t.keep, (form * 17 + 16 - trailing) * 2 + (x < 0), axis=0)
+    slot[0, 0] = 0  # the first cell has no separator
     fallback = np.flatnonzero(~sure)
-    if fallback.size:  # '%.17g' % x has at most 24 characters
+    if fallback.size:  # '%.17g' % x has at most 24 characters, NUL-padded here
         text = np.array(["%.17g" % v for v in x[fallback].tolist()], "S24").view(np.uint8)
-        text = text.reshape(fallback.size, 24)
-        slot[fallback, 1:25] = text
-        keep[fallback, 1:25] = text != 0
-        keep[fallback, 25:] = False
-    return np.compress(keep.ravel(), slot.ravel()).tobytes().decode("ascii") + "\n"
+        slot[fallback, 1:25] = text.reshape(fallback.size, 24)
+        slot[fallback, 25:] = 0
+    return slot.tobytes().translate(None, b"\0").decode("ascii") + "\n"
 
 
 _REAL = (numbers.Real, np.bool_)
@@ -242,22 +248,21 @@ def write_table(path, header, columns, rows) -> None:
     ``rows`` is a 2-D array with one row per line (numbers, or objects whose
     ``str`` cells are written as they are), or a sequence of such rows.  A
     column's first cell sets its kind, ``str`` or number; every number cell
-    and header value is written as ``'%.17g' % value`` by the ``_format``
-    kernel, which hands +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]``
-    and near-ties to ``%`` itself.  Everything is checked before the file is
-    opened: a row whose cell count is not the column count, or a cell whose
-    kind is not its column's, raises ``ValueError`` naming the row and the
-    column, and nothing is written.  The rows then go through the kernel in
-    row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in turn.
+    is written as ``'%.17g' % value`` by the ``_format`` kernel, which hands
+    +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]`` and near-ties to
+    ``%`` itself, and each number in the header as ``'%.17g' % float(value)``
+    directly, the kernel's reference bytes.  Everything is checked before the
+    file is opened: a row whose cell count is not the column count, or a cell
+    whose kind is not its column's, raises ``ValueError`` naming the row and
+    the column, and nothing is written.  The rows then go through the kernel
+    in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in turn.
     """
     table = _table(columns, rows)
     for key, value in header:
         if not isinstance(value, (str, *_REAL)):
             raise ValueError(f"header {key!r}: {value!r} is neither a str nor a real number")
-    values = [value for _, value in header if not isinstance(value, str)]
-    texts = iter(_format(np.array(values, dtype=np.float64).reshape(-1, 1)).splitlines())
-    head = "".join(f"# {key} = {value if isinstance(value, str) else next(texts)}\n"
-                   for key, value in header)
+    head = "".join(f"# {key} = {value}\n" if isinstance(value, str)
+                   else f"# {key} = {'%.17g' % float(value)}\n" for key, value in header)
     count = len(table) if isinstance(table, np.ndarray) else len(table[0])
     step = max(1, _BLOCK_CELLS // max(len(columns), 1))
     with open(path, "w", encoding="utf-8") as fh:

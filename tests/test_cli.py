@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -350,6 +351,72 @@ def test_positivity_pump(tmp_path):
     rows = [line for line in (out / "positivity.csv").read_text().splitlines()
             if not line.startswith("#")]
     assert len(rows) == 64
+
+
+@pytest.mark.parametrize("family, channels", [
+    ("harmonic", [(0, 1, 0, 0)]),
+    ("zero", [(0, 1, 1, 0)]),
+    ("free", [(0, 1, 1, 0), (0, 0.7, 0, 0)]),
+])
+def test_positivity_table_is_decoherence_matrix_at_each_time(tmp_path, family, channels):
+    """The table's Phi_0 comes from one stacked Gramian; each row holds the
+    text of decoherence_matrix(..., frame="initial") at its time, bit for bit."""
+    cfg = write_cfg(tmp_path, f"hamiltonian.family = {family}\n" + "".join(
+        "channel = %r %r %r %r\n" % v for v in channels))
+    assert run_cli("positivity", "--config", cfg, "--out", str(tmp_path)) == 0
+    model = hamiltonians.registry[family]()
+    chans = [dynamics.LindbladChannel(v[:2], v[2:]) for v in channels]
+    tp = dynamics.positivity_time(model, chans)
+    rows = []
+    for tk in np.linspace(0.0, 2.0 * tp, 65)[1:]:
+        dm = dynamics.decoherence_matrix(model, chans, np.zeros(2), float(tk), frame="initial")
+        rows.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (tk, dm.det, dm.phi[0, 0], dm.phi[0, 1],
+                                                       dm.phi[1, 1]))
+    lines = (tmp_path / "positivity.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == rows
+
+
+def test_repeated_runs_share_one_parser_and_match_first_runs(tmp_path, capsys, monkeypatch):
+    """cli.run builds its parser once per process.  A run after an --seed
+    run, a usage error and --schema writes the bytes that the same run
+    writes as the first run after a fresh parser."""
+    cfg = write_cfg(tmp_path, "seed = 3\nchannel = 0 1 0 0\n")
+    demo = write_cfg(tmp_path, "grid.points = 16\n", "demo.cfg")
+    runs = [("positivity", "--config", cfg, "--seed", "5"),
+            ("positivity", "--config", cfg),
+            ("coherent-demo", "--config", demo)]
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = []
+    for k, argv in enumerate(runs):
+        cli._build_parser.cache_clear()
+        assert run_cli(*argv, "--out", str(tmp_path / f"first{k}")) == 0
+        first.append(files(tmp_path / f"first{k}"))
+    assert json.loads(first[0]["positivity.json"])["seed"] == 5
+    assert json.loads(first[1]["positivity.json"])["seed"] == 3
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for k, argv in enumerate(runs[:2]):
+        assert run_cli(*argv, "--out", str(tmp_path / f"again{k}")) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("positivity", "--config", cfg, "--bogus")
+    assert exc.value.code == 2
+    assert run_cli("--schema") == 0
+    assert capsys.readouterr().out == cli.SCHEMA_TEXT
+    assert run_cli(*runs[2], "--out", str(tmp_path / "again2")) == 0
+    assert built.count("chordlab") == 1 and len(built) == 1 + len(cli._EXPERIMENTS)
+    for k in range(3):
+        assert files(tmp_path / f"again{k}") == first[k]
 
 
 def test_positivity_saturating_channel_fails(tmp_path, capsys):

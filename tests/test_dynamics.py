@@ -537,6 +537,61 @@ def test_quadratic_phis_share_one_gramian(frame, monkeypatch):
         assert phi.tobytes() == want.tobytes()
 
 
+def _lone_gramian(a, lam, t):
+    """``_gramian`` at one time as written before it took arrays of times, the
+    reference its scalar call and each stacked row must equal bit for bit."""
+    scale = t * float(np.max(np.sum(np.abs(a), axis=0)))
+    k = max(0, math.ceil(math.log2(scale))) if scale > 0.0 else 0
+    block = np.zeros((4, 4))
+    block[:2, :2] = -a.T
+    block[:2, 2:] = lam
+    block[2:, 2:] = a
+    e = scipy.linalg.expm((t / 2**k) * block)
+    m = e[2:, 2:]
+    phi = m.T @ e[:2, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            phi = phi + m.T @ phi @ m
+            m = m @ m
+        return 0.5 * (phi + phi.T)
+
+
+@pytest.mark.parametrize("model", ["harmonic", "free", "zero"])
+@pytest.mark.parametrize("channels", [[DAMPING], [PUMP], [Q_CHANNEL], [DAMPING, Q_CHANNEL]],
+                         ids=["damping", "pump", "q", "damping+q"])
+@pytest.mark.parametrize("frame", ["final", "initial"])
+def test_stacked_gramian_rows_are_the_scalar_calls(model, channels, frame):
+    """Each row of _gramian over an array of times (ascending, as the CLI's
+    positivity table, or not, zero included) is the scalar call at its time,
+    bit for bit, and that is the lone-time formula's."""
+    H = dy.hamiltonians.registry[model](**({"omega": 0.7} if model == "harmonic" else {}))
+    a = dy._chord_generator(H, dy.total_gamma(channels))
+    a = -a if frame == "final" else a
+    lam = dy.noise_matrix(channels)
+    rng = np.random.default_rng(5)
+    for span in (0.05, 0.8, 6.0, 30.0):
+        for times in (np.linspace(0.0, span, 65)[1:], np.r_[rng.uniform(0.0, span, 9), 0.0]):
+            stacked = dy._gramian(a, lam, times)
+            assert stacked.shape == (times.size, 2, 2)
+            for t, phi in zip(times.tolist(), stacked):
+                want = _lone_gramian(a, lam, t)
+                assert dy._gramian(a, lam, t).tobytes() == want.tobytes()
+                assert phi.tobytes() == want.tobytes()
+    assert dy._gramian(a, lam, np.zeros(0)).shape == (0, 2, 2)
+
+
+def test_stacked_gramian_overflow_raises_without_numpy_warnings():
+    """A pumped harmonic Phi overflows by t = 400 (final frame): a times array
+    that reaches it raises like the scalar call, with numpy silent."""
+    a = -dy._chord_generator(dy.hamiltonians.harmonic(), dy.total_gamma([PUMP]))
+    lam = dy.noise_matrix([PUMP])
+    for t in (400.0, np.array([1.0, 400.0]), np.array([400.0, 1.0, 300.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="decoherence matrix overflows"):
+                dy._gramian(a, lam, t)
+
+
 def test_phi_symplectic_covariance():
     """Transporting channels and Hessian with l -> C^T l, S -> C^T S C maps
     Phi -> C^T Phi C (chords transform as xi = C xi~)."""

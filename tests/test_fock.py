@@ -871,6 +871,19 @@ def test_an_overflowing_generator_raises_one_value_error(scale_h, scale_l, t):
         lindblad_evolve(rho0, h, l_ops, t, HBAR)
 
 
+def test_a_plan_of_too_many_rounds_raises_before_any_round(monkeypatch):
+    """1e14 H passes every check, and its plan asks for s = 6e13 rounds,
+    which before ran with no error; s eps > 1e-8 now raises at once."""
+    dim = 8
+    rho0 = fock_density_matrix(1, HBAR, dim)
+    h = 1e14 * hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)
+    _, s = fock._taylor_plan(fock._generator(h, [], HBAR, 1.0)[1])
+    assert s * np.finfo(float).eps > fock._TRACE_TOL
+    monkeypatch.setattr(fock, "_taylor_round", lambda *a: pytest.fail("a round ran"))
+    with pytest.raises(ValueError, match=f"needs s = {s} rounds"):
+        lindblad_evolve(rho0, h, [], 1.0, HBAR)
+
+
 @pytest.mark.parametrize("hbar", [-HBAR, 0.0, math.nan])
 def test_hermite_functions_reject_an_hbar_that_is_not_finite_and_positive(hbar):
     """Before, a negative hbar raised math's "math domain error"."""
