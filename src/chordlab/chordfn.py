@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CenteredGrid, _plane_wave_sum, _trig_doubled
+from .grids import CenteredGrid, _check_hbar, _plane_wave_sum, _trig_doubled
 
 __all__ = ["ChordFunction"]
 
@@ -107,8 +107,7 @@ class ChordFunction:
         """Evaluate a term sum onto a grid."""
         if self.fn is None:
             raise ValueError("already gridded")
-        if grid.hbar != self.hbar:
-            raise ValueError("grid hbar does not match the chord function")
+        _check_hbar(grid.hbar, self.hbar, "chord function")
         xp, xq = grid.meshgrid()
         out = ChordFunction.from_grid(self.fn(xp, xq), grid)
         out.warnings = list(self.warnings)

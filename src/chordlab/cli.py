@@ -6,7 +6,7 @@
 Each experiment reads a flat key = value config, writes its CSV tables with
 ``gridio.write_table`` (header lines, ``# columns``, then rows in which
 every number is its ``'%.17g' %`` text, computed a block of cells at a time
-by gridio's numpy kernel) and a JSON sidecar with the echoed config, derived
+by gridio's numpy kernel for a number array) and a JSON sidecar with the echoed config, derived
 quantities, and each warning raised during the run, once, in the order
 raised.  Identical configs reproduce
 byte-identical files at a fixed BLAS thread count (a threaded BLAS may sum in
@@ -84,7 +84,7 @@ husimi at time.t > 0)
   hamiltonian.family  zero | free | harmonic | quartic | pendulum, default harmonic
   hamiltonian.omega   float, default 1 (harmonic)
   hamiltonian.mass    float, default 1 (free)
-  hamiltonian.a/.b    floats, defaults 1, 0 (quartic)
+  hamiltonian.a hamiltonian.b  floats, defaults 1, 0 (quartic)
   hamiltonian.g       float, default 1 (pendulum)
   channel             repeatable, four floats "l'_p l'_q l''_p l''_q"
 
@@ -209,9 +209,9 @@ def _curve(cfg: Config, family: str):
         return pendulum_level_curve(cfg.float("state.energy"), cfg.float("state.g", 1.0), samples)
 
 
-def _coherent(cfg: Config, hbar: float) -> states.CoherentState:
-    eta = cfg.floats("state.eta", 2, (0.0, 0.0))
-    return states.CoherentState(eta, hbar)
+def _eta(cfg: Config) -> tuple:
+    """state.eta, the centre (eta_p, eta_q) of a coherent or cat state."""
+    return cfg.floats("state.eta", 2, (0.0, 0.0))
 
 
 def _half_width(cfg: Config, key: str) -> float:
@@ -233,8 +233,7 @@ def _centre_grid(cfg: Config, hbar: float, points: int, family: str) -> Centered
         if family == "fock":
             half = math.sqrt(2.0 * hbar * (cfg.int("state.n", 0) + 1)) + pad
         else:
-            eta = cfg.floats("state.eta", 2, (0.0, 0.0))
-            half = max(abs(eta[0]), abs(eta[1])) + pad
+            half = max(map(abs, _eta(cfg))) + pad
     return CenteredGrid(half, half, m, hbar)
 
 
@@ -254,7 +253,7 @@ def _coherent_round_trip(state: states.CoherentState, grid: CenteredGrid) -> tup
 
 
 def _exp_coherent_demo(cfg: Config, out: str, hbar: float) -> dict:
-    state = _coherent(cfg, hbar)
+    state = states.CoherentState(_eta(cfg), hbar)
     grid = _centre_grid(cfg, hbar, 256, "coherent")
     w_vals, chi, cgrid, chi_err, round_err = _coherent_round_trip(state, grid)
     gridio.save_grid_csv(os.path.join(out, "wigner.csv"), w_vals, grid, "centre")
@@ -271,7 +270,7 @@ def _chord_source(cfg: Config, hbar: float):
     """Initial data for evolve_chord_function: Wigner grid or sampled curve."""
     fam = _state_family(cfg)
     if fam == "coherent":
-        state = _coherent(cfg, hbar)
+        state = states.CoherentState(_eta(cfg), hbar)
         grid = _centre_grid(cfg, hbar, 128, fam)
         pp, qq = grid.meshgrid()
         return (states.coherent_wigner(state, pp, qq), grid)
@@ -343,7 +342,7 @@ def _lwc_samples(cfg: Config, hbar: float):
     if route in ("closed-form", "direct"):
         if fam != "coherent" or t != 0.0:
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
-        coh = _coherent(cfg, hbar)
+        coh = states.CoherentState(_eta(cfg), hbar)
     elif route == "chord":
         chi_fn = evolve_chord_function(_chord_source(cfg, hbar), model, channels, t, dt=dt,
                                        hbar=hbar)
@@ -370,8 +369,7 @@ def _lwc_samples(cfg: Config, hbar: float):
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
         else:  # sc-quadratic is sc-markov at t = 0
-            sample = lwc_mod.LwcSample(xi_q, lines[k].correlation(xi_q), window,
-                                       lines[k].warnings, lines[k])
+            sample = lines[k].sample(xi_q, window)
             if not np.any(~sample.branches.caustic):
                 raise RuntimeError(f"no semiclassical branch survives in the window at "
                                    f"Q = {q0:g} ({'; '.join(sample.warnings)})")
@@ -434,21 +432,20 @@ def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
     if not channels:
         raise ConfigError("positivity needs at least one channel")
     tp = positivity_time(model, channels)
-    # the 64 rows' Phi_0 from one stacked Gramian, each bit for bit the one
-    # decoherence_matrix(..., frame="initial") gives at its time
-    times = np.linspace(0.0, 2.0 * tp, 65)[1:]
+    # Phi_0 at the 64 rows' times and at t_p from one stacked Gramian, each bit
+    # for bit the one decoherence_matrix(..., frame="initial") gives at its time
+    times = np.append(np.linspace(0.0, 2.0 * tp, 65)[1:], tp)
     phi = dynamics._gramian(dynamics._chord_generator(model, total_gamma(channels)),
                             noise_matrix(channels), times)
+    det = np.linalg.det(phi)
     gridio.write_table(os.path.join(out, "positivity.csv"),
                        [_TABLE_SCHEMA, ("experiment", "positivity")],
                        ["t", "det_phi", "phi_pp", "phi_pq", "phi_qq"],
-                       np.column_stack([times, np.linalg.det(phi), phi[:, 0, 0], phi[:, 0, 1],
-                                        phi[:, 1, 1]]))
-    dm = decoherence_matrix(model, channels, np.zeros(2), tp, frame="initial")
+                       np.column_stack([times, det, phi.reshape(-1, 4)[:, [0, 1, 3]]])[:-1])
     return {
         "positivity_time": tp,
         "gamma": total_gamma(channels),
-        "det_phi_at_tp": dm.det,
+        "det_phi_at_tp": float(det[-1]),
         "hbar": hbar,
     }
 
@@ -456,14 +453,14 @@ def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
 def _fock_state(cfg: Config, hbar: float, dim: int) -> fock.FockDensityMatrix:
     fam = _state_family(cfg)
     if fam == "coherent":
-        return fock.coherent_density_matrix(cfg.floats("state.eta", 2, (0.0, 0.0)), hbar, dim)
+        return fock.coherent_density_matrix(_eta(cfg), hbar, dim)
     if fam == "fock":
         n = cfg.int("state.n", 0)
         if not 0 <= n < dim:
             raise ConfigError(f"state.n must be in [0, fock.dim) = [0, {dim}), got {n}")
         return fock.fock_density_matrix(n, hbar, dim)
     if fam == "cat":
-        return fock.cat_density_matrix(cfg.floats("state.eta", 2, (0.0, 0.0)), hbar, dim)
+        return fock.cat_density_matrix(_eta(cfg), hbar, dim)
     raise ConfigError(f"state.family {fam!r} is not number-basis representable here")
 
 

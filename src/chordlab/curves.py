@@ -31,7 +31,7 @@ from scipy.linalg import solve_banded
 
 from . import dynamics
 from .diagnostics import ConvergenceWarning, report
-from .grids import _BLOCK_ELEMENTS, _check_positive
+from .grids import _BLOCK_ELEMENTS, _check_finite, _check_positive
 
 __all__ = [
     "LagrangianCurve",
@@ -400,8 +400,7 @@ def branches_at(curve: LagrangianCurve, Q: float,
     outside the curve's q-projection.  A root where the parametrization
     itself is stationary (both derivatives vanish) is degenerate and raises.
     """
-    if not math.isfinite(Q):
-        raise ValueError(f"Q must be finite, got {Q!r}")
+    _check_finite(Q, "Q")
     if not caustic_threshold > 0:
         raise ValueError(f"caustic_threshold must be positive, got {caustic_threshold!r}")
     roots = np.sort(np.mod(curve._q_spline.roots(Q), _TWO_PI))

@@ -55,7 +55,7 @@ from scipy.optimize import brentq
 from .chordfn import ChordFunction, _doubled
 from .diagnostics import ConvergenceWarning, report
 from .geometry import J_MATRIX, skew
-from .grids import _check_positive
+from .grids import _check_finite, _check_hbar, _check_positive
 
 __all__ = [
     "LindbladChannel",
@@ -141,8 +141,7 @@ class HamiltonianModel:
 
     def __post_init__(self):
         for key, value in self.params.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+            _check_finite(value, key)
 
     def __call__(self, x):
         return self.value(np.asarray(x, dtype=float))
@@ -495,8 +494,7 @@ def _source_samples(source, hbar):
         values, grid = source
         values = np.asarray(values, dtype=float)
         grid._check_field(values)
-        if hbar is not None and hbar != grid.hbar:
-            raise ValueError(f"hbar = {hbar!r} differs from the grid's {grid.hbar!r}")
+        _check_hbar(hbar, grid.hbar, "grid")
         pp, qq = grid.meshgrid()
         pts = np.stack([pp.ravel(), qq.ravel()], axis=-1)
         w = values.ravel() * grid.dp * grid.dq

@@ -43,7 +43,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
 from .dynamics import HamiltonianModel, LindbladChannel, _as_channels, _check_time
-from .grids import CenteredGrid, _check_positive, _outer_grid
+from .grids import CenteredGrid, _check_hbar, _check_positive, _outer_grid
 from .states import CoherentState
 
 __all__ = [
@@ -481,8 +481,7 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     dim = rho.shape[0]
     _check_time(t)
     _check_positive(hbar, "hbar")
-    if getattr(rho0, "hbar", hbar) != hbar:
-        raise ValueError(f"hbar = {hbar!r} differs from the state's {rho0.hbar!r}")
+    _check_hbar(hbar, getattr(rho0, "hbar", hbar), "state")
     for name, mat in [("h_mat", h_mat)] + [(f"l_mats[{k}]", lm) for k, lm in enumerate(l_mats)]:
         if np.shape(mat) != rho.shape:
             raise ValueError(f"{name} has shape {np.shape(mat)}, rho0 has {rho.shape}")
@@ -642,8 +641,7 @@ def _state(rho, hbar=None) -> tuple:
     hb = getattr(rho, "hbar", None)
     if hb is None:
         raise ValueError("pass a FockDensityMatrix (hbar is needed for the basis)")
-    if hbar is not None and hbar != hb:
-        raise ValueError("grid and state disagree on hbar")
+    _check_hbar(hbar, hb, "state")
     return np.asarray(rho.rho), hb
 
 

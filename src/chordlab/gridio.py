@@ -1,15 +1,17 @@
 """CSV tables: ``# key = value`` header lines, a ``# columns = ...`` line,
 then one comma-separated row per sample, every number written as
 ``'%.17g' % value`` so a write/read cycle is bit-exact.  ``write_table``
-writes every table chordlab writes; its rows are a number array, an object
-array whose ``str`` cells are written as they are, or tuples.  Gridded
+writes every table chordlab writes; its rows are a 2-D number array, which
+goes through the kernel below, or a row sequence (tuples, lists or an
+object array), written a cell at a time like the header's values: ``str``
+cells as they are, numbers as ``'%.17g' % float(value)``.  Gridded
 fields (Wigner, chord, Husimi) put their grid in the header and only their
 values in the rows, one row per grid point in ``[p, q]`` row-major order
 (row ``i * points + j`` holds ``values[i, j]``); ``load_grid_csv`` checks the
 header, the columns and the row and cell counts.
 
-Numbers are formatted by one numpy kernel, ``_format``, a whole array at a
-time instead of one CPython format call per cell.  For each cell it takes
+Number arrays are formatted by one numpy kernel, ``_format``, a whole block
+at a time instead of one CPython format call per cell.  For each cell it takes
 the decade ``k = floor(log10|x|)``, forms ``|x| 10**(16 - k)`` as a
 double-double product with a table of double-double powers of ten (Dekker,
 Numer. Math. 18, 224, 1971), settles the decade on that exact sum and rounds
@@ -21,10 +23,10 @@ bytes that leaves with one ``bytes.translate`` (no cell's text holds a NUL),
 so no index array is built.  The cells it cannot decide go to ``'%.17g' %``
 itself: +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]``, and any cell
 within 1e-6 units of its 17th digit of a rounding tie.  So the bytes are
-those of ``'%.17g' %`` for every cell.  The tables are built on the first
-write, and a table's rows go through the kernel in row-aligned blocks of
+those of ``'%.17g' %`` for every cell.  The lookup tables are built on the
+first write, and an array's rows go through the kernel in row-aligned blocks of
 about ``_BLOCK_CELLS`` cells, each written in turn, so the memory a write
-takes does not grow with the table.
+takes does not grow with the array.
 """
 
 from __future__ import annotations
@@ -202,73 +204,62 @@ def _check_width(r: int, width: int, names: list) -> None:
         raise ValueError(f"data row {r} has {where}")
 
 
+def _cell_text(cell) -> str:
+    """A ``str`` cell as it is, a number as ``'%.17g' % float(cell)``: the
+    bytes ``_format`` gives a number cell."""
+    return cell if isinstance(cell, str) else "%.17g" % float(cell)
+
+
 def _table(columns, rows):
-    """The table's cells: a 2-D number array when every column holds numbers,
-    else one entry per column, a float64 array or a list of ``str``.  A
-    column's kind is that of its first cell.  Raises ``ValueError`` naming the
-    first row and column that do not fit."""
+    """The table's CSV lines, in chunks: a 2-D number array's through
+    ``_format`` in row-aligned blocks of about ``_BLOCK_CELLS`` cells, a row
+    sequence's as one string of each cell's ``_cell_text``.  A column's kind is
+    that of its first cell.  Raises ``ValueError`` naming the first row and
+    column that do not fit before it formats any."""
     names = list(columns)
     if isinstance(rows, np.ndarray) and rows.dtype != object:
         if rows.ndim != 2 or rows.dtype.kind not in "biuf":
             raise ValueError(f"rows must be a 2-D array of real numbers (one row per "
                              f"line), not a {rows.ndim}-D {rows.dtype} array")
         _check_width(1, rows.shape[1], names)
-        return rows
+        step = max(1, _BLOCK_CELLS // max(len(names), 1))
+        return (_format(rows[start:start + step]) for start in range(0, len(rows), step))
     rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     for r, row in enumerate(rows, 1):
         _check_width(r, len(row), names)
-    cols = list(zip(*rows))
-    text = [isinstance(cells[0], str) for cells in cols]
-    for name, cells, is_text in zip(names, cols, text):
-        plain = np.asarray(cells)  # a 1-D number array unless some cell is not a plain number
-        if is_text or plain.ndim != 1 or plain.dtype.kind not in "biuf":
-            for r, cell in enumerate(cells, 1):
-                if isinstance(cell, str) != is_text or not (is_text or isinstance(cell, _REAL)):
-                    kind = "str" if is_text else "numbers"
-                    raise ValueError(f"data row {r}, column {name!r}: {cell!r} in a column "
-                                     f"of {kind}")
-    if not any(text):
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return [list(cells) if is_text else np.array(cells, dtype=np.float64)
-            for cells, is_text in zip(cols, text)]
-
-
-def _rows_text(table, rows: slice) -> str:
-    """Rows ``rows`` of a ``_table`` as CSV lines."""
-    if isinstance(table, np.ndarray):
-        return _format(table[rows])
-    cells = [col[rows] if isinstance(col, list) else _format(col[rows, None]).splitlines()
-             for col in table]
-    return "".join(",".join(row) + "\n" for row in zip(*cells))
+    for name, cells in zip(names, zip(*rows)):
+        is_text = isinstance(cells[0], str)
+        for r, cell in enumerate(cells, 1):
+            if isinstance(cell, str) != is_text or not (is_text or isinstance(cell, _REAL)):
+                raise ValueError(f"data row {r}, column {name!r}: {cell!r} in a column of "
+                                 + ("str" if is_text else "numbers"))
+    return ["".join(",".join(map(_cell_text, row)) + "\n" for row in rows)]
 
 
 def write_table(path, header, columns, rows) -> None:
     """Write ``header`` as ``(key, value)`` pairs, the column names, then ``rows``.
 
-    ``rows`` is a 2-D array with one row per line (numbers, or objects whose
-    ``str`` cells are written as they are), or a sequence of such rows.  A
-    column's first cell sets its kind, ``str`` or number; every number cell
-    is written as ``'%.17g' % value`` by the ``_format`` kernel, which hands
+    ``rows`` is a 2-D number array with one row per line, or a sequence of
+    rows (tuples, lists, or an object array) whose cells are ``str`` or real
+    numbers.  The array goes through the ``_format`` kernel, which hands
     +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]`` and near-ties to
-    ``%`` itself, and each number in the header as ``'%.17g' % float(value)``
-    directly, the kernel's reference bytes.  Everything is checked before the
+    ``%`` itself, in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each
+    written in turn.  A row sequence's cells, like the header's values, are
+    written one at a time, ``str`` as it is and a number as
+    ``'%.17g' % float(value)``, the kernel's reference bytes; a column's first
+    cell sets its kind, ``str`` or number.  Everything is checked before the
     file is opened: a row whose cell count is not the column count, or a cell
     whose kind is not its column's, raises ``ValueError`` naming the row and
-    the column, and nothing is written.  The rows then go through the kernel
-    in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each written in turn.
+    the column, and nothing is written.
     """
-    table = _table(columns, rows)
+    chunks = _table(columns, rows)
     for key, value in header:
         if not isinstance(value, (str, *_REAL)):
             raise ValueError(f"header {key!r}: {value!r} is neither a str nor a real number")
-    head = "".join(f"# {key} = {value}\n" if isinstance(value, str)
-                   else f"# {key} = {'%.17g' % float(value)}\n" for key, value in header)
-    count = len(table) if isinstance(table, np.ndarray) else len(table[0])
-    step = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    head = "".join(f"# {key} = {_cell_text(value)}\n" for key, value in header)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + "# columns = " + ",".join(columns) + "\n")
-        for start in range(0, count, step):
-            fh.write(_rows_text(table, slice(start, start + step)))
+        fh.writelines(chunks)
 
 
 def _check_kind(kind: str) -> None:

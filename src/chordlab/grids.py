@@ -148,6 +148,18 @@ def _check_positive(value, what: str) -> None:
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
 
+def _check_finite(value, what: str) -> None:
+    """ValueError naming ``what`` unless value (a scalar or a tuple) is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+
+
+def _check_hbar(hbar, theirs, whose: str) -> None:
+    """ValueError unless ``hbar`` is None (not given) or the ``whose``'s ``theirs``."""
+    if hbar is not None and hbar != theirs:
+        raise ValueError(f"hbar = {hbar!r} differs from the {whose}'s {theirs!r}")
+
+
 def _uniform_step(axis, what: str, points: int) -> float:
     """The step of a 1-D finite axis of at least ``points`` (>= 2) nodes that
     increases in equal steps (to 1e-9 of a step); ValueError naming ``what``

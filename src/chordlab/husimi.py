@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics
 from .chordfn import ChordFunction
-from .grids import CenteredGrid, _uniform_step, simpson_weights
+from .grids import CenteredGrid, _check_hbar, _uniform_step, simpson_weights
 from .lwc import LwcWindow
 
 __all__ = [
@@ -95,7 +95,8 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
     want = LwcWindow.husimi_matched(0.0, hb).delta
     xi_q = samples[0].xi_q
     for s in samples:
-        if abs(s.window.delta - want) > 1e-12 * want or s.window.hbar != hb:
+        _check_hbar(s.window.hbar, hb, "first window")
+        if abs(s.window.delta - want) > 1e-12 * want:
             raise ValueError(
                 "reconstruction requires window width sqrt(hbar/2) exactly; "
                 f"got delta = {s.window.delta!r}")

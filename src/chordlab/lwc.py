@@ -16,7 +16,8 @@ are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
 
 One branch pass gives every window's lines (a ``BranchLines`` record each: C on
 a xi_q grid, the closed-form spectrum on a p axis) from one evolved curve and
-one anchor pass; a sample keeps its own as ``lines``, needing no second pass.
+one anchor pass.  ``BranchLines.sample`` is the only builder of a sample from
+lines, and the sample keeps them as ``lines``, needing no second pass.
 
 The chord route integrates a term-sum chord function in closed form: each
 term is one line, broadened by its Phi, and term lines and branch lines go
@@ -37,8 +38,8 @@ import numpy as np
 from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
-from .grids import (CenteredGrid, _centred_axis, _check_positive, _edge_decayed,
-                    _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
+from .grids import (CenteredGrid, _centred_axis, _check_finite, _check_hbar, _check_positive,
+                    _edge_decayed, _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -72,8 +73,7 @@ class LwcWindow:
     hbar: float
 
     def __post_init__(self):
-        if not math.isfinite(self.Q):
-            raise ValueError(f"Q must be finite, got {self.Q!r}")
+        _check_finite(self.Q, "Q")
         _check_positive(self.delta, "delta")
         _check_positive(self.hbar, "hbar")
 
@@ -161,12 +161,15 @@ class BranchLines:
     hbar: float
     warnings: list
 
-    def correlation(self, xi_q) -> np.ndarray:
+    def sample(self, xi_q, window: LwcWindow | None) -> LwcSample:
         """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2),
-        the Fourier pair of the lines."""
+        the Fourier pair of the lines, as a sample of ``window`` (None for width
+        0) that keeps these lines and their notes."""
         br = self.branches
         live = ~br.caustic
-        return _line_sum(br.amplitude[live], br.p[live], self.variance[live], xi_q, self.hbar)
+        xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
+        values = _line_sum(br.amplitude[live], br.p[live], self.variance[live], xi_q, self.hbar)
+        return LwcSample(xi_q, values, window, self.warnings, self)
 
     def spectrum(self, p_axis) -> SpectralDensity:
         """The lines sampled on p_axis, tallest peak first.  A variance below
@@ -260,8 +263,7 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     """
     chi._check_form()
     hb = window.hbar
-    if chi.hbar != hb:
-        raise ValueError("window and chord function disagree on hbar")
+    _check_hbar(hb, chi.hbar, "chord function")
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
     notes = list(chi.warnings)
 
@@ -282,8 +284,9 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
 def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample:
     """Windowed correlation straight from rho(q - s/2, q + s/2) samples.
 
-    Every requested xi_q must coincide with an s_axis node, and q_axis must
-    be uniform and increasing, and cover the window out to Q +- 6 Delta.
+    Every requested xi_q must lie within 1e-6 spacings of its nearest node
+    of s_axis (in any order), and q_axis must be uniform and increasing, and
+    cover the window out to Q +- 6 Delta.
     """
     rho_slices = np.asarray(rho_slices)
     q_axis = np.asarray(q_axis, dtype=float)
@@ -295,11 +298,14 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     if q_axis[0] > lo or q_axis[-1] < hi:
         raise ValueError("q_axis must cover the window out to Q +- 6 Delta")
     xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-    ds = s_axis[1] - s_axis[0] if s_axis.size > 1 else 1.0
-    cols = np.searchsorted(s_axis, xi_q - 0.5 * abs(ds))
-    cols = np.clip(cols, 0, s_axis.size - 1)
-    if np.any(np.abs(s_axis[cols] - xi_q) > 1e-6 * max(abs(ds), 1e-12)):
+    order = np.argsort(s_axis, kind="stable")
+    nodes, gaps = s_axis[order], np.diff(s_axis[order])
+    k = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), xi_q)  # each xi_q's nearest node
+    # a node's spacing is the gap to its nearer neighbour (1 on a one-node axis)
+    spacing = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) if gaps.size else np.ones(1)
+    if not np.all(np.abs(nodes[k] - xi_q) <= 1e-6 * np.maximum(spacing[k], 1e-12)):
         raise ValueError("every xi_q must coincide with an s_axis node")
+    cols = order[k]
     wq = simpson_weights(q_axis.size, dq) * np.exp(
         -((q_axis - window.Q) ** 2) / (2.0 * window.delta**2))
     wq /= math.sqrt(2.0 * math.pi) * window.delta
@@ -311,8 +317,7 @@ def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):
     """Exact C(xi_q) for a coherent state: a Gaussian of chord width
     sqrt(2 hbar) carried by the plane wave exp(-i eta_p xi_q / hbar), with a
     window-weight factor from the overlap of the two position Gaussians."""
-    if state.hbar != window.hbar:
-        raise ValueError("state and window disagree on hbar")
+    _check_hbar(window.hbar, state.hbar, "state")
     hb = state.hbar
     ep, eq = state.eta
     xi_q = np.asarray(xi_q, dtype=float)
@@ -379,9 +384,8 @@ def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float) -> LwcSamp
     Normalization is relative (the curve average carries its own 1/2 pi);
     compare against exact routes after dividing by C(0).
     """
-    xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
     [lines] = _branch_lines(curve, [Q], hbar, 0.0, None, (), 0.0, 0.0)
-    return LwcSample(xi_q, lines.correlation(xi_q), None, lines.warnings, lines)
+    return lines.sample(xi_q, None)
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
@@ -390,9 +394,8 @@ def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant."""
-    xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
     [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
-    return LwcSample(xi_q, lines.correlation(xi_q), window, lines.warnings, lines)
+    return lines.sample(xi_q, window)
 
 
 def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
@@ -409,9 +412,8 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
         if hbar is None:
             raise ValueError("pass hbar explicitly for window-free samples")
         _check_positive(hbar, "hbar")
-    elif hbar is not None and hbar != sample.window.hbar:
-        raise ValueError(f"hbar = {hbar!r} differs from the window's {sample.window.hbar!r}")
     else:
+        _check_hbar(hbar, sample.window.hbar, "window")
         hbar = sample.window.hbar
     xq = sample.xi_q
     n = xq.size
@@ -450,7 +452,7 @@ def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
     Exact for sampled Gaussians: returns vertex position and variance
     -1 / (2 a) of the fitted log-parabola.  Peaks whose neighbourhood is not
     log-concave are reported at grid resolution and flagged.  p_axis must be
-    uniform and increasing, and the values finite.
+    uniform and increasing, the values finite and min_rel_height in [0, 1].
 
     For a line that is not exactly Gaussian the fit reads the curvature over
     +-2 bins, so the variance depends on the p spacing: the exact spectrum of
@@ -465,6 +467,9 @@ def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
     dp = _uniform_step(p_axis, "p_axis", 5)
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
+    _check_finite(min_rel_height, "min_rel_height")
+    if not 0.0 <= min_rel_height <= 1.0:
+        raise ValueError(f"min_rel_height must be in [0, 1], got {min_rel_height!r}")
     top = float(np.max(v))
     peaks = []
     for i in range(2, v.size - 2):

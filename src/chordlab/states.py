@@ -20,7 +20,7 @@ import numpy as np
 
 from .chordfn import ChordFunction, _doubled
 from .curves import LagrangianCurve
-from .grids import _check_positive
+from .grids import _check_finite, _check_positive
 from . import diagnostics
 
 __all__ = [
@@ -45,8 +45,7 @@ class CoherentState:
     def __post_init__(self):
         eta = (float(self.eta[0]), float(self.eta[1]))
         object.__setattr__(self, "eta", eta)
-        if not (math.isfinite(eta[0]) and math.isfinite(eta[1])):
-            raise ValueError(f"eta must be finite, got {eta!r}")
+        _check_finite(eta, "eta")
         _check_positive(self.hbar, "hbar")
 
 

@@ -42,7 +42,7 @@ def test_sample_requires_matching_hbar():
         coherent_chord(state).sample(CenteredGrid(1.0, 1.0, 16, 2.0 * HBAR))
     # compared exactly, like every other hbar check: before, a grid 1e-13 off
     # was accepted and the sample took the grid's hbar
-    with pytest.raises(ValueError, match="grid hbar"):
+    with pytest.raises(ValueError, match="differs from the chord function's 0.05"):
         coherent_chord(state).sample(CenteredGrid(1.0, 1.0, 16, HBAR * (1.0 + 1e-13)))
 
 

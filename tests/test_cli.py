@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -42,6 +43,63 @@ def test_schema_prints_and_exits_zero(capsys):
     for name in ("coherent-demo", "evolve-chord", "lwc", "spectrum",
                  "positivity", "husimi", "validate"):
         assert name in out
+
+
+# (experiment, config) runs that reach every experiment, lwc route, state
+# family and model family between them
+_SCHEMA_RUNS = [
+    ("coherent-demo", "seed = 3\nstate.eta = 0.2 0.1\ngrid.points = 32\ngrid.half_width = 2\n"),
+    ("evolve-chord", "state.eta = 0 0.2\ngrid.points = 16\nhamiltonian.omega = 1.5\n"
+                     "channel = 0 1 0 0\ntime.t = 0.1\nxi.half_width = 1\n"),
+    ("evolve-chord", "state.family = circle\nstate.action = 0.4\nstate.samples = 64\n"
+                     "hamiltonian.family = free\nhamiltonian.mass = 2\ntime.t = 0.1\n"
+                     "xi.points = 16\n"),
+    ("evolve-chord", "state.family = quartic\nstate.energy = 0.3\nstate.a = 1\nstate.b = 0.5\n"
+                     "state.samples = 64\nhamiltonian.family = quartic\nhamiltonian.a = 1\n"
+                     "hamiltonian.b = 0.5\ntime.t = 0.05\ntime.dt = 0.025\nxi.points = 16\n"),
+    ("evolve-chord", "state.family = pendulum\nstate.energy = -0.5\nstate.g = 1\n"
+                     "state.samples = 64\nhamiltonian.family = pendulum\nhamiltonian.g = 1\n"
+                     "time.t = 0.05\nxi.points = 16\n"),
+    ("lwc", "state.eta = 0.3 0\nwindow.q = 0\nxi.points = 64\n"),
+    *[("lwc", f"state.eta = 0.3 0\nlwc.route = {route}\nwindow.q = 0\nxi.points = 64\n")
+      for route in ("closed-form", "direct")],
+    ("lwc", "state.eta = 0.3 0\nlwc.route = chord\nhamiltonian.family = zero\n"
+            "channel = 0 1 0 0\ntime.t = 0.1\ngrid.points = 32\nwindow.q = 0\n"
+            "window.delta = 0.3\nxi.points = 64\n"),
+    *[("lwc", f"state.family = circle\nstate.samples = 64\nlwc.route = {route}\n"
+              "window.q = 0\nxi.points = 64\n") for route in ("sc-berry", "sc-quadratic")],
+    ("spectrum", "state.family = circle\nstate.samples = 64\nlwc.route = sc-markov\n"
+                 "channel = 0 1 0 0\ntime.t = 0.5\nwindow.q = 0\nxi.points = 64\n"),
+    ("positivity", "hamiltonian.family = zero\nchannel = 0 1 1 0\n"),
+    ("husimi", "state.family = fock\nstate.n = 1\nfock.dim = 16\ngrid.points = 32\n"),
+    ("husimi", "state.eta = 0.2 0\nfock.dim = 16\ngrid.points = 32\nchannel = 0 1 0 0\n"
+               "time.t = 0.1\n"),
+    ("husimi", "state.family = cat\nstate.eta = 0.3 0\nfock.dim = 16\ngrid.points = 32\n"),
+    ("validate", None),
+]
+
+
+def test_schema_text_names_every_key_a_run_reads(tmp_path, monkeypatch):
+    """Every key the experiments read appears in ``--schema`` whole, as its
+    own word (not as ``hamiltonian.a/.b``)."""
+    read = set()
+    group = Config._group
+
+    def recorded(self, key):
+        read.add(key)
+        return group(self, key)
+
+    monkeypatch.setattr(Config, "_group", recorded)
+    for k, (experiment, text) in enumerate(_SCHEMA_RUNS):
+        argv = [experiment, "--out", str(tmp_path / f"o{k}")]
+        if text is not None:
+            argv += ["--config", write_cfg(tmp_path, "hbar = 0.05\n" + text, f"r{k}.cfg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(*argv) == 0, (experiment, text)
+    named = set(re.findall(r"(?<!\S)[a-z][a-z0-9_.]*[a-z0-9_](?!\S)", cli.SCHEMA_TEXT))
+    assert {"lwc.route", "hamiltonian.b", "state.eta", "time.dt"} <= read
+    assert sorted(read - named) == []
 
 
 def test_no_experiment_is_usage_error(capsys):

@@ -1044,6 +1044,14 @@ def test_readouts_reject_a_raw_matrix(readout):
         readout(mat, CenteredGrid(1.0, 1.0, 8, HBAR))
 
 
+@pytest.mark.parametrize("readout", [chord_function_grid, wigner_exact],
+                         ids=["chi-grid", "wigner"])
+def test_grid_readouts_reject_a_grid_of_another_hbar(readout):
+    rho = fock_density_matrix(1, HBAR, 12)
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the state's 0.05"):
+        readout(rho, CenteredGrid(1.0, 1.0, 8, 2 * HBAR))
+
+
 def test_readout_symmetries_hold_bit_for_bit():
     """G_A rides on even orders only and G_B on odd ones, and psi_l(-x) =
     (-1)^l psi_l(x) exactly, so the slices at -s and s, and chi at -xi and

@@ -41,6 +41,17 @@ def test_matched_window_delta():
         husimi_from_lwc([LwcSample(xi_q, vals, wide)], [0.0])
 
 
+def test_husimi_from_lwc_names_an_hbar_mismatch():
+    """Windows of two hbars, each at its own matched width: before, this was
+    reported as a wrong window width."""
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    vals = np.exp(-(xi_q**2) / (2.0 * HBAR)).astype(complex)
+    samples = [LwcSample(xi_q, vals, LwcWindow.husimi_matched(0.0, hb))
+               for hb in (HBAR, 2 * HBAR)]
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the first window's 0.05"):
+        husimi_from_lwc(samples, [0.0])
+
+
 def test_husimi_from_lwc_reports_an_imaginary_residue():
     """C(-xi) != conj C(xi) rebuilds a complex density; the residue is
     reported in the shared wording."""

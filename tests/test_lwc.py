@@ -65,7 +65,7 @@ def test_window_constructors():
         LwcWindow(0.0, 0.0, HBAR)
     with pytest.raises(ValueError):
         LwcWindow(0.0, 0.1, -1.0)
-    with pytest.raises(ValueError, match="state and window disagree on hbar"):
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the state's 0.05"):
         lwc_coherent_closed_form(CoherentState((0.4, 0.3), HBAR), LwcWindow.canonical(0.1, 2 * HBAR),
                                  [0.0])
 
@@ -426,6 +426,23 @@ def test_fit_peaks_recovers_gaussians():
         fit_peaks(p, np.full(p.size, math.nan))
 
 
+@pytest.mark.parametrize("height, match", [
+    (math.nan, "min_rel_height must be finite, got nan"),
+    (math.inf, "min_rel_height must be finite"),
+    (-1.0, r"min_rel_height must be in \[0, 1\], got -1.0"),
+    (1.5, r"must be in \[0, 1\]"),
+])
+def test_fit_peaks_rejects_a_height_floor_outside_0_1(height, match):
+    """Before, nan and -1 kept a 1e-6 side peak the default floor drops."""
+    p = np.linspace(-2.5, 2.5, 501)
+    vals = np.exp(-(p + 1.0) ** 2 / 0.05) + 1e-6 * np.exp(-(p - 1.0) ** 2 / 0.05)
+    assert len(fit_peaks(p, vals)) == 1
+    assert len(fit_peaks(p, vals, 0.0)) == 2
+    assert len(fit_peaks(p, vals, 1.0)) == 1
+    with pytest.raises(ValueError, match=match):
+        fit_peaks(p, vals, height)
+
+
 def test_fit_peaks_flags_non_log_concave():
     p = np.arange(11.0)
     v = np.zeros(11)
@@ -526,6 +543,39 @@ def test_lwc_direct_validation():
     with pytest.raises(ValueError, match="q_axis must increase in equal steps"):
         lwc_direct(coherent_position_slices(state, warped, s_axis), warped, s_axis,
                    window, [0.0])
+
+
+def test_lwc_direct_reads_the_nearest_node_of_any_s_axis():
+    """Each xi_q is looked up on the sorted s_axis: a non-uniform axis and a
+    decreasing one give the columns of the nodes they hold.  Before, a
+    lookup that assumed a uniform increasing axis rejected xi_q = 1.1 on
+    [0, 1, 1.1] and every node of a decreasing axis."""
+    state = CoherentState((0.2, 0.1), HBAR)
+    window = LwcWindow.canonical(0.1, HBAR)
+    q_axis = np.linspace(-2.0, 2.0, 401)
+    for s_axis in (np.array([0.0, 1.0, 1.1]), np.linspace(0.5, -0.5, 21)):
+        slices = coherent_position_slices(state, q_axis, s_axis)
+        for k in range(s_axis.size):
+            got = lwc_direct(slices, q_axis, s_axis, window, [s_axis[k]])
+            want = lwc_direct(slices[:, k:k + 1], q_axis, s_axis[k:k + 1], window,
+                              [s_axis[k]])
+            assert got.values == pytest.approx(want.values, rel=1e-13)
+        mixed = lwc_direct(slices, q_axis, s_axis, window, s_axis[::-1])
+        assert np.array_equal(mixed.values, lwc_direct(slices, q_axis, s_axis, window,
+                                                       s_axis).values[::-1])
+    # off the nodes: 1.05 lies midway in the 0.1 gap, 1.1 + 1e-5 is 1e-4 gaps out
+    s_axis = np.array([0.0, 1.0, 1.1])
+    slices = coherent_position_slices(state, q_axis, s_axis)
+    for xi in (1.05, 1.1 + 1e-5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="every xi_q must coincide with an s_axis node"):
+            lwc_direct(slices, q_axis, s_axis, window, [xi])
+    lwc_direct(slices, q_axis, s_axis, window, [1.1 + 1e-8])  # within 1e-6 of the 0.1 gap
+
+
+def test_lwc_from_chord_rejects_a_window_of_another_hbar():
+    chi = coherent_chord(CoherentState((0.3, 0.0), HBAR))
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the chord function's 0.05"):
+        lwc_from_chord(chi, LwcWindow.canonical(0.0, 2 * HBAR), [0.0])
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
