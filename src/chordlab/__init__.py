@@ -26,7 +26,7 @@ from .grids import (CenteredGrid, centre_from_chord, chord_from_centre, ft_axis,
                     reflect_values, simpson_weights)
 from .gridio import load_grid_csv, save_grid_csv
 from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
-from .lwc import (BranchLines, LwcSample, LwcWindow, Peak, ResolutionVerdict,
+from .lwc import (Lines, LwcSample, LwcWindow, Peak, ResolutionVerdict,
                   SpectralDensity, fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
                   lwc_direct, lwc_from_chord, lwc_sc_berry, lwc_sc_markov,
                   resolution_verdict, sc_spectrum_closed_form, shear_phi_qq,

@@ -370,7 +370,7 @@ def _lwc_samples(cfg: Config, hbar: float):
             sample = lwc_from_chord(chi_fn, window, xi_q)
         else:  # sc-quadratic is sc-markov at t = 0
             sample = lines[k].sample(xi_q, window)
-            if not np.any(~sample.branches.caustic):
+            if not sample.lines.p.size:
                 raise RuntimeError(f"no semiclassical branch survives in the window at "
                                    f"Q = {q0:g} ({'; '.join(sample.warnings)})")
         samples.append((q0, sample))

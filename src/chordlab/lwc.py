@@ -14,15 +14,14 @@ and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  Stationary-branch plane waves (``lwc_sc_berry``)
 are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
 
-One branch pass gives every window's lines (a ``BranchLines`` record each: C on
-a xi_q grid, the closed-form spectrum on a p axis) from one evolved curve and
-one anchor pass.  ``BranchLines.sample`` is the only builder of a sample from
-lines, and the sample keeps them as ``lines``, needing no second pass.
-
-The chord route integrates a term-sum chord function in closed form: each
-term is one line, broadened by its Phi, and term lines and branch lines go
-through one line sum, a call of the plane-wave kernel.  A chord grid is
-integrated by Simpson along its own xi_p axis.
+Gaussian lines have one record, ``Lines``: ``Lines.sample`` is the only
+builder of a sample from lines (one call of the plane-wave kernel) and
+``Lines.spectrum`` the only closed-form spectrum.  One branch pass gives
+every window's branch lines from one evolved curve and one anchor pass.  The
+chord route integrates a term-sum chord function in closed form: each term
+is one line, broadened by its Phi.  Either sample keeps its lines as
+``lines``, so its spectrum needs no second pass, no xi_q grid and no FFT.
+A chord grid is integrated by Simpson along its own xi_p axis.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
@@ -45,7 +44,7 @@ from .states import CoherentState
 __all__ = [
     "LwcWindow",
     "LwcSample",
-    "BranchLines",
+    "Lines",
     "SpectralDensity",
     "Peak",
     "ResolutionVerdict",
@@ -92,14 +91,14 @@ class LwcWindow:
 
 @dataclass(frozen=True)
 class LwcSample:
-    """C(xi_q) on a xi_q grid; a semiclassical sample keeps the branch lines
-    it was summed from."""
+    """C(xi_q) on a xi_q grid; a sample summed from lines (branch or term
+    lines) keeps them."""
 
     xi_q: np.ndarray
     values: np.ndarray
     window: LwcWindow | None
     warnings: list = field(default_factory=list)
-    lines: BranchLines | None = None
+    lines: Lines | None = None
 
     @property
     def branches(self) -> BranchData | None:
@@ -150,33 +149,40 @@ class ResolutionVerdict:
 
 
 @dataclass(frozen=True)
-class BranchLines:
-    """The lines of one window: each live branch j is A_j N(p_j, sigma_j^2),
-    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2 (``variance``; nan on
-    caustic branches, which both sums leave out), with the branch pass's notes."""
+class Lines:
+    """Gaussian lines A_k N(p_k, sigma_k^2) (``variance``), every one of them
+    summed, with the notes of the pass that made them.  Branch lines (one
+    per live branch) also keep the window's branches, caustic ones included,
+    and each branch's Phi_qq (nan on caustic branches); term lines keep
+    neither."""
 
-    branches: BranchData
-    phi_qq: tuple
+    amplitude: np.ndarray
+    p: np.ndarray
     variance: np.ndarray
     hbar: float
     warnings: list
+    branches: BranchData | None = None
+    phi_qq: tuple = ()
 
     def sample(self, xi_q, window: LwcWindow | None) -> LwcSample:
-        """C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2),
+        """C(xi_q) = sum_k A_k exp(-i p_k xi_q / hbar - sigma_k^2 xi_q^2 / 2 hbar^2),
         the Fourier pair of the lines, as a sample of ``window`` (None for width
-        0) that keeps these lines and their notes."""
-        br = self.branches
-        live = ~br.caustic
+        0) that keeps these lines and their notes: the plane-wave sum of the
+        terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar at the chords (0, -xi_q)."""
         xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
-        values = _line_sum(br.amplitude[live], br.p[live], self.variance[live], xi_q, self.hbar)
+        phi = np.zeros((self.p.size, 2, 2))
+        phi[:, 1, 1] = self.variance / self.hbar
+        values = _plane_wave_sum(np.stack([self.p, np.zeros(self.p.size)], axis=-1),
+                                 self.amplitude, 0.0, -xi_q.ravel(), self.hbar, phi)
         return LwcSample(xi_q, values, window, self.warnings, self)
 
     def spectrum(self, p_axis) -> SpectralDensity:
-        """The lines sampled on p_axis, tallest peak first.  A variance below
-        the axis spacing squared is floored there and flagged (the true peak is
-        narrower than the axis shows); the warnings are the record's plus those.
-        p_axis must be finite, with at least two points and none repeated."""
-        br = self.branches
+        """The lines sampled on p_axis, tallest peak first; a line of complex
+        amplitude counts by Re A_k (the imaginary parts of a Hermitian C's
+        lines cancel).  A variance below the axis spacing squared is floored
+        there and flagged (the true peak is narrower than the axis shows); the
+        warnings are the record's plus those.  p_axis must be finite, with at
+        least two points and none repeated."""
         p_axis = np.asarray(p_axis, dtype=float)
         if p_axis.ndim != 1 or p_axis.size < 2 or not np.all(np.isfinite(p_axis)) \
                 or np.unique(p_axis).size < p_axis.size:
@@ -185,30 +191,18 @@ class BranchLines:
         notes = list(self.warnings)
         vals = np.zeros(p_axis.size)
         peaks = []
-        for j in np.flatnonzero(~br.caustic):
-            var = float(self.variance[j])
+        for a, pk, var in zip(np.real(self.amplitude), self.p, self.variance.tolist()):
             flagged = var < dp**2
             if flagged:
                 var = max(dp**2, 1e-300)
-                diagnostics.report(notes, f"spectral peak at p = {br.p[j]:g} narrower than "
+                diagnostics.report(notes, f"spectral peak at p = {pk:g} narrower than "
                                    "the p axis spacing; width floored to one bin",
                                    diagnostics.TruncationWarning)
-            height = br.amplitude[j] / math.sqrt(2.0 * math.pi * var)
-            vals += height * np.exp(-((p_axis - br.p[j]) ** 2) / (2.0 * var))
-            peaks.append(Peak(float(br.p[j]), float(height), var, flagged=flagged))
+            height = a / math.sqrt(2.0 * math.pi * var)
+            vals += height * np.exp(-((p_axis - pk) ** 2) / (2.0 * var))
+            peaks.append(Peak(float(pk), float(height), var, flagged=flagged))
         peaks.sort(key=lambda pk: -pk.height)
         return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
-
-
-def _line_sum(amplitude, p, variance, xi_q, hbar: float) -> np.ndarray:
-    """sum_k A_k exp(-i p_k xi_q / hbar - sigma_k^2 xi_q^2 / 2 hbar^2) at the
-    flattened xi_q, the Fourier pair of the lines A_k N(p_k, sigma_k^2): the
-    plane-wave sum of the terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar at
-    the chords (0, -xi_q)."""
-    phi = np.zeros((p.size, 2, 2))
-    phi[:, 1, 1] = variance / hbar
-    return _plane_wave_sum(np.stack([p, np.zeros(p.size)], axis=-1), amplitude, 0.0,
-                           -np.asarray(xi_q, dtype=float).ravel(), hbar, phi)
 
 
 def local_translation_weyl(window: LwcWindow, xi_q, p, q):
@@ -221,9 +215,10 @@ def local_translation_weyl(window: LwcWindow, xi_q, p, q):
                          - (window.Q - q) ** 2 / (2.0 * window.delta**2))
 
 
-def _term_lines(terms, window: LwcWindow):
-    """(A_k, p~_k, sigma_k^2): the line of each plane-wave term of a chord
-    function under the window's xi_p integral (see ``lwc_from_chord``)."""
+def _term_lines(terms, window: LwcWindow, warnings: list) -> Lines:
+    """The line A_k N(p~_k, sigma_k^2) of each plane-wave term of a chord
+    function under the window's xi_p integral (see ``lwc_from_chord``), with
+    the given notes."""
     x, w, phi = terms
     hb = window.hbar
     phi = np.zeros((2, 2)) if phi is None else phi
@@ -232,7 +227,8 @@ def _term_lines(terms, window: LwcWindow):
     d = window.Q - x[:, 1]
     amp = w * np.sqrt(math.pi / a) * np.exp(-d**2 / (4.0 * a * hb**2)) / (2.0 * math.pi * hb)
     p = x[:, 0] - d * f_pq / (2.0 * a * hb)
-    return amp, p, np.broadcast_to(hb * f_qq - f_pq**2 / (2.0 * a), p.shape)
+    var = np.broadcast_to(hb * f_qq - f_pq**2 / (2.0 * a), p.shape)
+    return Lines(amp, p, var, hb, warnings)
 
 
 def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
@@ -252,10 +248,12 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
         p~_k      = p_k - (Q - q_k) Phi_pq,k / 2 a_k hbar
         sigma_k^2 = hbar Phi_qq,k - Phi_pq,k^2 / 2 a_k      (>= 0 for Phi_k >= 0),
 
-    summed by the branch lines' own line sum.  A grid-backed chord function
-    is integrated by Simpson along its own xi_p axis (so each -xi_q must land
-    on a grid node), with a TruncationWarning when the integrand has not
-    decayed at the grid edge.  Any other chord function raises ValueError.
+    summed by ``Lines.sample``; the sample keeps its lines, so
+    ``sample.lines.spectrum(p)`` is its spectrum in closed form.  A
+    grid-backed chord function is integrated by Simpson along its own xi_p
+    axis (so each -xi_q must land on a grid node), with a TruncationWarning
+    when the integrand has not decayed at the grid edge.  Any other chord
+    function raises ValueError.
 
     ``xi_p_points`` is ignored: neither form has xi_p nodes to choose.  It is
     kept because the benchmark's transport workload still passes it and its
@@ -268,8 +266,7 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     notes = list(chi.warnings)
 
     if chi.terms is not None:
-        return LwcSample(xi_q, _line_sum(*_term_lines(chi.terms, window), xi_q, hb),
-                         window, notes)
+        return _term_lines(chi.terms, window, notes).sample(xi_q, window)
     grid = chi.grid  # chord grids store (xi_p, xi_q) on the (p, q) axes
     xp = grid.p_axis
     f = chi.values[:, grid._node_index(-xi_q, 1)]
@@ -285,14 +282,15 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     """Windowed correlation straight from rho(q - s/2, q + s/2) samples.
 
     Every requested xi_q must lie within 1e-6 spacings of its nearest node
-    of s_axis (in any order), and q_axis must be uniform and increasing, and
-    cover the window out to Q +- 6 Delta.
+    of s_axis (nonempty, in any order), and q_axis must be uniform and
+    increasing, and cover the window out to Q +- 6 Delta.
     """
     rho_slices = np.asarray(rho_slices)
     q_axis = np.asarray(q_axis, dtype=float)
     s_axis = np.asarray(s_axis, dtype=float)
-    if rho_slices.shape != (q_axis.size, s_axis.size):
-        raise ValueError("rho_slices must be (len(q_axis), len(s_axis))")
+    if rho_slices.shape != (q_axis.size, s_axis.size) or s_axis.size == 0:
+        raise ValueError("need a nonempty s_axis and rho_slices of shape "
+                         "(len(q_axis), len(s_axis))")
     dq = _uniform_step(q_axis, "q_axis", 3)
     lo, hi = window.Q - 6.0 * window.delta, window.Q + 6.0 * window.delta
     if q_axis[0] > lo or q_axis[-1] < hi:
@@ -337,11 +335,12 @@ def shear_phi_qq(phi, slope: float) -> float:
 def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
                   H, channels, t: float, dt: float) -> list:
     """One branch pass for every window centre in ``qs``: the curve evolved to t
-    once, then each window's record of its branches at Q (caustic beyond |slope| =
-    1/sqrt(hbar)), their sheared decoherence widths Phi_qq from one Dormand-Prince
-    pass over every window's live branches (nan on caustic branches, 0 when t = 0
-    or there are no channels), each branch's error-estimate note, and their line
-    variances.  Notes start with the curve's."""
+    once, then each window's ``Lines``, one line per live branch at Q (caustic
+    beyond |slope| = 1/sqrt(hbar)).  The record keeps every branch and their
+    sheared decoherence widths Phi_qq from one Dormand-Prince pass over every
+    window's live branches (nan on caustic branches, 0 when t = 0 or there are
+    no channels), with each branch's error-estimate note.  Notes start with
+    the curve's."""
     _check_positive(hbar, "hbar")
     dynamics._check_time(t)
     if t > 0:
@@ -372,8 +371,8 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
             for j, phi in zip(live, phis):
                 phi_qq[j] = shear_phi_qq(phi, br.slope[j])
             phis, errs = phis[live.size:], errs[live.size:]
-        variance = hbar * np.asarray(phi_qq, dtype=float) + (delta * br.slope) ** 2
-        out.append(BranchLines(br, tuple(phi_qq), variance, hbar, notes))
+        variance = hbar * np.asarray(phi_qq)[live] + (delta * br.slope[live]) ** 2
+        out.append(Lines(br.amplitude[live], br.p[live], variance, hbar, notes, br, tuple(phi_qq)))
     return out
 
 
@@ -435,12 +434,12 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
                             window: LwcWindow, p_axis, dt: float = 1e-2) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
-    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2: the exact spectrum of
-    ``lwc_sc_markov`` on the same arguments (see ``BranchLines.spectrum``).
-
-    This runs the branch pass again; with a sample from ``lwc_sc_markov`` in
-    hand, ``sample.lines.spectrum(p_axis)`` gives the same density from the
-    sample's own lines.
+    sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2, the exact spectrum of
+    ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of the
+    window's branch lines, after a second branch pass.  Every sample summed
+    from lines keeps them (``lwc_sc_markov``, ``lwc_sc_berry``, and
+    ``lwc_from_chord`` of a term sum: a coherent state or an evolved chord
+    function), so ``sample.lines.spectrum(p_axis)`` needs no second pass.
     """
     [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.spectrum(p_axis)

@@ -627,12 +627,12 @@ xi.points = 256
 
 
 def _same_lines(a, b) -> bool:
-    """Two BranchLines records agree bit for bit, warnings included."""
+    """Two Lines records agree bit for bit, warnings included."""
     return (all(np.asarray(getattr(a.branches, f.name)).tobytes()
                 == np.asarray(getattr(b.branches, f.name)).tobytes()
                 for f in dataclasses.fields(a.branches))
-            and np.array(a.phi_qq).tobytes() == np.array(b.phi_qq).tobytes()
-            and a.variance.tobytes() == b.variance.tobytes()
+            and all(np.asarray(getattr(a, k)).tobytes() == np.asarray(getattr(b, k)).tobytes()
+                    for k in ("amplitude", "p", "variance", "phi_qq"))
             and a.hbar == b.hbar and a.warnings == b.warnings)
 
 

@@ -250,6 +250,60 @@ def test_sc_lines_converge_to_exact_spectrum_as_hbar_shrinks():
     assert 0.75 < math.log2(dv_coarse / dv_fine) < 1.25
 
 
+@pytest.mark.parametrize("hbar, n, bound", [(0.05, 10, 0.015), (0.025, 20, 0.011)])
+def test_sample_lines_map_a_fock_ring_at_t0_to_the_turning_point(hbar, n, bound):
+    """The t = 0 map of a Fock ring |n> against harmonic_circle((n + 1/2)
+    hbar): the WKB state's term lines (one per curve sample) give the
+    normalized C of the number-basis oracle within ``bound`` at every
+    canonical window out to the turning point Q = R (measured 0.0083-0.0125
+    at hbar = 0.05 and 0.0035-0.0098 at 0.025, for |xi_q| <= sqrt(hbar)),
+    while the branch lines, wherever a live branch exists, are at least five
+    times further off (measured 0.064-0.252)."""
+    rho = fock_density_matrix(n, hbar, n + 40)
+    curve = harmonic_circle((n + 0.5) * hbar, 2048)
+    chi = wkb_chord(curve, hbar)
+    radius = math.sqrt((2 * n + 1) * hbar)
+    xi_q = np.linspace(-math.sqrt(hbar), math.sqrt(hbar), 41)
+    live = 0
+    for frac in (0.0, 0.5, 0.7, 0.9, 0.99, 1.0):
+        window = LwcWindow.canonical(frac * radius, hbar)
+        q_axis = np.linspace(window.Q - 7.0 * window.delta, window.Q + 7.0 * window.delta, 401)
+        oracle = lwc_direct(position_density_matrix(rho, q_axis, xi_q), q_axis, xi_q,
+                            window, xi_q).normalized()
+        err = np.max(np.abs(lwc_from_chord(chi, window, xi_q).normalized() - oracle))
+        assert err < bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)  # caustic near Q = R
+            branch = lwc_sc_markov(curve, None, (), 0.0, window, xi_q)
+        if branch.lines.p.size:
+            live += 1
+            assert np.max(np.abs(branch.normalized() - oracle)) > 5.0 * err
+    assert live == 4
+
+
+def test_term_sample_keeps_lines_that_give_its_spectrum_in_closed_form():
+    """A term-sum sample keeps its lines: their closed-form spectrum matches
+    the FFT spectrum of the sample on a xi_q grid where C decays (measured
+    5.6e-14 and 2.5e-13 of max for a coherent state and a harmonic ring
+    under a q-channel at t = 0.4), and integrates to Re C(0)."""
+    ring = dynamics.evolve_chord_function(harmonic_circle(0.5, 320), hamiltonians.harmonic(),
+                                          [dynamics.LindbladChannel((0.0, 1.0))], 0.4,
+                                          hbar=HBAR)
+    cases = [(coherent_chord(CoherentState((0.3, -0.2), HBAR)), None, 0.1, 1),
+             (ring, math.sqrt(HBAR / 0.4), 0.3, 320)]
+    for chi, sigma, Q, count in cases:
+        xi_q = suggest_xi_q_grid(HBAR, sigma, points=1024)
+        sample = lwc_from_chord(chi, LwcWindow.canonical(Q, HBAR), xi_q)
+        assert isinstance(sample.lines, lwc.Lines) and sample.lines.p.size == count
+        assert sample.branches is None and sample.phi_qq == ()
+        sd = spectrum(sample)
+        closed = sample.lines.spectrum(sd.p)
+        assert sd.warnings == [] and closed.warnings == []
+        assert np.max(np.abs(closed.values - sd.values)) <= 1e-9 * np.max(sd.values)
+        area = np.sum(closed.values) * (sd.p[1] - sd.p[0])
+        assert area == pytest.approx(sample.c0().real, rel=1e-9)
+
+
 def test_markov_reduces_to_quadratic_at_t0():
     """At t = 0 a channel has had no time to act: C is the window-shear sum
     sum_j A_j exp(-i p_j xi_q / hbar - (Delta s_j xi_q)^2 / 2 hbar^2)."""
@@ -572,6 +626,15 @@ def test_lwc_direct_reads_the_nearest_node_of_any_s_axis():
     lwc_direct(slices, q_axis, s_axis, window, [1.1 + 1e-8])  # within 1e-6 of the 0.1 gap
 
 
+def test_lwc_direct_rejects_an_empty_s_axis():
+    """An empty s_axis (with its (len(q_axis), 0) table) is named, not an
+    IndexError from the nearest-node lookup."""
+    q_axis = np.linspace(-2.0, 2.0, 401)
+    with pytest.raises(ValueError, match="need a nonempty s_axis"):
+        lwc_direct(np.zeros((q_axis.size, 0)), q_axis, np.zeros(0),
+                   LwcWindow.canonical(0.0, HBAR), [0.0])
+
+
 def test_lwc_from_chord_rejects_a_window_of_another_hbar():
     chi = coherent_chord(CoherentState((0.3, 0.0), HBAR))
     with pytest.raises(ValueError, match="hbar = 0.1 differs from the chord function's 0.05"):
@@ -677,7 +740,7 @@ def test_sample_lines_spectrum_is_the_closed_form(family):
     curve, H, t, window = _window_case(family)
     channels = [dynamics.LindbladChannel((0.0, 1.0))]
     sample = lwc_sc_markov(curve, H, channels, t, window, [0.0])
-    assert isinstance(sample.lines, lwc.BranchLines)
+    assert isinstance(sample.lines, lwc.Lines)
     assert sample.branches is sample.lines.branches
     assert sample.phi_qq is sample.lines.phi_qq
     for p in (np.linspace(-2.0, 2.0, 801), np.linspace(-2.0, 2.0, 5)):
@@ -776,7 +839,7 @@ def test_term_route_matches_simpson_on_every_transport_source():
             want = _simpson_lwc(chi, window, xi_q, 4097)
             assert got.warnings == []
             assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.all(lwc._term_lines(chi.terms, window)[2] >= 0.0)
+            assert np.all(lwc._term_lines(chi.terms, window, []).variance >= 0.0)
 
 
 def test_term_route_matches_the_moved_coherent_state():
@@ -841,17 +904,16 @@ def test_line_sum_matches_the_line_by_line_sum():
     window = LwcWindow.canonical(0.3, HBAR)
     ring = lwc_sc_markov(harmonic_circle(0.5, 512), hamiltonians.harmonic(),
                          [dynamics.LindbladChannel((0.0, 1.0))], 0.6, window, xi_q)
-    br, live = ring.lines.branches, ~ring.lines.branches.caustic
-    cases = [(br.amplitude[live], br.p[live], ring.lines.variance[live], ring.values)]
+    cases = [(ring.lines, ring.values)]
     sources = _term_sources()
     for chi in (wkb_chord(harmonic_circle(0.5, 320), HBAR), sources[0], sources[2]):
-        lines = lwc._term_lines(chi.terms, window)
-        cases.append(lines + (lwc_from_chord(chi, window, xi_q).values,))
+        cases.append((lwc._term_lines(chi.terms, window, []),
+                      lwc_from_chord(chi, window, xi_q).values))
     assert [np.ndim(chi.terms[2]) for chi in (sources[0], sources[2])] == [2, 3]
-    for amplitude, p, variance, got in cases:
-        want = _line_loop(amplitude, p, variance, xi_q)
+    for lines, got in cases:
+        want = _line_loop(lines.amplitude, lines.p, lines.variance, xi_q)
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
-    none = lwc._line_sum(np.zeros(0), np.zeros(0), np.zeros(0), xi_q, HBAR)
+    none = lwc.Lines(np.zeros(0), np.zeros(0), np.zeros(0), HBAR, []).sample(xi_q, None).values
     assert none.shape == xi_q.shape and not np.any(none)
 
 
