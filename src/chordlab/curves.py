@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import dynamics
-from .diagnostics import ConvergenceWarning, report
+from .diagnostics import ConvergenceWarning, _measured
 from .grids import _BLOCK_ELEMENTS, _check_finite, _check_positive
 
 __all__ = [
@@ -309,10 +309,8 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
         if tail <= limit or n >= _SERIES_CAP:
             break
         n *= 2
-    if tail > limit:
-        report(notes, f"orbit time series unconverged at {n} nodes: top-quarter "
-               f"coefficients {tail:.1e} of the mean (near the separatrix?)",
-               ConvergenceWarning)
+    _measured(notes, tail, limit, f"orbit time series unconverged at {n} nodes: top-quarter "
+              "coefficients {:.1e} of the mean (near the separatrix?)", ConvergenceWarning)
     k = np.arange(1, n // 2)
     sine_weights = c[1:n // 2] / k
     period = _TWO_PI * c[0]

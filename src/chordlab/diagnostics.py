@@ -39,12 +39,20 @@ def report(sink, message: str, category=UserWarning, stacklevel: int = 3):
         sink.append(message)
 
 
+def _measured(sink, value, tol, message: str, category, stacklevel: int = 3):
+    """The one body of every soft check: ``report`` ``message.format(value)``
+    unless the measured ``value`` is at most ``tol`` (so a nan reports), and
+    return ``value``.  ``stacklevel`` counts from the caller, as in ``report``."""
+    if not value <= tol:
+        report(sink, message.format(value), category, stacklevel + 1)
+    return value
+
+
 def _real_part(values, what: str, sink):
     """(Re values, max|Im| / max|Re|) of values that should be real; a residue
-    above 1e-8 is reported as a TruncationWarning naming ``what``."""
+    above 1e-8 (or nan) is reported as a TruncationWarning naming ``what``."""
     re = np.real(values)
     residue = float(np.max(np.abs(np.imag(values))) / max(np.max(np.abs(re)), 1e-300))
-    if residue > 1e-8:
-        report(sink, f"{what} imaginary residue {residue:.2e} above 1e-8", TruncationWarning,
-               stacklevel=4)
+    _measured(sink, residue, 1e-8, f"{what} imaginary residue {{:.2e}} above 1e-8",
+              TruncationWarning, stacklevel=4)
     return re, residue

@@ -53,7 +53,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from .chordfn import ChordFunction, _doubled
-from .diagnostics import ConvergenceWarning, report
+from .diagnostics import ConvergenceWarning, _measured
 from .geometry import J_MATRIX, skew
 from .grids import _check_finite, _check_hbar, _check_positive
 
@@ -443,15 +443,16 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-2,
     if t == 0.0:
         return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, [], frame)
     phi, errs = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
-    return DecoherenceMatrix(phi[0], float(t), anchor, _report_step_errors(errs), frame)
+    notes: list = []
+    _measured(notes, errs[0], 1e-8, _STEP_NOTE, ConvergenceWarning, stacklevel=2)
+    return DecoherenceMatrix(phi[0], float(t), anchor, notes, frame)
 
 
 def _decoherence_phis(H, channels, anchors, t: float, dt: float,
                       convergence_check: bool = True, frame: str = "final"):
     """(phis, errs): Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, and
-    each anchor's error estimate relative to max(1, |Phi|) (zeros for quadratic
-    models or without the check), which the caller reports: ``decoherence_matrix``
-    for a batch.
+    each anchor's ``_step_error`` (zeros for quadratic models or without the
+    check), which the caller reports with ``_STEP_NOTE`` above 1e-8.
 
     Quadratic models share one generator, so one closed-form Phi serves every
     anchor.  Otherwise one Dormand-Prince pass carries every anchor, and its
@@ -468,18 +469,17 @@ def _decoherence_phis(H, channels, anchors, t: float, dt: float,
     s, err = _dp54(H, gamma, anchors, span, _steps_for(t, dt), lam)
     phi = s[..., 3:]
     if convergence_check:
-        errs = err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
+        errs = _step_error(err, phi)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2)), errs
 
 
-def _report_step_errors(errs) -> list:
-    """Notes of the error estimates above 1e-8, each raised as a ConvergenceWarning."""
-    notes: list = []
-    for err in errs:
-        if err > 1e-8:
-            report(notes, f"decoherence_matrix: the step's error estimate for Phi is "
-                   f"{err:.3e} (> 1e-8); reduce dt", ConvergenceWarning)
-    return notes
+_STEP_NOTE = "decoherence_matrix: the step's error estimate for Phi is {:.3e} (> 1e-8); reduce dt"
+
+
+def _step_error(err, phi):
+    """Each trajectory's summed Dormand-Prince error estimate ``err``
+    relative to max(1, max|Phi|) of its (n, 2, 2) ``phi``."""
+    return err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,22 +548,17 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
         minv = np.linalg.inv(s[..., 1:3])
         phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
         phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
-        step_err = float(np.max(err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))))
+        step_err = float(np.max(_step_error(err, phi)))
     out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
-    if check and step_err > 1e-8:
-        report(out.warnings,
-               f"evolve_chord_function: the step's error estimate is {step_err:.3e} "
-               "(> 1e-8); reduce dt", ConvergenceWarning)
     if check:
+        _measured(out.warnings, step_err, 1e-8, "evolve_chord_function: the step's error "
+                  "estimate is {:.3e} (> 1e-8); reduce dt", ConvergenceWarning)
         if coarse is None:
             err = out._drift(*_doubled(xt, phi))
         else:
             err = out._drift(xt[coarse], 4.0 * w[coarse], phi[coarse] if phi.ndim == 3 else phi)
-        if err > 1e-6:
-            report(out.warnings,
-                   f"evolve_chord_function: changing the sample count moves chi by {err:.3e} "
-                   "(> 1e-6); refine the initial sampling",
-                   ConvergenceWarning)
+        _measured(out.warnings, err, 1e-6, "evolve_chord_function: changing the sample count "
+                  "moves chi by {:.3e} (> 1e-6); refine the initial sampling", ConvergenceWarning)
     return out
 
 

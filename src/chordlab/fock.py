@@ -205,11 +205,9 @@ def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
-    tail = 1.0 - float(np.sum(np.abs(c) ** 2))
-    if tail > 1e-12:
-        diagnostics.report(
-            sink, f"coherent amplitude tail {tail:.2e} at dim {dim}; increase dim",
-            diagnostics.TruncationWarning)
+    diagnostics._measured(sink, 1.0 - float(np.sum(np.abs(c) ** 2)), 1e-12,
+                          f"coherent amplitude tail {{:.2e}} at dim {dim}; increase dim",
+                          diagnostics.TruncationWarning)
     return c
 
 
@@ -514,12 +512,11 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
                 f"population {leak / tr0:.2e} reached the top decile of a dim-{dim} "
                 "basis; increase dim", dim)
     notes: list = []
-    drift = abs(float(np.sum(x[::dim + 1])) - tr0) / tr0
-    if drift > _TRACE_TOL:
-        diagnostics.report(
-            notes, f"trace drifted by {drift:.2e} of its initial value during evolution "
-            "(the generator conserves it: rounding); check H and the channels for huge "
-            "entries", diagnostics.ConvergenceWarning)
+    diagnostics._measured(
+        notes, abs(float(np.sum(x[::dim + 1])) - tr0) / tr0, _TRACE_TOL,
+        "trace drifted by {:.2e} of its initial value during evolution (the generator "
+        "conserves it: rounding); check H and the channels for huge entries",
+        diagnostics.ConvergenceWarning)
     return FockDensityMatrix(_unpack(x, dim), float(hbar), notes)
 
 

@@ -19,13 +19,12 @@ is exact up to floating round-off.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
-from .diagnostics import GridDomainWarning
+from .diagnostics import GridDomainWarning, _measured
 
 __all__ = [
     "CenteredGrid",
@@ -173,15 +172,14 @@ def _uniform_step(axis, what: str, points: int) -> float:
     return d
 
 
-def _edge_decayed(values, rel: float, axes) -> bool:
-    """True when the first and last slices of |values| along each of ``axes``
-    carry at most ``rel`` of its peak, or the field is all zero."""
+def _edge_ratio(values, axes) -> float:
+    """The largest |values| on the first and last slices along each of
+    ``axes``, over the peak of |values| (0 for an all-zero field)."""
     mags = np.abs(values)
     peak = np.max(mags)
     if peak == 0.0:
-        return True
-    edge = max(np.max(np.take(mags, [0, -1], axis=a)) for a in axes)
-    return bool(edge <= rel * peak)
+        return 0.0
+    return float(max(np.max(np.take(mags, [0, -1], axis=a)) for a in axes) / peak)
 
 
 def _symplectic_ft(values, grid: CenteredGrid, where: str):
@@ -190,13 +188,9 @@ def _symplectic_ft(values, grid: CenteredGrid, where: str):
     (output axis 0 pairs with input axis 1) and the 1 / (2 pi hbar)
     normalisation.  ``where`` names the public caller in the boundary warning."""
     grid._check_field(values)
-    if not _edge_decayed(values, 1e-14, (0, 1)):
-        warnings.warn(
-            f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
-            "transform may be contaminated by truncation",
-            GridDomainWarning,
-            stacklevel=3,
-        )
+    _measured(None, _edge_ratio(values, (0, 1)), 1e-14,
+              f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
+              "transform may be contaminated by truncation", GridDomainWarning, stacklevel=4)
     tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
     tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
     return np.ascontiguousarray(tmp.T / (2.0 * np.pi * grid.hbar)), grid.conjugate()

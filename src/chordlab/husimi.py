@@ -45,14 +45,9 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
                  | (np.abs(qq) > grid.half_width_q - margin))
     total = float(np.sum(np.abs(values)))
     if total > 0:
-        frac = float(np.sum(np.abs(values)[near_edge])) / total
-        if frac > 1e-12:
-            diagnostics.report(
-                sink,
-                f"{frac:.2e} of |W| lies within 3 sqrt(hbar) of the grid edge; "
-                "smoothing will wrap around",
-                diagnostics.GridDomainWarning,
-            )
+        diagnostics._measured(sink, float(np.sum(np.abs(values)[near_edge])) / total, 1e-12,
+                              "{:.2e} of |W| lies within 3 sqrt(hbar) of the grid edge; "
+                              "smoothing will wrap around", diagnostics.GridDomainWarning)
     kernel = np.exp(-(pp**2 + qq**2) / hb) / (math.pi * hb)
     conv = np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(np.fft.ifftshift(kernel)))
     return np.real(conv) * grid.dp * grid.dq

@@ -38,7 +38,7 @@ from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
 from .grids import (CenteredGrid, _centred_axis, _check_finite, _check_hbar, _check_positive,
-                    _edge_decayed, _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
+                    _edge_ratio, _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -181,8 +181,9 @@ class Lines:
         amplitude counts by Re A_k (the imaginary parts of a Hermitian C's
         lines cancel).  A variance below the axis spacing squared is floored
         there and flagged (the true peak is narrower than the axis shows); the
-        warnings are the record's plus those.  p_axis must be finite, with at
-        least two points and none repeated."""
+        warnings are the record's plus one note naming how many lines were
+        floored and the first one's p.  p_axis must be finite, with at least
+        two points and none repeated."""
         p_axis = np.asarray(p_axis, dtype=float)
         if p_axis.ndim != 1 or p_axis.size < 2 or not np.all(np.isfinite(p_axis)) \
                 or np.unique(p_axis).size < p_axis.size:
@@ -195,12 +196,14 @@ class Lines:
             flagged = var < dp**2
             if flagged:
                 var = max(dp**2, 1e-300)
-                diagnostics.report(notes, f"spectral peak at p = {pk:g} narrower than "
-                                   "the p axis spacing; width floored to one bin",
-                                   diagnostics.TruncationWarning)
             height = a / math.sqrt(2.0 * math.pi * var)
             vals += height * np.exp(-((p_axis - pk) ** 2) / (2.0 * var))
             peaks.append(Peak(float(pk), float(height), var, flagged=flagged))
+        floored = [pk.position for pk in peaks if pk.flagged]
+        if floored:
+            diagnostics.report(notes, f"{len(floored)} spectral peak(s) narrower than the p "
+                               f"axis spacing, the first at p = {floored[0]:g}; widths "
+                               "floored to one bin", diagnostics.TruncationWarning)
         peaks.sort(key=lambda pk: -pk.height)
         return SpectralDensity(p_axis, vals, 0.0, notes, tuple(peaks))
 
@@ -272,9 +275,9 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     f = chi.values[:, grid._node_index(-xi_q, 1)]
     w = simpson_weights(xp.size, grid.dp) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-    if not _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,)):
-        diagnostics.report(notes, "lwc integrand not decayed at the xi_p grid edge; "
-                           "widen the chord grid", diagnostics.TruncationWarning)
+    diagnostics._measured(notes, _edge_ratio(np.abs(f) * np.abs(w)[:, None], (0,)), 1e-12,
+                          "lwc integrand not decayed at the xi_p grid edge; widen the chord "
+                          "grid", diagnostics.TruncationWarning)
     return LwcSample(xi_q, w @ f, window, notes)
 
 
@@ -367,7 +370,9 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
             )
         phi_qq = [math.nan if c else 0.0 for c in br.caustic]
         if t > 0 and channels and live.size:
-            notes += dynamics._report_step_errors(errs[:live.size])
+            for err in errs[:live.size]:
+                diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
+                                      diagnostics.ConvergenceWarning, stacklevel=2)
             for j, phi in zip(live, phis):
                 phi_qq[j] = shear_phi_qq(phi, br.slope[j])
             phis, errs = phis[live.size:], errs[live.size:]
@@ -420,10 +425,9 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
     if n % 2 or abs(xq[n // 2]) > 1e-9 * d:
         raise ValueError("spectrum needs a centred uniform even-count xi_q grid")
     notes = list(sample.warnings)
-    if not _edge_decayed(sample.values, 1e-10, (0,)):
-        diagnostics.report(
-            notes, "C(xi_q) not decayed at the grid edge; widen the xi_q grid",
-            diagnostics.TruncationWarning)
+    diagnostics._measured(notes, _edge_ratio(sample.values, (0,)), 1e-10,
+                          "C(xi_q) not decayed at the grid edge; widen the xi_q grid",
+                          diagnostics.TruncationWarning)
     s_c = ft_axis(np.asarray(sample.values, dtype=complex), d, hbar,
                   axis=0, sign=+1) / (2.0 * math.pi * hbar)
     p_axis = _centred_axis(n, 2.0 * math.pi * hbar / (n * d))

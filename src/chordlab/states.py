@@ -121,9 +121,7 @@ def wkb_chord(curve: LagrangianCurve, hbar: float) -> ChordFunction:
     _check_positive(hbar, "hbar")
     n = curve.points.shape[0]
     chi = ChordFunction.from_terms(curve.points, np.full(n, 1.0 / n), None, hbar)
-    drift = chi._drift(*_doubled(curve.points, None))
-    if drift > 1e-8:
-        diagnostics.report(chi.warnings, f"curve average drifts by {drift:.2e} under doubled "
-                           "sampling; increase the curve sample count",
-                           diagnostics.ConvergenceWarning)
+    diagnostics._measured(chi.warnings, chi._drift(*_doubled(curve.points, None)), 1e-8,
+                          "curve average drifts by {:.2e} under doubled sampling; increase "
+                          "the curve sample count", diagnostics.ConvergenceWarning)
     return chi

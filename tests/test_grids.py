@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -139,12 +140,12 @@ def test_boundary_decay_flags_and_warning():
     g = CenteredGrid(1.0, 1.0, 32, HBAR)
     pp, qq = g.meshgrid()
     wide = np.exp(-(pp**2 + qq**2) / 2.0)  # nowhere near decayed
-    assert not grids._edge_decayed(wide, 1e-14, (0, 1))
+    assert not grids._edge_ratio(wide, (0, 1)) <= 1e-14
     with pytest.warns(GridDomainWarning):
         chord_from_centre(wide, g)
     tight = np.exp(-(pp**2 + qq**2) / 0.005)
-    assert grids._edge_decayed(tight, 1e-14, (0, 1))
-    assert grids._edge_decayed(np.zeros((8, 8)), 1e-14, (0, 1))
+    assert grids._edge_ratio(tight, (0, 1)) <= 1e-14
+    assert grids._edge_ratio(np.zeros((8, 8)), (0, 1)) <= 1e-14
 
 
 @pytest.mark.parametrize("transform", [chord_from_centre, centre_from_chord],
@@ -155,8 +156,9 @@ def test_boundary_warning_names_its_transform(transform):
     g = CenteredGrid(1.0, 1.0, 32, HBAR)
     pp, qq = g.meshgrid()
     with pytest.warns(GridDomainWarning, match=f"^{transform.__name__}: input") as rec:
+        line = inspect.currentframe().f_lineno + 1
         transform(np.exp(-(pp**2 + qq**2) / 2.0), g)
-    assert len(rec) == 1 and rec[0].filename == __file__
+    assert len(rec) == 1 and (rec[0].filename, rec[0].lineno) == (__file__, line)
 
 
 def test_shape_mismatch_raises():

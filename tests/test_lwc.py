@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
                            fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
                            position_density_matrix, wigner_exact)
-from chordlab.grids import CenteredGrid, _edge_decayed, simpson_weights
+from chordlab.grids import CenteredGrid, _edge_ratio, simpson_weights
 from chordlab.lwc import (
     LwcSample,
     _branch_lines,
@@ -54,7 +55,7 @@ def _simpson_lwc(chi, window, xi_q, points):
     f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
     w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
-    assert _edge_decayed(np.abs(f) * np.abs(w)[:, None], 1e-12, (0,))
+    assert _edge_ratio(np.abs(f) * np.abs(w)[:, None], (0,)) <= 1e-12
     return w @ f
 
 
@@ -416,9 +417,12 @@ def test_spectrum_truncation_warning():
     window = LwcWindow.canonical(0.0, HBAR)
     xi_q = suggest_xi_q_grid(HBAR, points=64)
     wide = np.exp(-(xi_q**2) / (50.0 * np.max(xi_q) ** 2))
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as rec:
+        line = inspect.currentframe().f_lineno + 1
         dens = spectrum(LwcSample(xi_q, wide.astype(complex), window))
     assert any("not decayed" in msg for msg in dens.warnings)
+    [edge] = [w for w in rec if "not decayed" in str(w.message)]
+    assert (edge.filename, edge.lineno) == (__file__, line)  # the caller's line
 
 
 def test_spectrum_of_non_hermitian_correlation_warns_once():
@@ -753,6 +757,22 @@ def test_sample_lines_spectrum_is_the_closed_form(family):
         assert got.warnings == want.warnings
 
 
+def test_lines_spectrum_notes_a_record_s_floored_lines_once():
+    """Every line of a WKB term sample at t = 0 has variance 0 and is floored:
+    one note names the count and the first line's p, and each line keeps its
+    own flagged peak."""
+    sample = lwc_from_chord(wkb_chord(harmonic_circle(0.5, 2048), HBAR),
+                            LwcWindow.canonical(0.3, HBAR), [0.0])
+    assert sample.warnings == []
+    with pytest.warns(TruncationWarning) as rec:
+        dens = sample.lines.spectrum(np.linspace(-2.0, 2.0, 801))
+    assert len(rec) == 1
+    assert len(dens.peaks) == 2048 and all(pk.flagged for pk in dens.peaks)
+    assert dens.warnings == [
+        f"2048 spectral peak(s) narrower than the p axis spacing, the first at "
+        f"p = {sample.lines.p[0]:g}; widths floored to one bin"]
+
+
 def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
     """lwc_sc_markov then lines.spectrum finds the branches once; spectrum
     hands back a fresh warning list and leaves the record's own alone."""
@@ -771,7 +791,7 @@ def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
     assert len(before) == 2  # the coarse step's error-estimate notes
     assert sample.lines.warnings == before and sample.warnings == before
     assert first.warnings == second.warnings
-    assert first.warnings[:2] == before and len(first.warnings) == 4  # two floored lines
+    assert first.warnings[:2] == before and len(first.warnings) == 3  # one note, two floored lines
     assert first.warnings is not sample.lines.warnings
 
     plain = LwcSample(np.zeros(1), np.ones(1, dtype=complex), window, [])
