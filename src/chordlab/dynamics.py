@@ -440,11 +440,14 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-2,
     if frame not in ("final", "initial"):
         raise ValueError(f"frame must be 'final' or 'initial', not {frame!r}")
     anchor = np.asarray(anchor, dtype=float)
+    if anchor.shape != (2,):
+        raise ValueError(f"anchor must be one point (p, q), got shape {anchor.shape}")
+    _check_finite(anchor, "anchor")
     if t == 0.0:
         return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, [], frame)
     phi, errs = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
     notes: list = []
-    _measured(notes, errs[0], 1e-8, _STEP_NOTE, ConvergenceWarning, stacklevel=2)
+    _measured(notes, errs[0], 1e-8, _STEP_NOTE, ConvergenceWarning)
     return DecoherenceMatrix(phi[0], float(t), anchor, notes, frame)
 
 
@@ -473,7 +476,7 @@ def _decoherence_phis(H, channels, anchors, t: float, dt: float,
     return 0.5 * (phi + np.swapaxes(phi, -1, -2)), errs
 
 
-_STEP_NOTE = "decoherence_matrix: the step's error estimate for Phi is {:.3e} (> 1e-8); reduce dt"
+_STEP_NOTE = "the step's error estimate for Phi is {:.3e} (> 1e-8); reduce dt"
 
 
 def _step_error(err, phi):
@@ -551,8 +554,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
         step_err = float(np.max(_step_error(err, phi)))
     out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
     if check:
-        _measured(out.warnings, step_err, 1e-8, "evolve_chord_function: the step's error "
-                  "estimate is {:.3e} (> 1e-8); reduce dt", ConvergenceWarning)
+        _measured(out.warnings, step_err, 1e-8, _STEP_NOTE, ConvergenceWarning)
         if coarse is None:
             err = out._drift(*_doubled(xt, phi))
         else:

@@ -193,7 +193,9 @@ class FockDensityMatrix:
 
 def pure_density(psi: np.ndarray, hbar: float) -> FockDensityMatrix:
     psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    norm = float(np.linalg.norm(psi))
+    _check_positive(norm, "the state vector's norm")
+    psi = psi / norm
     return FockDensityMatrix(np.outer(psi, psi.conj()), hbar)
 
 

@@ -190,7 +190,7 @@ def _symplectic_ft(values, grid: CenteredGrid, where: str):
     grid._check_field(values)
     _measured(None, _edge_ratio(values, (0, 1)), 1e-14,
               f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
-              "transform may be contaminated by truncation", GridDomainWarning, stacklevel=4)
+              "transform may be contaminated by truncation", GridDomainWarning)
     tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
     tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
     return np.ascontiguousarray(tmp.T / (2.0 * np.pi * grid.hbar)), grid.conjugate()

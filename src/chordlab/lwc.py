@@ -372,7 +372,7 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
         if t > 0 and channels and live.size:
             for err in errs[:live.size]:
                 diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
-                                      diagnostics.ConvergenceWarning, stacklevel=2)
+                                      diagnostics.ConvergenceWarning)
             for j, phi in zip(live, phis):
                 phi_qq[j] = shear_phi_qq(phi, br.slope[j])
             phis, errs = phis[live.size:], errs[live.size:]

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 import chordlab
+from chordlab import hamiltonians
+from chordlab.curves import harmonic_circle, pendulum_level_curve, quartic_level_curve
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning, _measured, _real_part
+from chordlab.dynamics import LindbladChannel, decoherence_matrix, evolve_chord_function
+from chordlab.fock import coherent_density_matrix
+from chordlab.grids import CenteredGrid
+from chordlab.husimi import husimi_from_wigner
+from chordlab.lwc import LwcSample, LwcWindow, lwc_sc_berry, lwc_sc_markov, spectrum
+from chordlab.states import CoherentState, coherent_wigner, wkb_chord
+
+HBAR = 0.05
 
 
 def test_real_part_returns_the_real_values_and_their_residue():
@@ -44,7 +54,7 @@ def test_real_part_of_nan_reports_once():
 
 
 def test_measured_reports_above_tol_and_nan_and_returns_the_value():
-    """A check calling _measured warns at its own caller's line, as with report."""
+    """A check outside the package calling _measured warns at its own line."""
     sink = []
 
     def check(value):
@@ -61,11 +71,59 @@ def test_measured_reports_above_tol_and_nan_and_returns_the_value():
 
 
 def test_only_diagnostics_calls_warnings_warn():
-    """Every soft check reports through diagnostics; no other module warns."""
+    """Every soft check reports through diagnostics; no other module warns,
+    and only report's one warnings.warn passes a stack depth (report finds
+    the user's frame, so no check counts one)."""
     src = pathlib.Path(chordlab.__file__).parent
-    callers = []
+    callers, depths = [], []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("warnings.warn", "warn"):
-                callers.append(f"{path.name}:{node.lineno}")
-    assert callers and all(c.startswith("diagnostics.py:") for c in callers), callers
+            if not isinstance(node, ast.Call):
+                continue
+            name = f"{path.name}:{ast.unparse(node.func)}"
+            if ast.unparse(node.func) in ("warnings.warn", "warn"):
+                callers.append(name)
+            if any(kw.arg == "stacklevel" for kw in node.keywords):
+                depths.append(name)
+    assert callers == depths == ["diagnostics.py:warnings.warn"], (callers, depths)
+
+
+_GRID = CenteredGrid(0.8, 0.8, 64, HBAR)
+_XI_Q = np.linspace(-2.0, 2.0, 64, endpoint=False)
+
+# Each case's note-raising call starts on its lambda's first line.
+_CASES = {
+    "orbit-tail": lambda: pendulum_level_curve(1 - 1e-13, samples=64),
+    "step-note": lambda: decoherence_matrix(
+        hamiltonians.quartic(), [LindbladChannel((0, 1), (1, 0)), LindbladChannel((0, 0.5))],
+        (0.9, 0.1), 2.0),
+    "branch-step-notes": lambda: lwc_sc_markov(
+        quartic_level_curve(0.3, samples=128), hamiltonians.quartic(),
+        [LindbladChannel((0, 0.8))], 1.0, LwcWindow(0.2, 0.2, HBAR), [0.0], dt=0.25),
+    "caustic": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 0.99, [0.0], HBAR),
+    "evanescent": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 1.5, [0.0], HBAR),
+    "amplitude-tail": lambda: coherent_density_matrix((3.0, 3.0), HBAR, 8),
+    "flow-step-note": lambda: evolve_chord_function(
+        quartic_level_curve(0.3, samples=64), hamiltonians.quartic(),
+        [LindbladChannel((0, 0.5))], 1.0, dt=0.25, hbar=HBAR),
+    "wkb-drift": lambda: wkb_chord(harmonic_circle(2.0, 64), HBAR / 4),
+    "husimi-edge": lambda: husimi_from_wigner(
+        coherent_wigner(CoherentState((0.0, 0.0), HBAR), *_GRID.meshgrid()), _GRID),
+    "floor": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 0.3, _XI_Q, HBAR).lines.spectrum(
+        np.linspace(-2.0, 2.0, 801)),
+    "residue": lambda: spectrum(LwcSample(
+        _XI_Q, (np.exp(-10.0 * _XI_Q**2) * (1.0 + 0.5 * _XI_Q)).astype(complex),
+        LwcWindow.canonical(0.0, HBAR))),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_every_note_points_at_the_caller(case):
+    """However deep inside chordlab a check sits, its warning names the first
+    frame outside the package: here, the case's own line in this file."""
+    call = _CASES[case]
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        call()
+    assert rec, "the case raises no note"
+    assert {(w.filename, w.lineno) for w in rec} == {(__file__, call.__code__.co_firstlineno)}

@@ -399,6 +399,18 @@ def test_decoherence_matrix_warns_on_coarse_dt():
         assert len(dm.warnings) == 1
 
 
+@pytest.mark.parametrize("model, anchor", [("harmonic", [1.0, 2.0, 3.0]),
+                                           ("harmonic", [[1.0, 2.0], [3.0, 4.0]]),
+                                           ("quartic", [math.nan, 0.1])])
+def test_decoherence_matrix_checks_its_anchor(model, anchor):
+    """The anchor is one finite point (p, q), checked before the t = 0 return
+    and before any flow: not a 3-vector, a pair of points or a nan."""
+    H = getattr(dy.hamiltonians, model)()
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="anchor"):
+            dy.decoherence_matrix(H, [Q_CHANNEL], anchor, t)
+
+
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])
 def test_non_quadratic_flow_matches_quarter_step(model):
     """Phi in both frames and the evolved chi pass the step's error check and
@@ -475,7 +487,7 @@ def test_evolve_chord_function_reports_the_step_error():
     xi = math.sqrt(HBAR) * np.array([0.3, -0.8, 1.4, 2.1])
     ref = dy.evolve_chord_function(curve, H, ch, 1.0, dt=1e-3, hbar=HBAR,
                                    convergence_check=False)(xi, xi[::-1])
-    with pytest.warns(ConvergenceWarning, match="evolve_chord_function: the step's error"):
+    with pytest.warns(ConvergenceWarning, match="the step's error estimate for Phi"):
         coarse = dy.evolve_chord_function(curve, H, ch, 1.0, dt=0.25, hbar=HBAR)
     assert len(coarse.warnings) == 1
     assert np.max(np.abs(coarse(xi, xi[::-1]) - ref)) > 1e-6 * np.max(np.abs(ref))

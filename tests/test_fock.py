@@ -340,6 +340,22 @@ def test_pure_states_reject_a_non_finite_centre(build, eta):
         build(eta, HBAR, 16)
 
 
+@pytest.mark.parametrize("build", [coherent_density_matrix, cat_density_matrix])
+def test_pure_states_reject_amplitudes_that_all_underflow(build):
+    """Far from the origin every amplitude underflows to 0 (tail 1.00e+00);
+    before, the state was 0 / 0, an all-nan rho."""
+    with pytest.warns(TruncationWarning, match="tail 1.00e\\+00"), \
+            pytest.raises(ValueError, match="norm must be finite and positive"):
+        build((30.0, 30.0), 0.05, 8)
+
+
+@pytest.mark.parametrize("psi", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 0.0])],
+                         ids=["zero", "nan", "inf"])
+def test_pure_density_rejects_a_zero_or_non_finite_vector(psi):
+    with pytest.raises(ValueError, match="norm must be finite and positive"):
+        pure_density(psi, HBAR)
+
+
 def test_fock_density_validation():
     with pytest.raises(ValueError):
         fock_density_matrix(-1, HBAR, 8)

@@ -721,8 +721,8 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
                               dt=dt).warnings for Q in qs]
     assert [record.warnings for record in lines] == want
     assert [len(notes) for notes in want] == [2, 2]
-    assert want[0] + want[1] == [f"decoherence_matrix: the step's error estimate for Phi is "
-                                 f"{e:.3e} (> 1e-8); reduce dt" for e in errs[0]]
+    assert want[0] + want[1] == [f"the step's error estimate for Phi is {e:.3e} (> 1e-8); "
+                                 "reduce dt" for e in errs[0]]
 
 
 def _window_case(family):
