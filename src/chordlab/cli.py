@@ -452,15 +452,15 @@ def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
 
 def _fock_state(cfg: Config, hbar: float, dim: int) -> fock.FockDensityMatrix:
     fam = _state_family(cfg)
-    if fam == "coherent":
-        return fock.coherent_density_matrix(_eta(cfg), hbar, dim)
+    if fam in ("coherent", "cat"):
+        build = fock.coherent_density_matrix if fam == "coherent" else fock.cat_density_matrix
+        with _library_checks("state.eta", "fock.dim"):
+            return build(_eta(cfg), hbar, dim)
     if fam == "fock":
         n = cfg.int("state.n", 0)
         if not 0 <= n < dim:
             raise ConfigError(f"state.n must be in [0, fock.dim) = [0, {dim}), got {n}")
         return fock.fock_density_matrix(n, hbar, dim)
-    if fam == "cat":
-        return fock.cat_density_matrix(_eta(cfg), hbar, dim)
     raise ConfigError(f"state.family {fam!r} is not number-basis representable here")
 
 

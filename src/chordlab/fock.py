@@ -11,12 +11,16 @@ functions.  The evolution runs in real arithmetic on a packed state, d^2
 reals triu(Re rho) + tril(Im rho, -1) with the populations on the diagonal,
 under the real sparse generator the Liouvillian becomes on Hermitian
 matrices, built from the nonzeros of H and each L in two sparse products
-(no Kronecker product, no format conversion), the first of which gives the
-plan's 1-norm; the evolved rho is Hermitian by construction.  Only the
-blocks of that generator the initial state reaches are evolved (half the
-space for a number or cat state), and the partial sum's largest entry is
-read only when a running bound lets a Taylor round stop; neither changes a
-bit of the result.
+(no Kronecker product, no format conversion): the first, with the packing's
+row phase in its left factor, gives the plan's 1-norm, and the second folds
+its complex entries, read as real pairs, into the packed slots in real
+arithmetic; the evolved rho is Hermitian by construction.  Only the blocks
+of that generator the initial state reaches are evolved (half the space
+for a number or cat state), found by one breadth-first search unless the
+state's nonzero entries lie in several of them.  Apart from its matvec, a
+Taylor term is three BLAS-1 calls in place, and the partial sum's largest
+entry is read only when a running bound lets a round stop; none of this
+changes a bit of the result.
 
 The readouts (position slices, chi and W) are one bilinear form in the
 two-mode oscillator basis rotated by 45 degrees, ``_hermite_form``: real GEMMs
@@ -38,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg.blas import daxpy, dscal, idamax
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import diagnostics
@@ -213,20 +218,34 @@ def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
     return c
 
 
-def coherent_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
+def _coherent_record(eta, hbar: float, dim: int, even: bool) -> FockDensityMatrix:
+    """The normalized pure state of the coherent amplitudes at eta (their even
+    part, the superposition with -eta, when ``even``), carrying the tail note.
+    A tail of at least 1/2 raises ValueError naming dim, after the note and
+    the norm check: most of the state lies outside the basis, and what is
+    left, normalized, would be a different state."""
     sink: list = []
     c = coherent_amplitudes(eta, hbar, dim, sink)
-    return FockDensityMatrix(pure_density(c, hbar).rho, hbar, sink)
+    psi = c
+    if even:
+        psi = c.copy()
+        psi[1::2] = 0.0
+        psi[0::2] *= 2.0
+    rho = pure_density(psi, hbar).rho
+    tail = 1.0 - float(np.sum(np.abs(c) ** 2))
+    if tail >= 0.5:
+        raise ValueError(f"a dim-{dim} basis misses {tail:.2e} of the coherent amplitudes at "
+                         f"eta = {tuple(map(float, eta))}; increase dim")
+    return FockDensityMatrix(rho, hbar, sink)
+
+
+def coherent_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
+    return _coherent_record(eta, hbar, dim, even=False)
 
 
 def cat_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
     """Even superposition of coherent states at +eta and -eta."""
-    sink: list = []
-    c = coherent_amplitudes(eta, hbar, dim, sink)
-    psi = c.copy()
-    psi[1::2] = 0.0
-    psi[0::2] *= 2.0
-    return FockDensityMatrix(pure_density(psi, hbar).rho, hbar, sink)
+    return _coherent_record(eta, hbar, dim, even=True)
 
 
 def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
@@ -239,12 +258,16 @@ def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
 
 def _check_hermitian(mat, name: str) -> None:
     """ValueError naming ``name`` unless mat is finite and mat - mat+ is at
-    most 1e-12 of mat's largest entry."""
+    most 1e-12 of mat's largest entry (a nan or inf entry makes that entry
+    nan or inf, so one pass checks both)."""
     mat = np.asarray(mat)
-    if not np.all(np.isfinite(mat)):
+    top = float(np.abs(mat).max())
+    if not math.isfinite(top):
         raise ValueError(f"{name} has non-finite entries")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-12 * float(np.max(np.abs(mat))):
+    diff = np.conjugate(mat.T)  # a new array, where a real mat's .conj() is mat itself
+    np.subtract(mat, diff, out=diff)
+    herm = float(np.abs(diff).max())
+    if herm > 1e-12 * top:
         raise ValueError(f"{name} is not Hermitian (max |{name} - {name}+| = {herm:.2e})")
 
 
@@ -253,49 +276,60 @@ def _kept(mat) -> np.ndarray:
     rounding noise (the eigh-built pendulum cos q is full of it) would fill a
     banded generator."""
     mat = np.asarray(mat, dtype=complex)
-    return np.where(np.abs(mat) > _EPS * np.abs(mat).max(), mat, 0.0)
+    mag = np.abs(mat)
+    return np.where(mag > _EPS * mag.max(), mat, 0.0)
 
 
 def _indptr(counts) -> np.ndarray:
-    """CSR row pointers for rows holding ``counts`` entries."""
+    """CSR row pointers for rows holding ``counts`` entries, int32 while the
+    total fits: a sparse array given an int64 one copies its int32 column
+    indices to int64, and a product of such arrays keeps int64 indices."""
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    return ptr
+    return ptr.astype(sparse.get_index_dtype(maxval=ptr[-1]), copy=False)
 
 
 def _csr_parts(mat) -> tuple:
     """(data, indices, indptr) of the nonzeros of a dense 2-d array, row by row."""
-    rows, cols = np.nonzero(mat)
-    return mat[rows, cols], cols.astype(np.int32), _indptr(np.bincount(rows, minlength=len(mat)))
+    flat = mat.ravel()
+    nz = np.flatnonzero(flat != 0)
+    return (flat[nz], (nz % mat.shape[1]).astype(np.int32),
+            _indptr(np.bincount(nz // mat.shape[1], minlength=len(mat))))
 
 
 def _runs(first, last) -> tuple:
-    """(n, k) for every k in range(first[n], last[n]), n ascending."""
+    """(k, ptr): every k in range(first[n], last[n]), n ascending, as int32,
+    and the row pointers ptr of those runs."""
     counts = last - first
-    n = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
-    return n, np.arange(n.size) + (first - _indptr(counts)[:-1])[n]
+    ptr = _indptr(counts)
+    k = np.repeat((first - ptr[:-1]).astype(np.int32), counts)
+    k += np.arange(ptr[-1], dtype=np.int32)
+    return k, ptr
 
 
-def _complex_generator(h, ls, hbar, t) -> sparse.csr_array:
-    """The Lindblad generator times t on complex rho.ravel() (row-major),
+def _phased_generator(h, ls, hbar, t) -> sparse.csr_array:
+    """P G in CSR: the Lindblad generator times t on complex rho.ravel()
+    (row-major),
 
         G = t ((A (x) I + I (x) B^T + sum_k L_k (x) L_k*) / hbar),
         A = -i H - K/2,  B = i H - K/2,  K = sum_k L_k+ L_k
 
-    (A rho + rho B is -i[H, rho] - {K, rho}/2), in CSR, as one sparse
-    product kron(X, I) @ kron(I, Y) over the n terms X_u (x) Y_u = (A, I),
-    (I, B^T), (L_k, L_k*) of d x d matrices: X[i, a n + u] = X_u[i, a] and
-    Y[u d + j, b] = Y_u[j, b].  Both factors are written straight from the
-    nonzeros of X and Y; the product adds up the terms that share an entry
-    and drops the entries that vanish.  K sums the products of the entries
-    in each row of each L."""
+    (A rho + rho B is -i[H, rho] - {K, rho}/2), with its rows (i, j), i > j,
+    times -i (P, the phase of the packing's imaginary slots), as one sparse
+    product (P kron(X, I)) @ kron(I, Y) over the n terms X_u (x) Y_u =
+    (A, I), (I, B^T), (L_k, L_k*) of d x d matrices: X[i, a n + u] =
+    X_u[i, a] and Y[u d + j, b] = Y_u[j, b].  Both factors are written
+    straight from the nonzeros of X, -i X and Y; the product adds up the
+    terms that share an entry and drops the entries that vanish.  K sums the
+    products of the entries in each row of each L."""
     dim = len(h)
     size = dim * dim
     ld, li, lp = _csr_parts(np.vstack(ls) if ls else np.zeros((0, dim), dtype=complex))
     row = np.repeat(np.arange(lp.size - 1), np.diff(lp))
-    own, mate = _runs(lp[row], lp[row + 1])  # each entry with every entry of its row
-    prod = ld[own].conj() * ld[mate]
-    pos = li[own] * dim + li[mate]
+    mate, ptr = _runs(lp[row], lp[row + 1])  # each entry with every entry of its row
+    counts = np.diff(ptr)
+    prod = np.repeat(ld.conj(), counts) * ld[mate]
+    pos = np.repeat(li * dim, counts) + li[mate]
     k = (np.bincount(pos, prod.real, minlength=size)
          + 1j * np.bincount(pos, prod.imag, minlength=size)).reshape(dim, dim)
     eye = np.eye(dim)
@@ -303,11 +337,17 @@ def _complex_generator(h, ls, hbar, t) -> sparse.csr_array:
     ys = [eye, (1j * h - 0.5 * k).T] + [lm.conj() for lm in ls]
     xd, xi, xp = _csr_parts(np.stack(xs, axis=2).reshape(dim, -1))
     yd, yi, yp = _csr_parts(np.concatenate(ys))
-    # kron(X, I): row (i, j) holds row i of X, column c moved to c dim + j
-    row, e = _runs(np.repeat(xp[:-1], dim), np.repeat(xp[1:], dim))
-    left = sparse.csr_array((xd[e], xi[e] * dim + row % dim, _indptr(np.repeat(np.diff(xp), dim))),
-                            shape=(size, len(xs) * size))
-    del row, e
+    # P kron(X, I): row (i, j) holds row i of X, or of -i X when i > j,
+    # column c moved to c dim + j
+    i, j = np.divmod(np.arange(size, dtype=np.int32), dim)
+    first = xp[i] + np.where(i > j, xd.size, 0)
+    e, ptr = _runs(first, first + np.diff(xp)[i])
+    xi = np.concatenate([xi, xi])
+    xi *= dim
+    cols = xi[e]
+    cols += np.repeat(j, np.diff(ptr))
+    left = sparse.csr_array((np.concatenate([xd, -1j * xd])[e], cols, ptr), shape=(size, len(xs) * size))
+    del e, cols
     # kron(I, Y): dim copies of Y, copy a moved to columns a dim + b
     right = sparse.csr_array((np.tile(yd, dim), (np.arange(0, size, dim, dtype=np.int32)[:, None] + yi).ravel(),
                               _indptr(np.tile(np.diff(yp), dim))), shape=(len(ys) * size, size))
@@ -322,15 +362,20 @@ def _generator(h_mat, l_mats, hbar, t) -> tuple:
     """(R, norm): the real CSR matrix R with _pack(rho') = R _pack(rho) for
     Hermitian rho, where rho' is t times the Lindblad right-hand side, and the
     1-norm of that map on complex rho.ravel(), the generator G of
-    ``_complex_generator`` with H and each L first stripped by ``_kept``:
-    its largest column sum of |entries|, over every row.  The packed matrix's
-    own 1-norm is larger, and would plan more Taylor terms.
+    ``_phased_generator`` with H and each L first stripped by ``_kept``:
+    its largest column sum of |entries|, over every row, which P G's
+    entries share.  The packed matrix's own 1-norm is larger, and would plan
+    more Taylor terms.
 
     Entry (a, b) of a Hermitian rho is x[lo, hi] + i sign(a - b) x[hi, lo],
     with lo, hi the smaller and larger of a and b, so rho = E x.  x' holds
     Re rho' on and above the diagonal and Im rho' = Re(-i rho') below it, so
-    R = Re(P G E), P = 1 on the rows (i, j), i <= j, and -i below them: a
-    second sparse product, which leaves each row's columns unsorted.
+    R = Re(P G E).  A second sparse product gives it in real arithmetic: it
+    reads P G's complex entries as real pairs, column 2c holding Re and
+    2c + 1 Im of column c, against E's real rows, Re E's row c and -Im E's,
+    which put 1 at (lo, hi) and -sign(a - b) at (hi, lo).  Each entry of R
+    sums at most two of them, and the product drops the sums that vanish, so
+    R stores no zero; each row keeps the product's unsorted column order.
 
     G adds its terms in another order than the Kronecker-sum Liouvillian
     -(i/hbar)(H (x) I - I (x) H^T) + sum_k (L (x) L* - L+L (x) I/2
@@ -338,25 +383,31 @@ def _generator(h_mat, l_mats, hbar, t) -> tuple:
     units in the last place of the largest.  A generator whose entries or
     1-norm overflow raises ValueError, with no numpy warning.
     """
-    size = len(h_mat) ** 2
+    dim = len(h_mat)
+    size = dim * dim
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _complex_generator(_kept(h_mat), [_kept(lm) for lm in l_mats], hbar, t)
-        norm = float(np.bincount(gen.indices, np.abs(gen.data), minlength=1).max())
+        gen = _phased_generator(_kept(h_mat), [_kept(lm) for lm in l_mats], hbar, t)
+        # the moduli go in the bytes the pairs' column indices take next
+        cols = np.empty(2 * gen.nnz, dtype=np.int32)
+        norm = float(np.bincount(gen.indices, np.abs(gen.data, out=cols.view(float)), minlength=1).max())
     if not math.isfinite(norm):
         raise ValueError(f"the Lindblad generator overflows over t = {t!r}: its 1-norm "
                          f"is {norm!r}; rescale H, the channels or t")
+    np.multiply(gen.indices, 2, out=cols[0::2])
+    np.add(cols[0::2], 1, out=cols[1::2])
+    pairs = sparse.csr_array((gen.data.view(float), cols, 2 * gen.indptr), shape=(size, 2 * size))
+    del gen, cols
+    # rows 2c and 2c + 1 of the fold: 1 at (lo, hi) and -sign(a - b) at (hi, lo), c = (a, b)
     col = np.arange(size, dtype=np.int32)
-    a, b = np.divmod(col, len(h_mat))
-    gen.data *= np.repeat(np.where(a <= b, 1.0, -1j), np.diff(gen.indptr))
-    # row (a, b) of E: 1 at (lo, hi), i sign(a - b) at (hi, lo), the same slot when a = b
-    turned = b * len(h_mat) + a
-    fold = sparse.csr_array((np.stack([np.ones(size), 1j * np.sign(a - b)], axis=1).ravel(),
-                             np.stack([np.minimum(col, turned), np.maximum(col, turned)], axis=1).ravel(),
-                             np.arange(0, 2 * size + 1, 2)), shape=(size, size))
-    gen = gen @ fold
-    out = sparse.csr_array((gen.data.real.copy(), gen.indices, gen.indptr), shape=gen.shape)
-    out.eliminate_zeros()
-    return out, norm
+    a, b = np.divmod(col, dim)
+    turned = b * dim + a
+    slots = np.empty(2 * size, dtype=np.int32)
+    np.minimum(col, turned, out=slots[0::2])
+    np.maximum(col, turned, out=slots[1::2])
+    signs = np.ones(2 * size)
+    signs[1::2] = np.sign(b - a)
+    fold = sparse.csr_array((signs, slots, np.arange(2 * size + 1, dtype=np.int32)), shape=(2 * size, size))
+    return pairs @ fold, norm
 
 
 def _taylor_plan(norm: float) -> tuple:
@@ -395,21 +446,30 @@ def _reached(gen, x) -> np.ndarray:
     """Sorted indices of the weakly connected components of the generator
     ``gen``'s graph that hold an exactly nonzero entry of x: the only entries
     exp(gen) x can reach.  Every built-in model and linear channel keeps the
-    parity of m + n, so a number or cat state reaches half of the space."""
-    _, labels = connected_components(gen, connection="weak")
-    return np.flatnonzero(np.isin(labels, labels[x != 0]))
+    parity of m + n, so a number or cat state reaches half of the space.
+
+    Nonzero entries everywhere reach everything, with no search; otherwise
+    one undirected breadth-first search from the first of them finds its
+    component, which is the answer when it holds them all.  Only seeds in
+    several components label every component."""
+    seeds = np.flatnonzero(x)
+    if seeds.size == x.size:
+        return seeds
+    found = np.zeros(x.size, dtype=bool)
+    found[breadth_first_order(gen, seeds[0], directed=False, return_predecessors=False)] = True
+    if not found[seeds].all():
+        _, labels = connected_components(gen, connection="weak")
+        found = np.isin(labels, labels[seeds])
+    return np.flatnonzero(found)
 
 
 def _restricted(gen, live) -> sparse.csr_array:
     """gen[live][:, live] in one pass over the rows of ``live``, sorted indices of
     whole weakly connected components of gen's graph (``_reached``), whose
     rows hold no column outside it: each row keeps its entries in order."""
-    counts = np.diff(gen.indptr)[live]
-    indptr = np.zeros(live.size + 1, dtype=gen.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    take = np.repeat(gen.indptr[live] - indptr[:-1], counts) + np.arange(indptr[-1])
-    pos = np.empty(gen.shape[0], dtype=gen.indices.dtype)
-    pos[live] = np.arange(live.size)
+    take, indptr = _runs(gen.indptr[live], gen.indptr[live + 1])
+    pos = np.empty(gen.shape[0], dtype=np.int32)
+    pos[live] = np.arange(live.size, dtype=np.int32)
     return sparse.csr_array((gen.data[take], pos[gen.indices[take]], indptr),
                             shape=(live.size,) * 2)
 
@@ -419,17 +479,23 @@ def _taylor_round(gen, vec, m_star: int, s: int) -> np.ndarray:
     two consecutive terms sum below 2^-53 of the partial sum's largest entry
     (Al-Mohy & Higham 2011, Algorithm 3.2, with no trace shift).
 
-    That entry is read only when the bound ``top`` on it lets the round stop,
-    so the round stops at the same term: ``top`` is the round's first largest
-    entry plus every term's, summed in floating point, and rounding is
-    monotone, so it bounds each entry of the rounded partial sum."""
-    f = b = vec
-    c1 = top = np.abs(b).max()
+    Apart from the matvec, each term is three BLAS-1 calls on float64 arrays,
+    in place: ``dscal`` scales it, ``idamax`` finds its largest entry and
+    ``daxpy`` (a = 1) adds it to the partial sum, the same roundings as
+    numpy's ``b *= c`` and ``f + b``.  The partial sum's largest entry is
+    read only when the bound ``top`` on it lets the round stop, so the round
+    stops at the same term: ``top`` is the round's first largest entry plus
+    every term's, summed in floating point, and rounding is monotone, so it
+    bounds each entry of the rounded partial sum.  That read is numpy's,
+    whose max is nan when an entry is, as ``idamax`` does not promise: a nan
+    in a term puts one in the partial sum, and no round stops on it."""
+    f = vec.copy()
+    b = vec
+    c1 = top = abs(float(b[idamax(b)]))
     for j in range(m_star):
-        b = gen @ b
-        b *= 1.0 / (s * (j + 1))
-        c2 = np.abs(b).max()
-        f = f + b
+        b = dscal(1.0 / (s * (j + 1)), gen @ b)
+        c2 = abs(float(b[idamax(b)]))
+        f = daxpy(b, f)
         top += c2
         if c1 + c2 <= _TAYLOR_TOL * top and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
             break
@@ -459,14 +525,17 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     builds from the nonzeros of H and each L together with the complex
     generator's 1-norm; the returned rho is unpacked from them, Hermitian
     bit for bit.  Only the weakly connected components of the generator's
-    graph that hold an exactly nonzero packed entry of rho0 (``_reached``)
-    are evolved, on the generator restricted to them (``_restricted``, one
-    pass over their rows): the rest stays exactly zero, and each kept row
-    sums the same entries in the same order, so the result is the full
-    evolution's bit for bit.  A number or cat state under a parity-keeping
-    model and channels evolves on half the space; a coherent state on all of
-    it.  No trace shift is applied: it would cost the state's trace an order
-    of magnitude in rounding.
+    graph that hold an exactly nonzero packed entry of rho0 (``_reached``,
+    with no search when those entries fill the state) are evolved, on the
+    generator restricted to them (``_restricted``, one pass over their
+    rows): the rest stays exactly zero, and each kept row sums the same
+    entries in the same order, so the result is the full evolution's bit for
+    bit.  A number or cat state under a parity-keeping model and channels
+    evolves on half the space; a coherent state on all of it.  Each round
+    (``_taylor_round``) is its matvecs plus three BLAS-1 calls a term, the
+    arithmetic of numpy's in-place scale and sum.  No trace shift is
+    applied: it would cost the state's trace an order of magnitude in
+    rounding.
 
     t must be finite and nonnegative, hbar finite and positive, rho0 finite
     and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar

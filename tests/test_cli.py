@@ -252,6 +252,18 @@ def test_out_of_range_config_value_is_config_error(tmp_path, capsys, experiment,
     assert not (out / f"{experiment}.json").exists()
 
 
+@pytest.mark.parametrize("family", ["coherent", "cat"])
+def test_a_state_that_mostly_misses_the_basis_names_its_keys(tmp_path, capsys, family):
+    """Before, a husimi run of a coherent or cat state at (3, 3) with dim 8
+    exited 0 on a state with almost all of its amplitude outside the basis."""
+    cfg = write_cfg(tmp_path, f"hbar = 0.05\nstate.family = {family}\nstate.eta = 3 3\n"
+                              "fock.dim = 8\ngrid.points = 32\n")
+    out = tmp_path / "o"
+    assert run_cli("husimi", "--config", cfg, "--out", str(out)) == 2
+    assert "state.eta, fock.dim: a dim-8 basis misses" in capsys.readouterr().err
+    assert not (out / "husimi.json").exists()
+
+
 @pytest.mark.parametrize("experiment", ["coherent-demo", "positivity"])
 @pytest.mark.parametrize("key", ["time.t", "time.dt"])
 def test_time_keys_are_unknown_where_unread(tmp_path, capsys, experiment, key):

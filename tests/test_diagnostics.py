@@ -102,7 +102,7 @@ _CASES = {
         [LindbladChannel((0, 0.8))], 1.0, LwcWindow(0.2, 0.2, HBAR), [0.0], dt=0.25),
     "caustic": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 0.99, [0.0], HBAR),
     "evanescent": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 1.5, [0.0], HBAR),
-    "amplitude-tail": lambda: coherent_density_matrix((3.0, 3.0), HBAR, 8),
+    "amplitude-tail": lambda: coherent_density_matrix((0.0, 1.0), HBAR, 12),
     "flow-step-note": lambda: evolve_chord_function(
         quartic_level_curve(0.3, samples=64), hamiltonians.quartic(),
         [LindbladChannel((0, 0.5))], 1.0, dt=0.25, hbar=HBAR),
