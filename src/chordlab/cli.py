@@ -45,6 +45,10 @@ __all__ = ["main", "run"]
 
 _TABLE_SCHEMA = ("chordlab schema_version", gridio.SCHEMA_VERSION)
 _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
+# xi_q columns of position slices the direct route holds at once (801 x 128
+# complex, 1.6 MB); a multiple of 8, so block edges meet the BLAS kernel's
+# column groups and each value equals the full table's bit for bit
+_DIRECT_BLOCK = 128
 # model family -> the factory's parameters, each read as hamiltonian.<name>
 _H_PARAMS = {fam: inspect.signature(factory).parameters
              for fam, factory in hamiltonians.registry.items()}
@@ -364,8 +368,11 @@ def _lwc_samples(cfg: Config, hbar: float):
         elif route == "direct":
             span = 6.0 * delta + 1.0
             q_axis = np.linspace(q0 - span, q0 + span, 801)
-            slices = states.coherent_position_slices(coh, q_axis, xi_q)
-            sample = lwc_direct(slices, q_axis, xi_q, window, xi_q)
+            vals = np.concatenate([
+                lwc_direct(states.coherent_position_slices(coh, q_axis, xs), q_axis, xs,
+                           window, xs).values
+                for xs in np.split(xi_q, range(_DIRECT_BLOCK, xi_q.size, _DIRECT_BLOCK))])
+            sample = lwc_mod.LwcSample(xi_q, vals, window, [])
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
         else:  # sc-quadratic is sc-markov at t = 0

@@ -574,6 +574,9 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     if live.size < x.size:
         gen = _restricted(gen, live)
     else:
+        # the fold product's arrays hold up to twice its entries (21,674 on
+        # 38,694 slots at dim 48); the copy the rounds read holds no slack
+        gen = gen.copy()
         live = slice(None)
     for _ in range(s):
         x[live] = _taylor_round(gen, x[live], m_star, s)

@@ -286,7 +286,10 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
 
     Every requested xi_q must lie within 1e-6 spacings of its nearest node
     of s_axis (nonempty, in any order), and q_axis must be uniform and
-    increasing, and cover the window out to Q +- 6 Delta.
+    increasing, and cover the window out to Q +- 6 Delta.  The table may
+    hold any subset of s columns, with s_axis the matching chords: each value
+    is its own column's contraction with the q weights, so a caller can
+    stream the columns in blocks.
     """
     rho_slices = np.asarray(rho_slices)
     q_axis = np.asarray(q_axis, dtype=float)

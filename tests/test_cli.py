@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from chordlab.curves import harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import TruncationWarning
 from chordlab.gridio import load_grid_csv
 from chordlab.grids import CenteredGrid, chord_from_centre
-from chordlab.states import CoherentState, coherent_wigner
+from chordlab.states import CoherentState, coherent_position_slices, coherent_wigner
 
 
 def run_cli(*argv):
@@ -790,6 +791,52 @@ lwc.route = {route}
                 if not line.startswith("#")]
         outs[route] = np.array([[float(c) for c in row] for row in rows])
     assert np.max(np.abs(outs["direct"] - outs["closed-form"])) < 1e-6
+
+
+_DIRECT_TWO_WINDOWS = """\
+hbar = 0.05
+state.eta = 0.3 0.1
+lwc.route = direct
+window.q = -0.1
+window.q = 0.2
+xi.points = {points}
+"""
+
+
+def test_lwc_direct_route_holds_one_block_of_slices(tmp_path):
+    """The direct route tabulates its position slices one block of xi_q
+    columns at a time, so two windows of 1,024 points peak at 2.6 MB of traced
+    allocations.  Tabulating every column at once, and building the next
+    window's table while the last one lived, peaked at 26.6 MB."""
+    cfg = write_cfg(tmp_path, _DIRECT_TWO_WINDOWS.format(points=1024))
+    assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("points", [1024, 1000])
+def test_lwc_direct_route_equals_one_full_table_contraction(points):
+    """Each block's columns are the same length-801 contractions as the full
+    table's, so the streamed values equal one ``lwc_direct`` call on every
+    column, also when the block does not divide xi.points."""
+    hbar = 0.05
+    cfg = Config.from_text(_DIRECT_TWO_WINDOWS.format(points=points))
+    route, samples = cli._lwc_samples(cfg, hbar)
+    assert route == "direct" and len(samples) == 2
+    state = CoherentState((0.3, 0.1), hbar)
+    for q0, sample in samples:
+        span = 6.0 * sample.window.delta + 1.0
+        q_axis = np.linspace(q0 - span, q0 + span, 801)
+        xi_q = sample.xi_q
+        assert xi_q.size == points
+        want = lwc.lwc_direct(coherent_position_slices(state, q_axis, xi_q), q_axis, xi_q,
+                              sample.window, xi_q)
+        assert np.array_equal(sample.values, want.values)
 
 
 def test_lwc_chord_route_after_evolution(tmp_path):
