@@ -492,7 +492,9 @@ def _step_error(err, phi):
 def _source_samples(source, hbar):
     """Initial phase-space samples, quadrature weights and hbar of a Wigner
     grid or a sampled closed curve, and the rows of a grid source that lie on
-    every other node each way (None for a curve)."""
+    every other node each way (None for a curve).  A grid's values must be
+    finite with a nonzero cell: the samples kept are the nodes above 1e-16 of
+    the largest |value|, which a nan or zero maximum would leave none of."""
     if isinstance(source, tuple) and len(source) == 2:
         values, grid = source
         values = np.asarray(values, dtype=float)
@@ -501,6 +503,8 @@ def _source_samples(source, hbar):
         pp, qq = grid.meshgrid()
         pts = np.stack([pp.ravel(), qq.ravel()], axis=-1)
         w = values.ravel() * grid.dp * grid.dq
+        if not (np.all(np.isfinite(w)) and np.any(w)):
+            raise ValueError("grid source values must be finite, with at least one nonzero cell")
         keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
         coarse = np.zeros(values.shape, dtype=bool)
         coarse[::2, ::2] = True

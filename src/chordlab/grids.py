@@ -261,10 +261,33 @@ def _series_terms(gauss, col, row):
     mid, rad = -(g0 + g2), np.hypot(g0 - g2, g1)
     if not np.all(mid - rad >= -16.0 * np.finfo(float).eps * (np.abs(mid) + rad)):
         return None  # also catches nan
-    x = np.max(np.abs(g1)) * np.max(np.abs(col)) * np.max(np.abs(row))
+    x = np.max(np.abs(g1), initial=0.0) * np.max(np.abs(col)) * np.max(np.abs(row))
     r = np.arange(1, _SERIES_MAX_TERMS + 1)
     fits = np.flatnonzero(gammainc(r, x) <= _SERIES_TAIL)  # none for x = inf
     return int(r[fits[0]]) if fits.size else None
+
+
+def _centred_step(axis):
+    """The step d when ``axis`` is exactly the centred layout (j - M/2) d of an
+    even count M (so x[M/2] = 0 and x[M - j] = -x[j]), else None."""
+    m = axis.size
+    if m % 2:
+        return None
+    d = -axis[m // 2 - 1]
+    return d if np.array_equal(axis, _centred_axis(m, d)) else None
+
+
+def _phase_table(c, n) -> np.ndarray:
+    """exp(i c_k n_j) for real c (K,) and integers n (J,), shape (K, J), from
+    about 2 sqrt(max|n|) complex exponentials per row: |n| = b u + v with
+    0 <= v < b ~ sqrt(max|n|) gives exp(i c_k b u) exp(i c_k v), and a
+    negative n takes the conjugate.  The entry at n = 0 is exactly 1."""
+    m = np.abs(n)
+    b = max(1, int(np.ceil(np.sqrt(m.max()))))
+    coarse = np.exp(1j * np.outer(c, b * np.arange(m.max() // b + 1)))
+    fine = np.exp(1j * np.outer(c, np.arange(b)))
+    t = np.take((coarse[:, :, None] * fine[:, None, :]).reshape(c.size, -1), m, axis=1)
+    return np.conjugate(t, out=t, where=n < 0)
 
 
 def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.ndarray:
@@ -281,13 +304,24 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar).  The cross factor
     is the Taylor series sum_r (g1_k xi_p xi_q)^r / r! of ``_series_terms``
     (Greengard & Lee, SIAM Rev. 46, 443, 2004): its powers are stacked on
-    the narrower chord axis, one GEMM sums the samples, and Horner's rule in
-    the other axis sums the powers.  With Phi absent or shared there is no
-    per-sample Gaussian and one term; a shared Gaussian multiplies the grid
-    afterwards.  Every other input (scattered chords, or a per-sample Phi
+    the chord axis of fewer table nodes, one GEMM sums the samples, and
+    Horner's rule in the other axis sums the powers.  With Phi absent or
+    shared there is no per-sample Gaussian and one term; a shared Gaussian
+    multiplies the grid afterwards.  Every other input (scattered chords, or a per-sample Phi
     that is non-finite, indefinite or needs too many terms) is summed point
     by point.  Both paths work in blocks of about ``_BLOCK_ELEMENTS`` table
     entries (at least one sample or chord per block).
+
+    On a centred axis (``_centred_step``: x_j = n_j d, n_j = j - M/2, M even)
+    the phases of L_k or R_k come from ``_phase_table`` at c_k d and the
+    integer n_j, about 2 sqrt(M) complex exponentials per sample instead of
+    M, and the Gaussian is one real exponential; other axes take np.exp of
+    the whole exponent.  Real weights on two centred axes make the sum
+    Hermitian, chi(-xi) = conj chi(xi): then the wider axis keeps only its
+    nodes n >= 0 and its unpaired n = -M/2, the other axis gains the mirror
+    +M/2 of its unpaired node (whose conjugates fill that unpaired line),
+    and every other line of the wider axis is the conjugate of its mirror
+    with the other axis reversed.
     """
     p, q = points[:, 0], points[:, 1]
     w = np.asarray(weights)
@@ -304,26 +338,46 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     if axes is not None and terms is not None:
         # the linear exponent coefficients of L_k on xi_p and R_k on xi_q
         lin = [(-1j / hbar) * q, (1j / hbar) * p]
-        wide = int(axes[0].size < axes[1].size)
+        steps = [_centred_step(a) for a in axes]
+        x = list(axes)
+        n = [None if d is None else np.arange(a.size) - a.size // 2 for a, d in zip(axes, steps)]
+        # a Hermitian sum: the wider axis's n >= 0 and -M/2 by the other's nodes and +M/2
+        mirror = np.isrealobj(w) and None not in steps
+        if mirror:
+            h = int(axes[0].size < axes[1].size)
+            half = axes[h].size // 2
+            rows = np.r_[half:2 * half, 0]
+            x[h], n[h] = x[h][rows], n[h][rows]
+            x[1 - h], n[1 - h] = (np.append(v, -v[0]) for v in (x[1 - h], n[1 - h]))
+        # the powers go on the axis of fewer nodes; the other is chunked
+        wide = int(x[0].size < x[1].size)
         narrow = 1 - wide
-        nodes = axes[narrow]
+        nodes = x[narrow]
         scale = max(float(np.max(np.abs(axes[wide]))), np.finfo(float).tiny)
         out = np.zeros(shape, dtype=complex)
         view = out.T if wide else out  # indexed [wide, narrow]
+        sums = np.zeros((x[wide].size, nodes.size), dtype=complex) if mirror else view
         chunk = max(1, _BLOCK_ELEMENTS // (terms * nodes.size))
-        step = max(1, _BLOCK_ELEMENTS // (min(chunk, axes[wide].size) + terms * nodes.size))
+        step = max(1, _BLOCK_ELEMENTS // (min(chunk, x[wide].size) + terms * nodes.size))
 
         def table(i, ks, cs):
             """L_k (i = 0) or R_k (i = 1) at the samples ks and the nodes cs of axis i."""
-            x = axes[i][cs]
-            e = lin[i][ks, None] * x
+            xs = x[i][cs]
+            if steps[i] is None:
+                e = lin[i][ks, None] * xs
+                if each:
+                    e += gauss[ks, 2 * i, None] * xs**2  # g0 on xi_p, g2 on xi_q
+                return np.exp(e, out=e) * w[ks, None] if i else np.exp(e, out=e)
+            t = _phase_table(lin[i][ks].imag * steps[i], n[i][cs])
             if each:
-                e += gauss[ks, 2 * i, None] * x**2  # g0 on xi_p, g2 on xi_q
-            return np.exp(e, out=e) * w[ks, None] if i else np.exp(e, out=e)
+                t *= np.exp(gauss[ks, 2 * i, None] * xs**2)
+            if i:
+                t *= w[ks, None]
+            return t
 
-        for a in range(0, axes[wide].size, chunk):
+        for a in range(0, x[wide].size, chunk):
             cs = slice(a, a + chunk)
-            y = axes[wide][cs, None] / scale
+            y = x[wide][cs, None] / scale
             for k in range(0, p.size, step):
                 ks = slice(k, k + step)
                 left = table(wide, ks, cs)
@@ -338,7 +392,12 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
                 acc = prod[:, -1]
                 for r in range(terms - 2, -1, -1):
                     acc = acc * y + prod[:, r]
-                view[cs] += acc
+                sums[cs] += acc
+        if mirror:  # both indexed [axis h, the other axis]
+            grid = out.T if h else out
+            sums = sums if wide == h else sums.T
+            grid[rows] = sums[:, :-1]
+            grid[1:half] = sums[half - 1:0:-1, :0:-1].conj()
     else:
         xp, xq = xi_p.ravel(), xi_q.ravel()
         out = np.empty(xp.size, dtype=complex)

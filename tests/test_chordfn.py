@@ -123,6 +123,22 @@ def test_from_terms_sums_the_terms():
         assert np.max(np.abs(chi(xp, xq) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("phi", [None, np.eye(2), np.zeros((0, 2, 2))],
+                         ids=["absent", "shared", "per-sample"])
+def test_no_terms_sum_to_zero_at_any_chords(phi):
+    """An empty term set is chi = 0 wherever it is read: on a centred grid,
+    on an (a, 1) by (1, b) pair and on scattered chords, whatever form Phi takes."""
+    chi = ChordFunction.from_terms(np.zeros((0, 2)), np.zeros(0), phi, HBAR)
+    grid = CenteredGrid(1.0, 1.0, 8, HBAR)
+    assert not np.any(chi.sample(grid).values)
+    axis = np.linspace(-0.5, 0.5, 5)
+    scattered = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 3, 4))
+    for xi_p, xi_q in ((axis[:, None], axis[None, :6]), (axis, axis[::-1]), scattered):
+        got = chi(xi_p, xi_q)
+        assert got.shape == np.broadcast_shapes(np.shape(xi_p), np.shape(xi_q))
+        assert not np.any(got)
+
+
 def test_readouts_refuse_a_chord_function_of_neither_form():
     """A ChordFunction built around a bare callable holds neither terms nor a
     grid; the readouts name the two forms instead of failing on chi.grid."""

@@ -804,6 +804,25 @@ def test_evolved_chord_source_validation():
     assert chi.hbar == HBAR and np.array_equal(chi(0.1, 0.2), ref(0.1, 0.2))
 
 
+@pytest.mark.parametrize("model", ["harmonic", "quartic"])
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_evolved_chord_grid_source_needs_finite_nonzero_values(model, bad):
+    """A grid with a non-finite cell, or with no nonzero cell, raises one
+    ValueError on the closed-form (harmonic) and the flowed (quartic) route;
+    before, a nan or zero maximum kept no node, and the harmonic route
+    returned an empty sum while the quartic one failed in numpy."""
+    grid = CenteredGrid(1.0, 1.0, 16, HBAR)
+    pp, qq = grid.meshgrid()
+    values = coherent_wigner(CoherentState((0.0, 0.2), HBAR), pp, qq)
+    if bad == 0.0:
+        values[:] = 0.0
+    else:
+        values[3, 4] = bad
+    with pytest.raises(ValueError, match="grid source values must be finite"):
+        dy.evolve_chord_function((values, grid), getattr(dy.hamiltonians, model)(),
+                                 [Q_CHANNEL], 0.1)
+
+
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])
 def test_evolved_chord_outer_grid_series_matches_point_sum(model, monkeypatch):
     """Per-sample Phi on an outer grid goes through the Taylor series of the

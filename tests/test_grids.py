@@ -270,6 +270,120 @@ def test_plane_wave_sum_blocks_agree(monkeypatch):
                 assert np.max(np.abs(a - b)) <= 1e-13
 
 
+def _exact_phase(a, n, d):
+    """exp(i a n d) with the product taken in long double."""
+    arg = np.longdouble(a)[:, None] * (np.longdouble(n) * np.longdouble(d))[None, :]
+    return (np.cos(arg) + 1j * np.sin(arg)).astype(np.clongdouble)
+
+
+def test_phase_table_is_as_accurate_as_exp():
+    """The split table exp(i a_k d n) against a long-double reference: its
+    error stays within twice np.exp's own on the products a_k x_n, over
+    |a x| up to 75, it is exactly 1 at n = 0 and its negative nodes are the
+    exact conjugates of the positive ones."""
+    rng = np.random.default_rng(8)
+    n = np.arange(-256, 257)
+    for d in (1.0 / 64.0, 0.01, 0.0123, 3.0 / 128.0):
+        a = rng.uniform(-1.0, 1.0, 500) * 75.0 / (256 * d)
+        want = _exact_phase(a, n, d)
+        split = grids._phase_table(a * d, n)
+        direct = np.exp(1j * (a[:, None] * (n * d)))
+        assert np.max(np.abs(split - want)) <= 2.0 * np.max(np.abs(direct - want))
+        assert np.all(split[:, 256] == 1.0)
+        assert np.array_equal(split[:, :256], np.conj(split[:, 512:256:-1]))
+
+
+def _centred_case(m_p, m_q, phi_kind, weights=None, shift=0.0):
+    """The arguments of an outer-grid sum on centred axes of m_p and m_q nodes
+    (the xi_q axis moved by ``shift`` steps), and the point sum of the same
+    terms at the raveled chords."""
+    points, w, phis = _plane_wave_case()
+    phi = {"none": None, "shared": phis[0], "per-sample": phis}[phi_kind]
+    xp, xq = grids._centred_axis(m_p, 0.9 / m_p), grids._centred_axis(m_q, 1.1 / m_q)
+    xq = xq + shift * 1.1 / m_q
+    mesh = np.meshgrid(xp, xq, indexing="ij")
+    w = w if weights is None else weights
+    flat = grids._plane_wave_sum(points, w, mesh[0].ravel(), mesh[1].ravel(), HBAR, phi)
+    return (points, w, xp[:, None], xq[None, :], HBAR, phi), flat.reshape(m_p, m_q)
+
+
+def _spy_phase_tables(monkeypatch):
+    """Record the node offsets of every split phase table."""
+    seen = []
+    real = grids._phase_table
+
+    def spy(c, n):
+        seen.append(np.array(n))
+        return real(c, n)
+
+    monkeypatch.setattr(grids, "_phase_table", spy)
+    return seen
+
+
+@pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample"])
+@pytest.mark.parametrize("shape", [(48, 32), (32, 48)])
+def test_plane_wave_sum_half_grid_matches_point_sum(shape, phi_kind, monkeypatch):
+    """Real weights on two centred axes: the outer-grid sum takes the wider
+    axis's nodes n >= 0 and its unpaired -M/2 against the other axis's nodes
+    and the mirror +M/2 of its unpaired one, and fills the rest as
+    conjugates.  Every node, the unpaired row and column among them, equals
+    the point sum to 1e-14 of max, and chi(0) is exact."""
+    args, want = _centred_case(*shape, phi_kind)
+    seen = _spy_phase_tables(monkeypatch)
+    got = grids._plane_wave_sum(*args)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    for edge in (got[0] - want[0], got[:, 0] - want[:, 0]):
+        assert np.max(np.abs(edge)) <= 1e-14 * scale
+    assert got[shape[0] // 2, shape[1] // 2] == np.sum(args[1])
+    wide, narrow = max(shape) // 2, min(shape) // 2
+    assert sorted((list(n) for n in seen), key=len) == [list(range(wide)) + [-wide],
+                                                        list(range(-narrow, narrow + 1))]
+
+
+@pytest.mark.parametrize("case", ["complex-weights", "odd", "off-centre"])
+def test_plane_wave_sum_half_grid_needs_real_weights_and_centred_axes(case, monkeypatch):
+    """Complex weights sum every row (on split tables: the axes are centred);
+    an odd or off-centre axis takes np.exp's table for that axis and rules
+    out the mirror.  Each still equals the point sum."""
+    _, w, _ = _plane_wave_case()
+    weights = w * np.exp(1j * np.arange(w.size)) if case == "complex-weights" else None
+    args, want = _centred_case(48, 33 if case == "odd" else 32, "per-sample", weights,
+                               shift=0.25 if case == "off-centre" else 0.0)
+    seen = _spy_phase_tables(monkeypatch)
+    got = grids._plane_wave_sum(*args)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if case == "complex-weights":
+        assert [list(n) for n in seen] == [list(range(-24, 24)), list(range(-16, 16))]
+    else:
+        assert [list(n) for n in seen] == [list(range(-24, 24))]
+
+
+def test_plane_wave_sum_outer_grid_takes_few_complex_exponentials(monkeypatch):
+    """640 real-weight samples on a centred 128 x 128 grid: the split tables
+    take at most 2 sqrt(M) complex exponentials per sample and axis, where a
+    table of np.exp took M = 128."""
+    rng = np.random.default_rng(6)
+    points = rng.normal(scale=0.6, size=(640, 2))
+    weights = np.full(640, 1.0 / 640)
+    axis = grids._centred_axis(128, 0.02)
+    count = [0]
+    real = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            count[0] += np.size(x)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = grids._plane_wave_sum(points, weights, axis[:, None], axis[None, :], HBAR)
+    monkeypatch.undo()
+    assert count[0] <= 640 * 2 * 2 * math.isqrt(128)
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    want = _plane_wave_direct(points, weights, *mesh, None)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def _gauss(phis):
     """Per-sample (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar)."""
     return np.stack([phis[:, 0, 0], 2.0 * phis[:, 0, 1], phis[:, 1, 1]], axis=-1) / (-2.0 * HBAR)
