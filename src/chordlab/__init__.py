@@ -27,8 +27,8 @@ from .grids import (CenteredGrid, centre_from_chord, chord_from_centre, ft_axis,
 from .gridio import load_grid_csv, save_grid_csv
 from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from .lwc import (Lines, LwcSample, LwcWindow, Peak, ResolutionVerdict,
-                  SpectralDensity, fit_peaks, local_translation_weyl, lwc_coherent_closed_form,
-                  lwc_direct, lwc_from_chord, lwc_sc_berry, lwc_sc_markov,
+                  SpectralDensity, branch_lines, fit_peaks, local_translation_weyl,
+                  lwc_coherent_closed_form, lwc_direct, lwc_from_chord, lwc_sc_markov,
                   resolution_verdict, sc_spectrum_closed_form, shear_phi_qq,
                   spectrum, suggest_xi_q_grid)
 from .states import (CoherentState, coherent_chord, coherent_chord_function,

@@ -32,14 +32,14 @@ import warnings
 
 import numpy as np
 
-from . import dynamics, fock, gridio, husimi as husimi_mod, lwc as lwc_mod, states
+from . import dynamics, fock, gridio, husimi as husimi_mod, states
 from .config import Config, ConfigError
 from .curves import harmonic_circle, pendulum_level_curve, quartic_level_curve
 from .dynamics import (LindbladChannel, decoherence_matrix, evolve_chord_function,
                        hamiltonians, noise_matrix, positivity_time, total_gamma)
 from .grids import CenteredGrid, centre_from_chord, chord_from_centre
-from .lwc import (LwcWindow, fit_peaks, lwc_coherent_closed_form, lwc_direct,
-                  lwc_from_chord, resolution_verdict, spectrum, suggest_xi_q_grid)
+from .lwc import (LwcSample, LwcWindow, branch_lines, fit_peaks, lwc_coherent_closed_form,
+                  lwc_direct, lwc_from_chord, resolution_verdict, spectrum, suggest_xi_q_grid)
 
 __all__ = ["main", "run"]
 
@@ -105,16 +105,16 @@ windows (lwc, spectrum)
   window.q            repeatable float: window centres (at least one)
   window.delta        float > 0, default sqrt(hbar); sc-berry has no window
   lwc.route           auto | closed-form | chord | direct | sc-berry |
-                      sc-quadratic | sc-markov, default auto (closed-form or
-                      chord for coherent states, sc-quadratic or sc-markov
-                      for curves, by time.t).  closed-form and direct need a
-                      coherent state at time.t = 0.  The sc routes sum one
-                      spectral line per classical branch of a curve state:
-                      sc-berry (bare branches) and sc-quadratic (window
-                      shear) need time.t = 0; sc-markov evolves the curve to
-                      time.t and adds the channels' decoherence widths.
-                      spectrum reports the closed-form peaks of those same
-                      lines for sc-quadratic and sc-markov.
+                      sc-markov, default auto (closed-form or chord for
+                      coherent states, by time.t; sc-markov for curves).
+                      closed-form and direct need a coherent state at
+                      time.t = 0.  The sc routes sum one spectral line per
+                      classical branch of a curve state (lwc.branch_lines):
+                      sc-berry (bare branches) needs time.t = 0; sc-markov
+                      evolves the curve to time.t (not at all at 0) and
+                      widens each line by the window shear and the
+                      channels' decoherence.  spectrum reports the closed-form peaks
+                      of those same lines for sc-markov.
 
 experiments
   coherent-demo   wigner.csv, chord.csv: coherent state round trip + errors
@@ -316,13 +316,13 @@ def _xi_grid(cfg: Config, hbar: float) -> np.ndarray:
 def _pick_route(cfg: Config, fam: str, t: float) -> str:
     route = cfg.str("lwc.route", "auto",
                     choices={"auto", "closed-form", "chord", "direct",
-                             "sc-berry", "sc-quadratic", "sc-markov"})
+                             "sc-berry", "sc-markov"})
     if route != "auto":
         return route
     if fam == "coherent":
         return "closed-form" if t == 0.0 else "chord"
     if fam in _CURVE_FAMILIES:
-        return "sc-markov" if t > 0.0 else "sc-quadratic"
+        return "sc-markov"
     raise ConfigError(f"no lwc route for state.family {fam!r}")
 
 
@@ -353,18 +353,17 @@ def _lwc_samples(cfg: Config, hbar: float):
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
-        if route != "sc-markov" and t != 0.0:
+        if route == "sc-berry" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
         # one branch pass serves every window
-        lines = lwc_mod._branch_lines(_curve(cfg, fam), q_centres, hbar, delta,
-                                      model, channels, t, dt)
+        lines = branch_lines(_curve(cfg, fam), q_centres, hbar, delta, model, channels, t, dt)
 
     samples = []
     for k, q0 in enumerate(q_centres):
         window = LwcWindow(q0, delta, hbar) if delta else None
         if route == "closed-form":
             vals = lwc_coherent_closed_form(coh, window, xi_q)
-            sample = lwc_mod.LwcSample(xi_q, vals, window, [])
+            sample = LwcSample(xi_q, vals, window, [])
         elif route == "direct":
             span = 6.0 * delta + 1.0
             q_axis = np.linspace(q0 - span, q0 + span, 801)
@@ -372,10 +371,10 @@ def _lwc_samples(cfg: Config, hbar: float):
                 lwc_direct(states.coherent_position_slices(coh, q_axis, xs), q_axis, xs,
                            window, xs).values
                 for xs in np.split(xi_q, range(_DIRECT_BLOCK, xi_q.size, _DIRECT_BLOCK))])
-            sample = lwc_mod.LwcSample(xi_q, vals, window, [])
+            sample = LwcSample(xi_q, vals, window, [])
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
-        else:  # sc-quadratic is sc-markov at t = 0
+        else:
             sample = lines[k].sample(xi_q, window)
             if not sample.lines.p.size:
                 raise RuntimeError(f"no semiclassical branch survives in the window at "
@@ -421,7 +420,7 @@ def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
             entry["resolved"] = v.resolved
             entry["separation"] = v.separation
             entry["widths"] = list(v.widths)
-        if route in ("sc-markov", "sc-quadratic"):
+        if route == "sc-markov":
             sc = sample.lines.spectrum(sd.p)
             entry["closed_form_peaks"] = _peak_records(sc.peaks)
             if len(sc.peaks) >= 2:

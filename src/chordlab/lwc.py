@@ -11,16 +11,16 @@ position-space density slices) plus one semiclassical branch sum for curve
 states.  Each branch j of the (evolved) curve at Q is one spectral line
 A_j N(p_j, sigma_j^2) with sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2,
 and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
-is its exact Fourier pair.  Stationary-branch plane waves (``lwc_sc_berry``)
-are the case sigma = 0; ``lwc_sc_markov`` at t = 0 keeps only the window shear.
+is its exact Fourier pair.  ``branch_lines`` gives every window's lines from
+one evolved curve and one anchor pass (bare plane waves at delta = t = 0);
+``lwc_sc_markov`` and ``sc_spectrum_closed_form`` are one window of it.
 
 Gaussian lines have one record, ``Lines``: ``Lines.sample`` is the only
 builder of a sample from lines (one call of the plane-wave kernel) and
-``Lines.spectrum`` the only closed-form spectrum.  One branch pass gives
-every window's branch lines from one evolved curve and one anchor pass.  The
-chord route integrates a term-sum chord function in closed form: each term
-is one line, broadened by its Phi.  Either sample keeps its lines as
-``lines``, so its spectrum needs no second pass, no xi_q grid and no FFT.
+``Lines.spectrum`` the only closed-form spectrum.  The chord route
+integrates a term-sum chord function in closed form: each term is one line,
+broadened by its Phi.  Either sample keeps its lines as ``lines``, so its
+spectrum needs no second pass, no xi_q grid and no FFT.
 A chord grid is integrated by Simpson along its own xi_p axis.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
@@ -52,7 +52,7 @@ __all__ = [
     "lwc_from_chord",
     "lwc_direct",
     "lwc_coherent_closed_form",
-    "lwc_sc_berry",
+    "branch_lines",
     "lwc_sc_markov",
     "shear_phi_qq",
     "spectrum",
@@ -148,6 +148,14 @@ class ResolutionVerdict:
     widths: tuple
 
 
+def _read_xi_q(xi_q, keep_shape: bool = False) -> np.ndarray:
+    """xi_q as a float array, 1-D unless ``keep_shape``; a nan or inf chord raises."""
+    xi_q = np.asarray(xi_q, dtype=float)
+    if not np.all(np.isfinite(xi_q)):
+        raise ValueError("every xi_q must be finite")
+    return xi_q if keep_shape else np.atleast_1d(xi_q)
+
+
 @dataclass(frozen=True)
 class Lines:
     """Gaussian lines A_k N(p_k, sigma_k^2) (``variance``), every one of them
@@ -169,7 +177,7 @@ class Lines:
         the Fourier pair of the lines, as a sample of ``window`` (None for width
         0) that keeps these lines and their notes: the plane-wave sum of the
         terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar at the chords (0, -xi_q)."""
-        xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
+        xi_q = _read_xi_q(xi_q)
         phi = np.zeros((self.p.size, 2, 2))
         phi[:, 1, 1] = self.variance / self.hbar
         values = _plane_wave_sum(np.stack([self.p, np.zeros(self.p.size)], axis=-1),
@@ -265,7 +273,7 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     chi._check_form()
     hb = window.hbar
     _check_hbar(hb, chi.hbar, "chord function")
-    xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
+    xi_q = _read_xi_q(xi_q)
     notes = list(chi.warnings)
 
     if chi.terms is not None:
@@ -301,7 +309,7 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     lo, hi = window.Q - 6.0 * window.delta, window.Q + 6.0 * window.delta
     if q_axis[0] > lo or q_axis[-1] < hi:
         raise ValueError("q_axis must cover the window out to Q +- 6 Delta")
-    xi_q = np.atleast_1d(np.asarray(xi_q, dtype=float))
+    xi_q = _read_xi_q(xi_q)
     order = np.argsort(s_axis, kind="stable")
     nodes, gaps = s_axis[order], np.diff(s_axis[order])
     k = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), xi_q)  # each xi_q's nearest node
@@ -324,7 +332,7 @@ def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):
     _check_hbar(window.hbar, state.hbar, "state")
     hb = state.hbar
     ep, eq = state.eta
-    xi_q = np.asarray(xi_q, dtype=float)
+    xi_q = _read_xi_q(xi_q, keep_shape=True)
     var = window.delta**2 + 0.5 * hb
     return (np.exp(-1j * ep * xi_q / hb - xi_q**2 / (4.0 * hb)
                    - (window.Q - eq) ** 2 / (2.0 * var))
@@ -333,44 +341,40 @@ def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):
 
 def shear_phi_qq(phi, slope: float) -> float:
     """Effective qq decoherence along a sheared branch: u . Phi u, u = (slope, 1)."""
-    mat = np.asarray(getattr(phi, "phi", phi), dtype=float)
     u = np.array([float(slope), 1.0])
-    return float(u @ mat @ u)
+    return float(u @ np.asarray(phi, dtype=float) @ u)
 
 
-def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
-                  H, channels, t: float, dt: float) -> list:
-    """One branch pass for every window centre in ``qs``: the curve evolved to t
-    once, then each window's ``Lines``, one line per live branch at Q (caustic
-    beyond |slope| = 1/sqrt(hbar)).  The record keeps every branch and their
-    sheared decoherence widths Phi_qq from one Dormand-Prince pass over every
-    window's live branches (nan on caustic branches, 0 when t = 0 or there are
-    no channels), with each branch's error-estimate note.  Notes start with
-    the curve's."""
+def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
+                 H, channels, t: float, dt: float = 1e-2) -> list:
+    """The branch sum's ``Lines`` at each window centre in ``qs``, in order:
+    the curve evolved to t once, then one line per live branch at Q (caustic
+    beyond |slope| = 1/sqrt(hbar)) at window width delta.  Each record keeps
+    every branch and their sheared Phi_qq from one Dormand-Prince pass over
+    every window's live branches (nan on caustic branches, 0 when t = 0 or
+    there are no channels), with each branch's error-estimate note after the
+    curve's notes.  At delta = 0 and t = 0, ``[0].sample(xi_q, None)`` is the
+    bare sum C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to
+    C(0) (the curve average carries its own 1/2 pi)."""
     _check_positive(hbar, "hbar")
     dynamics._check_time(t)
     if t > 0:
         curve = evolve_curve_classically(curve, H, channels, t, dt)
     brs = [branches_at(curve, Q, 1.0 / math.sqrt(hbar)) for Q in qs]
     lives = [np.flatnonzero(~br.caustic) for br in brs]
-    anchors = np.concatenate([np.stack([br.p[live], np.full(live.size, br.Q)], axis=-1)
-                              for br, live in zip(brs, lives)])
+    anchors = np.array([(p, br.Q) for br, live in zip(brs, lives)
+                        for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for no windows
     if t > 0 and channels and anchors.size:
         phis, errs = dynamics._decoherence_phis(H, channels, anchors, t, dt)
     out = []
     for Q, br, live in zip(qs, brs, lives):
         notes = list(curve.warnings)
         if len(br) == 0:
-            diagnostics.report(
-                notes, f"no real branches at Q = {Q:g} (evanescent region)",
-                diagnostics.ConvergenceWarning)
+            diagnostics.report(notes, f"no real branches at Q = {Q:g} (evanescent region)",
+                               diagnostics.ConvergenceWarning)
         elif np.any(br.caustic):
-            diagnostics.report(
-                notes,
-                f"excluded {int(np.sum(br.caustic))} caustic branch(es) at Q = {Q:g}; "
-                f"{live.size} kept",
-                diagnostics.ConvergenceWarning,
-            )
+            diagnostics.report(notes, f"excluded {int(np.sum(br.caustic))} caustic branch(es) "
+                               f"at Q = {Q:g}; {live.size} kept", diagnostics.ConvergenceWarning)
         phi_qq = [math.nan if c else 0.0 for c in br.caustic]
         if t > 0 and channels and live.size:
             for err in errs[:live.size]:
@@ -384,24 +388,14 @@ def _branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
     return out
 
 
-def lwc_sc_berry(curve: LagrangianCurve, Q: float, xi_q, hbar: float) -> LwcSample:
-    """Stationary-branch approximant: C = sum_j A_j exp(-i p_j xi_q / hbar),
-    the branch sum with window width 0.
-
-    Normalization is relative (the curve average carries its own 1/2 pi);
-    compare against exact routes after dividing by C(0).
-    """
-    [lines] = _branch_lines(curve, [Q], hbar, 0.0, None, (), 0.0, 0.0)
-    return lines.sample(xi_q, None)
-
-
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
                   window: LwcWindow, xi_q, dt: float = 1e-2) -> LwcSample:
     """Branches of the dissipatively evolved curve, damped per-branch by the
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
-    is the window-shear (quadratic) approximant."""
-    [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
+    is the window-shear (quadratic) approximant.  One window of
+    ``branch_lines``, kept for the acceptance tests and the benchmark."""
+    [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.sample(xi_q, window)
 
 
@@ -442,13 +436,14 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
                             window: LwcWindow, p_axis, dt: float = 1e-2) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2, the exact spectrum of
-    ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of the
-    window's branch lines, after a second branch pass.  Every sample summed
-    from lines keeps them (``lwc_sc_markov``, ``lwc_sc_berry``, and
+    ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of one window
+    of ``branch_lines``, after a second branch pass, kept for the acceptance
+    tests and the benchmark.  Every sample summed from lines keeps them
+    (``lwc_sc_markov``, a ``branch_lines`` record's ``sample``, and
     ``lwc_from_chord`` of a term sum: a coherent state or an evolved chord
     function), so ``sample.lines.spectrum(p_axis)`` needs no second pass.
     """
-    [lines] = _branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
+    [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.spectrum(p_axis)
 
 

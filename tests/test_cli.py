@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -68,7 +69,7 @@ _SCHEMA_RUNS = [
             "channel = 0 1 0 0\ntime.t = 0.1\ngrid.points = 32\nwindow.q = 0\n"
             "window.delta = 0.3\nxi.points = 64\n"),
     *[("lwc", f"state.family = circle\nstate.samples = 64\nlwc.route = {route}\n"
-              "window.q = 0\nxi.points = 64\n") for route in ("sc-berry", "sc-quadratic")],
+              "window.q = 0\nxi.points = 64\n") for route in ("sc-berry", "sc-markov")],
     ("spectrum", "state.family = circle\nstate.samples = 64\nlwc.route = sc-markov\n"
                  "channel = 0 1 0 0\ntime.t = 0.5\nwindow.q = 0\nxi.points = 64\n"),
     ("positivity", "hamiltonian.family = zero\nchannel = 0 1 1 0\n"),
@@ -284,8 +285,6 @@ _SC_MARKOV = ("state.family = circle\nstate.samples = 64\nlwc.route = sc-markov\
               "window.q = 0\nxi.points = 64\n")
 _SC_BERRY = ("state.family = quartic\nstate.energy = 0.3\nstate.samples = 64\n"
              "lwc.route = sc-berry\nwindow.q = 0\nxi.points = 64\n")
-_SC_QUADRATIC = ("state.family = circle\nstate.samples = 64\nlwc.route = sc-quadratic\n"
-                 "window.q = 0\nxi.points = 64\n")
 _CLOSED_FORM = "state.eta = 0.3 0\nlwc.route = closed-form\nwindow.q = 0\nxi.points = 64\n"
 _CHORD_CIRCLE = "state.family = circle\nstate.samples = 64\nxi.points = 16\n"
 
@@ -306,7 +305,7 @@ _CHORD_CIRCLE = "state.family = circle\nstate.samples = 64\nxi.points = 16\n"
     # keys that change nothing: no model or channel at t = 0, no step where
     # none is taken (the number-basis evolution takes none at any t), no
     # grid.points beside an explicit xi.points
-    ("lwc", _SC_QUADRATIC, "hamiltonian.family = pendulum\nhamiltonian.g = 3\nchannel = 0 5 0 0"),
+    ("lwc", _SC_MARKOV, "hamiltonian.family = pendulum\nhamiltonian.g = 3\nchannel = 0 5 0 0"),
     ("lwc", _CLOSED_FORM, "time.dt = 5"),
     ("evolve-chord", _CHORD_CIRCLE + "time.t = 0\n",
      "hamiltonian.family = quartic\nhamiltonian.a = 7\nchannel = 0 5 0 0\ntime.dt = 3"),
@@ -350,7 +349,7 @@ def test_a_failed_run_leaves_no_earlier_sidecar(tmp_path, capsys):
 def test_a_numerical_failure_names_the_unread_entries(tmp_path, capsys):
     # the dead window of test_dead_semiclassical_window_fails, with a misspelled key
     cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.family = circle\nwindow.q = 0.999\n"
-                    "window.dleta = 1\nlwc.route = sc-quadratic\nxi.points = 256\n")
+                    "window.dleta = 1\nlwc.route = sc-markov\nxi.points = 256\n")
     assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert "Q = 0.999" in err
@@ -505,7 +504,7 @@ state.family = circle
 state.action = 0.5
 window.q = 0.0
 window.q = 0.5
-lwc.route = sc-quadratic
+lwc.route = sc-markov
 xi.points = 64
 xi.half_width = 0.3
 """)
@@ -565,7 +564,7 @@ hbar = 0.05
 state.family = circle
 state.action = 0.5
 window.q = 0.999
-lwc.route = sc-quadratic
+lwc.route = sc-markov
 xi.points = 256
 """)
     out = tmp_path / "o"
@@ -574,9 +573,9 @@ xi.points = 256
     assert not (out / f"{experiment}.json").exists()
 
 
-@pytest.mark.parametrize("route", ["sc-berry", "sc-quadratic"])
+@pytest.mark.parametrize("route", ["sc-berry"])
 def test_unevolved_sc_routes_reject_time(tmp_path, capsys, route):
-    # these routes read the curve at t = 0 and take no channel
+    # this route reads the curve at t = 0 and takes no channel
     cfg = write_cfg(tmp_path, f"""\
 hbar = 0.05
 state.family = circle
@@ -591,6 +590,40 @@ xi.points = 256
     assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 2
     assert "time.t = 0" in capsys.readouterr().err
     assert not (out / "spectrum.json").exists()
+
+
+def test_auto_resolves_a_curve_to_sc_markov_and_sc_quadratic_exits_2(tmp_path, capsys):
+    """auto resolves a curve to sc-markov at any time.t.  sc-quadratic, once
+    another name for sc-markov at time.t = 0, is no route: naming it exits 2
+    with the valid choices."""
+    cfg = write_cfg(tmp_path, _SC_MARKOV.replace("lwc.route = sc-markov\n", ""), "auto.cfg")
+    assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "auto")) == 0
+    assert read_json(tmp_path / "auto", "lwc.json")["result"]["route"] == "sc-markov"
+    cfg = write_cfg(tmp_path, _SC_MARKOV.replace("sc-markov", "sc-quadratic"), "old.cfg")
+    out = tmp_path / "old"
+    assert run_cli("lwc", "--config", cfg, "--out", str(out)) == 2
+    assert ("key 'lwc.route' must be one of ['auto', 'chord', 'closed-form', 'direct', "
+            "'sc-berry', 'sc-markov'], got 'sc-quadratic'") in capsys.readouterr().err
+    assert not (out / "lwc.json").exists()
+
+
+def test_cli_names_no_private_lwc_attribute():
+    """The CLI reaches the branch sum through the public lwc.branch_lines, as
+    any caller would: it imports no private name of lwc and reads none off
+    the module."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    aliases, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("lwc", "chordlab.lwc"):
+                private += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module in (None, "chordlab"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "lwc"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and node.attr.startswith("_"):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
 
 
 def test_spectrum_one_branch_pass_per_window(tmp_path, monkeypatch):
@@ -968,7 +1001,7 @@ state.energy = 0.3
 state.a = 1.0
 state.b = 0.5
 state.samples = 512
-lwc.route = sc-quadratic
+lwc.route = sc-markov
 window.q = 0.1
 window.q = -0.4
 xi.points = 64

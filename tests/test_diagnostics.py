@@ -13,7 +13,7 @@ from chordlab.dynamics import LindbladChannel, decoherence_matrix, evolve_chord_
 from chordlab.fock import coherent_density_matrix
 from chordlab.grids import CenteredGrid
 from chordlab.husimi import husimi_from_wigner
-from chordlab.lwc import LwcSample, LwcWindow, lwc_sc_berry, lwc_sc_markov, spectrum
+from chordlab.lwc import LwcSample, LwcWindow, branch_lines, lwc_sc_markov, spectrum
 from chordlab.states import CoherentState, coherent_wigner, wkb_chord
 
 HBAR = 0.05
@@ -90,6 +90,7 @@ def test_only_diagnostics_calls_warnings_warn():
 
 _GRID = CenteredGrid(0.8, 0.8, 64, HBAR)
 _XI_Q = np.linspace(-2.0, 2.0, 64, endpoint=False)
+_RING, _ZERO = harmonic_circle(0.5, 256), hamiltonians.zero()
 
 # Each case's note-raising call starts on its lambda's first line.
 _CASES = {
@@ -100,8 +101,10 @@ _CASES = {
     "branch-step-notes": lambda: lwc_sc_markov(
         quartic_level_curve(0.3, samples=128), hamiltonians.quartic(),
         [LindbladChannel((0, 0.8))], 1.0, LwcWindow(0.2, 0.2, HBAR), [0.0], dt=0.25),
-    "caustic": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 0.99, [0.0], HBAR),
-    "evanescent": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 1.5, [0.0], HBAR),
+    "caustic": lambda: branch_lines(_RING, [0.99], HBAR, 0.0, _ZERO, (), 0.0)[0].sample(
+        [0.0], None),
+    "evanescent": lambda: branch_lines(_RING, [1.5], HBAR, 0.0, _ZERO, (), 0.0)[0].sample(
+        [0.0], None),
     "amplitude-tail": lambda: coherent_density_matrix((0.0, 1.0), HBAR, 12),
     "flow-step-note": lambda: evolve_chord_function(
         quartic_level_curve(0.3, samples=64), hamiltonians.quartic(),
@@ -109,7 +112,7 @@ _CASES = {
     "wkb-drift": lambda: wkb_chord(harmonic_circle(2.0, 64), HBAR / 4),
     "husimi-edge": lambda: husimi_from_wigner(
         coherent_wigner(CoherentState((0.0, 0.0), HBAR), *_GRID.meshgrid()), _GRID),
-    "floor": lambda: lwc_sc_berry(harmonic_circle(0.5, 256), 0.3, _XI_Q, HBAR).lines.spectrum(
+    "floor": lambda: branch_lines(_RING, [0.3], HBAR, 0.0, _ZERO, (), 0.0)[0].spectrum(
         np.linspace(-2.0, 2.0, 801)),
     "residue": lambda: spectrum(LwcSample(
         _XI_Q, (np.exp(-10.0 * _XI_Q**2) * (1.0 + 0.5 * _XI_Q)).astype(complex),

@@ -16,15 +16,14 @@ from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_func
 from chordlab.grids import CenteredGrid, _edge_ratio, simpson_weights
 from chordlab.lwc import (
     LwcSample,
-    _branch_lines,
     LwcWindow,
     Peak,
+    branch_lines,
     fit_peaks,
     local_translation_weyl,
     lwc_coherent_closed_form,
     lwc_direct,
     lwc_from_chord,
-    lwc_sc_berry,
     lwc_sc_markov,
     resolution_verdict,
     sc_spectrum_closed_form,
@@ -41,6 +40,13 @@ from chordlab.states import (
 )
 
 HBAR = 0.05
+
+
+def _bare_branch_sum(curve, Q, xi_q, hbar=HBAR):
+    """The stationary-branch sum C = sum_j A_j exp(-i p_j xi_q / hbar) at Q:
+    one window of ``branch_lines`` at width 0 and t = 0, with no window."""
+    [lines] = branch_lines(curve, [Q], hbar, 0.0, hamiltonians.zero(), (), 0.0)
+    return lines.sample(xi_q, None)
 
 
 def _simpson_lwc(chi, window, xi_q, points):
@@ -111,7 +117,7 @@ def test_non_finite_window_and_bad_hbar_raise(route, args):
             LwcWindow(*args)
         elif route == "berry":
             Q, hbar = args
-            lwc_sc_berry(harmonic_circle(0.5, 256), Q, [0.0, 0.1], hbar)
+            _bare_branch_sum(harmonic_circle(0.5, 256), Q, [0.0, 0.1], hbar)
         else:
             xi_q = suggest_xi_q_grid(HBAR, points=64)
             spectrum(LwcSample(xi_q, np.exp(-10.0 * xi_q**2), None), hbar=args)
@@ -190,7 +196,7 @@ def test_berry_quadratic_shear_relation():
     Q = 0.3
     window = LwcWindow.canonical(Q, HBAR)
     xi_q = np.linspace(-math.sqrt(HBAR), math.sqrt(HBAR), 33)
-    berry = lwc_sc_berry(curve, Q, xi_q, HBAR)
+    berry = _bare_branch_sum(curve, Q, xi_q)
     quad = lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window, xi_q)
     # same branches, so the two differ exactly by the shared shear Gaussian
     slope = abs(berry.branches.slope[0])
@@ -447,7 +453,7 @@ def test_lines_spectrum_rejects_degenerate_p_axis(p_axis):
     of height inf, with numpy RuntimeWarnings only."""
     curve = harmonic_circle(0.5, 256)
     window = LwcWindow.canonical(0.3, HBAR)
-    lines = lwc_sc_berry(curve, 0.3, [0.0], HBAR).lines
+    lines = _bare_branch_sum(curve, 0.3, [0.0]).lines
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="p_axis"):
@@ -624,10 +630,48 @@ def test_lwc_direct_reads_the_nearest_node_of_any_s_axis():
     # off the nodes: 1.05 lies midway in the 0.1 gap, 1.1 + 1e-5 is 1e-4 gaps out
     s_axis = np.array([0.0, 1.0, 1.1])
     slices = coherent_position_slices(state, q_axis, s_axis)
-    for xi in (1.05, 1.1 + 1e-5, -0.5, math.nan):
+    for xi in (1.05, 1.1 + 1e-5, -0.5):
         with pytest.raises(ValueError, match="every xi_q must coincide with an s_axis node"):
             lwc_direct(slices, q_axis, s_axis, window, [xi])
+    with pytest.raises(ValueError, match="every xi_q must be finite"):
+        lwc_direct(slices, q_axis, s_axis, window, [math.nan])
     lwc_direct(slices, q_axis, s_axis, window, [1.1 + 1e-8])  # within 1e-6 of the 0.1 gap
+
+
+def _xi_q_route(route):
+    """One lwc route of a coherent state or a ring: xi_q to C(xi_q)."""
+    state = CoherentState((0.2, 0.1), HBAR)
+    window = LwcWindow.canonical(0.1, HBAR)
+    curve = harmonic_circle(0.5, 256)
+    if route == "closed-form":
+        return lambda xi_q: lwc_coherent_closed_form(state, window, xi_q)
+    if route == "chord-terms":
+        return lambda xi_q: lwc_from_chord(coherent_chord(state), window, xi_q).values
+    if route == "chord-grid":
+        chi = coherent_chord(state).sample(CenteredGrid(3.2, 3.2, 64, HBAR))  # step 0.1
+        return lambda xi_q: lwc_from_chord(chi, window, xi_q).values
+    if route == "direct":
+        q_axis, s_axis = np.linspace(-2.0, 2.0, 401), np.array([0.0, 0.1])
+        slices = coherent_position_slices(state, q_axis, s_axis)
+        return lambda xi_q: lwc_direct(slices, q_axis, s_axis, window, xi_q).values
+    if route == "sc-markov":
+        return lambda xi_q: lwc_sc_markov(curve, hamiltonians.zero(), [], 0.0, window,
+                                          xi_q).values
+    return lambda xi_q: _bare_branch_sum(curve, 0.1, xi_q).values
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("route", ["closed-form", "chord-terms", "chord-grid", "direct",
+                                   "sc-markov", "branch-lines"])
+def test_every_route_rejects_a_non_finite_xi_q(route, bad):
+    """Every lwc route reads xi_q through one reader, which names a nan or inf
+    chord.  Before, the closed form, the term route and every sample of lines
+    returned nan for it, and the grid route and lwc_direct raised their own
+    node messages."""
+    correlation = _xi_q_route(route)
+    assert np.all(np.isfinite(correlation([0.0, 0.1])))
+    with pytest.raises(ValueError, match="every xi_q must be finite"):
+        correlation([0.0, bad])
 
 
 def test_lwc_direct_rejects_an_empty_s_axis():
@@ -661,11 +705,11 @@ def test_branch_pass_rejects_a_bad_time(t):
 def test_branch_notes():
     curve = harmonic_circle(0.5, 1024)
     with pytest.warns(ConvergenceWarning):
-        empty = lwc_sc_berry(curve, 1.5, np.array([0.0]), HBAR)
+        empty = _bare_branch_sum(curve, 1.5, np.array([0.0]))
     assert np.allclose(empty.values, 0.0)
     assert any("no real branches" in msg for msg in empty.warnings)
     with pytest.warns(ConvergenceWarning):
-        near = lwc_sc_berry(curve, 0.99, np.array([0.0]), HBAR)
+        near = _bare_branch_sum(curve, 0.99, np.array([0.0]))
     assert any("caustic" in msg for msg in near.warnings)
     assert np.allclose(near.values, 0.0)  # both branches excluded
 
@@ -684,7 +728,7 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
     t, Q = 1.0, 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        [lines] = _branch_lines(curve, [Q], HBAR, 0.2, H, channels, t, dt)
+        [lines] = branch_lines(curve, [Q], HBAR, 0.2, H, channels, t, dt)
         br, phi_qq, notes = lines.branches, lines.phi_qq, lines.warnings
         want, want_notes = [], []
         for j in np.flatnonzero(~br.caustic):
@@ -715,7 +759,7 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
     monkeypatch.setattr(dynamics, "_decoherence_phis", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        lines = _branch_lines(curve, qs, HBAR, 0.2, H, channels, t, dt)
+        lines = branch_lines(curve, qs, HBAR, 0.2, H, channels, t, dt)
         assert len(errs) == 1 and errs[0].shape == (4,)  # two live branches a window
         want = [lwc_sc_markov(curve, H, channels, t, LwcWindow(Q, 0.2, HBAR), [0.0],
                               dt=dt).warnings for Q in qs]
@@ -723,6 +767,46 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
     assert [len(notes) for notes in want] == [2, 2]
     assert want[0] + want[1] == [f"the step's error estimate for Phi is {e:.3e} (> 1e-8); "
                                  "reduce dt" for e in errs[0]]
+
+
+def test_branch_lines_of_no_windows_is_empty():
+    """No window centres give no records.  Before, the anchor pass raised
+    numpy's "need at least one array to concatenate".  The inputs are still
+    checked."""
+    curve = harmonic_circle(0.5, 256)
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    assert branch_lines(curve, [], HBAR, 0.2, hamiltonians.zero(), (), 0.0) == []
+    assert branch_lines(curve, np.zeros(0), HBAR, 0.2, hamiltonians.harmonic(), channels,
+                        0.5) == []
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        branch_lines(curve, [], -HBAR, 0.2, hamiltonians.zero(), (), 0.0)
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        branch_lines(curve, [], HBAR, 0.2, hamiltonians.harmonic(), channels, math.nan)
+
+
+@pytest.mark.parametrize("family", ["ring", "quartic", "pendulum"])
+def test_each_window_of_branch_lines_is_the_one_window_call(family):
+    """One branch_lines call over three windows (one evolution, one anchor
+    pass) gives each window what lwc_sc_markov (values, warnings) and
+    sc_spectrum_closed_form (values, peaks) give for it alone, bit for bit."""
+    curve, H, t, window = _window_case(family)
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    qs = [window.Q, -0.2, 0.0]
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    p = np.linspace(-2.0, 2.0, 801)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lines = branch_lines(curve, qs, HBAR, window.delta, H, channels, t)
+        assert len(lines) == len(qs)
+        for Q, record in zip(qs, lines):
+            one = LwcWindow(Q, window.delta, HBAR)
+            got, want = record.sample(xi_q, one), lwc_sc_markov(curve, H, channels, t, one, xi_q)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.warnings == want.warnings
+            got_sd = record.spectrum(p)
+            want_sd = sc_spectrum_closed_form(curve, H, channels, t, one, p)
+            assert got_sd.values.tobytes() == want_sd.values.tobytes()
+            assert got_sd.peaks == want_sd.peaks and len(got_sd.peaks) == 2
 
 
 def _window_case(family):
