@@ -1,14 +1,14 @@
 """Container for chord functions chi(xi).
 
-A chord function has one of two forms.  A plane-wave term sum (a coherent
-state, an evolved chord function, a WKB curve state) is built by
-``ChordFunction.from_terms``: it keeps its terms, which readouts such as
+A ``ChordFunction`` holds one of two forms, checked when it is built.  A
+plane-wave term sum (a coherent state, an evolved chord function, a WKB
+curve state; ``from_terms``) keeps its terms, which readouts such as
 ``lwc_from_chord`` integrate in closed form, and its callable ``fn`` sums
 them through ``grids._plane_wave_sum`` at any chords.  Samples on a centred
-chord grid are built by ``ChordFunction.from_grid`` and only ever read at
-their own grid nodes; no interpolation is offered, because chi oscillates on
-the hbar scale and silent interpolation there is a trap.  ``_drift`` is the
-sampling check the term sums share.
+chord grid of its hbar (``from_grid``) are only ever read at their own grid
+nodes; no interpolation is offered, because chi oscillates on the hbar scale
+and silent interpolation there is a trap.  ``_drift`` is the sampling check
+the term sums share.
 """
 
 from __future__ import annotations
@@ -39,20 +39,29 @@ def _doubled(points, phi):
 
 @dataclass
 class ChordFunction:
+    """chi(xi) as plane-wave ``terms`` (x_k (n, 2), w_k (n,) and Phi None, (2, 2)
+    or (n, 2, 2), all finite), summed by ``fn``, which may be rebound; or as
+    complex ``values``, one per node of a chord ``grid`` of this hbar.  A
+    record of neither form or of both raises ValueError."""
+
     hbar: float
-    fn: object = None
     values: np.ndarray = None
     grid: CenteredGrid = None
     warnings: list = field(default_factory=list)
-    #: the terms (x_k, w_k, Phi) that ``fn`` sums (see ``from_terms``); None
-    #: for a grid
     terms: tuple = None
+    fn: object = field(init=False, default=None)
 
-    @classmethod
-    def from_terms(cls, points, weights, phi, hbar: float, warnings=()) -> "ChordFunction":
-        """The plane-wave sum chi(xi) = (2 pi hbar)^-1 sum_k w_k exp[(i/hbar) x_k ^ xi]
-        exp[-xi . Phi_k xi / 2 hbar] of endpoints x_k (n, 2), weights (n,) and
-        Phi None, one shared (2, 2) or one (n, 2, 2) per term, all finite."""
+    def __post_init__(self):
+        gridded = self.values is not None
+        if (self.terms is not None) == gridded or (self.grid is not None) != gridded:
+            raise ValueError("a chord function holds plane-wave terms (from_terms) or grid "
+                             "samples with their grid (from_grid), exactly one of the two")
+        if self.terms is None:
+            self.values = np.asarray(self.values, dtype=complex)
+            _check_hbar(self.grid.hbar, self.hbar, "chord function")
+            self.grid._check_field(self.values)
+            return
+        points, weights, phi = self.terms
         points, weights = np.asarray(points, dtype=float), np.asarray(weights)
         phi = None if phi is None else np.asarray(phi, dtype=float)
         n = len(weights) if weights.ndim == 1 else -1
@@ -61,14 +70,19 @@ class ChordFunction:
                              f"(n, 2, 2); got {points.shape}, {weights.shape}, {np.shape(phi)}")
         if not all(np.all(np.isfinite(a)) for a in (points, weights, phi) if a is not None):
             raise ValueError("terms must be finite")
-        return cls(hbar=hbar, fn=_term_sum(points, weights, phi, hbar),
-                   warnings=list(warnings), terms=(points, weights, phi))
+        self.terms = (points, weights, phi)
+        self.fn = _term_sum(points, weights, phi, self.hbar)
 
     @classmethod
-    def from_grid(cls, values: np.ndarray, grid: CenteredGrid) -> "ChordFunction":
-        values = np.asarray(values, dtype=complex)
-        grid._check_field(values)
-        return cls(hbar=grid.hbar, values=values, grid=grid)
+    def from_terms(cls, points, weights, phi, hbar: float, warnings=()) -> "ChordFunction":
+        """The plane-wave sum chi(xi) = (2 pi hbar)^-1 sum_k w_k exp[(i/hbar) x_k ^ xi]
+        exp[-xi . Phi_k xi / 2 hbar] of the terms (x_k, w_k, Phi)."""
+        return cls(hbar, warnings=list(warnings), terms=(points, weights, phi))
+
+    @classmethod
+    def from_grid(cls, values, grid: CenteredGrid, warnings=()) -> "ChordFunction":
+        """The samples ``values`` (M, M) on the chord grid, at the grid's hbar."""
+        return cls(grid.hbar, values, grid, list(warnings))
 
     @property
     def gridded(self) -> bool:
@@ -79,16 +93,10 @@ class ChordFunction:
         """Number of terms in the plane-wave sum (None for a grid)."""
         return None if self.terms is None else self.terms[1].size
 
-    def _check_form(self) -> None:
-        """Raise unless this holds terms or a grid, the two forms readouts take."""
-        if self.terms is None and not self.gridded:
-            raise ValueError("a chord function must hold plane-wave terms (from_terms) "
-                             "or grid samples (from_grid)")
-
     def __call__(self, xi_p, xi_q):
         xp = np.asarray(xi_p, dtype=float)
         xq = np.asarray(xi_q, dtype=float)
-        if self.fn is not None:
+        if self.terms is not None:
             return self.fn(xp, xq)
         return self.values[self.grid._node_index(xp, 0), self.grid._node_index(xq, 1)]
 
@@ -104,11 +112,9 @@ class ChordFunction:
         return float(np.max(np.abs(alt - ref))) / scale
 
     def sample(self, grid: CenteredGrid) -> "ChordFunction":
-        """Evaluate a term sum onto a grid."""
-        if self.fn is None:
+        """Evaluate a term sum onto a grid of its hbar, keeping its warnings."""
+        if self.gridded:
             raise ValueError("already gridded")
         _check_hbar(grid.hbar, self.hbar, "chord function")
         xp, xq = grid.meshgrid()
-        out = ChordFunction.from_grid(self.fn(xp, xq), grid)
-        out.warnings = list(self.warnings)
-        return out
+        return ChordFunction.from_grid(self.fn(xp, xq), grid, self.warnings)

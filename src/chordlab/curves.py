@@ -52,13 +52,14 @@ class LagrangianCurve:
     """Sampled closed curve with spline accessors.
 
     ``theta`` is strictly increasing in [0, 2 pi); ``points`` holds the
-    (p, q) samples; ``action`` is the enclosed area / 2 pi measured from the
-    samples themselves.
+    (p, q) samples; ``action`` is the given label or, when none is given,
+    the enclosed area / 2 pi measured from the samples by the q spline the
+    curve keeps.
     """
 
     theta: np.ndarray
     points: np.ndarray
-    action: float
+    action: float = None
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -74,6 +75,8 @@ class LagrangianCurve:
             raise ValueError("theta must be strictly increasing within [0, 2 pi)")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "points", pts)
+        if self.action is None:
+            object.__setattr__(self, "action", _enclosed_area(self._q_spline, pts[:, 0]) / _TWO_PI)
 
     @cached_property
     def _q_spline(self):
@@ -245,17 +248,8 @@ def _enclosed_area(sq: _PeriodicSpline, p) -> float:
     return abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(sq.x))))
 
 
-def _measured_curve(theta, points, warnings=()) -> LagrangianCurve:
-    """The checked curve through the samples, its action measured by the q
-    spline it keeps."""
-    curve = LagrangianCurve(theta, points, math.nan, list(warnings))
-    object.__setattr__(curve, "action",
-                       _enclosed_area(curve._q_spline, curve.points[:, 0]) / _TWO_PI)
-    return curve
-
-
 def curve_from_samples(theta, points) -> LagrangianCurve:
-    return _measured_curve(theta, points)
+    return LagrangianCurve(theta, points)
 
 
 def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
@@ -347,7 +341,7 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
     q = q_plus * np.cos(phi)
     p = -q_plus * np.sin(phi) * np.sqrt(2.0 * k_factor(q))
     pts = np.stack([p, q], axis=-1)
-    return _measured_curve(th, pts, notes)
+    return LagrangianCurve(th, pts, warnings=notes)
 
 
 def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
@@ -433,4 +427,4 @@ def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
     enclosed area).
     """
     pts = dynamics.advect(H, channels, curve.points, t, dt)
-    return _measured_curve(curve.theta.copy(), pts, curve.warnings)
+    return LagrangianCurve(curve.theta.copy(), pts, warnings=list(curve.warnings))

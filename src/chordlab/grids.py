@@ -73,17 +73,11 @@ class CenteredGrid:
         return _centred_axis(self.points, self.dq)
 
     def _node_index(self, x, axis: int) -> np.ndarray:
-        """Indices along ``axis`` (0 for p, 1 for q) of the nodes at x, the
-        inverse of x_n = (n - M/2) d.  Every x must lie within 1e-6 steps of a
-        node inside the grid: sampled fields are not interpolated."""
-        i = np.asarray(x, dtype=float) / (self.dp, self.dq)[axis] + self.points // 2
-        n = np.rint(i)
-        if not np.all(np.abs(i - n) <= 1e-6):
-            raise ValueError("requested point is not a grid node; sampled functions "
-                             "are not interpolated")
-        if np.any(n < 0) or np.any(n >= self.points):
-            raise ValueError("requested point lies outside the sampled grid")
-        return n.astype(int)
+        """Indices along ``axis`` (0 for p, 1 for q) of the nodes at x, each of
+        which must be a grid node: sampled fields are not interpolated."""
+        return _nearest_node(self.q_axis if axis else self.p_axis, np.asarray(x, dtype=float),
+                             "requested point is not a grid node; sampled functions are "
+                             "not interpolated")
 
     def _check_field(self, values) -> None:
         """ValueError unless ``values`` holds one sample per node, shape (M, M)."""
@@ -157,6 +151,20 @@ def _check_hbar(hbar, theirs, whose: str) -> None:
     """ValueError unless ``hbar`` is None (not given) or the ``whose``'s ``theirs``."""
     if hbar is not None and hbar != theirs:
         raise ValueError(f"hbar = {hbar!r} differs from the {whose}'s {theirs!r}")
+
+
+def _nearest_node(axis, x, message: str) -> np.ndarray:
+    """Index into ``axis`` (nonempty, in any order) of the node nearest each
+    x, in x's shape; ValueError(message) unless each x lies within 1e-6 of
+    that node's spacing, the gap to its nearer neighbour (1 on a one-node
+    axis).  A nan x raises."""
+    order = np.argsort(axis, kind="stable")
+    nodes, gaps = axis[order], np.diff(axis[order])
+    k = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), x)
+    spacing = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) if gaps.size else np.ones(1)
+    if not np.all(np.abs(nodes[k] - x) <= 1e-6 * np.maximum(spacing[k], 1e-12)):
+        raise ValueError(message)
+    return order[k]
 
 
 def _uniform_step(axis, what: str, points: int) -> float:

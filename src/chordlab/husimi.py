@@ -58,17 +58,14 @@ def husimi_fourier(chi: ChordFunction) -> ChordFunction:
     in chi's form.  A term sum keeps its terms with each Phi raised by I/2
     (Phi = I/2 where chi has none); a grid is damped node by node.  The result
     keeps chi's warnings."""
-    chi._check_form()
     if chi.terms is not None:
         points, weights, phi = chi.terms
         half = 0.5 * np.eye(2)
         return ChordFunction.from_terms(points, weights, half if phi is None else phi + half,
                                         chi.hbar, warnings=chi.warnings)
     xp, xq = chi.grid.meshgrid()
-    out = ChordFunction.from_grid(chi.values * np.exp(-(xp**2 + xq**2) / (4.0 * chi.hbar)),
-                                  chi.grid)
-    out.warnings = list(chi.warnings)
-    return out
+    return ChordFunction.from_grid(chi.values * np.exp(-(xp**2 + xq**2) / (4.0 * chi.hbar)),
+                                   chi.grid, chi.warnings)
 
 
 def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:

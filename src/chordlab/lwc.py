@@ -38,7 +38,8 @@ from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
 from .grids import (CenteredGrid, _centred_axis, _check_finite, _check_hbar, _check_positive,
-                    _edge_ratio, _plane_wave_sum, _uniform_step, ft_axis, simpson_weights)
+                    _edge_ratio, _nearest_node, _plane_wave_sum, _uniform_step, ft_axis,
+                    simpson_weights)
 from .states import CoherentState
 
 __all__ = [
@@ -109,10 +110,10 @@ class LwcSample:
         return () if self.lines is None else self.lines.phi_qq
 
     def c0(self) -> complex:
-        i = int(np.argmin(np.abs(self.xi_q)))
-        if abs(self.xi_q[i]) > 1e-9 * max(1.0, float(np.max(np.abs(self.xi_q)))):
+        a = np.abs(self.xi_q)
+        if a.size == 0 or a.min() > 1e-9 * max(1.0, float(a.max())):
             raise ValueError("xi_q grid does not contain 0")
-        return complex(self.values[i])
+        return complex(self.values[np.argmin(a)])
 
     def normalized(self) -> np.ndarray:
         c0 = self.c0()
@@ -263,14 +264,12 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     ``sample.lines.spectrum(p)`` is its spectrum in closed form.  A
     grid-backed chord function is integrated by Simpson along its own xi_p
     axis (so each -xi_q must land on a grid node), with a TruncationWarning
-    when the integrand has not decayed at the grid edge.  Any other chord
-    function raises ValueError.
+    when the integrand has not decayed at the grid edge.
 
     ``xi_p_points`` is ignored: neither form has xi_p nodes to choose.  It is
     kept because the benchmark's transport workload still passes it and its
     tracer reads it.
     """
-    chi._check_form()
     hb = window.hbar
     _check_hbar(hb, chi.hbar, "chord function")
     xi_q = _read_xi_q(xi_q)
@@ -310,14 +309,7 @@ def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample
     if q_axis[0] > lo or q_axis[-1] < hi:
         raise ValueError("q_axis must cover the window out to Q +- 6 Delta")
     xi_q = _read_xi_q(xi_q)
-    order = np.argsort(s_axis, kind="stable")
-    nodes, gaps = s_axis[order], np.diff(s_axis[order])
-    k = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), xi_q)  # each xi_q's nearest node
-    # a node's spacing is the gap to its nearer neighbour (1 on a one-node axis)
-    spacing = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) if gaps.size else np.ones(1)
-    if not np.all(np.abs(nodes[k] - xi_q) <= 1e-6 * np.maximum(spacing[k], 1e-12)):
-        raise ValueError("every xi_q must coincide with an s_axis node")
-    cols = order[k]
+    cols = _nearest_node(s_axis, xi_q, "every xi_q must coincide with an s_axis node")
     wq = simpson_weights(q_axis.size, dq) * np.exp(
         -((q_axis - window.Q) ** 2) / (2.0 * window.delta**2))
     wq /= math.sqrt(2.0 * math.pi) * window.delta
@@ -472,12 +464,10 @@ def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:
     if not 0.0 <= min_rel_height <= 1.0:
         raise ValueError(f"min_rel_height must be in [0, 1], got {min_rel_height!r}")
     top = float(np.max(v))
+    mid = v[2:-2]
+    local_max = (mid > v[1:-3]) & (mid >= v[3:-1]) & (mid >= min_rel_height * top)
     peaks = []
-    for i in range(2, v.size - 2):
-        if not (v[i] > v[i - 1] and v[i] >= v[i + 1]):
-            continue
-        if v[i] < min_rel_height * top:
-            continue
+    for i in (np.flatnonzero(local_max) + 2).tolist():
         seg = v[i - 2:i + 3]
         if np.any(seg <= 0):
             peaks.append(Peak(float(p_axis[i]), float(v[i]), math.nan, i, True))

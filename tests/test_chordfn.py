@@ -3,8 +3,6 @@ import pytest
 
 from chordlab.chordfn import ChordFunction
 from chordlab.grids import CenteredGrid
-from chordlab.husimi import husimi_fourier
-from chordlab.lwc import LwcWindow, lwc_from_chord
 from chordlab.states import CoherentState, coherent_chord, coherent_chord_function
 
 HBAR = 0.05
@@ -139,11 +137,40 @@ def test_no_terms_sum_to_zero_at_any_chords(phi):
         assert not np.any(got)
 
 
-def test_readouts_refuse_a_chord_function_of_neither_form():
-    """A ChordFunction built around a bare callable holds neither terms nor a
-    grid; the readouts name the two forms instead of failing on chi.grid."""
-    bare = ChordFunction(HBAR, fn=coherent_chord(CoherentState((0.1, 0.2), HBAR)).fn)
-    for readout in (husimi_fourier,
-                    lambda chi: lwc_from_chord(chi, LwcWindow.canonical(0.0, HBAR), [0.0])):
-        with pytest.raises(ValueError, match=r"terms \(from_terms\) or grid samples \(from_grid\)"):
-            readout(bare)
+def test_a_chord_function_holds_exactly_one_form():
+    """A record holds plane-wave terms, or grid values on a grid of its hbar,
+    checked when it is built.  Before, a record of neither form or of both
+    was read one way by ``lwc_from_chord`` and another by ``__call__``, and
+    mis-shaped values passed until a lookup broadcast them."""
+    points, weights, phis = _terms()
+    grid, values = CenteredGrid(1.0, 1.0, 4, HBAR), np.zeros((4, 4))
+    for bad in ({}, dict(values=values, grid=grid, terms=(points, weights, phis)),
+                dict(grid=grid, terms=(points, weights, phis)), dict(values=values),
+                dict(grid=grid), dict(values=np.zeros((3, 3)), grid=grid),
+                dict(values=values, grid=CenteredGrid(1.0, 1.0, 4, 2.0 * HBAR)),
+                dict(terms=(points[:, :1], weights, phis)), dict(terms=(points, weights)),
+                dict(terms=(points, weights, phis[:-1]))):
+        with pytest.raises(ValueError):
+            ChordFunction(HBAR, **bad)
+    direct = ChordFunction(HBAR, terms=(points, weights, phis))
+    made = ChordFunction.from_terms(points, weights, phis, HBAR)
+    xi_p, xi_q = np.random.default_rng(5).uniform(-0.6, 0.6, (2, 17))
+    assert np.array_equal(direct(xi_p, xi_q), made(xi_p, xi_q))
+    assert ChordFunction(HBAR, values, grid).values.dtype == complex
+
+
+def test_a_rebound_fn_is_what_call_and_sample_read():
+    """A term sum's ``fn`` can be wrapped after construction (the benchmark's
+    tracer does), and ``__call__`` and ``sample`` both go through the wrapper."""
+    chi = coherent_chord(CoherentState((0.1, 0.2), HBAR))
+    inner, shapes = chi.fn, []
+
+    def wrapped(xi_p, xi_q):
+        shapes.append(np.shape(xi_p))
+        return inner(xi_p, xi_q)
+
+    chi.fn = wrapped
+    grid = CenteredGrid(1.0, 1.0, 8, HBAR)
+    assert chi(0.1, -0.2) == inner(np.float64(0.1), np.float64(-0.2))
+    assert np.array_equal(chi.sample(grid).values, inner(*grid.meshgrid()))
+    assert shapes == [(), (8, 8)]

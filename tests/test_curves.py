@@ -38,6 +38,8 @@ def test_measured_action_matches_label():
     curve = harmonic_circle(0.37, 1024)
     re = curve_from_samples(curve.theta, curve.points)
     assert abs(re.action - 0.37) < 1e-9
+    # the constructor measures the action when none is given
+    assert LagrangianCurve(curve.theta, curve.points).action == re.action
 
 
 def test_position_velocity_splines():

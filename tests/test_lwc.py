@@ -480,6 +480,17 @@ def test_fit_peaks_recovers_gaussians():
     assert len(fit_peaks(p, vals2)) == 2
     assert len(fit_peaks(p, vals2, min_rel_height=1e-7)) == 3
 
+    # a two-sample plateau (v[i] == v[i + 1]) is one peak, at its first sample
+    (plateau,) = fit_peaks(np.arange(8.0), np.exp(-(np.arange(8.0) - 3.5) ** 2))
+    assert plateau.index == 3 and not plateau.flagged
+    assert plateau.position == pytest.approx(3.5, abs=1e-12)
+    assert plateau.variance == pytest.approx(0.5, rel=1e-12)
+    # the local-maximum rule written as a loop, on a coarse spectrum full of ties
+    v = np.random.default_rng(6).integers(1, 5, 200).astype(float)
+    want = [i for i in range(2, v.size - 2)
+            if v[i] > v[i - 1] and v[i] >= v[i + 1] and v[i] >= 1e-3 * v.max()]
+    assert sorted(pk.index for pk in fit_peaks(np.arange(200.0), v)) == want
+
     with pytest.raises(ValueError):
         fit_peaks(p[:4], vals[:4])
     with pytest.raises(ValueError, match="p_axis must increase in equal steps"):
@@ -550,6 +561,9 @@ def test_sample_c0_and_normalized():
     off = LwcSample(xi_q + 0.777, vals, None)
     with pytest.raises(ValueError):
         off.c0()
+    # an empty grid names the missing 0 instead of numpy's empty argmin
+    with pytest.raises(ValueError, match="xi_q grid does not contain 0"):
+        LwcSample(np.zeros(0), np.zeros(0, dtype=complex), None).c0()
     with pytest.raises(ValueError):  # a window with no weight has nothing to divide by
         LwcSample(xi_q, np.zeros(11, dtype=complex), None).normalized()
 
