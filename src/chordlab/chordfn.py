@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CenteredGrid, _check_hbar, _plane_wave_sum, _trig_doubled
+from .grids import CenteredGrid, _check_hbar, _check_positive, _plane_wave_sum, _trig_doubled
 
 __all__ = ["ChordFunction"]
 
@@ -52,6 +52,7 @@ class ChordFunction:
     fn: object = field(init=False, default=None)
 
     def __post_init__(self):
+        _check_positive(self.hbar, "hbar")
         gridded = self.values is not None
         if (self.terms is not None) == gridded or (self.grid is not None) != gridded:
             raise ValueError("a chord function holds plane-wave terms (from_terms) or grid "

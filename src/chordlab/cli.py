@@ -68,7 +68,9 @@ evolution time (evolve-chord, lwc, spectrum, husimi)
   time.dt             float > 0, read only where a step is taken: the fixed
                       step of a non-quadratic model's Dormand-Prince flow
                       at time.t > 0 (evolve-chord, and the chord and
-                      sc-markov routes of lwc and spectrum), default 1e-2;
+                      sc-markov routes of lwc and spectrum); absent, each
+                      trajectory takes its own count of equal steps, at
+                      most those of a 1e-2 step, as the library's default;
                       quadratic flows are exact, and husimi's number-basis
                       evolution takes no step
 
@@ -178,9 +180,10 @@ def _evolution(cfg: Config) -> tuple:
 
 
 def _flow_step(cfg: Config, model) -> float:
-    """time.dt, the step of a non-quadratic model's Dormand-Prince flow
-    (default 1e-2); a quadratic flow is exact, reads none and takes no step."""
-    dt = 1e-2 if model.quadratic else cfg.float("time.dt", 1e-2)
+    """time.dt, the fixed step of a non-quadratic model's Dormand-Prince flow,
+    or the library's per-row default when it is absent; a quadratic flow is
+    exact, reads none and takes no step."""
+    dt = dynamics.PER_ROW if model.quadratic else cfg.float("time.dt", dynamics.PER_ROW)
     if dt <= 0.0:
         raise ConfigError(f"time.dt must be positive, got {dt:g}")
     return dt

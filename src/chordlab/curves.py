@@ -67,6 +67,8 @@ class LagrangianCurve:
         pts = np.asarray(self.points, dtype=float)
         if th.ndim != 1 or pts.shape != (th.size, 2):
             raise ValueError("theta must be (n,) and points (n, 2)")
+        if self.action is not None:
+            _check_positive(self.action, "action")
         if th.size < 8:
             raise ValueError("need at least 8 samples")
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(pts))):
@@ -254,10 +256,9 @@ def curve_from_samples(theta, points) -> LagrangianCurve:
 
 def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
     """Circle p^2 + q^2 = 2 I sampled along the harmonic flow (theta = t)."""
-    _check_positive(action, "action")
-    r = math.sqrt(2.0 * action)
     th = np.arange(samples) * _TWO_PI / samples
-    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    with np.errstate(invalid="ignore"):  # the curve rejects an action not finite and positive
+        pts = np.sqrt(2.0 * action) * np.stack([np.cos(th), np.sin(th)], axis=-1)
     return LagrangianCurve(th, pts, action)
 
 
@@ -419,8 +420,10 @@ def branches_at(curve: LagrangianCurve, Q: float,
 
 
 def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
-                             dt: float = 1e-2) -> LagrangianCurve:
-    """Advect every curve sample under the dissipative centre flow.
+                             dt: float = dynamics.PER_ROW) -> LagrangianCurve:
+    """Advect every curve sample under the dissipative centre flow
+    (``dynamics.advect``: each sample's own step count by default, equal
+    steps of at most a given ``dt``).
 
     The image keeps the original theta labels and warnings; its action label
     is re-measured from the advected samples (dissipation shrinks the

@@ -32,15 +32,19 @@ every centre follows one affine map, every chord one monodromy M = exp(t A)
 with A = J Hess H + gamma, and Phi is the Gramian of (A, Lambda), taken from
 one Van Loan block exponential (IEEE TAC 23, 395, 1978) and shared by every
 anchor.  No step size enters and no refinement is run.
-Other models go through one fixed-step Dormand-Prince 5(4) flow, ``_dp54``,
-at step dt on one packed state per sample: ``advect`` steps centres alone;
-decoherence matrices and evolved chord functions carry M and
-G = Int M^T Lambda M along as [x | M | G], the final frame by running the
-flow backward from its anchor (a negative step).  The embedded 4th-order
+Other models go through one Dormand-Prince 5(4) flow, ``_dp54``, on one
+packed state per sample: ``advect`` steps centres alone; decoherence
+matrices and evolved chord functions carry M and G = Int M^T Lambda M along
+as [x | M | G], the final frame by running the flow backward from its anchor
+(a negative step).  A given dt sets equal steps of at most dt.  The default,
+``PER_ROW``, lets one trial step over the whole span pick each sample's own
+count of equal steps: the fewest whose summed error estimate meets the step
+note's 1e-8, at most the count of a 1e-2 step.  The embedded 4th-order
 difference, summed over the steps, is the convergence check's measured
 error, and no second pass is run.  The evolved chord function's changed
 sample set is read off its flowed samples, so it needs no flow of its own.
-Checks warn instead of adapting, so identical inputs give identical outputs.
+A sample's step count and result depend on its own inputs alone, so
+identical inputs give identical outputs in any batch.
 """
 
 from __future__ import annotations
@@ -234,7 +238,23 @@ def _check_time(t, signed: bool = False) -> None:
         raise ValueError(f"t must be finite{'' if signed else ' and nonnegative'}, got {t!r}")
 
 
-def _steps_for(t: float, dt: float) -> int:
+class _PerRowSteps(float):
+    """The default ``dt``: each row of a non-quadratic flow takes its own count
+    of equal steps, picked by one trial step (``_dp54``).  As a number it is
+    1e-2, the step whose count caps every row's, so code that sizes work from
+    dt (the bench's step counters) reads that cap."""
+
+    def __repr__(self):
+        return "per-row"
+
+
+PER_ROW = _PerRowSteps(1e-2)
+
+
+def _steps_for(t: float, dt: float) -> int | None:
+    """Equal steps of at most dt over t >= 0, or None for the per-row default."""
+    if dt is PER_ROW:
+        return None
     _check_positive(dt, "dt")
     if t == 0.0:
         return 0
@@ -315,9 +335,37 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _dp54(H, gamma, x, t, steps, lam=None):
-    """Fixed-step Dormand-Prince 5(4) of the (n, 2) centres x over the signed
-    time t in ``steps`` equal steps; t < 0 runs the time-reversed system.
+def _dp_steps(field, s, h, steps, strict=True):
+    """``steps`` Dormand-Prince steps of size h from each row of the state s
+    under ``field``: the final state and each row's embedded 5(4) difference
+    summed over the steps (its largest entry per step).  A non-finite state
+    raises FloatingPointError, unless not ``strict``."""
+
+    def ahead(s, coefs, ks):
+        out = s.copy()
+        for c, k in zip(coefs, ks):
+            if c:
+                out += (h * c) * k
+        return out
+
+    err = np.zeros(s.shape[:-2])
+    ks = [field(s)]
+    for _ in range(steps):
+        for row in _DP_A[1:]:
+            stage = ahead(s, row, ks)
+            ks.append(field(stage))
+        s = stage
+        if strict and not np.isfinite(s).all():
+            raise FloatingPointError("centre flow diverged; reduce dt or the time span")
+        err += np.max(np.abs(ahead(np.zeros_like(s), _DP_E, ks)), axis=(-2, -1))
+        ks = ks[-1:]
+    return s, err
+
+
+def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
+    """Dormand-Prince 5(4) of the (n, 2) centres x over the signed time t in
+    ``steps`` equal steps, or with ``steps=None`` in each row's own count of
+    equal steps; t < 0 runs the time-reversed system.
 
         dx/dtau = J grad H(x) - gamma x
 
@@ -328,21 +376,32 @@ def _dp54(H, gamma, x, t, steps, lam=None):
     beside sign(t) M^T lam M.  Returns the final state and, per sample, the
     embedded 5(4) difference summed over the steps (its largest entry per
     step): the 4th-order error, which overstates the 5th-order result's error
-    wherever h is small enough for the orders to show.  Every stage sum is
-    elementwise, so a sample's row does not depend on the batch.  A
+    wherever h is small enough for the orders to show.
+
+    Per-row counts: one trial step over the whole span gives each row its
+    estimate m1, as the caller's step note reads it (over max(1, max|Phi|) of
+    ``read_phi`` of the state, G by default, when ``lam`` is given; bare for
+    centres alone).  Over n equal steps the summed estimate scales as
+    m1 n^-4, so a row takes n = ceil((2 m1 / 1e-8)^(1/4)), the note's bound,
+    capped at the ceil(|t| / 1e-2) steps of a 1e-2 step.  A row at
+    n = 1 keeps its trial, a row whose sum is still above 1e-8 doubles its
+    count, and a row that turns non-finite goes to the cap.  A row at the cap
+    takes the fixed-step run bit for bit, and raises there as it does.
+
+    Rows that share a count flow together, and every stage sum is
+    elementwise, so a row's result does not depend on its batch.  A
     non-finite state raises FloatingPointError, without numpy's warnings.
     """
-    h = t / max(steps, 1)
     cols = 1 if lam is None else 5
-    s = np.zeros(x.shape[:-1] + (2, cols))
-    s[..., 0] = x
+    s0 = np.zeros(x.shape[:-1] + (2, cols))
+    s0[..., 0] = x
     if lam is not None:
-        s[..., 0, 1] = s[..., 1, 2] = 1.0
+        s0[..., 0, 1] = s0[..., 1, 2] = 1.0
         lam = math.copysign(1.0, t) * lam  # G grows with |tau| in either direction
     # full-size factors keep every stage operation contiguous
-    sign = np.ones_like(s)
+    sign = np.ones_like(s0)
     sign[..., 0, :3] = -1.0  # J [a; b] = [-b; a] on [x | M]
-    rate = np.zeros_like(s) + [-gamma, gamma, gamma, 0.0, 0.0][:cols]
+    rate = np.zeros_like(s0) + [-gamma, gamma, gamma, 0.0, 0.0][:cols]
 
     def field(s):
         y = np.empty_like(s)  # the rows of [grad H | Hess H M], swapped for J
@@ -352,34 +411,42 @@ def _dp54(H, gamma, x, t, steps, lam=None):
             m = s[..., 1:3]
             np.matmul(H.hessian(s[..., 0])[..., ::-1, :], m, out=y[..., 1:3])
             np.matmul(np.swapaxes(m, -1, -2) @ lam, m, out=y[..., 3:])
-        return sign * y + rate * s
+        return sign[:len(s)] * y + rate[:len(s)] * s
 
-    def ahead(s, coefs, ks):
-        out = s.copy()
-        for c, k in zip(coefs, ks):
-            if c:
-                out += (h * c) * k
-        return out
+    def run(s, steps, strict=True):
+        return _dp_steps(field, s, t / max(steps, 1), steps, strict)
 
-    err = np.zeros(x.shape[:-1])
+    def estimate(s, err):
+        """Each row's summed estimate as the caller's note reads it (inf if not finite)."""
+        ok = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(err)
+        est = np.where(ok, err, np.inf)
+        if lam is not None:
+            est[ok] = _step_error(err[ok], read_phi(s[ok]) if read_phi else s[ok][..., 3:])
+        return est
+
     with np.errstate(over="ignore", invalid="ignore"):
-        ks = [field(s)]
-        for _ in range(steps):
-            for row in _DP_A[1:]:
-                stage = ahead(s, row, ks)
-                ks.append(field(stage))
-            s = stage
-            if not np.isfinite(s).all():
-                raise FloatingPointError("centre flow diverged; reduce dt or the time span")
-            err += np.max(np.abs(ahead(np.zeros_like(s), _DP_E, ks)), axis=(-2, -1))
-            ks = ks[-1:]
+        cap = _steps_for(abs(t), 1e-2)
+        if steps is not None or cap <= 1:
+            return run(s0, cap if steps is None else steps)
+        s, err = run(s0, 1, strict=False)
+        count = np.clip(np.ceil((2.0 * estimate(s, err) / 1e-8) ** 0.25), 1, cap).astype(int)
+        todo = count > 1
+        while todo.any():
+            n = int(count[todo].min())
+            rows = np.flatnonzero(todo & (count == n))
+            s[rows], err[rows] = run(s0[rows], n, strict=n == cap)
+            est = estimate(s[rows], err[rows])
+            again = (est > 1e-8) & (n < cap)
+            count[rows[again]] = np.where(np.isinf(est[again]), cap, min(2 * n, cap))
+            todo[rows[~again]] = False
     return s, err
 
 
 def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
     """Transport of (n, 2) centre points over the signed time t (t < 0 runs
     the flow backward): the exact affine map for quadratic models, the
-    fixed-step Dormand-Prince flow otherwise."""
+    Dormand-Prince flow otherwise, in equal steps of at most ``dt`` or, for
+    ``dt=PER_ROW``, each point's own count (``_dp54``)."""
     _check_time(t, signed=True)
     gamma = total_gamma(channels)
     x = np.array(points, dtype=float)
@@ -415,7 +482,7 @@ class DecoherenceMatrix:
         return float(np.linalg.det(self.phi))
 
 
-def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-2,
+def decoherence_matrix(H, channels, anchor, t: float, dt: float = PER_ROW,
                        convergence_check: bool = True, frame: str = "final") -> DecoherenceMatrix:
     """Decoherence matrix of the trajectory through ``anchor``.
 
@@ -432,9 +499,12 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = 1e-2,
     Its determinant decides positivity (see ``positivity_time``).
 
     Quadratic models take the closed form (``dt`` and ``convergence_check``
-    are unused); otherwise the trajectory is co-integrated by the fixed-step
-    Dormand-Prince flow at step ``dt``, and with the check an embedded error
-    estimate above 1e-8 of max(1, |Phi|) warns.
+    are unused); otherwise the trajectory is co-integrated by the
+    Dormand-Prince flow, in equal steps of at most a given ``dt`` or, by
+    default, in the fewest equal steps whose error estimate meets 1e-8, at
+    most those of a 1e-2 step.  With the check an embedded error estimate
+    above 1e-8 of max(1, |Phi|) warns; at the default only a trajectory at
+    that cap can warn.
     """
     _check_time(t)
     if frame not in ("final", "initial"):
@@ -485,6 +555,14 @@ def _step_error(err, phi):
     return err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
 
 
+def _final_phi(s):
+    """Phi(t) anchored at the end of each forward [x | M | G] flow of the
+    (n, 2, 5) state s: M^-T G M^-1, symmetrised."""
+    minv = np.linalg.inv(s[..., 1:3])
+    phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
+    return 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # evolved chord functions
 
@@ -518,7 +596,7 @@ def _source_samples(source, hbar):
     raise TypeError("source must be a (values, CenteredGrid) pair or a sampled curve")
 
 
-def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
+def evolve_chord_function(source, H, channels, t: float, dt: float = PER_ROW,
                           hbar: float = None, convergence_check: bool = True) -> ChordFunction:
     """Chord function of the evolved state as an attenuated-reflection sum.
 
@@ -528,9 +606,11 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
     with one trajectory and one decoherence matrix per initial sample.  For a
     quadratic model every Phi_i coincides and the endpoints follow one affine
     map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run the Dormand-Prince flow per sample, and
-    the convergence check reports the flow's error estimate above 1e-8.  The
-    result is the term sum of (x_i(t), w_i, Phi_i) (``ChordFunction.from_terms``).
+    chord function; other models run the Dormand-Prince flow per sample (with
+    ``dt`` as in ``decoherence_matrix``: each sample's own step count by
+    default), and the convergence check reports the flow's error estimate
+    above 1e-8.  The result is the term sum of (x_i(t), w_i, Phi_i)
+    (``ChordFunction.from_terms``).
 
     The check also compares chi at eight probe chords with the sum over a
     changed sample set (``ChordFunction._drift``), taken from the flowed terms
@@ -550,11 +630,9 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = 1e-2,
         xt = advect(H, channels, pts, t, dt)
         phi = _gramian(-_chord_generator(H, gamma), lam, t)
     else:
-        s, err = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam)
+        s, err = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam, _final_phi)
         xt = s[..., 0]
-        minv = np.linalg.inv(s[..., 1:3])
-        phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
-        phi = 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
+        phi = _final_phi(s)
         step_err = float(np.max(_step_error(err, phi)))
     out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
     if check:

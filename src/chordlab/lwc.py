@@ -338,14 +338,16 @@ def shear_phi_qq(phi, slope: float) -> float:
 
 
 def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
-                 H, channels, t: float, dt: float = 1e-2) -> list:
+                 H, channels, t: float, dt: float = dynamics.PER_ROW) -> list:
     """The branch sum's ``Lines`` at each window centre in ``qs``, in order:
     the curve evolved to t once, then one line per live branch at Q (caustic
     beyond |slope| = 1/sqrt(hbar)) at window width delta.  Each record keeps
     every branch and their sheared Phi_qq from one Dormand-Prince pass over
     every window's live branches (nan on caustic branches, 0 when t = 0 or
     there are no channels), with each branch's error-estimate note after the
-    curve's notes.  At delta = 0 and t = 0, ``[0].sample(xi_q, None)`` is the
+    curve's notes.  Both flows take ``dt`` as ``dynamics.evolve_chord_function``
+    does: each trajectory's own step count by default, equal steps of at
+    most a given dt.  At delta = 0 and t = 0, ``[0].sample(xi_q, None)`` is the
     bare sum C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to
     C(0) (the curve average carries its own 1/2 pi)."""
     _check_positive(hbar, "hbar")
@@ -381,12 +383,13 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
-                  window: LwcWindow, xi_q, dt: float = 1e-2) -> LwcSample:
+                  window: LwcWindow, xi_q, dt: float = dynamics.PER_ROW) -> LwcSample:
     """Branches of the dissipatively evolved curve, damped per-branch by the
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant.  One window of
-    ``branch_lines``, kept for the acceptance tests and the benchmark."""
+    ``branch_lines`` (``dt`` as there), kept for the acceptance tests and the
+    benchmark."""
     [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.sample(xi_q, window)
 
@@ -425,15 +428,17 @@ def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
 
 
 def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
-                            window: LwcWindow, p_axis, dt: float = 1e-2) -> SpectralDensity:
+                            window: LwcWindow, p_axis,
+                            dt: float = dynamics.PER_ROW) -> SpectralDensity:
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2, the exact spectrum of
     ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of one window
-    of ``branch_lines``, after a second branch pass, kept for the acceptance
-    tests and the benchmark.  Every sample summed from lines keeps them
-    (``lwc_sc_markov``, a ``branch_lines`` record's ``sample``, and
-    ``lwc_from_chord`` of a term sum: a coherent state or an evolved chord
-    function), so ``sample.lines.spectrum(p_axis)`` needs no second pass.
+    of ``branch_lines`` (``dt`` as there), after a second branch pass, kept
+    for the acceptance tests and the benchmark.  Every sample summed from
+    lines keeps them (``lwc_sc_markov``, a ``branch_lines`` record's
+    ``sample``, and ``lwc_from_chord`` of a term sum: a coherent state or an
+    evolved chord function), so ``sample.lines.spectrum(p_axis)`` needs no
+    second pass.
     """
     [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.spectrum(p_axis)

@@ -174,3 +174,14 @@ def test_a_rebound_fn_is_what_call_and_sample_read():
     assert chi(0.1, -0.2) == inner(np.float64(0.1), np.float64(-0.2))
     assert np.array_equal(chi.sample(grid).values, inner(*grid.meshgrid()))
     assert shapes == [(), (8, 8)]
+
+
+@pytest.mark.parametrize("hbar", [0.0, -0.05, float("nan")])
+def test_a_chord_function_checks_its_hbar(hbar):
+    """Before, hbar = 0 raised ZeroDivisionError when the terms were summed,
+    -0.05 read chi(0.1, 0.2) = -3.18 and nan read nan."""
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        ChordFunction.from_terms([[0.1, 0.2]], [1.0], None, hbar)
+    grid = CenteredGrid(1.0, 1.0, 4, HBAR)
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        ChordFunction(hbar, np.zeros((4, 4)), grid)

@@ -1115,3 +1115,13 @@ def test_module_main_matches(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 0
+
+
+def test_time_dt_absent_is_the_library_default():
+    """Without time.dt a non-quadratic flow takes the library's per-row step
+    counts; a set time.dt is the fixed step, and a quadratic flow reads none."""
+    quartic, harmonic = dynamics.hamiltonians.quartic(), dynamics.hamiltonians.harmonic()
+    assert cli._flow_step(Config.from_text(""), quartic) is dynamics.PER_ROW
+    assert cli._flow_step(Config.from_text("time.dt = 0.025\n"), quartic) == 0.025
+    cfg = Config.from_text("time.dt = 0.025\n")
+    assert cli._flow_step(cfg, harmonic) is dynamics.PER_ROW and cfg.unread()

@@ -261,6 +261,16 @@ def test_harmonic_circle_rejects_an_action_that_is_not_finite_and_positive(actio
         harmonic_circle(action)
 
 
+@pytest.mark.parametrize("action", [0.0, -3.0, math.nan, math.inf])
+def test_a_curve_checks_a_given_action(action):
+    """Before, a nan or negative label was stored as given; a curve built
+    without one measures its own."""
+    curve = harmonic_circle(0.5, 64)
+    with pytest.raises(ValueError, match="action must be finite and positive"):
+        LagrangianCurve(curve.theta, curve.points, action)
+    assert LagrangianCurve(curve.theta, curve.points).action == pytest.approx(0.5, rel=1e-6)
+
+
 def _pendulum_jacobi(energy, g, samples):
     """Libration of H = p^2/2 - g cos q at t = k T / m, from q(0) = q+."""
     k = math.sin(0.5 * math.acos(-energy / g))

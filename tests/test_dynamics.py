@@ -333,6 +333,112 @@ def test_degenerate_times_and_steps_raise():
     assert np.array_equal(dy.advect(H, None, x0, 0.5, 0.0), dy.advect(H, None, x0, 0.5, 1e-3))
 
 
+def _spy_steps(monkeypatch):
+    """Record the step count of every run of the fixed-step loop."""
+    log = []
+    loop = dy._dp_steps
+
+    def spy(field, s, h, steps, strict=True):
+        log.append(steps)
+        return loop(field, s, h, steps, strict)
+
+    monkeypatch.setattr(dy, "_dp_steps", spy)
+    return log
+
+
+def test_default_flow_rows_equal_their_own_calls(monkeypatch):
+    """At the default dt each row takes its own step count, and a row of a
+    batch equals its one-row call bit for bit, for x, M, G and the estimate,
+    with and without the chord monodromy."""
+    ch = [DAMPING, Q_CHANNEL]
+    gamma, lam = dy.total_gamma(ch), dy.noise_matrix(ch)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 2))
+    log = _spy_steps(monkeypatch)
+    for name in ("quartic", "pendulum"):
+        H = dy.hamiltonians.registry[name]()
+        for t in (0.4, -0.4):
+            for noise in (lam, None):
+                del log[:]
+                batch = dy._dp54(H, gamma, x, t, None, noise)
+                assert len(set(log[1:])) >= 2  # after the trial, rows of different counts
+                for j in range(len(x)):
+                    one = dy._dp54(H, gamma, x[j:j + 1], t, None, noise)
+                    assert np.array_equal(batch[0][j], one[0][0])
+                    assert batch[1][j] == one[1][0]
+
+
+@pytest.mark.parametrize("model", ["quartic", "pendulum"])
+def test_default_flow_on_a_level_curve_takes_at_most_four_steps(model, monkeypatch):
+    """On 320-sample level curves over t = 0.1 (the benchmark's transport),
+    the default takes one to four steps a row where a 1e-2 step takes ten;
+    chi passes its checks and sits within 1e-8 of 1/(2 pi hbar) of 200 steps."""
+    from chordlab.curves import pendulum_level_curve, quartic_level_curve
+
+    if model == "quartic":
+        curve, ch = quartic_level_curve(0.3, samples=320), [dy.LindbladChannel((0.0, 1.2))]
+    else:
+        curve, ch = pendulum_level_curve(-0.6, samples=320), \
+            [dy.LindbladChannel((0.0, 0.5), (0.5, 0.0))]
+    H = dy.hamiltonians.registry[model]()
+    t = 0.1
+    ref = dy.evolve_chord_function(curve, H, ch, t, dt=t / 200, hbar=HBAR,
+                                   convergence_check=False)
+    log = _spy_steps(monkeypatch)
+    chi = dy.evolve_chord_function(curve, H, ch, t, hbar=HBAR)
+    assert log and max(log) <= 4
+    assert not chi.warnings
+    half = 7.44 * math.sqrt(2.0 * HBAR)
+    xp, xq = CenteredGrid(half, half, 48, HBAR).meshgrid()
+    assert np.max(np.abs(chi(xp, xq) - ref(xp, xq))) < 1e-8 / (2.0 * math.pi * HBAR)
+
+
+def test_a_row_at_the_cap_gives_the_fixed_step_result(monkeypatch):
+    """A row whose estimate stays above 1e-8 ends at the cap, ceil(t / 1e-2)
+    steps, and gives the dt = 1e-2 call's Phi and note bit for bit: the
+    quartic case whose true error is far below its estimate."""
+    H = dy.hamiltonians.quartic()
+    ch = [DAMPING, dy.LindbladChannel((0.0, 0.5))]
+    log = _spy_steps(monkeypatch)
+    with pytest.warns(ConvergenceWarning, match="error estimate for Phi"):
+        got = dy.decoherence_matrix(H, ch, (0.9, 0.1), 2.0)
+    assert log[-1] == 200
+    with pytest.warns(ConvergenceWarning, match="error estimate for Phi"):
+        want = dy.decoherence_matrix(H, ch, (0.9, 0.1), 2.0, dt=1e-2)
+    assert np.array_equal(got.phi, want.phi) and got.warnings == want.warnings
+
+
+def test_no_row_takes_more_steps_than_the_cap(monkeypatch):
+    """Every run of the loop at the default takes at most ceil(|t| / 1e-2)
+    steps, a span of at most 1e-2 takes one, and a flow that diverges raises
+    at that cap as the fixed step does."""
+    from chordlab.curves import harmonic_circle
+
+    assert dy._steps_for(0.3, dy.PER_ROW) is None
+    curve = harmonic_circle(0.5, 64)
+    log = _spy_steps(monkeypatch)
+    for name in ("quartic", "pendulum"):
+        H = dy.hamiltonians.registry[name]()
+        for t in (0.004, 0.01, 0.37, 1.0, 2.5):
+            cap = math.ceil(t / 1e-2)
+            for frame in ("final", "initial"):
+                del log[:]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConvergenceWarning)  # a row at its cap notes
+                    dy.decoherence_matrix(H, [DAMPING, Q_CHANNEL], (0.9, 0.1), t, frame=frame)
+                assert 1 <= max(log) <= cap
+            del log[:]
+            dy.evolve_chord_function(curve, H, [DAMPING], t, hbar=HBAR)
+            assert 1 <= max(log) <= cap
+            del log[:]
+            dy.advect(H, None, curve.points, -t, dy.PER_ROW)
+            assert 1 <= max(log) <= cap
+    del log[:]
+    with pytest.raises(FloatingPointError, match="diverged"):
+        dy.advect(dy.hamiltonians.quartic(), None, np.array([[0.0, 0.5], [0.0, 1e5]]), 1.0,
+                  dy.PER_ROW)
+    assert log[-1] == 100
+
+
 # ---------------------------------------------------------------------------
 # decoherence matrix
 
