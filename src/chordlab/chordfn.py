@@ -4,11 +4,12 @@ A ``ChordFunction`` holds one of two forms, checked when it is built.  A
 plane-wave term sum (a coherent state, an evolved chord function, a WKB
 curve state; ``from_terms``) keeps its terms, which readouts such as
 ``lwc_from_chord`` integrate in closed form, and its callable ``fn`` sums
-them through ``grids._plane_wave_sum`` at any chords.  Samples on a centred
-chord grid of its hbar (``from_grid``) are only ever read at their own grid
-nodes; no interpolation is offered, because chi oscillates on the hbar scale
-and silent interpolation there is a trap.  ``_drift`` is the sampling check
-the term sums share.
+them through ``grids._plane_wave_sum`` at any chords: by its factored
+half-grid sum on a ``CenteredGrid`` (``sample``), point by point elsewhere.
+Samples on a centred chord grid of its hbar (``from_grid``) are only ever
+read at their own grid nodes; no interpolation is offered, because chi
+oscillates on the hbar scale and silent interpolation there is a trap.
+``_drift`` is the sampling check the term sums share.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class ChordFunction:
     """chi(xi) as plane-wave ``terms`` (x_k (n, 2), w_k (n,) and Phi None, (2, 2)
     or (n, 2, 2), all finite), summed by ``fn``, which may be rebound; or as
     complex ``values``, one per node of a chord ``grid`` of this hbar.  A
-    record of neither form or of both raises ValueError."""
+    record of neither form or of both raises ValueError.  ``sample`` reads
+    ``fn`` on a ``CenteredGrid``, whose centred axes take the kernel's
+    factored sum (real weights); other chords are summed point by point."""
 
     hbar: float
     values: np.ndarray = None

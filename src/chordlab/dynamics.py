@@ -335,11 +335,12 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _dp_steps(field, s, h, steps, strict=True):
+def _dp_steps(field, s, k, h, steps, strict=True):
     """``steps`` Dormand-Prince steps of size h from each row of the state s
-    under ``field``: the final state and each row's embedded 5(4) difference
-    summed over the steps (its largest entry per step).  A non-finite state
-    raises FloatingPointError, unless not ``strict``."""
+    under ``field``, whose slope at s is k: the final state and each row's
+    embedded 5(4) difference summed over the steps (its largest entry per
+    step).  A non-finite state raises FloatingPointError, unless not
+    ``strict``."""
 
     def ahead(s, coefs, ks):
         out = s.copy()
@@ -349,7 +350,7 @@ def _dp_steps(field, s, h, steps, strict=True):
         return out
 
     err = np.zeros(s.shape[:-2])
-    ks = [field(s)]
+    ks = [k]
     for _ in range(steps):
         for row in _DP_A[1:]:
             stage = ahead(s, row, ks)
@@ -375,22 +376,24 @@ def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
     [x | M | G]: a stage is J [grad H | Hess H M] + (-gamma, gamma, gamma) [x | M]
     beside sign(t) M^T lam M.  Returns the final state and, per sample, the
     embedded 5(4) difference summed over the steps (its largest entry per
-    step): the 4th-order error, which overstates the 5th-order result's error
-    wherever h is small enough for the orders to show.
-
-    Per-row counts: one trial step over the whole span gives each row its
-    estimate m1, as the caller's step note reads it (over max(1, max|Phi|) of
+    step) as the caller's step note reads it: over max(1, max|Phi|) of
     ``read_phi`` of the state, G by default, when ``lam`` is given; bare for
-    centres alone).  Over n equal steps the summed estimate scales as
+    centres alone; inf for a non-finite row.  It is the 4th-order error,
+    which overstates the 5th-order result's error wherever h is small enough
+    for the orders to show.
+
+    Per-row counts: one trial step over the whole span gives each row that
+    estimate m1.  Over n equal steps the summed estimate scales as
     m1 n^-4, so a row takes n = ceil((2 m1 / 1e-8)^(1/4)), the note's bound,
     capped at the ceil(|t| / 1e-2) steps of a 1e-2 step.  A row at
     n = 1 keeps its trial, a row whose sum is still above 1e-8 doubles its
     count, and a row that turns non-finite goes to the cap.  A row at the cap
     takes the fixed-step run bit for bit, and raises there as it does.
 
-    Rows that share a count flow together, and every stage sum is
-    elementwise, so a row's result does not depend on its batch.  A
-    non-finite state raises FloatingPointError, without numpy's warnings.
+    Rows that share a count flow together from their rows of the trial's
+    first stage, and every stage sum is elementwise, so a row's result does
+    not depend on its batch.  A non-finite state raises FloatingPointError,
+    without numpy's warnings.
     """
     cols = 1 if lam is None else 5
     s0 = np.zeros(x.shape[:-1] + (2, cols))
@@ -413,33 +416,37 @@ def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
             np.matmul(np.swapaxes(m, -1, -2) @ lam, m, out=y[..., 3:])
         return sign[:len(s)] * y + rate[:len(s)] * s
 
-    def run(s, steps, strict=True):
-        return _dp_steps(field, s, t / max(steps, 1), steps, strict)
+    def run(rows, steps, strict=True):
+        return _dp_steps(field, s0[rows], k0[rows], t / max(steps, 1), steps, strict)
 
     def estimate(s, err):
         """Each row's summed estimate as the caller's note reads it (inf if not finite)."""
         ok = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(err)
         est = np.where(ok, err, np.inf)
         if lam is not None:
-            est[ok] = _step_error(err[ok], read_phi(s[ok]) if read_phi else s[ok][..., 3:])
+            phi = read_phi(s[ok]) if read_phi else s[ok][..., 3:]
+            est[ok] = err[ok] / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
         return est
 
     with np.errstate(over="ignore", invalid="ignore"):
+        k0 = field(s0)
         cap = _steps_for(abs(t), 1e-2)
         if steps is not None or cap <= 1:
-            return run(s0, cap if steps is None else steps)
-        s, err = run(s0, 1, strict=False)
-        count = np.clip(np.ceil((2.0 * estimate(s, err) / 1e-8) ** 0.25), 1, cap).astype(int)
+            s, err = run(slice(None), cap if steps is None else steps)
+            return s, estimate(s, err)
+        s, err = run(slice(None), 1, strict=False)
+        est = estimate(s, err)
+        count = np.clip(np.ceil((2.0 * est / 1e-8) ** 0.25), 1, cap).astype(int)
         todo = count > 1
         while todo.any():
             n = int(count[todo].min())
             rows = np.flatnonzero(todo & (count == n))
-            s[rows], err[rows] = run(s0[rows], n, strict=n == cap)
-            est = estimate(s[rows], err[rows])
-            again = (est > 1e-8) & (n < cap)
-            count[rows[again]] = np.where(np.isinf(est[again]), cap, min(2 * n, cap))
+            s[rows], err[rows] = run(rows, n, strict=n == cap)
+            est[rows] = estimate(s[rows], err[rows])
+            again = (est[rows] > 1e-8) & (n < cap)
+            count[rows[again]] = np.where(np.isinf(est[rows[again]]), cap, min(2 * n, cap))
             todo[rows[~again]] = False
-    return s, err
+    return s, est
 
 
 def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
@@ -524,8 +531,9 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = PER_ROW,
 def _decoherence_phis(H, channels, anchors, t: float, dt: float,
                       convergence_check: bool = True, frame: str = "final"):
     """(phis, errs): Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, and
-    each anchor's ``_step_error`` (zeros for quadratic models or without the
-    check), which the caller reports with ``_STEP_NOTE`` above 1e-8.
+    each anchor's step error estimate as ``_dp54`` returns it (zeros for
+    quadratic models or without the check), which the caller reports with
+    ``_STEP_NOTE`` above 1e-8.
 
     Quadratic models share one generator, so one closed-form Phi serves every
     anchor.  Otherwise one Dormand-Prince pass carries every anchor, and its
@@ -539,20 +547,12 @@ def _decoherence_phis(H, channels, anchors, t: float, dt: float,
         phi = _gramian(-a if frame == "final" else a, lam, t)
         return np.repeat(phi[None], anchors.shape[0], axis=0), errs
     span = -t if frame == "final" else t  # the final frame runs backward from the anchor
-    s, err = _dp54(H, gamma, anchors, span, _steps_for(t, dt), lam)
+    s, est = _dp54(H, gamma, anchors, span, _steps_for(t, dt), lam)
     phi = s[..., 3:]
-    if convergence_check:
-        errs = _step_error(err, phi)
-    return 0.5 * (phi + np.swapaxes(phi, -1, -2)), errs
+    return 0.5 * (phi + np.swapaxes(phi, -1, -2)), est if convergence_check else errs
 
 
 _STEP_NOTE = "the step's error estimate for Phi is {:.3e} (> 1e-8); reduce dt"
-
-
-def _step_error(err, phi):
-    """Each trajectory's summed Dormand-Prince error estimate ``err``
-    relative to max(1, max|Phi|) of its (n, 2, 2) ``phi``."""
-    return err / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
 
 
 def _final_phi(s):
@@ -630,10 +630,10 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = PER_ROW,
         xt = advect(H, channels, pts, t, dt)
         phi = _gramian(-_chord_generator(H, gamma), lam, t)
     else:
-        s, err = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam, _final_phi)
+        s, est = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam, _final_phi)
         xt = s[..., 0]
         phi = _final_phi(s)
-        step_err = float(np.max(_step_error(err, phi)))
+        step_err = float(np.max(est))
     out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
     if check:
         _measured(out.warnings, step_err, 1e-8, _STEP_NOTE, ConvergenceWarning)

@@ -305,31 +305,35 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
     w_k, shape (n,).  ``phi`` is None, one shared symmetric (2, 2) matrix, or
     one per sample (n, 2, 2).  Returns the broadcast shape of (xi_p, xi_q).
 
-    On an outer grid (see ``_outer_grid``), x_k ^ xi = p_k xi_q - q_k xi_p
+    One factored form: real weights on an outer grid (``_outer_grid``) of two
+    centred axes (``_centred_step``: x_j = n_j d, n_j = j - M/2, M even), the
+    layout of every ``CenteredGrid``.  There x_k ^ xi = p_k xi_q - q_k xi_p
     splits each term into L_k(xi_p) R_k(xi_q) exp(g1_k xi_p xi_q), with
     L_k = exp(-i q_k xi_p / hbar + g0_k xi_p^2),
     R_k = w_k exp(i p_k xi_q / hbar + g2_k xi_q^2) and
-    (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar).  The cross factor
-    is the Taylor series sum_r (g1_k xi_p xi_q)^r / r! of ``_series_terms``
-    (Greengard & Lee, SIAM Rev. 46, 443, 2004): its powers are stacked on
-    the chord axis of fewer table nodes, one GEMM sums the samples, and
-    Horner's rule in the other axis sums the powers.  With Phi absent or
-    shared there is no per-sample Gaussian and one term; a shared Gaussian
-    multiplies the grid afterwards.  Every other input (scattered chords, or a per-sample Phi
-    that is non-finite, indefinite or needs too many terms) is summed point
-    by point.  Both paths work in blocks of about ``_BLOCK_ELEMENTS`` table
-    entries (at least one sample or chord per block).
+    (g0, g1, g2) = -(Phi_pp, 2 Phi_pq, Phi_qq) / (2 hbar).  Their phases come
+    from ``_phase_table`` at c_k d and the integer n_j, about 2 sqrt(M)
+    complex exponentials per sample instead of M, and each Gaussian is one
+    real exponential.  The cross factor is the Taylor series
+    sum_r (g1_k xi_p xi_q)^r / r! of ``_series_terms`` (Greengard & Lee,
+    SIAM Rev. 46, 443, 2004); with Phi absent or shared there is one term,
+    and a shared Gaussian multiplies the grid afterwards.  The sum is
+    Hermitian, chi(-xi) = conj chi(xi), so xi_p keeps only its nodes n >= 0
+    and its unpaired n = -M/2, and xi_q gains the mirror +M/2 of its unpaired
+    node (whose conjugates fill that unpaired line).  The powers are stacked
+    on the xi_p half, one GEMM per chunk of xi_q sums the samples, Horner's
+    rule in xi_q sums the powers, and every other xi_p line is the conjugate
+    of its mirror with xi_q reversed.
 
-    On a centred axis (``_centred_step``: x_j = n_j d, n_j = j - M/2, M even)
-    the phases of L_k or R_k come from ``_phase_table`` at c_k d and the
-    integer n_j, about 2 sqrt(M) complex exponentials per sample instead of
-    M, and the Gaussian is one real exponential; other axes take np.exp of
-    the whole exponent.  Real weights on two centred axes make the sum
-    Hermitian, chi(-xi) = conj chi(xi): then the wider axis keeps only its
-    nodes n >= 0 and its unpaired n = -M/2, the other axis gains the mirror
-    +M/2 of its unpaired node (whose conjugates fill that unpaired line),
-    and every other line of the wider axis is the conjugate of its mirror
-    with the other axis reversed.
+    Every other input (complex weights, an odd or off-centre axis, scattered
+    chords, or a per-sample Phi that is non-finite, indefinite or needs too
+    many terms) is summed point by point, at M_p M_q complex exponentials per
+    sample.  On one Xeon core a 1,024-sample sum without Phi on a 129 x 129
+    ``np.linspace`` grid takes 0.42 s that way (12 ms when factored), and a
+    320-sample per-sample-Phi sum on a 4,097 x 8 grid with an off-centre
+    xi_p axis 0.30 s (53 ms).  Both forms work in blocks of about
+    ``_BLOCK_ELEMENTS`` table entries (at least one sample or chord per
+    block).
     """
     p, q = points[:, 0], points[:, 1]
     w = np.asarray(weights)
@@ -341,71 +345,49 @@ def _plane_wave_sum(points, weights, xi_p, xi_q, hbar: float, phi=None) -> np.nd
         [phi[..., 0, 0], 2.0 * phi[..., 0, 1], phi[..., 1, 1]], axis=-1) / (-2.0 * hbar)
     shared = gauss is not None and gauss.ndim == 1
     each = gauss is not None and not shared
-    axes = _outer_grid(xi_p, xi_q)
-    terms = _series_terms(gauss, *axes) if each and axes is not None else 1
-    if axes is not None and terms is not None:
-        # the linear exponent coefficients of L_k on xi_p and R_k on xi_q
-        lin = [(-1j / hbar) * q, (1j / hbar) * p]
-        steps = [_centred_step(a) for a in axes]
-        x = list(axes)
-        n = [None if d is None else np.arange(a.size) - a.size // 2 for a, d in zip(axes, steps)]
-        # a Hermitian sum: the wider axis's n >= 0 and -M/2 by the other's nodes and +M/2
-        mirror = np.isrealobj(w) and None not in steps
-        if mirror:
-            h = int(axes[0].size < axes[1].size)
-            half = axes[h].size // 2
-            rows = np.r_[half:2 * half, 0]
-            x[h], n[h] = x[h][rows], n[h][rows]
-            x[1 - h], n[1 - h] = (np.append(v, -v[0]) for v in (x[1 - h], n[1 - h]))
-        # the powers go on the axis of fewer nodes; the other is chunked
-        wide = int(x[0].size < x[1].size)
-        narrow = 1 - wide
-        nodes = x[narrow]
-        scale = max(float(np.max(np.abs(axes[wide]))), np.finfo(float).tiny)
-        out = np.zeros(shape, dtype=complex)
-        view = out.T if wide else out  # indexed [wide, narrow]
-        sums = np.zeros((x[wide].size, nodes.size), dtype=complex) if mirror else view
-        chunk = max(1, _BLOCK_ELEMENTS // (terms * nodes.size))
-        step = max(1, _BLOCK_ELEMENTS // (min(chunk, x[wide].size) + terms * nodes.size))
-
-        def table(i, ks, cs):
-            """L_k (i = 0) or R_k (i = 1) at the samples ks and the nodes cs of axis i."""
-            xs = x[i][cs]
-            if steps[i] is None:
-                e = lin[i][ks, None] * xs
-                if each:
-                    e += gauss[ks, 2 * i, None] * xs**2  # g0 on xi_p, g2 on xi_q
-                return np.exp(e, out=e) * w[ks, None] if i else np.exp(e, out=e)
-            t = _phase_table(lin[i][ks].imag * steps[i], n[i][cs])
-            if each:
-                t *= np.exp(gauss[ks, 2 * i, None] * xs**2)
-            if i:
-                t *= w[ks, None]
-            return t
-
-        for a in range(0, x[wide].size, chunk):
+    axes = _outer_grid(xi_p, xi_q) if np.isrealobj(w) else None
+    steps = None if axes is None else [_centred_step(a) for a in axes]
+    factored = steps is not None and None not in steps
+    terms = _series_terms(gauss, *axes) if factored and each else 1
+    if factored and terms is not None:
+        # xi_p: nodes n >= 0 and -M/2; xi_q: every node and the mirror +M/2
+        half = axes[0].size // 2
+        rows = np.r_[half:2 * half, 0]
+        xs, ns = axes[0][rows], rows - half
+        ys = np.append(axes[1], -axes[1][0])
+        ms = np.arange(ys.size) - axes[1].size // 2
+        # the phase of L_k per xi_p step and of R_k per xi_q step
+        cp, cq = (-1.0 / hbar) * q * steps[0], (1.0 / hbar) * p * steps[1]
+        scale = max(float(np.max(np.abs(axes[1]))), np.finfo(float).tiny)
+        sums = np.zeros((ys.size, xs.size), dtype=complex)  # [xi_q and +M/2, xi_p half]
+        chunk = max(1, _BLOCK_ELEMENTS // (terms * xs.size))
+        step = max(1, _BLOCK_ELEMENTS // (min(chunk, ys.size) + terms * xs.size))
+        for a in range(0, ys.size, chunk):
             cs = slice(a, a + chunk)
-            y = x[wide][cs, None] / scale
+            y = ys[cs, None] / scale
             for k in range(0, p.size, step):
                 ks = slice(k, k + step)
-                left = table(wide, ks, cs)
-                # the narrow table times the powers (g1_k scale xi)^r / r!, r < terms
-                stack = np.empty((left.shape[0], terms, nodes.size), dtype=complex)
-                stack[:, 0] = table(narrow, ks, slice(None))
+                right = _phase_table(cq[ks], ms[cs])
+                left = _phase_table(cp[ks], ns)
+                if each:
+                    right *= np.exp(gauss[ks, 2, None] * ys[cs]**2)
+                    left *= np.exp(gauss[ks, 0, None] * xs**2)
+                right *= w[ks, None]
+                # L_k times the powers (g1_k scale xi_p)^r / r!, r < terms
+                stack = np.empty((left.shape[0], terms, xs.size), dtype=complex)
+                stack[:, 0] = left
                 if terms > 1:
-                    z = gauss[ks, 1:2] * scale * nodes
+                    z = gauss[ks, 1:2] * scale * xs
                     for r in range(1, terms):
                         np.multiply(stack[:, r - 1], z / r, out=stack[:, r])
-                prod = (left.T @ stack.reshape(left.shape[0], -1)).reshape(-1, terms, nodes.size)
+                prod = (right.T @ stack.reshape(left.shape[0], -1)).reshape(-1, terms, xs.size)
                 acc = prod[:, -1]
                 for r in range(terms - 2, -1, -1):
                     acc = acc * y + prod[:, r]
                 sums[cs] += acc
-        if mirror:  # both indexed [axis h, the other axis]
-            grid = out.T if h else out
-            sums = sums if wide == h else sums.T
-            grid[rows] = sums[:, :-1]
-            grid[1:half] = sums[half - 1:0:-1, :0:-1].conj()
+        out = np.empty(shape, dtype=complex)
+        out[rows] = sums[:-1].T
+        out[1:half] = sums[:0:-1, half - 1:0:-1].T.conj()
     else:
         xp, xq = xi_p.ravel(), xi_q.ravel()
         out = np.empty(xp.size, dtype=complex)

@@ -338,9 +338,9 @@ def _spy_steps(monkeypatch):
     log = []
     loop = dy._dp_steps
 
-    def spy(field, s, h, steps, strict=True):
+    def spy(field, s, k, h, steps, strict=True):
         log.append(steps)
-        return loop(field, s, h, steps, strict)
+        return loop(field, s, k, h, steps, strict)
 
     monkeypatch.setattr(dy, "_dp_steps", spy)
     return log
@@ -437,6 +437,47 @@ def test_no_row_takes_more_steps_than_the_cap(monkeypatch):
         dy.advect(dy.hamiltonians.quartic(), None, np.array([[0.0, 0.5], [0.0, 1e5]]), 1.0,
                   dy.PER_ROW)
     assert log[-1] == 100
+
+
+def test_each_row_group_starts_from_the_trial_first_stage(monkeypatch):
+    """The field at the start point is taken once: the trial step makes 7
+    field calls (that one and its six stages), and each later group of rows
+    at n steps makes 6 n, its first stage sliced from the trial's.  A fixed
+    count of n steps makes 6 n + 1."""
+    import dataclasses
+
+    quartic = dy.hamiltonians.quartic()
+    calls = [0]
+
+    def gradient(x):  # the field calls the gradient once
+        calls[0] += 1
+        return quartic.gradient(x)
+
+    H = dataclasses.replace(quartic, gradient=gradient)
+    runs = []  # (steps, field calls) of each run of the loop
+    loop = dy._dp_steps
+
+    def spy(field, s, k, h, steps, strict=True):
+        before = calls[0]
+        out = loop(field, s, k, h, steps, strict)
+        runs.append((steps, calls[0] - before))
+        return out
+
+    monkeypatch.setattr(dy, "_dp_steps", spy)
+    ch = [DAMPING, Q_CHANNEL]
+    gamma, lam = dy.total_gamma(ch), dy.noise_matrix(ch)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 2))
+    for t in (0.4, -0.4):
+        for noise in (lam, None):
+            calls[0] = 0
+            del runs[:]
+            dy._dp54(H, gamma, x, t, None, noise)
+            assert runs[0] == (1, 6) and len(runs) >= 3  # the trial, then two groups or more
+            assert all(c == 6 * n for n, c in runs)
+            assert calls[0] == 7 + sum(c for _, c in runs[1:])
+    calls[0] = 0
+    dy._dp54(H, gamma, x, 0.4, 40, lam)
+    assert calls[0] == 6 * 40 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -951,9 +992,9 @@ def test_evolved_chord_outer_grid_series_matches_point_sum(model, monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(grids, "_series_terms", spy)
-    for half, a, b in [(0.5, 40, 30), (1.0, 30, 40), (1.4, 41, 9), (1.4, 9, 41)]:
-        xp = half * (np.arange(a) - a // 2) / (a // 2)
-        xq = half * (np.arange(b) - b // 2) / (b // 2)
+    for half, a, b in [(0.5, 40, 30), (1.0, 30, 40), (1.4, 42, 8), (1.4, 8, 42)]:
+        xp = grids._centred_axis(a, half / (a // 2))
+        xq = grids._centred_axis(b, half / (b // 2))
         got = chi_fn(xp[:, None], xq[None, :])
         assert seen[-1][1] > 1
         mesh = np.meshgrid(xp, xq, indexing="ij")

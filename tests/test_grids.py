@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from chordlab import grids
+from chordlab import cli, grids
+from chordlab.chordfn import ChordFunction
+from chordlab.curves import harmonic_circle
 from chordlab.diagnostics import GridDomainWarning
 from chordlab.grids import (
     CenteredGrid,
@@ -14,7 +16,7 @@ from chordlab.grids import (
     reflect_values,
     simpson_weights,
 )
-from chordlab.states import CoherentState, coherent_chord_function, coherent_wigner
+from chordlab.states import CoherentState, coherent_chord_function, coherent_wigner, wkb_chord
 
 HBAR = 0.05
 
@@ -203,25 +205,27 @@ def _plane_wave_direct(points, weights, xi_p, xi_q, phi):
 
 
 @pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample", "diagonal"])
-def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind):
+def test_plane_wave_sum_gemm_and_pointwise_paths_agree(phi_kind, monkeypatch):
     points, weights, phis = _plane_wave_case()
     diagonal = phis * np.eye(2)  # no cross term: one series term, per-sample Gaussians
     phi = {"none": None, "shared": phis[0], "per-sample": phis, "diagonal": diagonal}[phi_kind]
-    xp_axis = np.linspace(-0.6, 0.5, 24)
-    xq_axis = np.linspace(-0.4, 0.7, 18)
+    xp_axis = grids._centred_axis(24, 0.05)
+    xq_axis = grids._centred_axis(18, 0.06)
     mesh = np.meshgrid(xp_axis, xq_axis, indexing="ij")
     pair = (xp_axis[:, None], xq_axis[None, :])
     for xi_p, xi_q in (mesh, pair):
         assert grids._outer_grid(xi_p, xi_q) is not None
+        seen = _spy_phase_tables(monkeypatch)
         got = grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, phi)
-        assert got.shape == (24, 18)
+        monkeypatch.undo()
+        assert got.shape == (24, 18) and len(seen) == 2  # the factored sum ran
         # raveled chords are not an outer grid, so they are summed point by point
         flat = grids._plane_wave_sum(points, weights, mesh[0].ravel(), mesh[1].ravel(), HBAR, phi)
         assert np.max(np.abs(got - flat.reshape(got.shape))) <= 1e-13
         want = _plane_wave_direct(points, weights, mesh[0], mesh[1], phi)
         assert np.max(np.abs(got - want)) <= 1e-13
     if phi_kind == "shared":
-        # one Phi repeated per sample takes the pointwise path and gives the same sum
+        # one Phi repeated per sample takes the per-sample series and gives the same sum
         each = np.broadcast_to(phi, phis.shape)
         again = grids._plane_wave_sum(points, weights, *mesh, HBAR, each)
         assert np.max(np.abs(got - again)) <= 1e-13
@@ -252,11 +256,11 @@ def test_plane_wave_sum_scattered_2d_takes_pointwise_path(monkeypatch):
 
 def test_plane_wave_sum_blocks_agree(monkeypatch):
     """Small element budgets split both paths into many blocks, and the
-    series over per-sample Phi into chunks of the wider axis as well, without
-    changing the sum."""
+    series over per-sample Phi into chunks of xi_q as well, without changing
+    the sum."""
     points, weights, phis = _plane_wave_case()
-    xp_axis = np.linspace(-0.6, 0.5, 16)
-    xq_axis = np.linspace(-0.4, 0.7, 14)
+    xp_axis = grids._centred_axis(16, 0.07)
+    xq_axis = grids._centred_axis(14, 0.08)
     assert grids._series_terms(_gauss(phis), xp_axis, xq_axis) > 1  # the series runs
     for xi_p, xi_q in ((xp_axis[:, None], xq_axis[None, :]), (xq_axis[:, None], xp_axis[None, :])):
         whole = [grids._plane_wave_sum(points, weights, xi_p, xi_q, HBAR, f)
@@ -323,11 +327,11 @@ def _spy_phase_tables(monkeypatch):
 @pytest.mark.parametrize("phi_kind", ["none", "shared", "per-sample"])
 @pytest.mark.parametrize("shape", [(48, 32), (32, 48)])
 def test_plane_wave_sum_half_grid_matches_point_sum(shape, phi_kind, monkeypatch):
-    """Real weights on two centred axes: the outer-grid sum takes the wider
-    axis's nodes n >= 0 and its unpaired -M/2 against the other axis's nodes
-    and the mirror +M/2 of its unpaired one, and fills the rest as
-    conjugates.  Every node, the unpaired row and column among them, equals
-    the point sum to 1e-14 of max, and chi(0) is exact."""
+    """Real weights on two centred axes: the outer-grid sum takes xi_p's
+    nodes n >= 0 and its unpaired -M/2 against xi_q's nodes and the mirror
+    +M/2 of its unpaired one, and fills the rest as conjugates, whichever
+    axis is wider.  Every node, the unpaired row and column among them,
+    equals the point sum to 1e-14 of max, and chi(0) is exact."""
     args, want = _centred_case(*shape, phi_kind)
     seen = _spy_phase_tables(monkeypatch)
     got = grids._plane_wave_sum(*args)
@@ -336,27 +340,62 @@ def test_plane_wave_sum_half_grid_matches_point_sum(shape, phi_kind, monkeypatch
     for edge in (got[0] - want[0], got[:, 0] - want[:, 0]):
         assert np.max(np.abs(edge)) <= 1e-14 * scale
     assert got[shape[0] // 2, shape[1] // 2] == np.sum(args[1])
-    wide, narrow = max(shape) // 2, min(shape) // 2
-    assert sorted((list(n) for n in seen), key=len) == [list(range(wide)) + [-wide],
-                                                        list(range(-narrow, narrow + 1))]
+    half_p, half_q = shape[0] // 2, shape[1] // 2
+    assert sorted(list(n) for n in seen) == sorted([list(range(half_p)) + [-half_p],
+                                                    list(range(-half_q, half_q + 1))])
 
 
 @pytest.mark.parametrize("case", ["complex-weights", "odd", "off-centre"])
 def test_plane_wave_sum_half_grid_needs_real_weights_and_centred_axes(case, monkeypatch):
-    """Complex weights sum every row (on split tables: the axes are centred);
-    an odd or off-centre axis takes np.exp's table for that axis and rules
-    out the mirror.  Each still equals the point sum."""
+    """Complex weights, an odd axis or an off-centre axis leave the factored
+    form: the outer grid is the point sum of its raveled chords, bit for bit,
+    with no split phase table."""
     _, w, _ = _plane_wave_case()
     weights = w * np.exp(1j * np.arange(w.size)) if case == "complex-weights" else None
     args, want = _centred_case(48, 33 if case == "odd" else 32, "per-sample", weights,
                                shift=0.25 if case == "off-centre" else 0.0)
     seen = _spy_phase_tables(monkeypatch)
     got = grids._plane_wave_sum(*args)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    if case == "complex-weights":
-        assert [list(n) for n in seen] == [list(range(-24, 24)), list(range(-16, 16))]
-    else:
-        assert [list(n) for n in seen] == [list(range(-24, 24))]
+    assert np.array_equal(got, want)
+    assert seen == []
+
+
+def _has_xi_p_half(seen, m):
+    """Whether a recorded table has the xi_p half-grid offsets 0 .. M/2 - 1, -M/2."""
+    return any(list(n) == list(range(m // 2)) + [-(m // 2)] for n in seen)
+
+
+@pytest.mark.parametrize("phi", ["absent", "shared", "per-sample"])
+def test_sampling_onto_a_centred_grid_takes_the_factored_sum(phi, monkeypatch):
+    """A term sum sampled onto a CenteredGrid takes the centred half-grid sum
+    with Phi absent, shared or per sample: a grid whose axes fell to the
+    point sum fails."""
+    points, weights, phis = _plane_wave_case(n=40)
+    chi = ChordFunction.from_terms(points, weights,
+                                   {"absent": None, "shared": phis[0], "per-sample": phis}[phi],
+                                   HBAR)
+    seen = _spy_phase_tables(monkeypatch)
+    chi.sample(CenteredGrid(1.2, 0.9, 32, HBAR))
+    assert _has_xi_p_half(seen, 32)
+
+
+def test_wkb_and_cli_chord_grids_take_the_factored_sum(tmp_path, monkeypatch):
+    """A WKB curve state sampled onto a CenteredGrid, and the evolve-chord
+    run's chord grid for a Wigner grid source (one shared Phi) and a quartic
+    level curve (one Phi per sample), take the centred half-grid sum."""
+    seen = _spy_phase_tables(monkeypatch)
+    wkb_chord(harmonic_circle(0.4, 64), HBAR).sample(CenteredGrid(1.0, 1.0, 24, HBAR))
+    assert _has_xi_p_half(seen, 24)
+    runs = ["state.eta = 0 0.2\ngrid.points = 16\nhamiltonian.omega = 1.5\nchannel = 0 1 0 0\n"
+            "time.t = 0.1\nxi.half_width = 1\n",
+            "state.family = quartic\nstate.energy = 0.3\nstate.samples = 64\n"
+            "hamiltonian.family = quartic\nchannel = 0 1.2 0 0\ntime.t = 0.1\nxi.points = 16\n"]
+    for k, text in enumerate(runs):
+        del seen[:]
+        cfg = tmp_path / f"r{k}.cfg"
+        cfg.write_text(f"hbar = {HBAR}\n" + text)
+        assert cli.run(["evolve-chord", "--config", str(cfg), "--out", str(tmp_path / f"o{k}")]) == 0
+        assert _has_xi_p_half(seen, 16)
 
 
 def test_plane_wave_sum_outer_grid_takes_few_complex_exponentials(monkeypatch):
@@ -416,9 +455,9 @@ def test_plane_wave_sum_series_falls_back_to_point_sum(broken, monkeypatch):
     elif broken == "indefinite":
         phis[3] = [[0.02, 0.05], [0.05, 0.02]]  # eigenvalues 0.07 and -0.03
     else:
-        phis *= 40.0  # X = 44, past the measured crossover
-    xp_axis = np.linspace(-0.6, 0.5, 12)
-    xq_axis = np.linspace(-0.4, 0.7, 10)
+        phis *= 40.0  # X = 34, past the measured crossover
+    xp_axis = grids._centred_axis(12, 0.1)
+    xq_axis = grids._centred_axis(10, 0.11)
     seen = []
     real = grids._series_terms
 

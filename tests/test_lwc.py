@@ -55,10 +55,22 @@ def _simpson_lwc(chi, window, xi_q, points):
     every column in one call: the reference the closed-form term lines and
     the Fock spectrum are checked with.  The integrand must have decayed to
     1e-12 of its peak at the range edge."""
-    hb = window.hbar
-    half = 9.0 * hb / window.delta
+    return _simpson_sum(*_simpson_table(chi, window, xi_q, points), window)
+
+
+def _simpson_table(chi, window, xi_q, points):
+    """The Simpson nodes xi_p of ``_simpson_lwc`` and chi at (xi_p, -xi_q),
+    shape (points, xi_q.size): one table serves every window of this width."""
+    half = 9.0 * window.hbar / window.delta
     xp = np.linspace(-half, half, points)
-    f = np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
+    return xp, np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
+
+
+def _simpson_sum(xp, f, window):
+    """The windowed Simpson sum of ``_simpson_lwc`` over a ``_simpson_table``
+    built at this window's width."""
+    hb = window.hbar
+    assert xp[-1] == 9.0 * hb / window.delta
     w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
     assert _edge_ratio(np.abs(f) * np.abs(w)[:, None], (0,)) <= 1e-12
@@ -951,10 +963,12 @@ def test_term_route_matches_simpson_on_every_transport_source():
     xi_q = 0.04 * (np.arange(8) - 4)
     for chi in _term_sources():
         assert chi.warnings == []
+        # the canonical windows share one width, so one table of chi serves all three
+        table = _simpson_table(chi, LwcWindow.canonical(0.0, HBAR), xi_q, 4097)
         for Q in (0.0, 0.3, -0.3):
             window = LwcWindow.canonical(Q, HBAR)
             got = lwc_from_chord(chi, window, xi_q)
-            want = _simpson_lwc(chi, window, xi_q, 4097)
+            want = _simpson_sum(*table, window)
             assert got.warnings == []
             assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.all(lwc._term_lines(chi.terms, window, []).variance >= 0.0)
