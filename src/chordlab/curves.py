@@ -254,9 +254,17 @@ def curve_from_samples(theta, points) -> LagrangianCurve:
     return LagrangianCurve(theta, points)
 
 
+def _sample_angles(samples) -> np.ndarray:
+    """theta_k = 2 pi k / n, k < n, for a whole count n (16.0 passes); 8.5
+    would give 9 angles whose closing gap is half a step."""
+    if samples % 1:  # nan and inf too
+        raise ValueError(f"samples must be a whole number, got {samples!r}")
+    return np.arange(samples) * _TWO_PI / samples
+
+
 def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
     """Circle p^2 + q^2 = 2 I sampled along the harmonic flow (theta = t)."""
-    th = np.arange(samples) * _TWO_PI / samples
+    th = _sample_angles(samples)
     with np.errstate(invalid="ignore"):  # the curve rejects an action not finite and positive
         pts = np.sqrt(2.0 * action) * np.stack([np.cos(th), np.sin(th)], axis=-1)
     return LagrangianCurve(th, pts, action)
@@ -320,7 +328,7 @@ def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
             del table  # one table alive at a time
         return out
 
-    th = np.arange(samples) * _TWO_PI / samples
+    th = _sample_angles(samples)
     target = th * (period / _TWO_PI)
     # one inverse FFT gives t at the nodes; t(phi + pi) = t(phi) + T/2 extends
     # them to [0, 2 pi]

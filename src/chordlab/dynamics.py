@@ -26,25 +26,21 @@ and every evolved Wigner function is nonnegative once det Phi_0 >= 1/4.
 det M = exp(2 gamma t), so the two frames share a determinant only for
 Hermitian channels (gamma = 0).
 
-The built-in quadratic families (zero, harmonic, free) are one form,
-H = x.S x / 2 with symmetric S.  Quadratic models are Gaussian and exact:
+Every transport goes through one entry, ``_flow``, the only flow code that
+tells the model kinds apart.  The built-in quadratic families (zero, harmonic,
+free) are one form, H = x.S x / 2 with symmetric S, Gaussian and exact:
 every centre follows one affine map, every chord one monodromy M = exp(t A)
-with A = J Hess H + gamma, and Phi is the Gramian of (A, Lambda), taken from
-one Van Loan block exponential (IEEE TAC 23, 395, 1978) and shared by every
-anchor.  No step size enters and no refinement is run.
-Other models go through one Dormand-Prince 5(4) flow, ``_dp54``, on one
-packed state per sample: ``advect`` steps centres alone; decoherence
-matrices and evolved chord functions carry M and G = Int M^T Lambda M along
-as [x | M | G], the final frame by running the flow backward from its anchor
-(a negative step).  A given dt sets equal steps of at most dt.  The default,
-``PER_ROW``, lets one trial step over the whole span pick each sample's own
-count of equal steps: the fewest whose summed error estimate meets the step
-note's 1e-8, at most the count of a 1e-2 step.  The embedded 4th-order
-difference, summed over the steps, is the convergence check's measured
-error, and no second pass is run.  The evolved chord function's changed
-sample set is read off its flowed samples, so it needs no flow of its own.
-A sample's step count and result depend on its own inputs alone, so
-identical inputs give identical outputs in any batch.
+with A = J Hess H + gamma, and Phi is the Gramian of (A, Lambda), one Van
+Loan block exponential (IEEE TAC 23, 395, 1978) shared by every anchor; no
+step size enters.  Other models take one Dormand-Prince 5(4) pass,
+``_dp54``, on one packed state [x | M | G] per sample, G = Int M^T Lambda M,
+the final frame by running the flow backward from its anchor.  A given dt
+sets equal steps of at most dt; the default, ``PER_ROW``, lets one trial
+step pick each sample's own count, the fewest whose summed error estimate
+meets the step note's 1e-8.  That embedded estimate, read off the Phi the
+pass hands back, is the convergence check's measured error, and no second
+pass is run.  A sample's result depends on its own inputs alone, in any
+batch.
 """
 
 from __future__ import annotations
@@ -363,7 +359,7 @@ def _dp_steps(field, s, k, h, steps, strict=True):
     return s, err
 
 
-def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
+def _dp54(H, gamma, x, t, steps, lam=None, final=False):
     """Dormand-Prince 5(4) of the (n, 2) centres x over the signed time t in
     ``steps`` equal steps, or with ``steps=None`` in each row's own count of
     equal steps; t < 0 runs the time-reversed system.
@@ -374,13 +370,16 @@ def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
     monodromy rides along, dM/dtau = (J Hess H(x) + gamma) M from M = I, and
     so does G = Int M^T lam M |dtau| from G = 0, as one (n, 2, 5) state
     [x | M | G]: a stage is J [grad H | Hess H M] + (-gamma, gamma, gamma) [x | M]
-    beside sign(t) M^T lam M.  Returns the final state and, per sample, the
-    embedded 5(4) difference summed over the steps (its largest entry per
-    step) as the caller's step note reads it: over max(1, max|Phi|) of
-    ``read_phi`` of the state, G by default, when ``lam`` is given; bare for
-    centres alone; inf for a non-finite row.  It is the 4th-order error,
-    which overstates the 5th-order result's error wherever h is small enough
-    for the orders to show.
+    beside sign(t) M^T lam M.
+
+    Returns (s, est, phi): the final state; per sample, the embedded 5(4)
+    difference summed over the steps (its largest entry per step) over
+    max(1, max|Phi|) as the step note reads it (bare without ``lam``, inf
+    for a non-finite row); and the Phi it read, symmetrised: G, anchored at
+    the start, or with ``final`` M^-T G M^-1, anchored at the end (None
+    without ``lam``).  The estimate is the 4th-order error, which overstates
+    the 5th-order result's error wherever h is small enough for the orders
+    to show.
 
     Per-row counts: one trial step over the whole span gives each row that
     estimate m1.  Over n equal steps the summed estimate scales as
@@ -420,53 +419,84 @@ def _dp54(H, gamma, x, t, steps, lam=None, read_phi=None):
         return _dp_steps(field, s0[rows], k0[rows], t / max(steps, 1), steps, strict)
 
     def estimate(s, err):
-        """Each row's summed estimate as the caller's note reads it (inf if not finite)."""
-        ok = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(err)
-        est = np.where(ok, err, np.inf)
-        if lam is not None:
-            phi = read_phi(s[ok]) if read_phi else s[ok][..., 3:]
-            est[ok] = err[ok] / np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
-        return est
+        """Each row's (est, phi) as returned; phi is nan on a non-finite row."""
+        fin = np.isfinite(s).all(axis=(-2, -1))
+        est = np.where(fin & np.isfinite(err), err, np.inf)
+        if lam is None:
+            return est, None
+        s = s[fin]
+        g = s[..., 3:]
+        if final:
+            minv = np.linalg.inv(s[..., 1:3])
+            g = np.einsum("kba,kbc,kcd->kad", minv, g, minv)
+        phi = np.full(fin.shape + (2, 2), np.nan)
+        phi[fin] = 0.5 * (g + np.swapaxes(g, -1, -2))
+        est[fin] = est[fin] / np.maximum(1.0, np.max(np.abs(phi[fin]), axis=(1, 2)))
+        return est, phi
 
     with np.errstate(over="ignore", invalid="ignore"):
         k0 = field(s0)
         cap = _steps_for(abs(t), 1e-2)
         if steps is not None or cap <= 1:
             s, err = run(slice(None), cap if steps is None else steps)
-            return s, estimate(s, err)
+            return (s, *estimate(s, err))
         s, err = run(slice(None), 1, strict=False)
-        est = estimate(s, err)
+        est, phi = estimate(s, err)
         count = np.clip(np.ceil((2.0 * est / 1e-8) ** 0.25), 1, cap).astype(int)
         todo = count > 1
         while todo.any():
             n = int(count[todo].min())
             rows = np.flatnonzero(todo & (count == n))
             s[rows], err[rows] = run(rows, n, strict=n == cap)
-            est[rows] = estimate(s[rows], err[rows])
+            est[rows], phi_rows = estimate(s[rows], err[rows])
+            if phi is not None:
+                phi[rows] = phi_rows
             again = (est[rows] > 1e-8) & (n < cap)
             count[rows[again]] = np.where(np.isinf(est[rows[again]]), cap, min(2 * n, cap))
             todo[rows[~again]] = False
-    return s, est
+    return s, est, phi
+
+
+def _flow(H, channels, x, t: float, dt: float, phi=None):
+    """(x_t, Phi, est): the one transport of the (n, 2) rows x over the signed
+    time t (t < 0 runs it backward).  ``phi=None`` gives the endpoints x_t
+    alone (Phi None), ``"start"`` Phi anchored at the rows alone (x_t None),
+    ``"end"`` the endpoints and Phi anchored at them; est is each row's step
+    error estimate as ``_STEP_NOTE`` reads it.  At t = 0 the rows come back
+    bit for bit.  Quadratic models take the affine centre map and one
+    ``_gramian``, a (2, 2) Phi every row shares, with zero estimates and dt
+    unread.  Other models take one ``_dp54`` pass, in equal steps of at most
+    dt or at ``PER_ROW`` each row's own count, and each row's (2, 2) Phi is
+    the one its step estimate read."""
+    gamma = total_gamma(channels)
+    lam = None if phi is None else noise_matrix(channels)
+    x = np.array(x, dtype=float)
+    if not H.quadratic:
+        s, est, phis = _dp54(H, gamma, x, t, _steps_for(abs(t), dt), lam, phi == "end")
+        return None if phi == "start" else s[..., 0], phis, est
+    est = np.zeros(len(x))
+    if phi == "start":
+        x = None
+    elif t != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, d = _centre_map(H, gamma, t)
+            x = x @ e.T + d
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("centre flow overflows over this time span")
+    if phi is None:
+        return x, None, est
+    # G runs the chord generator along t; Phi anchored at the end runs it back
+    a = _chord_generator(H, gamma) * math.copysign(1.0, t if phi == "start" else -t)
+    return x, _gramian(a, lam, abs(t)), est
 
 
 def advect(H, channels, points, t: float, dt: float) -> np.ndarray:
     """Transport of (n, 2) centre points over the signed time t (t < 0 runs
     the flow backward): the exact affine map for quadratic models, the
     Dormand-Prince flow otherwise, in equal steps of at most ``dt`` or, for
-    ``dt=PER_ROW``, each point's own count (``_dp54``)."""
+    ``dt=PER_ROW``, each point's own count (``_flow``)."""
     _check_time(t, signed=True)
-    gamma = total_gamma(channels)
-    x = np.array(points, dtype=float)
-    if t == 0.0:
-        return x
-    if H.quadratic:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e, d = _centre_map(H, gamma, t)
-            x = x @ e.T + d
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError("centre flow overflows over this time span")
-        return x
-    return _dp54(H, gamma, x, t, _steps_for(abs(t), dt))[0][..., 0]
+    return _flow(H, channels, points, t, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +535,10 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = PER_ROW,
     it turns to nan once Phi overflows (by t = 512 for a unit pump).
     Its determinant decides positivity (see ``positivity_time``).
 
-    Quadratic models take the closed form (``dt`` and ``convergence_check``
-    are unused); otherwise the trajectory is co-integrated by the
-    Dormand-Prince flow, in equal steps of at most a given ``dt`` or, by
-    default, in the fewest equal steps whose error estimate meets 1e-8, at
-    most those of a 1e-2 step.  With the check an embedded error estimate
-    above 1e-8 of max(1, |Phi|) warns; at the default only a trajectory at
-    that cap can warn.
+    The trajectory is ``_flow``'s, with ``dt`` as there (quadratic models
+    ignore it and never warn).  With the check a step error estimate
+    above 1e-8 of max(1, |Phi|) warns; at the default dt only a trajectory
+    at the 1e-2 cap can warn.
     """
     _check_time(t)
     if frame not in ("final", "initial"):
@@ -520,47 +547,15 @@ def decoherence_matrix(H, channels, anchor, t: float, dt: float = PER_ROW,
     if anchor.shape != (2,):
         raise ValueError(f"anchor must be one point (p, q), got shape {anchor.shape}")
     _check_finite(anchor, "anchor")
-    if t == 0.0:
-        return DecoherenceMatrix(np.zeros((2, 2)), 0.0, anchor, [], frame)
-    phi, errs = _decoherence_phis(H, channels, anchor[None, :], t, dt, convergence_check, frame)
+    # the final frame runs the flow backward from the anchor
+    _, phi, est = _flow(H, channels, anchor[None], -t if frame == "final" else t, dt, "start")
     notes: list = []
-    _measured(notes, errs[0], 1e-8, _STEP_NOTE, ConvergenceWarning)
-    return DecoherenceMatrix(phi[0], float(t), anchor, notes, frame)
-
-
-def _decoherence_phis(H, channels, anchors, t: float, dt: float,
-                      convergence_check: bool = True, frame: str = "final"):
-    """(phis, errs): Phi (or Phi_0) at each of the (n, 2) anchors for t > 0, and
-    each anchor's step error estimate as ``_dp54`` returns it (zeros for
-    quadratic models or without the check), which the caller reports with
-    ``_STEP_NOTE`` above 1e-8.
-
-    Quadratic models share one generator, so one closed-form Phi serves every
-    anchor.  Otherwise one Dormand-Prince pass carries every anchor, and its
-    embedded 5(4) difference, summed over the steps, is the estimate.
-    """
-    gamma = total_gamma(channels)
-    lam = noise_matrix(channels)
-    errs = np.zeros(anchors.shape[0])
-    if H.quadratic:
-        a = _chord_generator(H, gamma)
-        phi = _gramian(-a if frame == "final" else a, lam, t)
-        return np.repeat(phi[None], anchors.shape[0], axis=0), errs
-    span = -t if frame == "final" else t  # the final frame runs backward from the anchor
-    s, est = _dp54(H, gamma, anchors, span, _steps_for(t, dt), lam)
-    phi = s[..., 3:]
-    return 0.5 * (phi + np.swapaxes(phi, -1, -2)), est if convergence_check else errs
+    if convergence_check:
+        _measured(notes, est[0], 1e-8, _STEP_NOTE, ConvergenceWarning)
+    return DecoherenceMatrix(phi.reshape(2, 2), float(t), anchor, notes, frame)
 
 
 _STEP_NOTE = "the step's error estimate for Phi is {:.3e} (> 1e-8); reduce dt"
-
-
-def _final_phi(s):
-    """Phi(t) anchored at the end of each forward [x | M | G] flow of the
-    (n, 2, 5) state s: M^-T G M^-1, symmetrised."""
-    minv = np.linalg.inv(s[..., 1:3])
-    phi = np.einsum("kba,kbc,kcd->kad", minv, s[..., 3:], minv)
-    return 0.5 * (phi + np.transpose(phi, (0, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +598,12 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = PER_ROW,
     chi(xi, t) = (2 pi hbar)^(-1) sum_i w_i exp[(i/hbar) x_i(t) ^ xi]
                                          exp[-xi . Phi_i(t) xi / (2 hbar)]
 
-    with one trajectory and one decoherence matrix per initial sample.  For a
-    quadratic model every Phi_i coincides and the endpoints follow one affine
-    map, so the sum is the exact Gaussian-modulated transport of the initial
-    chord function; other models run the Dormand-Prince flow per sample (with
-    ``dt`` as in ``decoherence_matrix``: each sample's own step count by
-    default), and the convergence check reports the flow's error estimate
-    above 1e-8.  The result is the term sum of (x_i(t), w_i, Phi_i)
-    (``ChordFunction.from_terms``).
+    with one trajectory and one decoherence matrix per initial sample, both
+    from one ``_flow`` (``dt`` as there).  For a quadratic model every Phi_i
+    coincides and the endpoints follow one affine map, so the sum is the
+    exact Gaussian-modulated transport of the initial chord function.  The
+    convergence check reports the flow's error estimate above 1e-8.  The
+    result is the term sum of (x_i(t), w_i, Phi_i) (``ChordFunction.from_terms``).
 
     The check also compares chi at eight probe chords with the sum over a
     changed sample set (``ChordFunction._drift``), taken from the flowed terms
@@ -622,21 +615,10 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = PER_ROW,
     """
     _check_time(t)
     pts, w, hbar, coarse = _source_samples(source, hbar)
-    check = convergence_check and t > 0
-    gamma = total_gamma(channels)
-    lam = noise_matrix(channels)
-    step_err = 0.0
-    if H.quadratic:
-        xt = advect(H, channels, pts, t, dt)
-        phi = _gramian(-_chord_generator(H, gamma), lam, t)
-    else:
-        s, est = _dp54(H, gamma, pts, t, _steps_for(t, dt), lam, _final_phi)
-        xt = s[..., 0]
-        phi = _final_phi(s)
-        step_err = float(np.max(est))
+    xt, phi, est = _flow(H, channels, pts, t, dt, "end")
     out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
-    if check:
-        _measured(out.warnings, step_err, 1e-8, _STEP_NOTE, ConvergenceWarning)
+    if convergence_check and t > 0:
+        _measured(out.warnings, float(np.max(est)), 1e-8, _STEP_NOTE, ConvergenceWarning)
         if coarse is None:
             err = out._drift(*_doubled(xt, phi))
         else:

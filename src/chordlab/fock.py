@@ -205,7 +205,9 @@ def pure_density(psi: np.ndarray, hbar: float) -> FockDensityMatrix:
 
 
 def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
-    """<n|eta> for the coherent state at centre eta = (eta_p, eta_q)."""
+    """<n|eta> for the coherent state at centre eta = (eta_p, eta_q), n < dim."""
+    if not dim >= 1:
+        raise ValueError(f"dim must be at least 1, got {dim!r}")
     eta_p, eta_q = CoherentState(eta, hbar).eta
     alpha = (eta_q + 1j * eta_p) / math.sqrt(2.0 * hbar)
     c = np.empty(dim, dtype=complex)

@@ -341,16 +341,19 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
                  H, channels, t: float, dt: float = dynamics.PER_ROW) -> list:
     """The branch sum's ``Lines`` at each window centre in ``qs``, in order:
     the curve evolved to t once, then one line per live branch at Q (caustic
-    beyond |slope| = 1/sqrt(hbar)) at window width delta.  Each record keeps
-    every branch and their sheared Phi_qq from one Dormand-Prince pass over
-    every window's live branches (nan on caustic branches, 0 when t = 0 or
-    there are no channels), with each branch's error-estimate note after the
-    curve's notes.  Both flows take ``dt`` as ``dynamics.evolve_chord_function``
-    does: each trajectory's own step count by default, equal steps of at
-    most a given dt.  At delta = 0 and t = 0, ``[0].sample(xi_q, None)`` is the
-    bare sum C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to
-    C(0) (the curve average carries its own 1/2 pi)."""
+    beyond |slope| = 1/sqrt(hbar)) at window width delta, finite and >= 0.
+    Each record keeps every branch and their sheared Phi_qq from one
+    backward ``dynamics._flow`` over every window's live branches (nan on
+    caustic branches, 0 when t = 0 or there are no channels), with each
+    branch's error-estimate note after the curve's notes.  Both flows take
+    ``dt`` as ``dynamics.evolve_chord_function`` does: each trajectory's own
+    step count by default, equal steps of at most a given dt.  At delta = 0
+    and t = 0, ``[0].sample(xi_q, None)`` is the bare sum
+    C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to C(0) (the
+    curve average carries its own 1/2 pi)."""
     _check_positive(hbar, "hbar")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     dynamics._check_time(t)
     if t > 0:
         curve = evolve_curve_classically(curve, H, channels, t, dt)
@@ -358,8 +361,9 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
     lives = [np.flatnonzero(~br.caustic) for br in brs]
     anchors = np.array([(p, br.Q) for br, live in zip(brs, lives)
                         for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for no windows
-    if t > 0 and channels and anchors.size:
-        phis, errs = dynamics._decoherence_phis(H, channels, anchors, t, dt)
+    if t > 0 and channels and anchors.size:  # Phi anchored at each end: the flow run backward
+        _, phis, errs = dynamics._flow(H, channels, anchors, -t, dt, "start")
+        phis = np.broadcast_to(phis, (len(anchors), 2, 2))
     out = []
     for Q, br, live in zip(qs, brs, lives):
         notes = list(curve.warnings)

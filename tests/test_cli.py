@@ -685,25 +685,29 @@ def _same_lines(a, b) -> bool:
 def test_spectrum_windows_share_one_flow(tmp_path, monkeypatch):
     """A multi-window sc-markov run evolves the curve once and makes one
     anchor pass for every window, and each window's sample is the
-    single-window lwc_sc_markov sample bit for bit, lines included."""
-    calls = {"evolve": 0, "phis": 0}
+    single-window lwc_sc_markov sample bit for bit, lines included.  The
+    flow runs twice: the curve's centres alone, then Phi alone at every
+    window's anchors."""
+    calls = {"evolve": 0, "flows": []}
     got = []
-    real_evolve, real_phis, real_samples = (lwc.evolve_curve_classically,
-                                            dynamics._decoherence_phis, cli._lwc_samples)
+    real_evolve, real_flow, real_samples = (lwc.evolve_curve_classically,
+                                            dynamics._flow, cli._lwc_samples)
 
-    def counting(name, real):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapped
+    def counting(*args, **kwargs):
+        calls["evolve"] += 1
+        return real_evolve(*args, **kwargs)
+
+    def flowing(H, channels, x, t, dt, phi=None):
+        calls["flows"].append(phi)
+        return real_flow(H, channels, x, t, dt, phi)
 
     def keeping(*args):
         route, samples = real_samples(*args)
         got.extend(samples)
         return route, samples
 
-    monkeypatch.setattr(lwc, "evolve_curve_classically", counting("evolve", real_evolve))
-    monkeypatch.setattr(dynamics, "_decoherence_phis", counting("phis", real_phis))
+    monkeypatch.setattr(lwc, "evolve_curve_classically", counting)
+    monkeypatch.setattr(dynamics, "_flow", flowing)
     monkeypatch.setattr(cli, "_lwc_samples", keeping)
     cfg = write_cfg(tmp_path, """\
 hbar = 0.05
@@ -722,7 +726,7 @@ lwc.route = sc-markov
 xi.points = 256
 """)
     assert run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "o")) == 0
-    assert calls == {"evolve": 1, "phis": 1}
+    assert calls == {"evolve": 1, "flows": [None, "start"]}
     assert [q0 for q0, _ in got] == [-0.4, 0.0, 0.3, 0.6]
 
     curve = quartic_level_curve(0.3, samples=256)

@@ -261,6 +261,21 @@ def test_harmonic_circle_rejects_an_action_that_is_not_finite_and_positive(actio
         harmonic_circle(action)
 
 
+@pytest.mark.parametrize("build", [lambda n: harmonic_circle(0.5, n),
+                                   lambda n: quartic_level_curve(0.3, samples=n),
+                                   lambda n: pendulum_level_curve(-0.4, samples=n)],
+                         ids=["circle", "quartic", "pendulum"])
+def test_a_sample_count_must_be_whole(build):
+    """Before, 8.5 samples built a 9-point curve whose closing gap was half
+    a step.  A whole count given as a float, 16.0, builds the 16-point curve."""
+    for samples in (8.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="samples must be a whole number"):
+            build(samples)
+    curve, want = build(16.0), build(16)
+    assert curve.theta.tobytes() == want.theta.tobytes()
+    assert curve.points.tobytes() == want.points.tobytes()
+
+
 @pytest.mark.parametrize("action", [0.0, -3.0, math.nan, math.inf])
 def test_a_curve_checks_a_given_action(action):
     """Before, a nan or negative label was stored as given; a curve built

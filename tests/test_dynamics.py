@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -211,6 +213,48 @@ def test_advect_zero_time_is_identity():
     assert np.array_equal(dy.advect(dy.hamiltonians.harmonic(), None, x0, 0.0, 1e-3), x0)
 
 
+@pytest.mark.parametrize("phi", [None, "end"])
+@pytest.mark.parametrize("family", ["harmonic", "quartic"])
+def test_flow_at_zero_time_returns_the_rows_bit_for_bit(family, phi):
+    """Both model kinds hand back the rows themselves at t = 0, signed zeros
+    included (the centre map would turn -0.0 into 0.0), with zero Phi and
+    zero estimates.  The stepped flow checks dt at t = 0 too."""
+    x = np.array([[0.1, -0.0], [-0.0, 0.2], [-1.3, 5e-310]])
+    H = dy.hamiltonians.registry[family]()
+    xt, phis, est = dy._flow(H, [DAMPING, Q_CHANNEL], x, 0.0, dy.PER_ROW, phi)
+    assert xt.tobytes() == x.tobytes() and not np.any(est)
+    assert phis is None if phi is None else not np.any(phis)
+    if not H.quadratic:
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            dy._flow(H, [DAMPING], x, 0.0, 0.0, phi)
+
+
+def _names_read(path):
+    """(module.function, every name and attribute it reads) for each function
+    defined in the module at path, nested ones included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(f"{path.stem}.{fn.name}",
+             {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(fn)
+              if isinstance(n, (ast.Attribute, ast.Name))})
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+
+def test_flow_owns_the_quadratic_fork():
+    """_flow is the one transport: it reads H.quadratic and is the only
+    caller of _dp54 in the package, and none of its callers reads the model
+    kind or the flow's parts (the channels' gamma and noise, the centre map,
+    the Gramian, the Dormand-Prince pass)."""
+    package = pathlib.Path(dy.__file__).parent
+    pairs = [pair for path in sorted(package.glob("*.py")) for pair in _names_read(path)]
+    reads = dict(pairs)
+    assert {"quadratic", "_dp54"} <= reads["dynamics._flow"]
+    assert [name for name, names in pairs if "_dp54" in names] == ["dynamics._flow"]
+    parts = {"quadratic", "total_gamma", "noise_matrix", "_centre_map", "_gramian", "_dp54"}
+    for caller in ("dynamics.advect", "dynamics.decoherence_matrix",
+                   "dynamics.evolve_chord_function", "lwc.branch_lines"):
+        assert "_flow" in reads[caller] and not reads[caller] & parts, caller
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("family", ["harmonic", "quartic"])
 def test_advect_rejects_a_non_finite_time(family, t):
@@ -272,9 +316,10 @@ def test_batched_rk4_equals_per_sample_calls():
                 for a, b in zip(batch, one):
                     assert np.max(np.abs(a[j] - b[0])) <= 1e-15 * np.max(np.abs(b[0]))
         batch = dy._dp54(H, gamma, x, 0.4, 40)
+        assert batch[2] is None  # no Phi without the noise
         for j in range(len(x)):
             one = dy._dp54(H, gamma, x[j:j + 1], 0.4, 40)
-            for a, b in zip(batch, one):
+            for a, b in zip(batch[:2], one[:2]):
                 assert np.max(np.abs(a[j] - b[0])) <= 1e-15 * np.max(np.abs(b[0]))
 
 
@@ -284,8 +329,8 @@ def test_centre_trajectory_monodromy_dets():
     trajectory through (1, 0)."""
     H = dy.hamiltonians.harmonic()
     t = 2.0 * math.pi
-    s, _ = dy._dp54(H, DAMPING.gamma, np.array([[1.0, 0.0]]), t, dy._steps_for(t, 1e-3),
-                    DAMPING.noise)
+    s, _, _ = dy._dp54(H, DAMPING.gamma, np.array([[1.0, 0.0]]), t, dy._steps_for(t, 1e-3),
+                       DAMPING.noise)
     x, m = s[..., 0], s[0, :, 1:3]
     d_chord = np.linalg.det(m)
     d_centre = np.linalg.det(-J_MATRIX @ np.linalg.inv(m.T) @ J_MATRIX)
@@ -294,10 +339,11 @@ def test_centre_trajectory_monodromy_dets():
     # full-turn rotation: monodromy is the pure scale factor
     assert np.max(np.abs(m - math.exp(t) * np.eye(2))) < 1e-6 * math.exp(t)
     assert np.max(np.abs(x[0] - [math.exp(-t), 0.0])) < 1e-12
-    # no steps: the start point, M = I, G = 0 and no error
-    s0, err0 = dy._dp54(H, DAMPING.gamma, np.array([[1.0, 0.0]]), 0.0, 0, DAMPING.noise)
+    # no steps: the start point, M = I, G = Phi = 0 and no error
+    s0, err0, phi0 = dy._dp54(H, DAMPING.gamma, np.array([[1.0, 0.0]]), 0.0, 0, DAMPING.noise)
     assert np.array_equal(s0[..., 0], [[1.0, 0.0]]) and np.array_equal(s0[..., 1:3], [np.eye(2)])
     assert np.array_equal(s0[..., 3:], np.zeros((1, 2, 2))) and np.array_equal(err0, [0.0])
+    assert np.array_equal(phi0, np.zeros((1, 2, 2)))
 
 
 def test_degenerate_times_and_steps_raise():
@@ -614,7 +660,7 @@ def test_step_error_estimate_errs_on_the_safe_side(model, frame):
     ref = np.array([_phi_reference(H, ch, a, 1.0, frame) for a in anchors])
     scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
     for dt in (0.25, 0.1, 0.05, 1e-2):
-        phis, errs = dy._decoherence_phis(H, ch, anchors, 1.0, dt, frame=frame)
+        _, phis, errs = dy._flow(H, ch, anchors, -1.0 if frame == "final" else 1.0, dt, "start")
         true = np.max(np.abs(phis - ref), axis=(1, 2)) / scale
         if dt == 0.25:
             assert np.all(errs > 1e-6) and np.all(true > 1e-6)
@@ -682,16 +728,17 @@ def test_phi_anchor_independent_for_quadratic():
 @pytest.mark.parametrize("frame", ["final", "initial"])
 def test_quadratic_phis_share_one_gramian(frame, monkeypatch):
     """A quadratic model has one chord generator, so a batch of anchors takes
-    one block exponential; each anchor's matrix is decoherence_matrix's."""
+    one block exponential and shares its one (2, 2) Phi, which is every
+    anchor's decoherence_matrix."""
     H = dy.hamiltonians.harmonic(0.7)
     chans = [DAMPING, Q_CHANNEL]
     anchors = np.array([[0.0, 0.0], [2.0, -1.0], [-0.3, 0.5]])
     calls = []
     real = dy._gramian
     monkeypatch.setattr(dy, "_gramian", lambda *a: calls.append(a) or real(*a))
-    phis, errs = dy._decoherence_phis(H, chans, anchors, 0.6, 1e-3, frame=frame)
-    assert len(calls) == 1 and errs.tolist() == [0.0] * 3 and phis.shape == (3, 2, 2)
-    for anchor, phi in zip(anchors, phis):
+    _, phi, errs = dy._flow(H, chans, anchors, -0.6 if frame == "final" else 0.6, 1e-3, "start")
+    assert len(calls) == 1 and errs.tolist() == [0.0] * 3 and phi.shape == (2, 2)
+    for anchor in anchors:
         want = dy.decoherence_matrix(H, chans, anchor, 0.6, frame=frame).phi
         assert phi.tobytes() == want.tobytes()
 

@@ -111,6 +111,15 @@ def test_coherent_amplitudes_formula():
         coherent_amplitudes((0.0, 1.0), HBAR, 12)
 
 
+@pytest.mark.parametrize("build", [coherent_amplitudes, coherent_density_matrix,
+                                   cat_density_matrix])
+@pytest.mark.parametrize("dim", [0, -2])
+def test_an_empty_basis_raises_naming_dim(build, dim):
+    """Before, dim = 0 raised IndexError from the first amplitude's store."""
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        build((0.3, -0.4), HBAR, dim)
+
+
 def test_chord_function_matches_closed_form():
     state = CoherentState((0.3, -0.4), HBAR)
     rho = coherent_density_matrix(state.eta, HBAR, 96)

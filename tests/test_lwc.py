@@ -775,14 +775,15 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
     channels = [dynamics.LindbladChannel((0.0, 0.8))]
     t, dt, qs = 1.0, 0.25, [-0.3, 0.2]
     errs = []
-    real = dynamics._decoherence_phis
+    real = dynamics._flow
 
-    def recording(*args):
-        phis, e = real(*args)
-        errs.append(e)
-        return phis, e
+    def recording(H, channels, x, t, dt, phi=None):
+        out = real(H, channels, x, t, dt, phi)
+        if phi is not None:  # the anchor pass, not the curve's centre flow
+            errs.append(out[2])
+        return out
 
-    monkeypatch.setattr(dynamics, "_decoherence_phis", recording)
+    monkeypatch.setattr(dynamics, "_flow", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         lines = branch_lines(curve, qs, HBAR, 0.2, H, channels, t, dt)
@@ -808,6 +809,18 @@ def test_branch_lines_of_no_windows_is_empty():
         branch_lines(curve, [], -HBAR, 0.2, hamiltonians.zero(), (), 0.0)
     with pytest.raises(ValueError, match="t must be finite and nonnegative"):
         branch_lines(curve, [], HBAR, 0.2, hamiltonians.harmonic(), channels, math.nan)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.2])
+def test_branch_lines_checks_the_window_width(delta):
+    """Before, a nan or infinite width gave nan or inf line variances and a
+    negative one read as its absolute value.  A width of 0 is the bare sum
+    of the sc-berry route: every line variance is 0 at t = 0."""
+    curve = harmonic_circle(0.5, 256)
+    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        branch_lines(curve, [0.3], HBAR, delta, hamiltonians.zero(), (), 0.0)
+    [bare] = branch_lines(curve, [0.3], HBAR, 0.0, hamiltonians.zero(), (), 0.0)
+    assert bare.variance.size == 2 and not np.any(bare.variance)
 
 
 @pytest.mark.parametrize("family", ["ring", "quartic", "pendulum"])
