@@ -438,6 +438,8 @@ def _exp_spectrum(cfg: Config, out: str, hbar: float) -> dict:
 
 def _exp_positivity(cfg: Config, out: str, hbar: float) -> dict:
     model, channels = _hamiltonian(cfg), _channels(cfg)
+    if not model.quadratic:
+        raise ConfigError(f"hamiltonian.family {model.name!r}: positivity needs a quadratic model")
     if not channels:
         raise ConfigError("positivity needs at least one channel")
     tp = positivity_time(model, channels)

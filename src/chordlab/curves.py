@@ -4,7 +4,8 @@ A curve is a dense sampling of theta -> x(theta) = (p, q) with periodic
 cubic splines providing derivatives.  For the built-in families the
 parameter theta is 2 pi t / T along the Hamiltonian flow, so the branch
 amplitude |d theta / dQ| is the classical residence density familiar from
-WKB intensities.
+WKB intensities; the quartic and pendulum orbits are sampled from their
+Jacobi elliptic closed forms (``_jacobi``), with no integrator.
 
 The spline is this module's own (``_periodic_spline``): the node slopes
 solve the cyclic tridiagonal system with one banded solve, and evaluation is
@@ -30,8 +31,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import dynamics
-from .diagnostics import ConvergenceWarning, _measured
-from .grids import _BLOCK_ELEMENTS, _check_finite, _check_positive
+from .grids import _check_finite, _check_positive
 
 __all__ = [
     "LagrangianCurve",
@@ -102,6 +102,7 @@ class LagrangianCurve:
 
 #: Newton steps (each kept inside its run by bisection) allowed per root
 _ROOT_STEPS = 64
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -270,110 +271,67 @@ def harmonic_circle(action: float, samples: int = 1024) -> LagrangianCurve:
     return LagrangianCurve(th, pts, action)
 
 
-#: cosine-series sizes for the time along a librating orbit: first and cap
-_SERIES_START = 16
-_SERIES_CAP = 1 << 16
-#: relative size the top quarter of the series must fall below, or below
-#: _SERIES_FLOOR eps max(w) / c_0, the FFT's rounding floor, if that is larger
-_SERIES_TOL = 1e-15
-_SERIES_FLOOR = 4.0
-_EPS = np.finfo(float).eps
-_NEWTON_ITERATIONS = 12
+def _jacobi(theta, m1: float):
+    """(sn, cn, dn)(u | m) at u = theta 2 K(m) / pi, m = 1 - m1, so one
+    period 4 K maps onto theta in [0, 2 pi).
 
-
-def _librating_curve(k_factor, q_plus: float, samples: int) -> LagrangianCurve:
-    """Level curve of H = p^2/2 + V(q) with E - V(q) = (q_plus^2 - q^2) K(q).
-
-    With q = q_plus cos(phi) the time along the orbit has the analytic, even
-    and pi-periodic density w(phi) = dt/dphi = 1 / sqrt(2 K(q)).  One real FFT
-    of w on N nodes over [0, pi) gives w = c_0 + sum 2 c_k cos(2 k phi), so
-    t(phi) = c_0 phi + sum c_k sin(2 k phi) / k and T = 2 pi c_0.  N doubles
-    until the top quarter of the c_k falls below ``_SERIES_TOL`` c_0, or below
-    the FFT's rounding floor ``_SERIES_FLOOR`` eps max(w) / c_0 where that is
-    larger (the tail is the measured error; past ``_SERIES_CAP`` it is
-    reported as a ConvergenceWarning).  The samples at t = k T / m come from Newton's
-    method on t(phi), started from t inverted linearly between the nodes, and
-    x = (-q_plus sin(phi) sqrt(2 K), q_plus cos(phi)) lies on the energy
-    shell to rounding.  theta = 2 pi t / T starts at the upper turning point
-    and moves first with p < 0.
+    The amplitude phi = am(u | m) comes from the arithmetic-geometric mean
+    (Abramowitz & Stegun 16.4): a_0 = 1, b_0 = sqrt(m1), and, with
+    c_n = (a_{n-1} - b_{n-1}) / 2 = a_{n-1} - a_n, phi_N = 2^N a_N u = 2^N
+    theta once c_N / a_N falls below eps; then phi_{n-1} = (phi_n +
+    arcsin(c_n sin(phi_n) / a_n)) / 2.  dn = sqrt(m1 + m cos^2 phi) keeps
+    dn^2 = 1 - m sn^2 without cancellation near m = 1.
     """
-
-    def density(phi):
-        return 1.0 / np.sqrt(2.0 * k_factor(q_plus * np.cos(phi)))
-
-    notes: list = []
-    n = _SERIES_START
+    a, b, ratios = 1.0, math.sqrt(m1), []
     while True:
-        w = density(np.arange(n) * (math.pi / n))
-        c = np.fft.rfft(w).real / n
-        tail = float(np.max(np.abs(c[3 * n // 8:]))) / c[0]
-        # the FFT's rounding floor: below it the tail is noise, not truncation
-        limit = max(_SERIES_TOL, _SERIES_FLOOR * _EPS * float(np.max(w)) / c[0])
-        if tail <= limit or n >= _SERIES_CAP:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+        if c <= _EPS * a:
             break
-        n *= 2
-    _measured(notes, tail, limit, f"orbit time series unconverged at {n} nodes: top-quarter "
-              "coefficients {:.1e} of the mean (near the separatrix?)", ConvergenceWarning)
-    k = np.arange(1, n // 2)
-    sine_weights = c[1:n // 2] / k
-    period = _TWO_PI * c[0]
-
-    def time_at(phi):
-        out = c[0] * phi
-        step = max(1, _BLOCK_ELEMENTS // k.size)
-        for j in range(0, phi.size, step):
-            js = slice(j, j + step)
-            table = np.outer(phi[js], 2.0 * k)
-            out[js] += np.sin(table, out=table) @ sine_weights
-            del table  # one table alive at a time
-        return out
-
-    th = _sample_angles(samples)
-    target = th * (period / _TWO_PI)
-    # one inverse FFT gives t at the nodes; t(phi + pi) = t(phi) + T/2 extends
-    # them to [0, 2 pi]
-    nodes = np.arange(2 * n + 1) * (math.pi / n)
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1:n // 2] = -0.5j * n * sine_weights
-    t_half = c[0] * nodes[:n] + np.fft.irfft(spectrum, n)
-    phi = np.interp(target, np.concatenate([t_half, t_half + 0.5 * period, [period]]), nodes)
-    # Newton is asked for the accuracy of the series itself, not beyond it
-    tol = max(tail, _SERIES_TOL) * period
-    for _ in range(_NEWTON_ITERATIONS):
-        residual = time_at(phi) - target
-        phi -= residual / density(phi)
-        if np.max(np.abs(residual)) <= tol:
-            break
-    else:
-        raise RuntimeError(f"orbit sampling: Newton did not converge in {_NEWTON_ITERATIONS} "
-                           f"steps (time residual {np.max(np.abs(residual)) / period:.1e} T)")
-    q = q_plus * np.cos(phi)
-    p = -q_plus * np.sin(phi) * np.sqrt(2.0 * k_factor(q))
-    pts = np.stack([p, q], axis=-1)
-    return LagrangianCurve(th, pts, warnings=notes)
+    phi = np.asarray(theta, dtype=float) * 2.0 ** len(ratios)
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    return sn, cn, np.sqrt(m1 + (1.0 - m1) * cn * cn)
 
 
 def quartic_level_curve(energy: float, a: float = 1.0, b: float = 0.0,
                         samples: int = 1024) -> LagrangianCurve:
-    """Level set of H = p^2/2 + a q^4/4 + b q^2/2 at the given energy."""
+    """Level set of H = p^2/2 + a q^4/4 + b q^2/2 at the given energy: the
+    Duffing orbit q = q+ cn(omega t | m), p = -q+ omega sn dn, with omega^2 =
+    b + a q+^2 and m = a q+^2 / (2 omega^2) <= 1/2, sampled at t = k T / n
+    from the upper turning point, moving first with p < 0."""
     if not (0 < energy < math.inf and 0 < a < math.inf and 0 <= b < math.inf):
         raise ValueError("need energy > 0, a > 0, b >= 0")
     q2 = 4.0 * energy / (b + math.sqrt(b * b + 4.0 * a * energy))  # a q^4/4 + b q^2/2 = E
-    return _librating_curve(lambda q: 0.25 * a * (q2 + q * q) + 0.5 * b,
-                            math.sqrt(q2), samples)
+    q_plus, omega2 = math.sqrt(q2), b + a * q2
+    th = _sample_angles(samples)
+    sn, cn, dn = _jacobi(th, (b + 0.5 * a * q2) / omega2)
+    pts = np.stack([-q_plus * math.sqrt(omega2) * sn * dn, q_plus * cn], axis=-1)
+    return LagrangianCurve(th, pts)
 
 
 def pendulum_level_curve(energy: float, g: float = 1.0, samples: int = 1024) -> LagrangianCurve:
-    """Librating level set of H = p^2/2 - g cos q (requires -g < E < g)."""
+    """Librating level set of H = p^2/2 - g cos q (requires -g < E < g).
+
+    With k^2 = (1 + E/g) / 2 the orbit is sin(q/2) = k sn(v | k^2), p =
+    -2 k sqrt(g) cn(v | k^2), v = K - sqrt(g) t the scaled time to the next
+    bottom crossing, so sample k at t = k T / n (theta = 2 pi k / n) reads the
+    Jacobi functions at pi/2 - theta.  Taken in the half-angle form q = 2
+    atan2(k sn, dn), with dn = cos(q/2) from ``_jacobi``, nothing is divided
+    by dn or k': towards the separatrix the samples stay at rounding, where
+    q = 2 arcsin(k sn) or the same orbit read from the turning point would
+    lose digits as eps / k'.  Sampling starts at the upper turning point,
+    moving first with p < 0.
+    """
     if not (-g < energy < g):
         raise ValueError("libration requires -g < energy < g")
     _check_positive(g, "g")  # g = inf passes the range test
-    q_plus = math.acos(-energy / g)
-
-    def k_factor(q):  # g (cos q - cos q_plus) / (q_plus^2 - q^2), np.sinc(x) = sin(pi x)/(pi x)
-        return 0.5 * g * np.sinc((q_plus + q) / _TWO_PI) * np.sinc((q_plus - q) / _TWO_PI)
-
-    return _librating_curve(k_factor, q_plus, samples)
+    k = math.sqrt(0.5 * (1.0 + energy / g))
+    th = _sample_angles(samples)
+    sn, cn, dn = _jacobi(0.5 * math.pi - th, 0.5 * (1.0 - energy / g))
+    pts = np.stack([-2.0 * k * math.sqrt(g) * cn, 2.0 * np.arctan2(k * sn, dn)], axis=-1)
+    return LagrangianCurve(th, pts)
 
 
 @dataclass(frozen=True)

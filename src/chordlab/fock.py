@@ -204,10 +204,18 @@ def pure_density(psi: np.ndarray, hbar: float) -> FockDensityMatrix:
     return FockDensityMatrix(np.outer(psi, psi.conj()), hbar)
 
 
+def _check_level(value, name: str, low: int = 0, high=None) -> int:
+    """int(value), or ValueError naming ``name`` unless value is a whole
+    number at least ``low`` (and below ``high`` when given); nan and inf fail."""
+    if not (value % 1 == 0 and low <= value and (high is None or value < high)):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {bound}, a whole number, got {value!r}")
+    return int(value)
+
+
 def coherent_amplitudes(eta, hbar: float, dim: int, sink=None) -> np.ndarray:
     """<n|eta> for the coherent state at centre eta = (eta_p, eta_q), n < dim."""
-    if not dim >= 1:
-        raise ValueError(f"dim must be at least 1, got {dim!r}")
+    dim = _check_level(dim, "dim", 1)
     eta_p, eta_q = CoherentState(eta, hbar).eta
     alpha = (eta_q + 1j * eta_p) / math.sqrt(2.0 * hbar)
     c = np.empty(dim, dtype=complex)
@@ -251,8 +259,8 @@ def cat_density_matrix(eta, hbar: float, dim: int) -> FockDensityMatrix:
 
 
 def fock_density_matrix(n: int, hbar: float, dim: int) -> FockDensityMatrix:
-    if not 0 <= n < dim:
-        raise ValueError("need 0 <= n < dim")
+    dim = _check_level(dim, "dim", 1)
+    n = _check_level(n, "n", 0, dim)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[n, n] = 1.0
     return FockDensityMatrix(rho, hbar)
@@ -539,16 +547,19 @@ def lindblad_evolve(rho0, h_mat, l_mats, t: float, hbar: float,
     applied: it would cost the state's trace an order of magnitude in
     rounding.
 
-    t must be finite and nonnegative, hbar finite and positive, rho0 finite
-    and Hermitian with a positive trace (and, for a FockDensityMatrix, hbar
-    equal to ``hbar``), h_mat finite and Hermitian, every L finite, h_mat and
-    every L the shape of rho0, and t times the generator finite; anything else
-    raises ValueError.  So does a plan of more rounds than its rounding
-    allows, s eps > 1e-8 (the trace tolerance; s > 4.5e7 rounds), before any
-    round runs: each round rounds the state afresh.
+    t must be finite and nonnegative, hbar finite and positive, rho0 a
+    nonempty square matrix, finite and Hermitian with a positive trace (and,
+    for a FockDensityMatrix, hbar equal to ``hbar``), h_mat finite and
+    Hermitian, every L finite, h_mat and every L the shape of rho0, and t
+    times the generator finite; anything else raises ValueError.  So does a
+    plan of more rounds than its rounding allows, s eps > 1e-8 (the trace
+    tolerance; s > 4.5e7 rounds), before any round runs: each round rounds
+    the state afresh.
     """
     rho = np.array(getattr(rho0, "rho", rho0), dtype=complex)
     l_mats = list(l_mats)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise ValueError(f"rho0 must be a nonempty square matrix, got shape {rho.shape}")
     dim = rho.shape[0]
     _check_time(t)
     _check_positive(hbar, "hbar")
@@ -628,6 +639,7 @@ def hermite_functions(n_max: int, x, hbar: float) -> np.ndarray:
     hbar/2 matching the coherent-state convention.  Negating x negates the
     odd orders bit for bit.
     """
+    n_max = _check_level(n_max, "n_max")
     _check_positive(hbar, "hbar")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = x / math.sqrt(hbar)

@@ -75,8 +75,9 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
                         exp(+i P xi_q / hbar) exp(-Delta^2 xi_q^2 / 2 hbar^2),
 
     exact if and only if every window has Delta = sqrt(hbar / 2).  The shared
-    xi_q grid must be uniform and increasing.  Returns an array of shape
-    (len(p_axis), len(samples)), one column per window centre.
+    xi_q grid must be uniform and increasing, and p_axis 1-D, finite and
+    nonempty.  Returns an array of shape (len(p_axis), len(samples)), one
+    column per window centre.
     """
     samples = list(samples)
     if not samples:
@@ -95,6 +96,8 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
         if s.xi_q.shape != xi_q.shape or not np.allclose(s.xi_q, xi_q, rtol=0, atol=1e-12):
             raise ValueError("all samples must share one xi_q grid")
     p_axis = np.asarray(p_axis, dtype=float)
+    if p_axis.ndim != 1 or p_axis.size == 0 or not np.all(np.isfinite(p_axis)):
+        raise ValueError(f"p_axis must be 1-D, finite and nonempty, got shape {p_axis.shape}")
     d = _uniform_step(xi_q, "xi_q grid", 3)
     w = simpson_weights(xi_q.size, d) * np.exp(-(want * xi_q) ** 2 / (2.0 * hb**2))
     kernel = np.exp(1j * np.outer(p_axis, xi_q) / hb) * w

@@ -205,6 +205,8 @@ xi.half_width = {half}
     # values the library call rejects with ValueError, reported with their keys
     ("positivity", "hamiltonian.family = free\nhamiltonian.mass = 0\nchannel = 0 1 0 0\n",
      "hamiltonian.mass: mass must be nonzero"),
+    ("positivity", "hamiltonian.family = quartic\nchannel = 0 1 0 0\n",
+     "hamiltonian.family 'quartic': positivity needs a quadratic model"),
     ("evolve-chord", "hamiltonian.family = free\nhamiltonian.mass = 0\ngrid.points = 16\n"
      "time.t = 0.1\n", "hamiltonian.mass: mass must be nonzero"),
     ("evolve-chord", "state.family = circle\nstate.action = 0\nxi.points = 16\n",
@@ -240,7 +242,7 @@ xi.half_width = {half}
         "samples-4", "xi-zero", "fock-dim-zero", "fock-dim-negative", "fock-n-negative",
         "fock-n-too-large", "evolve-chord-dt-zero",
         "lwc-dt-negative", "spectrum-dt-zero", "evolve-chord-t-negative",
-        "spectrum-t-negative", "free-mass-zero-positivity",
+        "spectrum-t-negative", "free-mass-zero-positivity", "quartic-positivity",
         "free-mass-zero-evolve-chord", "circle-action-zero", "circle-action-negative",
         "quartic-energy-zero", "pendulum-energy-2", "pendulum-g-zero", "auto-xi-points-4",
         "explicit-xi-points-4",

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import ellipj, ellipk
+from scipy.special import ellipj, ellipk, ellipkm1
 
 from chordlab import curves as cv
 from chordlab import dynamics as dy
-from chordlab.diagnostics import ConvergenceWarning
 from chordlab.grids import _BLOCK_ELEMENTS
 from chordlab.curves import (
     LagrangianCurve,
@@ -337,19 +336,75 @@ def test_pendulum_near_separatrix_stays_on_shell_in_bounded_memory():
     assert curve.warnings == []
     assert np.max(np.abs(H(curve.points) - 0.99999)) < 1e-14
     assert curve.points[:, 1].max() < math.pi
-    # closer still, the time series reaches its node cap: the curve carries
-    # a ConvergenceWarning, and the 256 x 32767 phase table (67 MB in one
-    # piece) is built one block at a time
-    tracemalloc.start()
-    try:
-        with pytest.warns(ConvergenceWarning, match="unconverged"):
-            capped = pendulum_level_curve(1.0 - 1e-9, samples=256)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(capped.warnings) == 1 and "65536 nodes" in capped.warnings[0]
-    assert peak < 2 * 8 * _BLOCK_ELEMENTS
-    assert np.max(np.abs(H(capped.points) - (1.0 - 1e-9))) < 1e-14
+    # closer still, the closed form divides by neither dn nor k': the samples
+    # stay on the shell and on the flow at rounding, with no note, and no
+    # table grows with the closeness
+    for energy in (1.0 - 1e-9, 1.0 - 1e-13):
+        tracemalloc.start()
+        try:
+            close = pendulum_level_curve(energy, samples=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert close.warnings == []
+        assert peak < 2 * 8 * _BLOCK_ELEMENTS
+        assert np.max(np.abs(H(close.points) - energy)) < 1e-14
+        assert _flow_step_error(close, lambda q: -np.sin(q), _pendulum_period(energy, 1.0)) < 1e-13
+
+
+def _pendulum_period(energy, g):
+    """4 K(k^2) / sqrt(g) with K from ellipkm1(k'^2): ellipk of a k^2 rounded
+    near 1 gives a wrong period."""
+    return 4.0 * ellipkm1(0.5 * (1.0 - energy / g)) / math.sqrt(g)
+
+
+def _quartic_period(energy, a, b):
+    q2 = (math.sqrt(b * b + 4.0 * a * energy) - b) / a
+    omega = math.sqrt(b + a * q2)
+    return 4.0 * ellipk(a * q2 / (2.0 * omega * omega)) / omega
+
+
+def _flow_step_error(curve, force, period):
+    """max|flow(x_k, T/n) - x_{k+1}| / max|x| over the n samples, the flow of
+    H = p^2/2 + V(q) with -V' = force from scipy's DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    x = curve.points
+    scale = np.max(np.abs(x))
+
+    def rhs(_, y):
+        p, q = y.reshape(2, -1)
+        return np.concatenate([force(q), p])
+
+    sol = solve_ivp(rhs, (0.0, period / x.shape[0]), x.T.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-15 * scale)
+    return np.max(np.abs(sol.y[:, -1].reshape(2, -1).T - np.roll(x, -1, axis=0))) / scale
+
+
+@pytest.mark.parametrize("family, energy, params", [
+    ("quartic", 0.15, (1.0, 0.0)),
+    ("quartic", 1.0, (1.3, 0.8)),
+    ("quartic", 3.0, (1.0, 2.0)),
+    ("pendulum", -0.999, (1.0,)),
+    ("pendulum", 0.2, (1.0,)),
+    ("pendulum", 0.9, (2.0,)),
+    ("pendulum", 0.999, (1.0,)),
+    ("pendulum", 0.99999, (1.0,)),
+])
+def test_level_curve_samples_follow_the_flow(family, energy, params):
+    """Each of 16 samples, advanced by T/16 along the flow, lands on the next
+    sample within 1e-13 of max|x|: an independent check of shape, period and
+    the uniform time labels, up to the separatrix's edge."""
+    if family == "quartic":
+        a, b = params
+        curve = quartic_level_curve(energy, a, b, samples=16)
+        err = _flow_step_error(curve, lambda q: -(a * q**3 + b * q), _quartic_period(energy, a, b))
+    else:
+        (g,) = params
+        curve = pendulum_level_curve(energy, g, samples=16)
+        err = _flow_step_error(curve, lambda q: -g * np.sin(q), _pendulum_period(energy, g))
+    assert curve.warnings == []
+    assert err < 1e-13
 
 
 def test_branches_on_the_circle():

@@ -7,7 +7,7 @@ import pytest
 
 import chordlab
 from chordlab import hamiltonians
-from chordlab.curves import harmonic_circle, pendulum_level_curve, quartic_level_curve
+from chordlab.curves import harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning, _measured, _real_part
 from chordlab.dynamics import LindbladChannel, decoherence_matrix, evolve_chord_function
 from chordlab.fock import coherent_density_matrix
@@ -94,7 +94,6 @@ _RING, _ZERO = harmonic_circle(0.5, 256), hamiltonians.zero()
 
 # Each case's note-raising call starts on its lambda's first line.
 _CASES = {
-    "orbit-tail": lambda: pendulum_level_curve(1 - 1e-13, samples=64),
     "step-note": lambda: decoherence_matrix(
         hamiltonians.quartic(), [LindbladChannel((0, 1), (1, 0)), LindbladChannel((0, 0.5))],
         (0.9, 0.1), 2.0),

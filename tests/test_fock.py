@@ -120,6 +120,34 @@ def test_an_empty_basis_raises_naming_dim(build, dim):
         build((0.3, -0.4), HBAR, dim)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fock_density_matrix(2.5, HBAR, 10),
+     r"n must be in \[0, 10\), a whole number, got 2.5$"),
+    (lambda: fock_density_matrix(10, HBAR, 10), r"n must be in \[0, 10\), a whole number, got 10"),
+    (lambda: fock_density_matrix(-1, HBAR, 10), r"n must be in \[0, 10\)"),
+    (lambda: fock_density_matrix(math.nan, HBAR, 10), r"n must be in \[0, 10\)"),
+    (lambda: fock_density_matrix(0, HBAR, 12.5), "dim must be at least 1, a whole number, got 12"),
+    (lambda: fock_density_matrix(0, HBAR, 0), "dim must be at least 1"),
+    (lambda: coherent_amplitudes((0.3, -0.4), HBAR, 12.5), "dim must be at least 1, a whole"),
+    (lambda: coherent_density_matrix((0.3, -0.4), HBAR, 12.5), "dim must be at least 1, a whole"),
+    (lambda: cat_density_matrix((0.3, -0.4), HBAR, math.inf), "dim must be at least 1, a whole"),
+    (lambda: hermite_functions(-1, [0.0], HBAR), "n_max must be at least 0, a whole number"),
+    (lambda: hermite_functions(2.5, [0.0], HBAR), "n_max must be at least 0, a whole number"),
+], ids=["fock-n-half", "fock-n-dim", "fock-n-negative", "fock-n-nan", "fock-dim-half",
+        "fock-dim-zero", "amplitudes-dim-half", "coherent-dim-half", "cat-dim-inf",
+        "hermite-negative", "hermite-half"])
+def test_number_basis_counts_name_themselves(call, message):
+    """Before, these raised numpy's IndexError or TypeError, naming nothing."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_whole_float_counts_pass():
+    rho = fock_density_matrix(2.0, HBAR, 10.0)
+    assert rho.dim == 10 and rho.populations()[2] == 1.0
+    assert hermite_functions(3.0, [0.1], HBAR).shape == (4, 1)
+
+
 def test_chord_function_matches_closed_form():
     state = CoherentState((0.3, -0.4), HBAR)
     rho = coherent_density_matrix(state.eta, HBAR, 96)
@@ -583,8 +611,10 @@ def test_leak_error_comes_from_the_first_round_past_the_tolerance():
     ({"hbar": math.nan}, "hbar must be finite and positive"),
     ({"h_mat": np.zeros((23, 23))}, r"h_mat has shape \(23, 23\)"),
     ({"l_mats": [np.zeros((24, 24)), np.zeros((24, 25))]}, r"l_mats\[1\] has shape"),
+    ({"rho0": np.eye(2, 3)}, r"rho0 must be a nonempty square matrix, got shape \(2, 3\)"),
+    ({"rho0": np.zeros((0, 0))}, r"rho0 must be a nonempty square matrix, got shape \(0, 0\)"),
 ], ids=["t-nan", "t-inf", "t-negative", "hbar-zero", "hbar-negative", "hbar-inf", "hbar-nan",
-        "h-shape", "l-shape"])
+        "h-shape", "l-shape", "rho-not-square", "rho-empty"])
 def test_lindblad_evolve_rejects_bad_times_and_shapes(kwargs, message):
     dim = 24
     args = {"rho0": coherent_density_matrix((0.0, 0.0), HBAR, dim),

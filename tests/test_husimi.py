@@ -64,6 +64,18 @@ def test_husimi_from_lwc_reports_an_imaginary_residue():
     assert len(sink) == 1 and sink[0].endswith("above 1e-8")
 
 
+@pytest.mark.parametrize("p_axis", [[0.0, math.nan], np.zeros((2, 2)), [], 0.0],
+                         ids=["nan", "two-d", "empty", "scalar"])
+def test_husimi_from_lwc_checks_its_momentum_axis(p_axis):
+    """Before, a nan node came back nan, reported only as a nan imaginary
+    residue; a (2, 2) axis was flattened into 4 rows; an empty one raised
+    numpy's zero-size error."""
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    vals = np.exp(-(xi_q**2) / (2.0 * HBAR)).astype(complex)
+    with pytest.raises(ValueError, match="p_axis must be 1-D, finite and nonempty"):
+        husimi_from_lwc([LwcSample(xi_q, vals, LwcWindow.husimi_matched(0.0, HBAR))], p_axis)
+
+
 def test_husimi_from_wigner_matches_closed_form():
     state = CoherentState((0.3, -0.2), HBAR)
     grid = CenteredGrid(2.5, 2.5, 256, HBAR)
