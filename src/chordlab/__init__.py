@@ -8,9 +8,8 @@ densities, and an exact number-basis oracle to check it all against.
 """
 
 from .chordfn import ChordFunction
-from .curves import (BranchData, LagrangianCurve, branches_at, curve_from_samples,
-                     evolve_curve_classically, harmonic_circle,
-                     pendulum_level_curve, quartic_level_curve)
+from .curves import (BranchData, LagrangianCurve, branches_at, evolve_curve_classically,
+                     harmonic_circle, pendulum_level_curve, quartic_level_curve)
 from .diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
 from .dynamics import (DecoherenceMatrix, HamiltonianModel, LindbladChannel, advect,
                        decoherence_matrix, evolve_chord_function, hamiltonians, noise_matrix,

@@ -616,7 +616,7 @@ def evolve_chord_function(source, H, channels, t: float, dt: float = PER_ROW,
     _check_time(t)
     pts, w, hbar, coarse = _source_samples(source, hbar)
     xt, phi, est = _flow(H, channels, pts, t, dt, "end")
-    out = ChordFunction.from_terms(xt, w, phi, hbar, warnings=getattr(source, "warnings", ()))
+    out = ChordFunction.from_terms(xt, w, phi, hbar)
     if convergence_check and t > 0:
         _measured(out.warnings, float(np.max(est)), 1e-8, _STEP_NOTE, ConvergenceWarning)
         if coarse is None:

@@ -637,11 +637,13 @@ def hermite_functions(n_max: int, x, hbar: float) -> np.ndarray:
 
     Stable three-term recurrence; psi_0 is the round Gaussian of variance
     hbar/2 matching the coherent-state convention.  Negating x negates the
-    odd orders bit for bit.
+    odd orders bit for bit.  x must be a finite scalar or 1-D array.
     """
     n_max = _check_level(n_max, "n_max")
     _check_positive(hbar, "hbar")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be a finite scalar or 1-D array, got shape {x.shape}")
     u = x / math.sqrt(hbar)
     out = np.empty((n_max + 1, x.size))
     out[0] = (math.pi * hbar) ** -0.25 * np.exp(-0.5 * u**2)

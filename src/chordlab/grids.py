@@ -105,13 +105,14 @@ class CenteredGrid:
             hbar=self.hbar,
         )
 
-    def is_conjugate_of(self, other: "CenteredGrid", rtol: float = 1e-9) -> bool:
-        if self.points != other.points or abs(self.hbar - other.hbar) > rtol * self.hbar:
+    def is_conjugate_of(self, other: "CenteredGrid") -> bool:
+        """Whether this grid is ``other.conjugate()`` to a relative 1e-9."""
+        if self.points != other.points or abs(self.hbar - other.hbar) > 1e-9 * self.hbar:
             return False
         want = other.conjugate()
         return bool(
-            np.isclose(self.half_width_p, want.half_width_p, rtol=rtol)
-            and np.isclose(self.half_width_q, want.half_width_q, rtol=rtol)
+            np.isclose(self.half_width_p, want.half_width_p, rtol=1e-9)
+            and np.isclose(self.half_width_q, want.half_width_q, rtol=1e-9)
         )
 
 

@@ -92,14 +92,20 @@ class LwcWindow:
 
 @dataclass(frozen=True)
 class LwcSample:
-    """C(xi_q) on a xi_q grid; a sample summed from lines (branch or term
-    lines) keeps them."""
+    """C(xi_q) on a 1-D xi_q grid, one value per chord; a sample summed from
+    lines (branch or term lines) keeps them."""
 
     xi_q: np.ndarray
     values: np.ndarray
     window: LwcWindow | None
     warnings: list = field(default_factory=list)
     lines: Lines | None = None
+
+    def __post_init__(self):
+        shapes = np.shape(self.xi_q), np.shape(self.values)
+        if len(shapes[0]) != 1 or shapes[1] != shapes[0]:
+            raise ValueError(f"xi_q must be 1-D and values of its shape, got shapes {shapes[0]} "
+                             f"and {shapes[1]}")
 
     @property
     def branches(self) -> BranchData | None:
@@ -176,8 +182,11 @@ class Lines:
     def sample(self, xi_q, window: LwcWindow | None) -> LwcSample:
         """C(xi_q) = sum_k A_k exp(-i p_k xi_q / hbar - sigma_k^2 xi_q^2 / 2 hbar^2),
         the Fourier pair of the lines, as a sample of ``window`` (None for width
-        0) that keeps these lines and their notes: the plane-wave sum of the
-        terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar at the chords (0, -xi_q)."""
+        0, else of the lines' hbar) that keeps these lines and their notes: the
+        plane-wave sum of the terms (p_k, 0) with Phi_qq,k = sigma_k^2 / hbar
+        at the chords (0, -xi_q)."""
+        if window is not None:
+            _check_hbar(window.hbar, self.hbar, "lines")
         xi_q = _read_xi_q(xi_q)
         phi = np.zeros((self.p.size, 2, 2))
         phi[:, 1, 1] = self.variance / self.hbar
@@ -345,9 +354,9 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
     Each record keeps every branch and their sheared Phi_qq from one
     backward ``dynamics._flow`` over every window's live branches (nan on
     caustic branches, 0 when t = 0 or there are no channels), with each
-    branch's error-estimate note after the curve's notes.  Both flows take
-    ``dt`` as ``dynamics.evolve_chord_function`` does: each trajectory's own
-    step count by default, equal steps of at most a given dt.  At delta = 0
+    branch's error-estimate note.  Both flows take ``dt`` as
+    ``dynamics.evolve_chord_function`` does: each trajectory's own step count
+    by default, equal steps of at most a given dt.  At delta = 0
     and t = 0, ``[0].sample(xi_q, None)`` is the bare sum
     C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to C(0) (the
     curve average carries its own 1/2 pi)."""
@@ -366,7 +375,7 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
         phis = np.broadcast_to(phis, (len(anchors), 2, 2))
     out = []
     for Q, br, live in zip(qs, brs, lives):
-        notes = list(curve.warnings)
+        notes = []
         if len(br) == 0:
             diagnostics.report(notes, f"no real branches at Q = {Q:g} (evanescent region)",
                                diagnostics.ConvergenceWarning)

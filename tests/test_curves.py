@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -15,7 +18,6 @@ from chordlab.grids import _BLOCK_ELEMENTS
 from chordlab.curves import (
     LagrangianCurve,
     branches_at,
-    curve_from_samples,
     evolve_curve_classically,
     harmonic_circle,
     pendulum_level_curve,
@@ -35,10 +37,8 @@ def test_harmonic_circle_geometry():
 def test_measured_action_matches_label():
     """The area functional on the samples reproduces I = area / 2 pi."""
     curve = harmonic_circle(0.37, 1024)
-    re = curve_from_samples(curve.theta, curve.points)
+    re = LagrangianCurve(curve.theta, curve.points)  # the constructor measures it
     assert abs(re.action - 0.37) < 1e-9
-    # the constructor measures the action when none is given
-    assert LagrangianCurve(curve.theta, curve.points).action == re.action
 
 
 def test_position_velocity_splines():
@@ -72,7 +72,7 @@ def _nonuniform_curve():
     """A curve on a non-uniform theta that starts past 0."""
     rng = np.random.default_rng(7)
     th = np.sort(rng.uniform(0.3, 2.0 * math.pi, 200))
-    return curve_from_samples(th, np.stack([np.cos(th) + 0.2 * np.sin(2.0 * th), np.sin(th)], -1))
+    return LagrangianCurve(th, np.stack([np.cos(th) + 0.2 * np.sin(2.0 * th), np.sin(th)], -1))
 
 
 _SPLINE_CURVES = {
@@ -126,7 +126,7 @@ def _branches_match_scipy(curve, Q) -> int:
 
 def _clipped_cosine():
     th = np.arange(64) * 2.0 * math.pi / 64
-    return curve_from_samples(th, np.stack([np.sin(th), np.clip(1.5 * np.cos(th), -1.0, 1.0)], -1))
+    return LagrangianCurve(th, np.stack([np.sin(th), np.clip(1.5 * np.cos(th), -1.0, 1.0)], -1))
 
 
 @pytest.mark.parametrize("samples, Q, count", [
@@ -184,13 +184,57 @@ def test_branch_roots_match_scipy_across_the_projection(name):
 
 
 def test_run_root_bisects_where_newton_crawls():
-    """s^3 - 1e-40 on [0, 1]: from the secant start Newton jumps far out of
-    the bracket, and from above it shrinks s by only 1/3 a step, which would
-    take about 74 steps to reach the root 4.6e-14.  Bisecting whenever a
-    Newton step fails to halve the one before gets there inside the budget."""
+    """s^3 - 1e-40 on [0, 1]: a Newton step from above shrinks s by only 1/3,
+    and brentq's inverse interpolation stalls the same way, so its bisection
+    fallback carries it to the root 4.6e-14 in 97 evaluations, within the
+    step budget."""
     root = cv._run_root((1.0, 0.0, 0.0, -1e-40), 0.0, 1.0, -1e-40, 1.0)
     want = 1e-40 ** (1.0 / 3.0)
     assert abs(root - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("family", ["quartic", "pendulum"])
+def test_branch_roots_at_node_and_turning_values(family):
+    """On an evolved level curve, Q at a node value and one ulp either side:
+    one branch per group of scipy's roots, each within 1e-12.  At the q
+    extremes, where a piece turns inside, the root is double and scipy's
+    companion-matrix roots are off by up to 1e-8 (two roots 5e-9 apart at
+    the quartic's lowest q, none at its highest), so the reference is the
+    same cubic in exact arithmetic: at the turning value one branch, on the
+    turn itself; one ulp inside two, each within 1e-12 of the exact root;
+    one ulp outside none."""
+    if family == "quartic":
+        curve, H = quartic_level_curve(0.3, samples=512), dy.hamiltonians.quartic()
+    else:
+        curve, H = pendulum_level_curve(-0.6, samples=512), dy.hamiltonians.pendulum()
+    evolved = evolve_curve_classically(curve, H, [dy.LindbladChannel((0.0, 0.8))], 0.1)
+    node = evolved.points[37, 1]
+    for Q in (np.nextafter(node, -np.inf), node, np.nextafter(node, np.inf)):
+        assert _branches_match_scipy(evolved, float(Q)) == 2
+    spline = evolved._q_spline
+    knots, vals, _, _ = spline._runs
+    turns = np.argwhere(knots[1:3] < knots[3])
+    assert len(turns) == 2  # the lowest and the highest q
+    for k, i in turns:
+        value = vals[1 + k, i]
+        assert branches_at(evolved, value).theta.tolist() == [spline.x[i] + knots[1 + k, i]]
+        inside = float(np.nextafter(value, spline.y[i]))
+        br = branches_at(evolved, inside)
+        assert len(br) == 2
+        for theta in br.theta:
+            assert abs(theta - _exact_root(spline, inside, theta)) <= 1e-12
+        assert len(branches_at(evolved, float(np.nextafter(value, 2.0 * value - spline.y[i])))) == 0
+
+
+def test_run_root_is_one_brentq_call():
+    """brentq is the only root solver: _run_root calls it and holds no loop,
+    the Newton step budget is gone, and a curve holds no notes list."""
+    tree = ast.parse(inspect.getsource(cv._run_root))
+    calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert calls == {"brentq", "np.finfo"}
+    assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(tree))
+    assert not hasattr(cv, "_ROOT_STEPS")
+    assert [f.name for f in dataclasses.fields(LagrangianCurve)] == ["theta", "points", "action"]
 
 
 def test_an_evolved_curve_fits_each_coordinate_once(monkeypatch):
@@ -308,6 +352,15 @@ def _quartic_jacobi(energy, a, b, samples):
     return np.stack([-q_plus * omega * sn * dn, q_plus * cn], axis=-1)
 
 
+def _quietly(build, *args, **kwargs):
+    """build(*args, **kwargs), asserting that it records no Python warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = build(*args, **kwargs)
+    assert not caught, [str(w.message) for w in caught]
+    return curve
+
+
 @pytest.mark.parametrize("family, energy, params, samples", [
     ("quartic", 0.3, (1.0, 0.0), 320),
     ("quartic", 0.7, (1.3, 0.8), 512),
@@ -321,19 +374,17 @@ def test_level_curves_match_jacobi_elliptic_solutions(family, energy, params, sa
     and the period are tested: a period off by dT would move sample k by
     k dT / m along the orbit."""
     if family == "quartic":
-        curve = quartic_level_curve(energy, *params, samples=samples)
+        curve = _quietly(quartic_level_curve, energy, *params, samples=samples)
         want = _quartic_jacobi(energy, *params, samples)
     else:
-        curve = pendulum_level_curve(energy, *params, samples=samples)
+        curve = _quietly(pendulum_level_curve, energy, *params, samples=samples)
         want = _pendulum_jacobi(energy, *params, samples)
-    assert curve.warnings == []
     assert np.max(np.abs(curve.points - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_pendulum_near_separatrix_stays_on_shell_in_bounded_memory():
     H = dy.hamiltonians.pendulum()
-    curve = pendulum_level_curve(0.99999, samples=512)
-    assert curve.warnings == []
+    curve = _quietly(pendulum_level_curve, 0.99999, samples=512)
     assert np.max(np.abs(H(curve.points) - 0.99999)) < 1e-14
     assert curve.points[:, 1].max() < math.pi
     # closer still, the closed form divides by neither dn nor k': the samples
@@ -342,11 +393,10 @@ def test_pendulum_near_separatrix_stays_on_shell_in_bounded_memory():
     for energy in (1.0 - 1e-9, 1.0 - 1e-13):
         tracemalloc.start()
         try:
-            close = pendulum_level_curve(energy, samples=256)
+            close = _quietly(pendulum_level_curve, energy, samples=256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert close.warnings == []
         assert peak < 2 * 8 * _BLOCK_ELEMENTS
         assert np.max(np.abs(H(close.points) - energy)) < 1e-14
         assert _flow_step_error(close, lambda q: -np.sin(q), _pendulum_period(energy, 1.0)) < 1e-13
@@ -397,13 +447,12 @@ def test_level_curve_samples_follow_the_flow(family, energy, params):
     the uniform time labels, up to the separatrix's edge."""
     if family == "quartic":
         a, b = params
-        curve = quartic_level_curve(energy, a, b, samples=16)
+        curve = _quietly(quartic_level_curve, energy, a, b, samples=16)
         err = _flow_step_error(curve, lambda q: -(a * q**3 + b * q), _quartic_period(energy, a, b))
     else:
         (g,) = params
-        curve = pendulum_level_curve(energy, g, samples=16)
+        curve = _quietly(pendulum_level_curve, energy, g, samples=16)
         err = _flow_step_error(curve, lambda q: -g * np.sin(q), _pendulum_period(energy, g))
-    assert curve.warnings == []
     assert err < 1e-13
 
 
@@ -464,7 +513,7 @@ def test_degenerate_parametrization_raises():
     # a curve collapsed to the origin (e.g. by long damping) has no branch
     # structure left; x'(theta) sits at round-off scale
     circle = harmonic_circle(0.5, 256)
-    collapsed = curve_from_samples(circle.theta, circle.points * 1e-13)
+    collapsed = LagrangianCurve(circle.theta, circle.points * 1e-13)
     with pytest.raises(ValueError):
         branches_at(collapsed, 0.0)
 
@@ -506,15 +555,15 @@ def test_curve_validation():
     th = np.arange(16) * 2.0 * math.pi / 16
     pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
     with pytest.raises(ValueError):
-        curve_from_samples(th[:4], pts[:4])  # too few
+        LagrangianCurve(th[:4], pts[:4])  # too few
     with pytest.raises(ValueError):
-        curve_from_samples(th[::-1], pts)  # not increasing
+        LagrangianCurve(th[::-1], pts)  # not increasing
     with pytest.raises(ValueError):
-        curve_from_samples(th + 1.0, pts)  # runs past 2 pi
+        LagrangianCurve(th + 1.0, pts)  # runs past 2 pi
     bad = pts.copy()
     bad[3, 1] = math.nan
     with pytest.raises(ValueError, match="finite"):
-        curve_from_samples(th, bad)  # one nan point (it used to give a nan curve)
+        LagrangianCurve(th, bad)  # one nan point (it used to give a nan curve)
     bad_th = th.copy()
     bad_th[5] = math.nan
     with pytest.raises(ValueError, match="finite"):

@@ -928,24 +928,6 @@ def test_evolved_chord_check_reads_the_flowed_curve():
                                  [Q_CHANNEL], 0.3, hbar=HBAR)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.1])
-def test_evolved_chord_keeps_the_curve_warnings(t):
-    """chi starts from a copy of the curve source's warnings; the check's own
-    warning comes after them."""
-    from chordlab.curves import LagrangianCurve, pendulum_level_curve
-
-    ring = pendulum_level_curve(1.0 - 1e-9, samples=64)
-    curve = LagrangianCurve(ring.theta, ring.points, warnings=["a note of the curve's source"])
-    note = list(curve.warnings)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        chi = dy.evolve_chord_function(curve, dy.hamiltonians.pendulum(), None, t,
-                                       dt=1e-2, hbar=HBAR)
-    assert len(note) == 1 and chi.warnings[:1] == note
-    chi.warnings.append("later")
-    assert curve.warnings == note
-
-
 @pytest.mark.parametrize("model", ["quartic", "pendulum"])
 def test_evolved_chord_check_leaves_chi_unchanged(model):
     """The convergence check reads the flowed samples and flows nothing of its

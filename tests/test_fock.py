@@ -1099,6 +1099,16 @@ def test_hermite_functions_reject_an_hbar_that_is_not_finite_and_positive(hbar):
         hermite_functions(3, np.linspace(-1.0, 1.0, 5), hbar)
 
 
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), [0.1, math.nan], math.inf],
+                         ids=["2d", "nan", "inf"])
+def test_hermite_functions_reject_an_x_that_is_not_a_finite_scalar_or_1d(x):
+    """Before, a 2-D x raised numpy's "could not broadcast input array" and
+    a nan x gave a nan column."""
+    with pytest.raises(ValueError, match="x must be a finite scalar or 1-D array"):
+        hermite_functions(3, x, HBAR)
+    assert hermite_functions(3, 0.2, HBAR).shape == (4, 1)
+
+
 def test_hamiltonian_matrix_families():
     dim = 64
     h = hamiltonian_matrix(hamiltonians.harmonic(), dim, HBAR)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians, lwc
-from chordlab.curves import (LagrangianCurve, branches_at, evolve_curve_classically,
-                             harmonic_circle, pendulum_level_curve, quartic_level_curve)
+from chordlab.curves import (branches_at, harmonic_circle, pendulum_level_curve,
+                             quartic_level_curve)
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
                            fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
@@ -715,6 +715,30 @@ def test_lwc_from_chord_rejects_a_window_of_another_hbar():
         lwc_from_chord(chi, LwcWindow.canonical(0.0, 2 * HBAR), [0.0])
 
 
+def test_lines_sample_rejects_a_window_of_another_hbar():
+    """Before, lines at hbar 0.05 sampled for a window at 0.1 gave a sample
+    whose spectrum built its p axis at 0.1, silently."""
+    [lines] = branch_lines(harmonic_circle(0.5, 256), [0.1], HBAR, 0.0, hamiltonians.zero(), (),
+                           0.0)
+    with pytest.raises(ValueError, match="hbar = 0.1 differs from the lines's 0.05"):
+        lines.sample([0.0], LwcWindow.canonical(0.1, 2 * HBAR))
+    assert lines.sample([0.0], LwcWindow.canonical(0.1, HBAR)).window.hbar == HBAR
+
+
+@pytest.mark.parametrize("xi_q, values", [
+    (np.linspace(-1.0, 1.0, 8), np.ones(10, dtype=complex)),
+    (np.zeros((2, 4)), np.ones((2, 4), dtype=complex)),
+    (0.0, np.ones((), dtype=complex)),
+], ids=["values-longer", "xi_q-2d", "xi_q-scalar"])
+def test_lwc_sample_checks_its_shape(xi_q, values):
+    """Before, 8 chords with 10 values gave a spectrum of 8 momenta over 10
+    values, and a 2-D xi_q failed later in c0() with numpy's TypeError."""
+    with pytest.raises(ValueError, match="xi_q must be 1-D and values of its shape"):
+        LwcSample(xi_q, values, LwcWindow.canonical(0.0, HBAR))
+    empty = LwcSample(np.zeros(0), np.zeros(0, dtype=complex), None)
+    assert empty.values.shape == (0,)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
 def test_branch_pass_rejects_a_bad_time(t):
     """A nan, infinite or negative time raises instead of giving the t = 0 lines."""
@@ -919,17 +943,6 @@ def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
 
     plain = LwcSample(np.zeros(1), np.ones(1, dtype=complex), window, [])
     assert plain.lines is None and plain.branches is None and plain.phi_qq == ()
-
-
-def test_curve_warnings_reach_the_sample():
-    ring = pendulum_level_curve(1.0 - 1e-9, samples=64)
-    curve = LagrangianCurve(ring.theta, ring.points, warnings=["a note of the curve's source"])
-    H = hamiltonians.pendulum()
-    channels = [dynamics.LindbladChannel((0.0, 0.5))]
-    assert evolve_curve_classically(curve, H, channels, 0.1, 1e-2).warnings == curve.warnings
-    sample = lwc_sc_markov(curve, H, channels, 0.1, LwcWindow.canonical(0.0, HBAR), [0.0],
-                           dt=1e-2)
-    assert sample.warnings[0] == curve.warnings[0]
 
 
 def test_chord_function_warnings_reach_the_lwc_sample():
