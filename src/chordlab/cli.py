@@ -45,10 +45,6 @@ __all__ = ["main", "run"]
 
 _TABLE_SCHEMA = ("chordlab schema_version", gridio.SCHEMA_VERSION)
 _CURVE_FAMILIES = ("circle", "quartic", "pendulum")
-# xi_q columns of position slices the direct route holds at once (801 x 128
-# complex, 1.6 MB); a multiple of 8, so block edges meet the BLAS kernel's
-# column groups and each value equals the full table's bit for bit
-_DIRECT_BLOCK = 128
 # model family -> the factory's parameters, each read as hamiltonian.<name>
 _H_PARAMS = {fam: inspect.signature(factory).parameters
              for fam, factory in hamiltonians.registry.items()}
@@ -104,15 +100,23 @@ grids
   xi.half_width       float, default auto
 
 windows (lwc, spectrum)
-  window.q            repeatable float: window centres (at least one)
+  window.q            repeatable float: window centres (at least one); the
+                      direct route reads every window from one table of
+                      position slices, tabulated a block of columns at a
+                      time
   window.delta        float > 0, default sqrt(hbar); sc-berry has no window
   lwc.route           auto | closed-form | chord | direct | sc-berry |
                       sc-markov, default auto (closed-form or chord for
                       coherent states, by time.t; sc-markov for curves).
                       closed-form and direct need a coherent state at
-                      time.t = 0.  The sc routes sum one spectral line per
-                      classical branch of a curve state (lwc.branch_lines):
-                      sc-berry (bare branches) needs time.t = 0; sc-markov
+                      time.t = 0; direct contracts the state's position
+                      slices on one q axis over every window, from min
+                      window.q - (6 delta + 1) to max window.q + (6 delta
+                      + 1), 800 steps a window's span (split where two
+                      windows are more than 2 (6 delta + 1) apart).  The
+                      sc routes sum one spectral line per classical branch
+                      of a curve state (lwc.branch_lines): sc-berry (bare
+                      branches) needs time.t = 0; sc-markov
                       evolves the curve to time.t (not at all at 0) and
                       widens each line by the window shear and the
                       channels' decoherence.  spectrum reports the closed-form peaks
@@ -350,6 +354,20 @@ def _lwc_samples(cfg: Config, hbar: float):
         if fam != "coherent" or t != 0.0:
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = states.CoherentState(_eta(cfg), hbar)
+        if route == "direct":
+            # windows whose spans Q +- (6 Delta + 1) overlap share one q axis, at
+            # 800 steps a span, so each block of their slices is tabulated once;
+            # a wider gap between two windows would be tabulated for neither
+            span = 6.0 * delta + 1.0
+            direct = {}
+            qs = np.sort(q_centres)
+            for group in np.split(qs, np.flatnonzero(np.diff(qs) > 2.0 * span) + 1):
+                lo, hi = group[0] - span, group[-1] + span
+                q_axis = np.linspace(lo, hi, 1 + math.ceil(400.0 * (hi - lo) / span - 1e-9))
+                slices = functools.partial(states.coherent_position_slices, coh, q_axis)
+                group = group.tolist()
+                direct.update(zip(group, lwc_direct(
+                    slices, q_axis, xi_q, [LwcWindow(q0, delta, hbar) for q0 in group], xi_q)))
     elif route == "chord":
         chi_fn = evolve_chord_function(_chord_source(cfg, hbar), model, channels, t, dt=dt,
                                        hbar=hbar)
@@ -368,13 +386,7 @@ def _lwc_samples(cfg: Config, hbar: float):
             vals = lwc_coherent_closed_form(coh, window, xi_q)
             sample = LwcSample(xi_q, vals, window, [])
         elif route == "direct":
-            span = 6.0 * delta + 1.0
-            q_axis = np.linspace(q0 - span, q0 + span, 801)
-            vals = np.concatenate([
-                lwc_direct(states.coherent_position_slices(coh, q_axis, xs), q_axis, xs,
-                           window, xs).values
-                for xs in np.split(xi_q, range(_DIRECT_BLOCK, xi_q.size, _DIRECT_BLOCK))])
-            sample = LwcSample(xi_q, vals, window, [])
+            sample = direct[q0]
         elif route == "chord":
             sample = lwc_from_chord(chi_fn, window, xi_q)
         else:

@@ -8,7 +8,9 @@ Gaussian of width Delta centred at Q:
 
 Two exact routes are provided (from a chord function, and directly from
 position-space density slices) plus one semiclassical branch sum for curve
-states.  Each branch j of the (evolved) curve at Q is one spectral line
+states.  ``lwc_direct`` takes one window or many: one weight matrix and one
+pass over the slice table, a block of columns at a time, serve every
+window.  Each branch j of the (evolved) curve at Q is one spectral line
 A_j N(p_j, sigma_j^2) with sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2,
 and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  ``branch_lines`` gives every window's lines from
@@ -62,6 +64,9 @@ __all__ = [
     "resolution_verdict",
     "suggest_xi_q_grid",
 ]
+
+#: slice cells ``lwc_direct`` reads at once: 801 x 128 complex, 1.6 MB
+_BLOCK_CELLS = 801 * 128
 
 
 @dataclass(frozen=True)
@@ -297,33 +302,70 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     return LwcSample(xi_q, w @ f, window, notes)
 
 
-def lwc_direct(rho_slices, q_axis, s_axis, window: LwcWindow, xi_q) -> LwcSample:
-    """Windowed correlation straight from rho(q - s/2, q + s/2) samples.
+def lwc_direct(rho_slices, q_axis, s_axis, window, xi_q):
+    """Windowed correlation straight from rho(q - s/2, q + s/2) samples: one
+    ``LwcSample`` for one ``LwcWindow``, or one per window, in order, for a
+    sequence of them (``[]`` for none).
+
+    ``rho_slices`` is the table, of shape (len(q_axis), len(s_axis)), or a
+    function that returns the table's columns at given s values.  Either is
+    read in blocks of whole s columns of about ``_BLOCK_CELLS`` cells, so a
+    function's table is held one block at a time.  The set-up runs once a
+    call: the window weights are one (windows, len(q_axis)) matrix, and each
+    block is one batched product with it on the slices' real view, one GEMV
+    a window, so a window's values are the same bits whatever other windows
+    share the call (one GEMM's kernel, and so its sum order, would change
+    with the window count).
 
     Every requested xi_q must lie within 1e-6 spacings of its nearest node
-    of s_axis (nonempty, in any order), and q_axis must be uniform and
-    increasing, and cover the window out to Q +- 6 Delta.  The table may
-    hold any subset of s columns, with s_axis the matching chords: each value
-    is its own column's contraction with the q weights, so a caller can
-    stream the columns in blocks.
+    of s_axis (nonempty, in any order), q_axis must be uniform and
+    increasing and cover each window out to Q +- 6 Delta, and every slice
+    must be finite (a nan or inf makes its column's values non-finite, and
+    those raise).  Each value is its own column's contraction with the q
+    weights, so the table may hold any subset of s columns, with s_axis the
+    matching chords.
     """
-    rho_slices = np.asarray(rho_slices)
+    single = isinstance(window, LwcWindow)
+    windows = [window] if single else list(window)
     q_axis = np.asarray(q_axis, dtype=float)
     s_axis = np.asarray(s_axis, dtype=float)
-    if rho_slices.shape != (q_axis.size, s_axis.size) or s_axis.size == 0:
+    # a C-ordered table's column blocks keep a unit stride, so they have a real view
+    table = None if callable(rho_slices) else np.ascontiguousarray(rho_slices, dtype=complex)
+    if s_axis.size == 0 or (table is not None and table.shape != (q_axis.size, s_axis.size)):
         raise ValueError("need a nonempty s_axis and rho_slices of shape "
                          "(len(q_axis), len(s_axis))")
     dq = _uniform_step(q_axis, "q_axis", 3)
-    lo, hi = window.Q - 6.0 * window.delta, window.Q + 6.0 * window.delta
-    if q_axis[0] > lo or q_axis[-1] < hi:
-        raise ValueError("q_axis must cover the window out to Q +- 6 Delta")
+    for w in windows:
+        if q_axis[0] > w.Q - 6.0 * w.delta or q_axis[-1] < w.Q + 6.0 * w.delta:
+            raise ValueError(f"q_axis must cover the window at Q = {w.Q:g}, "
+                             f"delta = {w.delta:g} out to Q +- 6 Delta")
     xi_q = _read_xi_q(xi_q)
     cols = _nearest_node(s_axis, xi_q, "every xi_q must coincide with an s_axis node")
-    wq = simpson_weights(q_axis.size, dq) * np.exp(
-        -((q_axis - window.Q) ** 2) / (2.0 * window.delta**2))
-    wq /= math.sqrt(2.0 * math.pi) * window.delta
-    vals = (wq @ rho_slices)[cols]  # contract first: no gathered copy of the table
-    return LwcSample(xi_q, vals, window, [])
+    if not windows:
+        return []
+    centre = np.array([[w.Q] for w in windows])
+    delta = np.array([[w.delta] for w in windows])
+    wq = simpson_weights(q_axis.size, dq) * np.exp(-((q_axis - centre) ** 2) / (2.0 * delta**2))
+    wq /= math.sqrt(2.0 * math.pi) * delta
+    wq = wq[:, None, :]  # (windows, 1, q)
+
+    def real_block(cut):
+        block = (table[:, cut] if table is not None
+                 else np.ascontiguousarray(rho_slices(s_axis[cut]), dtype=complex))
+        if block.shape != (q_axis.size, s_axis[cut].size):
+            raise ValueError(f"rho_slices gave a table of shape {block.shape} for "
+                             f"{s_axis[cut].size} s columns on {q_axis.size} q nodes")
+        return block.view(float)
+
+    width = max(1, _BLOCK_CELLS // q_axis.size)
+    vals = np.empty((len(windows), s_axis.size), dtype=complex)
+    for j in range(0, s_axis.size, width):
+        cut = slice(j, j + width)  # each block is freed before the next is read
+        vals[:, cut] = (wq @ real_block(cut))[:, 0].view(complex)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("every rho slice must be finite")
+    samples = [LwcSample(xi_q, row[cols], w, []) for w, row in zip(windows, vals)]
+    return samples[0] if single else samples
 
 
 def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):

@@ -841,41 +841,134 @@ window.q = 0.2
 xi.points = {points}
 """
 
+_DIRECT_THREE_WINDOWS = """\
+hbar = 0.05
+state.eta = 0.3 0.1
+lwc.route = direct
+window.q = -1.0
+window.q = 0.15
+window.q = 1.0
+xi.points = {points}
+"""
+
 
 def test_lwc_direct_route_holds_one_block_of_slices(tmp_path):
     """The direct route tabulates its position slices one block of xi_q
-    columns at a time, so two windows of 1,024 points peak at 2.6 MB of traced
-    allocations.  Tabulating every column at once, and building the next
-    window's table while the last one lived, peaked at 26.6 MB."""
-    cfg = write_cfg(tmp_path, _DIRECT_TWO_WINDOWS.format(points=1024))
-    assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "warm")) == 0
-    tracemalloc.start()
-    try:
-        assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "out")) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    columns at a time on one q axis for every window, so two windows of
+    1,024 points peak at 2.6 MB of traced allocations, and three spread over
+    |Q| <= 1 (a 1,143-node axis) stay under the same bound.  Tabulating
+    every column at once, and building the next window's table while the
+    last one lived, peaked at 26.6 MB for two windows."""
+    for name, text in (("two", _DIRECT_TWO_WINDOWS), ("three", _DIRECT_THREE_WINDOWS)):
+        cfg = write_cfg(tmp_path, text.format(points=1024), f"{name}.cfg")
+        assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / f"warm-{name}")) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / name)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, name
 
 
 @pytest.mark.parametrize("points", [1024, 1000])
-def test_lwc_direct_route_equals_one_full_table_contraction(points):
-    """Each block's columns are the same length-801 contractions as the full
-    table's, so the streamed values equal one ``lwc_direct`` call on every
-    column, also when the block does not divide xi.points."""
+def test_lwc_direct_route_equals_one_full_table_contraction(monkeypatch, points):
+    """The direct route makes one ``lwc_direct`` call per config on one q
+    axis from min Q - (6 Delta + 1) to max Q + (6 Delta + 1), in steps of at
+    most 2 (6 Delta + 1) / 800, and its streamed values equal one call on
+    the full slice table on that axis bit for bit, also when the block does
+    not divide xi.points."""
+    calls = []
+    real = cli.lwc_direct
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "lwc_direct", counting)
     hbar = 0.05
-    cfg = Config.from_text(_DIRECT_TWO_WINDOWS.format(points=points))
-    route, samples = cli._lwc_samples(cfg, hbar)
-    assert route == "direct" and len(samples) == 2
-    state = CoherentState((0.3, 0.1), hbar)
-    for q0, sample in samples:
-        span = 6.0 * sample.window.delta + 1.0
-        q_axis = np.linspace(q0 - span, q0 + span, 801)
-        xi_q = sample.xi_q
+    for text, centres in ((_DIRECT_TWO_WINDOWS, (-0.1, 0.2)),
+                          (_DIRECT_THREE_WINDOWS, (-1.0, 0.15, 1.0))):
+        calls.clear()
+        route, samples = cli._lwc_samples(Config.from_text(text.format(points=points)), hbar)
+        assert route == "direct" and [q0 for q0, _ in samples] == list(centres)
+        [q_axis] = calls
+        span = 6.0 * math.sqrt(hbar) + 1.0
+        assert q_axis[0] == centres[0] - span and q_axis[-1] == centres[-1] + span
+        assert np.diff(q_axis).max() <= 2.0 * span / 800 * (1 + 1e-9)
+        xi_q = samples[0][1].xi_q
         assert xi_q.size == points
-        want = lwc.lwc_direct(coherent_position_slices(state, q_axis, xi_q), q_axis, xi_q,
-                              sample.window, xi_q)
-        assert np.array_equal(sample.values, want.values)
+        table = coherent_position_slices(CoherentState((0.3, 0.1), hbar), q_axis, xi_q)
+        want = lwc.lwc_direct(table, q_axis, xi_q, [s.window for _, s in samples], xi_q)
+        for (_, sample), full in zip(samples, want, strict=True):
+            assert np.array_equal(sample.values, full.values)
+
+
+def test_lwc_direct_route_makes_one_call_per_config(monkeypatch):
+    """Three windows are one ``lwc_direct`` call, so their slices are
+    tabulated once; one window keeps its 801-node axis over Q +- span, span
+    = 6 Delta + 1.  Windows more than 2 span apart share no axis: each group
+    of overlapping spans is its own call, whose windows equal their own
+    runs bit for bit, so no slice is tabulated in the gap between them."""
+    axes = []
+    real = cli.lwc_direct
+
+    def counting(*args):
+        axes.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "lwc_direct", counting)
+    hbar = 0.05
+    span = 6.0 * math.sqrt(hbar) + 1.0
+
+    def run(*centres):
+        axes.clear()
+        text = _DIRECT_TWO_WINDOWS.replace("window.q = -0.1\nwindow.q = 0.2\n", "".join(
+            f"window.q = {q0!r}\n" for q0 in centres)).format(points=64)
+        return [s.values for _, s in cli._lwc_samples(Config.from_text(text), hbar)[1]]
+
+    run(-1.0, 0.15, 1.0)
+    assert len(axes) == 1
+    one = run(-0.1)
+    [q_axis] = axes
+    assert np.array_equal(q_axis, np.linspace(-0.1 - span, -0.1 + span, 801))
+    far = 2.0 * span + 0.01
+    apart = run(far, -0.1, far + 0.3)
+    assert [(a[0], a.size) for a in axes] == [(-0.1 - span, 801), (far - span, 853)]
+    assert np.array_equal(apart[1], one[0])
+    assert np.array_equal(apart[0], run(far, far + 0.3)[0])
+
+
+def test_lwc_direct_route_spectra_of_two_windows_match_one_window_runs(tmp_path):
+    """The spectrum experiment on the direct route: each window of a
+    two-window run matches that window's own run to 1e-12 of the largest
+    density (the shared q axis puts the windows' nodes elsewhere), with
+    the same peak positions."""
+    base = """\
+hbar = 0.05
+state.eta = 0.3 0.1
+lwc.route = direct
+xi.points = 256
+"""
+    runs = {}
+    for name, centres in (("both", (-0.1, 0.25)), ("left", (-0.1,)), ("right", (0.25,))):
+        cfg = write_cfg(tmp_path, base + "".join(f"window.q = {q}\n" for q in centres),
+                        f"{name}.cfg")
+        out = tmp_path / name
+        assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+        rows = np.array([[float(c) for c in line.split(",")]
+                         for line in (out / "spectrum.csv").read_text().splitlines()
+                         if not line.startswith("#")])
+        runs[name] = rows, json.loads((out / "spectrum.json").read_text())["result"]["windows"]
+    rows, windows = runs["both"]
+    for name, win in zip(("left", "right"), windows, strict=True):
+        one_rows, [one_win] = runs[name]
+        mine = rows[rows[:, 0] == win["Q"]]
+        assert mine.shape == one_rows.shape and np.array_equal(mine[:, :2], one_rows[:, :2])
+        scale = np.abs(one_rows[:, 2]).max()
+        assert np.abs(mine[:, 2] - one_rows[:, 2]).max() <= 1e-12 * scale
+        assert [pk["position"] for pk in win["peaks"]] == pytest.approx(
+            [pk["position"] for pk in one_win["peaks"]], rel=0, abs=1e-9)
 
 
 def test_lwc_chord_route_after_evolution(tmp_path):

@@ -635,6 +635,80 @@ def test_lwc_direct_validation():
                    window, [0.0])
 
 
+def test_lwc_direct_names_the_first_window_q_axis_does_not_cover():
+    """Before, the coverage error named no window."""
+    q_axis = np.linspace(-2.0, 2.0, 401)
+    s_axis = np.linspace(-0.5, 0.5, 21)
+    slices = coherent_position_slices(CoherentState((0.0, 0.0), HBAR), q_axis, s_axis)
+    windows = [LwcWindow(0.0, 0.2, HBAR), LwcWindow(1.25, 0.25, HBAR), LwcWindow(-1.9, 0.2, HBAR)]
+    with pytest.raises(ValueError, match=r"window at Q = 1\.25, delta = 0\.25 out to Q \+- 6"):
+        lwc_direct(slices, q_axis, s_axis, windows, [0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_lwc_direct_rejects_a_non_finite_slice(bad):
+    """A nan or inf slice, in a table or in any block a function gives,
+    raises.  Before, a nan slice silently gave nan values."""
+    state = CoherentState((0.2, 0.1), HBAR)
+    q_axis = np.linspace(-2.0, 2.0, 801)  # blocks of 128 s columns
+    s_axis = np.linspace(-1.0, 1.0, 301)
+    window = LwcWindow.canonical(0.1, HBAR)
+    table = coherent_position_slices(state, q_axis, s_axis)
+    table[400, 200] = bad  # in the second block, at a column no xi_q asks for
+    with pytest.raises(ValueError, match="every rho slice must be finite"):
+        lwc_direct(table, q_axis, s_axis, window, [0.0])
+
+    def slices(s):
+        block = coherent_position_slices(state, q_axis, s)
+        block[:, s > 0.9] = bad  # only the last block holds s > 0.9
+        return block
+
+    with pytest.raises(ValueError, match="every rho slice must be finite"):
+        lwc_direct(slices, q_axis, s_axis, [window, LwcWindow.canonical(-0.1, HBAR)], s_axis)
+
+
+def test_lwc_direct_windows_and_forms_agree_bit_for_bit():
+    """Each window of a many-window call is the one-window call on the same
+    table and axis bit for bit, the function form reads the table form's
+    values bit for bit, each of its blocks holds at most _BLOCK_CELLS
+    slices, and no windows give [] without reading a slice."""
+    state = CoherentState((0.3, 0.1), HBAR)
+    q_axis = np.linspace(-3.0, 3.0, 1001)
+    s_axis = np.linspace(-1.5, 1.5, 512)
+    xi_q = s_axis[::-3]
+    table = coherent_position_slices(state, q_axis, s_axis)
+    windows = [LwcWindow.canonical(-0.4, HBAR), LwcWindow(0.1, 0.3, HBAR),
+               LwcWindow.husimi_matched(0.35, HBAR)]
+    blocks = []
+
+    def slices(s):
+        blocks.append(s.copy())
+        return coherent_position_slices(state, q_axis, s)
+
+    many = lwc_direct(table, q_axis, s_axis, windows, xi_q)
+    streamed = lwc_direct(slices, q_axis, s_axis, windows, xi_q)
+    assert np.array_equal(np.concatenate(blocks), s_axis)
+    assert max(b.size for b in blocks) * q_axis.size <= lwc._BLOCK_CELLS
+    assert len(blocks) > 1
+    for w, sample, other in zip(windows, many, streamed, strict=True):
+        one = lwc_direct(table, q_axis, s_axis, w, xi_q)
+        assert isinstance(one, LwcSample) and one.window == sample.window == w
+        assert np.array_equal(sample.values, one.values)
+        assert np.array_equal(other.values, one.values)
+        assert np.array_equal(sample.xi_q, xi_q)
+    blocks.clear()
+    assert lwc_direct(table, q_axis, s_axis, [], xi_q) == []
+    assert lwc_direct(slices, q_axis, s_axis, (), xi_q) == [] and blocks == []
+
+
+def test_lwc_direct_checks_the_blocks_a_function_gives():
+    q_axis = np.linspace(-2.0, 2.0, 401)
+    s_axis = np.linspace(-0.5, 0.5, 21)
+    with pytest.raises(ValueError, match=r"a table of shape \(401, 20\) for 21 s columns"):
+        lwc_direct(lambda s: np.zeros((q_axis.size, s.size - 1)), q_axis, s_axis,
+                   LwcWindow.canonical(0.0, HBAR), [0.0])
+
+
 def test_lwc_direct_reads_the_nearest_node_of_any_s_axis():
     """Each xi_q is looked up on the sorted s_axis: a non-uniform axis and a
     decreasing one give the columns of the nodes they hold.  Before, a
