@@ -255,10 +255,12 @@ def _centre_grid(cfg: Config, hbar: float, points: int, family: str) -> Centered
 def _coherent_round_trip(state: states.CoherentState, grid: CenteredGrid) -> tuple:
     """(W, chi, chord grid, chi error, round-trip error): a coherent W on the
     grid, its chord function by the grid transform, that chi's error against
-    the closed form and W's error after the transform back."""
+    the closed form (on the chord axes as a column and a row) and W's error
+    after the transform back."""
     w_vals = states.coherent_wigner(state, *grid.meshgrid())
     chi, cgrid = chord_from_centre(w_vals, grid)
-    chi_err = np.max(np.abs(chi - states.coherent_chord_function(state, *cgrid.meshgrid())))
+    closed = states.coherent_chord_function(state, cgrid.p_axis[:, None], cgrid.q_axis[None, :])
+    chi_err = np.max(np.abs(chi - closed))
     back, _ = centre_from_chord(chi, cgrid)
     return w_vals, chi, cgrid, float(chi_err), float(np.max(np.abs(back - w_vals)))
 

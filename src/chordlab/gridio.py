@@ -20,12 +20,14 @@ it half-even to the 17 significant digits.  It then lays the ``%g`` text
 trimmed) out in a fixed-width byte slot per cell, ANDs each slot with a
 0x00/0xFF mask of the bytes that belong to the text, and deletes the NUL
 bytes that leaves with one ``bytes.translate`` (no cell's text holds a NUL),
-so no index array is built.  The cells it cannot decide go to ``'%.17g' %``
-itself: +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]``, and any cell
-within 1e-6 units of its 17th digit of a rounding tie.  So the bytes are
-those of ``'%.17g' %`` for every cell.  The lookup tables are built on the
-first write, and an array's rows go through the kernel in row-aligned blocks of
-about ``_BLOCK_CELLS`` cells, each written in turn, so the memory a write
+so no index array is built, and returns those bytes as they are.  A +-0
+is laid out as the digit 0, signed by its ``signbit``.  The cells it cannot
+decide go to ``'%.17g' %`` itself: nan, +-inf, ``|x|`` outside
+``[1e-250, 1e250]``, and any cell within 1e-6 units of its 17th digit of a
+rounding tie.  So the bytes are those of ``'%.17g' %`` for every cell.  The
+lookup tables are built on the first write, and an array's rows go through
+the kernel in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each
+written to the file (opened in binary mode) in turn, so the memory a write
 takes does not grow with the array.
 """
 
@@ -64,7 +66,7 @@ _BLOCK_CELLS = 1 << 13  # cells per kernel call: about 3.5 MB of work arrays
 #   44     'e'
 #   48-51  the exponent's sign and digits, '+05 ' or '-123'
 # Bytes 24-26 and 45-47 are never kept; they align the digits and the
-# exponent to 4-byte words, which the kernel writes whole.
+# exponent to 4-byte words, which the kernel writes whole (24-26 unset).
 _SLOT = 52
 _SLOT_ROW = b",-00" + b"0" * 16 + b".000" + b"   " + b"0" * 17 + b"e   +000"
 _FORMS = np.r_[np.arange(-4, 17), 17, 100]  # fixed at decade -4..16, then d.ddde+XX, d.ddde+XXX
@@ -105,17 +107,20 @@ def _tables() -> SimpleNamespace:
     quad = ((np.arange(10000)[:, None] // [1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
     exponent = b"".join(b"%+04d" % e if abs(e) >= 100 else b"%+03d " % e
                         for e in range(-300, 301))
+    ks = np.arange(-300, 301)
     f, nd, neg = np.meshgrid(np.arange(_FORMS.size), np.arange(1, 18), [False, True],
                              indexing="ij")
     return SimpleNamespace(
         pow_hi=np.array(pow_hi), pow_lo=np.array(pow_lo),
         quad=quad.view(np.uint32).ravel(),  # the four digits of 0..9999, as one word
-        quad_zeros=np.cumprod(quad[:, ::-1] == 48, axis=1).sum(axis=1),  # trailing '0's
+        # the trailing '0's of each, as bytes: a table that stays in the L1 cache
+        quad_zeros=np.cumprod(quad[:, ::-1] == 48, axis=1).sum(axis=1).astype(np.uint8),
         exponent=np.frombuffer(exponent, np.uint32),  # sign and digits of -300..300
+        form=np.where((ks < -4) | (ks >= 17), 21 + (np.abs(ks) >= 100), ks + 4),  # of -300..300
         # 0xFF on a kept byte, 0x00 on a dropped one, ANDed into the slot's words
         keep=(_keep_rows(_FORMS[f.ravel()], nd.ravel(), neg.ravel()) * np.uint8(0xFF)
               ).view(np.uint32),
-        slot=np.frombuffer(_SLOT_ROW, np.uint8))
+        slot=np.frombuffer(_SLOT_ROW, np.uint32))
 
 
 def _halves(a):
@@ -136,20 +141,33 @@ def _scaled(a, p, t):
     return hi, (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * tl
 
 
-def _format(cells: np.ndarray) -> str:
-    """The 2-D number array ``cells`` as CSV rows, each cell as ``'%.17g' % cell``.
+def _divmod(n, b):
+    """``np.divmod(n, b)`` for non-negative integers n and a positive int b:
+    numpy divides by a scalar in its libdivide loop, which ``divmod`` skips."""
+    q = n // b
+    return q, n - q * b
 
-    Each cell's slot is laid out whole, its dropped bytes are zeroed by an AND
-    with the ``_tables().keep`` mask (a fallback cell's by its NUL padding),
-    and the NULs are deleted from the joined slots in one ``translate``."""
+
+def _format(cells: np.ndarray) -> bytes:
+    """The 2-D number array ``cells`` as the bytes of CSV rows, each cell as
+    ``'%.17g' % cell``, each row ended by a newline.
+
+    Each cell's slot is laid out in one buffer that ends with the last row's
+    newline (the padding bytes 24-26 are left as they are), its dropped bytes
+    are zeroed by an AND with the ``_tables().keep`` mask (a fallback cell's
+    by its NUL padding), and the NULs are deleted from the buffer in one
+    ``translate``.  A zero is the digit 0 with the sign its ``signbit``
+    gives."""
     t = _tables()
     rows, cols = cells.shape
     x = np.ascontiguousarray(cells, dtype=np.float64).ravel()
     if not x.size:
-        return ""
+        return b""
     a = np.abs(x)
+    zero = np.flatnonzero(a == 0.0)
     sure = (a >= 1e-250) & (a <= 1e250)  # False for 0, nan and inf
-    a[~sure] = 1.0
+    a[~sure] = 1.0  # a zero then takes the digits and decade of 1.0
+    sure[zero] = True
     k = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = _scaled(a, 16 - k, t)
     # log10 may miss the decade by one near a power of ten: settle it on the exact sum
@@ -164,34 +182,37 @@ def _format(cells: np.ndarray) -> str:
     frac = lo - floor
     sure &= np.abs(frac - 0.5) > 1e-6
     d = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    d[zero] = 0  # so a zero's text is its sign and the digit 0
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     k += carry
-    lead, rest = np.divmod(d, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    quads = [*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
+    lead, rest = _divmod(d, 10 ** 16)
+    high, low = _divmod(rest, 10 ** 8)
+    quads = [*_divmod(high, 10 ** 4), *_divmod(low, 10 ** 4)]
     zeros = t.quad_zeros
     trailing = zeros[quads[3]] + (quads[3] == 0) * zeros[quads[2]] + (low == 0) * (
         zeros[quads[1]] + (quads[1] == 0) * zeros[quads[0]])
-    form = np.where((k < -4) | (k >= 17), 21 + (np.abs(k) >= 100), k + 4)  # _FORMS index
+    form = t.form[k + 300]  # _FORMS index
 
-    slot = np.empty((x.size, _SLOT), np.uint8)
-    slot[:] = t.slot
-    slot.reshape(rows, cols, _SLOT)[:, 0, 0] = ord("\n")
-    slot[:, 3] = slot[:, 27] = lead + 48
+    buf = np.empty(x.size * _SLOT + 1, np.uint8)
+    buf[-1] = ord("\n")
+    slot = buf[:-1].reshape(x.size, _SLOT)
     words = slot.view(np.uint32)
+    for col in (0, 5, 11):  # words 1-4, 7-10 and 12 are written whole below, and
+        words[:, col] = t.slot[col]  # word 6 is padding the mask drops, bar byte 27
+    slot.reshape(rows, cols, _SLOT)[:, 0, 0] = ord("\n")
     for col, quad in enumerate(quads, 1):
-        words[:, col] = t.quad[quad]
-    words[:, 7:11] = words[:, 1:5]
+        words[:, col] = words[:, col + 6] = t.quad[quad]
+    slot[:, 3] = slot[:, 27] = lead + 48
     words[:, 12] = t.exponent[k + 300]
-    words &= np.take(t.keep, (form * 17 + 16 - trailing) * 2 + (x < 0), axis=0)
+    words &= np.take(t.keep, (form * 17 + 16 - trailing) * 2 + np.signbit(x), axis=0)
     slot[0, 0] = 0  # the first cell has no separator
     fallback = np.flatnonzero(~sure)
     if fallback.size:  # '%.17g' % x has at most 24 characters, NUL-padded here
         text = np.array(["%.17g" % v for v in x[fallback].tolist()], "S24").view(np.uint8)
         slot[fallback, 1:25] = text.reshape(fallback.size, 24)
         slot[fallback, 25:] = 0
-    return slot.tobytes().translate(None, b"\0").decode("ascii") + "\n"
+    return buf.tobytes().translate(None, b"\0")
 
 
 _REAL = (numbers.Real, np.bool_)
@@ -211,11 +232,11 @@ def _cell_text(cell) -> str:
 
 
 def _table(columns, rows):
-    """The table's CSV lines, in chunks: a 2-D number array's through
-    ``_format`` in row-aligned blocks of about ``_BLOCK_CELLS`` cells, a row
-    sequence's as one string of each cell's ``_cell_text``.  A column's kind is
-    that of its first cell.  Raises ``ValueError`` naming the first row and
-    column that do not fit before it formats any."""
+    """The table's CSV lines, as chunks of bytes: a 2-D number array's
+    through ``_format`` in row-aligned blocks of about ``_BLOCK_CELLS`` cells,
+    a row sequence's as one encoded string of each cell's ``_cell_text``.  A
+    column's kind is that of its first cell.  Raises ``ValueError`` naming the
+    first row and column that do not fit before it formats any."""
     names = list(columns)
     if isinstance(rows, np.ndarray) and rows.dtype != object:
         if rows.ndim != 2 or rows.dtype.kind not in "biuf":
@@ -233,7 +254,7 @@ def _table(columns, rows):
             if isinstance(cell, str) != is_text or not (is_text or isinstance(cell, _REAL)):
                 raise ValueError(f"data row {r}, column {name!r}: {cell!r} in a column of "
                                  + ("str" if is_text else "numbers"))
-    return ["".join(",".join(map(_cell_text, row)) + "\n" for row in rows)]
+    return ["".join(",".join(map(_cell_text, row)) + "\n" for row in rows).encode("utf-8")]
 
 
 def write_table(path, header, columns, rows) -> None:
@@ -242,23 +263,26 @@ def write_table(path, header, columns, rows) -> None:
     ``rows`` is a 2-D number array with one row per line, or a sequence of
     rows (tuples, lists, or an object array) whose cells are ``str`` or real
     numbers.  The array goes through the ``_format`` kernel, which hands
-    +-0, nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]`` and near-ties to
-    ``%`` itself, in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each
-    written in turn.  A row sequence's cells, like the header's values, are
-    written one at a time, ``str`` as it is and a number as
-    ``'%.17g' % float(value)``, the kernel's reference bytes; a column's first
-    cell sets its kind, ``str`` or number.  Everything is checked before the
-    file is opened: a row whose cell count is not the column count, or a cell
-    whose kind is not its column's, raises ``ValueError`` naming the row and
-    the column, and nothing is written.
+    nan, +-inf, ``|x|`` outside ``[1e-250, 1e250]`` and near-ties to ``%``
+    itself, in row-aligned blocks of about ``_BLOCK_CELLS`` cells, each
+    written in turn as the bytes the kernel returns.  A row sequence's cells,
+    like the header's values, are formatted one at a time, ``str`` as it is
+    and a number as ``'%.17g' % float(value)``, the kernel's reference bytes,
+    and encoded once; a column's first cell sets its kind, ``str`` or number.
+    The file is written in binary mode as UTF-8, so a line ends in a bare
+    newline on every platform.  Everything is checked before the file is
+    opened: a row whose cell count is not the column count, or a cell whose
+    kind is not its column's, raises ``ValueError`` naming the row and the
+    column, and nothing is written.
     """
     chunks = _table(columns, rows)
     for key, value in header:
         if not isinstance(value, (str, *_REAL)):
             raise ValueError(f"header {key!r}: {value!r} is neither a str nor a real number")
     head = "".join(f"# {key} = {_cell_text(value)}\n" for key, value in header)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + "# columns = " + ",".join(columns) + "\n")
+    head += "# columns = " + ",".join(columns) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
         fh.writelines(chunks)
 
 

@@ -14,7 +14,11 @@ per conjugate axis pair, so the conjugate grid is derived, never chosen.
 Grids are origin-centered with an even point count M: x_n = (n - M/2) dx,
 which puts 0 exactly on the grid.  With that layout each 1-D stage below is
 an exact evaluation of the discrete plane-wave sum, and the full round trip
-is exact up to floating round-off.
+is exact up to floating round-off.  Even M also makes the centring a sign
+pattern: fftshift(fft(ifftshift(v))) = (-1)^(M/2) s fft(s v) with
+s_n = (-1)^n, so ``_centred_dft`` modulates a field once on the way in, runs
+plain FFTs, and leaves the output modulation to the caller's one pass over
+the result (for the pair, the pass that scales and transposes).
 """
 
 from __future__ import annotations
@@ -120,15 +124,42 @@ def ft_axis(values: np.ndarray, dx: float, hbar: float, axis: int, sign: int) ->
     """One Fourier stage: dx * sum_n f(x_n) exp(sign * i x_n k_m / hbar).
 
     The output lives on the conjugate centered grid k_m = (m - M/2) dk with
-    dk = 2 pi hbar / (M dx).  Exact for even M thanks to the shift pair.
+    dk = 2 pi hbar / (M dx).  Exact for even M, through ``_centred_dft``'s
+    sign identity.  ValueError unless ``sign`` is +1 or -1 and the axis
+    length M is even.
     """
-    n = values.shape[axis]
-    shifted = np.fft.ifftshift(values, axes=axis)
-    if sign < 0:
-        out = np.fft.fft(shifted, axis=axis)
-    else:
-        out = np.fft.ifft(shifted, axis=axis) * n
-    return dx * np.fft.fftshift(out, axes=axis)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if values.shape[axis] % 2:
+        raise ValueError(f"ft_axis needs an even axis length, got {values.shape[axis]}")
+    out, post = _centred_dft(values, (axis,), (sign,), dx)
+    return out * post
+
+
+def _centred_dft(values, axes, signs, scale: float):
+    """The centred DFT stages along ``axes`` (each of even length), kernel
+    exp(sign 2 pi i (n - M/2)(m - M/2) / M) per axis, as (raw, post): the
+    stages are ``scale * raw * post``, with ``post`` real and broadcastable.
+
+    For even M, fftshift(fft(ifftshift(v))) = (-1)^(M/2) s fft(s v) with
+    s_n = (-1)^n, and likewise for the unscaled inverse: so the input is
+    modulated once by the product of every axis's s, each axis takes one
+    plain FFT (``norm="forward"`` leaves the inverse unscaled), and ``post``
+    holds the output modulation, the signs (-1)^(M/2) and ``scale``, for the
+    caller to fold into its one pass over the result.
+    """
+    mod = np.ones((1,) * values.ndim)
+    for axis in axes:
+        m = values.shape[axis]
+        shape = [1] * values.ndim
+        shape[axis] = m
+        mod = mod * np.resize([1.0, -1.0], m).reshape(shape)
+        scale *= (-1) ** (m // 2)
+    out = values * mod
+    for axis, sign in zip(axes, signs):
+        out = (np.fft.fft(out, axis=axis) if sign < 0
+               else np.fft.ifft(out, axis=axis, norm="forward"))
+    return out, mod * scale
 
 
 def _centred_axis(points: int, step: float) -> np.ndarray:
@@ -183,9 +214,12 @@ def _uniform_step(axis, what: str, points: int) -> float:
 
 def _edge_ratio(values, axes) -> float:
     """The largest |values| on the first and last slices along each of
-    ``axes``, over the peak of |values| (0 for an all-zero field)."""
+    ``axes``, over the peak of |values| (0 for an all-zero field, nan when
+    any value is not finite)."""
     mags = np.abs(values)
     peak = np.max(mags)
+    if not np.isfinite(peak):
+        return np.nan
     if peak == 0.0:
         return 0.0
     return float(max(np.max(np.take(mags, [0, -1], axis=a)) for a in axes) / peak)
@@ -195,14 +229,19 @@ def _symplectic_ft(values, grid: CenteredGrid, where: str):
     """The two stages both directions of the pair share: axis 0 with kernel
     e^{+i x_0 k / hbar}, axis 1 with e^{-i x_1 k / hbar}, then the transpose
     (output axis 0 pairs with input axis 1) and the 1 / (2 pi hbar)
-    normalisation.  ``where`` names the public caller in the boundary warning."""
+    normalisation, taken with the output modulation of ``_centred_dft`` in
+    one pass.  ``where`` names the public caller in the boundary warning and
+    in the ValueError a non-finite value raises."""
     grid._check_field(values)
-    _measured(None, _edge_ratio(values, (0, 1)), 1e-14,
+    ratio = _edge_ratio(values, (0, 1))
+    if np.isnan(ratio):
+        raise ValueError(f"{where}: values must be finite")
+    _measured(None, ratio, 1e-14,
               f"{where}: input does not decay below 1e-14 of peak at the grid boundary; "
               "transform may be contaminated by truncation", GridDomainWarning)
-    tmp = ft_axis(values.astype(complex), grid.dp, grid.hbar, axis=0, sign=+1)
-    tmp = ft_axis(tmp, grid.dq, grid.hbar, axis=1, sign=-1)
-    return np.ascontiguousarray(tmp.T / (2.0 * np.pi * grid.hbar)), grid.conjugate()
+    scale = grid.dp * grid.dq / (2.0 * np.pi * grid.hbar)
+    tmp, post = _centred_dft(values, (0, 1), (+1, -1), scale)
+    return np.multiply(tmp.T, post.T, order="C"), grid.conjugate()
 
 
 def chord_from_centre(values: np.ndarray, grid: CenteredGrid):

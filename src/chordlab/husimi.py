@@ -34,16 +34,18 @@ def husimi_from_wigner(values, grid: CenteredGrid, sink=None) -> np.ndarray:
 
     The wrap-around error is negligible only if W has decayed a few
     sqrt(hbar) inside the grid edge; mass in that margin triggers a
-    GridDomainWarning.
+    GridDomainWarning.  A nan or infinite value raises ValueError.
     """
     values = np.asarray(values)
     grid._check_field(values)
+    total = float(np.sum(np.abs(values)))
+    if not np.isfinite(total):
+        raise ValueError("husimi_from_wigner: values must be finite")
     hb = grid.hbar
     margin = 3.0 * math.sqrt(hb)
     pp, qq = grid.meshgrid()
     near_edge = ((np.abs(pp) > grid.half_width_p - margin)
                  | (np.abs(qq) > grid.half_width_q - margin))
-    total = float(np.sum(np.abs(values)))
     if total > 0:
         diagnostics._measured(sink, float(np.sum(np.abs(values)[near_edge])) / total, 1e-12,
                               "{:.2e} of |W| lies within 3 sqrt(hbar) of the grid edge; "

@@ -50,13 +50,19 @@ class CoherentState:
 
 
 def coherent_chord_function(state: CoherentState, xi_p, xi_q):
-    """chi(xi) = (2 pi hbar)^-1 exp[i eta^xi / hbar - xi^2 / 4 hbar]."""
+    """chi(xi) = (2 pi hbar)^-1 exp[i eta^xi / hbar - xi^2 / 4 hbar].
+
+    The product of an xi_p factor exp[-i eta_q xi_p / hbar - xi_p^2 / 4 hbar]
+    and an xi_q factor exp[i eta_p xi_q / hbar - xi_q^2 / 4 hbar], each taken
+    on its own argument: on a grid pass the axes as an (M, 1) column and a
+    (1, M) row, not a meshgrid, and the closed form costs 2M complex
+    exponentials instead of M^2."""
     hb = state.hbar
     ep, eq = state.eta
     xi_p = np.asarray(xi_p, dtype=float)
     xi_q = np.asarray(xi_q, dtype=float)
-    phase = (ep * xi_q - eq * xi_p) / hb
-    return np.exp(1j * phase - (xi_p**2 + xi_q**2) / (4.0 * hb)) / (2.0 * math.pi * hb)
+    left = np.exp(-xi_p**2 / (4.0 * hb) - 1j * (eq / hb) * xi_p) / (2.0 * math.pi * hb)
+    return left * np.exp(-xi_q**2 / (4.0 * hb) + 1j * (ep / hb) * xi_q)
 
 
 def coherent_wigner(state: CoherentState, p, q):

@@ -404,6 +404,23 @@ def test_coherent_demo_grid_files_load_to_the_library_arrays(tmp_path):
     assert cgrid != grid
 
 
+def test_coherent_demo_checks_the_closed_form_on_the_chord_axes(tmp_path, monkeypatch):
+    """The round trip's closed form gets the chord grid's axes as an (M, 1)
+    column and a (1, M) row (2M exponentials), never a meshgrid."""
+    seen = []
+    closed_form = cli.states.coherent_chord_function
+
+    def spy(state, xi_p, xi_q):
+        seen.append((np.shape(xi_p), np.shape(xi_q)))
+        return closed_form(state, xi_p, xi_q)
+
+    monkeypatch.setattr(cli.states, "coherent_chord_function", spy)
+    cfg = write_cfg(tmp_path, "hbar = 0.05\nstate.eta = 0.3 -0.2\ngrid.points = 64\n")
+    assert run_cli("coherent-demo", "--config", cfg, "--out", str(tmp_path)) == 0
+    assert seen == [((64, 1), (1, 64))]
+    assert read_json(tmp_path, "coherent-demo.json")["result"]["chi_closed_form_error"] < 1e-10
+
+
 def test_seed_override_is_echoed(tmp_path):
     cfg = write_cfg(tmp_path, "hbar = 0.05\nseed = 3\ngrid.points = 32\n")
     out = tmp_path / "o"

@@ -216,10 +216,11 @@ def test_save_rejects_values_off_the_grid_shape(tmp_path):
 
 
 def _assert_cells_match_percent(x):
-    """``_format`` gives the bytes of ``'%.17g' %`` for every cell of ``x``."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+    """``_format`` gives the bytes of ``'%.17g' %`` for every cell of ``x``,
+    and for a +0 and a -0 on either side of them, the first cell included."""
+    x = np.r_[0.0, -0.0, np.asarray(x, dtype=np.float64).ravel(), -0.0, 0.0]
     got = gridio._format(x[:, None])
-    want = "".join(["%.17g\n" % v for v in x.tolist()])
+    want = "".join(["%.17g\n" % v for v in x.tolist()]).encode("ascii")
     if got != want:
         bad = [(v, g, w) for v, g, w in zip(x.tolist(), got.splitlines(), want.splitlines())
                if g != w]
@@ -431,6 +432,29 @@ def test_grid_write_memory_stays_under_the_reference_writer(tmp_path, monkeypatc
     reference = peak()
     assert (tmp_path / "g.csv").read_text() == text
     assert kernel <= reference
+
+
+def test_signed_zeros_in_every_column_match_the_reference(tmp_path):
+    """+0 and -0 are laid out by the kernel as ``0`` and ``-0``, in the first
+    cell, mid-row and at a row's end, beside cells of every form."""
+    rows = np.array([[0.0, -0.0, 1.5], [-0.0, 2.5e-300, 0.0], [np.nan, -0.0, -0.0],
+                     [1e20, 0.0, -1e-5]])
+    write_table(tmp_path / "new.csv", [("kind", "zeros")], ["a", "b", "c"], rows)
+    _percent_write_table(tmp_path / "ref.csv", [("kind", "zeros")], ["a", "b", "c"], rows)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.endswith(b"\n0,-0,1.5\n-0,2.5e-300,0\nnan,-0,-0\n"
+                        b"1e+20,0,-1.0000000000000001e-05\n")
+
+
+def test_write_table_writes_utf8_with_newline_line_ends(tmp_path):
+    """The file is written in binary mode: UTF-8 text, every line ended by
+    a bare newline, the row-sequence path included."""
+    path = tmp_path / "t.csv"
+    write_table(path, [("label", "\u0127 = h/2\u03c0"), ("n", 3)], ["name", "x"],
+                [("\u03c7", 0.25), ("w", -0.0)])
+    assert path.read_bytes() == ("# label = \u0127 = h/2\u03c0\n# n = 3\n# columns = name,x\n"
+                                 "\u03c7,0.25\nw,-0\n").encode("utf-8")
 
 
 def test_write_table_rejects_a_header_value_of_neither_kind(tmp_path):

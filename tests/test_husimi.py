@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,19 @@ def test_husimi_from_wigner_guards():
     assert len(sink) == 1
     with pytest.raises(ValueError):
         husimi_from_wigner(w[:-1], grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_husimi_from_wigner_rejects_a_non_finite_value(bad):
+    """One bad cell raises ValueError naming the function, before any
+    warning (the parent returned an all-nan field with no note)."""
+    grid = CenteredGrid(2.0, 2.0, 64, HBAR)
+    w = coherent_wigner(CoherentState((0.0, 0.0), HBAR), *grid.meshgrid())
+    w[40, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^husimi_from_wigner: values must be finite"):
+            husimi_from_wigner(w, grid)
 
 
 def test_husimi_fourier_term_and_grid_forms():

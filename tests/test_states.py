@@ -99,6 +99,30 @@ def test_chord_function_structure():
     assert np.allclose(chi, base * phase)
 
 
+@pytest.mark.parametrize("points, hbar, eta", [(8, 0.05, (0.7, -0.1)),
+                                               (64, 0.02, (-0.4, 0.9)),
+                                               (192, 0.1, (0.3, -0.25))])
+def test_chord_function_on_axes_matches_the_meshgrid(points, hbar, eta):
+    """On a column and a row of chord axes the factored closed form equals its
+    own meshgrid evaluation to 2 ulps of chi(0), and the one-exponential form
+    exp[i eta^xi / hbar - xi^2 / 4 hbar] / (2 pi hbar) on the meshgrid to
+    2 eps (1 + |e|) of each value, |e| the size of the exponent's phase and
+    Gaussian parts: the rounding of an exponent that large (at most 1.4 eps
+    (1 + |e|) seen over 200 random grids)."""
+    state = CoherentState(eta, hbar)
+    g = CenteredGrid(2.0, 1.5, points, hbar).conjugate()
+    xp, xq = g.meshgrid()
+    got = coherent_chord_function(state, g.p_axis[:, None], g.q_axis[None, :])
+    assert got.shape == (points, points)
+    ulp = np.spacing(1.0 / (2.0 * math.pi * hbar))
+    assert np.max(np.abs(got - coherent_chord_function(state, xp, xq))) <= 2 * ulp
+    one = np.exp(1j * (eta[0] * xq - eta[1] * xp) / hbar
+                 - (xp**2 + xq**2) / (4.0 * hbar)) / (2.0 * math.pi * hbar)
+    size = (np.abs(eta[0] * xq) + np.abs(eta[1] * xp)) / hbar + (xp**2 + xq**2) / (4.0 * hbar)
+    bound = 2 * np.finfo(float).eps * (1.0 + size) * np.abs(one) + np.finfo(float).tiny
+    assert np.all(np.abs(got - one) <= bound)
+
+
 def test_husimi_peak_and_mass():
     state = CoherentState((0.2, 0.6), HBAR)
     assert np.isclose(coherent_husimi(state, 0.2, 0.6), 1.0 / (2.0 * math.pi * HBAR))
