@@ -19,6 +19,11 @@ the spline pieces whose range holds Q are solved, each split at its interior
 extrema into monotone runs, and each run's root is one ``brentq`` call.
 Near a turning point of the q-projection the slope diverges; callers flag
 such branches as caustic via a threshold instead of regularizing them.
+
+A curve's theta and points are read-only arrays of its own, so what is
+cached on it (the spline fits here, the last flow's image and branches in
+``lwc.branch_lines``) always describes its samples, and an evolved image
+shares its source's theta.
 """
 
 from __future__ import annotations
@@ -47,6 +52,17 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: a read-only array that
+    owns its data is kept as it is (a curve's own theta, say), anything else
+    is copied, so no caller's array can change it afterwards."""
+    a = np.asarray(values, dtype=dtype)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class LagrangianCurve:
     """Sampled closed curve with spline accessors.
@@ -54,7 +70,9 @@ class LagrangianCurve:
     ``theta`` is strictly increasing in [0, 2 pi); ``points`` holds the
     (p, q) samples; ``action`` is the given label or, when none is given,
     the enclosed area / 2 pi measured from the samples by the q spline the
-    curve keeps.
+    curve keeps.  Both arrays are read-only copies (a read-only array the
+    curve may keep as it is, see ``_read_only``), so the fits a curve
+    caches, and whatever ``lwc.branch_lines`` keeps on it, cannot go stale.
     """
 
     theta: np.ndarray
@@ -62,8 +80,7 @@ class LagrangianCurve:
     action: float = None
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        pts = np.asarray(self.points, dtype=float)
+        th, pts = _read_only(self.theta, float), _read_only(self.points, float)
         if th.ndim != 1 or pts.shape != (th.size, 2):
             raise ValueError("theta must be (n,) and points (n, 2)")
         if self.action is not None:
@@ -78,6 +95,11 @@ class LagrangianCurve:
         object.__setattr__(self, "points", pts)
         if self.action is None:
             object.__setattr__(self, "action", _enclosed_area(self._q_spline, pts[:, 0]) / _TWO_PI)
+
+    def __getstate__(self):
+        """A pickle or copy keeps the samples and fits, not the flow
+        ``lwc.branch_lines`` keeps (its model need not pickle)."""
+        return {k: v for k, v in self.__dict__.items() if k != "_branch_flow"}
 
     @cached_property
     def _q_spline(self):
@@ -312,7 +334,8 @@ def pendulum_level_curve(energy: float, g: float = 1.0, samples: int = 1024) -> 
 
 @dataclass(frozen=True)
 class BranchData:
-    """Branches p_j(Q) of a curve's q-projection at one position Q."""
+    """Branches p_j(Q) of a curve's q-projection at one position Q, in
+    read-only arrays (one record may serve several ``lwc.Lines``)."""
 
     Q: float
     theta: np.ndarray
@@ -320,6 +343,11 @@ class BranchData:
     amplitude: np.ndarray
     slope: np.ndarray
     caustic: np.ndarray
+
+    def __post_init__(self):
+        for name in ("theta", "p", "amplitude", "slope"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
+        object.__setattr__(self, "caustic", _read_only(self.caustic, bool))
 
     def __len__(self):
         return self.p.size
@@ -367,9 +395,10 @@ def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
     (``dynamics.advect``: each sample's own step count by default, equal
     steps of at most a given ``dt``).
 
-    The image keeps the original theta labels; its action label is
-    re-measured from the advected samples (dissipation shrinks the enclosed
-    area).
+    The image shares the original (read-only) theta labels; its action
+    label is re-measured from the advected samples (dissipation shrinks the
+    enclosed area).  ``lwc.branch_lines`` keeps the last image it made on
+    the source curve, so repeated windows of one flow evolve the curve once.
     """
     pts = dynamics.advect(H, channels, curve.points, t, dt)
-    return LagrangianCurve(curve.theta.copy(), pts)
+    return LagrangianCurve(curve.theta, pts)

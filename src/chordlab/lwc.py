@@ -15,7 +15,10 @@ A_j N(p_j, sigma_j^2) with sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2,
 and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  ``branch_lines`` gives every window's lines from
 one evolved curve and one anchor pass (bare plane waves at delta = t = 0);
-``lwc_sc_markov`` and ``sc_spectrum_closed_form`` are one window of it.
+``lwc_sc_markov`` and ``sc_spectrum_closed_form`` are one window of it.  The
+source curve keeps its last flow (the image and every window solved on it),
+so calls that share the curve, model and channel objects, t and step rule
+evolve the curve once and solve each window once.
 
 Gaussian lines have one record, ``Lines``: ``Lines.sample`` is the only
 builder of a sample from lines (one call of the plane-wave kernel) and
@@ -388,35 +391,86 @@ def shear_phi_qq(phi, slope: float) -> float:
     return float(u @ np.asarray(phi, dtype=float) @ u)
 
 
+@dataclass
+class _BranchFlow:
+    """What ``branch_lines`` keeps on a source curve: the last flow's key (H,
+    the channels, and t with the step rule: ``PER_ROW`` is 1e-2 as a float
+    but steps each row its own way), the image it evolved (None at t = 0:
+    the curve itself) and, per window (Q, sign of Q, hbar) solved on that
+    image, its branches, their sheared Phi_qq and each live branch's step
+    estimate."""
+
+    key: tuple
+    image: LagrangianCurve | None
+    windows: dict = field(default_factory=dict)
+
+    def matches(self, key: tuple) -> bool:
+        """The same model and channel objects, t and step rule."""
+        (H, chans, rest), (H2, chans2, rest2) = self.key, key
+        return (H is H2 and rest == rest2 and len(chans) == len(chans2)
+                and all(a is b for a, b in zip(chans, chans2)))
+
+
 def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
                  H, channels, t: float, dt: float = dynamics.PER_ROW) -> list:
-    """The branch sum's ``Lines`` at each window centre in ``qs``, in order:
-    the curve evolved to t once, then one line per live branch at Q (caustic
-    beyond |slope| = 1/sqrt(hbar)) at window width delta, finite and >= 0.
-    Each record keeps every branch and their sheared Phi_qq from one
-    backward ``dynamics._flow`` over every window's live branches (nan on
+    """The branch sum's ``Lines`` at each window centre in ``qs`` (1-D), in
+    order: the curve evolved to t once, then one line per live branch at Q
+    (caustic beyond |slope| = 1/sqrt(hbar)) at window width delta, finite and
+    >= 0.  Each record keeps every branch and their sheared Phi_qq from one
+    backward ``dynamics._flow`` over every new window's live branches (nan on
     caustic branches, 0 when t = 0 or there are no channels), with each
     branch's error-estimate note.  Both flows take ``dt`` as
     ``dynamics.evolve_chord_function`` does: each trajectory's own step count
     by default, equal steps of at most a given dt.  At delta = 0
     and t = 0, ``[0].sample(xi_q, None)`` is the bare sum
     C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to C(0) (the
-    curve average carries its own 1/2 pi)."""
+    curve average carries its own 1/2 pi).
+
+    The source curve keeps its last flow: a call with the same model and
+    channel objects, t and step rule reuses the evolved image, and every
+    window (Q, hbar) already solved on it, branches and anchor flow alike;
+    only new windows are solved, so any split of the windows over calls
+    gives the same bits.  Another flow replaces what the curve keeps.  Every
+    note is emitted on every call, a reused window's too."""
     _check_positive(hbar, "hbar")
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     dynamics._check_time(t)
-    if t > 0:
-        curve = evolve_curve_classically(curve, H, channels, t, dt)
-    brs = [branches_at(curve, Q, 1.0 / math.sqrt(hbar)) for Q in qs]
-    lives = [np.flatnonzero(~br.caustic) for br in brs]
-    anchors = np.array([(p, br.Q) for br, live in zip(brs, lives)
-                        for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for no windows
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 1:
+        raise ValueError(f"qs must be a 1-D sequence of window centres, got shape {qs.shape}")
+    channels = tuple(dynamics._as_channels(channels))
+    key = (H, channels, (float(t), dt is dynamics.PER_ROW, float(dt)))
+    memo = curve.__dict__.get("_branch_flow")
+    if memo is None or not memo.matches(key):
+        image = evolve_curve_classically(curve, H, channels, t, dt) if t > 0 else None
+        memo = curve.__dict__["_branch_flow"] = _BranchFlow(key, image)
+    image = curve if memo.image is None else memo.image
+    # -0.0 keys apart from 0.0: each window keeps the Q it was solved at
+    windows = [(Q, math.copysign(1.0, Q), hbar) for Q in qs.tolist()]
+    todo = {}  # each window not yet solved, once, with its branches
+    for window in windows:
+        if window not in memo.windows and window not in todo:
+            todo[window] = branches_at(image, window[0], 1.0 / math.sqrt(hbar))
+    lives = [np.flatnonzero(~br.caustic) for br in todo.values()]
+    anchors = np.array([(p, br.Q) for br, live in zip(todo.values(), lives)
+                        for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for none
+    phis, errs = None, np.zeros(0)
     if t > 0 and channels and anchors.size:  # Phi anchored at each end: the flow run backward
         _, phis, errs = dynamics._flow(H, channels, anchors, -t, dt, "start")
         phis = np.broadcast_to(phis, (len(anchors), 2, 2))
+    for window, br, live in zip(todo, todo.values(), lives):
+        phi_qq = [math.nan if c else 0.0 for c in br.caustic]
+        if phis is not None:
+            for j, phi in zip(live, phis):
+                phi_qq[j] = shear_phi_qq(phi, br.slope[j])
+            phis = phis[live.size:]
+        memo.windows[window] = (br, tuple(phi_qq), errs[:live.size])
+        errs = errs[live.size:]
     out = []
-    for Q, br, live in zip(qs, brs, lives):
+    for window in windows:
+        Q, (br, phi_qq, errs) = window[0], memo.windows[window]
+        live = np.flatnonzero(~br.caustic)
         notes = []
         if len(br) == 0:
             diagnostics.report(notes, f"no real branches at Q = {Q:g} (evanescent region)",
@@ -424,16 +478,11 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
         elif np.any(br.caustic):
             diagnostics.report(notes, f"excluded {int(np.sum(br.caustic))} caustic branch(es) "
                                f"at Q = {Q:g}; {live.size} kept", diagnostics.ConvergenceWarning)
-        phi_qq = [math.nan if c else 0.0 for c in br.caustic]
-        if t > 0 and channels and live.size:
-            for err in errs[:live.size]:
-                diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
-                                      diagnostics.ConvergenceWarning)
-            for j, phi in zip(live, phis):
-                phi_qq[j] = shear_phi_qq(phi, br.slope[j])
-            phis, errs = phis[live.size:], errs[live.size:]
+        for err in errs:
+            diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
+                                  diagnostics.ConvergenceWarning)
         variance = hbar * np.asarray(phi_qq)[live] + (delta * br.slope[live]) ** 2
-        out.append(Lines(br.amplitude[live], br.p[live], variance, hbar, notes, br, tuple(phi_qq)))
+        out.append(Lines(br.amplitude[live], br.p[live], variance, hbar, notes, br, phi_qq))
     return out
 
 
@@ -443,8 +492,9 @@ def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant.  One window of
-    ``branch_lines`` (``dt`` as there), kept for the acceptance tests and the
-    benchmark."""
+    ``branch_lines`` (``dt`` as there), which reuses the flow and the window
+    a call on the same curve, model and channel objects has solved; kept for
+    the acceptance tests and the benchmark."""
     [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.sample(xi_q, window)
 
@@ -488,12 +538,14 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
     """Sum of branch Gaussians A_j N(p_j, sigma_j^2) with
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2, the exact spectrum of
     ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of one window
-    of ``branch_lines`` (``dt`` as there), after a second branch pass, kept
-    for the acceptance tests and the benchmark.  Every sample summed from
-    lines keeps them (``lwc_sc_markov``, a ``branch_lines`` record's
-    ``sample``, and ``lwc_from_chord`` of a term sum: a coherent state or an
-    evolved chord function), so ``sample.lines.spectrum(p_axis)`` needs no
-    second pass.
+    of ``branch_lines`` (``dt`` as there), kept for the acceptance tests and
+    the benchmark.  After ``lwc_sc_markov`` on the same curve, model and
+    channel objects, t and window it reads the branches and Phi_qq that call
+    left on the curve, so it evolves nothing and solves no branch.  Every
+    sample summed from lines keeps them (``lwc_sc_markov``, a
+    ``branch_lines`` record's ``sample``, and ``lwc_from_chord`` of a term
+    sum: a coherent state or an evolved chord function), so
+    ``sample.lines.spectrum(p_axis)`` is the same spectrum without the call.
     """
     [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
     return lines.spectrum(p_axis)

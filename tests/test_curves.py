@@ -52,6 +52,40 @@ def test_position_velocity_splines():
     assert np.allclose(curve.position(2.0 * math.pi + 0.7), curve.position(0.7))
 
 
+def test_a_curve_keeps_read_only_copies_of_its_samples():
+    """Before, a float64 caller array was kept by reference: halving q in it
+    after a branch solve left the cached q spline giving p = +-0.954 at
+    q = 0.3 and the action at 0.50, where a fresh curve of the halved samples
+    gives p = +-0.800.  The curve's arrays are now its own and read-only; a
+    read-only view of a caller's array is copied, a curve's own array is
+    shared, and so is theta with an evolved image."""
+    th = np.arange(64) * 2.0 * math.pi / 64
+    pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    view = pts.view()
+    view.setflags(write=False)
+    curve, of_view = LagrangianCurve(th, pts), LagrangianCurve(th, view)
+    before = branches_at(curve, 0.3)
+    action = curve.action
+    pts[:, 1] *= 0.5
+    th[:] = 0.0
+    for c in (curve, of_view):
+        assert np.array_equal(c.points[:, 1], np.sin(c.theta))
+        for a in (c.theta, c.points):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    again = branches_at(curve, 0.3)
+    assert np.array_equal(np.abs(again.p), np.abs(before.p)) and curve.action == action
+    assert np.allclose(np.abs(before.p), math.sqrt(1.0 - 0.09))
+    halved = LagrangianCurve(curve.theta, pts)
+    assert halved.theta is curve.theta
+    assert np.allclose(np.abs(branches_at(halved, 0.3).p), 0.8)
+    assert evolve_curve_classically(curve, dy.hamiltonians.harmonic(), None, 0.1).theta \
+        is curve.theta
+    for a in (before.theta, before.p, before.amplitude, before.slope, before.caustic):
+        assert not a.flags.writeable
+
+
 def test_splines_are_built_once_and_close_the_loop():
     curve = harmonic_circle(0.5, 64)
     first = curve._splines

@@ -1,14 +1,18 @@
+import copy
+import gc
 import inspect
 import math
+import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians, lwc
-from chordlab.curves import (branches_at, harmonic_circle, pendulum_level_curve,
-                             quartic_level_curve)
+from chordlab.curves import (LagrangianCurve, branches_at, harmonic_circle,
+                             pendulum_level_curve, quartic_level_curve)
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
                            fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
@@ -867,8 +871,8 @@ def test_branch_pass_matches_per_branch_decoherence_matrices(family, dt):
 
 def test_each_window_keeps_its_own_halving_notes(monkeypatch):
     """One anchor pass serves two windows at a coarse step; each record keeps
-    the notes of its own branches, as a single-window call gives them, and
-    the notes print the errors the pass measured."""
+    the notes of its own branches, as a single-window call on a fresh copy of
+    the curve gives them, and the notes print the errors the pass measured."""
     curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
     channels = [dynamics.LindbladChannel((0.0, 0.8))]
     t, dt, qs = 1.0, 0.25, [-0.3, 0.2]
@@ -886,7 +890,7 @@ def test_each_window_keeps_its_own_halving_notes(monkeypatch):
         warnings.simplefilter("ignore", ConvergenceWarning)
         lines = branch_lines(curve, qs, HBAR, 0.2, H, channels, t, dt)
         assert len(errs) == 1 and errs[0].shape == (4,)  # two live branches a window
-        want = [lwc_sc_markov(curve, H, channels, t, LwcWindow(Q, 0.2, HBAR), [0.0],
+        want = [lwc_sc_markov(_fresh(curve), H, channels, t, LwcWindow(Q, 0.2, HBAR), [0.0],
                               dt=dt).warnings for Q in qs]
     assert [record.warnings for record in lines] == want
     assert [len(notes) for notes in want] == [2, 2]
@@ -921,11 +925,166 @@ def test_branch_lines_checks_the_window_width(delta):
     assert bare.variance.size == 2 and not np.any(bare.variance)
 
 
+@pytest.mark.parametrize("qs", [0.3, [[0.1, 0.2]]], ids=["scalar", "2d"])
+def test_branch_lines_reads_qs_as_a_1d_array(qs):
+    """Before, a scalar raised "'float' object is not iterable" and a 2-D
+    array a broadcasting error from inside the spline."""
+    with pytest.raises(ValueError, match=r"qs must be a 1-D sequence of window centres, "
+                                         r"got shape \("):
+        branch_lines(harmonic_circle(0.5, 256), qs, HBAR, 0.2, hamiltonians.zero(), (), 0.0)
+
+
+def _fresh(curve):
+    """The same samples as a new curve, which keeps nothing of earlier calls."""
+    return LagrangianCurve(curve.theta, curve.points, curve.action)
+
+
+def _bits(result):
+    """A branch-sum sample or spectrum as bytes and text: its values and
+    notes, a spectrum's axis and peaks, a sample's lines, Phi_qq and
+    branches."""
+    out = [result.values.tobytes(), list(result.warnings)]
+    if isinstance(result, lwc.SpectralDensity):
+        return out + [result.p.tobytes(), result.peaks]
+    lines, br = result.lines, result.branches
+    return out + [a.tobytes() for a in (lines.amplitude, lines.p, lines.variance,
+                                        np.array(result.phi_qq), br.theta, br.p,
+                                        br.amplitude, br.slope, br.caustic)] + [br.Q.hex()]
+
+
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+
+
+@pytest.mark.parametrize("family", ["ring", "quartic", "pendulum"])
+def test_one_window_wrappers_share_one_flow_per_curve(family, monkeypatch):
+    """Two windows x (lwc_sc_markov, sc_spectrum_closed_form), as the sweep
+    benchmark and acceptance criteria 5 and 6 call them, advect the curve
+    once and run one anchor flow a window; each result equals the same call
+    on a fresh copy of the curve bit for bit, notes, Phi_qq and branches
+    included."""
+    curve, H, t, window = _window_case(family)
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    windows = [window, LwcWindow.canonical(-0.2, HBAR)]
+    xi_q, p = suggest_xi_q_grid(HBAR, points=64), np.linspace(-2.0, 2.0, 801)
+    advected, flows = [], []
+    _spy(monkeypatch, dynamics, "advect", advected)
+    _spy(monkeypatch, dynamics, "_flow", flows)
+    calls = [(f, w, arg) for w in windows
+             for f, arg in ((lwc_sc_markov, xi_q), (sc_spectrum_closed_form, p))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = [_bits(f(curve, H, channels, t, w, arg)) for f, w, arg in calls]
+        assert len(advected) == 1 and len(flows) == 3  # the curve's flow, one anchor flow a window
+        want = [_bits(f(_fresh(curve), H, channels, t, w, arg)) for f, w, arg in calls]
+    assert got == want
+    assert len(advected) == 5
+
+
+_MISSES = {  # one argument of the second call changed: (edit, image reused, result moves)
+    "model": (lambda a: dict(a, H=hamiltonians.quartic()), False, False),
+    "channel": (lambda a: dict(a, channels=[dynamics.LindbladChannel((0.0, 0.8))]), False,
+                False),
+    "t": (lambda a: dict(a, t=0.11), False, True),
+    "dt": (lambda a: dict(a, dt=1e-2), False, True),
+    "hbar": (lambda a: dict(a, window=LwcWindow.canonical(0.0, 0.04)), True, True),
+    "negative-zero": (lambda a: dict(a, window=LwcWindow(-0.0, 0.2, HBAR)), True, True),
+}
+
+
+@pytest.mark.parametrize("change", list(_MISSES))
+def test_another_flow_or_window_is_solved_afresh(change, monkeypatch):
+    """Another model object of the same family, another channel object,
+    another t or step rule (dt = 1e-2 after the PER_ROW default, 1e-2 as a
+    float) evolves the curve again; another hbar or a window at -0.0 after
+    0.0 reuses the image but solves its branches again.  Each result equals
+    the call on a fresh copy of the curve bit for bit, and a repeat of it is
+    solved from what the curve keeps."""
+    curve = quartic_level_curve(0.3, samples=256)
+    first = dict(H=hamiltonians.quartic(), channels=[dynamics.LindbladChannel((0.0, 0.8))],
+                 t=0.1, window=LwcWindow(0.0, 0.2, HBAR))
+    edit, image_kept, moves = _MISSES[change]
+    second = edit(first)
+    advected, solved = [], []
+    _spy(monkeypatch, dynamics, "advect", advected)
+    _spy(monkeypatch, lwc, "branches_at", solved)
+
+    def call(c, a):
+        return _bits(lwc_sc_markov(c, a["H"], a["channels"], a["t"], a["window"], [0.0, 0.1],
+                                   a.get("dt", dynamics.PER_ROW)))
+
+    before = call(curve, first)
+    got = call(curve, second)
+    assert (len(advected), len(solved)) == ((1 if image_kept else 2), 2)
+    assert (got != before) == moves  # where it moves, a reused result would have been wrong
+    assert got == call(_fresh(curve), second)
+    counts = len(advected), len(solved)
+    assert call(curve, second) == got and (len(advected), len(solved)) == counts
+
+
+def test_a_reused_flow_warns_every_note_at_the_callers_line(monkeypatch):
+    """A second call on the same flow runs no flow of its own, and warns the
+    step-error, caustic and no-branch notes of the first, in the same order,
+    at the calling line."""
+    curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
+    channels = [dynamics.LindbladChannel((0.0, 0.8))]
+    call = lambda: branch_lines(curve, [0.2, 1.04, 2.0], HBAR, 0.2, H, channels, 1.0, 0.25)  # noqa: E731
+    runs, flows = [], []
+    for k in range(2):
+        if k:
+            _spy(monkeypatch, dynamics, "_flow", flows)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            lines = call()
+        runs.append([(w.category, str(w.message), w.filename, w.lineno) for w in rec])
+        assert [len(record.warnings) for record in lines] == [2, 1, 1]
+    assert flows == [] and runs[0] == runs[1] and len(runs[0]) == 4
+    assert {(c, f, n) for c, _, f, n in runs[1]} == {
+        (ConvergenceWarning, __file__, call.__code__.co_firstlineno)}
+    assert [m for _, m, _, _ in runs[1][2:]] == [
+        "excluded 2 caustic branch(es) at Q = 1.04; 0 kept",
+        "no real branches at Q = 2 (evanescent region)"]
+
+
+def test_a_curve_pickles_and_copies_without_its_flow():
+    """What branch_lines keeps holds the model, whose functions need not
+    pickle: a pickled or copied curve leaves it behind, and gives the same
+    bits."""
+    curve, H, t, window = _window_case("quartic")
+    channels = [dynamics.LindbladChannel((0.0, 1.0))]
+    want = _bits(lwc_sc_markov(curve, H, channels, t, window, [0.0, 0.1]))
+    for other in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve), copy.copy(curve)):
+        assert np.array_equal(other.points, curve.points) and other.action == curve.action
+        assert _bits(lwc_sc_markov(other, H, channels, t, window, [0.0, 0.1])) == want
+
+
+def test_a_curve_keeps_one_image_over_a_scan_of_t(monkeypatch):
+    """Each new t replaces what the curve keeps: after 50 times only the last
+    image is alive."""
+    images = []
+    real = lwc.evolve_curve_classically
+
+    def keep(*args):
+        image = real(*args)
+        images.append(weakref.ref(image))
+        return image
+
+    monkeypatch.setattr(lwc, "evolve_curve_classically", keep)
+    curve, window = harmonic_circle(0.5, 256), LwcWindow.canonical(0.3, HBAR)
+    H, channels = hamiltonians.harmonic(), [dynamics.LindbladChannel((0.0, 1.0))]
+    for t in np.linspace(0.01, 0.5, 50):
+        lwc_sc_markov(curve, H, channels, t, window, [0.0])
+    gc.collect()
+    assert [ref() is not None for ref in images] == [False] * 49 + [True]
+
+
 @pytest.mark.parametrize("family", ["ring", "quartic", "pendulum"])
 def test_each_window_of_branch_lines_is_the_one_window_call(family):
     """One branch_lines call over three windows (one evolution, one anchor
     pass) gives each window what lwc_sc_markov (values, warnings) and
-    sc_spectrum_closed_form (values, peaks) give for it alone, bit for bit."""
+    sc_spectrum_closed_form (values, peaks) give for it alone on a fresh copy
+    of the curve, bit for bit."""
     curve, H, t, window = _window_case(family)
     channels = [dynamics.LindbladChannel((0.0, 1.0))]
     qs = [window.Q, -0.2, 0.0]
@@ -937,11 +1096,12 @@ def test_each_window_of_branch_lines_is_the_one_window_call(family):
         assert len(lines) == len(qs)
         for Q, record in zip(qs, lines):
             one = LwcWindow(Q, window.delta, HBAR)
-            got, want = record.sample(xi_q, one), lwc_sc_markov(curve, H, channels, t, one, xi_q)
+            got = record.sample(xi_q, one)
+            want = lwc_sc_markov(_fresh(curve), H, channels, t, one, xi_q)
             assert got.values.tobytes() == want.values.tobytes()
             assert got.warnings == want.warnings
             got_sd = record.spectrum(p)
-            want_sd = sc_spectrum_closed_form(curve, H, channels, t, one, p)
+            want_sd = sc_spectrum_closed_form(_fresh(curve), H, channels, t, one, p)
             assert got_sd.values.tobytes() == want_sd.values.tobytes()
             assert got_sd.peaks == want_sd.peaks and len(got_sd.peaks) == 2
 
