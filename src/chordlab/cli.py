@@ -336,7 +336,7 @@ def _pick_route(cfg: Config, fam: str, t: float) -> str:
 
 
 def _lwc_samples(cfg: Config, hbar: float):
-    """Shared by the lwc and spectrum experiments."""
+    """Shared by the lwc and spectrum experiments: the route and one (Q, sample) per window.q."""
     fam = _state_family(cfg)
     t, model, channels = _evolution(cfg)
     dt = _flow_step(cfg, model)  # at t > 0 only the chord and sc-markov routes run
@@ -350,16 +350,20 @@ def _lwc_samples(cfg: Config, hbar: float):
         if delta <= 0:
             raise ConfigError(f"window.delta must be positive, got {delta:g}")
     xi_q = _xi_grid(cfg, hbar)
-
-    chi_fn = coh = None
+    windows = [LwcWindow(q0, delta, hbar) if delta else None for q0 in q_centres]
+    # the route is taken once: its branch builds every window's sample, in config order
     if route in ("closed-form", "direct"):
         if fam != "coherent" or t != 0.0:
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = states.CoherentState(_eta(cfg), hbar)
-        if route == "direct":
+        if route == "closed-form":
+            samples = [LwcSample(xi_q, lwc_coherent_closed_form(coh, w, xi_q), w, [])
+                       for w in windows]
+        else:
             # windows whose spans Q +- (6 Delta + 1) overlap share one q axis, at
             # 800 steps a span, so each block of their slices is tabulated once;
-            # a wider gap between two windows would be tabulated for neither
+            # a wider gap between two windows would be tabulated for neither;
+            # the groups run sorted, and the dict maps them back to config order
             span = 6.0 * delta + 1.0
             direct = {}
             qs = np.sort(q_centres)
@@ -370,9 +374,11 @@ def _lwc_samples(cfg: Config, hbar: float):
                 group = group.tolist()
                 direct.update(zip(group, lwc_direct(
                     slices, q_axis, xi_q, [LwcWindow(q0, delta, hbar) for q0 in group], xi_q)))
+            samples = [direct[q0] for q0 in q_centres]
     elif route == "chord":
         chi_fn = evolve_chord_function(_chord_source(cfg, hbar), model, channels, t, dt=dt,
                                        hbar=hbar)
+        samples = [lwc_from_chord(chi_fn, w, xi_q) for w in windows]
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
@@ -380,32 +386,20 @@ def _lwc_samples(cfg: Config, hbar: float):
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
         # one branch pass serves every window
         lines = branch_lines(_curve(cfg, fam), q_centres, hbar, delta, model, channels, t, dt)
-
-    samples = []
-    for k, q0 in enumerate(q_centres):
-        window = LwcWindow(q0, delta, hbar) if delta else None
-        if route == "closed-form":
-            vals = lwc_coherent_closed_form(coh, window, xi_q)
-            sample = LwcSample(xi_q, vals, window, [])
-        elif route == "direct":
-            sample = direct[q0]
-        elif route == "chord":
-            sample = lwc_from_chord(chi_fn, window, xi_q)
-        else:
-            sample = lines[k].sample(xi_q, window)
+        samples = [rec.sample(xi_q, w) for rec, w in zip(lines, windows)]
+        for q0, sample in zip(q_centres, samples):
             if not sample.lines.p.size:
                 raise RuntimeError(f"no semiclassical branch survives in the window at "
                                    f"Q = {q0:g} ({'; '.join(sample.warnings)})")
-        samples.append((q0, sample))
-    return route, samples
+    return route, list(zip(q_centres, samples))
 
 
 def _exp_lwc(cfg: Config, out: str, hbar: float) -> dict:
     route, samples = _lwc_samples(cfg, hbar)
     info = []
     for q0, sample in samples:
-        entry = {"Q": q0, "c0_re": float(np.real(sample.c0())),
-                 "c0_im": float(np.imag(sample.c0()))}
+        c0 = sample.c0()
+        entry = {"Q": q0, "c0_re": c0.real, "c0_im": c0.imag}
         if sample.branches is not None and len(sample.branches):
             entry["branch_momenta"] = [float(p) for p in sample.branches.p]
         info.append(entry)

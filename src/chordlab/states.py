@@ -75,12 +75,8 @@ def coherent_wigner(state: CoherentState, p, q):
 
 
 def coherent_husimi(state: CoherentState, p, q):
-    """Unit-mass Gaussian smoothing of the Wigner function, peak (2 pi hbar)^-1."""
-    hb = state.hbar
-    ep, eq = state.eta
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.exp(-((p - ep) ** 2 + (q - eq) ** 2) / (2.0 * hb)) / (2.0 * math.pi * hb)
+    """Unit-mass Gaussian smoothing of the Wigner function: that Gaussian at 2 hbar."""
+    return coherent_wigner(CoherentState(state.eta, 2.0 * state.hbar), p, q)
 
 
 def coherent_wavefunction(state: CoherentState, q):

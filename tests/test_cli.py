@@ -988,6 +988,36 @@ xi.points = 256
             [pk["position"] for pk in one_win["peaks"]], rel=0, abs=1e-9)
 
 
+@pytest.mark.parametrize("route, base", [
+    ("closed-form", "state.eta = 0.3 0.1\n"),
+    ("direct", "state.eta = 0.3 0.1\n"),
+    ("sc-markov", "state.family = circle\nstate.samples = 64\n"),
+])
+def test_lwc_blocks_follow_the_config_order_of_repeated_centres(tmp_path, route, base):
+    """window.q = 0.2, -0.1, 0.2 gives one lwc.csv block per entry, in
+    config order, the two 0.2 blocks equal (the direct route runs its
+    windows sorted and maps them back); on the closed-form and sc-markov
+    routes each block is its centre's one-window run byte for byte."""
+    base = f"hbar = 0.05\n{base}lwc.route = {route}\nxi.points = 32\n"
+
+    def blocks(name, centres):
+        cfg = write_cfg(tmp_path, base + "".join(f"window.q = {q}\n" for q in centres),
+                        f"{name}.cfg")
+        out = tmp_path / name
+        assert run_cli("lwc", "--config", cfg, "--out", str(out)) == 0
+        rows = [line for line in (out / "lwc.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        return [rows[k:k + 32] for k in range(0, len(rows), 32)]
+
+    three = blocks("three", (0.2, -0.1, 0.2))
+    assert [float(block[0].split(",")[0]) for block in three] == [0.2, -0.1, 0.2]
+    assert all(len({row.split(",")[0] for row in block}) == 1 for block in three)
+    assert three[0] == three[2]
+    if route != "direct":
+        assert three[1] == blocks("left", (-0.1,))[0]
+        assert three[0] == blocks("right", (0.2,))[0]
+
+
 def test_lwc_chord_route_after_evolution(tmp_path):
     cfg = write_cfg(tmp_path, """\
 hbar = 0.05

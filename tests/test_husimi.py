@@ -9,6 +9,7 @@ from chordlab.chordfn import ChordFunction
 from chordlab.curves import harmonic_circle, quartic_level_curve
 from chordlab.diagnostics import ConvergenceWarning, GridDomainWarning, TruncationWarning
 from chordlab.dynamics import LindbladChannel, evolve_chord_function
+from chordlab.fock import fock_density_matrix, wigner_exact
 from chordlab.grids import CenteredGrid, centre_from_chord
 from chordlab.husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from chordlab.lwc import (
@@ -88,6 +89,23 @@ def test_husimi_from_wigner_matches_closed_form():
     assert np.max(np.abs(smoothed - want)) < 1e-12 * peak
     # unit-mass smoothing kernel preserves the total mass
     assert np.sum(smoothed) * grid.dp * grid.dq == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_husimi_from_wigner_matches_the_fock_closed_form(n):
+    """The Husimi function of |n> is (2 pi hbar)^-1 exp(-u) u^n / n! with
+    u = r^2 / 2 hbar, a ring for n >= 1: smoothing the exact Wigner function
+    on the husimi experiment's 128^2 grid gives it to rounding."""
+    hb = 0.05
+    half = math.sqrt(2.0 * hb * (n + 1)) + 8.0 * math.sqrt(hb)
+    grid = CenteredGrid(half, half, 128, hb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smoothed = husimi_from_wigner(wigner_exact(fock_density_matrix(n, hb, 48), grid), grid)
+    pp, qq = grid.meshgrid()
+    u = (pp**2 + qq**2) / (2.0 * hb)
+    want = np.exp(-u) * u**n / math.factorial(n) / (2.0 * math.pi * hb)
+    assert np.max(np.abs(smoothed - want)) < 1e-12 * np.max(want)
 
 
 def test_husimi_from_wigner_guards():
