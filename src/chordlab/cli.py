@@ -100,10 +100,11 @@ grids
   xi.half_width       float, default auto
 
 windows (lwc, spectrum)
-  window.q            repeatable float: window centres (at least one); the
-                      direct route reads every window from one table of
-                      position slices, tabulated a block of columns at a
-                      time
+  window.q            repeatable float: window centres (at least one); a
+                      repeated centre is solved once and written once per
+                      entry (0 and -0 are two centres); the direct route
+                      reads every window from one table of position
+                      slices, tabulated a block of columns at a time
   window.delta        float > 0, default sqrt(hbar); sc-berry has no window
   lwc.route           auto | closed-form | chord | direct | sc-berry |
                       sc-markov, default auto (closed-form or chord for
@@ -350,48 +351,50 @@ def _lwc_samples(cfg: Config, hbar: float):
         if delta <= 0:
             raise ConfigError(f"window.delta must be positive, got {delta:g}")
     xi_q = _xi_grid(cfg, hbar)
-    windows = [LwcWindow(q0, delta, hbar) if delta else None for q0 in q_centres]
-    # the route is taken once: its branch builds every window's sample, in config order
+    # each distinct centre once, in first-appearance order; 0 and -0 stay apart
+    keys = list(dict.fromkeys((q0, math.copysign(1.0, q0)) for q0 in q_centres))
+    windows = [LwcWindow(q0, delta, hbar) if delta else None for q0, _ in keys]
+    # the route is taken once: its branch builds every distinct window's sample
     if route in ("closed-form", "direct"):
         if fam != "coherent" or t != 0.0:
             raise ConfigError(f"route {route!r} needs state.family = coherent and time.t = 0")
         coh = states.CoherentState(_eta(cfg), hbar)
         if route == "closed-form":
-            samples = [LwcSample(xi_q, lwc_coherent_closed_form(coh, w, xi_q), w, [])
-                       for w in windows]
+            solved = dict(zip(keys, [LwcSample(xi_q, lwc_coherent_closed_form(coh, w, xi_q), w,
+                                               []) for w in windows]))
         else:
             # windows whose spans Q +- (6 Delta + 1) overlap share one q axis, at
             # 800 steps a span, so each block of their slices is tabulated once;
-            # a wider gap between two windows would be tabulated for neither;
-            # the groups run sorted, and the dict maps them back to config order
+            # a wider gap between two windows would be tabulated for neither
             span = 6.0 * delta + 1.0
-            direct = {}
-            qs = np.sort(q_centres)
-            for group in np.split(qs, np.flatnonzero(np.diff(qs) > 2.0 * span) + 1):
-                lo, hi = group[0] - span, group[-1] + span
+            solved = {}
+            order = np.array(sorted(keys))  # (Q, sign of Q) rows by Q
+            for group in np.split(order, np.flatnonzero(np.diff(order[:, 0]) > 2.0 * span) + 1):
+                lo, hi = group[0, 0] - span, group[-1, 0] + span
                 q_axis = np.linspace(lo, hi, 1 + math.ceil(400.0 * (hi - lo) / span - 1e-9))
                 slices = functools.partial(states.coherent_position_slices, coh, q_axis)
-                group = group.tolist()
-                direct.update(zip(group, lwc_direct(
-                    slices, q_axis, xi_q, [LwcWindow(q0, delta, hbar) for q0 in group], xi_q)))
-            samples = [direct[q0] for q0 in q_centres]
+                solved.update(zip(map(tuple, group.tolist()), lwc_direct(
+                    slices, q_axis, xi_q, [LwcWindow(q0, delta, hbar) for q0 in group[:, 0].tolist()],
+                    xi_q)))
     elif route == "chord":
         chi_fn = evolve_chord_function(_chord_source(cfg, hbar), model, channels, t, dt=dt,
                                        hbar=hbar)
-        samples = [lwc_from_chord(chi_fn, w, xi_q) for w in windows]
+        solved = dict(zip(keys, [lwc_from_chord(chi_fn, w, xi_q) for w in windows]))
     else:
         if fam not in _CURVE_FAMILIES:
             raise ConfigError(f"route {route!r} needs a curve state")
         if route == "sc-berry" and t != 0.0:
             raise ConfigError(f"route {route!r} needs time.t = 0; use sc-markov to evolve")
         # one branch pass serves every window
-        lines = branch_lines(_curve(cfg, fam), q_centres, hbar, delta, model, channels, t, dt)
-        samples = [rec.sample(xi_q, w) for rec, w in zip(lines, windows)]
-        for q0, sample in zip(q_centres, samples):
-            if not sample.lines.p.size:
-                raise RuntimeError(f"no semiclassical branch survives in the window at "
-                                   f"Q = {q0:g} ({'; '.join(sample.warnings)})")
-    return route, list(zip(q_centres, samples))
+        lines = branch_lines(_curve(cfg, fam), [q0 for q0, _ in keys], hbar, delta, model,
+                             channels, t, dt)
+        solved = dict(zip(keys, [rec.sample(xi_q, w) for rec, w in zip(lines, windows)]))
+    samples = [(q0, solved[q0, math.copysign(1.0, q0)]) for q0 in q_centres]  # config order
+    for q0, sample in samples:
+        if route.startswith("sc") and not sample.lines.p.size:
+            raise RuntimeError(f"no semiclassical branch survives in the window at "
+                               f"Q = {q0:g} ({'; '.join(sample.warnings)})")
+    return route, samples
 
 
 def _exp_lwc(cfg: Config, out: str, hbar: float) -> dict:

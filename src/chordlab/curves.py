@@ -20,10 +20,9 @@ extrema into monotone runs, and each run's root is one ``brentq`` call.
 Near a turning point of the q-projection the slope diverges; callers flag
 such branches as caustic via a threshold instead of regularizing them.
 
-A curve's theta and points are read-only arrays of its own, so what is
-cached on it (the spline fits here, the last flow's image and branches in
-``lwc.branch_lines``) always describes its samples, and an evolved image
-shares its source's theta.
+A curve's theta and points are read-only arrays of its own, so the spline
+fits it caches always describe its samples, and an evolved image shares its
+source's theta.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class LagrangianCurve:
     the enclosed area / 2 pi measured from the samples by the q spline the
     curve keeps.  Both arrays are read-only copies (a read-only array the
     curve may keep as it is, see ``_read_only``), so the fits a curve
-    caches, and whatever ``lwc.branch_lines`` keeps on it, cannot go stale.
+    caches cannot go stale.
     """
 
     theta: np.ndarray
@@ -95,11 +94,6 @@ class LagrangianCurve:
         object.__setattr__(self, "points", pts)
         if self.action is None:
             object.__setattr__(self, "action", _enclosed_area(self._q_spline, pts[:, 0]) / _TWO_PI)
-
-    def __getstate__(self):
-        """A pickle or copy keeps the samples and fits, not the flow
-        ``lwc.branch_lines`` keeps (its model need not pickle)."""
-        return {k: v for k, v in self.__dict__.items() if k != "_branch_flow"}
 
     @cached_property
     def _q_spline(self):
@@ -397,8 +391,7 @@ def evolve_curve_classically(curve: LagrangianCurve, H, channels, t: float,
 
     The image shares the original (read-only) theta labels; its action
     label is re-measured from the advected samples (dissipation shrinks the
-    enclosed area).  ``lwc.branch_lines`` keeps the last image it made on
-    the source curve, so repeated windows of one flow evolve the curve once.
+    enclosed area).
     """
     pts = dynamics.advect(H, channels, curve.points, t, dt)
     return LagrangianCurve(curve.theta, pts)

@@ -14,11 +14,10 @@ window.  Each branch j of the (evolved) curve at Q is one spectral line
 A_j N(p_j, sigma_j^2) with sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2,
 and C(xi_q) = sum_j A_j exp(-i p_j xi_q / hbar - sigma_j^2 xi_q^2 / 2 hbar^2)
 is its exact Fourier pair.  ``branch_lines`` gives every window's lines from
-one evolved curve and one anchor pass (bare plane waves at delta = t = 0);
-``lwc_sc_markov`` and ``sc_spectrum_closed_form`` are one window of it.  The
-source curve keeps its last flow (the image and every window solved on it),
-so calls that share the curve, model and channel objects, t and step rule
-evolve the curve once and solve each window once.
+one evolved curve and one anchor pass (bare plane waves at delta = t = 0),
+and keeps nothing.  ``lwc_sc_markov`` and ``sc_spectrum_closed_form`` are one
+window of it; they share one record of their last call, so the pair on one
+curve, flow and window evolves the curve and solves the window once.
 
 Gaussian lines have one record, ``Lines``: ``Lines.sample`` is the only
 builder of a sample from lines (one call of the plane-wave kernel) and
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -209,12 +209,12 @@ class Lines:
         there and flagged (the true peak is narrower than the axis shows); the
         warnings are the record's plus one note naming how many lines were
         floored and the first one's p.  p_axis must be finite, with at least
-        two points and none repeated."""
+        two points, none repeated, in any order."""
         p_axis = np.asarray(p_axis, dtype=float)
         if p_axis.ndim != 1 or p_axis.size < 2 or not np.all(np.isfinite(p_axis)) \
                 or np.unique(p_axis).size < p_axis.size:
             raise ValueError("p_axis must be 1-D and finite, with at least two distinct points")
-        dp = float(np.min(np.abs(np.diff(p_axis))))
+        dp = float(np.min(np.diff(np.sort(p_axis))))
         notes = list(self.warnings)
         vals = np.zeros(p_axis.size)
         peaks = []
@@ -391,47 +391,20 @@ def shear_phi_qq(phi, slope: float) -> float:
     return float(u @ np.asarray(phi, dtype=float) @ u)
 
 
-@dataclass
-class _BranchFlow:
-    """What ``branch_lines`` keeps on a source curve: the last flow's key (H,
-    the channels, and t with the step rule: ``PER_ROW`` is 1e-2 as a float
-    but steps each row its own way), the image it evolved (None at t = 0:
-    the curve itself) and, per window (Q, sign of Q, hbar) solved on that
-    image, its branches, their sheared Phi_qq and each live branch's step
-    estimate."""
-
-    key: tuple
-    image: LagrangianCurve | None
-    windows: dict = field(default_factory=dict)
-
-    def matches(self, key: tuple) -> bool:
-        """The same model and channel objects, t and step rule."""
-        (H, chans, rest), (H2, chans2, rest2) = self.key, key
-        return (H is H2 and rest == rest2 and len(chans) == len(chans2)
-                and all(a is b for a, b in zip(chans, chans2)))
-
-
 def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
                  H, channels, t: float, dt: float = dynamics.PER_ROW) -> list:
     """The branch sum's ``Lines`` at each window centre in ``qs`` (1-D), in
     order: the curve evolved to t once, then one line per live branch at Q
     (caustic beyond |slope| = 1/sqrt(hbar)) at window width delta, finite and
     >= 0.  Each record keeps every branch and their sheared Phi_qq from one
-    backward ``dynamics._flow`` over every new window's live branches (nan on
+    backward ``dynamics._flow`` over every window's live branches (nan on
     caustic branches, 0 when t = 0 or there are no channels), with each
     branch's error-estimate note.  Both flows take ``dt`` as
     ``dynamics.evolve_chord_function`` does: each trajectory's own step count
     by default, equal steps of at most a given dt.  At delta = 0
     and t = 0, ``[0].sample(xi_q, None)`` is the bare sum
     C = sum_j A_j exp(-i p_j xi_q / hbar), normalized relative to C(0) (the
-    curve average carries its own 1/2 pi).
-
-    The source curve keeps its last flow: a call with the same model and
-    channel objects, t and step rule reuses the evolved image, and every
-    window (Q, hbar) already solved on it, branches and anchor flow alike;
-    only new windows are solved, so any split of the windows over calls
-    gives the same bits.  Another flow replaces what the curve keeps.  Every
-    note is emitted on every call, a reused window's too."""
+    curve average carries its own 1/2 pi).  Nothing is kept on the curve."""
     _check_positive(hbar, "hbar")
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
@@ -439,51 +412,77 @@ def branch_lines(curve: LagrangianCurve, qs, hbar: float, delta: float,
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1:
         raise ValueError(f"qs must be a 1-D sequence of window centres, got shape {qs.shape}")
-    channels = tuple(dynamics._as_channels(channels))
-    key = (H, channels, (float(t), dt is dynamics.PER_ROW, float(dt)))
-    memo = curve.__dict__.get("_branch_flow")
-    if memo is None or not memo.matches(key):
-        image = evolve_curve_classically(curve, H, channels, t, dt) if t > 0 else None
-        memo = curve.__dict__["_branch_flow"] = _BranchFlow(key, image)
-    image = curve if memo.image is None else memo.image
-    # -0.0 keys apart from 0.0: each window keeps the Q it was solved at
-    windows = [(Q, math.copysign(1.0, Q), hbar) for Q in qs.tolist()]
-    todo = {}  # each window not yet solved, once, with its branches
-    for window in windows:
-        if window not in memo.windows and window not in todo:
-            todo[window] = branches_at(image, window[0], 1.0 / math.sqrt(hbar))
-    lives = [np.flatnonzero(~br.caustic) for br in todo.values()]
-    anchors = np.array([(p, br.Q) for br, live in zip(todo.values(), lives)
-                        for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for none
+    image = evolve_curve_classically(curve, H, channels, t, dt) if t > 0 else curve
+    return [_window_lines(*solved, hbar, delta)
+            for solved in _window_branches(image, qs.tolist(), hbar, H, channels, t, dt)]
+
+
+def _window_branches(image: LagrangianCurve, qs: list, hbar: float, H, channels, t: float,
+                     dt: float) -> list:
+    """(branches, sheared Phi_qq, live step estimates) at each centre on the
+    evolved ``image``, from one backward flow over every live branch."""
+    brs = [branches_at(image, Q, 1.0 / math.sqrt(hbar)) for Q in qs]
+    lives = [np.flatnonzero(~br.caustic) for br in brs]
+    anchors = np.array([(p, br.Q) for br, live in zip(brs, lives)
+                        for p in br.p[live]]).reshape(-1, 2)  # (0, 2) for no windows
     phis, errs = None, np.zeros(0)
-    if t > 0 and channels and anchors.size:  # Phi anchored at each end: the flow run backward
+    if t > 0 and dynamics._as_channels(channels) and anchors.size:  # Phi anchored at each end
         _, phis, errs = dynamics._flow(H, channels, anchors, -t, dt, "start")
         phis = np.broadcast_to(phis, (len(anchors), 2, 2))
-    for window, br, live in zip(todo, todo.values(), lives):
+    out = []
+    for br, live in zip(brs, lives):
         phi_qq = [math.nan if c else 0.0 for c in br.caustic]
         if phis is not None:
             for j, phi in zip(live, phis):
                 phi_qq[j] = shear_phi_qq(phi, br.slope[j])
             phis = phis[live.size:]
-        memo.windows[window] = (br, tuple(phi_qq), errs[:live.size])
+        out.append((br, tuple(phi_qq), errs[:live.size]))
         errs = errs[live.size:]
-    out = []
-    for window in windows:
-        Q, (br, phi_qq, errs) = window[0], memo.windows[window]
-        live = np.flatnonzero(~br.caustic)
-        notes = []
-        if len(br) == 0:
-            diagnostics.report(notes, f"no real branches at Q = {Q:g} (evanescent region)",
-                               diagnostics.ConvergenceWarning)
-        elif np.any(br.caustic):
-            diagnostics.report(notes, f"excluded {int(np.sum(br.caustic))} caustic branch(es) "
-                               f"at Q = {Q:g}; {live.size} kept", diagnostics.ConvergenceWarning)
-        for err in errs:
-            diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
-                                  diagnostics.ConvergenceWarning)
-        variance = hbar * np.asarray(phi_qq)[live] + (delta * br.slope[live]) ** 2
-        out.append(Lines(br.amplitude[live], br.p[live], variance, hbar, notes, br, phi_qq))
     return out
+
+
+def _window_lines(br: BranchData, phi_qq: tuple, errs, hbar: float, delta: float) -> Lines:
+    """One window's ``Lines`` from its ``_window_branches``, its notes warned
+    at the caller's line."""
+    live = np.flatnonzero(~br.caustic)
+    notes = []
+    if len(br) == 0:
+        diagnostics.report(notes, f"no real branches at Q = {br.Q:g} (evanescent region)",
+                           diagnostics.ConvergenceWarning)
+    elif np.any(br.caustic):
+        diagnostics.report(notes, f"excluded {int(np.sum(br.caustic))} caustic branch(es) "
+                           f"at Q = {br.Q:g}; {live.size} kept", diagnostics.ConvergenceWarning)
+    for err in errs:
+        diagnostics._measured(notes, err, 1e-8, dynamics._STEP_NOTE,
+                              diagnostics.ConvergenceWarning)
+    variance = hbar * np.asarray(phi_qq)[live] + (delta * br.slope[live]) ** 2
+    return Lines(br.amplitude[live], br.p[live], variance, hbar, notes, br, phi_qq)
+
+
+# the one-window wrappers' last call: its curve, model and channel objects, their
+# flow's key, the image they made, and its window with that window's branches
+_last = SimpleNamespace(objects=(), flow=(), image=None, window=(), solved=())
+
+
+def _one_window(curve: LagrangianCurve, H, channels, t: float, window: LwcWindow,
+                dt: float) -> Lines:
+    """``branch_lines(curve, [window.Q], ...)[0]``, reusing the last call's
+    image when the objects (compared by identity), t and step rule match,
+    and its branches and anchor flow too on the same window; the notes are
+    warned again and every array and list handed back is new."""
+    dynamics._check_time(t)
+    objects = (curve, H, *dynamics._as_channels(channels))
+    # the objects' ids (the record holds them, so no id is reused), t and the
+    # step rule (PER_ROW is 1e-2 as a float but steps each row its own way)
+    flow = (*map(id, objects), float(t), dt is dynamics.PER_ROW, float(dt))
+    if _last.flow != flow:
+        image = evolve_curve_classically(curve, H, channels, t, dt) if t > 0 else curve
+        _last.objects, _last.flow, _last.image, _last.window = objects, flow, image, ()
+    key = (window.Q, math.copysign(1.0, window.Q), window.hbar)  # -0.0 apart from 0.0
+    if _last.window != key:
+        _last.window, [_last.solved] = key, _window_branches(
+            _last.image, [window.Q], window.hbar, H, channels, t, dt)
+    return _window_lines(*_last.solved, window.hbar, window.delta)
 
 
 def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
@@ -492,11 +491,10 @@ def lwc_sc_markov(curve: LagrangianCurve, H, channels, t: float,
     sheared decoherence width exp[-Phi_qq xi_q^2 / 2 hbar] on top of the
     window shear factor exp[-(Delta slope xi_q)^2 / 2 hbar^2].  At t = 0 this
     is the window-shear (quadratic) approximant.  One window of
-    ``branch_lines`` (``dt`` as there), which reuses the flow and the window
-    a call on the same curve, model and channel objects has solved; kept for
-    the acceptance tests and the benchmark."""
-    [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
-    return lines.sample(xi_q, window)
+    ``branch_lines`` (``dt`` as there), kept for the acceptance tests and the
+    benchmark; it shares the record of its last call with
+    ``sc_spectrum_closed_form`` (see ``_one_window``)."""
+    return _one_window(curve, H, channels, t, window, dt).sample(xi_q, window)
 
 
 def spectrum(sample: LwcSample, hbar: float | None = None) -> SpectralDensity:
@@ -539,16 +537,15 @@ def sc_spectrum_closed_form(curve: LagrangianCurve, H, channels, t: float,
     sigma_j^2 = hbar Phi_qq(shear) + Delta^2 slope_j^2, the exact spectrum of
     ``lwc_sc_markov`` on the same arguments: ``Lines.spectrum`` of one window
     of ``branch_lines`` (``dt`` as there), kept for the acceptance tests and
-    the benchmark.  After ``lwc_sc_markov`` on the same curve, model and
-    channel objects, t and window it reads the branches and Phi_qq that call
-    left on the curve, so it evolves nothing and solves no branch.  Every
-    sample summed from lines keeps them (``lwc_sc_markov``, a
-    ``branch_lines`` record's ``sample``, and ``lwc_from_chord`` of a term
-    sum: a coherent state or an evolved chord function), so
-    ``sample.lines.spectrum(p_axis)`` is the same spectrum without the call.
+    the benchmark.  Right after ``lwc_sc_markov`` on the same curve, model
+    and channel objects, t and window it evolves nothing and solves no branch
+    (see ``_one_window``).  Every sample summed from lines keeps them
+    (``lwc_sc_markov``, a ``branch_lines`` record's ``sample``, and
+    ``lwc_from_chord`` of a term sum: a coherent state or an evolved chord
+    function), so ``sample.lines.spectrum(p_axis)`` is the same spectrum
+    without the call.
     """
-    [lines] = branch_lines(curve, [window.Q], window.hbar, window.delta, H, channels, t, dt)
-    return lines.spectrum(p_axis)
+    return _one_window(curve, H, channels, t, window, dt).spectrum(p_axis)
 
 
 def fit_peaks(p_axis, values, min_rel_height: float = 1e-3) -> list:

@@ -988,16 +988,22 @@ xi.points = 256
             [pk["position"] for pk in one_win["peaks"]], rel=0, abs=1e-9)
 
 
-@pytest.mark.parametrize("route, base", [
+_REPEAT_ROUTES = [
     ("closed-form", "state.eta = 0.3 0.1\n"),
     ("direct", "state.eta = 0.3 0.1\n"),
+    ("chord", "state.eta = 0.3 0.1\ngrid.points = 32\n"),
     ("sc-markov", "state.family = circle\nstate.samples = 64\n"),
-])
+    ("sc-berry", "state.family = circle\nstate.samples = 64\n"),
+]
+
+
+@pytest.mark.parametrize("route, base", _REPEAT_ROUTES)
 def test_lwc_blocks_follow_the_config_order_of_repeated_centres(tmp_path, route, base):
     """window.q = 0.2, -0.1, 0.2 gives one lwc.csv block per entry, in
     config order, the two 0.2 blocks equal (the direct route runs its
-    windows sorted and maps them back); on the closed-form and sc-markov
-    routes each block is its centre's one-window run byte for byte."""
+    windows sorted and maps them back); on every route but direct each block
+    is its centre's one-window run byte for byte.  On sc-markov, window.q =
+    0, -0 keeps each centre's sign in its block and in the sidecar."""
     base = f"hbar = 0.05\n{base}lwc.route = {route}\nxi.points = 32\n"
 
     def blocks(name, centres):
@@ -1016,6 +1022,36 @@ def test_lwc_blocks_follow_the_config_order_of_repeated_centres(tmp_path, route,
     if route != "direct":
         assert three[1] == blocks("left", (-0.1,))[0]
         assert three[0] == blocks("right", (0.2,))[0]
+    if route == "sc-markov":
+        zeros = blocks("zeros", ("0", "-0"))
+        assert [{row.split(",")[0] for row in block} for block in zeros] == [{"0"}, {"-0"}]
+        assert [row.split(",", 1)[1] for row in zeros[0]] == \
+            [row.split(",", 1)[1] for row in zeros[1]]
+        windows = json.loads((tmp_path / "zeros" / "lwc.json").read_text())["result"]["windows"]
+        assert [math.copysign(1.0, w["Q"]) for w in windows] == [1.0, -1.0]
+
+
+_ROUTE_CALLS = {  # the library call each route makes, and the centres one call reaches
+    "closed-form": ("lwc_coherent_closed_form", lambda a: [a[1].Q]),
+    "direct": ("lwc_direct", lambda a: [w.Q for w in a[3]]),
+    "chord": ("lwc_from_chord", lambda a: [a[1].Q]),
+    "sc-markov": ("branch_lines", lambda a: list(a[1])),
+    "sc-berry": ("branch_lines", lambda a: list(a[1])),
+}
+
+
+@pytest.mark.parametrize("route, base", _REPEAT_ROUTES)
+def test_a_repeated_centre_reaches_its_route_once(tmp_path, monkeypatch, route, base):
+    """window.q = 0.2, -0.1, 0.2 solves each distinct centre once, in
+    first-appearance order; before, every route solved the repeated centre
+    again for its second entry."""
+    name, centres = _ROUTE_CALLS[route]
+    real, reached = getattr(cli, name), []
+    monkeypatch.setattr(cli, name, lambda *a: reached.extend(centres(a)) or real(*a))
+    cfg = write_cfg(tmp_path, f"hbar = 0.05\n{base}lwc.route = {route}\nxi.points = 32\n"
+                    "window.q = 0.2\nwindow.q = -0.1\nwindow.q = 0.2\n")
+    assert run_cli("lwc", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    assert reached == ([-0.1, 0.2] if route == "direct" else [0.2, -0.1])
 
 
 def test_lwc_chord_route_after_evolution(tmp_path):

@@ -251,7 +251,7 @@ def test_flow_owns_the_quadratic_fork():
     assert [name for name, names in pairs if "_dp54" in names] == ["dynamics._flow"]
     parts = {"quadratic", "total_gamma", "noise_matrix", "_centre_map", "_gramian", "_dp54"}
     for caller in ("dynamics.advect", "dynamics.decoherence_matrix",
-                   "dynamics.evolve_chord_function", "lwc.branch_lines"):
+                   "dynamics.evolve_chord_function", "lwc._window_branches"):
         assert "_flow" in reads[caller] and not reads[caller] & parts, caller
 
 

@@ -998,9 +998,10 @@ def test_another_flow_or_window_is_solved_afresh(change, monkeypatch):
     """Another model object of the same family, another channel object,
     another t or step rule (dt = 1e-2 after the PER_ROW default, 1e-2 as a
     float) evolves the curve again; another hbar or a window at -0.0 after
-    0.0 reuses the image but solves its branches again.  Each result equals
-    the call on a fresh copy of the curve bit for bit, and a repeat of it is
-    solved from what the curve keeps."""
+    0.0 reuses the image but solves its branches again.  A repeat is solved
+    from the wrappers' record of their last call, and each result equals the
+    call on a fresh copy of the curve bit for bit (which the record forgets
+    the first curve for, so the repeat runs first)."""
     curve = quartic_level_curve(0.3, samples=256)
     first = dict(H=hamiltonians.quartic(), channels=[dynamics.LindbladChannel((0.0, 0.8))],
                  t=0.1, window=LwcWindow(0.0, 0.2, HBAR))
@@ -1018,33 +1019,35 @@ def test_another_flow_or_window_is_solved_afresh(change, monkeypatch):
     got = call(curve, second)
     assert (len(advected), len(solved)) == ((1 if image_kept else 2), 2)
     assert (got != before) == moves  # where it moves, a reused result would have been wrong
-    assert got == call(_fresh(curve), second)
     counts = len(advected), len(solved)
     assert call(curve, second) == got and (len(advected), len(solved)) == counts
+    assert got == call(_fresh(curve), second)
 
 
 def test_a_reused_flow_warns_every_note_at_the_callers_line(monkeypatch):
-    """A second call on the same flow runs no flow of its own, and warns the
-    step-error, caustic and no-branch notes of the first, in the same order,
+    """A repeat of a one-window call runs no flow of its own, and warns the
+    notes of the first (step-error, caustic or no-branch), in the same order,
     at the calling line."""
     curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
     channels = [dynamics.LindbladChannel((0.0, 0.8))]
-    call = lambda: branch_lines(curve, [0.2, 1.04, 2.0], HBAR, 0.2, H, channels, 1.0, 0.25)  # noqa: E731
-    runs, flows = [], []
-    for k in range(2):
-        if k:
-            _spy(monkeypatch, dynamics, "_flow", flows)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            lines = call()
-        runs.append([(w.category, str(w.message), w.filename, w.lineno) for w in rec])
-        assert [len(record.warnings) for record in lines] == [2, 1, 1]
-    assert flows == [] and runs[0] == runs[1] and len(runs[0]) == 4
-    assert {(c, f, n) for c, _, f, n in runs[1]} == {
-        (ConvergenceWarning, __file__, call.__code__.co_firstlineno)}
-    assert [m for _, m, _, _ in runs[1][2:]] == [
-        "excluded 2 caustic branch(es) at Q = 1.04; 0 kept",
-        "no real branches at Q = 2 (evanescent region)"]
+    flows, messages = [], []
+    _spy(monkeypatch, dynamics, "_flow", flows)
+    for Q, count in ((0.2, 2), (1.04, 1), (2.0, 1)):
+        window = LwcWindow(Q, 0.2, HBAR)
+        call = lambda: lwc_sc_markov(curve, H, channels, 1.0, window, [0.0], 0.25)  # noqa: E731
+        runs = []
+        for k in range(2):
+            ran = len(flows)
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                assert len(call().warnings) == count
+            runs.append([(w.category, str(w.message), w.filename, w.lineno) for w in rec])
+        assert len(flows) == ran and runs[0] == runs[1] and len(runs[0]) == count
+        assert {(c, f, n) for c, _, f, n in runs[1]} == {
+            (ConvergenceWarning, __file__, call.__code__.co_firstlineno)}
+        messages += [m for _, m, _, _ in runs[1]]
+    assert messages[2:] == ["excluded 2 caustic branch(es) at Q = 1.04; 0 kept",
+                            "no real branches at Q = 2 (evanescent region)"]
 
 
 def test_a_curve_pickles_and_copies_without_its_flow():
@@ -1106,6 +1109,89 @@ def test_each_window_of_branch_lines_is_the_one_window_call(family):
             assert got_sd.peaks == want_sd.peaks and len(got_sd.peaks) == 2
 
 
+def test_branch_lines_keeps_nothing_on_the_curve():
+    """The branch pass and the one-window wrappers leave a curve holding its
+    samples and spline fits alone, with or without a flow."""
+    curve = quartic_level_curve(0.3, samples=256)
+    H, channels = hamiltonians.quartic(), [dynamics.LindbladChannel((0.0, 0.8))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for t in (0.0, 0.1):
+            branch_lines(curve, [0.1, -0.2, 0.1], HBAR, 0.2, H, channels, t)
+            lwc_sc_markov(curve, H, channels, t, LwcWindow.canonical(0.1, HBAR), [0.0])
+    assert set(curve.__dict__) == {"theta", "points", "action", "_q_spline", "_splines"}
+
+
+@pytest.mark.parametrize("wrapper", [lwc_sc_markov, sc_spectrum_closed_form],
+                         ids=["sample", "spectrum"])
+def test_a_repeated_wrapper_call_solves_nothing(wrapper, monkeypatch):
+    """A repeat of a wrapper's last call runs no advect, anchor flow or
+    branch solve, gives the same bits and warns its notes again at the
+    calling line."""
+    curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
+    channels, window = [dynamics.LindbladChannel((0.0, 0.8))], LwcWindow(0.2, 0.2, HBAR)
+    arg = [0.0, 0.1] if wrapper is lwc_sc_markov else np.linspace(-2.0, 2.0, 401)
+    call = lambda: wrapper(curve, H, channels, 1.0, window, arg, 0.25)  # noqa: E731
+    runs, work = [], []
+    for k in range(2):
+        if k:
+            _spy(monkeypatch, dynamics, "advect", work)
+            _spy(monkeypatch, dynamics, "_flow", work)
+            _spy(monkeypatch, lwc, "branches_at", work)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            got = _bits(call())
+        runs.append((got, [(w.category, str(w.message), w.filename, w.lineno) for w in rec]))
+    assert work == [] and runs[0] == runs[1]
+    assert [c for c, _, _, _ in runs[1][1]].count(ConvergenceWarning) == 2  # the step notes
+    assert {(f, n) for _, _, f, n in runs[1][1]} == {(__file__, call.__code__.co_firstlineno)}
+
+
+@pytest.mark.parametrize("change", [*_MISSES, "width"])
+def test_the_spectrum_wrapper_after_another_sample_call_is_a_fresh_call(change):
+    """sc_spectrum_closed_form right after lwc_sc_markov with one argument
+    changed (the model or a channel object, t, the step rule, hbar, a -0.0
+    window or the window width) equals its call on a fresh copy of the curve
+    bit for bit."""
+    curve = quartic_level_curve(0.3, samples=256)
+    first = dict(H=hamiltonians.quartic(), channels=[dynamics.LindbladChannel((0.0, 0.8))],
+                 t=0.1, window=LwcWindow(0.0, 0.2, HBAR))
+    second = (dict(first, window=LwcWindow(0.0, 0.3, HBAR)) if change == "width"
+              else _MISSES[change][0](first))
+    p = np.linspace(-2.0, 2.0, 401)
+
+    def call(f, c, a, arg):
+        return _bits(f(c, a["H"], a["channels"], a["t"], a["window"], arg,
+                       a.get("dt", dynamics.PER_ROW)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        call(lwc_sc_markov, curve, first, [0.0, 0.1])
+        got = call(sc_spectrum_closed_form, curve, second, p)
+        assert got == call(sc_spectrum_closed_form, _fresh(curve), second, p)
+
+
+def test_a_changed_result_cannot_change_the_next_repeat():
+    """Every array and list a wrapper hands back is its own: zeroing a
+    sample's values and lines, and editing its notes and a spectrum's,
+    leaves the next repeat of either wrapper as it was."""
+    curve, H = quartic_level_curve(0.3, samples=128), hamiltonians.quartic()
+    channels, window = [dynamics.LindbladChannel((0.0, 0.8))], LwcWindow(0.2, 0.2, HBAR)
+    p = np.linspace(-2.0, 2.0, 401)
+    calls = ((lwc_sc_markov, [0.0, 0.1]), (sc_spectrum_closed_form, p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sample, dens = (f(curve, H, channels, 1.0, window, arg, 0.25) for f, arg in calls)
+        want = [_bits(sample), _bits(dens)]
+        lines = sample.lines
+        for values in (sample.values, lines.amplitude, lines.p, lines.variance, dens.values):
+            values[:] = 0.0
+        sample.warnings.append("edited")
+        dens.warnings.clear()
+        assert [_bits(f(curve, H, channels, 1.0, window, arg, 0.25))
+                for f, arg in calls] == want
+
+
 def _window_case(family):
     if family == "ring":
         return (harmonic_circle(0.5, 512), hamiltonians.harmonic(), 0.65,
@@ -1152,6 +1238,23 @@ def test_lines_spectrum_notes_a_record_s_floored_lines_once():
     assert dens.warnings == [
         f"2048 spectral peak(s) narrower than the p axis spacing, the first at "
         f"p = {sample.lines.p[0]:g}; widths floored to one bin"]
+
+
+def test_lines_spectrum_reads_the_spacing_of_a_permuted_axis():
+    """A permuted p axis gives the permuted values bit for bit, with the same
+    peaks and flags.  Before, the floor spacing was the smallest step between
+    consecutive entries: a line of variance 0.5 was floored to 98.01 and
+    flagged on [0, 10, 0.1, 10.1], and kept at 0.5 on [0, 0.1, 10, 10.1]."""
+    lines = lwc.Lines(np.array([1.0, 0.5]), np.array([0.05, 10.0]), np.array([0.5, 1e-4]),
+                      HBAR, [])
+    axis, order = np.array([0.0, 0.1, 10.0, 10.1]), np.array([0, 2, 1, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 1e-4 line is floored on either axis
+        want, got = lines.spectrum(axis), lines.spectrum(axis[order])
+    assert got.values.tobytes() == want.values[order].tobytes()
+    assert got.peaks == want.peaks and got.warnings == want.warnings
+    assert [(pk.variance, pk.flagged) for pk in got.peaks] == [
+        (pytest.approx(0.01, rel=1e-12), True), (0.5, False)]
 
 
 def test_lines_spectrum_copies_warnings_and_reuses_the_branch_pass(monkeypatch):
