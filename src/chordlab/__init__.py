@@ -21,8 +21,7 @@ from .fock import (FockDensityMatrix, TruncationLeakError, build_linear_lindblad
                    lowering, p_operator, position_density_matrix, pure_density,
                    q_operator, wigner_exact)
 from .geometry import J_MATRIX, random_symplectic, skew
-from .grids import (CenteredGrid, centre_from_chord, chord_from_centre, ft_axis,
-                    reflect_values, simpson_weights)
+from .grids import CenteredGrid, centre_from_chord, chord_from_centre, ft_axis, reflect_values
 from .gridio import load_grid_csv, save_grid_csv
 from .husimi import husimi_fourier, husimi_from_lwc, husimi_from_wigner
 from .lwc import (Lines, LwcSample, LwcWindow, Peak, ResolutionVerdict,

@@ -113,7 +113,8 @@ windows (lwc, spectrum)
                       time.t = 0; direct contracts the state's position
                       slices on one q axis over every window, from min
                       window.q - (6 delta + 1) to max window.q + (6 delta
-                      + 1), 800 steps a window's span (split where two
+                      + 1), 800 steps a window's span or steps of
+                      delta / 2, whichever is finer (split where two
                       windows are more than 2 (6 delta + 1) apart).  The
                       sc routes sum one spectral line per classical branch
                       of a curve state (lwc.branch_lines): sc-berry (bare
@@ -363,15 +364,16 @@ def _lwc_samples(cfg: Config, hbar: float):
             solved = dict(zip(keys, [LwcSample(xi_q, lwc_coherent_closed_form(coh, w, xi_q), w,
                                                []) for w in windows]))
         else:
-            # windows whose spans Q +- (6 Delta + 1) overlap share one q axis, at
-            # 800 steps a span, so each block of their slices is tabulated once;
-            # a wider gap between two windows would be tabulated for neither
+            # windows whose spans Q +- (6 Delta + 1) overlap share one q axis, of
+            # 800 steps a span and steps <= Delta / 2, so each block of their slices
+            # is tabulated once; a wider gap between two would be tabulated for neither
             span = 6.0 * delta + 1.0
             solved = {}
             order = np.array(sorted(keys))  # (Q, sign of Q) rows by Q
             for group in np.split(order, np.flatnonzero(np.diff(order[:, 0]) > 2.0 * span) + 1):
                 lo, hi = group[0, 0] - span, group[-1, 0] + span
-                q_axis = np.linspace(lo, hi, 1 + math.ceil(400.0 * (hi - lo) / span - 1e-9))
+                steps = max(400.0 * (hi - lo) / span, 2.0 * (hi - lo) / delta)
+                q_axis = np.linspace(lo, hi, 1 + math.ceil(steps - 1e-9))
                 slices = functools.partial(states.coherent_position_slices, coh, q_axis)
                 solved.update(zip(map(tuple, group.tolist()), lwc_direct(
                     slices, q_axis, xi_q, [LwcWindow(q0, delta, hbar) for q0 in group[:, 0].tolist()],

@@ -36,7 +36,6 @@ __all__ = [
     "chord_from_centre",
     "centre_from_chord",
     "reflect_values",
-    "simpson_weights",
 ]
 
 
@@ -471,24 +470,3 @@ def reflect_values(values: np.ndarray) -> np.ndarray:
     """
     return np.roll(values[::-1, ::-1], 1, axis=(0, 1))
 
-
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson quadrature weights for n uniform samples.
-
-    Even counts (odd interval numbers) get a trapezoid last panel, which is
-    harmless for the decayed integrands these are used on.  Exposed as
-    weights rather than an integral so kernels can fold them into GEMMs.
-    """
-    if n < 3:
-        raise ValueError("need at least 3 quadrature points")
-    w = np.zeros(n)
-    m = n if n % 2 == 1 else n - 1
-    w[1:m:2] = 4.0
-    w[2:m - 1:2] = 2.0
-    w[0] = 1.0
-    w[m - 1] = 1.0
-    w[:m] *= h / 3.0
-    if m < n:
-        w[-2] += 0.5 * h
-        w[-1] += 0.5 * h
-    return w

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics
 from .chordfn import ChordFunction
-from .grids import CenteredGrid, _check_hbar, _uniform_step, simpson_weights
+from .grids import CenteredGrid, _check_hbar, _uniform_step
 from .lwc import LwcWindow
 
 __all__ = [
@@ -77,9 +77,10 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
                         exp(+i P xi_q / hbar) exp(-Delta^2 xi_q^2 / 2 hbar^2),
 
     exact if and only if every window has Delta = sqrt(hbar / 2).  The shared
-    xi_q grid must be uniform and increasing, and p_axis 1-D, finite and
-    nonempty.  Returns an array of shape (len(p_axis), len(samples)), one
-    column per window centre.
+    xi_q grid (step d) must be uniform and increasing, and p_axis 1-D, finite,
+    nonempty and within the plain sum's Nyquist range |P| <= pi hbar / d.
+    Returns an array of shape (len(p_axis), len(samples)), one column per
+    window centre.
     """
     samples = list(samples)
     if not samples:
@@ -101,7 +102,10 @@ def husimi_from_lwc(samples, p_axis, sink=None) -> np.ndarray:
     if p_axis.ndim != 1 or p_axis.size == 0 or not np.all(np.isfinite(p_axis)):
         raise ValueError(f"p_axis must be 1-D, finite and nonempty, got shape {p_axis.shape}")
     d = _uniform_step(xi_q, "xi_q grid", 3)
-    w = simpson_weights(xi_q.size, d) * np.exp(-(want * xi_q) ** 2 / (2.0 * hb**2))
+    if np.max(np.abs(p_axis)) > math.pi * hb / d:
+        raise ValueError(f"p_axis reaches |P| = {np.max(np.abs(p_axis)):g}, past the xi_q grid's "
+                         f"Nyquist momentum pi hbar / d = {math.pi * hb / d:g}")
+    w = d * np.exp(-(want * xi_q) ** 2 / (2.0 * hb**2))
     kernel = np.exp(1j * np.outer(p_axis, xi_q) / hb) * w
     c_mat = np.stack([s.values for s in samples], axis=1)
     out = kernel @ c_mat / (2.0 * math.pi * hb)

@@ -25,7 +25,8 @@ builder of a sample from lines (one call of the plane-wave kernel) and
 integrates a term-sum chord function in closed form: each term is one line,
 broadened by its Phi.  Either sample keeps its lines as ``lines``, so its
 spectrum needs no second pass, no xi_q grid and no FFT.
-A chord grid is integrated by Simpson along its own xi_p axis.
+A chord grid is integrated along its own xi_p axis, and ``lwc_direct``
+along q, by the plain sum (the step times the sum), the one quadrature.
 
 The symplectic Fourier transform of C over xi_q is the local momentum
 spectral density; ``sc_spectrum_closed_form`` samples the lines themselves.
@@ -43,8 +44,7 @@ from . import diagnostics, dynamics
 from .chordfn import ChordFunction
 from .curves import LagrangianCurve, BranchData, branches_at, evolve_curve_classically
 from .grids import (CenteredGrid, _centred_axis, _check_finite, _check_hbar, _check_positive,
-                    _edge_ratio, _nearest_node, _plane_wave_sum, _uniform_step, ft_axis,
-                    simpson_weights)
+                    _edge_ratio, _nearest_node, _plane_wave_sum, _uniform_step, ft_axis)
 from .states import CoherentState
 
 __all__ = [
@@ -279,9 +279,10 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
 
     summed by ``Lines.sample``; the sample keeps its lines, so
     ``sample.lines.spectrum(p)`` is its spectrum in closed form.  A
-    grid-backed chord function is integrated by Simpson along its own xi_p
-    axis (so each -xi_q must land on a grid node), with a TruncationWarning
-    when the integrand has not decayed at the grid edge.
+    grid-backed chord function is integrated by the plain sum along its own
+    xi_p axis (so each -xi_q must land on a grid node, and Q within the
+    +-pi hbar / grid.dp it spans), with a TruncationWarning when the integrand
+    has not decayed at the grid edge or the step does not resolve the window.
 
     ``xi_p_points`` is ignored: neither form has xi_p nodes to choose.  It is
     kept because the benchmark's transport workload still passes it and its
@@ -295,13 +296,16 @@ def lwc_from_chord(chi: ChordFunction, window: LwcWindow, xi_q,
     if chi.terms is not None:
         return _term_lines(chi.terms, window, notes).sample(xi_q, window)
     grid = chi.grid  # chord grids store (xi_p, xi_q) on the (p, q) axes
+    if abs(window.Q) > math.pi * hb / grid.dp:
+        raise ValueError(f"window centre Q = {window.Q:g} lies outside the centre range "
+                         f"+-{math.pi * hb / grid.dp:g} that the chord grid's xi_p step spans")
     xp = grid.p_axis
     f = chi.values[:, grid._node_index(-xi_q, 1)]
-    w = simpson_weights(xp.size, grid.dp) * np.exp(
-        1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
+    w = grid.dp * np.exp(1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
     diagnostics._measured(notes, _edge_ratio(np.abs(f) * np.abs(w)[:, None], (0,)), 1e-12,
                           "lwc integrand not decayed at the xi_p grid edge; widen the chord "
                           "grid", diagnostics.TruncationWarning)
+    _check_resolved(notes, hb / window.delta, grid.dp, "the chord grid's xi_p step")
     return LwcSample(xi_q, w @ f, window, notes)
 
 
@@ -324,7 +328,8 @@ def lwc_direct(rho_slices, q_axis, s_axis, window, xi_q):
     of s_axis (nonempty, in any order), q_axis must be uniform and
     increasing and cover each window out to Q +- 6 Delta, and every slice
     must be finite (a nan or inf makes its column's values non-finite, and
-    those raise).  Each value is its own column's contraction with the q
+    those raise).  A TruncationWarning notes a window the q step does not
+    resolve.  Each value is its own column's contraction with the q
     weights, so the table may hold any subset of s columns, with s_axis the
     matching chords.
     """
@@ -348,7 +353,7 @@ def lwc_direct(rho_slices, q_axis, s_axis, window, xi_q):
         return []
     centre = np.array([[w.Q] for w in windows])
     delta = np.array([[w.delta] for w in windows])
-    wq = simpson_weights(q_axis.size, dq) * np.exp(-((q_axis - centre) ** 2) / (2.0 * delta**2))
+    wq = dq * np.exp(-((q_axis - centre) ** 2) / (2.0 * delta**2))
     wq /= math.sqrt(2.0 * math.pi) * delta
     wq = wq[:, None, :]  # (windows, 1, q)
 
@@ -368,7 +373,17 @@ def lwc_direct(rho_slices, q_axis, s_axis, window, xi_q):
     if not np.all(np.isfinite(vals)):
         raise ValueError("every rho slice must be finite")
     samples = [LwcSample(xi_q, row[cols], w, []) for w, row in zip(windows, vals)]
+    for s in samples:
+        _check_resolved(s.warnings, s.window.delta, dq, "the q_axis step")
     return samples[0] if single else samples
+
+
+def _check_resolved(notes: list, sigma: float, h: float, step: str) -> None:
+    """Note a window of width sigma that a plain sum at step h does not resolve:
+    by Poisson summation it errs by about 2 exp(-2 pi^2 sigma^2 / h^2)."""
+    diagnostics._measured(notes, 2.0 * math.exp(-2.0 * (math.pi * sigma / h) ** 2), 1e-12,
+                          f"{step} {h:.3g} does not resolve the window's width {sigma:.3g}; "
+                          "the sum errs by about {:.2e}", diagnostics.TruncationWarning)
 
 
 def lwc_coherent_closed_form(state: CoherentState, window: LwcWindow, xi_q):

@@ -17,7 +17,6 @@ from chordlab.grids import (
     chord_from_centre,
     ft_axis,
     reflect_values,
-    simpson_weights,
 )
 from chordlab.states import CoherentState, coherent_chord_function, coherent_wigner, wkb_chord
 
@@ -252,20 +251,6 @@ def test_shape_mismatch_raises():
     g = CenteredGrid(1.0, 1.0, 16, HBAR)
     with pytest.raises(ValueError):
         chord_from_centre(np.zeros((8, 8)), g)
-
-
-def test_simpson_weights_sum_and_order():
-    for n in (3, 5, 11, 4, 10):
-        w = simpson_weights(n, 0.2)
-        assert np.isclose(w.sum(), (n - 1) * 0.2)
-    x = np.linspace(0.0, 1.0, 7)
-    w = simpson_weights(7, x[1] - x[0])
-    assert np.isclose(w @ x**3, 0.25)  # exact on cubics
-    x = np.linspace(0.2, 1.7, 301)
-    w = simpson_weights(301, x[1] - x[0])
-    assert abs(w @ np.exp(x) - (math.exp(1.7) - math.exp(0.2))) < 1e-9
-    with pytest.raises(ValueError):
-        simpson_weights(2, 0.1)
 
 
 def _plane_wave_case(n=150, seed=3):

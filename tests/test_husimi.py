@@ -225,6 +225,29 @@ def test_husimi_from_lwc_coherent():
     assert np.max(np.abs(out - want)) < 1e-10 * peak
 
 
+def test_husimi_from_lwc_reads_no_half_period_copy():
+    """A coherent state at p = -2 on a 96-point +-2.5 xi_q grid, whose
+    Nyquist momentum pi hbar / d is 3.02: the plain sum gives the smoothed
+    density over -3 <= P <= 2, clear of the image at P + 6.03, to 1e-12 of
+    its peak.  Simpson's alternating weights returned -1.06 at P = 1, -1/3
+    of the density at P - 3.02, where the exact value is 3e-39.  A P past
+    the Nyquist momentum raises; before, P = 4 read the periodic image, 3.15
+    against an exact 1e-156."""
+    state = CoherentState((-2.0, 0.0), HBAR)
+    xi_q = (np.arange(96) - 48) * (5.0 / 96)
+    win = LwcWindow.husimi_matched(0.0, HBAR)
+    samples = [LwcSample(xi_q, lwc_coherent_closed_form(state, win, xi_q), win)]
+    p_axis = np.linspace(-3.0, 2.0, 51)
+    out = husimi_from_lwc(samples, p_axis)[:, 0]
+    peak = 1.0 / (2.0 * math.pi * HBAR)
+    assert np.max(np.abs(out - coherent_husimi(state, p_axis, 0.0))) < 1e-12 * peak
+    assert abs(husimi_from_lwc(samples, [1.0])[0, 0]) < 1e-12 * peak
+    with pytest.raises(ValueError, match=r"\|P\| = 4, past the xi_q grid's Nyquist momentum"):
+        husimi_from_lwc(samples, [0.0, 4.0])
+    with pytest.raises(ValueError, match="Nyquist"):
+        husimi_from_lwc(samples, [-3.05])
+
+
 def test_husimi_from_lwc_matches_grid_route_for_wkb():
     """One window column of the reconstruction equals the P section of the
     full smoothed density computed through the chord grid."""

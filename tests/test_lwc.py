@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from chordlab import dynamics, hamiltonians, lwc
+from chordlab.chordfn import ChordFunction
 from chordlab.curves import (LagrangianCurve, branches_at, harmonic_circle,
                              pendulum_level_curve, quartic_level_curve)
 from chordlab.diagnostics import ConvergenceWarning, TruncationWarning
 from chordlab.fock import (build_linear_lindblad, cat_density_matrix, chord_function_exact,
-                           fock_density_matrix, hamiltonian_matrix, lindblad_evolve,
-                           position_density_matrix, wigner_exact)
-from chordlab.grids import CenteredGrid, _edge_ratio, simpson_weights
+                           chord_function_grid, fock_density_matrix, hamiltonian_matrix,
+                           lindblad_evolve, position_density_matrix, wigner_exact)
+from chordlab.grids import CenteredGrid, _edge_ratio
 from chordlab.lwc import (
     LwcSample,
     LwcWindow,
@@ -53,29 +54,29 @@ def _bare_branch_sum(curve, Q, xi_q, hbar=HBAR):
     return lines.sample(xi_q, None)
 
 
-def _simpson_lwc(chi, window, xi_q, points):
-    """The windowed xi_p integral of a callable chi(xi_p, xi_q) by composite
-    Simpson on ``points`` uniform nodes over +-9 hbar / Delta, asking chi for
-    every column in one call: the reference the closed-form term lines and
-    the Fock spectrum are checked with.  The integrand must have decayed to
-    1e-12 of its peak at the range edge."""
-    return _simpson_sum(*_simpson_table(chi, window, xi_q, points), window)
+def _plain_lwc(chi, window, xi_q, points):
+    """The windowed xi_p integral of a callable chi(xi_p, xi_q) by the plain
+    sum (step times sum) on ``points`` uniform nodes over +-9 hbar / Delta,
+    asking chi for every column in one call: the reference the closed-form
+    term lines and the Fock spectrum are checked with.  The integrand must
+    have decayed to 1e-12 of its peak at the range edge."""
+    return _plain_sum(*_plain_table(chi, window, xi_q, points), window)
 
 
-def _simpson_table(chi, window, xi_q, points):
-    """The Simpson nodes xi_p of ``_simpson_lwc`` and chi at (xi_p, -xi_q),
+def _plain_table(chi, window, xi_q, points):
+    """The nodes xi_p of ``_plain_lwc`` and chi at (xi_p, -xi_q),
     shape (points, xi_q.size): one table serves every window of this width."""
     half = 9.0 * window.hbar / window.delta
     xp = np.linspace(-half, half, points)
     return xp, np.broadcast_to(chi(xp[:, None], -xi_q[None, :]), (xp.size, xi_q.size))
 
 
-def _simpson_sum(xp, f, window):
-    """The windowed Simpson sum of ``_simpson_lwc`` over a ``_simpson_table``
+def _plain_sum(xp, f, window):
+    """The windowed plain sum of ``_plain_lwc`` over a ``_plain_table``
     built at this window's width."""
     hb = window.hbar
     assert xp[-1] == 9.0 * hb / window.delta
-    w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
+    w = (xp[1] - xp[0]) * np.exp(
         1j * xp * window.Q / hb - (window.delta * xp) ** 2 / (2.0 * hb**2))
     assert _edge_ratio(np.abs(f) * np.abs(w)[:, None], (0,)) <= 1e-12
     return w @ f
@@ -257,8 +258,8 @@ def test_sc_lines_converge_to_exact_spectrum_as_hbar_shrinks():
         # p spacing stays a fixed fraction (~0.2) of the line width
         half = 4.4 * math.sqrt(hbar / 0.05)
         xi_q = (np.arange(128) - 64) * (2.0 * half / 128)
-        c = _simpson_lwc(lambda xp, xq: chord_function_exact(rho, xp, xq, method="position"),
-                         window, xi_q, 257)
+        c = _plain_lwc(lambda xp, xq: chord_function_exact(rho, xp, xq, method="position"),
+                       window, xi_q, 257)
         sd = spectrum(LwcSample(xi_q, c, window))
         exact = max(fit_peaks(sd.p, sd.values)[:2], key=lambda pk: pk.position)
         lines = sc_spectrum_closed_form(harmonic_circle((n + 0.5) * hbar, 1024), H, [weak], tp,
@@ -616,6 +617,111 @@ def test_lwc_from_chord_validation_and_warnings():
     with pytest.raises(ValueError):
         big = coherent_chord(state).sample(CenteredGrid(3.0, 3.0, 256, HBAR))
         lwc_from_chord(big, window, [0.4321])  # off the xi_q nodes
+
+
+def test_grid_route_reads_no_half_period_copy():
+    """The grid route's plain sum is the discrete transform's own inverse: a
+    coherent state at q = 0 on a 64-point +-2.2 chord grid gives the closed
+    form at every window centre the grid spans (measured at most 2e-16
+    absolute, against C(0) = 1.46).  Simpson's alternating weights read the
+    window half a period (2.28) away, and missed by 8.1e-6 at Q = 1 and by
+    0.28 at Q = 2, where the exact value is 3.8e-12."""
+    state = CoherentState((0.3, 0.0), HBAR)
+    grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    chi = coherent_chord(state).sample(grid)
+    xi_q = grid.q_axis[20:45]
+    for Q in (1.0, 1.5, 2.0):
+        window = LwcWindow.canonical(Q, HBAR)
+        got = lwc_from_chord(chi, window, xi_q)
+        assert got.warnings == []
+        assert np.max(np.abs(got.values - lwc_coherent_closed_form(state, window, xi_q))) <= 1e-14
+
+
+def test_grid_route_rejects_a_centre_past_the_grid_range():
+    """A window centre beyond the +-pi hbar / dp (here 2.28) that the xi_p
+    step spans raises.  Before, the state at q = -1.6 read 1.41 at Q = 2.9
+    from its periodic image, where the exact value is 3e-59."""
+    grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    chi = coherent_chord(CoherentState((0.0, -1.6), HBAR)).sample(grid)
+    with pytest.raises(ValueError, match=r"Q = 2.9 lies outside the centre range \+-2.28"):
+        lwc_from_chord(chi, LwcWindow.canonical(2.9, HBAR), [0.0])
+    with pytest.raises(ValueError, match="centre range"):
+        lwc_from_chord(chi, LwcWindow.canonical(-2.29, HBAR), [0.0])
+    assert lwc_from_chord(chi, LwcWindow.canonical(2.28, HBAR), [0.0]).warnings == []
+
+
+@pytest.mark.parametrize("kind", ["number", "cat"])
+def test_grid_route_matches_exact_slices_for_evolved_fock_states(kind):
+    """A number state and a cat state evolved as in the bench's oracle mix
+    (harmonic flow, q-channel, to 1.15 t_p, basis 48, 64-point +-2.2 chord
+    grid): the grid route agrees with ``lwc_direct`` on the exact position
+    slices (4,001 nodes over +-9 Delta) to 1e-12 of max (measured 1.3e-13
+    and 9.3e-14).  Simpson weights missed by 5.8e-8 and 5.1e-7."""
+    H = hamiltonians.harmonic()
+    channel = dynamics.LindbladChannel((0.0, 1.0))
+    dim = 48
+    rho0 = (fock_density_matrix(3, HBAR, dim) if kind == "number"
+            else cat_density_matrix((0.3, 0.25), HBAR, dim))
+    rho = lindblad_evolve(rho0, hamiltonian_matrix(H, dim, HBAR),
+                          [build_linear_lindblad(channel, HBAR, dim)],
+                          1.15 * dynamics.positivity_time(H, [channel]), HBAR, dt=4e-3)
+    grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    chi = ChordFunction.from_grid(chord_function_grid(rho, grid), grid)
+    xi_q = grid.dq * (np.arange(62) - 31)
+    window = LwcWindow.canonical(0.0 if kind == "number" else 0.25, HBAR)
+    got = lwc_from_chord(chi, window, xi_q)
+    q_axis = np.linspace(window.Q - 9.0 * window.delta, window.Q + 9.0 * window.delta, 4001)
+    want = lwc_direct(position_density_matrix(rho, q_axis, xi_q), q_axis, xi_q, window,
+                      xi_q).values
+    assert got.warnings == []
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_an_unresolved_window_is_noted_with_its_error():
+    """A plain sum at step h of a Gaussian window of width sigma errs by about
+    2 exp(-2 pi^2 sigma^2 / h^2) (Poisson summation), and both grid routes
+    note that estimate above 1e-12.  lwc_direct on an 801-node axis over
+    Q +- (6 Delta + 1): estimated 8.79e-6 and 8.83e-2 at Delta = 0.002 and
+    0.001, measured 8.81e-6 and 8.83e-2.  The chord grid at Delta = 1
+    (width hbar / Delta against the xi_p step): estimated 5.8e-5, measured
+    7.5e-5.  Canonical windows stay silent, even on a 32-point chord grid."""
+    state = CoherentState((0.3, 0.1), HBAR)
+    xi_q = suggest_xi_q_grid(HBAR, points=64)
+    for delta in (0.002, 0.001):
+        span = 6.0 * delta + 1.0
+        q_axis = np.linspace(0.1 - span, 0.1 + span, 801)
+        window = LwcWindow(0.1, delta, HBAR)
+        slices = coherent_position_slices(state, q_axis, xi_q)
+        with pytest.warns(TruncationWarning, match="q_axis step .* does not resolve"):
+            got = lwc_direct(slices, q_axis, xi_q, window, xi_q)
+        estimate = 2.0 * math.exp(-2.0 * (math.pi * delta / (q_axis[1] - q_axis[0])) ** 2)
+        want = lwc_coherent_closed_form(state, window, xi_q)
+        err = np.max(np.abs(got.values - want)) / np.max(np.abs(want))
+        assert len(got.warnings) == 1 and f"{estimate:.2e}" in got.warnings[0]
+        assert 0.9 * estimate < err < 1.1 * estimate
+
+    centred = CoherentState((0.3, 0.0), HBAR)
+    grid = CenteredGrid(2.2, 2.2, 64, HBAR)
+    chi = coherent_chord(centred).sample(grid)
+    nodes = grid.q_axis[24:41]
+    window = LwcWindow(0.0, 1.0, HBAR)
+    with pytest.warns(TruncationWarning, match="xi_p step .* does not resolve"):
+        got = lwc_from_chord(chi, window, nodes)
+    estimate = 2.0 * math.exp(-2.0 * (math.pi * HBAR / grid.dp) ** 2)
+    want = lwc_coherent_closed_form(centred, window, nodes)
+    err = np.max(np.abs(got.values - want)) / np.max(np.abs(want))
+    assert len(got.warnings) == 1 and f"{estimate:.2e}" in got.warnings[0]
+    assert 0.5 * estimate < err < 2.0 * estimate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = CenteredGrid(2.2, 2.2, 32, HBAR)
+        coarse = coherent_chord(centred).sample(small)
+        assert lwc_from_chord(coarse, LwcWindow.canonical(0.5, HBAR), [0.0]).warnings == []
+        span = 6.0 * math.sqrt(HBAR) + 1.0
+        q_axis = np.linspace(0.1 - span, 0.1 + span, 801)
+        assert lwc_direct(coherent_position_slices(state, q_axis, xi_q), q_axis, xi_q,
+                          LwcWindow.canonical(0.1, HBAR), xi_q).warnings == []
 
 
 def test_lwc_direct_validation():
@@ -1317,20 +1423,20 @@ def _term_sources():
             for src, H, ch in cases]
 
 
-def test_term_route_matches_simpson_on_every_transport_source():
+def test_term_route_matches_plain_sum_on_every_transport_source():
     """A term sum integrates exactly, one Gaussian line per term.  It matches
-    Simpson on chi at 4,097 nodes (measured 1.3e-13 of max, which is
-    Simpson's own change from 1,025 to 4,097 nodes), and every line variance
+    the plain sum on chi at 4,097 nodes (measured 1.3e-13 of max, which is
+    the sum's own change from 1,025 to 4,097 nodes), and every line variance
     is nonnegative."""
     xi_q = 0.04 * (np.arange(8) - 4)
     for chi in _term_sources():
         assert chi.warnings == []
         # the canonical windows share one width, so one table of chi serves all three
-        table = _simpson_table(chi, LwcWindow.canonical(0.0, HBAR), xi_q, 4097)
+        table = _plain_table(chi, LwcWindow.canonical(0.0, HBAR), xi_q, 4097)
         for Q in (0.0, 0.3, -0.3):
             window = LwcWindow.canonical(Q, HBAR)
             got = lwc_from_chord(chi, window, xi_q)
-            want = _simpson_sum(*table, window)
+            want = _plain_sum(*table, window)
             assert got.warnings == []
             assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.all(lwc._term_lines(chi.terms, window, []).variance >= 0.0)
@@ -1413,7 +1519,7 @@ def test_line_sum_matches_the_line_by_line_sum():
 
 def test_lwc_from_callable_chord_memory_is_bounded():
     """The term route of a non-quadratic evolved chi (one Phi per sample)
-    works in bounded memory and gives each column's Simpson integral over
+    works in bounded memory and gives each column's plain-sum integral over
     1,025 xi_p nodes.  One complex table of the whole 320-sample x 1025-node
     x 8-column sum would alone be 42 MB."""
     curve = quartic_level_curve(0.3, samples=320)
@@ -1430,7 +1536,7 @@ def test_lwc_from_callable_chord_memory_is_bounded():
     assert peak < 40e6
     # the single call gives the column-by-column integrals
     xp = np.linspace(-9.0 * HBAR / window.delta, 9.0 * HBAR / window.delta, 1025)
-    w = simpson_weights(xp.size, xp[1] - xp[0]) * np.exp(
+    w = (xp[1] - xp[0]) * np.exp(
         1j * xp * window.Q / HBAR - (window.delta * xp) ** 2 / (2.0 * HBAR**2))
     scale = np.max(np.abs(sample.values))
     for j in (0, 5):
